@@ -11,21 +11,29 @@
   a buyer is served iff her set is still fully free, and pays the highest
   winning bid among sets intersecting hers in the run without her.
 
+uduv is serial dictatorship with items as the dictators (each item in score
+order takes the first unserved buyer reporting it) and udubv is serial
+dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
+its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
+the same step.
+
 Local queries replay only the dependency closure of the queried buyer/item
-(higher-priority buyers sharing items, transitively) and agree with the
-global run outcome exactly.  Payment queries additionally replay the
-without-her closure.
+(`probes.upward_closure`: higher-priority buyers sharing items, or
+higher-scored items sharing buyers, transitively) and agree with the global
+run outcome exactly.  Payment queries additionally replay the without-her
+closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .instances import InstanceSpec
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter
+from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
+from .rsd import serial_dictatorship
 
 __all__ = [
     "AuctionInstance",
@@ -166,21 +174,17 @@ def _uduv_value(inst: AuctionInstance, buyer: int, award: tuple[int, ...]) -> Fr
 def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
     if inst.mode != UDUV:
         raise ValueError("uduv_run requires uduv mode")
-    sets = inst.effective_sets(overlay)
-    want: dict[int, list[int]] = {}
-    for b, s in enumerate(sets):
+    want: list[list[int]] = [[] for _ in range(inst.m)]
+    for b, s in enumerate(inst.effective_sets(overlay)):
         for j in s:
-            want.setdefault(j, []).append(b)  # ascending b by construction
+            want[j].append(b)  # ascending b by construction
     awards: dict[int, tuple[int, ...]] = {b: () for b in range(inst.n)}
     payments: dict[int, Fraction] = {b: Fraction(0) for b in range(inst.n)}
-    served: set[int] = set()
-    for j in sorted(range(inst.m), key=inst.item_order_key):
-        for b in want.get(j, ()):
-            if b not in served:
-                served.add(b)
-                awards[b] = (j,)
-                payments[b] = HALF
-                break
+    items = sorted(range(inst.m), key=inst.item_order_key)
+    for j, b in serial_dictatorship(items, want.__getitem__).items():
+        if b is not None:
+            awards[b] = (j,)
+            payments[b] = HALF
     utilities = {b: _uduv_value(inst, b, awards[b]) - payments[b] for b in range(inst.n)}
     return Outcome(awards=awards, payments=payments, utilities=utilities)
 
@@ -220,27 +224,11 @@ def uduv_local(
         return sorted(base)
 
     okey = inst.item_order_key
-    roots = list(fwd(idx)) if kind == "buyer" else [idx]
-    items: set[int] = set(roots)
-    stack = list(roots)
-    while stack:
-        j = stack.pop()
-        kj = okey(j)
-        for b in rev(j):
-            for j2 in fwd(b):
-                if j2 not in items and okey(j2) < kj:
-                    items.add(j2)
-                    stack.append(j2)
-    served: set[int] = set()
-    winner_of: dict[int, int] = {}
-    for j in sorted(items, key=okey):
-        for b in rev(j):
-            if b not in served:
-                served.add(b)
-                winner_of[j] = b
-                break
+    roots = fwd(idx) if kind == "buyer" else (idx,)
+    items = upward_closure(roots, okey, rev, fwd)
+    winner_of = serial_dictatorship(sorted(items, key=okey), rev)
     if kind == "item":
-        return {"item": idx, "winner": winner_of.get(idx)}
+        return {"item": idx, "winner": winner_of[idx]}
     won = [j for j, b in winner_of.items() if b == idx]
     award = (min(won, key=okey),) if won else ()
     payment = HALF if award else Fraction(0)
@@ -257,53 +245,65 @@ def _bid_order(bids: Sequence[Fraction], skip: int | None = None) -> list[int]:
     return sorted(active, key=lambda b: (-bids[b], b))
 
 
-def _udubv_assign(
-    order: Iterable[int], sets: Sequence[Sequence[int]]
-) -> tuple[dict[int, int], set[int]]:
-    took: dict[int, int] = {}
+_Sets = Callable[[int], Sequence[int]]
+
+
+def _udubv_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...]]:
+    """Serial dictatorship in bid order: each buyer takes her smallest free item."""
+    return {b: (j,) for b, j in serial_dictatorship(order, sets).items() if j is not None}
+
+
+def _udubv_price(
+    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction]
+) -> Fraction:
+    """Smallest winning bid on one of `mine`, 0 if one of them goes unsold."""
+    holder = {jt[0]: b for b, jt in won.items()}
+    if not mine or any(j not in holder for j in mine):
+        return Fraction(0)
+    return min(bids[holder[j]] for j in mine)
+
+
+def _ksmb_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...]]:
+    """Each buyer in turn wins her whole set if none of it is taken yet."""
+    won: dict[int, tuple[int, ...]] = {}
     taken: set[int] = set()
     for b in order:
-        for j in sets[b]:
-            if j not in taken:
-                took[b] = j
-                taken.add(j)
-                break
-    return took, taken
+        s = sets(b)
+        if s and not any(j in taken for j in s):
+            won[b] = tuple(s)
+            taken.update(s)
+    return won
 
 
-def _udubv_critical(inst: AuctionInstance, bids: Sequence[Fraction], i: int) -> Fraction:
-    """Smallest level at which one of i's items sells when i is absent."""
-    took, _ = _udubv_assign(_bid_order(bids, skip=i), inst.sets)
-    taker_of = {j: b for b, j in took.items()}
-    levels = []
-    for j in inst.sets[i]:
-        b = taker_of.get(j)
-        if b is None:
-            return Fraction(0)
-        levels.append(bids[b])
-    return min(levels) if levels else Fraction(0)
+def _ksmb_price(
+    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction]
+) -> Fraction:
+    """Highest winning bid among the sets that meet `mine`."""
+    mine_set = set(mine)
+    return max((bids[b] for b, s in won.items() if mine_set.intersection(s)), default=Fraction(0))
 
 
-def udubv_run(
-    inst: AuctionInstance,
-    overlay: ReportOverlay | None = None,
-    shadow: bool = False,
-) -> Outcome:
-    if inst.mode != UDUBV:
-        raise ValueError("udubv_run requires udubv mode")
+# mode -> (allocation step, critical price of a buyer's items in the run without her)
+_BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_price)}
+
+
+def _critical(inst: AuctionInstance, bids: Sequence[Fraction], i: int) -> Fraction:
+    awards, price = _BID_RULES[inst.mode]
+    return price(awards(_bid_order(bids, skip=i), inst.sets.__getitem__), inst.sets[i], bids)
+
+
+def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None, shadow: bool) -> Outcome:
     if overlay is not None and overlay.sets is not None:
-        raise ValueError("udubv sets are public; overlay may alter bids only")
+        raise ValueError(f"{inst.mode} sets are public; overlay may alter bids only")
     bids = inst.effective_bids(overlay)
-    took, _ = _udubv_assign(_bid_order(bids), inst.sets)
-    awards = {b: ((took[b],) if b in took else ()) for b in range(inst.n)}
-    payments = {b: Fraction(0) for b in range(inst.n)}
-    shadow_payments: dict[int, Fraction] | None = {} if shadow else None
-    for b in range(inst.n):
-        if awards[b]:
-            payments[b] = _udubv_critical(inst, bids, b)
-        elif shadow:
-            assert shadow_payments is not None
-            shadow_payments[b] = _udubv_critical(inst, bids, b)
+    won = _BID_RULES[inst.mode][0](_bid_order(bids), inst.sets.__getitem__)
+    awards = {b: won.get(b, ()) for b in range(inst.n)}
+    payments = {
+        b: (_critical(inst, bids, b) if awards[b] else Fraction(0)) for b in range(inst.n)
+    }
+    shadow_payments = (
+        {b: _critical(inst, bids, b) for b in range(inst.n) if not awards[b]} if shadow else None
+    )
     utilities = {
         b: (inst.values[b] - payments[b] if awards[b] else Fraction(0)) for b in range(inst.n)
     }
@@ -312,67 +312,28 @@ def udubv_run(
     )
 
 
-def _ksmb_assign(order: Iterable[int], sets: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
-    won: dict[int, tuple[int, ...]] = {}
-    taken: set[int] = set()
-    for b in order:
-        s = sets[b]
-        if s and not any(j in taken for j in s):
-            won[b] = tuple(s)
-            taken.update(s)
-    return won
-
-
-def _ksmb_critical(inst: AuctionInstance, bids: Sequence[Fraction], i: int) -> Fraction:
-    won = _ksmb_assign(_bid_order(bids, skip=i), inst.sets)
-    mine = set(inst.sets[i])
-    levels = [bids[b] for b, s in won.items() if mine.intersection(s)]
-    return max(levels) if levels else Fraction(0)
+def udubv_run(
+    inst: AuctionInstance,
+    overlay: ReportOverlay | None = None,
+    shadow: bool = False,
+) -> Outcome:
+    """udubv outcome; `shadow` adds each loser's critical bid."""
+    if inst.mode != UDUBV:
+        raise ValueError("udubv_run requires udubv mode")
+    return _bid_run(inst, overlay, shadow)
 
 
 def ksmb_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
     if inst.mode != KSMB:
         raise ValueError("ksmb_run requires ksmb mode")
-    if overlay is not None and overlay.sets is not None:
-        raise ValueError("ksmb sets are public; overlay may alter bids only")
-    bids = inst.effective_bids(overlay)
-    won = _ksmb_assign(_bid_order(bids), inst.sets)
-    awards = {b: won.get(b, ()) for b in range(inst.n)}
-    payments = {
-        b: (_ksmb_critical(inst, bids, b) if awards[b] else Fraction(0)) for b in range(inst.n)
-    }
-    utilities = {
-        b: (inst.values[b] - payments[b] if awards[b] else Fraction(0)) for b in range(inst.n)
-    }
-    return Outcome(awards=awards, payments=payments, utilities=utilities)
+    return _bid_run(inst, overlay, shadow=False)
 
 
-def _closure_by_priority(
-    view: MemoView,
-    pkey,
-    seeds: Iterable[int],
-) -> set[int]:
-    """Buyers whose dispositions the seeds depend on: for each member, every
-    strictly higher-priority buyer sharing an item, transitively."""
-    closure = set(seeds)
-    stack = list(closure)
-    while stack:
-        x = stack.pop()
-        kx = pkey(x)
-        for j in view.fwd(x):
-            for y in view.rev(j):
-                if y not in closure and pkey(y) < kx:
-                    closure.add(y)
-                    stack.append(y)
-    return closure
-
-
-def _greedy_local(
+def _bid_local(
     inst: AuctionInstance,
     buyer: int,
     counter: ProbeCounter | None,
     overlay: ReportOverlay | None,
-    ksmb: bool,
 ) -> dict:
     if not 0 <= buyer < inst.n:
         raise ValueError(f"unknown buyer {buyer}")
@@ -380,60 +341,25 @@ def _greedy_local(
         raise ValueError("sets are public in this mode")
     bids = inst.effective_bids(overlay)
     pkey = lambda b: (-bids[b], b)
+    awards, price = _BID_RULES[inst.mode]
+    # Sets are public data in these modes, but reading another buyer's set
+    # still costs a probe, so all reads go through the memoised view.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
 
-    # award: replay the upward closure of the queried buyer.  Sets are
-    # public data in these modes, but reading another buyer's set still
-    # costs a probe, so all reads go through the memoised view.
-    closure = _closure_by_priority(view, pkey, [buyer]) if bids[buyer] > 0 else set()
-    order = sorted((b for b in closure if bids[b] > 0), key=pkey)
-    sets_read = {b: view.fwd(b) for b in order}
-    if ksmb:
-        won_map = _ksmb_assign(order, _SetsProxy(sets_read))
-        award = won_map.get(buyer, ())
-    else:
-        took, _ = _udubv_assign(order, _SetsProxy(sets_read))
-        award = (took[buyer],) if buyer in took else ()
+    # award: replay the upward closure of the queried buyer
+    closure = upward_closure((buyer,), pkey, view.fwd, view.rev) if bids[buyer] > 0 else ()
+    won = awards(sorted((b for b in closure if bids[b] > 0), key=pkey), view.fwd)
+    award = won.get(buyer, ())
     if not award:
         return {"buyer": buyer, "award": (), "payment": Fraction(0)}
 
     # payment: replay the without-buyer closure around the buyer's items
-    seeds: set[int] = set()
-    for j in view.fwd(buyer):
-        seeds.update(y for y in view.rev(j) if y != buyer and bids[y] > 0)
-    closure2 = _closure_by_priority(view, pkey, seeds)
-    closure2.discard(buyer)
-    order2 = sorted((b for b in closure2 if bids[b] > 0), key=pkey)
-    sets_read2 = {b: view.fwd(b) for b in order2}
     mine = view.fwd(buyer)
-    if ksmb:
-        won2 = _ksmb_assign(order2, _SetsProxy(sets_read2))
-        mine_set = set(mine)
-        levels = [bids[b] for b, s in won2.items() if mine_set.intersection(s)]
-        payment = max(levels) if levels else Fraction(0)
-    else:
-        took2, _ = _udubv_assign(order2, _SetsProxy(sets_read2))
-        taker_of = {j: b for b, j in took2.items()}
-        levels = []
-        unsold = not mine
-        for j in mine:
-            b = taker_of.get(j)
-            if b is None:
-                unsold = True
-                break
-            levels.append(bids[b])
-        payment = Fraction(0) if unsold else min(levels)
-    return {"buyer": buyer, "award": award, "payment": payment}
-
-
-class _SetsProxy:
-    """Indexable facade over the per-query set reads used by the replays."""
-
-    def __init__(self, read: Mapping[int, tuple[int, ...]]) -> None:
-        self._read = read
-
-    def __getitem__(self, b: int) -> tuple[int, ...]:
-        return self._read[b]
+    seeds = {y for j in mine for y in view.rev(j) if y != buyer and bids[y] > 0}
+    rivals = upward_closure(seeds, pkey, view.fwd, view.rev)
+    rivals.discard(buyer)
+    won = awards(sorted((b for b in rivals if bids[b] > 0), key=pkey), view.fwd)
+    return {"buyer": buyer, "award": award, "payment": price(won, mine, bids)}
 
 
 def udubv_local(
@@ -444,7 +370,7 @@ def udubv_local(
 ) -> dict:
     if inst.mode != UDUBV:
         raise ValueError("udubv_local requires udubv mode")
-    return _greedy_local(inst, buyer, counter, overlay, ksmb=False)
+    return _bid_local(inst, buyer, counter, overlay)
 
 
 def ksmb_local(
@@ -455,7 +381,7 @@ def ksmb_local(
 ) -> dict:
     if inst.mode != KSMB:
         raise ValueError("ksmb_local requires ksmb mode")
-    return _greedy_local(inst, buyer, counter, overlay, ksmb=True)
+    return _bid_local(inst, buyer, counter, overlay)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import auctions, harness, matching, rsd, scheduling
-from .instances import InstanceSpec, build_instance, spec_from_json, spec_to_json
+from .instances import InstanceSpec, build_instance, int_rows, spec_from_json, spec_to_json
 from .probes import ProbeCounter
 
 __all__ = ["build_parser", "main"]
@@ -262,7 +262,7 @@ def _run_auction(args, single: bool) -> int:
         edges = None
         if args.sets:
             with open(args.sets, "r", encoding="utf-8") as fh:
-                edges = tuple(tuple(int(x) for x in row) for row in json.load(fh))
+                edges = int_rows(json.load(fh), "--sets")
         spec = InstanceSpec(
             seed=args.seed,
             family=family,

@@ -13,8 +13,12 @@ Output contracts (consumed by the CLI and by external plotting scripts):
 * verify report CSV — columns ``name,instances,violations``, one row per
   invariant battery.
 
-Cells may be evaluated in parallel (``LCMD_THREADS``); ordering of emitted
-rows never depends on the execution schedule.
+Both come from one family table, `_FAMILIES`: each entry names the family's
+size parameter, its query kinds with their canonical local answers (the bench
+digest input), its global answers and its extra invariant rows.
+
+Bench cells may be evaluated in parallel (``LCMD_THREADS``); ordering of
+emitted rows never depends on the execution schedule.  Verify runs serially.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import blake2b
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import auctions, matching, rsd, scheduling
 from .instances import FAMILIES, InstanceSpec, build_instance
-from .matching import ManStatus, UNMATCHED_STATUS
+from .matching import UNMATCHED_STATUS, ManStatus
 from .probes import ProbeCounter
 from .randomness import RandomTape, sample_without_replacement
 
@@ -121,61 +125,184 @@ def _digest(text: str) -> str:
     return blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def _query_target(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
-    """Build the instance for one bench cell and return (population, answer)
-    where answer(entity, counter) -> canonical string."""
-    if family == "matching":
-        inst = matching.MatchingInstance.seeded(n, k, seed)
-        budget = rounds if rounds is not None else 2 * k * k
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+#
+# Every function here looks the library's runners and local queries up on
+# their modules when it is called, so wrappers set on those module
+# attributes (tracing, profiling) see every call.
 
-        def answer(man: int, counter: ProbeCounter) -> str:
-            st = matching.local_ags(inst, budget, man, counter)
-            return f"{st.state}|{st.partner}"
 
-        return n, answer
-    if family in ("scheduling-std", "scheduling-res"):
-        spec = InstanceSpec(seed=seed, family=family, n=n, m=n, k=d)
-        inst = build_instance(spec)
-        local = scheduling.slms_local if family == "scheduling-std" else scheduling.rlms_local
+@dataclass(frozen=True)
+class _Family:
+    """How the harness benches and verifies one family.
 
-        def answer(job: int, counter: ProbeCounter) -> str:
-            return str(local(inst, job, counter))
+    `size` names the config field ("k" or "d") that sizes its instances.
+    `queries` holds one (entity, population attribute, local answer) triple
+    per query kind, the bench's kind first, checked on the verify row
+    "<entity>_local_matches_global"; a local answer maps
+    (inst, rounds, entity, counter) to the canonical answer string that the
+    bench digests.  `run` maps (inst, rounds) to the global run and one list
+    of canonical answers per query kind; `extra` maps (inst, global run) to
+    the (verify row, violations) pairs beyond local == global.
+    """
 
-        return inst.m, answer
-    if family == "uduv":
-        spec = InstanceSpec(seed=seed, family=family, n=n, m=n, k=k)
-        inst = build_instance(spec)
+    size: str
+    queries: tuple[tuple[str, str, Callable[..., str]], ...]
+    run: Callable[[Any, int], tuple[Any, tuple[list[str], ...]]]
+    extra: Callable[[Any, Any], list[tuple[str, int]]]
 
-        def answer(buyer: int, counter: ProbeCounter) -> str:
-            got = auctions.uduv_local(inst, ("buyer", buyer), counter)
-            return f"{got['award']}|{got['payment']}"
 
-        return n, answer
-    if family in ("udubv", "ksmb"):
-        spec = InstanceSpec(seed=seed, family=family, n=n, m=n, k=k)
-        inst = build_instance(spec)
-        local = auctions.udubv_local if family == "udubv" else auctions.ksmb_local
+def _status(st: ManStatus) -> str:
+    return f"{st.state}|{st.partner}"
 
-        def answer(buyer: int, counter: ProbeCounter) -> str:
-            got = local(inst, buyer, counter)
-            return f"{got['award']}|{got['payment']}"
 
-        return n, answer
-    if family == "housing":
-        spec = InstanceSpec(seed=seed, family=family, n=n, m=n, k=d)
-        inst = build_instance(spec)
+def _award(got: dict) -> str:
+    return f"{got['award']}|{got['payment']}"
 
-        def answer(agent: int, counter: ProbeCounter) -> str:
-            return str(rsd.rsd_local(inst, agent, counter))
 
-        return n, answer
-    raise ValueError(f"unknown family {family!r}")
+def _matching_run(inst, rounds: int):
+    statuses, _ = matching.abridged_gs(inst, rounds)
+    holder = {st.partner: man for man, st in statuses.items() if st.state == matching.MATCHED}
+    men = [_status(statuses[man]) for man in range(inst.n)]
+    women = [
+        _status(ManStatus.matched(holder[w]) if w in holder else UNMATCHED_STATUS)
+        for w in range(inst.m)
+    ]
+    return statuses, (men, women)
+
+
+def _matching_extra(inst, statuses) -> list[tuple[str, int]]:
+    full, stats = matching.abridged_gs(inst, 10**6)
+    mstar = matching.matched_count(full)
+    nk = inst.n * inst.k
+    return [
+        ("round_rejections_bounded", sum(s.rejections > nk / s.round_index for s in stats)),
+        ("truncated_size_lower_bound", sum(s.matched < mstar - nk / s.round_index for s in stats)),
+        ("no_blocking_pairs_full_run", len(matching.blocking_pairs(inst, full))),
+    ]
+
+
+def _scheduling_run(inst, rounds: int):
+    std = inst.mode == scheduling.STANDARD
+    runner = scheduling.slms_online if std else scheduling.rlms_online
+    alloc = runner(inst, order=inst.rank_order())
+    return alloc, ([str(mach) for mach in alloc.assign],)
+
+
+def _scheduling_extra(inst, alloc) -> list[tuple[str, int]]:
+    counts = [0] * inst.n
+    for mach in alloc.assign:
+        if mach is not None:
+            counts[mach] += 1
+    rows = [("heights_match_assignments", int(tuple(counts) != alloc.heights))]
+    if inst.mode == scheduling.RESTRICTED:
+        jobs = enumerate(alloc.assign)
+        outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.menu(j))
+        rows.append(("assignment_within_menu", outside))
+    return rows
+
+
+def _auction_run(inst, rounds: int):
+    out = getattr(auctions, f"{inst.mode}_run")(inst)
+    buyers = [
+        _award({"award": out.awards[b], "payment": out.payments[b]}) for b in range(inst.n)
+    ]
+    if inst.mode != "uduv":
+        return out, (buyers,)
+    winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
+    return out, (buyers, [str(winner_of.get(j)) for j in range(inst.m)])
+
+
+def _auction_extra(inst, out) -> list[tuple[str, int]]:
+    rows = []
+    if inst.mode != "uduv":
+        winners = (b for b in range(inst.n) if out.awards[b])
+        overpaid = sum(1 for b in winners if out.payments[b] > inst.values[b])
+        rows.append(("winner_pays_at_most_bid", overpaid))
+    awarded = [j for jt in out.awards.values() for j in jt]
+    return rows + [("items_awarded_once", len(awarded) - len(set(awarded)))]
+
+
+def _housing_run(inst, rounds: int):
+    alloc = rsd.rsd_global(inst)
+    return alloc, ([str(alloc[a]) for a in range(inst.n)],)
+
+
+def _housing_extra(inst, alloc) -> list[tuple[str, int]]:
+    taken = [h for h in alloc.values() if h is not None]
+    outside = sum(1 for a, h in alloc.items() if h is not None and h not in inst.lists[a])
+    return [("houses_assigned_once", len(taken) - len(set(taken))), ("house_within_list", outside)]
+
+
+_FAMILIES: dict[str, _Family] = {
+    "matching": _Family(
+        "k",
+        (
+            ("man", "n", lambda i, r, e, c: _status(matching.local_ags(i, r, e, c))),
+            ("woman", "m", lambda i, r, e, c: _status(matching.local_ags_woman(i, r, e, c))),
+        ),
+        _matching_run,
+        _matching_extra,
+    ),
+    "scheduling-std": _Family(
+        "d",
+        (("job", "m", lambda i, r, e, c: str(scheduling.slms_local(i, e, c))),),
+        _scheduling_run,
+        _scheduling_extra,
+    ),
+    "scheduling-res": _Family(
+        "d",
+        (("job", "m", lambda i, r, e, c: str(scheduling.rlms_local(i, e, c))),),
+        _scheduling_run,
+        _scheduling_extra,
+    ),
+    "uduv": _Family(
+        "k",
+        (
+            ("buyer", "n", lambda i, r, e, c: _award(auctions.uduv_local(i, ("buyer", e), c))),
+            ("item", "m", lambda i, r, e, c: str(auctions.uduv_local(i, ("item", e), c)["winner"])),
+        ),
+        _auction_run,
+        _auction_extra,
+    ),
+    "udubv": _Family(
+        "k",
+        (("buyer", "n", lambda i, r, e, c: _award(auctions.udubv_local(i, e, c))),),
+        _auction_run,
+        _auction_extra,
+    ),
+    "ksmb": _Family(
+        "k",
+        (("buyer", "n", lambda i, r, e, c: _award(auctions.ksmb_local(i, e, c))),),
+        _auction_run,
+        _auction_extra,
+    ),
+    "housing": _Family(
+        "d",
+        (("agent", "n", lambda i, r, e, c: str(rsd.rsd_local(i, e, c))),),
+        _housing_run,
+        _housing_extra,
+    ),
+}
+
+
+def _cell(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
+    """The table entry, the instance and the matching round budget of one
+    (family, n, seed) cell."""
+    fam = _FAMILIES[family]
+    size = k if fam.size == "k" else d
+    inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
+    return fam, inst, rounds if rounds is not None else 2 * k * k
 
 
 def _bench_cell(
     family: str, n: int, seed: int, queries: int, k: int, d: int, rounds: int | None
 ) -> list[BenchRecord]:
-    population, answer = _query_target(family, n, seed, k, d, rounds)
+    fam, inst, budget = _cell(family, n, seed, k, d, rounds)
+    _, side, answer = fam.queries[0]
+    population = getattr(inst, side)
     tape = RandomTape(seed)
     picks = sample_without_replacement(
         tape, ("bench-query", family, n), population, min(queries, population)
@@ -184,7 +311,7 @@ def _bench_cell(
     for q in sorted(picks):
         counter = ProbeCounter()
         t0 = time.perf_counter()
-        canon = answer(q, counter)
+        canon = answer(inst, budget, q, counter)
         dt = time.perf_counter() - t0
         records.append(
             BenchRecord(
@@ -334,133 +461,6 @@ def _tally(rows: dict[str, list[int]], name: str, bad: int) -> None:
     row[1] += bad
 
 
-def _verify_matching(ns, seeds, k, rounds) -> dict[str, list[int]]:
-    rows: dict[str, list[int]] = {}
-    for n in ns:
-        for seed in range(seeds):
-            inst = matching.MatchingInstance.seeded(n, k, seed)
-            budget = rounds if rounds is not None else 2 * k * k
-            statuses, _ = matching.abridged_gs(inst, budget)
-            bad = sum(
-                1 for man in range(n) if matching.local_ags(inst, budget, man) != statuses[man]
-            )
-            _tally(rows, "man_local_matches_global", bad)
-            holder = {
-                st.partner: man for man, st in statuses.items() if st.state == matching.MATCHED
-            }
-            badw = 0
-            for w in range(inst.m):
-                want = ManStatus.matched(holder[w]) if w in holder else UNMATCHED_STATUS
-                if matching.local_ags_woman(inst, budget, w) != want:
-                    badw += 1
-            _tally(rows, "woman_local_matches_global", badw)
-            full, stats = matching.abridged_gs(inst, 10**6)
-            mstar = matching.matched_count(full)
-            _tally(
-                rows,
-                "round_rejections_bounded",
-                sum(1 for s in stats if s.rejections > n * k / s.round_index),
-            )
-            _tally(
-                rows,
-                "truncated_size_lower_bound",
-                sum(1 for s in stats if s.matched < mstar - n * k / s.round_index),
-            )
-            _tally(rows, "no_blocking_pairs_full_run", len(matching.blocking_pairs(inst, full)))
-    return rows
-
-
-def _verify_scheduling(family, ns, seeds, d) -> dict[str, list[int]]:
-    rows: dict[str, list[int]] = {}
-    standard = family == "scheduling-std"
-    for n in ns:
-        for seed in range(seeds):
-            spec = InstanceSpec(seed=seed, family=family, n=n, m=n, k=d)
-            inst = build_instance(spec)
-            order = inst.rank_order()
-            if standard:
-                alloc = scheduling.slms_online(inst, order=order)
-                local = scheduling.slms_local
-            else:
-                alloc = scheduling.rlms_online(inst, order=order)
-                local = scheduling.rlms_local
-            bad = sum(1 for j in range(inst.m) if local(inst, j) != alloc.assign[j])
-            _tally(rows, "job_local_matches_global", bad)
-            counts = [0] * inst.n
-            for mach in alloc.assign:
-                if mach is not None:
-                    counts[mach] += 1
-            _tally(rows, "heights_match_assignments", int(tuple(counts) != alloc.heights))
-            if not standard:
-                badm = sum(
-                    1
-                    for j in range(inst.m)
-                    if alloc.assign[j] is not None and alloc.assign[j] not in inst.menu(j)
-                )
-                _tally(rows, "assignment_within_menu", badm)
-    return rows
-
-
-def _verify_auction(family, ns, seeds, k) -> dict[str, list[int]]:
-    rows: dict[str, list[int]] = {}
-    for n in ns:
-        for seed in range(seeds):
-            spec = InstanceSpec(seed=seed, family=family, n=n, m=n, k=k)
-            inst = build_instance(spec)
-            if family == "uduv":
-                out = auctions.uduv_run(inst)
-                bad = 0
-                for b in range(inst.n):
-                    got = auctions.uduv_local(inst, ("buyer", b))
-                    if got["award"] != out.awards[b] or got["payment"] != out.payments[b]:
-                        bad += 1
-                _tally(rows, "buyer_local_matches_global", bad)
-                winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
-                badi = 0
-                for j in range(inst.m):
-                    got = auctions.uduv_local(inst, ("item", j))
-                    if got["winner"] != winner_of.get(j):
-                        badi += 1
-                _tally(rows, "item_local_matches_global", badi)
-                awarded = [j for jt in out.awards.values() for j in jt]
-                _tally(rows, "items_awarded_once", len(awarded) - len(set(awarded)))
-            else:
-                runner = auctions.udubv_run if family == "udubv" else auctions.ksmb_run
-                local = auctions.udubv_local if family == "udubv" else auctions.ksmb_local
-                out = runner(inst)
-                bad = 0
-                for b in range(inst.n):
-                    got = local(inst, b)
-                    if got["award"] != out.awards[b] or got["payment"] != out.payments[b]:
-                        bad += 1
-                _tally(rows, "buyer_local_matches_global", bad)
-                badp = sum(
-                    1 for b in range(inst.n) if out.awards[b] and out.payments[b] > inst.values[b]
-                )
-                _tally(rows, "winner_pays_at_most_bid", badp)
-                awarded = [j for jt in out.awards.values() for j in jt]
-                _tally(rows, "items_awarded_once", len(awarded) - len(set(awarded)))
-    return rows
-
-
-def _verify_housing(ns, seeds, d) -> dict[str, list[int]]:
-    rows: dict[str, list[int]] = {}
-    for n in ns:
-        for seed in range(seeds):
-            spec = InstanceSpec(seed=seed, family="housing", n=n, m=n, k=d)
-            inst = build_instance(spec)
-            alloc = rsd.rsd_global(inst)
-            bad = sum(1 for a in range(inst.n) if rsd.rsd_local(inst, a) != alloc[a])
-            _tally(rows, "agent_local_matches_global", bad)
-            taken = [h for h in alloc.values() if h is not None]
-            _tally(rows, "houses_assigned_once", len(taken) - len(set(taken)))
-            badl = sum(
-                1 for a, h in alloc.items() if h is not None and h not in inst.lists[a]
-            )
-            _tally(rows, "house_within_list", badl)
-    return rows
-
-
 def verify_family(
     family: str,
     ns: Sequence[int],
@@ -475,12 +475,15 @@ def verify_family(
     ns = [int(n) for n in ns]
     if not ns or seeds < 1:
         raise ValueError("need a nonempty n grid and seeds >= 1")
-    if family == "matching":
-        rows = _verify_matching(ns, seeds, k, rounds)
-    elif family in ("scheduling-std", "scheduling-res"):
-        rows = _verify_scheduling(family, ns, seeds, d)
-    elif family in ("uduv", "udubv", "ksmb"):
-        rows = _verify_auction(family, ns, seeds, k)
-    else:
-        rows = _verify_housing(ns, seeds, d)
+    rows: dict[str, list[int]] = {}
+    for n in ns:
+        for seed in range(seeds):
+            fam, inst, budget = _cell(family, n, seed, k, d, rounds)
+            run, answers = fam.run(inst, budget)
+            for (entity, side, local), want in zip(fam.queries, answers):
+                population = range(getattr(inst, side))
+                bad = sum(1 for e in population if local(inst, budget, e, None) != want[e])
+                _tally(rows, f"{entity}_local_matches_global", bad)
+            for name, bad in fam.extra(inst, run):
+                _tally(rows, name, bad)
     return [(name, vals[0], vals[1]) for name, vals in rows.items()]

@@ -22,7 +22,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-__all__ = ["FAMILIES", "InstanceSpec", "build_instance", "spec_to_json", "spec_from_json"]
+__all__ = [
+    "FAMILIES", "InstanceSpec", "build_instance", "spec_to_json", "spec_from_json", "int_rows"
+]
 
 FAMILIES = (
     "matching",
@@ -84,38 +86,50 @@ def spec_to_json(spec: InstanceSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int(x, what) for x in value)
+
+
+def int_rows(value: Any, what: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of integer lists as tuples; ValueError on any other shape."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integer lists, got {value!r}")
+    return tuple(_ints(row, f"each row of {what}") for row in value)
+
+
 def spec_from_json(text: str) -> InstanceSpec:
     doc = json.loads(text)
     if not isinstance(doc, Mapping):
         raise ValueError("instance JSON must be an object")
-    try:
-        family = doc["family"]
-        seed = int(doc["seed"])
-        n = int(doc["n"])
-    except KeyError as exc:
-        raise ValueError(f"instance JSON missing required field {exc}") from None
-    m = int(doc.get("m", n))
-    if "k" in doc and "d" in doc and int(doc["k"]) != int(doc["d"]):
+    missing = [key for key in ("family", "seed", "n") if key not in doc]
+    if missing:
+        raise ValueError(f"instance JSON missing required field {missing[0]!r}")
+    n = _int(doc["n"], "n")
+    m = _int(doc.get("m", n), "m")
+    if "k" in doc and "d" in doc and _int(doc["k"], "k") != _int(doc["d"], "d"):
         raise ValueError("instance JSON gives conflicting k and d")
-    k = int(doc.get("k", doc.get("d", 0)))
+    size = "k" if "k" in doc else "d"
 
-    def _tuple_field(name: str) -> tuple[int, ...] | None:
-        if name not in doc or doc[name] is None:
-            return None
-        return tuple(int(x) for x in doc[name])
+    def _field(name: str, parse):
+        return None if doc.get(name) is None else parse(doc[name], name)
 
-    edges = None
-    if doc.get("explicit_edges") is not None:
-        edges = tuple(tuple(int(x) for x in row) for row in doc["explicit_edges"])
     return InstanceSpec(
-        seed=seed,
-        family=family,
+        seed=_int(doc["seed"], "seed"),
+        family=doc["family"],
         n=n,
         m=m,
-        k=k,
-        bids=_tuple_field("bids"),
-        valuations=_tuple_field("valuations"),
-        explicit_edges=edges,
+        k=_int(doc.get(size, 0), size),
+        bids=_field("bids", _ints),
+        valuations=_field("valuations", _ints),
+        explicit_edges=_field("explicit_edges", int_rows),
     )
 
 

@@ -9,14 +9,22 @@ that setup pass is not counted, but every *access* to a reverse record is.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
+
+`upward_closure` is the dependency engine of the rank-order local queries
+(scheduling, auctions, housing): the query tree of Mansour, Rubinstein, Vardi
+and Xie (ICALP 2012).  A greedy rule that serves entities in priority order
+decides an entity from the higher-priority entities sharing a resource with
+it, transitively; the query collects that set and replays the rule on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
-__all__ = ["Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood"]
+__all__ = [
+    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood", "upward_closure"
+]
 
 Entity = tuple[str, int]
 
@@ -146,27 +154,27 @@ def neighborhood(
     return seen
 
 
-def ball_with_distances(
-    view: MemoView, oracle: AdjacencyOracle, entity: Entity, radius: int
-) -> dict[Entity, int]:
-    """BFS distances within `radius`, reading lists through `view`.
+def upward_closure(
+    seeds: Iterable[int],
+    key: Callable[[int], Hashable],
+    out: Callable[[int], Iterable[int]],
+    back: Callable[[int], Iterable[int]],
+) -> set[int]:
+    """The seeds plus every y with key(y) < key(x) found in back(r) for some
+    r in out(x), x already in the set, transitively.
 
-    Shared helper for local algorithms that need layered neighborhoods with
-    memoized probe accounting.  Boundary vertices are not expanded.
+    With `out`/`back` the reads of a `MemoView`, this reads out(x) for every
+    member and back(r) for every r it lists, whatever the visiting order, so
+    the probes charged depend only on the set returned.
     """
-    dist: dict[Entity, int] = {entity: 0}
-    frontier: list[Entity] = [entity]
-    for r in range(radius):
-        nxt: list[Entity] = []
-        for s, i in frontier:
-            nbrs = view.fwd(i) if s == LEFT else view.rev(i)
-            other = RIGHT if s == LEFT else LEFT
-            for j in nbrs:
-                e = (other, j)
-                if e not in dist:
-                    dist[e] = r + 1
-                    nxt.append(e)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
+    stack = list(seeds)
+    closure = set(stack)
+    while stack:
+        x = stack.pop()
+        kx = key(x)
+        for r in out(x):
+            for y in back(r):
+                if y not in closure and key(y) < kx:
+                    closure.add(y)
+                    stack.append(y)
+    return closure

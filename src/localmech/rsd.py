@@ -5,20 +5,22 @@ increasing lottery number (seeded uniform over [1, n⁴]; the rare collision
 goes to the smaller agent id) and grab their best still-available listed
 house, or nothing if all d are gone.
 
-The local query resolves an agent by recursively settling only the
-earlier-arriving agents who share a listed house, transitively — the rest of
-the lottery provably cannot touch her outcome.
+The local query resolves an agent by settling only the earlier-arriving
+agents who share a listed house, transitively (`probes.upward_closure`) — the
+rest of the lottery provably cannot touch her outcome.  `serial_dictatorship`
+is the one replay step, run by the global runner over every agent, by the
+local query over its closure, and by the udubv and uduv auctions.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .instances import InstanceSpec
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter
+from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
 
-__all__ = ["HousingInstance", "rsd_global", "rsd_local"]
+__all__ = ["HousingInstance", "serial_dictatorship", "rsd_global", "rsd_local"]
 
 
 class HousingInstance:
@@ -77,18 +79,27 @@ class HousingInstance:
         return (self.ranks[agent], agent)
 
 
-def rsd_global(inst: HousingInstance) -> dict[int, int | None]:
-    allocation: dict[int, int | None] = {}
+def serial_dictatorship(
+    order: Iterable[int], prefs: Callable[[int], Sequence[int]]
+) -> dict[int, int | None]:
+    """Each entity of `order` in turn takes the first entry of prefs(entity)
+    that no earlier entity took, or None if every entry is taken."""
+    got: dict[int, int | None] = {}
     taken: set[int] = set()
-    for a in sorted(range(inst.n), key=inst.arrival_key):
-        got: int | None = None
-        for h in inst.lists[a]:
+    for a in order:
+        pick = None
+        for h in prefs(a):
             if h not in taken:
-                got = h
                 taken.add(h)
+                pick = h
                 break
-        allocation[a] = got
-    return allocation
+        got[a] = pick
+    return got
+
+
+def rsd_global(inst: HousingInstance) -> dict[int, int | None]:
+    order = sorted(range(inst.n), key=inst.arrival_key)
+    return serial_dictatorship(order, inst.lists.__getitem__)
 
 
 def rsd_local(
@@ -103,23 +114,5 @@ def rsd_local(
         raise ValueError(f"unknown agent {agent}")
     view = MemoView(inst.oracle, counter, free=((LEFT, agent),))
     akey = inst.arrival_key
-    closure = {agent}
-    stack = [agent]
-    while stack:
-        x = stack.pop()
-        kx = akey(x)
-        for h in view.fwd(x):
-            for y in view.rev(h):
-                if y not in closure and akey(y) < kx:
-                    closure.add(y)
-                    stack.append(y)
-    taken: set[int] = set()
-    result: int | None = None
-    for a in sorted(closure, key=akey):
-        for h in view.fwd(a):
-            if h not in taken:
-                taken.add(h)
-                if a == agent:
-                    result = h
-                break
-    return result
+    closure = upward_closure((agent,), akey, view.fwd, view.rev)
+    return serial_dictatorship(sorted(closure, key=akey), view.fwd)[agent]

@@ -15,8 +15,10 @@ Two allocators over unit jobs:
   is kept because it demonstrably is not (see its regression fixtures).
 
 Both allocators have per-job local queries that replay only the query's
-rank-order dependency tree and agree exactly with the online run replayed in
-rank order.
+rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
+or menu machine) and agree exactly with the online run replayed in rank
+order: the online run and the local query place each job with the same step,
+`_pick_slot` or `_pick_floored`.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -25,13 +27,14 @@ facts hinge on exact floor comparisons, so keep floats out of this module.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, MutableMapping, Sequence
 
 from .instances import InstanceSpec
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter
+from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
 
 __all__ = [
@@ -155,6 +158,8 @@ class SchedulingInstance:
                     )
                     for j in range(m)
                 )
+            if not all(self._menus):
+                raise ValueError(f"job {self._menus.index(())} has an empty menu")
         elif menus is not None:
             raise ValueError("standard mode draws its own slot choices; menus not accepted")
 
@@ -227,6 +232,34 @@ def _slot_prefix(caps: Sequence[int]) -> list[int]:
     return list(accumulate(caps))
 
 
+def _pick_slot(
+    tape: RandomTape, j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
+) -> int:
+    """Job j's step: the least-loaded of its chosen slots (seeded uniform
+    tie-break), whose height it raises by one."""
+    best = min(slot_h[s] for s in chosen)
+    mins = sorted(s for s in chosen if slot_h[s] == best)
+    if len(mins) == 1:
+        slot = mins[0]
+    else:
+        slot = mins[derive_uniform(tape, ("slot-tie", j), len(mins))]
+    slot_h[slot] += 1
+    return slot
+
+
+def _rank_closure(
+    inst: SchedulingInstance, job: int, counter: ProbeCounter | None
+) -> tuple[MemoView, list[int]]:
+    """The query's view and its rank-order dependency tree: the jobs sharing
+    a slot or menu machine with lower rank, transitively, in rank order.  The
+    queried job has the highest rank, so it comes last."""
+    if not 0 <= job < inst.m:
+        raise ValueError(f"unknown job {job}")
+    view = MemoView(inst.oracle, counter, free=((LEFT, job),))
+    closure = upward_closure((job,), inst.rank_key, view.fwd, view.rev)
+    return view, sorted(closure, key=inst.rank_key)
+
+
 def slms_online(
     inst: SchedulingInstance,
     caps: Sequence[int] | None = None,
@@ -249,13 +282,7 @@ def slms_online(
     jobs = range(inst.m) if order is None else order
     for j in jobs:
         chosen = sample_without_replacement(tape, ("slot-choice", j), pool, d)
-        best = min(slot_h[s] for s in chosen)
-        mins = sorted(s for s in chosen if slot_h[s] == best)
-        if len(mins) == 1:
-            slot = mins[0]
-        else:
-            slot = mins[derive_uniform(tape, ("slot-tie", j), len(mins))]
-        slot_h[slot] += 1
+        slot = _pick_slot(tape, j, chosen, slot_h)
         machine = bisect_right(prefix, slot)
         heights[machine] += 1
         assign[j] = machine
@@ -274,38 +301,16 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     sharing a chosen slot with lower rank, transitively."""
     if inst.mode != STANDARD:
         raise ValueError("slms_local requires standard mode")
-    if not 0 <= job < inst.m:
-        raise ValueError(f"unknown job {job}")
-    oracle = inst.oracle
-    view = MemoView(oracle, counter, free=((LEFT, job),))
-    rank = inst.rank_key
-    closure = {job}
-    stack = [job]
-    while stack:
-        x = stack.pop()
-        rx = rank(x)
-        for s in view.fwd(x):
-            for y in view.rev(s):
-                if y not in closure and rank(y) < rx:
-                    closure.add(y)
-                    stack.append(y)
-    prefix = _slot_prefix(inst.caps)
-    tape = inst.tape
-    slot_h: dict[int, int] = {}
-    result: int | None = None
-    for j in sorted(closure, key=rank):
-        chosen = view.fwd(j)
-        best = min(slot_h.get(s, 0) for s in chosen)
-        mins = sorted(s for s in chosen if slot_h.get(s, 0) == best)
-        if len(mins) == 1:
-            slot = mins[0]
-        else:
-            slot = mins[derive_uniform(tape, ("slot-tie", j), len(mins))]
-        slot_h[slot] = slot_h.get(slot, 0) + 1
-        if j == job:
-            result = bisect_right(prefix, slot)
-    assert result is not None
-    return result
+    view, order = _rank_closure(inst, job, counter)
+    slot_h: defaultdict[int, int] = defaultdict(int)
+    for j in order:
+        slot = _pick_slot(inst.tape, j, view.fwd(j), slot_h)
+    return bisect_right(_slot_prefix(inst.caps), slot)  # the last slot is the query's
+
+
+def _check_machine(inst: SchedulingInstance, i: int) -> None:
+    if not 0 <= i < inst.n:
+        raise ValueError(f"unknown machine {i}; machines are 0..{inst.n - 1}")
 
 
 def expected_height(b_i: int, B_minus_i: int, m: int) -> Fraction:
@@ -322,6 +327,7 @@ def payment_slms_expected(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """Exact expected payment: m·b²/(B₋+b) + m·Σ_{x=0}^{b} x/(B₋+x)."""
     if inst.mode != STANDARD:
         raise ValueError("expected payment applies to standard mode")
+    _check_machine(inst, i)
     b = inst.caps[i]
     B_minus = inst.B - b
     amount = Fraction(inst.m * b * b, B_minus + b) + inst.m * sum(
@@ -337,6 +343,7 @@ def payment_slms_sampled(
     [1, b].  Averaging over all k reproduces the expected payment exactly."""
     if inst.mode != STANDARD:
         raise ValueError("sampled payment applies to standard mode")
+    _check_machine(inst, i)
     b = inst.caps[i]
     B_minus = inst.B - b
     if draw is None:
@@ -383,6 +390,26 @@ def _eligible(menu: Iterable[int], caps: Sequence[int]) -> list[int]:
     return out
 
 
+def _pick_floored(
+    cands: Iterable[int],
+    heights: MutableMapping[int, int],
+    caps: Sequence[int],
+    tie_pos: Sequence[int],
+) -> int | None:
+    """A job's step: the candidate machine minimizing ⌊(h_i+1)/b_i⌋, ties by
+    the machine permutation, whose height it raises by one (None if there
+    is no candidate)."""
+    best = None
+    best_key: tuple[int, int] | None = None
+    for i in cands:
+        key = ((heights[i] + 1) // caps[i], tie_pos[i])
+        if best_key is None or key < best_key:
+            best_key, best = key, i
+    if best is not None:
+        heights[best] += 1
+    return best
+
+
 def rlms_online(
     inst: SchedulingInstance,
     caps: Sequence[int] | None = None,
@@ -402,22 +429,9 @@ def rlms_online(
         _trace.append(tuple(heights))
     jobs = range(inst.m) if order is None else order
     for j in jobs:
-        menu = inst.menu(j)
-        if not menu:
-            raise ValueError(f"job {j} has an empty menu")
-        cands = _eligible(menu, caps)
-        if cands:
-            best = None
-            best_key: tuple[int, int] | None = None
-            for i in cands:
-                key = ((heights[i] + 1) // caps[i], tie_pos[i])
-                if best_key is None or key < best_key:
-                    best_key, best = key, i
-            assert best is not None
-            heights[best] += 1
-            assign[j] = best
-        # else: every menu machine has a zeroed bid (payment reruns only);
-        # the job stays unplaced and contributes no height anywhere.
+        # None when every menu machine has a zeroed bid (payment reruns
+        # only): the job stays unplaced and adds no height anywhere.
+        assign[j] = _pick_floored(_eligible(inst.menu(j), caps), heights, caps, tie_pos)
         if _trace is not None:
             _trace.append(tuple(heights))
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
@@ -428,38 +442,11 @@ def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     sharing a menu machine with lower rank, transitively."""
     if inst.mode != RESTRICTED:
         raise ValueError("rlms_local requires restricted mode")
-    if not 0 <= job < inst.m:
-        raise ValueError(f"unknown job {job}")
-    oracle = inst.oracle
-    view = MemoView(oracle, counter, free=((LEFT, job),))
-    rank = inst.rank_key
-    closure = {job}
-    stack = [job]
-    while stack:
-        x = stack.pop()
-        rx = rank(x)
-        for i in view.fwd(x):
-            for y in view.rev(i):
-                if y not in closure and rank(y) < rx:
-                    closure.add(y)
-                    stack.append(y)
-    caps = inst.caps
-    tie_pos = inst._tie_pos
-    heights: dict[int, int] = {}
-    result: int | None = None
-    for j in sorted(closure, key=rank):
-        best = None
-        best_key: tuple[int, int] | None = None
-        for i in view.fwd(j):
-            key = ((heights.get(i, 0) + 1) // caps[i], tie_pos[i])
-            if best_key is None or key < best_key:
-                best_key, best = key, i
-        assert best is not None
-        heights[best] = heights.get(best, 0) + 1
-        if j == job:
-            result = best
-    assert result is not None
-    return result
+    view, order = _rank_closure(inst, job, counter)
+    heights: defaultdict[int, int] = defaultdict(int)
+    for j in order:
+        machine = _pick_floored(view.fwd(j), heights, inst.caps, inst._tie_pos)
+    return machine  # the last job placed is the query
 
 
 def greedy_unmodified(
@@ -485,10 +472,7 @@ def greedy_unmodified(
     if _trace is not None:
         _trace.append(tuple(heights))
     for j in range(inst.m):
-        menu = inst.menu(j)
-        if not menu:
-            raise ValueError(f"job {j} has an empty menu")
-        cands = _eligible(menu, caps)
+        cands = _eligible(inst.menu(j), caps)
         if cands:
             # exact argmin of (h+1)/b via cross-multiplication
             mins: list[int] = []
@@ -521,6 +505,7 @@ def greedy_unmodified(
 def rerun_height(inst: SchedulingInstance, i: int, bid: int) -> int:
     """Height of machine i when its bid is replaced by `bid` (0 allowed:
     the machine is then skipped by every job and its height is 0)."""
+    _check_machine(inst, i)
     if bid == 0:
         return 0
     caps = list(inst.caps)
@@ -532,6 +517,7 @@ def payment_rlms(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """Rerun payment: b_i·h_i(b_i) + Σ_{x=0}^{b_i} h_i(x, b₋ᵢ)."""
     if inst.mode != RESTRICTED:
         raise ValueError("rerun payment applies to restricted mode")
+    _check_machine(inst, i)
     b = inst.caps[i]
     h_truth = rlms_online(inst).heights[i]
     total = b * h_truth + h_truth  # the x = b term of the sum equals the truth run
@@ -563,6 +549,7 @@ def monotonicity_trace(
     """Per-step height deltas D^t = heights(bid_high) − heights(bid_low) for
     machine i's bid raised from bid_low to bid_high, menus and ties fixed.
     Entry t is the delta after t jobs (t = 0 … m)."""
+    _check_machine(inst, i)
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
     caps_low = list(inst.caps)

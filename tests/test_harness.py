@@ -176,6 +176,41 @@ def test_cli_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_cli_pay_machine_out_of_range_exits_2(capsys):
+    for mode, scheme in (("std", "expected"), ("std", "sampled"), ("res", "rerun")):
+        base = ["query", "scheduling", "--mode", mode, "--bids", "1,2,3", "--m", "6"]
+        for machine in ("-1", "3"):
+            argv = base + ["--pay-machine", machine, "--scheme", scheme]
+            assert cli.main(argv) == 2
+            assert "unknown machine" in capsys.readouterr().err
+        assert cli.main(base + ["--pay-machine", "2", "--scheme", scheme]) == 0
+        assert json.loads(capsys.readouterr().out)["machine"] == 2
+
+
+def test_cli_wrong_typed_json_exits_2(tmp_path, capsys):
+    good = {"family": "housing", "seed": 0, "n": 2, "m": 2, "d": 1}
+    for patch in ({"seed": [1]}, {"explicit_edges": [1, 2, 0]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**good, **patch}))
+        assert cli.main(["query", "rsd", "--config", str(path), "--query-agent", "0"]) == 2
+        assert "must be" in capsys.readouterr().err
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([[[0]], [1]]))
+    argv = ["query", "auction", "--mode", "uduv", "--n", "2", "--m", "2", "--sets", str(sets)]
+    assert cli.main(argv + ["--query-buyer", "0"]) == 2
+    assert "--sets" in capsys.readouterr().err
+
+
+def test_cli_empty_menu_exits_2(tmp_path, capsys):
+    doc = {"family": "scheduling-res", "seed": 0, "n": 1, "m": 2, "d": 1,
+           "explicit_edges": [[], [0]]}
+    path = tmp_path / "menus.json"
+    path.write_text(json.dumps(doc))
+    argv = ["query", "scheduling", "--mode", "res", "--config", str(path), "--query-job", "0"]
+    assert cli.main(argv) == 2
+    assert "job 0 has an empty menu" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", "matching", "--n", "40", "--seeds", "2", "--k", "2"]) == 0
     text = capsys.readouterr().out

@@ -145,3 +145,25 @@ def test_restricted_menu_draw_frequency():
         total += len(menu)
     freq = hits / total
     assert abs(freq - 36 / 48) < 0.01, freq
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"seed": [1]},
+        {"seed": 1.7},
+        {"n": None},
+        {"n": True},
+        {"m": "3"},
+        {"k": {"a": 1}},
+        {"bids": 7},
+        {"bids": [1, [2]]},
+        {"explicit_edges": [1, 2, 0]},
+        {"explicit_edges": [[0], [[1]]]},
+        {"explicit_edges": "01"},
+    ],
+)
+def test_spec_from_json_rejects_wrong_types(patch):
+    doc = {"family": "scheduling-res", "seed": 0, "n": 2, "m": 3, "d": 1, **patch}
+    with pytest.raises(ValueError):
+        spec_from_json(json.dumps(doc))

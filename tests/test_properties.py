@@ -1,0 +1,223 @@
+"""Property tests for the rank-order local queries (housing, scheduling,
+auctions): on small adversarial instances every local answer equals the
+global run's, and a query never charges more probes than there are records
+reachable from the queried entity."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from localmech.auctions import (
+    AuctionInstance,
+    ReportOverlay,
+    ksmb_local,
+    ksmb_run,
+    udubv_local,
+    udubv_run,
+    uduv_local,
+    uduv_run,
+)
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, ProbeCounter, neighborhood
+from localmech.rsd import HousingInstance, rsd_global, rsd_local
+from localmech.scheduling import (
+    RESTRICTED,
+    STANDARD,
+    SchedulingInstance,
+    rlms_local,
+    rlms_online,
+    slms_local,
+    slms_online,
+)
+
+PROPERTY = settings(max_examples=400, deadline=None)
+seeds = st.integers(0, 2**32)
+
+
+def _reachable(oracle: AdjacencyOracle, entity) -> int:
+    """Records in the query's connected component, the query's own included."""
+    return len(neighborhood(oracle, entity, oracle.n + oracle.m + 1))
+
+
+def _item_lists(draw, n: int, m: int, max_size: int, min_size: int = 0, unique: bool = False):
+    return [
+        draw(st.lists(st.integers(0, m - 1), min_size=min_size, max_size=max_size, unique=unique))
+        for _ in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# housing
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def housing_instances(draw):
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(1, 6))
+    lists = _item_lists(draw, n, m, max_size=4, unique=True)  # empty lists included
+    # lottery numbers from a tiny range, so equal numbers are common
+    ranks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return HousingInstance(lists, m, ranks=ranks)
+
+
+@PROPERTY
+@given(housing_instances())
+def test_housing_local_matches_global(inst):
+    alloc = rsd_global(inst)
+    assert sorted(alloc) == list(range(inst.n))
+    for a in range(inst.n):
+        counter = ProbeCounter()
+        assert rsd_local(inst, a, counter) == alloc[a]
+        assert counter.count <= _reachable(inst.oracle, (LEFT, a))
+
+
+# ---------------------------------------------------------------------------
+# scheduling
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def restricted_instances(draw):
+    machines = draw(st.integers(1, 4))
+    jobs = draw(st.integers(0, 8))
+    caps = draw(st.lists(st.integers(1, 3), min_size=machines, max_size=machines))
+    # menus repeat machines freely; the allocator must count each one once
+    menus = _item_lists(draw, jobs, machines, max_size=4, min_size=1)
+    tie_order = draw(st.permutations(range(machines)))
+    return SchedulingInstance(
+        caps, m=jobs, d=2, mode=RESTRICTED, seed=draw(seeds), menus=menus, tie_order=tie_order
+    )
+
+
+@st.composite
+def standard_instances(draw):
+    caps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    jobs = draw(st.integers(0, 8))
+    d = draw(st.integers(1, min(3, sum(caps))))
+    return SchedulingInstance(caps, m=jobs, d=d, mode=STANDARD, seed=draw(seeds))
+
+
+@PROPERTY
+@given(restricted_instances())
+def test_restricted_scheduling_local_matches_global(inst):
+    alloc = rlms_online(inst, order=inst.rank_order())
+    for j in range(inst.m):
+        counter = ProbeCounter()
+        assert rlms_local(inst, j, counter) == alloc.assign[j]
+        assert alloc.assign[j] in inst.menu(j)
+        assert counter.count <= _reachable(inst.oracle, (LEFT, j))
+
+
+@PROPERTY
+@given(standard_instances())
+def test_standard_scheduling_local_matches_global(inst):
+    alloc = slms_online(inst, order=inst.rank_order())
+    for j in range(inst.m):
+        counter = ProbeCounter()
+        assert slms_local(inst, j, counter) == alloc.assign[j]
+        assert counter.count <= _reachable(inst.oracle, (LEFT, j))
+
+
+# ---------------------------------------------------------------------------
+# auctions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def uduv_cases(draw):
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(1, 6))
+    inst = AuctionInstance(_item_lists(draw, n, m, max_size=3), m, "uduv", seed=draw(seeds))
+    overlay = None
+    if n and draw(st.booleans()):
+        liars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        overlay = ReportOverlay(sets={b: _item_lists(draw, 1, m, max_size=3)[0] for b in liars})
+    return inst, overlay
+
+
+def _union_oracle(inst: AuctionInstance, overlay: ReportOverlay | None) -> AdjacencyOracle:
+    """True and reported sets together: every record a query may follow."""
+    reported = inst.effective_sets(overlay)
+    return AdjacencyOracle([set(a) | set(b) for a, b in zip(inst.sets, reported)], inst.m)
+
+
+@PROPERTY
+@given(uduv_cases())
+def test_uduv_local_matches_global(case):
+    inst, overlay = case
+    out = uduv_run(inst, overlay)
+    reach = _union_oracle(inst, overlay)
+    for b in range(inst.n):
+        counter = ProbeCounter()
+        got = uduv_local(inst, ("buyer", b), counter, overlay)
+        assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b])
+        assert counter.count <= _reachable(reach, (LEFT, b))
+    winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
+    for j in range(inst.m):
+        counter = ProbeCounter()
+        assert uduv_local(inst, ("item", j), counter, overlay)["winner"] == winner_of.get(j)
+        assert counter.count <= _reachable(reach, (RIGHT, j))
+
+
+@st.composite
+def bid_cases(draw):
+    mode = draw(st.sampled_from(["udubv", "ksmb"]))
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(1, 6))
+    # values from a tiny range: zero bids and ties are common
+    values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    inst = AuctionInstance(_item_lists(draw, n, m, max_size=3), m, mode, values=values)
+    overlay = None
+    if n and draw(st.booleans()):
+        b = draw(st.integers(0, n - 1))
+        overlay = ReportOverlay(bids={b: Fraction(draw(st.integers(0, 6)), 2)})
+    return inst, overlay
+
+
+@PROPERTY
+@given(bid_cases())
+def test_bid_ordered_local_matches_global(case):
+    inst, overlay = case
+    run, local = (udubv_run, udubv_local) if inst.mode == "udubv" else (ksmb_run, ksmb_local)
+    out = run(inst, overlay)
+    for b in range(inst.n):
+        counter = ProbeCounter()
+        got = local(inst, b, counter, overlay)
+        assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b])
+        assert counter.count <= _reachable(inst.oracle, (LEFT, b))
+
+
+# ---------------------------------------------------------------------------
+# empty instances
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["uduv", "udubv", "ksmb"])
+def test_empty_auctions(mode):
+    inst = AuctionInstance([], 2, mode, values=[] if mode != "uduv" else None)
+    run = {"uduv": uduv_run, "udubv": udubv_run, "ksmb": ksmb_run}[mode]
+    assert run(inst).awards == {}
+    with pytest.raises(ValueError):
+        if mode == "uduv":
+            uduv_local(inst, ("buyer", 0))
+        else:
+            (udubv_local if mode == "udubv" else ksmb_local)(inst, 0)
+    if mode == "uduv":
+        assert uduv_local(inst, ("item", 1))["winner"] is None
+
+
+def test_empty_housing_and_scheduling():
+    houses = HousingInstance([], 3)
+    assert rsd_global(houses) == {}
+    with pytest.raises(ValueError):
+        rsd_local(houses, 0)
+    for mode in (RESTRICTED, STANDARD):
+        inst = SchedulingInstance((1, 2), m=0, d=1, mode=mode)
+        local = rlms_local if mode == RESTRICTED else slms_local
+        assert (rlms_online if mode == RESTRICTED else slms_online)(inst).assign == ()
+        with pytest.raises(ValueError):
+            local(inst, 0)

@@ -217,9 +217,29 @@ def test_greedy_scripted_tie_must_be_minimal():
 
 
 def test_rlms_empty_menu_rejected():
-    inst = _res((1, 1), 1, menus=[()])
-    with pytest.raises(ValueError):
-        rlms_online(inst)
+    # rejected when the instance is built, before any allocator or local
+    # query sees it (rlms_local used to fail on a bare assertion)
+    with pytest.raises(ValueError, match="job 1 has an empty menu"):
+        _res((1, 1), 2, menus=[(0,), ()])
+    with pytest.raises(ValueError, match="empty menu"):
+        SchedulingInstance((1, 1), m=2, d=0, mode="restricted")
+
+
+def test_payments_reject_unknown_machines():
+    std = _std((1, 2, 3), 6, 2)
+    res = _res((1, 2, 3), 6)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="unknown machine"):
+            payment_slms_expected(std, i)
+        with pytest.raises(ValueError, match="unknown machine"):
+            payment_slms_sampled(std, i)
+        with pytest.raises(ValueError, match="unknown machine"):
+            payment_rlms(res, i)
+        with pytest.raises(ValueError, match="unknown machine"):
+            rerun_height(res, i, 1)
+        with pytest.raises(ValueError, match="unknown machine"):
+            monotonicity_trace(res, i, 1, 2)
+    assert payment_slms_expected(std, 2).machine == 2
 
 
 def test_rerun_height_zero_bid_empties_machine():
