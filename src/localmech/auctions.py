@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .instances import InstanceSpec
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
 from .rsd import serial_dictatorship
+
+if TYPE_CHECKING:  # instances imports this module for its family table
+    from .instances import InstanceSpec
 
 __all__ = [
     "AuctionInstance",
@@ -89,7 +91,6 @@ class AuctionInstance:
         values: Sequence[Fraction | int] | None = None,
         k: int | None = None,
         seed: int = 0,
-        spec: InstanceSpec | None = None,
     ) -> None:
         if mode not in (UDUV, UDUBV, KSMB):
             raise ValueError(f"unknown auction mode {mode!r}")
@@ -99,7 +100,6 @@ class AuctionInstance:
         self.m = m
         self.k = k if k is not None else max((len(s) for s in self.sets), default=0)
         self.seed = seed
-        self.spec = spec
         self.tape = RandomTape(seed)
         if mode == UDUV:
             self.values: tuple[Fraction, ...] = (Fraction(1),) * self.n
@@ -133,7 +133,7 @@ class AuctionInstance:
                 values = spec.valuations
             else:
                 values = [1 + derive_uniform(tape, ("value", i), 10**6) for i in range(spec.n)]
-        return cls(sets, m=spec.m, mode=spec.family, values=values, k=spec.k, seed=spec.seed, spec=spec)
+        return cls(sets, m=spec.m, mode=spec.family, values=values, k=spec.k, seed=spec.seed)
 
     # seeded item scores; items are handled in descending score order,
     # score ties (negligible) to the smaller id
@@ -240,8 +240,8 @@ def uduv_local(
 # ---------------------------------------------------------------------------
 
 
-def _bid_order(bids: Sequence[Fraction], skip: int | None = None) -> list[int]:
-    active = [b for b in range(len(bids)) if bids[b] > 0 and b != skip]
+def _bid_order(bids: Sequence[Fraction]) -> list[int]:
+    active = [b for b in range(len(bids)) if bids[b] > 0]
     return sorted(active, key=lambda b: (-bids[b], b))
 
 
@@ -287,22 +287,30 @@ def _ksmb_price(
 _BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_price)}
 
 
-def _critical(inst: AuctionInstance, bids: Sequence[Fraction], i: int) -> Fraction:
+def _critical(
+    inst: AuctionInstance, bids: Sequence[Fraction], order: Sequence[int], i: int
+) -> Fraction:
+    """Buyer i's critical price: her price rule applied to the run without
+    her, which serves the bid order `order` with i removed."""
     awards, price = _BID_RULES[inst.mode]
-    return price(awards(_bid_order(bids, skip=i), inst.sets.__getitem__), inst.sets[i], bids)
+    without = (b for b in order if b != i)
+    return price(awards(without, inst.sets.__getitem__), inst.sets[i], bids)
 
 
 def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None, shadow: bool) -> Outcome:
     if overlay is not None and overlay.sets is not None:
         raise ValueError(f"{inst.mode} sets are public; overlay may alter bids only")
     bids = inst.effective_bids(overlay)
-    won = _BID_RULES[inst.mode][0](_bid_order(bids), inst.sets.__getitem__)
+    order = _bid_order(bids)
+    won = _BID_RULES[inst.mode][0](order, inst.sets.__getitem__)
     awards = {b: won.get(b, ()) for b in range(inst.n)}
     payments = {
-        b: (_critical(inst, bids, b) if awards[b] else Fraction(0)) for b in range(inst.n)
+        b: (_critical(inst, bids, order, b) if awards[b] else Fraction(0)) for b in range(inst.n)
     }
     shadow_payments = (
-        {b: _critical(inst, bids, b) for b in range(inst.n) if not awards[b]} if shadow else None
+        {b: _critical(inst, bids, order, b) for b in range(inst.n) if not awards[b]}
+        if shadow
+        else None
     )
     utilities = {
         b: (inst.values[b] - payments[b] if awards[b] else Fraction(0)) for b in range(inst.n)

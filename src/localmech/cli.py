@@ -10,7 +10,8 @@ Verbs:
 
 Exit codes: 0 success, 1 invariant/audit violations, 2 usage or config error.
 Single-query answers are JSON objects on stdout; batch output is CSV.
-`LCMD_THREADS` caps bench parallelism (default 1).
+`gen`, `run` and `query` map the instance flags --seed/--n/--m/--k|--d/
+--bids/--sets/--config to an instance spec the same way (`_spec`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from fractions import Fraction
 
 from . import auctions, harness, matching, rsd, scheduling
-from .instances import InstanceSpec, build_instance, int_rows, spec_from_json, spec_to_json
+from .instances import FAMILIES, InstanceSpec, build_instance, int_rows, spec_from_json, spec_to_json
 from .probes import ProbeCounter
 
 __all__ = ["build_parser", "main"]
@@ -49,12 +50,40 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, default=_json_default, sort_keys=True))
 
 
-def _load_config(path: str, expect_family: str) -> InstanceSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = spec_from_json(fh.read())
-    if spec.family != expect_family:
-        raise _Usage(f"config family {spec.family!r} does not match requested {expect_family!r}")
-    return spec
+def _spec(args, family: str) -> InstanceSpec:
+    """The instance spec of a verb's flags: the --config file when given,
+    otherwise --seed, --n (default: the --bids count), --m (default n), the
+    family's size flag, --bids (into the family's `values` field) and
+    --sets (explicit item sets).  Flags a verb lacks read as unset."""
+    flags = vars(args)
+    if flags.get("config"):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            spec = spec_from_json(fh.read())
+        if spec.family != family:
+            raise _Usage(f"config family {spec.family!r} does not match requested {family!r}")
+        return spec
+    fam = FAMILIES[family]
+    bids = flags.get("bids")
+    if bids and fam.values is None:
+        raise _Usage(f"{family} takes no --bids")
+    n = args.n if args.n is not None else len(bids) if bids else None
+    if n is None:
+        raise _Usage("--n is required without --config")
+    m = flags.get("m")
+    edges = None
+    if flags.get("sets"):
+        with open(args.sets, "r", encoding="utf-8") as fh:
+            edges = int_rows(json.load(fh), "--sets")
+    values = {fam.values: tuple(bids)} if bids else {}
+    return InstanceSpec(
+        seed=args.seed,
+        family=family,
+        n=n,
+        m=m if m is not None else n,
+        k=args.size,
+        explicit_edges=edges,
+        **values,
+    )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -76,7 +105,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     mp = fams.add_parser("matching", help="truncated proposal rounds over seeded lists")
     mp.add_argument("--seed", type=int, default=0)
     mp.add_argument("--n", type=int)
-    mp.add_argument("--k", type=int, default=3)
+    mp.add_argument("--k", dest="size", type=int, default=3)
     mp.add_argument("--rounds", type=int)
     mp.add_argument("--query-man", type=int)
     mp.add_argument("--all", action="store_true")
@@ -87,7 +116,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--d", type=int, default=2)
+    sp.add_argument("--d", dest="size", type=int, default=2)
     sp.add_argument("--bids", type=_int_list)
     sp.add_argument("--query-job", type=int)
     sp.add_argument("--pay-machine", type=int)
@@ -100,7 +129,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n", type=int)
     ap.add_argument("--m", type=int)
-    ap.add_argument("--k", type=int, default=2)
+    ap.add_argument("--k", dest="size", type=int, default=2)
     ap.add_argument("--bids", type=_int_list)
     ap.add_argument("--sets", help="JSON file: list of item-id lists, one per buyer")
     ap.add_argument("--query-buyer", type=int)
@@ -112,7 +141,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     hp.add_argument("--seed", type=int, default=0)
     hp.add_argument("--n", type=int)
     hp.add_argument("--m", type=int)
-    hp.add_argument("--d", type=int, default=3)
+    hp.add_argument("--d", dest="size", type=int, default=3)
     hp.add_argument("--query-agent", type=int)
     hp.add_argument("--all", action="store_true")
     hp.add_argument("--config")
@@ -128,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write an instance description JSON")
     gen.add_argument("family")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
-    gen.add_argument("--k", "--d", dest="k", type=int, default=3)
+    gen.add_argument("--k", "--d", dest="size", type=int, default=3)
     gen.add_argument("--bids", type=_int_list)
     gen.add_argument("--out")
 
@@ -157,70 +186,38 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _require_n(args) -> int:
-    if args.n is None:
-        raise _Usage("--n is required without --config")
-    return args.n
-
-
 def _cmd_gen(args) -> int:
-    family = harness.canonical_family(args.family)
-    spec = InstanceSpec(
-        seed=args.seed,
-        family=family,
-        n=args.n,
-        m=args.m if args.m is not None else args.n,
-        k=args.k,
-        bids=tuple(args.bids) if args.bids else None,
-    )
+    spec = _spec(args, harness.canonical_family(args.family))
     _write_text(args.out, spec_to_json(spec) + "\n")
     return 0
 
 
+def _man_doc(man: int, st: matching.ManStatus) -> dict:
+    doc = {"man": man, "status": st.state}
+    if st.partner is not None:
+        doc["woman"] = st.partner
+    return doc
+
+
 def _run_matching(args, single: bool) -> int:
-    if args.config:
-        spec = _load_config(args.config, "matching")
-        inst = build_instance(spec)
-        k = spec.k
-    else:
-        inst = matching.MatchingInstance.seeded(_require_n(args), args.k, args.seed)
-        k = args.k
-    rounds = args.rounds if args.rounds is not None else 2 * k * k
+    spec = _spec(args, "matching")
+    inst = build_instance(spec)
+    rounds = args.rounds if args.rounds is not None else 2 * spec.k * spec.k
     if args.query_man is not None:
         counter = ProbeCounter()
         st = matching.local_ags(inst, rounds, args.query_man, counter)
-        doc = {"man": args.query_man, "status": st.state, "probes": counter.count}
-        if st.partner is not None:
-            doc["woman"] = st.partner
-        _emit(doc)
+        _emit({**_man_doc(args.query_man, st), "probes": counter.count})
         return 0
     if args.all and not single:
         statuses, _ = matching.abridged_gs(inst, rounds)
         for man in range(inst.n):
-            st = statuses[man]
-            doc = {"man": man, "status": st.state}
-            if st.partner is not None:
-                doc["woman"] = st.partner
-            _emit(doc)
+            _emit(_man_doc(man, statuses[man]))
         return 0
     raise _Usage("matching needs --query-man ID" + ("" if single else " or --all"))
 
 
 def _run_scheduling(args, single: bool) -> int:
-    family = "scheduling-std" if args.mode == "std" else "scheduling-res"
-    if args.config:
-        spec = _load_config(args.config, family)
-    else:
-        n = len(args.bids) if args.bids else _require_n(args)
-        spec = InstanceSpec(
-            seed=args.seed,
-            family=family,
-            n=n,
-            m=args.m if args.m is not None else n,
-            k=args.d,
-            bids=tuple(args.bids) if args.bids else None,
-        )
-    inst = build_instance(spec)
+    inst = build_instance(_spec(args, f"scheduling-{args.mode}"))
     if args.pay_machine is not None:
         i = args.pay_machine
         if args.mode == "std":
@@ -255,24 +252,7 @@ def _run_scheduling(args, single: bool) -> int:
 
 def _run_auction(args, single: bool) -> int:
     family = args.mode
-    if args.config:
-        spec = _load_config(args.config, family)
-    else:
-        n = _require_n(args)
-        edges = None
-        if args.sets:
-            with open(args.sets, "r", encoding="utf-8") as fh:
-                edges = int_rows(json.load(fh), "--sets")
-        spec = InstanceSpec(
-            seed=args.seed,
-            family=family,
-            n=n,
-            m=args.m if args.m is not None else n,
-            k=args.k,
-            valuations=tuple(args.bids) if args.bids else None,
-            explicit_edges=edges,
-        )
-    inst = build_instance(spec)
+    inst = build_instance(_spec(args, family))
     if args.query_buyer is not None:
         counter = ProbeCounter()
         if family == "uduv":
@@ -331,18 +311,7 @@ def _run_auction(args, single: bool) -> int:
 
 
 def _run_rsd(args, single: bool) -> int:
-    if args.config:
-        spec = _load_config(args.config, "housing")
-    else:
-        n = _require_n(args)
-        spec = InstanceSpec(
-            seed=args.seed,
-            family="housing",
-            n=n,
-            m=args.m if args.m is not None else n,
-            k=args.d,
-        )
-    inst = build_instance(spec)
+    inst = build_instance(_spec(args, "housing"))
     if args.query_agent is not None:
         counter = ProbeCounter()
         house = rsd.rsd_local(inst, args.query_agent, counter)
@@ -391,7 +360,6 @@ def _cmd_bench(args) -> int:
         k=args.k,
         d=args.d,
         rounds=args.rounds,
-        out=args.out,
     )
     records = harness.bench_family(config)
     _write_text(args.out, harness.bench_records_csv(records))

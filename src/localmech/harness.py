@@ -14,19 +14,15 @@ Output contracts (consumed by the CLI and by external plotting scripts):
   invariant battery.
 
 Both come from one family table, `_FAMILIES`: each entry names the family's
-size parameter, its query kinds with their canonical local answers (the bench
-digest input), its global answers and its extra invariant rows.
-
-Bench cells may be evaluated in parallel (``LCMD_THREADS``); ordering of
-emitted rows never depends on the execution schedule.  Verify runs serially.
+query kinds with their canonical local answers (the bench digest input), its
+global answers and its extra invariant rows.  The size parameter (k or d)
+that builds a family's instances comes from `instances.FAMILIES`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import blake2b
 from statistics import median
@@ -45,7 +41,6 @@ __all__ = [
     "SUMMARY_COLUMNS",
     "VERIFY_COLUMNS",
     "canonical_family",
-    "thread_budget",
     "bench_family",
     "bench_points",
     "summarize_bench",
@@ -75,16 +70,6 @@ def canonical_family(name: str) -> str:
     return fam
 
 
-def thread_budget() -> int:
-    """Worker cap from LCMD_THREADS (default 1)."""
-    raw = os.environ.get("LCMD_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"LCMD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One orchestration request: which family, which sizes, how much work."""
@@ -96,8 +81,6 @@ class ExperimentConfig:
     k: int = 3
     d: int = 2
     rounds: int | None = None
-    scheme: str = "expected"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", canonical_family(self.family))
@@ -138,7 +121,6 @@ def _digest(text: str) -> str:
 class _Family:
     """How the harness benches and verifies one family.
 
-    `size` names the config field ("k" or "d") that sizes its instances.
     `queries` holds one (entity, population attribute, local answer) triple
     per query kind, the bench's kind first, checked on the verify row
     "<entity>_local_matches_global"; a local answer maps
@@ -148,7 +130,6 @@ class _Family:
     the (verify row, violations) pairs beyond local == global.
     """
 
-    size: str
     queries: tuple[tuple[str, str, Callable[..., str]], ...]
     run: Callable[[Any, int], tuple[Any, tuple[list[str], ...]]]
     extra: Callable[[Any, Any], list[tuple[str, int]]]
@@ -238,7 +219,6 @@ def _housing_extra(inst, alloc) -> list[tuple[str, int]]:
 
 _FAMILIES: dict[str, _Family] = {
     "matching": _Family(
-        "k",
         (
             ("man", "n", lambda i, r, e, c: _status(matching.local_ags(i, r, e, c))),
             ("woman", "m", lambda i, r, e, c: _status(matching.local_ags_woman(i, r, e, c))),
@@ -247,19 +227,16 @@ _FAMILIES: dict[str, _Family] = {
         _matching_extra,
     ),
     "scheduling-std": _Family(
-        "d",
         (("job", "m", lambda i, r, e, c: str(scheduling.slms_local(i, e, c))),),
         _scheduling_run,
         _scheduling_extra,
     ),
     "scheduling-res": _Family(
-        "d",
         (("job", "m", lambda i, r, e, c: str(scheduling.rlms_local(i, e, c))),),
         _scheduling_run,
         _scheduling_extra,
     ),
     "uduv": _Family(
-        "k",
         (
             ("buyer", "n", lambda i, r, e, c: _award(auctions.uduv_local(i, ("buyer", e), c))),
             ("item", "m", lambda i, r, e, c: str(auctions.uduv_local(i, ("item", e), c)["winner"])),
@@ -268,19 +245,16 @@ _FAMILIES: dict[str, _Family] = {
         _auction_extra,
     ),
     "udubv": _Family(
-        "k",
         (("buyer", "n", lambda i, r, e, c: _award(auctions.udubv_local(i, e, c))),),
         _auction_run,
         _auction_extra,
     ),
     "ksmb": _Family(
-        "k",
         (("buyer", "n", lambda i, r, e, c: _award(auctions.ksmb_local(i, e, c))),),
         _auction_run,
         _auction_extra,
     ),
     "housing": _Family(
-        "d",
         (("agent", "n", lambda i, r, e, c: str(rsd.rsd_local(i, e, c))),),
         _housing_run,
         _housing_extra,
@@ -291,10 +265,9 @@ _FAMILIES: dict[str, _Family] = {
 def _cell(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
     """The table entry, the instance and the matching round budget of one
     (family, n, seed) cell."""
-    fam = _FAMILIES[family]
-    size = k if fam.size == "k" else d
+    size = {"k": k, "d": d}[FAMILIES[family].size]
     inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
-    return fam, inst, rounds if rounds is not None else 2 * k * k
+    return _FAMILIES[family], inst, rounds if rounds is not None else 2 * k * k
 
 
 def _bench_cell(
@@ -334,21 +307,15 @@ def bench_points(
     d: int = 2,
     rounds: int | None = None,
 ) -> list[BenchRecord]:
-    """Probe benchmark over explicit (n, seeds, queries) points.  Cells run
-    on up to LCMD_THREADS workers; output order is schedule-independent."""
+    """Probe benchmark over explicit (n, seeds, queries) points, one cell
+    per (n, seed), records sorted by (family, n, seed, query)."""
     family = canonical_family(family)
-    cells = [
-        (family, n, seed, queries, k, d, rounds)
+    records = [
+        rec
         for n, seeds, queries in points
         for seed in range(seeds)
+        for rec in _bench_cell(family, n, seed, queries, k, d, rounds)
     ]
-    workers = thread_budget()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda c: _bench_cell(*c), cells))
-    else:
-        chunks = [_bench_cell(*c) for c in cells]
-    records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.family, r.n, r.seed, r.query))
     return records
 

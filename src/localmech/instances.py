@@ -19,22 +19,45 @@ Families:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
+
+from .auctions import AuctionInstance
+from .matching import MatchingInstance
+from .rsd import HousingInstance
+from .scheduling import SchedulingInstance
 
 __all__ = [
-    "FAMILIES", "InstanceSpec", "build_instance", "spec_to_json", "spec_from_json", "int_rows"
+    "Family", "FAMILIES", "InstanceSpec", "build_instance", "spec_to_json", "spec_from_json",
+    "int_rows",
 ]
 
-FAMILIES = (
-    "matching",
-    "scheduling-std",
-    "scheduling-res",
-    "uduv",
-    "udubv",
-    "ksmb",
-    "housing",
-)
+
+@dataclass(frozen=True)
+class Family:
+    """What every layer needs to know about one instance family.
+
+    `size` is the name ("k" or "d") under which the list, set or menu size
+    appears in the JSON spec and on the command line.  `values` names the
+    spec field ("bids" or "valuations") that `--bids` fills, None for a
+    family that takes no per-entity integers.  `cls` builds the instance
+    through its `from_spec` classmethod.
+    """
+
+    size: str
+    values: str | None
+    cls: type
+
+
+FAMILIES: dict[str, Family] = {
+    "matching": Family("k", None, MatchingInstance),
+    "scheduling-std": Family("d", "bids", SchedulingInstance),
+    "scheduling-res": Family("d", "bids", SchedulingInstance),
+    "uduv": Family("k", "valuations", AuctionInstance),
+    "udubv": Family("k", "valuations", AuctionInstance),
+    "ksmb": Family("k", "valuations", AuctionInstance),
+    "housing": Family("d", None, HousingInstance),
+}
 
 
 @dataclass(frozen=True)
@@ -58,24 +81,18 @@ class InstanceSpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         if self.n < 0 or self.m < 0 or self.k < 0:
             raise ValueError("n, m, k must be non-negative")
 
-    @property
-    def d(self) -> int:
-        """Menu / list size alias used by the scheduling and housing families."""
-        return self.k
-
 
 def spec_to_json(spec: InstanceSpec) -> str:
-    size_key = "d" if spec.family in ("scheduling-std", "scheduling-res", "housing") else "k"
     doc: dict[str, Any] = {
         "seed": spec.seed,
         "family": spec.family,
         "n": spec.n,
         "m": spec.m,
-        size_key: spec.k,
+        FAMILIES[spec.family].size: spec.k,
     }
     if spec.bids is not None:
         doc["bids"] = list(spec.bids)
@@ -135,20 +152,6 @@ def spec_from_json(text: str) -> InstanceSpec:
 
 def build_instance(spec: InstanceSpec):
     """Construct the family-specific instance object for `spec`."""
-    if spec.family == "matching":
-        from . import matching
-
-        return matching.MatchingInstance.from_spec(spec)
-    if spec.family in ("scheduling-std", "scheduling-res"):
-        from . import scheduling
-
-        return scheduling.SchedulingInstance.from_spec(spec)
-    if spec.family in ("uduv", "udubv", "ksmb"):
-        from . import auctions
-
-        return auctions.AuctionInstance.from_spec(spec)
-    if spec.family == "housing":
-        from . import rsd
-
-        return rsd.HousingInstance.from_spec(spec)
-    raise ValueError(f"unknown family {spec.family!r}")
+    # `from_spec` is looked up on the class at each call, so a wrapper set
+    # on the class attribute (tracing, profiling) sees every build.
+    return FAMILIES[spec.family].cls.from_spec(spec)

@@ -31,11 +31,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .instances import InstanceSpec
 from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
 from .randomness import RandomTape, sample_without_replacement
+
+if TYPE_CHECKING:  # instances imports this module for its family table
+    from .instances import InstanceSpec
 
 __all__ = [
     "ManStatus",
@@ -101,14 +103,12 @@ class MatchingInstance:
         seed: int = 0,
         women_prefs: Sequence[Sequence[int]] | None = None,
         k: int | None = None,
-        spec: InstanceSpec | None = None,
     ) -> None:
         self.men_prefs: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in men_prefs)
         self.n = len(self.men_prefs)
         self.m = m
         self.k = k if k is not None else max((len(p) for p in self.men_prefs), default=0)
         self.seed = seed
-        self.spec = spec
         self.tape = RandomTape(seed)
         for i, p in enumerate(self.men_prefs):
             if len(set(p)) != len(p):
@@ -142,10 +142,12 @@ class MatchingInstance:
                 tuple(sample_without_replacement(tape, ("men-list", i), m, k))
                 for i in range(n)
             ]
-        return cls(prefs, m=m, seed=spec.seed, k=k, spec=spec)
+        return cls(prefs, m=m, seed=spec.seed, k=k)
 
     @classmethod
     def seeded(cls, n: int, k: int, seed: int, m: int | None = None) -> "MatchingInstance":
+        from .instances import InstanceSpec
+
         return cls.from_spec(
             InstanceSpec(seed=seed, family="matching", n=n, m=m if m is not None else n, k=k)
         )

@@ -41,9 +41,6 @@ class ProbeCounter:
     def tick(self, amount: int = 1) -> None:
         self.count += amount
 
-    def reset(self) -> None:
-        self.count = 0
-
 
 class AdjacencyOracle:
     """Bipartite adjacency: n left records (ordered tuples of right ids)
@@ -76,9 +73,6 @@ class AdjacencyOracle:
         if counter is not None:
             counter.tick()
         return self._rev[j]
-
-    def degree_left(self, i: int) -> int:
-        return len(self._fwd[i])
 
 
 class MemoView:

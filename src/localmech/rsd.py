@@ -14,11 +14,13 @@ local query over its closure, and by the udubv and uduv auctions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .instances import InstanceSpec
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
+
+if TYPE_CHECKING:  # instances imports this module for its family table
+    from .instances import InstanceSpec
 
 __all__ = ["HousingInstance", "serial_dictatorship", "rsd_global", "rsd_local"]
 
@@ -30,13 +32,11 @@ class HousingInstance:
         m: int,
         seed: int = 0,
         ranks: Sequence[int] | None = None,
-        spec: InstanceSpec | None = None,
     ) -> None:
         self.lists: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in lists)
         self.n = len(self.lists)
         self.m = m
         self.seed = seed
-        self.spec = spec
         self.tape = RandomTape(seed)
         for a, lst in enumerate(self.lists):
             if len(set(lst)) != len(lst):
@@ -67,10 +67,12 @@ class HousingInstance:
                 sample_without_replacement(tape, ("house-list", a), spec.m, spec.k)
                 for a in range(spec.n)
             ]
-        return cls(lists, m=spec.m, seed=spec.seed, spec=spec)
+        return cls(lists, m=spec.m, seed=spec.seed)
 
     @classmethod
     def seeded(cls, n: int, d: int, seed: int, m: int | None = None) -> "HousingInstance":
+        from .instances import InstanceSpec
+
         return cls.from_spec(
             InstanceSpec(seed=seed, family="housing", n=n, m=m if m is not None else n, k=d)
         )

@@ -31,11 +31,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, MutableMapping, Sequence
+from typing import TYPE_CHECKING, Iterable, MutableMapping, Sequence
 
-from .instances import InstanceSpec
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
+
+if TYPE_CHECKING:  # instances imports this module for its family table
+    from .instances import InstanceSpec
 
 __all__ = [
     "SchedulingInstance",
@@ -113,7 +115,6 @@ class SchedulingInstance:
         seed: int = 0,
         menus: Sequence[Sequence[int]] | None = None,
         tie_order: Sequence[int] | None = None,
-        spec: InstanceSpec | None = None,
     ) -> None:
         if mode not in (STANDARD, RESTRICTED):
             raise ValueError(f"mode must be {STANDARD!r} or {RESTRICTED!r}")
@@ -125,7 +126,6 @@ class SchedulingInstance:
         self.d = d
         self.mode = mode
         self.seed = seed
-        self.spec = spec
         self.tape = RandomTape(seed)
         self.B = sum(self.caps)
         if mode == STANDARD and not 1 <= d <= self.B:
@@ -164,7 +164,6 @@ class SchedulingInstance:
             raise ValueError("standard mode draws its own slot choices; menus not accepted")
 
         self._oracle: AdjacencyOracle | None = None
-        self._slot_choices: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -182,7 +181,7 @@ class SchedulingInstance:
             hi = max(1, spec.n.bit_length() - 1)  # caps in 1..~log2(n)
             caps = [1 + derive_uniform(tape, ("cap", i), hi) for i in range(spec.n)]
         menus = spec.explicit_edges if mode == RESTRICTED else None
-        return cls(caps, m=spec.m, d=spec.k, mode=mode, seed=spec.seed, menus=menus, spec=spec)
+        return cls(caps, m=spec.m, d=spec.k, mode=mode, seed=spec.seed, menus=menus)
 
     # -- derived data ------------------------------------------------------
 
@@ -218,8 +217,8 @@ class SchedulingInstance:
                 fwd = [tuple(sorted(set(self.menu(j)))) for j in range(self.m)]
                 self._oracle = AdjacencyOracle(fwd, self.n)
             else:
-                self._slot_choices = tuple(self.slot_choices(j) for j in range(self.m))
-                self._oracle = AdjacencyOracle(self._slot_choices, self.B)
+                chosen = [self.slot_choices(j) for j in range(self.m)]
+                self._oracle = AdjacencyOracle(chosen, self.B)
         return self._oracle
 
 
@@ -363,6 +362,8 @@ def slms_expected_utility(
     capacity is `true_cap`, under the quadratic cost model: a machine that
     claims x slots and carries expected height h̄ incurs cost x²·h̄/true_cap.
     The payment schedule makes truth the exact argmax of this function."""
+    if not 0 <= i < len(caps):
+        raise ValueError(f"unknown machine {i}; machines are 0..{len(caps) - 1}")
     caps = list(caps)
     B_minus = sum(caps) - caps[i]
     if bid == 0:

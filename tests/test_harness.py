@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from localmech import cli
+from localmech import auctions, cli, matching, rsd, scheduling
 from localmech.harness import (
     BENCH_COLUMNS,
     BenchRecord,
@@ -19,9 +19,9 @@ from localmech.harness import (
     fit_power_exponent,
     render_csv,
     summarize_bench,
-    thread_budget,
     verify_family,
 )
+from localmech.instances import build_instance, spec_from_json
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -46,16 +46,6 @@ def test_experiment_config_validation():
         ExperimentConfig(family="matching", ns=(10,), seeds=0)
     with pytest.raises(ValueError):
         ExperimentConfig(family="matching", ns=(10,), seeds=1, queries=0)
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.delenv("LCMD_THREADS", raising=False)
-    assert thread_budget() == 1
-    monkeypatch.setenv("LCMD_THREADS", "6")
-    assert thread_budget() == 6
-    monkeypatch.setenv("LCMD_THREADS", "zero")
-    with pytest.raises(ValueError):
-        thread_budget()
 
 
 def test_render_csv_and_body():
@@ -97,20 +87,17 @@ def test_summarize_bench_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_bench_grid_shape_and_determinism(monkeypatch):
+def test_bench_grid_shape_and_determinism():
     points = [(256, 20, 100), (1024, 20, 100), (4096, 20, 100)]
-    monkeypatch.setenv("LCMD_THREADS", "8")
     records = bench_points("rsd", points, d=3)
     assert len(records) == 6000
     keys = [(r.family, r.n, r.seed, r.query) for r in records]
     assert keys == sorted(keys)
     assert all(r.family == "housing" and len(r.digest) == 16 for r in records)
-    monkeypatch.setenv("LCMD_THREADS", "1")
     again = bench_points("rsd", [(256, 3, 10)], d=3)
-    monkeypatch.setenv("LCMD_THREADS", "8")
-    threaded = bench_points("rsd", [(256, 3, 10)], d=3)
+    rerun = bench_points("rsd", [(256, 3, 10)], d=3)
     assert [(r.probes, r.digest) for r in again] == [
-        (r.probes, r.digest) for r in threaded
+        (r.probes, r.digest) for r in rerun
     ]
 
 
@@ -147,16 +134,75 @@ def test_cli_gen_writes_loadable_spec(tmp_path):
     assert data["n"] == 12
 
 
+# (family, verb and mode, instance flags that `gen` and the verb share, query)
+_CLI_CASES = [
+    ("matching", ["matching"], ["--seed", "1", "--n", "30", "--k", "2"], ["--query-man", "3"]),
+    ("scheduling-std", ["scheduling", "--mode", "std"],
+     ["--seed", "2", "--m", "9", "--d", "2", "--bids", "1,2,3"], ["--query-job", "4"]),
+    ("scheduling-res", ["scheduling", "--mode", "res"],
+     ["--seed", "2", "--n", "5", "--m", "12", "--d", "2"], ["--query-job", "7"]),
+    ("uduv", ["auction", "--mode", "uduv"],
+     ["--seed", "3", "--n", "10", "--m", "8", "--k", "2"], ["--query-item", "1"]),
+    ("udubv", ["auction", "--mode", "udubv"],
+     ["--seed", "0", "--m", "3", "--k", "1", "--bids", "5,6,7"], ["--query-buyer", "2"]),
+    ("ksmb", ["auction", "--mode", "ksmb"],
+     ["--seed", "4", "--n", "3", "--m", "4", "--k", "2", "--bids", "9,4,6"], ["--query-buyer", "1"]),
+    ("housing", ["rsd"], ["--seed", "3", "--n", "20", "--m", "25", "--d", "2"], ["--query-agent", "6"]),
+]
+
+
 def test_cli_query_roundtrip_through_config(tmp_path, capsys):
-    out = tmp_path / "m.json"
-    assert cli.main(["gen", "matching", "--seed", "1", "--n", "30", "--k", "2", "--out", str(out)]) == 0
-    capsys.readouterr()
-    rc = cli.main(["query", "matching", "--config", str(out), "--query-man", "3"])
-    assert rc == 0
-    got = json.loads(capsys.readouterr().out)
-    assert got["man"] == 3
-    assert got["status"] in ("matched", "unmatched", "disqualified")
-    assert got["probes"] >= 0
+    # `gen` writes the spec that the same flags give the query directly,
+    # explicit bids included.
+    for family, verb, flags, query in _CLI_CASES:
+        out = tmp_path / f"{family}.json"
+        assert cli.main(["gen", family, *flags, "--out", str(out)]) == 0, family
+        assert json.loads(out.read_text())["family"] == family
+        assert cli.main(["query", *verb, *flags, *query]) == 0, family
+        direct = capsys.readouterr().out
+        assert cli.main(["query", *verb, "--config", str(out), *query]) == 0, family
+        assert capsys.readouterr().out == direct, family
+        assert json.loads(direct)["probes"] >= 0
+
+
+def _global_lines(family: str, inst) -> list[dict]:
+    """What `lcmd run` prints for a whole instance, from the global runners."""
+    if family == "matching":
+        statuses, _ = matching.abridged_gs(inst, 2 * inst.k * inst.k)
+        return [
+            {"man": man, "status": st.state, **({} if st.partner is None else {"woman": st.partner})}
+            for man, st in sorted(statuses.items())
+        ]
+    if family.startswith("scheduling"):
+        runner = scheduling.slms_online if inst.mode == scheduling.STANDARD else scheduling.rlms_online
+        alloc = runner(inst, order=inst.rank_order())
+        return [{"job": j, "machine": mach} for j, mach in enumerate(alloc.assign)]
+    if family == "housing":
+        alloc = rsd.rsd_global(inst)
+        return [{"agent": a, "house": alloc[a]} for a in range(inst.n)]
+    out = getattr(auctions, f"{family}_run")(inst)
+    return [{
+        "awards": {str(b): list(jt) for b, jt in out.awards.items()},
+        "payments": {str(b): str(p) for b, p in out.payments.items()},
+    }]
+
+
+def test_cli_run_all_matches_global_runner(tmp_path, capsys):
+    # `run --all` (a bare `run` for the auctions) prints the global outcome
+    # of the instance that `gen` writes for the same flags, and `--bids`
+    # reaches that instance as machine capacities or buyer values.
+    for family, verb, flags, _ in _CLI_CASES:
+        out = tmp_path / f"{family}.json"
+        assert cli.main(["gen", family, *flags, "--out", str(out)]) == 0, family
+        whole = [] if verb[0] == "auction" else ["--all"]
+        assert cli.main(["run", *verb, *flags, *whole]) == 0, family
+        got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        inst = build_instance(spec_from_json(out.read_text()))
+        assert got == _global_lines(family, inst), family
+        if "--bids" in flags:
+            bids = [int(x) for x in flags[flags.index("--bids") + 1].split(",")]
+            given = inst.caps if family.startswith("scheduling") else inst.values
+            assert list(given) == bids, family
 
 
 def test_cli_usage_errors_exit_2(tmp_path):
@@ -227,12 +273,11 @@ def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "planted: 2 violations over 5 instances" in capsys.readouterr().out
 
 
-def test_cli_bench_deterministic_output(tmp_path, capsys, monkeypatch):
+def test_cli_bench_deterministic_output(tmp_path, capsys):
     argv = ["bench", "rsd", "--n", "64,128", "--seeds", "2", "--queries", "5", "--d", "2"]
     out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
     assert cli.main(argv + ["--out", str(out1)]) == 0
     summary1 = capsys.readouterr().out
-    monkeypatch.setenv("LCMD_THREADS", "8")
     assert cli.main(argv + ["--out", str(out2)]) == 0
     summary2 = capsys.readouterr().out
     body1, body2 = csv_body(out1.read_text()), csv_body(out2.read_text())
@@ -241,9 +286,6 @@ def test_cli_bench_deterministic_output(tmp_path, capsys, monkeypatch):
     header = body1.splitlines()[0]
     assert header == ",".join(BENCH_COLUMNS)
     assert len(body1.splitlines()) == 1 + 2 * 2 * 5
-
-    monkeypatch.setenv("LCMD_THREADS", "nope")
-    assert cli.main(argv) == 2
 
 
 def test_cli_scheduling_and_auction_verbs(capsys):

@@ -239,7 +239,10 @@ def test_payments_reject_unknown_machines():
             rerun_height(res, i, 1)
         with pytest.raises(ValueError, match="unknown machine"):
             monotonicity_trace(res, i, 1, 2)
+        with pytest.raises(ValueError, match="unknown machine"):
+            slms_expected_utility((1, 2, 3), 6, i, 3, 3)
     assert payment_slms_expected(std, 2).machine == 2
+    assert slms_expected_utility((1, 2, 3), 6, 2, 3, 3) == Fraction(69, 10)
 
 
 def test_rerun_height_zero_bid_empties_machine():
