@@ -11,7 +11,10 @@ Verbs:
 Exit codes: 0 success, 1 invariant/audit violations, 2 usage or config error.
 Single-query answers are JSON objects on stdout; batch output is CSV.
 `gen`, `run` and `query` map the instance flags --seed/--n/--m/--k|--d/
---bids/--sets/--config to an instance spec the same way (`_spec`).
+--bids/--sets/--config to an instance spec the same way (`_spec`); `gen`
+builds the instance before it writes the spec.  One handler, `_cmd_run`,
+serves `run` and `query` for every family from `instances.FAMILIES`: each
+query kind there is a `--query-<entity>` flag.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import auctions, harness, matching, rsd, scheduling
+from . import auctions, harness, scheduling
 from .instances import FAMILIES, InstanceSpec, build_instance, int_rows, spec_from_json, spec_to_json
 from .probes import ProbeCounter
 
@@ -120,7 +123,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     sp.add_argument("--bids", type=_int_list)
     sp.add_argument("--query-job", type=int)
     sp.add_argument("--pay-machine", type=int)
-    sp.add_argument("--scheme", choices=("expected", "sampled", "rerun"), default="expected")
+    sp.add_argument("--scheme", choices=("expected", "sampled", "rerun"))
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--config")
 
@@ -188,96 +191,58 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     spec = _spec(args, harness.canonical_family(args.family))
+    build_instance(spec)  # refuse a spec that `run --config` would refuse
     _write_text(args.out, spec_to_json(spec) + "\n")
     return 0
 
 
-def _man_doc(man: int, st: matching.ManStatus) -> dict:
-    doc = {"man": man, "status": st.state}
-    if st.partner is not None:
-        doc["woman"] = st.partner
-    return doc
+# run/query family -> instance family, formatted with the parsed flags
+_FAMILY_OF = {
+    "matching": "matching", "scheduling": "scheduling-{mode}", "auction": "{mode}", "rsd": "housing"
+}
+
+# (--mode, --scheme) -> the scheduling payment; a mode's first scheme is its default
+_PAYMENTS = {
+    ("std", "expected"): "payment_slms_expected",
+    ("std", "sampled"): "payment_slms_sampled",
+    ("res", "rerun"): "payment_rlms",
+}
 
 
-def _run_matching(args, single: bool) -> int:
-    spec = _spec(args, "matching")
+def _cmd_run(args, single: bool) -> int:
+    """Answer `--pay-machine`, else the first of the family's single-entity
+    queries that has its `--query-<entity>` flag, else `--audit`, else (`run`
+    only) the whole global run: one line per entity with `--all`, or the
+    auctions' one awards/payments object."""
+    flags = vars(args)
+    family = _FAMILY_OF[args.family].format(**flags)
+    fam = FAMILIES[family]
+    spec = _spec(args, family)
     inst = build_instance(spec)
-    rounds = args.rounds if args.rounds is not None else 2 * spec.k * spec.k
-    if args.query_man is not None:
-        counter = ProbeCounter()
-        st = matching.local_ags(inst, rounds, args.query_man, counter)
-        _emit({**_man_doc(args.query_man, st), "probes": counter.count})
-        return 0
-    if args.all and not single:
-        statuses, _ = matching.abridged_gs(inst, rounds)
-        for man in range(inst.n):
-            _emit(_man_doc(man, statuses[man]))
-        return 0
-    raise _Usage("matching needs --query-man ID" + ("" if single else " or --all"))
-
-
-def _run_scheduling(args, single: bool) -> int:
-    inst = build_instance(_spec(args, f"scheduling-{args.mode}"))
-    if args.pay_machine is not None:
-        i = args.pay_machine
-        if args.mode == "std":
-            if args.scheme == "rerun":
-                raise _Usage("--scheme rerun applies to --mode res")
-            if args.scheme == "expected":
-                rec = scheduling.payment_slms_expected(inst, i)
-            else:
-                rec = scheduling.payment_slms_sampled(inst, i)
-        else:
-            if args.scheme != "rerun":
-                raise _Usage("--mode res payments use --scheme rerun")
-            rec = scheduling.payment_rlms(inst, i)
+    if flags.get("pay_machine") is not None:
+        scheme = args.scheme or next(s for mode, s in _PAYMENTS if mode == args.mode)
+        if (args.mode, scheme) not in _PAYMENTS:
+            raise _Usage(f"--mode {args.mode} payments take no --scheme {scheme}")
+        rec = getattr(scheduling, _PAYMENTS[args.mode, scheme])(inst, args.pay_machine)
         _emit({"machine": rec.machine, "payment": str(rec.amount), "scheme": rec.scheme})
         return 0
-    local = scheduling.slms_local if args.mode == "std" else scheduling.rlms_local
-    if args.query_job is not None:
-        counter = ProbeCounter()
-        mach = local(inst, args.query_job, counter)
-        _emit({"job": args.query_job, "machine": mach, "probes": counter.count})
-        return 0
-    if args.all and not single:
-        runner = scheduling.slms_online if args.mode == "std" else scheduling.rlms_online
-        alloc = runner(inst, order=inst.rank_order())
-        for j in range(inst.m):
-            _emit({"job": j, "machine": alloc.assign[j]})
-        return 0
-    raise _Usage(
-        "scheduling needs --query-job J or --pay-machine I" + ("" if single else " or --all")
-    )
-
-
-def _run_auction(args, single: bool) -> int:
-    family = args.mode
-    inst = build_instance(_spec(args, family))
-    if args.query_buyer is not None:
-        counter = ProbeCounter()
-        if family == "uduv":
-            got = auctions.uduv_local(inst, ("buyer", args.query_buyer), counter)
-        elif family == "udubv":
-            got = auctions.udubv_local(inst, args.query_buyer, counter)
-        else:
-            got = auctions.ksmb_local(inst, args.query_buyer, counter)
-        _emit(
-            {
-                "buyer": got["buyer"],
-                "award": list(got["award"]),
-                "payment": str(got["payment"]),
-                "probes": counter.count,
-            }
-        )
-        return 0
-    if args.query_item is not None:
-        if family != "uduv":
-            raise _Usage("item queries are uduv-only; buyer queries cover the other modes")
-        counter = ProbeCounter()
-        got = auctions.uduv_local(inst, ("item", args.query_item), counter)
-        _emit({"item": got["item"], "winner": got["winner"], "probes": counter.count})
-        return 0
-    if args.audit:
+    rounds = flags.get("rounds")
+    if rounds is None:  # matching's default round budget
+        rounds = 2 * spec.k * spec.k
+    asked = {
+        name[len("query_"):]: e
+        for name, e in flags.items()
+        if name.startswith("query_") and e is not None
+    }
+    for kind in fam.queries:
+        if kind.entity in asked:
+            e = asked[kind.entity]
+            counter = ProbeCounter()
+            _emit({**kind.doc(e, kind.local(inst, rounds, e, counter)), "probes": counter.count})
+            return 0
+    if asked:
+        raise _Usage(f"{family} has no --query-{min(asked)}")
+    if flags.get("audit"):
         violations = auctions.truthfulness_audit(inst)
         _emit(
             {
@@ -293,46 +258,23 @@ def _run_auction(args, single: bool) -> int:
             }
         )
         return 1 if violations else 0
-    if single:
-        raise _Usage("auction needs --query-buyer I or --query-item J")
-    runner = {
-        "uduv": auctions.uduv_run,
-        "udubv": auctions.udubv_run,
-        "ksmb": auctions.ksmb_run,
-    }[family]
-    out = runner(inst)
-    _emit(
-        {
-            "awards": {b: list(jt) for b, jt in sorted(out.awards.items())},
-            "payments": {b: str(p) for b, p in sorted(out.payments.items())},
-        }
-    )
+    lines = "all" in flags  # the auctions print one object instead
+    if single or (lines and not args.all):
+        whole = " or --all" if lines and not single else ""
+        raise _Usage(f"{args.verb} {args.family} needs --query-{fam.queries[0].entity}{whole}")
+    run, answers = fam.run(inst, rounds)
+    if lines:
+        kind = fam.queries[0]
+        for e, got in enumerate(answers[0]):
+            _emit(kind.doc(e, got))
+    else:
+        _emit(
+            {
+                "awards": {b: list(jt) for b, jt in sorted(run.awards.items())},
+                "payments": {b: str(p) for b, p in sorted(run.payments.items())},
+            }
+        )
     return 0
-
-
-def _run_rsd(args, single: bool) -> int:
-    inst = build_instance(_spec(args, "housing"))
-    if args.query_agent is not None:
-        counter = ProbeCounter()
-        house = rsd.rsd_local(inst, args.query_agent, counter)
-        _emit({"agent": args.query_agent, "house": house, "probes": counter.count})
-        return 0
-    if args.all and not single:
-        alloc = rsd.rsd_global(inst)
-        for a in range(inst.n):
-            _emit({"agent": a, "house": alloc[a]})
-        return 0
-    raise _Usage("rsd needs --query-agent I" + ("" if single else " or --all"))
-
-
-def _cmd_run(args, single: bool) -> int:
-    handler = {
-        "matching": _run_matching,
-        "scheduling": _run_scheduling,
-        "auction": _run_auction,
-        "rsd": _run_rsd,
-    }[args.family]
-    return handler(args, single)
 
 
 def _cmd_verify(args) -> int:

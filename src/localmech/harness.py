@@ -13,10 +13,10 @@ Output contracts (consumed by the CLI and by external plotting scripts):
 * verify report CSV — columns ``name,instances,violations``, one row per
   invariant battery.
 
-Both come from one family table, `_FAMILIES`: each entry names the family's
-query kinds with their canonical local answers (the bench digest input), its
-global answers and its extra invariant rows.  The size parameter (k or d)
-that builds a family's instances comes from `instances.FAMILIES`.
+Bench cells and verify batteries both read the one family table,
+`instances.FAMILIES`: the size parameter (k or d) that builds a family's
+instances, its query kinds with their local answers and canonical strings
+(the bench digest input), its global answers and its extra invariant rows.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ import time
 from dataclasses import dataclass
 from hashlib import blake2b
 from statistics import median
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from . import auctions, matching, rsd, scheduling
 from .instances import FAMILIES, InstanceSpec, build_instance
-from .matching import UNMATCHED_STATUS, ManStatus
 from .probes import ProbeCounter
 from .randomness import RandomTape, sample_without_replacement
 
@@ -108,174 +106,21 @@ def _digest(text: str) -> str:
     return blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# the family table
-# ---------------------------------------------------------------------------
-#
-# Every function here looks the library's runners and local queries up on
-# their modules when it is called, so wrappers set on those module
-# attributes (tracing, profiling) see every call.
-
-
-@dataclass(frozen=True)
-class _Family:
-    """How the harness benches and verifies one family.
-
-    `queries` holds one (entity, population attribute, local answer) triple
-    per query kind, the bench's kind first, checked on the verify row
-    "<entity>_local_matches_global"; a local answer maps
-    (inst, rounds, entity, counter) to the canonical answer string that the
-    bench digests.  `run` maps (inst, rounds) to the global run and one list
-    of canonical answers per query kind; `extra` maps (inst, global run) to
-    the (verify row, violations) pairs beyond local == global.
-    """
-
-    queries: tuple[tuple[str, str, Callable[..., str]], ...]
-    run: Callable[[Any, int], tuple[Any, tuple[list[str], ...]]]
-    extra: Callable[[Any, Any], list[tuple[str, int]]]
-
-
-def _status(st: ManStatus) -> str:
-    return f"{st.state}|{st.partner}"
-
-
-def _award(got: dict) -> str:
-    return f"{got['award']}|{got['payment']}"
-
-
-def _matching_run(inst, rounds: int):
-    statuses, _ = matching.abridged_gs(inst, rounds)
-    holder = {st.partner: man for man, st in statuses.items() if st.state == matching.MATCHED}
-    men = [_status(statuses[man]) for man in range(inst.n)]
-    women = [
-        _status(ManStatus.matched(holder[w]) if w in holder else UNMATCHED_STATUS)
-        for w in range(inst.m)
-    ]
-    return statuses, (men, women)
-
-
-def _matching_extra(inst, statuses) -> list[tuple[str, int]]:
-    full, stats = matching.abridged_gs(inst, 10**6)
-    mstar = matching.matched_count(full)
-    nk = inst.n * inst.k
-    return [
-        ("round_rejections_bounded", sum(s.rejections > nk / s.round_index for s in stats)),
-        ("truncated_size_lower_bound", sum(s.matched < mstar - nk / s.round_index for s in stats)),
-        ("no_blocking_pairs_full_run", len(matching.blocking_pairs(inst, full))),
-    ]
-
-
-def _scheduling_run(inst, rounds: int):
-    std = inst.mode == scheduling.STANDARD
-    runner = scheduling.slms_online if std else scheduling.rlms_online
-    alloc = runner(inst, order=inst.rank_order())
-    return alloc, ([str(mach) for mach in alloc.assign],)
-
-
-def _scheduling_extra(inst, alloc) -> list[tuple[str, int]]:
-    counts = [0] * inst.n
-    for mach in alloc.assign:
-        if mach is not None:
-            counts[mach] += 1
-    rows = [("heights_match_assignments", int(tuple(counts) != alloc.heights))]
-    if inst.mode == scheduling.RESTRICTED:
-        jobs = enumerate(alloc.assign)
-        outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.menu(j))
-        rows.append(("assignment_within_menu", outside))
-    return rows
-
-
-def _auction_run(inst, rounds: int):
-    out = getattr(auctions, f"{inst.mode}_run")(inst)
-    buyers = [
-        _award({"award": out.awards[b], "payment": out.payments[b]}) for b in range(inst.n)
-    ]
-    if inst.mode != "uduv":
-        return out, (buyers,)
-    winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
-    return out, (buyers, [str(winner_of.get(j)) for j in range(inst.m)])
-
-
-def _auction_extra(inst, out) -> list[tuple[str, int]]:
-    rows = []
-    if inst.mode != "uduv":
-        winners = (b for b in range(inst.n) if out.awards[b])
-        overpaid = sum(1 for b in winners if out.payments[b] > inst.values[b])
-        rows.append(("winner_pays_at_most_bid", overpaid))
-    awarded = [j for jt in out.awards.values() for j in jt]
-    return rows + [("items_awarded_once", len(awarded) - len(set(awarded)))]
-
-
-def _housing_run(inst, rounds: int):
-    alloc = rsd.rsd_global(inst)
-    return alloc, ([str(alloc[a]) for a in range(inst.n)],)
-
-
-def _housing_extra(inst, alloc) -> list[tuple[str, int]]:
-    taken = [h for h in alloc.values() if h is not None]
-    outside = sum(1 for a, h in alloc.items() if h is not None and h not in inst.lists[a])
-    return [("houses_assigned_once", len(taken) - len(set(taken))), ("house_within_list", outside)]
-
-
-_FAMILIES: dict[str, _Family] = {
-    "matching": _Family(
-        (
-            ("man", "n", lambda i, r, e, c: _status(matching.local_ags(i, r, e, c))),
-            ("woman", "m", lambda i, r, e, c: _status(matching.local_ags_woman(i, r, e, c))),
-        ),
-        _matching_run,
-        _matching_extra,
-    ),
-    "scheduling-std": _Family(
-        (("job", "m", lambda i, r, e, c: str(scheduling.slms_local(i, e, c))),),
-        _scheduling_run,
-        _scheduling_extra,
-    ),
-    "scheduling-res": _Family(
-        (("job", "m", lambda i, r, e, c: str(scheduling.rlms_local(i, e, c))),),
-        _scheduling_run,
-        _scheduling_extra,
-    ),
-    "uduv": _Family(
-        (
-            ("buyer", "n", lambda i, r, e, c: _award(auctions.uduv_local(i, ("buyer", e), c))),
-            ("item", "m", lambda i, r, e, c: str(auctions.uduv_local(i, ("item", e), c)["winner"])),
-        ),
-        _auction_run,
-        _auction_extra,
-    ),
-    "udubv": _Family(
-        (("buyer", "n", lambda i, r, e, c: _award(auctions.udubv_local(i, e, c))),),
-        _auction_run,
-        _auction_extra,
-    ),
-    "ksmb": _Family(
-        (("buyer", "n", lambda i, r, e, c: _award(auctions.ksmb_local(i, e, c))),),
-        _auction_run,
-        _auction_extra,
-    ),
-    "housing": _Family(
-        (("agent", "n", lambda i, r, e, c: str(rsd.rsd_local(i, e, c))),),
-        _housing_run,
-        _housing_extra,
-    ),
-}
-
-
 def _cell(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
     """The table entry, the instance and the matching round budget of one
     (family, n, seed) cell."""
-    size = {"k": k, "d": d}[FAMILIES[family].size]
+    fam = FAMILIES[family]
+    size = {"k": k, "d": d}[fam.size]
     inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
-    return _FAMILIES[family], inst, rounds if rounds is not None else 2 * k * k
+    return fam, inst, rounds if rounds is not None else 2 * k * k
 
 
 def _bench_cell(
     family: str, n: int, seed: int, queries: int, k: int, d: int, rounds: int | None
 ) -> list[BenchRecord]:
     fam, inst, budget = _cell(family, n, seed, k, d, rounds)
-    _, side, answer = fam.queries[0]
-    population = getattr(inst, side)
+    kind = fam.queries[0]
+    population = getattr(inst, kind.side)
     tape = RandomTape(seed)
     picks = sample_without_replacement(
         tape, ("bench-query", family, n), population, min(queries, population)
@@ -284,7 +129,7 @@ def _bench_cell(
     for q in sorted(picks):
         counter = ProbeCounter()
         t0 = time.perf_counter()
-        canon = answer(inst, budget, q, counter)
+        canon = kind.canon(kind.local(inst, budget, q, counter))
         dt = time.perf_counter() - t0
         records.append(
             BenchRecord(
@@ -447,10 +292,11 @@ def verify_family(
         for seed in range(seeds):
             fam, inst, budget = _cell(family, n, seed, k, d, rounds)
             run, answers = fam.run(inst, budget)
-            for (entity, side, local), want in zip(fam.queries, answers):
-                population = range(getattr(inst, side))
-                bad = sum(1 for e in population if local(inst, budget, e, None) != want[e])
-                _tally(rows, f"{entity}_local_matches_global", bad)
+            for kind, want in zip(fam.queries, answers):
+                population = range(getattr(inst, kind.side))
+                local, canon = kind.local, kind.canon
+                bad = sum(canon(local(inst, budget, e, None)) != canon(want[e]) for e in population)
+                _tally(rows, f"{kind.entity}_local_matches_global", bad)
             for name, bad in fam.extra(inst, run):
                 _tally(rows, name, bad)
     return [(name, vals[0], vals[1]) for name, vals in rows.items()]

@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from localmech import auctions, cli, matching, rsd, scheduling
 from localmech.harness import (
@@ -22,6 +24,7 @@ from localmech.harness import (
     verify_family,
 )
 from localmech.instances import build_instance, spec_from_json
+from localmech.probes import ProbeCounter
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -205,6 +208,126 @@ def test_cli_run_all_matches_global_runner(tmp_path, capsys):
             assert list(given) == bids, family
 
 
+def _man_doc(inst, man, counter):
+    st = matching.local_ags(inst, 2 * inst.k * inst.k, man, counter)
+    matched = {} if st.partner is None else {"woman": st.partner}
+    return {"man": man, "status": st.state, **matched}
+
+
+def _buyer_doc(local):
+    def doc(inst, buyer, counter):
+        got = local(inst, buyer, counter)
+        return {"buyer": buyer, "award": list(got["award"]), "payment": str(got["payment"])}
+
+    return doc
+
+
+# (family, query flag, population attribute, what `lcmd query` prints for
+# one entity, from the library's local answer)
+_QUERY_KINDS = [
+    ("matching", "--query-man", "n", _man_doc),
+    ("scheduling-std", "--query-job", "m",
+     lambda inst, j, c: {"job": j, "machine": scheduling.slms_local(inst, j, c)}),
+    ("scheduling-res", "--query-job", "m",
+     lambda inst, j, c: {"job": j, "machine": scheduling.rlms_local(inst, j, c)}),
+    ("uduv", "--query-buyer", "n",
+     _buyer_doc(lambda inst, b, c: auctions.uduv_local(inst, ("buyer", b), c))),
+    ("uduv", "--query-item", "m",
+     lambda inst, j, c: {"item": j, "winner": auctions.uduv_local(inst, ("item", j), c)["winner"]}),
+    ("udubv", "--query-buyer", "n", _buyer_doc(auctions.udubv_local)),
+    ("ksmb", "--query-buyer", "n", _buyer_doc(auctions.ksmb_local)),
+    ("housing", "--query-agent", "n",
+     lambda inst, a, c: {"agent": a, "house": rsd.rsd_local(inst, a, c)}),
+]
+
+
+@pytest.mark.parametrize(
+    "family,flag,side,doc", _QUERY_KINDS, ids=[f"{f}{q}" for f, q, _, _ in _QUERY_KINDS]
+)
+def test_cli_query_prints_the_local_answer(family, flag, side, doc, tmp_path, capsys):
+    # every query kind of `lcmd query` prints the library's local answer for
+    # the entity plus the probes that answer charged
+    _, verb, flags, _ = next(case for case in _CLI_CASES if case[0] == family)
+    out = tmp_path / "spec.json"
+    assert cli.main(["gen", family, *flags, "--out", str(out)]) == 0
+    inst = build_instance(spec_from_json(out.read_text()))
+    for e in range(getattr(inst, side)):
+        assert cli.main(["query", *verb, *flags, flag, str(e)]) == 0, (family, e)
+        counter = ProbeCounter()
+        want = {**doc(inst, e, counter), "probes": counter.count}
+        assert json.loads(capsys.readouterr().out) == want, (family, e)
+
+
+def test_cli_item_query_is_uduv_only(capsys):
+    for mode in ("udubv", "ksmb"):
+        for verb in ("query", "run"):
+            argv = [verb, "auction", "--mode", mode, "--n", "4", "--m", "4", "--query-item", "0"]
+            assert cli.main(argv) == 2, (mode, verb)
+            assert capsys.readouterr().out == ""
+
+
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False), st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+# family -> (run/query verb and mode, query flag); other family values use rsd's
+_VERBS = {
+    "matching": (["matching"], "--query-man"),
+    "scheduling-std": (["scheduling", "--mode", "std"], "--query-job"),
+    "scheduling-res": (["scheduling", "--mode", "res"], "--query-job"),
+    "uduv": (["auction", "--mode", "uduv"], "--query-item"),
+    "udubv": (["auction", "--mode", "udubv"], "--query-buyer"),
+    "ksmb": (["auction", "--mode", "ksmb"], "--query-buyer"),
+    "housing": (["rsd"], "--query-agent"),
+}
+_SMALL_INT = st.integers(-1, 6)
+_ROWS = st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=7)
+
+
+@st.composite
+def _config_docs(draw):
+    """Spec JSON objects: mostly well-typed fields of small instances, with
+    any field dropped or replaced by arbitrary JSON."""
+    doc = {
+        "family": draw(st.sampled_from(sorted(_VERBS))),
+        "seed": draw(st.integers(-2, 50)),
+        "n": draw(_SMALL_INT),
+        "m": draw(_SMALL_INT),
+        draw(st.sampled_from(["k", "d"])): draw(_SMALL_INT),
+        "bids": draw(st.none() | st.lists(st.integers(-2, 9), max_size=7)),
+        "valuations": draw(st.none() | st.lists(st.integers(-2, 9), max_size=7)),
+        "explicit_edges": draw(st.none() | _ROWS),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True, max_size=2)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=_config_docs(), entity=st.integers(-1, 4))
+def test_cli_config_fuzz_exits_0_or_2(doc, entity, tmp_path):
+    # whatever a --config file holds, lcmd answers or exits 2 with a message;
+    # it never raises
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    family = doc.get("family")
+    known = isinstance(family, str) and family in _VERBS
+    verb, flag = _VERBS[family if known else "housing"]
+    whole = [] if verb[0] == "auction" else ["--all"]
+    assert cli.main(["query", *verb, "--config", str(path), flag, str(entity)]) in (0, 2)
+    assert cli.main(["run", *verb, "--config", str(path), *whole]) in (0, 2)
+
+
 def test_cli_usage_errors_exit_2(tmp_path):
     # query without a query flag
     assert cli.main(["query", "rsd", "--seed", "0", "--n", "8"]) == 2
@@ -235,16 +358,75 @@ def test_cli_pay_machine_out_of_range_exits_2(capsys):
 
 def test_cli_wrong_typed_json_exits_2(tmp_path, capsys):
     good = {"family": "housing", "seed": 0, "n": 2, "m": 2, "d": 1}
-    for patch in ({"seed": [1]}, {"explicit_edges": [1, 2, 0]}):
+    for patch, said in (
+        ({"seed": [1]}, "must be"),
+        ({"explicit_edges": [1, 2, 0]}, "must be"),
+        ({"family": [1]}, "unknown family"),
+        ({"family": {"a": 1}}, "unknown family"),
+    ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**good, **patch}))
         assert cli.main(["query", "rsd", "--config", str(path), "--query-agent", "0"]) == 2
-        assert "must be" in capsys.readouterr().err
+        assert said in capsys.readouterr().err
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps([[[0]], [1]]))
     argv = ["query", "auction", "--mode", "uduv", "--n", "2", "--m", "2", "--sets", str(sets)]
     assert cli.main(argv + ["--query-buyer", "0"]) == 2
     assert "--sets" in capsys.readouterr().err
+
+
+def test_cli_explicit_rows_must_match_n(tmp_path, capsys):
+    # a spec whose explicit lists, sets or menus do not give one row per
+    # entity is refused, not built as a smaller instance
+    rows = [[0], [1], [2]]
+    cases = [
+        ({"family": "matching", "k": 1}, ["run", "matching"], ["--all"]),
+        ({"family": "housing", "d": 1}, ["run", "rsd"], ["--all"]),
+        ({"family": "uduv", "k": 1}, ["run", "auction", "--mode", "uduv"], []),
+        ({"family": "scheduling-res", "d": 1}, ["run", "scheduling", "--mode", "res"], ["--all"]),
+        ({"family": "scheduling-std", "d": 1}, ["run", "scheduling", "--mode", "std"], ["--all"]),
+    ]
+    path = tmp_path / "rows.json"
+    for patch, verb, whole in cases:
+        path.write_text(json.dumps({"seed": 0, "n": 5, "m": 5, "explicit_edges": rows, **patch}))
+        assert cli.main([*verb, "--config", str(path), *whole]) == 2, patch
+        assert capsys.readouterr().out == "", patch
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps(rows))
+    argv = ["run", "auction", "--mode", "uduv", "--m", "4", "--sets", str(sets)]
+    assert cli.main([*argv, "--n", "5"]) == 2
+    assert "explicit_edges" in capsys.readouterr().err
+    assert cli.main([*argv, "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["awards"] == {"0": [0], "1": [1], "2": [2]}
+
+
+def test_cli_gen_refuses_unbuildable_specs(tmp_path, capsys):
+    # `gen` builds the instance before writing, so it never writes a spec
+    # that `run --config` would refuse
+    for flags in (
+        ["scheduling-std", "--n", "5", "--bids", "1,2,3"],
+        ["udubv", "--n", "3", "--k", "5"],
+        ["housing", "--n", "3", "--d", "0"],
+    ):
+        out = tmp_path / "spec.json"
+        assert cli.main(["gen", *flags, "--out", str(out)]) == 2, flags
+        assert not out.exists(), flags
+        assert capsys.readouterr().err.startswith("lcmd: "), flags
+
+
+def test_cli_scheme_follows_mode(capsys):
+    # without --scheme a payment takes its mode's scheme: expected for std,
+    # rerun for res; a scheme of the other mode still exits 2
+    base = ["query", "scheduling", "--bids", "1,2,3", "--m", "6", "--pay-machine", "2"]
+    for mode, scheme in (("std", "expected"), ("res", "rerun")):
+        assert cli.main([*base, "--mode", mode]) == 0, mode
+        default = capsys.readouterr().out
+        assert json.loads(default)["scheme"] == scheme
+        assert cli.main([*base, "--mode", mode, "--scheme", scheme]) == 0, mode
+        assert capsys.readouterr().out == default
+    for mode, scheme in (("std", "rerun"), ("res", "expected"), ("res", "sampled")):
+        assert cli.main([*base, "--mode", mode, "--scheme", scheme]) == 2, (mode, scheme)
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_empty_menu_exits_2(tmp_path, capsys):

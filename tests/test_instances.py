@@ -47,6 +47,23 @@ def test_spec_validation():
         InstanceSpec(seed=0, family="uduv", n=-1, m=1)
 
 
+def test_explicit_rows_give_one_row_per_entity():
+    rows = ((0,), (1,), (2,))
+    for family in ("matching", "uduv", "udubv", "ksmb", "housing"):
+        with pytest.raises(ValueError, match="one row per entity"):
+            InstanceSpec(seed=0, family=family, n=5, m=5, k=1, explicit_edges=rows)
+        spec = InstanceSpec(seed=0, family=family, n=3, m=5, k=1, explicit_edges=rows)
+        assert build_instance(spec).n == 3, family
+    # restricted scheduling takes one menu per job; standard takes no rows
+    with pytest.raises(ValueError, match="one row per entity"):
+        InstanceSpec(seed=0, family="scheduling-res", n=3, m=5, k=1, explicit_edges=rows)
+    spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=3, k=1, explicit_edges=rows)
+    inst = build_instance(spec)
+    assert [inst.menu(j) for j in range(3)] == list(rows)
+    with pytest.raises(ValueError, match="takes no explicit_edges"):
+        InstanceSpec(seed=0, family="scheduling-std", n=3, m=3, k=1, explicit_edges=rows)
+
+
 def test_build_instance_dispatch():
     for family in FAMILIES:
         inst = build_instance(InstanceSpec(seed=2, family=family, n=6, m=6, k=2))
@@ -161,6 +178,8 @@ def test_restricted_menu_draw_frequency():
         {"explicit_edges": [1, 2, 0]},
         {"explicit_edges": [[0], [[1]]]},
         {"explicit_edges": "01"},
+        {"family": [1]},
+        {"family": {"a": 1}},
     ],
 )
 def test_spec_from_json_rejects_wrong_types(patch):
