@@ -140,21 +140,32 @@ class AuctionInstance:
     def item_order_key(self, j: int) -> tuple[int, int]:
         return (-self.tape.u64("item-rank", j), j)
 
-    def effective_sets(self, overlay: ReportOverlay | None) -> list[tuple[int, ...]]:
+    def _check_buyer(self, b: int) -> None:
+        if not 0 <= b < self.n:
+            raise ValueError(f"report overlay names unknown buyer {b}")
+
+    def overlay_sets(self, overlay: ReportOverlay | None) -> dict[int, tuple[int, ...]]:
+        """The overlay's reported sets, sorted and deduplicated, ids checked."""
         if overlay is None or overlay.sets is None:
-            return list(self.sets)
-        out = list(self.sets)
+            return {}
+        out = {}
         for b, s in overlay.sets.items():
+            self._check_buyer(b)
             cleaned = tuple(sorted(set(int(j) for j in s)))
             if any(not 0 <= j < self.m for j in cleaned):
                 raise ValueError(f"buyer {b} reports an unknown item")
             out[b] = cleaned
         return out
 
+    def effective_sets(self, overlay: ReportOverlay | None) -> list[tuple[int, ...]]:
+        reported = self.overlay_sets(overlay)
+        return [reported.get(b, s) for b, s in enumerate(self.sets)]
+
     def effective_bids(self, overlay: ReportOverlay | None) -> list[Fraction]:
         bids = list(self.values)
         if overlay is not None and overlay.bids is not None:
             for b, v in overlay.bids.items():
+                self._check_buyer(b)
                 v = Fraction(v)
                 if v < 0:
                     raise ValueError("bids must be non-negative")
@@ -189,6 +200,23 @@ def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Out
     return Outcome(awards=awards, payments=payments, utilities=utilities)
 
 
+def _reported_reads(view: MemoView, reported: Mapping[int, tuple[int, ...]]):
+    """The view's set reads (buyer → items, item → buyers by ascending id)
+    with the reported sets in place of the true ones."""
+    if not reported:
+        return view.fwd, view.rev
+
+    def fwd(b: int) -> tuple[int, ...]:
+        return reported[b] if b in reported else view.fwd(b)
+
+    def rev(j: int) -> list[int]:
+        base = [b for b in view.rev(j) if b not in reported]
+        base.extend(b for b, s in reported.items() if j in s)
+        return sorted(base)
+
+    return fwd, rev
+
+
 def uduv_local(
     inst: AuctionInstance,
     query: tuple[str, int],
@@ -200,8 +228,6 @@ def uduv_local(
     if inst.mode != UDUV:
         raise ValueError("uduv_local requires uduv mode")
     kind, idx = query
-    overlay_sets = dict(overlay.sets) if overlay is not None and overlay.sets else {}
-    overlay_sets = {b: tuple(sorted(set(s))) for b, s in overlay_sets.items()}
     if kind == "buyer":
         if not 0 <= idx < inst.n:
             raise ValueError(f"unknown buyer {idx}")
@@ -212,17 +238,7 @@ def uduv_local(
         view = MemoView(inst.oracle, counter)
     else:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
-
-    def fwd(b: int) -> tuple[int, ...]:
-        if b in overlay_sets:
-            return overlay_sets[b]
-        return view.fwd(b)
-
-    def rev(j: int) -> list[int]:
-        base = [b for b in view.rev(j) if b not in overlay_sets]
-        base.extend(b for b, s in overlay_sets.items() if j in s)
-        return sorted(base)
-
+    fwd, rev = _reported_reads(view, inst.overlay_sets(overlay))
     okey = inst.item_order_key
     roots = fwd(idx) if kind == "buyer" else (idx,)
     items = upward_closure(roots, okey, rev, fwd)

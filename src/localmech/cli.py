@@ -23,9 +23,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
-from . import auctions, harness, scheduling
+from . import auctions, harness, matching, scheduling
 from .instances import FAMILIES, InstanceSpec, build_instance, int_rows, spec_from_json, spec_to_json
 from .probes import ProbeCounter
 
@@ -227,8 +228,8 @@ def _cmd_run(args, single: bool) -> int:
         _emit({"machine": rec.machine, "payment": str(rec.amount), "scheme": rec.scheme})
         return 0
     rounds = flags.get("rounds")
-    if rounds is None:  # matching's default round budget
-        rounds = 2 * spec.k * spec.k
+    if rounds is None:
+        rounds = matching.default_rounds(spec.k)
     asked = {
         name[len("query_"):]: e
         for name, e in flags.items()
@@ -244,19 +245,7 @@ def _cmd_run(args, single: bool) -> int:
         raise _Usage(f"{family} has no --query-{min(asked)}")
     if flags.get("audit"):
         violations = auctions.truthfulness_audit(inst)
-        _emit(
-            {
-                "violations": [
-                    {
-                        "buyer": v.buyer,
-                        "report": v.report,
-                        "utility_truth": str(v.utility_truth),
-                        "utility_deviation": str(v.utility_deviation),
-                    }
-                    for v in violations
-                ]
-            }
-        )
+        _emit({"violations": [asdict(v) for v in violations]})
         return 1 if violations else 0
     lines = "all" in flags  # the auctions print one object instead
     if single or (lines and not args.all):

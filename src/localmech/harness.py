@@ -29,6 +29,7 @@ from statistics import median
 from typing import Iterable, Sequence
 
 from .instances import FAMILIES, InstanceSpec, build_instance
+from .matching import default_rounds
 from .probes import ProbeCounter
 from .randomness import RandomTape, sample_without_replacement
 
@@ -112,7 +113,7 @@ def _cell(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
     fam = FAMILIES[family]
     size = {"k": k, "d": d}[fam.size]
     inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
-    return fam, inst, rounds if rounds is not None else 2 * k * k
+    return fam, inst, rounds if rounds is not None else default_rounds(k)
 
 
 def _bench_cell(

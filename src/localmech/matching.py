@@ -16,14 +16,18 @@ rejection at position i-1.  So his answer depends only on the arrival chains
 of higher-ranked rivals, which the query settles by a memoised recursion in
 the manner of Nguyen and Onak: rivals in list-position order, stopping as
 soon as the outcome is fixed, with the round budget falling at every level.
-It equals the truncated global run's answer, record for record.
+It equals the truncated global run's answer, record for record.  A woman
+keeps the best proposal so far, so her query answers with the first of her
+suitors, best first, to arrive within the budget.
 
 Cost rule: priority scores are derived from the seed and cost no probes;
 reading any man's list or any woman's suitor list costs one probe per query
 (memoised), except the queried entity's own record.  Settling a woman reads
 her suitor record and every suitor's list.  The recursion only settles women
 a man could reach within the remaining budget, so the records a query reads
-are a subset of its radius-2ℓ neighborhood, and usually a small one.
+are a subset of its radius-2ℓ neighborhood, and usually a small one.  A
+woman query settles her first, which is all it reads when her best suitor
+lists her first.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "abridged_gs",
     "local_ags",
     "local_ags_woman",
+    "default_rounds",
     "rounds_for_epsilon",
     "blocking_pairs",
     "matched_count",
@@ -68,10 +73,6 @@ class ManStatus:
     @classmethod
     def matched(cls, partner: int) -> "ManStatus":
         return cls(MATCHED, partner)
-
-    @property
-    def is_matched(self) -> bool:
-        return self.state == MATCHED
 
 
 UNMATCHED_STATUS = ManStatus(UNMATCHED)
@@ -422,17 +423,6 @@ class _RejectionRounds:
                     stack.append((sub, self._frame(*sub)))
 
 
-def _status(rej: _RejectionRounds, lst: tuple[int, ...], rounds: int, man: int) -> ManStatus:
-    """The truncated-run status of `man`, whose list is `lst`."""
-    for pos, woman in enumerate(lst):
-        r = rej.rejected(man, pos, rounds)
-        if r > rounds:
-            return ManStatus.matched(woman)
-        if r == rounds:
-            return DISQUALIFIED_STATUS if pos + 1 < len(lst) else UNMATCHED_STATUS
-    return UNMATCHED_STATUS
-
-
 def local_ags(
     inst: MatchingInstance,
     rounds: int,
@@ -453,7 +443,15 @@ def local_ags(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     view = MemoView(inst.oracle, counter, free=((LEFT, man),))
-    return _status(_RejectionRounds(inst, view), view.fwd(man), rounds, man)
+    rej = _RejectionRounds(inst, view)
+    lst = view.fwd(man)
+    for pos, woman in enumerate(lst):
+        r = rej.rejected(man, pos, rounds)
+        if r > rounds:
+            return ManStatus.matched(woman)
+        if r == rounds:
+            return DISQUALIFIED_STATUS if pos + 1 < len(lst) else UNMATCHED_STATUS
+    return UNMATCHED_STATUS
 
 
 def local_ags_woman(
@@ -462,26 +460,27 @@ def local_ags_woman(
     woman: int,
     counter: ProbeCounter | None = None,
 ) -> ManStatus:
-    """The woman's partner after `rounds` truncated rounds, resolved by
-    settling each of her suitors man-side and taking the unique claimant.
-    Her suitor record is free; each suitor's list costs a probe, and the
-    suitors share one memo of rejection rounds."""
+    """The woman's partner after `rounds` truncated rounds: the best of her
+    suitors to reach her by then, since she keeps the best proposal so far.
+    Equals her holder in abridged_gs(inst, rounds).  Her suitor record is
+    free, each suitor's list costs a probe, and the suitors she asks, best
+    first, share one memo of rejection rounds."""
     if not 0 <= woman < inst.m:
         raise ValueError(f"unknown woman {woman}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     view = MemoView(inst.oracle, counter, free=((RIGHT, woman),))
     rej = _RejectionRounds(inst, view)
-    claimants = []
-    for mm in view.rev(woman):
-        st = _status(rej, view.fwd(mm), rounds, mm)
-        if st.state == MATCHED and st.partner == woman:
-            claimants.append(mm)
-    if len(claimants) > 1:  # would contradict the one-holder invariant
-        raise AssertionError(f"woman {woman} claimed by {claimants}")
-    if claimants:
-        return ManStatus.matched(claimants[0])
+    suitors, _ = rej._settle(woman)
+    for pos, mm, _ in sorted(suitors, key=lambda s: s[2], reverse=True):
+        if pos == 0 or rej.rejected(mm, pos - 1, rounds - 1) < rounds:
+            return ManStatus.matched(mm)
     return UNMATCHED_STATUS
+
+
+def default_rounds(k: int) -> int:
+    """The round budget used when none is given: 2·k²."""
+    return 2 * k * k
 
 
 def rounds_for_epsilon(k: int, eps: float) -> int:

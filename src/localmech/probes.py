@@ -44,7 +44,8 @@ class ProbeCounter:
 
 class AdjacencyOracle:
     """Bipartite adjacency: n left records (ordered tuples of right ids)
-    plus materialized reverse records."""
+    plus materialized reverse records.  Reads here are uncounted; a local
+    query reads through a `MemoView`, which charges the probes."""
 
     __slots__ = ("n", "m", "_fwd", "_rev")
 
@@ -60,18 +61,14 @@ class AdjacencyOracle:
                 rev[j].append(i)
         self._rev: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rev)
 
-    def fwd(self, i: int, counter: ProbeCounter | None = None) -> tuple[int, ...]:
+    def fwd(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.n:
             raise ValueError(f"left id {i} out of range [0, {self.n})")
-        if counter is not None:
-            counter.tick()
         return self._fwd[i]
 
-    def rev(self, j: int, counter: ProbeCounter | None = None) -> tuple[int, ...]:
+    def rev(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.m:
             raise ValueError(f"right id {j} out of range [0, {self.m})")
-        if counter is not None:
-            counter.tick()
         return self._rev[j]
 
 

@@ -227,10 +227,6 @@ class SchedulingInstance:
 # ---------------------------------------------------------------------------
 
 
-def _slot_prefix(caps: Sequence[int]) -> list[int]:
-    return list(accumulate(caps))
-
-
 def _pick_slot(
     tape: RandomTape, j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
 ) -> int:
@@ -271,7 +267,7 @@ def slms_online(
     pool = sum(caps)
     if pool == 0:
         raise ValueError("empty slot pool")
-    prefix = _slot_prefix(caps)
+    prefix = list(accumulate(caps))
     tape = inst.tape
     d = inst.d
     slot_h = [0] * pool
@@ -304,7 +300,7 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
         slot = _pick_slot(inst.tape, j, view.fwd(j), slot_h)
-    return bisect_right(_slot_prefix(inst.caps), slot)  # the last slot is the query's
+    return bisect_right(list(accumulate(inst.caps)), slot)  # the last slot is the query's
 
 
 def _check_machine(inst: SchedulingInstance, i: int) -> None:
@@ -504,67 +500,67 @@ def greedy_unmodified(
 
 
 def rerun_height(inst: SchedulingInstance, i: int, bid: int) -> int:
-    """Height of machine i when its bid is replaced by `bid` (0 allowed:
-    the machine is then skipped by every job and its height is 0)."""
+    """Height of machine i in the rank-order run when its bid is replaced by
+    `bid` (0 allowed: the machine is then skipped by every job and its
+    height is 0)."""
     _check_machine(inst, i)
     if bid == 0:
         return 0
     caps = list(inst.caps)
     caps[i] = bid
-    return rlms_online(inst, caps=caps).heights[i]
+    return rlms_online(inst, caps=caps, order=inst.rank_order()).heights[i]
+
+
+def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction, int]:
+    """Machine i's rerun payment bid·h(bid) + Σ_{x=0}^{bid} h(x), others at
+    truth, and h(bid): one list of heights, one rerun per positive x."""
+    if bid < 0:
+        raise ValueError(f"bid must be >= 0, got {bid}")
+    heights = [rerun_height(inst, i, x) for x in range(bid + 1)]
+    return Fraction(bid * heights[bid] + sum(heights)), heights[bid]
 
 
 def payment_rlms(inst: SchedulingInstance, i: int) -> PaymentRecord:
-    """Rerun payment: b_i·h_i(b_i) + Σ_{x=0}^{b_i} h_i(x, b₋ᵢ)."""
+    """Rerun payment at the true bid, priced on the rank-order run that the
+    local queries answer."""
     if inst.mode != RESTRICTED:
         raise ValueError("rerun payment applies to restricted mode")
     _check_machine(inst, i)
-    b = inst.caps[i]
-    h_truth = rlms_online(inst).heights[i]
-    total = b * h_truth + h_truth  # the x = b term of the sum equals the truth run
-    for x in range(b):
-        total += rerun_height(inst, i, x)
-    return PaymentRecord(machine=i, amount=Fraction(total), scheme="rerun")
+    amount = payment_rlms_for_bid(inst, i, inst.caps[i])
+    return PaymentRecord(machine=i, amount=amount, scheme="rerun")
 
 
 def payment_rlms_for_bid(inst: SchedulingInstance, i: int, bid: int) -> Fraction:
     """The rerun payment as machine i's bid varies (others fixed at truth)."""
-    h_bid = rerun_height(inst, i, bid)
-    total = bid * h_bid
-    for x in range(bid + 1):
-        total += rerun_height(inst, i, x)
-    return Fraction(total)
+    return _rerun_payment(inst, i, bid)[0]
 
 
 def rlms_utility(inst: SchedulingInstance, i: int, bid: int, true_cap: int) -> Fraction:
     """Utility of bidding `bid` with true capacity `true_cap` under the
     quadratic cost model x²·h(x)/true_cap (same calibration as the standard
     mode's closed-form sweep)."""
-    h_bid = rerun_height(inst, i, bid)
-    return payment_rlms_for_bid(inst, i, bid) - Fraction(bid * bid * h_bid, true_cap)
+    payment, height = _rerun_payment(inst, i, bid)
+    return payment - Fraction(bid * bid * height, true_cap)
 
 
 def monotonicity_trace(
     inst: SchedulingInstance, i: int, bid_low: int, bid_high: int
 ) -> list[tuple[int, ...]]:
     """Per-step height deltas D^t = heights(bid_high) − heights(bid_low) for
-    machine i's bid raised from bid_low to bid_high, menus and ties fixed.
-    Entry t is the delta after t jobs (t = 0 … m)."""
+    machine i's bid raised from bid_low to bid_high in the rank-order run,
+    menus and ties fixed.  Entry t is the delta after t jobs (t = 0 … m)."""
     _check_machine(inst, i)
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
-    caps_low = list(inst.caps)
-    caps_low[i] = bid_low
-    caps_high = list(inst.caps)
-    caps_high[i] = bid_high
-    trace_low: list[tuple[int, ...]] = []
-    trace_high: list[tuple[int, ...]] = []
-    rlms_online(inst, caps=caps_low, _trace=trace_low)
-    rlms_online(inst, caps=caps_high, _trace=trace_high)
-    return [
-        tuple(hb - lb for hb, lb in zip(high, low))
-        for high, low in zip(trace_high, trace_low)
-    ]
+    order = inst.rank_order()
+    traces: list[list[tuple[int, ...]]] = []
+    for bid in (bid_low, bid_high):
+        caps = list(inst.caps)
+        caps[i] = bid
+        traces.append([])
+        rlms_online(inst, caps=caps, order=order, _trace=traces[-1])
+    low, high = traces
+    return [tuple(hb - lb for hb, lb in zip(h, lo)) for h, lo in zip(high, low)]
 
 
 def makespan_ratio(inst: SchedulingInstance) -> Fraction:

@@ -27,6 +27,8 @@ from localmech.auctions import (
     uduv_run,
 )
 from localmech.harness import (
+    _cell,
+    _digest,
     bench_points,
     bench_records_csv,
     csv_body,
@@ -54,6 +56,7 @@ from localmech.oracles import (
     optimal_packing,
     uniform_majorizes_nonuniform,
 )
+from localmech.probes import ProbeCounter
 from localmech.randomness import RandomTape, derive_uniform
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
 from localmech.scheduling import (
@@ -491,8 +494,7 @@ def test_criterion_10_majorization_coupling():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_11_probe_growth(monkeypatch):
-    monkeypatch.setenv("LCMD_THREADS", "8")
+def test_criterion_11_probe_growth():
     _BENCH_DIR.mkdir(exist_ok=True)
     full = [(2**e, 20, 100) for e in (8, 10, 12, 14)]
     runs = {
@@ -537,26 +539,46 @@ def test_criterion_11_probe_growth(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_12_rerun_determinism(tmp_path, monkeypatch):
+def test_criterion_12_rerun_determinism(tmp_path):
     v1 = verify_family("matching", ns=[60], seeds=2, k=2)
     v2 = verify_family("matching", ns=[60], seeds=2, k=2)
     verify_same = v1 == v2
 
     argv = ["bench", "rsd", "--n", "64,128", "--seeds", "3", "--queries", "10", "--d", "2"]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("LCMD_THREADS", "1")
     assert cli.main(argv + ["--out", str(f1)]) == 0
-    monkeypatch.setenv("LCMD_THREADS", "8")
     assert cli.main(argv + ["--out", str(f2)]) == 0
     text1, text2 = f1.read_text(), f2.read_text()
     bench_same = csv_body(text1) == csv_body(text2)
     commented = text1.splitlines()[0].startswith("#") and text2.splitlines()[0].startswith("#")
 
-    ok = verify_same and bench_same and commented
+    # the same cells, each answered in reversed and in shuffled query order
+    # on one instance object
+    records = bench_points("rsd", [(64, 3, 10), (128, 3, 10)], d=2)
+    cells: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
+    for r in records:
+        cells.setdefault((r.n, r.seed), []).append((r.query, r.probes, r.digest))
+    rng = random.Random(12)
+    order_same = True
+    for (n, seed), want in cells.items():
+        fam, inst, budget = _cell("housing", n, seed, 3, 2, None)
+        kind = fam.queries[0]
+        queries = [q for q, _, _ in want]
+        for order in (queries[::-1], rng.sample(queries, len(queries))):
+            got = []
+            for q in order:
+                counter = ProbeCounter()
+                canon = kind.canon(kind.local(inst, budget, q, counter))
+                got.append((q, counter.count, _digest(canon)))
+            order_same = order_same and sorted(got) == want
+
+    ok = verify_same and bench_same and order_same and commented
     line = _report(
         12,
         ok,
         f"verify rows identical across reruns: {verify_same}; bench bodies identical "
-        f"across thread counts 1 and 8: {bench_same}; timing isolated to '#' header: {commented}",
+        f"across reruns: {bench_same}; (query, probes, digest) rows identical in "
+        f"reversed and shuffled query order: {order_same}; timing isolated to '#' "
+        f"header: {commented}",
     )
     assert ok, line

@@ -98,6 +98,25 @@ def test_negative_bids_rejected():
         udubv_run(inst, ReportOverlay(bids={0: F(-1)}))
 
 
+def test_overlays_naming_unknown_buyers_or_items_are_rejected():
+    # the run and the local query read reports through one checked path
+    uduv = build_instance(InstanceSpec(seed=0, family="uduv", n=6, m=5, k=2))
+    for sets in ({0: (-1,)}, {0: (uduv.m,)}, {9: (0,)}):
+        overlay = ReportOverlay(sets=sets)
+        with pytest.raises(ValueError):
+            uduv_run(uduv, overlay)
+        for query in (("buyer", 0), ("item", 0)):
+            with pytest.raises(ValueError):
+                uduv_local(uduv, query, overlay=overlay)
+    udubv = build_instance(InstanceSpec(seed=0, family="udubv", n=6, m=5, k=2))
+    for buyer in (-1, udubv.n):
+        overlay = ReportOverlay(bids={buyer: F(7)})
+        with pytest.raises(ValueError):
+            udubv_run(udubv, overlay)
+        with pytest.raises(ValueError):
+            udubv_local(udubv, 0, overlay=overlay)
+
+
 # ---------------------------------------------------------------------------
 # critical payments
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from localmech.matching import (
     matched_count,
     rounds_for_epsilon,
 )
-from localmech.probes import LEFT, ProbeCounter, neighborhood
+from localmech.probes import LEFT, RIGHT, ProbeCounter, neighborhood
 
 
 def test_single_pair_matches():
@@ -251,6 +251,37 @@ def test_local_reads_within_the_round_ball():
         local_ags(inst, rounds, man, counter)
         ball = neighborhood(inst.oracle, (LEFT, man), 2 * rounds)
         assert counter.count <= len(ball), man
+
+
+def test_local_woman_reads_within_the_round_ball():
+    n, rounds = 300, 18
+    inst = MatchingInstance.seeded(n, 3, 17)
+    for w in range(inst.m):
+        counter = ProbeCounter()
+        local_ags_woman(inst, rounds, w, counter)
+        ball = neighborhood(inst.oracle, (RIGHT, w), 2 * rounds)
+        assert counter.count <= len(ball), w
+
+
+def test_local_woman_stops_at_a_first_choice_best_suitor():
+    # her best suitor proposes to her in round 1 and she never lets him go,
+    # so settling her (one probe per suitor list) is all the query reads
+    rounds = 18
+    for seed in (0, 1):
+        inst = MatchingInstance.seeded(1024, 3, seed)
+        checked = 0
+        for w in range(inst.m):
+            suitors = inst.oracle.rev(w)
+            if not suitors:
+                continue
+            best = max(suitors, key=lambda man: inst.priority_key(w, man))
+            if inst.men_prefs[best][0] != w:
+                continue
+            counter = ProbeCounter()
+            assert local_ags_woman(inst, rounds, w, counter) == ManStatus.matched(best)
+            assert counter.count == len(suitors), (seed, w)
+            checked += 1
+        assert checked > 300, seed
 
 
 def test_local_k1_cost_is_the_womans_suitor_record():

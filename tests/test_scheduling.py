@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,19 @@ def test_rerun_height_zero_bid_empties_machine():
     inst = _res((2, 2), 6, menus=[(0, 1)] * 6)
     assert rerun_height(inst, 0, 0) == 0
     assert rerun_height(inst, 0, 2) == rlms_online(inst).heights[0]
+
+
+def test_rerun_height_is_the_rank_order_height():
+    # the payments price the run that the local queries answer
+    for seed in range(20):
+        inst = SchedulingInstance.from_spec(
+            InstanceSpec(seed=seed, family="scheduling-res", n=64, m=64, k=2)
+        )
+        served = Counter(rlms_local(inst, j) for j in range(inst.m))
+        for i in range(inst.n):
+            assert rerun_height(inst, i, inst.caps[i]) == served[i], (seed, i)
+        i = seed % inst.n
+        assert payment_rlms(inst, i).amount == payment_rlms_for_bid(inst, i, inst.caps[i])
 
 
 def test_rlms_payment_two_unit_machines():
