@@ -8,14 +8,30 @@ global run's draws exactly.  That property is what makes per-query local
 algorithms consistent with their global counterparts, so do not replace this
 with `random.Random` style sequential streams.
 
-The mixer is the splitmix64 finalizer applied to a running hash of the key
-parts; string tags are folded to 64 bits with blake2b (cached, tags are few).
+The mixer is the splitmix64 finalizer (Steele, Lea and Flood, OOPSLA 2014)
+applied to a running hash of the key parts.  The state starts at
+mix(seed + G) and each part p extends it by one step, h <- mix(h ^ leaf(p))
+with leaf(p) = mix(fold(p) + G); an int folds to its low 64 bits and a
+string tag to 64 bits of blake2b.  A key's state depends on its prefixes
+alone, so each prefix is hashed once:
+
+- a tape caches, per leading string tag, the state after that tag (its
+  stem), next to the tag's blake2b fold; tags are few;
+- the leaves of the ints 0..255 (draw indices, attempts, small ids) come
+  from a module-level table;
+- `derive_uniform` and `sample_without_replacement` hash their key once,
+  then pay one step per draw index and one per attempt.
+
+The tape stays pure Python.  Importing numpy raises the peak RSS of a
+process that builds instances from about 21 to 32 MB (Python 3.11,
+numpy 2.4, x86-64 Linux), far more than the 10% growth of `peak_rss_mb`
+that BENCHMARK.json allows on any workload, none of which imports numpy.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "KeyPart",
@@ -28,14 +44,20 @@ KeyPart = Union[int, str]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 
 def _mix(x: int) -> int:
     """splitmix64 finalizer: full-avalanche 64-bit permutation."""
     x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = ((x ^ (x >> 30)) * _M1) & _MASK
+    x = ((x ^ (x >> 27)) * _M2) & _MASK
     return x ^ (x >> 31)
+
+
+# _LEAF[i] == _mix(i + _GOLDEN), the leaf of the int part i
+_LEAF = tuple(_mix(i + _GOLDEN) for i in range(256))
 
 
 class RandomTape:
@@ -46,16 +68,17 @@ class RandomTape:
     strings (purpose tags such as "lottery" or "slot-tie").
     """
 
-    __slots__ = ("seed", "_base", "_tags")
+    __slots__ = ("seed", "_base", "_tags", "_stems")
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._base = _mix(self.seed + _GOLDEN)
-        self._tags: dict[str, int] = {}
+        self._tags: dict[str, int] = {}  # tag -> blake2b fold
+        self._stems: dict[str, int] = {}  # leading tag -> state after it
 
     def _fold(self, part: KeyPart) -> int:
-        if type(part) is int:
-            return part & _MASK
+        """64 bits of a part that is not a plain int (those `_state` takes
+        straight)."""
         if type(part) is str:
             v = self._tags.get(part)
             if v is None:
@@ -66,11 +89,27 @@ class RandomTape:
             return int(part) & _MASK
         raise TypeError(f"key parts must be int or str, got {type(part).__name__}")
 
-    def u64(self, *key: KeyPart) -> int:
-        h = self._base
+    def _state(self, key: tuple) -> int:
+        """The hash state after `key`, which is `u64(*key)`."""
+        if key and type(key[0]) is str:
+            h = self._stems.get(key[0])
+            if h is None:
+                h = self._stems[key[0]] = _mix(self._base ^ _mix(self._fold(key[0]) + _GOLDEN))
+            key = key[1:]
+        else:
+            h = self._base
         for part in key:
-            h = _mix(h ^ _mix(self._fold(part) + _GOLDEN))
+            if type(part) is int:
+                h ^= _LEAF[part] if 0 <= part < 256 else _mix(part + _GOLDEN)
+            else:
+                h ^= _mix(self._fold(part) + _GOLDEN)
+            h = ((h ^ (h >> 30)) * _M1) & _MASK
+            h = ((h ^ (h >> 27)) * _M2) & _MASK
+            h ^= h >> 31
         return h
+
+    def u64(self, *key: KeyPart) -> int:
+        return self._state(key)
 
     def unit(self, *key: KeyPart) -> float:
         """Uniform float in [0, 1) — convenience for demos/diagnostics only."""
@@ -80,22 +119,29 @@ class RandomTape:
         return f"RandomTape(seed={self.seed})"
 
 
+def _draw(s: int, limit: int) -> int:
+    """The first value below `limit` over attempts 0, 1, ... after state `s`,
+    one step per attempt."""
+    attempt = 0
+    while True:
+        v = s ^ (_LEAF[attempt] if attempt < 256 else _mix(attempt + _GOLDEN))
+        v = ((v ^ (v >> 30)) * _M1) & _MASK
+        v = ((v ^ (v >> 27)) * _M2) & _MASK
+        v ^= v >> 31
+        if v < limit:
+            return v
+        attempt += 1
+
+
 def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     """Unbiased uniform integer in [0, n), keyed by `key`.
 
     Uses rejection sampling on the top of the 64-bit range; the attempt
-    counter is folded into the key so retries are themselves deterministic.
+    counter is the key's last part, so retries are themselves deterministic.
     """
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    limit = (1 << 64) - ((1 << 64) % n)
-    key = tuple(key)
-    attempt = 0
-    while True:
-        v = tape.u64(*key, attempt)
-        if v < limit:
-            return v % n
-        attempt += 1
+    return _draw(tape._state(tuple(key)), (1 << 64) - ((1 << 64) % n)) % n
 
 
 def sample_without_replacement(
@@ -103,17 +149,24 @@ def sample_without_replacement(
 ) -> list[int]:
     """`count` distinct uniform values from [0, n), in draw order.
 
-    Duplicates are rejected and redrawn under the next draw index, so the
-    result for a given key never depends on how many draws other keys made.
+    Draw idx is `derive_uniform(tape, (*key, idx), n)`.  Duplicates are
+    rejected and redrawn under the next draw index, so the result for a
+    given key never depends on how many draws other keys made.
     """
     if count > n:
         raise ValueError(f"cannot draw {count} distinct values from range {n}")
-    key = tuple(key)
     out: list[int] = []
+    if count <= 0:
+        return out
+    limit = (1 << 64) - ((1 << 64) % n)
+    h = tape._state(tuple(key))
     seen: set[int] = set()
     idx = 0
     while len(out) < count:
-        v = derive_uniform(tape, (*key, idx), n)
+        s = h ^ (_LEAF[idx] if idx < 256 else _mix(idx + _GOLDEN))
+        s = ((s ^ (s >> 30)) * _M1) & _MASK
+        s = ((s ^ (s >> 27)) * _M2) & _MASK
+        v = _draw(s ^ (s >> 31), limit) % n
         idx += 1
         if v not in seen:
             seen.add(v)

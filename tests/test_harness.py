@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from localmech import auctions, cli, matching, rsd, scheduling
+from localmech import auctions, cli, harness, matching, rsd, scheduling
 from localmech.harness import (
     BENCH_COLUMNS,
     BenchRecord,
@@ -102,6 +102,15 @@ def test_bench_grid_shape_and_determinism():
     assert [(r.probes, r.digest) for r in again] == [
         (r.probes, r.digest) for r in rerun
     ]
+
+
+@pytest.mark.parametrize("family", ["scheduling-std", "scheduling-res"])
+def test_cells_come_with_their_oracle_built(family):
+    # the first timed query of a cell must not pay for the lazy oracle
+    for n in (8, 64):
+        for seed in range(3):
+            _, inst, _ = harness._cell(family, n, seed, k=3, d=2, rounds=None)
+            assert inst._oracle is not None, (n, seed)
 
 
 def test_verify_batteries_come_back_clean():

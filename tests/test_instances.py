@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from localmech.auctions import UDUV, AuctionInstance
 from localmech.instances import FAMILIES, InstanceSpec, build_instance, spec_from_json, spec_to_json
 from localmech.matching import MatchingInstance
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, neighborhood
+from localmech.scheduling import RESTRICTED, SchedulingInstance
 
 
 def test_spec_json_round_trip():
@@ -162,6 +165,54 @@ def test_restricted_menu_draw_frequency():
         total += len(menu)
     freq = hits / total
     assert abs(freq - 36 / 48) < 0.01, freq
+
+
+# SHA-256 of every seeded draw of an n=512 instance (see `_seeded_draws`),
+# recorded from the unstemmed tape; a change to the tape or to a build key
+# fails here by name
+SEEDED_DIGESTS = {
+    ("matching", 0): "9862197d4d4df26fcb70f6934c68ba26f19ca8a53dbcd59c518bad3e44220ede",
+    ("matching", 1): "b609ec990b0b366fd4439e23337f09f8bed7b812230a8e51e5597c4134687c4d",
+    ("scheduling-std", 0): "0b47bc01f47d30ca39fa4d3731c205d20659bb45a5e60d76d162d0b826970b0a",
+    ("scheduling-std", 1): "7d7c6337768d830113565c78d988257b5059bc4248b3c1349e3fbd012ec21570",
+    ("scheduling-res", 0): "f70581107db62dcaf43933ad4f8cbbaf66ab754a74ab3fee43662ac36045529e",
+    ("scheduling-res", 1): "2c97405bd09b00c5cc9bbed92db86e2a5b4b0b0fbe8e8860b82a3642b7af76a2",
+    ("uduv", 0): "1cf2dc53dd9cf76f7d563f758458ef6648dd5eb19cc6e3d5fd73e8e4674937a6",
+    ("uduv", 1): "8f95fa337c73dd6fddb041b2b25a5203f39d475874884cfb387b4e07459917f0",
+    # udubv and ksmb draw the same sets and values
+    ("udubv", 0): "c08cf52015e8f4b1824590c487ae2b49548a0b31169b2428280e7b77a2f2e0b4",
+    ("udubv", 1): "8e0479ed6e3367a8c8eb563abad4dd403a57831c18cf82a52751134768df15d8",
+    ("ksmb", 0): "c08cf52015e8f4b1824590c487ae2b49548a0b31169b2428280e7b77a2f2e0b4",
+    ("ksmb", 1): "8e0479ed6e3367a8c8eb563abad4dd403a57831c18cf82a52751134768df15d8",
+    ("housing", 0): "9794ccf6c9249ba0f9ebaf44c61dbd22f1ead408bd91bf108552103e91913bd5",
+    ("housing", 1): "108761adff8d16dd49c12927b091c14b866ba262b5812fe9f24d297a6379efb4",
+}
+
+
+def _seeded_draws(inst) -> list:
+    """The forward records, the lottery ranks, caps, values and menus, the
+    job rank order, the uduv item order and every listed matching priority."""
+    draws = [[inst.oracle.fwd(i) for i in range(inst.oracle.n)]]
+    draws += [getattr(inst, name) for name in ("ranks", "caps", "values") if hasattr(inst, name)]
+    if isinstance(inst, SchedulingInstance):
+        if inst.mode == RESTRICTED:
+            draws.append([inst.menu(j) for j in range(inst.m)])
+        draws.append(inst.rank_order())
+    if isinstance(inst, AuctionInstance) and inst.mode == UDUV:
+        draws.append(sorted(range(inst.m), key=inst.item_order_key))
+    if isinstance(inst, MatchingInstance):
+        prefs = inst.men_prefs
+        draws.append([inst.priority_key(w, man) for man, lst in enumerate(prefs) for w in lst])
+    return draws
+
+
+def test_seeded_instances_are_pinned_bit_for_bit():
+    got = {}
+    for family, seed in SEEDED_DIGESTS:
+        k = 3 if FAMILIES[family].size == "k" else 2
+        inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=k))
+        got[family, seed] = hashlib.sha256(repr(_seeded_draws(inst)).encode()).hexdigest()
+    assert got == SEEDED_DIGESTS
 
 
 @pytest.mark.parametrize(

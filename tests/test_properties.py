@@ -1,7 +1,7 @@
-"""Property tests for the rank-order local queries (housing, scheduling,
-auctions): on small adversarial instances every local answer equals the
-global run's, and a query never charges more probes than there are records
-reachable from the queried entity."""
+"""Property tests for the local queries (housing, scheduling, auctions,
+matching): on small adversarial instances every local answer equals the
+global run's, and a rank-order query never charges more probes than there
+are records reachable from the queried entity."""
 
 from __future__ import annotations
 
@@ -20,6 +20,15 @@ from localmech.auctions import (
     udubv_run,
     uduv_local,
     uduv_run,
+)
+from localmech.matching import (
+    MATCHED,
+    UNMATCHED_STATUS,
+    ManStatus,
+    MatchingInstance,
+    abridged_gs,
+    local_ags,
+    local_ags_woman,
 )
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, ProbeCounter, neighborhood
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
@@ -189,6 +198,38 @@ def test_bid_ordered_local_matches_global(case):
         got = local(inst, b, counter, overlay)
         assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b])
         assert counter.count <= _reachable(inst.oracle, (LEFT, b))
+
+
+# ---------------------------------------------------------------------------
+# matching
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ranked_matching_instances(draw):
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(1, 5))
+    men = _item_lists(draw, n, m, max_size=4, unique=True)  # empty lists included
+    # each woman ranks a prefix of a permutation of the men, best first; the
+    # men she leaves out tie at -1 and the smaller id wins among them
+    women = []
+    for _ in range(m):
+        order = draw(st.permutations(range(n)))
+        women.append(order[: draw(st.integers(0, n))])
+    return MatchingInstance(men, m, women_prefs=women)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_matching_instances())
+def test_matching_local_matches_global_with_explicit_rankings(inst):
+    for rounds in range(1, 51):
+        statuses, _ = abridged_gs(inst, rounds)
+        holder = {s.partner: man for man, s in statuses.items() if s.state == MATCHED}
+        for man in range(inst.n):
+            assert local_ags(inst, rounds, man) == statuses[man], (rounds, man)
+        for w in range(inst.m):
+            want = ManStatus.matched(holder[w]) if w in holder else UNMATCHED_STATUS
+            assert local_ags_woman(inst, rounds, w) == want, (rounds, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
-"""Keyed-hash tape: determinism, range correctness, uniformity."""
+"""Keyed-hash tape: determinism, range correctness, uniformity, and
+known answers from a plain reference copy of the fold-and-mix chain."""
 
 from __future__ import annotations
 
 import math
+import os
+import random
+import subprocess
+import sys
+from hashlib import blake2b
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +88,141 @@ def test_sample_without_replacement_errors():
         sample_without_replacement(t, ("q",), 5, 6)
     with pytest.raises(ValueError):
         sample_without_replacement(t, ("q",), 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# known answers: the tape against a plain copy of its fold-and-mix chain
+# ---------------------------------------------------------------------------
+
+_M = (1 << 64) - 1
+_G = 0x9E3779B97F4A7C15
+
+
+def _ref_mix(x):
+    x &= _M
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M
+    return x ^ (x >> 31)
+
+
+def _ref_fold(p):
+    if type(p) is str:
+        return int.from_bytes(blake2b(p.encode(), digest_size=8).digest(), "big")
+    return int(p) & _M
+
+
+def _ref_u64(seed, *key):
+    h = _ref_mix(seed + _G)
+    for p in key:
+        h = _ref_mix(h ^ _ref_mix(_ref_fold(p) + _G))
+    return h
+
+
+def _ref_uniform(seed, key, n):
+    limit = (1 << 64) - ((1 << 64) % n)
+    attempt = 0
+    while (v := _ref_u64(seed, *key, attempt)) >= limit:
+        attempt += 1
+    return v % n
+
+
+def _ref_sample(seed, key, n, count):
+    out, idx = [], 0
+    while len(out) < count:
+        v = _ref_uniform(seed, (*key, idx), n)
+        idx += 1
+        if v not in out:
+            out.append(v)
+    return out
+
+
+_PARTS = [0, 1, 7, 255, 256, 1000, 2**63, 2**64 + 3, -1, True, "lottery", "x", ""]
+_SEEDS = [0, 1, 42, -1, -(2**70), 2**64, 2**64 + 9, 2**80 + 1]
+
+
+def _random_key(rng: random.Random) -> tuple:
+    """A key with or without a leading tag, then up to three parts: special
+    values, wide ints either side of 2^64, or ints either side of 255."""
+    tags = ["menu", "slot-choice", "woman-priority", "tau"]
+    key = [rng.choice(tags)] if rng.random() < 0.7 else []
+    for _ in range(rng.randrange(4)):
+        r = rng.random()
+        if r < 0.5:
+            key.append(rng.choice(_PARTS))
+        else:
+            key.append(rng.randrange(-(2**65), 2**65) if r < 0.6 else rng.randrange(600))
+    return tuple(key)
+
+
+def test_tape_equals_reference_chain_on_random_keys():
+    rng = random.Random(2024)
+    for _ in range(20_000):
+        seed = rng.choice(_SEEDS) if rng.random() < 0.5 else rng.randrange(-(2**66), 2**66)
+        key = _random_key(rng)
+        t = RandomTape(seed)
+        assert t.u64(*key) == _ref_u64(seed, *key), (seed, key)
+        n = rng.choice([1, 2, 3, 10, 300, 2**32 + 1, 2**63 + 5, 2**64 - 1, 2**64])
+        assert derive_uniform(t, key, n) == _ref_uniform(seed, key, n), (seed, key, n)
+        count = rng.randrange(min(n, 5) + 1)
+        assert sample_without_replacement(t, key, n, count) == _ref_sample(seed, key, n, count)
+
+
+def test_draw_paths_past_the_small_int_table_and_through_rejection():
+    # draw indices run past 255 when every value of the range is drawn
+    t = RandomTape(2)
+    perm = sample_without_replacement(t, ("perm",), 300, 300)
+    assert perm == _ref_sample(2, ("perm",), 300, 300)
+    assert sorted(perm) == list(range(300))
+    # n = 2^63 + 5 rejects about half of all first attempts
+    t = RandomTape(3)
+    n = 2**63 + 5
+    limit = (1 << 64) - ((1 << 64) % n)
+    rejected = [i for i in range(64) if _ref_u64(3, "big", i, 0) >= limit]
+    assert rejected
+    for i in range(64):
+        assert derive_uniform(t, ("big", i), n) == _ref_uniform(3, ("big", i), n)
+    assert sample_without_replacement(t, ("big",), n, 40) == _ref_sample(3, ("big",), n, 40)
+
+
+def test_known_answers():
+    # recorded from the unstemmed chain; any change to the tape's bits fails here
+    assert RandomTape(0).u64() == 0xE220A8397B1DCDAF
+    assert RandomTape(42).u64("woman-priority", 3, 1000) == 0xADBE54955D7FA4C3
+    assert RandomTape(-1).u64("x", 2**63, -1, True) == 0x761D26E79EBE8E2F
+    assert RandomTape(2**64 + 5).u64(7, "tag", 255, 256) == 0x48440BE2A5B0C1C3
+    assert derive_uniform(RandomTape(1), ("value", 9), 10**6) == 0x4C4C8
+    assert derive_uniform(RandomTape(3), ("big", 2), 2**63 + 5) == 0x35B3F579D1F124E5
+    got = sample_without_replacement(RandomTape(2), ("house-list", 4), 1000, 4)
+    assert got == [0x2C1, 0x72, 0xB4, 0x33C]
+    assert sample_without_replacement(RandomTape(2), ("perm",), 300, 300)[-3:] == [182, 132, 111]
+
+
+def test_float_key_part_is_rejected():
+    t = RandomTape(0)
+    with pytest.raises(TypeError):
+        t.u64("x", 1.5)
+    with pytest.raises(TypeError):
+        t.u64(2.0)
+    with pytest.raises(TypeError):
+        derive_uniform(t, ("x", 0.5), 10)
+    with pytest.raises(TypeError):
+        sample_without_replacement(t, (0.5,), 10, 2)
+
+
+def test_seeded_builds_do_not_import_numpy():
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from localmech.instances import FAMILIES, InstanceSpec, build_instance\n"
+        "for fam, spec in FAMILIES.items():\n"
+        "    size = 3 if spec.size == 'k' else 2\n"
+        "    inst = build_instance(InstanceSpec(seed=1, family=fam, n=64, m=64, k=size))\n"
+        "    inst.oracle\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
