@@ -17,18 +17,21 @@ dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
 its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
 the same step.
 
-Local queries replay only the dependency closure of the queried buyer/item
-(`probes.upward_closure`: higher-priority buyers sharing items, or
-higher-scored items sharing buyers, transitively) and agree with the global
-run outcome exactly.  Payment queries additionally replay the without-her
-closure.
+Local queries agree with the global run outcome exactly.  uduv queries
+replay the dependency closure of the queried buyer/item
+(`probes.upward_closure`: higher-scored items sharing buyers, transitively).
+udubv and ksmb buyer queries walk a memoised query tree instead (Nguyen and
+Onak, FOCS 2008), asking earlier rivals best first as Yoshida, Yamamoto and
+Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
+payment comes from the same recursion run without her, which shares every
+answer of the buyers ahead of her.  Neither reads a zero-bid rival's set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_without_replacement
@@ -353,37 +356,118 @@ def ksmb_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Out
     return _bid_run(inst, overlay, shadow=False)
 
 
+def _resolve(
+    x: int, frame: Callable[[int], Generator], memo: dict[int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """memo[x], computed first if missing.
+
+    `frame(y)` is a generator that yields each entry y's answer needs, is sent
+    that entry's answer, and returns y's answer; entries must depend on one
+    another acyclically.  Every answer computed on the way lands in `memo`.
+    The frames live on an explicit stack, because bid chains can be n deep.
+    """
+    answer = memo.get(x)
+    stack = [] if answer is not None else [(x, frame(x))]
+    while stack:
+        y, gen = stack[-1]
+        try:
+            z = gen.send(answer)
+        except StopIteration as done:
+            answer = memo[y] = done.value
+            stack.pop()
+            continue
+        answer = memo.get(z)
+        if answer is None:
+            stack.append((z, frame(z)))
+    return answer
+
+
 def _bid_local(
     inst: AuctionInstance,
     buyer: int,
     counter: ProbeCounter | None,
     overlay: ReportOverlay | None,
 ) -> dict:
+    """Buyer `buyer`'s award and critical payment from a memoised query tree.
+
+    A buyer's award depends only on the awards of the earlier positive-bid
+    buyers sharing one of her items: for each item of her set, in order, the
+    tree asks those rivals, best first, whether they took it, and stops at
+    the first that did.  udubv hands her the first item no rival took; ksmb
+    turns her away at the first item a rival took.  No buyer ever counts her
+    as a rival, so every other memo entry is that buyer's award in the run
+    without her: the same as in the full run for the buyers ahead of her,
+    whose answers never depend on her.  Her payment scans the rivals of each
+    of her items in bid order for the first who wins it in that run.
+
+    Each buyer the tree resolves costs her set, each item whose rivals it
+    scans costs the item's buyer list, and zero-bid rivals are never read.
+    Every buyer it resolves lies in the upward closure by bid of the queried
+    buyer or of her rivals, so it reads no record outside those closures.
+    """
     if not 0 <= buyer < inst.n:
         raise ValueError(f"unknown buyer {buyer}")
     if overlay is not None and overlay.sets is not None:
         raise ValueError("sets are public in this mode")
-    bids = inst.effective_bids(overlay)
-    pkey = lambda b: (-bids[b], b)
-    awards, price = _BID_RULES[inst.mode]
+    bids = inst.values if overlay is None else inst.effective_bids(overlay)
     # Sets are public data in these modes, but reading another buyer's set
     # still costs a probe, so all reads go through the memoised view.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
-
-    # award: replay the upward closure of the queried buyer
-    closure = upward_closure((buyer,), pkey, view.fwd, view.rev) if bids[buyer] > 0 else ()
-    won = awards(sorted((b for b in closure if bids[b] > 0), key=pkey), view.fwd)
-    award = won.get(buyer, ())
-    if not award:
+    if not bids[buyer]:
         return {"buyer": buyer, "award": (), "payment": Fraction(0)}
+    fwd = view.fwd
+    ranked: dict[int, list[int]] = {}
 
-    # payment: replay the without-buyer closure around the buyer's items
-    mine = view.fwd(buyer)
-    seeds = {y for j in mine for y in view.rev(j) if y != buyer and bids[y] > 0}
-    rivals = upward_closure(seeds, pkey, view.fwd, view.rev)
-    rivals.discard(buyer)
-    won = awards(sorted((b for b in rivals if bids[b] > 0), key=pkey), view.fwd)
-    return {"buyer": buyer, "award": award, "payment": price(won, mine, bids)}
+    def bidders(j: int) -> list[int]:
+        """Item j's positive-bid buyers in bid order, `buyer` included."""
+        got = ranked.get(j)
+        if got is None:
+            # the record lists buyers by ascending id and the sort is stable,
+            # so equal bids stay in id order
+            got = ranked[j] = sorted(
+                (b for b in view.rev(j) if bids[b]), key=bids.__getitem__, reverse=True
+            )
+        return got
+
+    def taken(j: int, y: int):
+        """Whether a rival ahead of y took item j of y's set; yields each
+        rival asked about and is sent her award."""
+        for z in bidders(j):
+            if z == y:
+                break
+            if z != buyer and j in (yield z):
+                return True
+        return False
+
+    def udubv_frame(y: int):
+        for j in fwd(y):
+            if not (yield from taken(j, y)):
+                return (j,)
+        return ()
+
+    def ksmb_frame(y: int):
+        s = fwd(y)
+        for j in s:
+            if (yield from taken(j, y)):
+                return ()
+        return s
+
+    frame = udubv_frame if inst.mode == UDUBV else ksmb_frame
+    memo: dict[int, tuple[int, ...]] = {}
+    won = _resolve(buyer, frame, memo)
+    if not won:
+        return {"buyer": buyer, "award": (), "payment": Fraction(0)}
+    # A winner holds every item of her award (udubv) or set (ksmb) and no
+    # item has two holders, so the first rival found on j holding it is j's
+    # holder in the run without her.
+    mine = fwd(buyer)
+    holders = {}
+    for j in mine:
+        for z in bidders(j):
+            if z != buyer and j in _resolve(z, frame, memo):
+                holders[z] = memo[z]
+                break
+    return {"buyer": buyer, "award": won, "payment": _BID_RULES[inst.mode][1](holders, mine, bids)}
 
 
 def udubv_local(

@@ -34,9 +34,14 @@ from .rsd import HousingInstance
 from .scheduling import SchedulingInstance
 
 __all__ = [
-    "Query", "Family", "FAMILIES", "InstanceSpec", "build_instance", "spec_to_json",
+    "Query", "Family", "FAMILIES", "MAX_SIZE", "InstanceSpec", "build_instance", "spec_to_json",
     "spec_from_json", "int_rows",
 ]
+
+# The largest n and m a spec may ask for.  A build takes time and memory in
+# proportion to its size, so a spec past 2^20 entities on a side is refused
+# up front rather than left to build until it is killed.
+MAX_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,7 @@ class InstanceSpec:
     list, set or menu size (the scheduling and housing families call it d).
     Explicit fields, when given, override seeded generation of the same data;
     `explicit_edges` gives one row per entity of the family's `rows` side.
+    `n` and `m` are at most `MAX_SIZE`.
     """
 
     seed: int
@@ -233,6 +239,8 @@ class InstanceSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         if self.n < 0 or self.m < 0 or self.k < 0:
             raise ValueError("n, m, k must be non-negative")
+        if self.n > MAX_SIZE or self.m > MAX_SIZE:
+            raise ValueError(f"n and m may be at most {MAX_SIZE}, got n={self.n}, m={self.m}")
         if self.explicit_edges is not None:
             rows = FAMILIES[self.family].rows
             if rows is None:

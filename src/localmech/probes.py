@@ -10,9 +10,9 @@ that setup pass is not counted, but every *access* to a reverse record is.
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
 
-`upward_closure` is the dependency engine of the rank-order local queries
-(scheduling, auctions, housing): the query tree of Mansour, Rubinstein, Vardi
-and Xie (ICALP 2012).  A greedy rule that serves entities in priority order
+`upward_closure` is the dependency engine of the rank-order local queries of
+scheduling, housing and the uduv auction: the query tree of Mansour,
+Rubinstein, Vardi and Xie (ICALP 2012).  A greedy rule that serves entities in priority order
 decides an entity from the higher-priority entities sharing a resource with
 it, transitively; the query collects that set and replays the rule on it.
 """

@@ -22,6 +22,11 @@ alone, so each prefix is hashed once:
 - `derive_uniform` and `sample_without_replacement` hash their key once,
   then pay one step per draw index and one per attempt.
 
+A range n above 2^64 needs more than one 64-bit word per attempt: attempt a
+joins the state after (a,) with the states after (a, 1), (a, 2), ... as the
+low-to-high 64-bit digits of one number, as many as n - 1 needs.  Ranges up
+to 2^64 draw one word, as they always did.
+
 The tape stays pure Python.  Importing numpy raises the peak RSS of a
 process that builds instances from about 21 to 32 MB (Python 3.11,
 numpy 2.4, x86-64 Linux), far more than the 10% growth of `peak_rss_mb`
@@ -58,6 +63,11 @@ def _mix(x: int) -> int:
 
 # _LEAF[i] == _mix(i + _GOLDEN), the leaf of the int part i
 _LEAF = tuple(_mix(i + _GOLDEN) for i in range(256))
+
+
+def _leaf(i: int) -> int:
+    """The leaf of the int part i (the hot paths inline this)."""
+    return _LEAF[i] if 0 <= i < 256 else _mix(i + _GOLDEN)
 
 
 class RandomTape:
@@ -133,14 +143,34 @@ def _draw(s: int, limit: int) -> int:
         attempt += 1
 
 
+def _draw_wide(s: int, n: int) -> int:
+    """`_draw` for a range n above 2^64: the first value below the largest
+    multiple of n that the attempt's words hold."""
+    words = -(-(n - 1).bit_length() // 64)
+    span = 1 << (64 * words)
+    limit = span - span % n
+    attempt = 0
+    while True:
+        h = _mix(s ^ _leaf(attempt))
+        v = h
+        for i in range(1, words):
+            v |= _mix(h ^ _leaf(i)) << (64 * i)
+        if v < limit:
+            return v
+        attempt += 1
+
+
 def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     """Unbiased uniform integer in [0, n), keyed by `key`.
 
-    Uses rejection sampling on the top of the 64-bit range; the attempt
-    counter is the key's last part, so retries are themselves deterministic.
+    Uses rejection sampling on the top of the 64-bit range (of as many
+    64-bit words as n needs); the attempt counter is the key's last part, so
+    retries are themselves deterministic.
     """
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
+    if n > 1 << 64:
+        return _draw_wide(tape._state(tuple(key)), n) % n
     return _draw(tape._state(tuple(key)), (1 << 64) - ((1 << 64) % n)) % n
 
 
@@ -158,7 +188,7 @@ def sample_without_replacement(
     out: list[int] = []
     if count <= 0:
         return out
-    limit = (1 << 64) - ((1 << 64) % n)
+    draw, bound = (_draw, (1 << 64) - ((1 << 64) % n)) if n <= 1 << 64 else (_draw_wide, n)
     h = tape._state(tuple(key))
     seen: set[int] = set()
     idx = 0
@@ -166,7 +196,7 @@ def sample_without_replacement(
         s = h ^ (_LEAF[idx] if idx < 256 else _mix(idx + _GOLDEN))
         s = ((s ^ (s >> 30)) * _M1) & _MASK
         s = ((s ^ (s >> 27)) * _M2) & _MASK
-        v = _draw(s ^ (s >> 31), limit) % n
+        v = draw(s ^ (s >> 31), bound) % n
         idx += 1
         if v not in seen:
             seen.add(v)

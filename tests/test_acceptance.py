@@ -2,8 +2,10 @@
 
 Each test evaluates one numbered shipping criterion at its stated tolerance,
 prints a single PASS/FAIL line with the measured numbers, and appends the same
-line to acceptance_report.txt at the repository root.  Probe-growth CSVs land
-in bench/.  A failing criterion keeps its analysis in the assertion message.
+line to acceptance_report.txt in the run's temporary directory.  Criterion 11
+writes its probe-growth CSVs there too and checks their rows against the
+copies archived in bench/ (README says how to regenerate those).  A failing
+criterion keeps its analysis in the assertion message.
 """
 
 from __future__ import annotations
@@ -71,23 +73,29 @@ from localmech.scheduling import (
     slms_online,
 )
 
-_ROOT = Path(__file__).resolve().parent.parent
-_REPORT = _ROOT / "acceptance_report.txt"
-_BENCH_DIR = _ROOT / "bench"
+_BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+_REPORT: list[Path] = []  # this run's report file, set by `_fresh_report`
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _fresh_report():
-    _REPORT.write_text("")
+def _fresh_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("acceptance") / "acceptance_report.txt"
+    path.write_text("")
+    _REPORT[:] = [path]
     yield
 
 
 def _report(num: int, ok: bool, detail: str) -> str:
     line = f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
-    with _REPORT.open("a", encoding="utf-8") as fh:
+    with _REPORT[0].open("a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     return line
+
+
+def _rows(text: str) -> list[str]:
+    """A CSV's lines without its '#' header (which holds a timestamp)."""
+    return [line for line in text.splitlines() if not line.startswith("#")]
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +502,7 @@ def test_criterion_10_majorization_coupling():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_11_probe_growth():
-    _BENCH_DIR.mkdir(exist_ok=True)
+def test_criterion_11_probe_growth(tmp_path):
     full = [(2**e, 20, 100) for e in (8, 10, 12, 14)]
     runs = {
         "scheduling-d2": ("scheduling", dict(d=2), True),
@@ -509,7 +516,7 @@ def test_criterion_11_probe_growth():
     summary = []
     for slug, (family, kw, required) in runs.items():
         records = bench_points(family, full, **kw)
-        (_BENCH_DIR / f"criterion11_{slug}.csv").write_text(bench_records_csv(records))
+        (tmp_path / f"criterion11_{slug}.csv").write_text(bench_records_csv(records))
         # one summary per run: matching k=1 and k=3 share family and n
         summary.extend((slug, *row[1:]) for row in summarize_bench(records))
         by_n: dict[int, list[int]] = {}
@@ -526,12 +533,18 @@ def test_criterion_11_probe_growth():
             f"{slug}: maxima {maxima}, power {power:.3f}, polylog p {p:.2f} "
             f"[{'ok' if good else 'over'}{'' if required else ', informational'}]"
         )
-    (_BENCH_DIR / "criterion11_summary.csv").write_text(
+    (tmp_path / "criterion11_summary.csv").write_text(
         render_csv(("run", *SUMMARY_COLUMNS[1:]), summary)
     )
-    detail = "; ".join(parts)
-    line = _report(11, ok, detail)
-    assert ok, line
+    # every probe count and digest must match the archived rows
+    stale = [
+        path.name
+        for path in sorted(tmp_path.glob("criterion11_*.csv"))
+        if _rows(path.read_text()) != _rows((_BENCH_DIR / path.name).read_text())
+    ]
+    parts.append(f"rows differing from bench/: {', '.join(stale) or 'none'}")
+    line = _report(11, ok and not stale, "; ".join(parts))
+    assert ok and not stale, f"{line} (regenerated files in {tmp_path})"
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmech.auctions import (
+    _BID_RULES,
+    _critical,
     AuctionInstance,
     ReportOverlay,
     ksmb_local,
@@ -19,7 +24,7 @@ from localmech.auctions import (
 )
 from localmech.instances import InstanceSpec, build_instance
 from localmech.oracles import max_matching, max_weight_matching, optimal_packing
-from localmech.probes import ProbeCounter
+from localmech.probes import LEFT, MemoView, ProbeCounter, upward_closure
 
 F = Fraction
 
@@ -265,3 +270,101 @@ def test_local_query_validation():
         uduv_local(inst, ("buyer", 5))
     with pytest.raises(ValueError):
         uduv_local(inst, ("thing", 0))
+
+
+# ---------------------------------------------------------------------------
+# the udubv/ksmb query tree against closure-and-replay
+# ---------------------------------------------------------------------------
+
+
+def _closure_replay(inst, overlay=None):
+    """Reference buyer query `(buyer, counter) -> answer`: replay the whole
+    upward closure by bid, then, for a winner, the whole closure of her
+    rivals without her.  Buyers are keyed by their place in bid order, which
+    orders them as (-bid, id) does; places and signs of bids are computed
+    once for all queries."""
+    bids = inst.effective_bids(overlay)
+    place = [0] * inst.n
+    for i, b in enumerate(sorted(range(inst.n), key=lambda b: (-bids[b], b))):
+        place[b] = i
+    pkey = place.__getitem__
+    bidding = [v > 0 for v in bids]
+    awards, price = _BID_RULES[inst.mode]
+
+    def query(buyer, counter):
+        view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
+        closure = upward_closure((buyer,), pkey, view.fwd, view.rev) if bidding[buyer] else ()
+        won = awards(sorted((b for b in closure if bidding[b]), key=pkey), view.fwd)
+        award = won.get(buyer, ())
+        if not award:
+            return {"buyer": buyer, "award": (), "payment": Fraction(0)}
+        mine = view.fwd(buyer)
+        seeds = {y for j in mine for y in view.rev(j) if y != buyer and bidding[y]}
+        rivals = upward_closure(seeds, pkey, view.fwd, view.rev)
+        rivals.discard(buyer)
+        won = awards(sorted((b for b in rivals if bidding[b]), key=pkey), view.fwd)
+        return {"buyer": buyer, "award": award, "payment": price(won, mine, bids)}
+
+    return query
+
+
+_BID_PAIRS = {"udubv": (udubv_run, udubv_local), "ksmb": (ksmb_run, ksmb_local)}
+
+
+def _check_against_replay(inst, overlay):
+    run, local = _BID_PAIRS[inst.mode]
+    out = run(inst, overlay)
+    reference = _closure_replay(inst, overlay)
+    for b in range(inst.n):
+        tree, replay = ProbeCounter(), ProbeCounter()
+        got = local(inst, b, tree, overlay)
+        assert got == reference(b, replay), b
+        assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b]), b
+        assert tree.count <= replay.count, (b, tree.count, replay.count)
+
+
+@pytest.mark.parametrize("family", ["udubv", "ksmb"])
+@pytest.mark.parametrize("m", [512, 200])
+def test_query_tree_matches_closure_replay(family, m):
+    for seed in range(4):
+        inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=m, k=3))
+        # one buyer bids a rival's value, one drops out and one outbids everyone
+        top = max(inst.values)
+        overlay = ReportOverlay(bids={seed: inst.values[seed + 1], 7: 0, 11: top + 1})
+        for ov in (None, overlay):
+            _check_against_replay(inst, ov)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_query_tree_matches_global_on_small_instances(data):
+    mode = data.draw(st.sampled_from(["udubv", "ksmb"]))
+    n = data.draw(st.integers(0, 30))
+    m = data.draw(st.integers(1, 12))
+    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    # a small value range: zero bids and ties are common
+    values = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    inst = AuctionInstance(sets, m, mode, values=values)
+    overlay = None
+    if n and data.draw(st.booleans()):
+        bids = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 12), max_size=3))
+        overlay = ReportOverlay(bids={b: Fraction(v, 2) for b, v in bids.items()})
+    _check_against_replay(inst, overlay)
+
+
+@pytest.mark.parametrize("family", ["udubv", "ksmb"])
+def test_query_tree_follows_a_bid_chain_n_deep(family):
+    # buyer i wants {i, i+1} and bids fall with i, so each buyer's answer
+    # waits on the one before her, all the way down the chain
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    inst = AuctionInstance([(i, i + 1) for i in range(n)], n + 1, family, values=range(n, 0, -1))
+    awards, price = _BID_RULES[family]
+    order = list(range(n))
+    last = n - 1
+    want_award = awards(order, inst.sets.__getitem__).get(last, ())
+    want_pay = _critical(inst, inst.values, order, last) if want_award else Fraction(0)
+    counter = ProbeCounter()
+    got = _BID_PAIRS[family][1](inst, last, counter)
+    assert (got["award"], got["payment"]) == (want_award, want_pay)
+    assert counter.count > n  # the whole chain was read

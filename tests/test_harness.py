@@ -23,7 +23,7 @@ from localmech.harness import (
     summarize_bench,
     verify_family,
 )
-from localmech.instances import build_instance, spec_from_json
+from localmech.instances import MAX_SIZE, build_instance, spec_from_json
 from localmech.probes import ProbeCounter
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,20 @@ def test_cli_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "scheduling", "--n", "4", "--all"])
     assert exc.value.code == 2
+
+
+def test_cli_sizes_past_the_cap_exit_2(tmp_path, capsys):
+    # a size past MAX_SIZE is refused before any build starts
+    argv = ["query", "rsd", "--n", "99999999999999999999", "--d", "1", "--query-agent", "0"]
+    assert cli.main(argv) == 2
+    assert "at most" in capsys.readouterr().err
+    for over in ({"n": MAX_SIZE + 1}, {"n": 4, "m": MAX_SIZE + 1}):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"family": "housing", "seed": 0, "d": 1, **over}))
+        assert cli.main(["query", "rsd", "--config", str(path), "--query-agent", "0"]) == 2
+        assert "at most" in capsys.readouterr().err
+    assert cli.main(["bench", "rsd", "--n", str(MAX_SIZE + 1), "--d", "1"]) == 2
+    assert "at most" in capsys.readouterr().err
 
 
 def test_cli_pay_machine_out_of_range_exits_2(capsys):

@@ -184,6 +184,42 @@ def test_draw_paths_past_the_small_int_table_and_through_rejection():
     assert sample_without_replacement(t, ("big",), n, 40) == _ref_sample(3, ("big",), n, 40)
 
 
+def _ref_uniform_wide(seed, key, n):
+    """A range past 2^64: attempt a reads the words (a,), (a, 1), (a, 2), ...
+    as 64-bit digits, low first, as many as n - 1 needs."""
+    words = -(-(n - 1).bit_length() // 64)
+    span = 1 << (64 * words)
+    limit = span - span % n
+    attempt = 0
+    while True:
+        v = _ref_u64(seed, *key, attempt)
+        for i in range(1, words):
+            v += _ref_u64(seed, *key, attempt, i) << (64 * i)
+        if v < limit:
+            return v % n
+        attempt += 1
+
+
+def test_ranges_past_two_to_the_64_draw_several_words():
+    # a range past 2^64 once had a rejection limit of 0, so its draw never returned
+    t = RandomTape(5)
+    for n in (2**64 + 1, 2**65 - 1, 2**127 + 1, 65537**4, 3 * 2**200 + 1):
+        for i in range(40):
+            got = derive_uniform(t, ("wide", i), n)
+            assert 0 <= got < n
+            assert got == _ref_uniform_wide(5, ("wide", i), n), (n, i)
+    # n = 2^127 + 1 rejects about half of all first attempts
+    n = 2**127 + 1
+    first = [_ref_u64(5, "wide", i, 0) + (_ref_u64(5, "wide", i, 0, 1) << 64) for i in range(40)]
+    assert any(v >= (1 << 128) - (1 << 128) % n for v in first)
+    got = sample_without_replacement(t, ("wide",), 2**64 + 1, 30)
+    want = [_ref_uniform_wide(5, ("wide", idx), 2**64 + 1) for idx in range(30)]
+    assert got == want  # 30 draws from 2^64 + 1 values: no duplicates to redraw
+    assert derive_uniform(RandomTape(0), ("x",), 2**64 + 1) == 0x28A5FEAFED84E401
+    # a range of exactly 2^64 still draws one word
+    assert derive_uniform(t, ("wide", 0), 2**64) == _ref_u64(5, "wide", 0, 0)
+
+
 def test_known_answers():
     # recorded from the unstemmed chain; any change to the tape's bits fails here
     assert RandomTape(0).u64() == 0xE220A8397B1DCDAF

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from localmech.instances import InstanceSpec
+from localmech.instances import InstanceSpec, build_instance
 from localmech.probes import ProbeCounter
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
 
@@ -68,3 +68,12 @@ def test_validation_errors():
         rsd_local(inst, 3)
     with pytest.raises(ValueError):
         HousingInstance.from_spec(InstanceSpec(seed=0, family="uduv", n=2, m=2, k=1))
+
+
+def test_housing_builds_past_65536_agents():
+    # lottery numbers come from n^4 values, past 2^64 once n > 65536
+    n = 65537
+    inst = build_instance(InstanceSpec(seed=0, family="housing", n=n, m=n, k=1))
+    assert all(1 <= r <= n**4 for r in inst.ranks)
+    assert max(inst.ranks) > 2**64
+    assert rsd_local(inst, 0) == rsd_global(inst)[0]
