@@ -15,6 +15,7 @@ from localmech.auctions import (
     ReportOverlay,
     ksmb_run,
     truthfulness_audit,
+    udubv_local,
     udubv_run,
     uduv_run,
 )
@@ -33,11 +34,14 @@ def main() -> None:
     print(f"uniform-value: {len(served)}/{uv.n} buyers served, each pays 1/2")
 
     bv = build_instance(InstanceSpec(seed=args.seed, family="udubv", n=args.n, m=args.n, k=2))
-    bout = udubv_run(bv, shadow=True)
+    bout = udubv_run(bv)
+    # a buyer's critical bid does not depend on her own bid, so her local
+    # payment at a bid above every value is her threshold, winner or loser
+    top = max(bv.values) + 1
     print("\nbid-ordered unit-demand (value, award, critical payment):")
     for b in range(bv.n):
         award = f"item {bout.awards[b][0]}" if bout.awards[b] else "-"
-        pay = bout.payments[b] if bout.awards[b] else bout.shadow_payments.get(b, Fraction(0))
+        pay = udubv_local(bv, b, overlay=ReportOverlay(bids={b: top}))["payment"]
         print(f"  buyer {b}: bids {str(bv.values[b]):>7} -> {award:<8} threshold {pay}")
 
     eps = Fraction(1, 1000)

@@ -25,12 +25,17 @@ Onak, FOCS 2008), asking earlier rivals best first as Yoshida, Yamamoto and
 Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
 payment comes from the same recursion run without her, which shares every
 answer of the buyers ahead of her.  Neither reads a zero-bid rival's set.
+
+`truthfulness_audit` checks those served local answers, not a global rerun:
+it asks each buyer's local query under a `ReportOverlay`, for the truth and
+for every deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
@@ -74,7 +79,6 @@ class Outcome:
     awards: dict[int, tuple[int, ...]]
     payments: dict[int, Fraction]
     utilities: dict[int, Fraction]
-    shadow_payments: dict[int, Fraction] | None = None
 
 
 @dataclass(frozen=True)
@@ -316,7 +320,7 @@ def _critical(
     return price(awards(without, inst.sets.__getitem__), inst.sets[i], bids)
 
 
-def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None, shadow: bool) -> Outcome:
+def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
     if overlay is not None and overlay.sets is not None:
         raise ValueError(f"{inst.mode} sets are public; overlay may alter bids only")
     bids = inst.effective_bids(overlay)
@@ -326,34 +330,22 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None, shadow: bool)
     payments = {
         b: (_critical(inst, bids, order, b) if awards[b] else Fraction(0)) for b in range(inst.n)
     }
-    shadow_payments = (
-        {b: _critical(inst, bids, order, b) for b in range(inst.n) if not awards[b]}
-        if shadow
-        else None
-    )
     utilities = {
         b: (inst.values[b] - payments[b] if awards[b] else Fraction(0)) for b in range(inst.n)
     }
-    return Outcome(
-        awards=awards, payments=payments, utilities=utilities, shadow_payments=shadow_payments
-    )
+    return Outcome(awards=awards, payments=payments, utilities=utilities)
 
 
-def udubv_run(
-    inst: AuctionInstance,
-    overlay: ReportOverlay | None = None,
-    shadow: bool = False,
-) -> Outcome:
-    """udubv outcome; `shadow` adds each loser's critical bid."""
+def udubv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
     if inst.mode != UDUBV:
         raise ValueError("udubv_run requires udubv mode")
-    return _bid_run(inst, overlay, shadow)
+    return _bid_run(inst, overlay)
 
 
 def ksmb_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
     if inst.mode != KSMB:
         raise ValueError("ksmb_run requires ksmb mode")
-    return _bid_run(inst, overlay, shadow=False)
+    return _bid_run(inst, overlay)
 
 
 def _resolve(
@@ -497,82 +489,66 @@ def ksmb_local(
 # ---------------------------------------------------------------------------
 
 
-def _all_subsets(pool: Sequence[int], max_size: int):
-    from itertools import combinations
-
-    for size in range(max_size + 1):
-        yield from combinations(pool, size)
-
-
-def truthfulness_audit(
-    inst: AuctionInstance,
-    deviation_grid: Sequence | None = None,
-    _zero_payments: bool = False,
-) -> list[Violation]:
+def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> list[Violation]:
     """Enumerate unilateral deviations and report every one that strictly
-    beats truth-telling.  uduv deviations are alternative reported sets (all
-    subsets of the item pool up to size k+1 unless a grid of sets is given);
-    udubv/ksmb deviations are alternative bids ({0, t/2, t±δ, 2t, p, p±ε}
-    unless a grid of bids is given).  An empty list means no buyer can gain.
+    beats truth-telling.  An empty list means no buyer can gain.
+
+    Each utility comes from the served local buyer query, asked under a
+    `ReportOverlay` for the truth and for each deviation, so the audit checks
+    the allocation and payments that local replies actually give.  uduv
+    deviations are all reported subsets of the item pool up to size k+1
+    (m <= 12).  udubv/ksmb deviations are the bids {0, t/2, t±δ, 2t, p, p±ε},
+    with t the buyer's value and p her critical bid.  A winner pays her
+    critical bid, and it depends on the other bids only (Lehmann,
+    O'Callaghan and Shoham, JACM 2002), so p is her local payment at a bid
+    above every value, whether she wins at t or not.  `_zero_payments`
+    drops every payment from the utilities, to show that the audit catches
+    a broken payment rule.
     """
     eps = Fraction(1, 1000)
-    violations: list[Violation] = []
+    if inst.mode == UDUV:
+        if inst.m > 12:
+            raise ValueError("full subset enumeration capped at m <= 12")
+        subsets = [c for size in range(inst.k + 2) for c in combinations(range(inst.m), size)]
 
-    def run(mode_overlay: ReportOverlay | None) -> Outcome:
-        if inst.mode == UDUV:
-            return uduv_run(inst, mode_overlay)
-        if inst.mode == UDUBV:
-            return udubv_run(inst, mode_overlay, shadow=True)
-        return ksmb_run(inst, mode_overlay)
+        def answer(buyer: int, overlay: ReportOverlay | None) -> dict:
+            return uduv_local(inst, ("buyer", buyer), None, overlay)
 
-    def utility(outcome: Outcome, buyer: int) -> Fraction:
-        award = outcome.awards[buyer]
-        pay = Fraction(0) if _zero_payments else outcome.payments[buyer]
-        if inst.mode == UDUV:
-            return _uduv_value(inst, buyer, award) - (pay if award else Fraction(0))
-        if not award:
-            return Fraction(0)
-        return inst.values[buyer] - pay
+        def deviations(buyer: int) -> list[tuple[str, ReportOverlay]]:
+            return [(f"set={rep}", ReportOverlay(sets={buyer: rep})) for rep in subsets]
 
-    truth = run(None)
-    for buyer in range(inst.n):
-        u_truth = utility(truth, buyer)
-        if inst.mode == UDUV:
-            if deviation_grid is not None:
-                reports = list(deviation_grid)
-            else:
-                if inst.m > 12:
-                    raise ValueError("full subset enumeration capped at m <= 12")
-                reports = list(_all_subsets(range(inst.m), inst.k + 1))
-            for rep in reports:
-                out = uduv_run(inst, ReportOverlay(sets={buyer: tuple(rep)}))
-                u_dev = utility(out, buyer)
-                if u_dev > u_truth:
-                    violations.append(Violation(buyer, f"set={tuple(rep)}", u_truth, u_dev))
-        else:
+    else:
+        local = udubv_local if inst.mode == UDUBV else ksmb_local
+        top = max(inst.values, default=Fraction(0)) + 1
+
+        def answer(buyer: int, overlay: ReportOverlay | None) -> dict:
+            return local(inst, buyer, None, overlay)
+
+        def deviations(buyer: int) -> list[tuple[str, ReportOverlay]]:
             t = inst.values[buyer]
-            if deviation_grid is not None:
-                grid = [Fraction(x) for x in deviation_grid]
-            else:
-                p = truth.payments[buyer]
-                if not truth.awards[buyer] and inst.mode == UDUBV:
-                    assert truth.shadow_payments is not None
-                    p = truth.shadow_payments.get(buyer, Fraction(0))
-                grid = [
-                    Fraction(0),
-                    t / 2,
-                    t - eps,
-                    t + eps,
-                    2 * t,
-                    p,
-                    p - eps,
-                    p + eps,
-                ]
-            for bid in grid:
-                if bid < 0 or bid == t:
-                    continue
-                out = run(ReportOverlay(bids={buyer: bid}))
-                u_dev = utility(out, buyer)
-                if u_dev > u_truth:
-                    violations.append(Violation(buyer, f"bid={bid}", u_truth, u_dev))
+            p = answer(buyer, ReportOverlay(bids={buyer: top}))["payment"]
+            grid = [Fraction(0), t / 2, t - eps, t + eps, 2 * t, p, p - eps, p + eps]
+            return [
+                (f"bid={bid}", ReportOverlay(bids={buyer: bid}))
+                for bid in grid
+                if bid >= 0 and bid != t
+            ]
+
+    def utility(buyer: int, overlay: ReportOverlay | None) -> Fraction:
+        got = answer(buyer, overlay)
+        if not got["award"]:
+            return Fraction(0)
+        if inst.mode == UDUV:
+            value = _uduv_value(inst, buyer, got["award"])
+        else:
+            value = inst.values[buyer]
+        return value - (Fraction(0) if _zero_payments else got["payment"])
+
+    violations: list[Violation] = []
+    for buyer in range(inst.n):
+        u_truth = utility(buyer, None)
+        for report, overlay in deviations(buyer):
+            u_dev = utility(buyer, overlay)
+            if u_dev > u_truth:
+                violations.append(Violation(buyer, report, u_truth, u_dev))
     return violations

@@ -86,6 +86,11 @@ class ExperimentConfig:
         object.__setattr__(self, "ns", tuple(int(x) for x in self.ns))
         if not self.ns or any(x < 1 for x in self.ns):
             raise ValueError("n grid must be nonempty and positive")
+        if len(set(self.ns)) > 1 and min(self.ns) < 2:
+            raise ValueError(
+                "an n grid of two or more sizes needs every n >= 2: "
+                "its polylog fit takes ln ln n"
+            )
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.queries < 1:
@@ -178,27 +183,31 @@ def bench_family(config: ExperimentConfig) -> list[BenchRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope and intercept of ln max(y, 1) against x, from
+    mean-centred sums."""
+    if len(set(xs)) < 2:
+        raise ValueError("need at least two distinct grid sizes to fit")
+    ys = [math.log(max(y, 1.0)) for y in ys]
+    mx = math.fsum(xs) / len(xs)
+    my = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys, strict=True))
+    slope = sxy / sxx
+    return slope, my - slope * mx
+
+
 def fit_power_exponent(ns: Sequence[int], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log n."""
-    import numpy as np
-
-    if len(ns) < 2:
-        raise ValueError("need at least two grid points to fit")
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.maximum(np.asarray(ys, dtype=float), 1.0))
-    return float(np.polyfit(x, y, 1)[0])
+    return _line_fit([math.log(n) for n in ns], ys)[0]
 
 
 def fit_polylog(ns: Sequence[int], ys: Sequence[float]) -> tuple[float, float]:
-    """Fit y ≈ c·(ln n)^p; returns (c, p)."""
-    import numpy as np
-
-    if len(ns) < 2:
-        raise ValueError("need at least two grid points to fit")
-    x = np.log(np.log(np.asarray(ns, dtype=float)))
-    y = np.log(np.maximum(np.asarray(ys, dtype=float), 1.0))
-    p, intercept = np.polyfit(x, y, 1)
-    return float(math.exp(intercept)), float(p)
+    """Fit y ≈ c·(ln n)^p; returns (c, p).  Takes ln ln n, so every n >= 2."""
+    if any(n < 2 for n in ns):
+        raise ValueError("the polylog fit takes ln ln n, so every n must be >= 2")
+    p, intercept = _line_fit([math.log(math.log(n)) for n in ns], ys)
+    return math.exp(intercept), p
 
 
 def summarize_bench(records: Sequence[BenchRecord]) -> list[tuple[str, str, str, str]]:

@@ -73,8 +73,6 @@ class Allocation:
     assign: tuple[int | None, ...]
     heights: tuple[int, ...]
     caps: tuple[int, ...]
-    slot_assign: tuple[int | None, ...] | None = None
-    slot_heights: tuple[int, ...] | None = None
 
     @property
     def loads(self) -> tuple[Fraction, ...]:
@@ -273,7 +271,6 @@ def slms_online(
     slot_h = [0] * pool
     heights = [0] * len(caps)
     assign: list[int | None] = [None] * inst.m
-    slot_assign: list[int | None] = [None] * inst.m
     jobs = range(inst.m) if order is None else order
     for j in jobs:
         chosen = sample_without_replacement(tape, ("slot-choice", j), pool, d)
@@ -281,14 +278,7 @@ def slms_online(
         machine = bisect_right(prefix, slot)
         heights[machine] += 1
         assign[j] = machine
-        slot_assign[j] = slot
-    return Allocation(
-        assign=tuple(assign),
-        heights=tuple(heights),
-        caps=caps,
-        slot_assign=tuple(slot_assign),
-        slot_heights=tuple(slot_h),
-    )
+    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
 
 
 def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:

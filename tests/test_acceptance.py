@@ -217,7 +217,7 @@ def test_criterion_03_round_rejections_bounded():
         3,
         ok,
         f"{rounds_seen} rounds over k in (2,3,5) x 10 seeds at n=1000, "
-        f"{violations} violations (tightest round at {slack:.2f} of the cap)",
+        f"{violations} violations (loosest round at {slack:.2f} of the cap)",
     )
     assert ok, line
 

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localmech import auctions
 from localmech.auctions import (
     _BID_RULES,
+    _bid_order,
     _critical,
     AuctionInstance,
     ReportOverlay,
@@ -82,10 +84,20 @@ def test_ksmb_three_buyer_example():
     assert out.payments[2] == F(0)
 
 
-def test_shadow_payments_cover_losers():
+def test_local_payment_at_a_top_bid_is_the_critical_bid():
+    # a buyer's critical bid depends on the other bids only, so her local
+    # payment at a bid above every value is it, for losers as for winners
     inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
-    out = udubv_run(inst, shadow=True)
-    assert out.shadow_payments == {1: F(5)}
+    assert udubv_local(inst, 1, overlay=ReportOverlay(bids={1: F(6)}))["payment"] == F(5)
+    for family, local in (("udubv", udubv_local), ("ksmb", ksmb_local)):
+        for seed in range(2):
+            inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=3))
+            bids = list(inst.values)
+            order = _bid_order(bids)
+            top = max(bids) + 1
+            for b in range(inst.n):
+                got = local(inst, b, overlay=ReportOverlay(bids={b: top}))
+                assert got["payment"] == _critical(inst, bids, order, b), (family, seed, b)
 
 
 def test_public_sets_cannot_be_overlaid():
@@ -181,6 +193,18 @@ def test_bid_audits_find_nothing():
             assert truthfulness_audit(inst) == [], (family, seed)
 
 
+def test_audit_asks_no_global_runner(monkeypatch):
+    # the audit checks the served local queries, not a global rerun
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit ran a global auction")
+
+    for runner in ("uduv_run", "udubv_run", "ksmb_run"):
+        monkeypatch.setattr(auctions, runner, refuse)
+    for family, m in (("uduv", 8), ("udubv", 6), ("ksmb", 6)):
+        inst = build_instance(InstanceSpec(seed=3, family=family, n=5, m=m, k=2))
+        assert truthfulness_audit(inst) == [], family
+
+
 def test_audit_catches_a_broken_payment_rule():
     # with payments forced to zero, overbidding a lost contest becomes strictly
     # profitable, and the audit must say so
@@ -190,6 +214,11 @@ def test_audit_catches_a_broken_payment_rule():
     assert any(v.buyer == 1 for v in broken)
     v = next(v for v in broken if v.buyer == 1)
     assert v.utility_deviation > v.utility_truth
+    # a loser whose critical bid is above twice her value wins only at p + ε
+    kinst = _ksmb([(0,), (0,)], values=(10, 3), m=1, k=1)
+    assert truthfulness_audit(kinst) == []
+    broken = truthfulness_audit(kinst, _zero_payments=True)
+    assert [(v.buyer, v.report) for v in broken] == [(1, "bid=10001/1000")]
 
 
 # ---------------------------------------------------------------------------

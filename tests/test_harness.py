@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -49,6 +53,10 @@ def test_experiment_config_validation():
         ExperimentConfig(family="matching", ns=(10,), seeds=0)
     with pytest.raises(ValueError):
         ExperimentConfig(family="matching", ns=(10,), seeds=1, queries=0)
+    # a grid of two or more sizes gets a polylog fit, which takes ln ln n
+    with pytest.raises(ValueError, match="ln ln n"):
+        ExperimentConfig(family="rsd", ns=(1, 2), seeds=1)
+    assert ExperimentConfig(family="rsd", ns=(1, 1), seeds=1).ns == (1, 1)
 
 
 def test_render_csv_and_body():
@@ -66,8 +74,46 @@ def test_fits_recover_planted_growth():
     assert abs(p - 2.0) < 1e-6 and abs(c - 3.0) < 1e-6
     # a squared-log curve reads as a small fractional power on this grid
     assert 0.1 < fit_power_exponent(ns, logs) < 0.4
-    with pytest.raises(ValueError):
-        fit_power_exponent([10], [1.0])
+    for ns, ys in (([10], [1.0]), ([64, 64], [3.0, 5.0]), ([], [])):
+        for fit in (fit_power_exponent, fit_polylog):
+            with pytest.raises(ValueError, match="two distinct"):
+                fit(ns, ys)
+    with pytest.raises(ValueError, match="ln ln n"):
+        fit_polylog([1, 2, 4], [1.0, 2.0, 3.0])
+
+
+def test_bench_grids_holding_n_below_2_exit_2_before_any_cell(capsys, monkeypatch):
+    # the polylog fit would otherwise fail on ln ln 1 after every cell ran
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_bench_cell", refuse)
+    for argv in (["scheduling", "--n", "1,2", "--d", "1"], ["udubv", "--n", "2,1", "--k", "1"]):
+        assert cli.main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ln ln n" in captured.err
+
+
+def test_bench_and_audit_do_not_import_numpy():
+    # numpy and scipy serve the exact solvers only; no lcmd verb loads them
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import contextlib, io, sys\n"
+        "from localmech import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['bench', 'rsd', '--n', '16,32,64', '--seeds', '2',"
+        " '--queries', '5', '--d', '2']) == 0\n"
+        "    assert cli.main(['run', 'auction', '--mode', 'udubv', '--seed', '0', '--n', '6',"
+        " '--m', '6', '--k', '2', '--audit']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_summarize_bench_rows():
@@ -335,6 +381,85 @@ def test_cli_config_fuzz_exits_0_or_2(doc, entity, tmp_path):
     whole = [] if verb[0] == "auction" else ["--all"]
     assert cli.main(["query", *verb, "--config", str(path), flag, str(entity)]) in (0, 2)
     assert cli.main(["run", *verb, "--config", str(path), *whole]) in (0, 2)
+
+
+# sizes up to 40, or (one draw in eight) past MAX_SIZE, which every verb
+# refuses before a build
+_FLAG_SIZE = st.integers(0, 7).flatmap(
+    lambda r: st.integers(MAX_SIZE + 1, 2**70) if r == 0 else st.integers(-2, 40)
+)
+# Capacities and values stay at or below 1,000: a standard-mode slot pool
+# holds one record per slot, and expected payments at capacity 10^5 pass
+# Python's 4,300-digit int limit.
+_FLAG_BIDS = st.lists(st.integers(-2, 1000), max_size=8)
+# run/query family -> its mode choices, size flag and entity flags
+_FLAG_FAMILIES = {
+    "matching": ([], "--k", ["--query-man", "--all"]),
+    "scheduling": (["std", "res"], "--d", ["--query-job", "--pay-machine", "--all"]),
+    "auction": (["uduv", "udubv", "ksmb"], "--k", ["--query-buyer", "--query-item", ""]),
+    "rsd": ([], "--d", ["--query-agent", "--all"]),
+}
+
+
+@st.composite
+def _flag_argvs(draw, sets_path):
+    """argv lists for every verb: instance flags drawn from small and
+    out-of-range values, each flag present or not, and (for auctions) a
+    --sets file whose JSON content is drawn too."""
+    verb = draw(st.sampled_from(["gen", "run", "query", "bench", "verify"]))
+
+    def maybe(flag, values):
+        """The flag with a drawn value, three times in four."""
+        return [flag, str(draw(values))] if draw(st.integers(0, 3)) else []
+
+    n = maybe("--n", _FLAG_SIZE)
+    if verb in ("bench", "verify"):
+        family = draw(st.sampled_from(sorted(_VERBS) + ["auction", "rsd", "scheduling", "raffle"]))
+        grid = draw(st.lists(_FLAG_SIZE, min_size=1, max_size=3))
+        argv = [verb, family, "--n", ",".join(map(str, grid)), "--seeds", "1"]
+        if verb == "bench":
+            argv += ["--queries", str(draw(st.integers(1, 5)))]
+        return argv + maybe("--k", _SMALL_INT) + maybe("--d", _SMALL_INT) + maybe(
+            "--rounds", st.integers(-2, 60)
+        )
+    bids = maybe("--bids", _FLAG_BIDS.map(lambda xs: ",".join(map(str, xs))))
+    seed = maybe("--seed", st.integers(-3, 2**70))
+    if verb == "gen":
+        family = draw(st.sampled_from(sorted(_VERBS) + ["auction", "rsd", "raffle"]))
+        size = maybe(draw(st.sampled_from(["--k", "--d"])), _SMALL_INT)
+        return [verb, family, *seed, *n, *maybe("--m", _FLAG_SIZE), *size, *bids]
+    family = draw(st.sampled_from(sorted(_FLAG_FAMILIES)))
+    modes, size_flag, entities = _FLAG_FAMILIES[family]
+    argv = [verb, family, *seed, *n, *maybe(size_flag, _SMALL_INT)]
+    if modes:
+        argv += ["--mode", draw(st.sampled_from(modes)), *maybe("--m", _FLAG_SIZE), *bids]
+    if family == "matching":
+        argv += maybe("--rounds", st.integers(-2, 60) | st.just(10**9))
+    if family == "auction" and draw(st.booleans()):
+        sets_path.write_text(json.dumps(draw(_ROWS | _JSON)))
+        argv += ["--sets", str(sets_path)]
+    entity = draw(st.sampled_from(entities))
+    if entity.startswith("--query") or entity == "--pay-machine":
+        argv += [entity, str(draw(st.integers(-1, 5)))]
+    elif entity:
+        argv.append(entity)
+    return argv
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_cli_flag_fuzz_exits_0_1_or_2(data, tmp_path, capsys):
+    # whatever the instance flags and --sets file hold, every verb answers,
+    # reports violations or exits 2 with a message; it never raises
+    argv = data.draw(_flag_argvs(tmp_path / "sets.json"))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the verb lacks
+        code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_2(tmp_path):
