@@ -25,6 +25,11 @@ Onak, FOCS 2008), asking earlier rivals best first as Yoshida, Yamamoto and
 Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
 payment comes from the same recursion run without her, which shares every
 answer of the buyers ahead of her.  Neither reads a zero-bid rival's set.
+Buyers are ordered by exact bid keys (`AuctionInstance.bid_keys`): a whole
+bid as its int, any other as its `Fraction`, which Python compares exactly;
+payments are `Fraction`s.  Only whole bids skip `Fraction` comparisons:
+every spec-built instance bids whole numbers, while fractional bids (given
+through the API, or an audit's deviations) sort as fast as before.
 
 `truthfulness_audit` checks those served local answers, not a global rerun:
 it asks each buyer's local query under a `ReportOverlay`, for the truth and
@@ -118,6 +123,7 @@ class AuctionInstance:
             self.values = tuple(Fraction(v) for v in values)
             if any(v < 0 for v in self.values):
                 raise ValueError("values must be non-negative")
+        self.bid_keys = tuple(_bid_key(v) for v in self.values)
         self.oracle = AdjacencyOracle(self.sets, m)
 
     @classmethod
@@ -168,16 +174,26 @@ class AuctionInstance:
         reported = self.overlay_sets(overlay)
         return [reported.get(b, s) for b, s in enumerate(self.sets)]
 
-    def effective_bids(self, overlay: ReportOverlay | None) -> list[Fraction]:
-        bids = list(self.values)
-        if overlay is not None and overlay.bids is not None:
-            for b, v in overlay.bids.items():
-                self._check_buyer(b)
-                v = Fraction(v)
-                if v < 0:
-                    raise ValueError("bids must be non-negative")
-                bids[b] = v
-        return bids
+    def effective_bid_keys(self, overlay: ReportOverlay | None) -> Sequence[int | Fraction]:
+        """`bid_keys` with the overlay's bids patched in, ids and signs
+        checked; the other keys are copied, never recomputed."""
+        if overlay is None or overlay.bids is None:
+            return self.bid_keys
+        keys = list(self.bid_keys)
+        for b, v in overlay.bids.items():
+            self._check_buyer(b)
+            v = Fraction(v)
+            if v < 0:
+                raise ValueError("bids must be non-negative")
+            keys[b] = _bid_key(v)
+        return keys
+
+
+def _bid_key(v: Fraction) -> int | Fraction:
+    """A sort key that orders, and tests zero, exactly like the bid v: its
+    numerator when v is whole, else v itself.  Python compares int and
+    Fraction exactly, and int comparisons skip `Fraction`'s slow path."""
+    return v.numerator if v.denominator == 1 else v
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +262,9 @@ def uduv_local(
     else:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
     fwd, rev = _reported_reads(view, inst.overlay_sets(overlay))
-    okey = inst.item_order_key
     roots = fwd(idx) if kind == "buyer" else (idx,)
-    items = upward_closure(roots, okey, rev, fwd)
+    items = upward_closure(roots, inst.item_order_key, rev, fwd)
+    okey = items.__getitem__
     winner_of = serial_dictatorship(sorted(items, key=okey), rev)
     if kind == "item":
         return {"item": idx, "winner": winner_of[idx]}
@@ -263,7 +279,8 @@ def uduv_local(
 # ---------------------------------------------------------------------------
 
 
-def _bid_order(bids: Sequence[Fraction]) -> list[int]:
+def _bid_order(bids: Sequence[Fraction | int]) -> list[int]:
+    """Positive bidders by descending bid, ties to the smaller id."""
     active = [b for b in range(len(bids)) if bids[b] > 0]
     return sorted(active, key=lambda b: (-bids[b], b))
 
@@ -277,8 +294,8 @@ def _udubv_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...
 
 
 def _udubv_price(
-    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction]
-) -> Fraction:
+    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction | int]
+) -> Fraction | int:
     """Smallest winning bid on one of `mine`, 0 if one of them goes unsold."""
     holder = {jt[0]: b for b, jt in won.items()}
     if not mine or any(j not in holder for j in mine):
@@ -299,8 +316,8 @@ def _ksmb_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...]
 
 
 def _ksmb_price(
-    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction]
-) -> Fraction:
+    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction | int]
+) -> Fraction | int:
     """Highest winning bid among the sets that meet `mine`."""
     mine_set = set(mine)
     return max((bids[b] for b, s in won.items() if mine_set.intersection(s)), default=Fraction(0))
@@ -311,19 +328,20 @@ _BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_p
 
 
 def _critical(
-    inst: AuctionInstance, bids: Sequence[Fraction], order: Sequence[int], i: int
+    inst: AuctionInstance, bids: Sequence[Fraction | int], order: Sequence[int], i: int
 ) -> Fraction:
     """Buyer i's critical price: her price rule applied to the run without
     her, which serves the bid order `order` with i removed."""
     awards, price = _BID_RULES[inst.mode]
     without = (b for b in order if b != i)
-    return price(awards(without, inst.sets.__getitem__), inst.sets[i], bids)
+    # each key equals its bid in value, so the price read off the keys is exact
+    return Fraction(price(awards(without, inst.sets.__getitem__), inst.sets[i], bids))
 
 
 def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
     if overlay is not None and overlay.sets is not None:
         raise ValueError(f"{inst.mode} sets are public; overlay may alter bids only")
-    bids = inst.effective_bids(overlay)
+    bids = inst.effective_bid_keys(overlay)
     order = _bid_order(bids)
     won = _BID_RULES[inst.mode][0](order, inst.sets.__getitem__)
     awards = {b: won.get(b, ()) for b in range(inst.n)}
@@ -401,11 +419,11 @@ def _bid_local(
         raise ValueError(f"unknown buyer {buyer}")
     if overlay is not None and overlay.sets is not None:
         raise ValueError("sets are public in this mode")
-    bids = inst.values if overlay is None else inst.effective_bids(overlay)
+    keys = inst.effective_bid_keys(overlay)
     # Sets are public data in these modes, but reading another buyer's set
     # still costs a probe, so all reads go through the memoised view.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
-    if not bids[buyer]:
+    if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": Fraction(0)}
     fwd = view.fwd
     ranked: dict[int, list[int]] = {}
@@ -417,7 +435,7 @@ def _bid_local(
             # the record lists buyers by ascending id and the sort is stable,
             # so equal bids stay in id order
             got = ranked[j] = sorted(
-                (b for b in view.rev(j) if bids[b]), key=bids.__getitem__, reverse=True
+                (b for b in view.rev(j) if keys[b]), key=keys.__getitem__, reverse=True
             )
         return got
 
@@ -459,7 +477,9 @@ def _bid_local(
             if z != buyer and j in _resolve(z, frame, memo):
                 holders[z] = memo[z]
                 break
-    return {"buyer": buyer, "award": won, "payment": _BID_RULES[inst.mode][1](holders, mine, bids)}
+    # each key equals its bid in value, so the price read off the keys is exact
+    payment = Fraction(_BID_RULES[inst.mode][1](holders, mine, keys))
+    return {"buyer": buyer, "award": won, "payment": payment}
 
 
 def udubv_local(

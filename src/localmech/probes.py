@@ -20,7 +20,7 @@ it, transitively; the query collects that set and replays the rule on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood", "upward_closure"
@@ -147,25 +147,34 @@ def neighborhood(
 
 def upward_closure(
     seeds: Iterable[int],
-    key: Callable[[int], Hashable],
+    key: Callable[[int], Any],
     out: Callable[[int], Iterable[int]],
     back: Callable[[int], Iterable[int]],
-) -> set[int]:
+) -> dict[int, Any]:
     """The seeds plus every y with key(y) < key(x) found in back(r) for some
-    r in out(x), x already in the set, transitively.
+    r in out(x), x already in the set, transitively; each member maps to
+    its key, so callers sort by the stored keys.
 
-    With `out`/`back` the reads of a `MemoView`, this reads out(x) for every
-    member and back(r) for every r it lists, whatever the visiting order, so
-    the probes charged depend only on the set returned.
+    `key` runs at most once per entity the closure scans.  With `out`/`back`
+    the reads of a `MemoView`, this reads out(x) for every member and
+    back(r) for every r it lists, whatever the visiting order, so the probes
+    charged depend only on the set returned.
     """
-    stack = list(seeds)
-    closure = set(stack)
+    closure = {x: key(x) for x in seeds}
+    keyed = dict(closure)  # every entity whose key is known, members or not
+    stack = list(closure)
     while stack:
         x = stack.pop()
-        kx = key(x)
+        kx = closure[x]
         for r in out(x):
             for y in back(r):
-                if y not in closure and key(y) < kx:
-                    closure.add(y)
+                if y in closure:
+                    continue
+                if y in keyed:
+                    ky = keyed[y]
+                else:
+                    ky = keyed[y] = key(y)
+                if ky < kx:
+                    closure[y] = ky
                     stack.append(y)
     return closure

@@ -115,6 +115,5 @@ def rsd_local(
     if not 0 <= agent < inst.n:
         raise ValueError(f"unknown agent {agent}")
     view = MemoView(inst.oracle, counter, free=((LEFT, agent),))
-    akey = inst.arrival_key
-    closure = upward_closure((agent,), akey, view.fwd, view.rev)
-    return serial_dictatorship(sorted(closure, key=akey), view.fwd)[agent]
+    closure = upward_closure((agent,), inst.arrival_key, view.fwd, view.rev)
+    return serial_dictatorship(sorted(closure, key=closure.__getitem__), view.fwd)[agent]

@@ -18,7 +18,11 @@ Both allocators have per-job local queries that replay only the query's
 rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
 or menu machine) and agree exactly with the online run replayed in rank
 order: the online run and the local query place each job with the same step,
-`_pick_slot` or `_pick_floored`.
+`_pick_slot` or `_pick_floored`.  A standard-mode query maps its slot to a
+machine by bisection on `slot_prefix`, the prefix sums of the capacities,
+which the instance builds once; like the oracle's reverse records it is
+build-time data and costs no probe, and no local query loops over all
+machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -126,6 +130,9 @@ class SchedulingInstance:
         self.seed = seed
         self.tape = RandomTape(seed)
         self.B = sum(self.caps)
+        # slot s of the pool belongs to machine bisect_right(slot_prefix, s);
+        # build-time data, uncounted like the oracle's reverse records
+        self.slot_prefix = tuple(accumulate(self.caps))
         if mode == STANDARD and not 1 <= d <= self.B:
             raise ValueError(f"need 1 <= d <= B={self.B} slot choices")
         if tie_order is None:
@@ -148,7 +155,7 @@ class SchedulingInstance:
                         raise ValueError(f"menu of job {j} names an unknown machine")
             else:
                 # capacity-proportional machine draws over the true slot pool
-                prefix = list(accumulate(self.caps))
+                prefix = self.slot_prefix
                 self._menus = tuple(
                     tuple(
                         bisect_right(prefix, derive_uniform(self.tape, ("menu", j, t), self.B))
@@ -250,7 +257,7 @@ def _rank_closure(
         raise ValueError(f"unknown job {job}")
     view = MemoView(inst.oracle, counter, free=((LEFT, job),))
     closure = upward_closure((job,), inst.rank_key, view.fwd, view.rev)
-    return view, sorted(closure, key=inst.rank_key)
+    return view, sorted(closure, key=closure.__getitem__)
 
 
 def slms_online(
@@ -265,7 +272,7 @@ def slms_online(
     pool = sum(caps)
     if pool == 0:
         raise ValueError("empty slot pool")
-    prefix = list(accumulate(caps))
+    prefix = inst.slot_prefix if caps is inst.caps else list(accumulate(caps))
     tape = inst.tape
     d = inst.d
     slot_h = [0] * pool
@@ -290,7 +297,7 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
         slot = _pick_slot(inst.tape, j, view.fwd(j), slot_h)
-    return bisect_right(list(accumulate(inst.caps)), slot)  # the last slot is the query's
+    return bisect_right(inst.slot_prefix, slot)  # the last slot is the query's
 
 
 def _check_machine(inst: SchedulingInstance, i: int) -> None:

@@ -312,7 +312,10 @@ def _closure_replay(inst, overlay=None):
     rivals without her.  Buyers are keyed by their place in bid order, which
     orders them as (-bid, id) does; places and signs of bids are computed
     once for all queries."""
-    bids = inst.effective_bids(overlay)
+    bids = list(inst.values)
+    if overlay is not None and overlay.bids is not None:
+        for b, v in overlay.bids.items():
+            bids[b] = Fraction(v)
     place = [0] * inst.n
     for i, b in enumerate(sorted(range(inst.n), key=lambda b: (-bids[b], b))):
         place[b] = i
@@ -330,7 +333,7 @@ def _closure_replay(inst, overlay=None):
         mine = view.fwd(buyer)
         seeds = {y for j in mine for y in view.rev(j) if y != buyer and bidding[y]}
         rivals = upward_closure(seeds, pkey, view.fwd, view.rev)
-        rivals.discard(buyer)
+        rivals.pop(buyer, None)
         won = awards(sorted((b for b in rivals if bidding[b]), key=pkey), view.fwd)
         return {"buyer": buyer, "award": award, "payment": price(won, mine, bids)}
 
@@ -378,6 +381,36 @@ def test_query_tree_matches_global_on_small_instances(data):
     if n and data.draw(st.booleans()):
         bids = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 12), max_size=3))
         overlay = ReportOverlay(bids={b: Fraction(v, 2) for b, v in bids.items()})
+    _check_against_replay(inst, overlay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_query_tree_matches_global_on_mixed_denominators(data):
+    # bids on denominators 1..12: whole bids sort as ints and the rest as
+    # Fractions, equal bids written differently tie, and overlays sit a
+    # thousandth off a buyer's value
+    mode = data.draw(st.sampled_from(["udubv", "ksmb"]))
+    n = data.draw(st.integers(1, 24))
+    m = data.draw(st.integers(1, 10))
+    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=3), min_size=n, max_size=n))
+    bid = st.builds(lambda num, den: F(num * den, den), st.integers(0, 4), st.integers(1, 12))
+    bid |= st.builds(F, st.integers(0, 24), st.integers(1, 12))
+    values = data.draw(st.lists(bid, min_size=n, max_size=n))
+    inst = AuctionInstance(sets, m, mode, values=values)
+    assert all(k == v for k, v in zip(inst.bid_keys, inst.values))
+    overlay = None
+    if data.draw(st.booleans()):
+        eps = F(1, 1000)
+        moves = data.draw(
+            st.dictionaries(st.integers(0, n - 1), st.sampled_from([-eps, eps, None]), max_size=3)
+        )
+        overlay = ReportOverlay(
+            bids={
+                b: F(0) if d is None else max(F(0), inst.values[b] + d)
+                for b, d in moves.items()
+            }
+        )
     _check_against_replay(inst, overlay)
 
 

@@ -5,13 +5,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 
 from localmech.auctions import UDUV, AuctionInstance
 from localmech.instances import FAMILIES, InstanceSpec, build_instance, spec_from_json, spec_to_json
 from localmech.matching import MatchingInstance
-from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, neighborhood
+from localmech.probes import (
+    LEFT,
+    RIGHT,
+    AdjacencyOracle,
+    MemoView,
+    ProbeCounter,
+    neighborhood,
+    upward_closure,
+)
 from localmech.scheduling import RESTRICTED, SchedulingInstance
 
 
@@ -151,6 +161,46 @@ def test_neighborhood_scaling_on_sparse_lists():
     fitted_c = sizes[-1] / math.log(n)
     assert fitted_c < 60.0, (sizes[-1], fitted_c)
     assert sizes[len(sizes) // 2] <= 120
+
+
+def _closure_rescanning_keys(seeds, key, out, back):
+    """The upward closure as a set, calling `key` on every candidate scan."""
+    stack = list(seeds)
+    closure = set(stack)
+    while stack:
+        x = stack.pop()
+        for r in out(x):
+            for y in back(r):
+                if y not in closure and key(y) < key(x):
+                    closure.add(y)
+                    stack.append(y)
+    return closure
+
+
+def test_upward_closure_keys_each_entity_once():
+    rng = random.Random(5)
+    for _ in range(300):
+        n, m = rng.randrange(1, 40), rng.randrange(1, 12)
+        oracle = AdjacencyOracle(
+            [rng.sample(range(m), rng.randrange(0, min(m, 4) + 1)) for _ in range(n)], m
+        )
+        rank = [rng.randrange(8) for _ in range(n)]  # ties are common
+        calls: Counter[int] = Counter()
+
+        def key(x):
+            calls[x] += 1
+            return (rank[x], x)
+
+        seeds = rng.sample(range(n), rng.randrange(1, min(n, 3) + 1))
+        got_probes, want_probes = ProbeCounter(), ProbeCounter()
+        view = MemoView(oracle, got_probes)
+        got = upward_closure(seeds, key, view.fwd, view.rev)
+        assert max(calls.values()) == 1
+        assert got == {x: (rank[x], x) for x in got}
+        view = MemoView(oracle, want_probes)
+        want = _closure_rescanning_keys(seeds, lambda x: (rank[x], x), view.fwd, view.rev)
+        assert set(got) == want
+        assert got_probes.count == want_probes.count
 
 
 def test_restricted_menu_draw_frequency():

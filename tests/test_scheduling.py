@@ -323,6 +323,42 @@ def test_local_matches_rank_order_run_both_modes():
                 assert local(inst, j) == alloc.assign[j], (fam, seed, j)
 
 
+class _NoPass:
+    """Stands in for `inst.caps`: any pass over the machines, or any read
+    of one machine's capacity, fails the test."""
+
+    def __iter__(self):
+        raise AssertionError("a local query iterated over every machine")
+
+    def __getitem__(self, i):
+        raise AssertionError("a local query read a machine's capacity")
+
+    def __len__(self):
+        raise AssertionError("a local query took the machine count")
+
+
+def test_standard_local_query_makes_no_pass_over_the_machines():
+    for seed in range(3):
+        inst = build_instance(InstanceSpec(seed=seed, family="scheduling-std", n=512, m=512, k=2))
+        want = slms_online(inst, order=inst.rank_order()).assign
+        inst.oracle  # noqa: B018 - build the lazy oracle before caps goes
+        inst.caps = _NoPass()
+        for j in range(inst.m):
+            assert slms_local(inst, j) == want[j], (seed, j)
+
+
+def test_slot_prefix_is_built_once_and_serves_both_modes():
+    caps = (3, 1, 2)
+    std = _std(caps, 6, 2)
+    assert std.slot_prefix == (3, 4, 6)
+    # a deviated run builds its own prefix: it runs as an instance built
+    # with the deviated caps does
+    assert slms_online(std, caps=caps) == slms_online(std)
+    assert slms_online(std, caps=(1, 1, 4)) == slms_online(_std((1, 1, 4), 6, 2))
+    res = _res(caps, 6)
+    assert res.slot_prefix == (3, 4, 6)
+
+
 def test_local_validates_job():
     inst = build_instance(InstanceSpec(seed=0, family="scheduling-res", n=8, m=8, k=2))
     with pytest.raises(ValueError):
