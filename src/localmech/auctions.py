@@ -44,7 +44,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
-from .randomness import RandomTape, derive_uniform, sample_without_replacement
+from .randomness import RandomTape
 from .rsd import serial_dictatorship
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -130,22 +130,8 @@ class AuctionInstance:
     def from_spec(cls, spec: InstanceSpec) -> "AuctionInstance":
         if spec.family not in (UDUV, UDUBV, KSMB):
             raise ValueError(f"not an auction spec: {spec.family!r}")
-        tape = RandomTape(spec.seed)
-        if spec.explicit_edges is not None:
-            sets: Sequence[Sequence[int]] = spec.explicit_edges
-        else:
-            if not 1 <= spec.k <= spec.m:
-                raise ValueError(f"need 1 <= k <= m, got k={spec.k}, m={spec.m}")
-            sets = [
-                sample_without_replacement(tape, ("item-set", i), spec.m, spec.k)
-                for i in range(spec.n)
-            ]
-        values: Sequence[int] | None = None
-        if spec.family != UDUV:
-            if spec.valuations is not None:
-                values = spec.valuations
-            else:
-                values = [1 + derive_uniform(tape, ("value", i), 10**6) for i in range(spec.n)]
+        sets = spec.seeded_rows("item-set")
+        values = None if spec.family == UDUV else spec.seeded_values("value", 10**6)
         return cls(sets, m=spec.m, mode=spec.family, values=values, k=spec.k, seed=spec.seed)
 
     # seeded item scores; items are handled in descending score order,

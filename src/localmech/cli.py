@@ -57,8 +57,9 @@ def _emit(doc: dict) -> None:
 def _spec(args, family: str) -> InstanceSpec:
     """The instance spec of a verb's flags: the --config file when given,
     otherwise --seed, --n (default: the --bids count), --m (default n), the
-    family's size flag, --bids (into the family's `values` field) and
-    --sets (explicit item sets).  Flags a verb lacks read as unset."""
+    family's size flag, --bids (the spec's `values`: capacities for
+    scheduling, buyer values for udubv and ksmb; any other family exits 2
+    on it) and --sets (explicit item sets).  Flags a verb lacks read as unset."""
     flags = vars(args)
     if flags.get("config"):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -66,9 +67,8 @@ def _spec(args, family: str) -> InstanceSpec:
         if spec.family != family:
             raise _Usage(f"config family {spec.family!r} does not match requested {family!r}")
         return spec
-    fam = FAMILIES[family]
     bids = flags.get("bids")
-    if bids and fam.values is None:
+    if bids and FAMILIES[family].values is None:
         raise _Usage(f"{family} takes no --bids")
     n = args.n if args.n is not None else len(bids) if bids else None
     if n is None:
@@ -78,15 +78,14 @@ def _spec(args, family: str) -> InstanceSpec:
     if flags.get("sets"):
         with open(args.sets, "r", encoding="utf-8") as fh:
             edges = int_rows(json.load(fh), "--sets")
-    values = {fam.values: tuple(bids)} if bids else {}
     return InstanceSpec(
         seed=args.seed,
         family=family,
         n=n,
         m=m if m is not None else n,
         k=args.size,
+        values=tuple(bids) if bids else None,
         explicit_edges=edges,
-        **values,
     )
 
 

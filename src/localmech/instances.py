@@ -1,8 +1,9 @@
 """Instance descriptions and construction.
 
 An `InstanceSpec` is the portable recipe for an instance: a seed, a family
-tag, the dimensions, and optional explicit data that overrides seeded
-generation.  Specs round-trip through JSON (the `lcmd gen` format) and
+tag, the dimensions, and optional explicit data that overrides the rows and
+values it draws (`seeded_rows`, `seeded_values`).  Specs round-trip through
+JSON (the `lcmd gen` format; a key the family does not read is refused) and
 `build_instance` turns one into the family-specific instance object.
 
 `FAMILIES` is the one table of per-family knowledge that the harness and
@@ -25,11 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from . import auctions, matching, rsd, scheduling
 from .auctions import AuctionInstance
 from .matching import MatchingInstance
+from .randomness import RandomTape, derive_uniform, sample_without_replacement
 from .rsd import HousingInstance
 from .scheduling import SchedulingInstance
 
@@ -70,9 +72,10 @@ class Family:
     """What every layer needs to know about one instance family.
 
     `size` is the name ("k" or "d") under which the list, set or menu size
-    appears in the JSON spec and on the command line.  `values` names the
-    spec field ("bids" or "valuations") that `--bids` fills, None for a
-    family that takes no per-entity integers.  `rows` is the side ("n" or
+    appears in the JSON spec and on the command line.  `values` is the JSON
+    key of `InstanceSpec.values`, which `--bids` fills: "bids" for
+    scheduling, "valuations" for udubv and ksmb, None for a family that
+    takes none (uduv's values are all 1).  `rows` is the side ("n" or
     "m") that gives one `explicit_edges` row each, None for a family that
     takes none.  `cls` builds the instance through its `from_spec`
     classmethod.  `queries` holds the query kinds, the bench's kind first.
@@ -196,7 +199,7 @@ FAMILIES: dict[str, Family] = {
     "scheduling-res": Family("d", "bids", "m", SchedulingInstance, (
         _plain_query("job", "m", "machine", lambda i, r, e, c: scheduling.rlms_local(i, e, c)),
     ), _scheduling_run, _scheduling_extra),
-    "uduv": Family("k", "valuations", "n", AuctionInstance, (
+    "uduv": Family("k", None, "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.uduv_local(i, ("buyer", e), c)),
         _plain_query("item", "m", "winner",
                      lambda i, r, e, c: auctions.uduv_local(i, ("item", e), c)["winner"]),
@@ -213,6 +216,12 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+def _family(name: Any) -> Family:
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+    return FAMILIES[name]
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Recipe for one instance.
@@ -220,9 +229,10 @@ class InstanceSpec:
     `n` counts the querying side (men / machines / buyers / agents), `m` the
     resource side (women / jobs / items / houses).  `k` is the per-entity
     list, set or menu size (the scheduling and housing families call it d).
-    Explicit fields, when given, override seeded generation of the same data;
-    `explicit_edges` gives one row per entity of the family's `rows` side.
-    `n` and `m` are at most `MAX_SIZE`.
+    Explicit fields, when given, override seeded generation of the same data:
+    `values` gives one integer per entity of n, `explicit_edges` one row per
+    entity of the family's `rows` side.  `n`, `m` and an explicit
+    standard-mode slot pool (Σ values) are at most `MAX_SIZE`.
     """
 
     seed: int
@@ -230,38 +240,63 @@ class InstanceSpec:
     n: int
     m: int
     k: int = 0
-    bids: tuple[int, ...] | None = None
-    valuations: tuple[int, ...] | None = None
+    values: tuple[int, ...] | None = None
     explicit_edges: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, str) or self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
+        fam = _family(self.family)
         if self.n < 0 or self.m < 0 or self.k < 0:
             raise ValueError("n, m, k must be non-negative")
         if self.n > MAX_SIZE or self.m > MAX_SIZE:
             raise ValueError(f"n and m may be at most {MAX_SIZE}, got n={self.n}, m={self.m}")
+        if self.values is not None:
+            if fam.values is None:
+                raise ValueError(f"{self.family} takes no values")
+            if len(self.values) != self.n:
+                raise ValueError(f"{fam.values} length must equal n")
+            # the standard-mode oracle holds one reverse record per slot
+            if self.family == "scheduling-std" and sum(self.values) > MAX_SIZE:
+                raise ValueError(f"bids may sum to at most {MAX_SIZE} slots")
         if self.explicit_edges is not None:
-            rows = FAMILIES[self.family].rows
-            if rows is None:
+            if fam.rows is None:
                 raise ValueError(f"{self.family} takes no explicit_edges")
-            want = getattr(self, rows)
+            want = getattr(self, fam.rows)
             if len(self.explicit_edges) != want:
-                raise ValueError(f"explicit_edges needs one row per entity: {rows}={want}")
+                raise ValueError(f"explicit_edges needs one row per entity: {fam.rows}={want}")
+
+    def seeded_rows(self, tag: str) -> Sequence[tuple[int, ...]]:
+        """`explicit_edges` when given, else one row per entity of n: k
+        distinct ids from [0, m), in draw order, drawn under (tag, i)."""
+        if self.explicit_edges is not None:
+            return self.explicit_edges
+        if not 1 <= self.k <= self.m:
+            size = FAMILIES[self.family].size
+            raise ValueError(f"need 1 <= {size} <= m, got {size}={self.k}, m={self.m}")
+        tape = RandomTape(self.seed)
+        return [
+            tuple(sample_without_replacement(tape, (tag, i), self.m, self.k))
+            for i in range(self.n)
+        ]
+
+    def seeded_values(self, tag: str, span: int) -> Sequence[int]:
+        """`values` when given, else one draw from [1, span] per entity of n, under (tag, i)."""
+        if self.values is not None:
+            return self.values
+        tape = RandomTape(self.seed)
+        return [1 + derive_uniform(tape, (tag, i), span) for i in range(self.n)]
 
 
 def spec_to_json(spec: InstanceSpec) -> str:
+    fam = FAMILIES[spec.family]
     doc: dict[str, Any] = {
         "seed": spec.seed,
         "family": spec.family,
         "n": spec.n,
         "m": spec.m,
-        FAMILIES[spec.family].size: spec.k,
+        fam.size: spec.k,
     }
-    if spec.bids is not None:
-        doc["bids"] = list(spec.bids)
-    if spec.valuations is not None:
-        doc["valuations"] = list(spec.valuations)
+    if spec.values is not None:
+        doc[fam.values] = list(spec.values)
     if spec.explicit_edges is not None:
         doc["explicit_edges"] = [list(e) for e in spec.explicit_edges]
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -287,19 +322,25 @@ def int_rows(value: Any, what: str) -> tuple[tuple[int, ...], ...]:
 
 
 def spec_from_json(text: str) -> InstanceSpec:
+    """The spec of a `gen` JSON object; ValueError on any key its family does not read."""
     doc = json.loads(text)
     if not isinstance(doc, Mapping):
         raise ValueError("instance JSON must be an object")
     missing = [key for key in ("family", "seed", "n") if key not in doc]
     if missing:
         raise ValueError(f"instance JSON missing required field {missing[0]!r}")
+    fam = _family(doc["family"])
+    taken = {"family", "seed", "n", "m", "k", "d", fam.values, fam.rows and "explicit_edges"}
+    foreign = sorted(set(doc) - taken)
+    if foreign:
+        raise ValueError(f"{doc['family']} takes no field {foreign[0]!r}")
     n = _int(doc["n"], "n")
     m = _int(doc.get("m", n), "m")
     if "k" in doc and "d" in doc and _int(doc["k"], "k") != _int(doc["d"], "d"):
         raise ValueError("instance JSON gives conflicting k and d")
     size = "k" if "k" in doc else "d"
 
-    def _field(name: str, parse):
+    def _field(name: str | None, parse):
         return None if doc.get(name) is None else parse(doc[name], name)
 
     return InstanceSpec(
@@ -308,8 +349,7 @@ def spec_from_json(text: str) -> InstanceSpec:
         n=n,
         m=m,
         k=_int(doc.get(size, 0), size),
-        bids=_field("bids", _ints),
-        valuations=_field("valuations", _ints),
+        values=_field(fam.values, _ints),
         explicit_edges=_field("explicit_edges", int_rows),
     )
 

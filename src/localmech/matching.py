@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
-from .randomness import RandomTape, sample_without_replacement
+from .randomness import RandomTape
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -132,18 +132,7 @@ class MatchingInstance:
     def from_spec(cls, spec: InstanceSpec) -> "MatchingInstance":
         if spec.family != "matching":
             raise ValueError(f"not a matching spec: {spec.family!r}")
-        n, m, k = spec.n, spec.m, spec.k
-        if spec.explicit_edges is not None:
-            prefs: Sequence[Sequence[int]] = spec.explicit_edges
-        else:
-            if not 1 <= k <= m:
-                raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-            tape = RandomTape(spec.seed)
-            prefs = [
-                tuple(sample_without_replacement(tape, ("men-list", i), m, k))
-                for i in range(n)
-            ]
-        return cls(prefs, m=m, seed=spec.seed, k=k)
+        return cls(spec.seeded_rows("men-list"), m=spec.m, seed=spec.seed, k=spec.k)
 
     @classmethod
     def seeded(cls, n: int, k: int, seed: int, m: int | None = None) -> "MatchingInstance":

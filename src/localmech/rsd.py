@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
-from .randomness import RandomTape, derive_uniform, sample_without_replacement
+from .randomness import RandomTape, derive_uniform
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -57,17 +57,7 @@ class HousingInstance:
     def from_spec(cls, spec: InstanceSpec) -> "HousingInstance":
         if spec.family != "housing":
             raise ValueError(f"not a housing spec: {spec.family!r}")
-        if spec.explicit_edges is not None:
-            lists: Sequence[Sequence[int]] = spec.explicit_edges
-        else:
-            if not 1 <= spec.k <= spec.m:
-                raise ValueError(f"need 1 <= d <= m, got d={spec.k}, m={spec.m}")
-            tape = RandomTape(spec.seed)
-            lists = [
-                sample_without_replacement(tape, ("house-list", a), spec.m, spec.k)
-                for a in range(spec.n)
-            ]
-        return cls(lists, m=spec.m, seed=spec.seed)
+        return cls(spec.seeded_rows("house-list"), m=spec.m, seed=spec.seed)
 
     @classmethod
     def seeded(cls, n: int, d: int, seed: int, m: int | None = None) -> "HousingInstance":

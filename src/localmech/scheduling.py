@@ -177,16 +177,8 @@ class SchedulingInstance:
         if spec.family not in ("scheduling-std", "scheduling-res"):
             raise ValueError(f"not a scheduling spec: {spec.family!r}")
         mode = STANDARD if spec.family == "scheduling-std" else RESTRICTED
-        if spec.bids is not None:
-            caps: Sequence[int] = spec.bids
-            if len(caps) != spec.n:
-                raise ValueError("bids length must equal n")
-        else:
-            tape = RandomTape(spec.seed)
-            hi = max(1, spec.n.bit_length() - 1)  # caps in 1..~log2(n)
-            caps = [1 + derive_uniform(tape, ("cap", i), hi) for i in range(spec.n)]
-        menus = spec.explicit_edges if mode == RESTRICTED else None
-        return cls(caps, m=spec.m, d=spec.k, mode=mode, seed=spec.seed, menus=menus)
+        caps = spec.seeded_values("cap", max(1, spec.n.bit_length() - 1))  # 1..~log2(n)
+        return cls(caps, m=spec.m, d=spec.k, mode=mode, seed=spec.seed, menus=spec.explicit_edges)
 
     # -- derived data ------------------------------------------------------
 
@@ -315,16 +307,20 @@ def expected_height(b_i: int, B_minus_i: int, m: int) -> Fraction:
     return Fraction(m * b_i, B_minus_i + b_i)
 
 
+def _expected_slot_payment(b: int, B_minus: int, m: int) -> Fraction:
+    """Exact expected payment for b slots against B₋ others' slots."""
+    return Fraction(m * b * b, B_minus + b) + m * sum(
+        (Fraction(x, B_minus + x) for x in range(1, b + 1)), Fraction(0)
+    )
+
+
 def payment_slms_expected(inst: SchedulingInstance, i: int) -> PaymentRecord:
-    """Exact expected payment: m·b²/(B₋+b) + m·Σ_{x=0}^{b} x/(B₋+x)."""
+    """Exact expected payment: m·b²/(B₋+b) + m·Σ_{x=1}^{b} x/(B₋+x)."""
     if inst.mode != STANDARD:
         raise ValueError("expected payment applies to standard mode")
     _check_machine(inst, i)
     b = inst.caps[i]
-    B_minus = inst.B - b
-    amount = Fraction(inst.m * b * b, B_minus + b) + inst.m * sum(
-        (Fraction(x, B_minus + x) for x in range(1, b + 1)), Fraction(0)
-    )
+    amount = _expected_slot_payment(b, inst.B - b, inst.m)
     return PaymentRecord(machine=i, amount=amount, scheme="expected")
 
 
@@ -362,10 +358,7 @@ def slms_expected_utility(
     if bid == 0:
         return Fraction(0)
     h_bar = expected_height(bid, B_minus, m)
-    payment = Fraction(m * bid * bid, B_minus + bid) + m * sum(
-        (Fraction(x, B_minus + x) for x in range(1, bid + 1)), Fraction(0)
-    )
-    return payment - Fraction(bid * bid, true_cap) * h_bar
+    return _expected_slot_payment(bid, B_minus, m) - Fraction(bid * bid, true_cap) * h_bar
 
 
 # ---------------------------------------------------------------------------

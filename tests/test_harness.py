@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -521,6 +522,46 @@ def test_cli_wrong_typed_json_exits_2(tmp_path, capsys):
     argv = ["query", "auction", "--mode", "uduv", "--n", "2", "--m", "2", "--sets", str(sets)]
     assert cli.main(argv + ["--query-buyer", "0"]) == 2
     assert "--sets" in capsys.readouterr().err
+
+
+def test_cli_refuses_spec_keys_the_family_does_not_read(tmp_path, capsys):
+    # another family's value key, or a misspelt key, exits 2 and names the
+    # key instead of being ignored
+    for family, verb, flags, query in _CLI_CASES:
+        spec = tmp_path / f"{family}.json"
+        assert cli.main(["gen", family, *flags, "--out", str(spec)]) == 0, family
+        doc = json.loads(spec.read_text())
+        foreign = "valuations" if family.startswith("scheduling") else "bids"
+        whole = [] if verb[0] == "auction" else ["--all"]
+        for key in (foreign, "valuation"):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({**doc, key: [1] * doc["n"]}))
+            for argv in (
+                ["run", *verb, "--config", str(path), *whole],
+                ["query", *verb, "--config", str(path), *query],
+            ):
+                assert cli.main(argv) == 2, (argv, key)
+                out, err = capsys.readouterr()
+                assert out == "" and repr(key) in err, (argv, key)
+
+
+def test_cli_uduv_takes_no_bids(capsys):
+    # every uduv buyer values an item at 1, so --bids has nowhere to go
+    flags = ["--n", "3", "--m", "3", "--k", "1", "--bids", "5,6,7"]
+    auction = ["auction", "--mode", "uduv", *flags]
+    for argv in (["gen", "uduv", *flags], ["run", *auction], ["query", *auction, "--query-buyer", "0"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "--bids" in err, argv
+
+
+def test_cli_refuses_a_standard_slot_pool_past_max_size(capsys):
+    # the slot pool is refused before the build, not built slot by slot
+    argv = ["query", "scheduling", "--mode", "std", "--bids", str(2 * MAX_SIZE), "--m", "4"]
+    start = time.perf_counter()
+    assert cli.main([*argv, "--query-job", "0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "bids may sum to at most" in capsys.readouterr().err
 
 
 def test_cli_explicit_rows_must_match_n(tmp_path, capsys):

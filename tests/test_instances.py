@@ -11,7 +11,14 @@ from collections import Counter
 import pytest
 
 from localmech.auctions import UDUV, AuctionInstance
-from localmech.instances import FAMILIES, InstanceSpec, build_instance, spec_from_json, spec_to_json
+from localmech.instances import (
+    FAMILIES,
+    MAX_SIZE,
+    InstanceSpec,
+    build_instance,
+    spec_from_json,
+    spec_to_json,
+)
 from localmech.matching import MatchingInstance
 from localmech.probes import (
     LEFT,
@@ -39,10 +46,45 @@ def test_spec_json_round_trip_with_explicit_data():
         n=3,
         m=5,
         k=2,
-        bids=(4, 8, 36),
+        values=(4, 8, 36),
         explicit_edges=((0, 1), (1, 2), (0, 2), (0, 1), (2,)),
     )
     assert spec_from_json(spec_to_json(spec)) == spec
+
+
+def test_spec_json_round_trip_with_values():
+    # values travel under the family's own key; families without one refuse them
+    for family, key in (
+        ("scheduling-std", "bids"),
+        ("scheduling-res", "bids"),
+        ("udubv", "valuations"),
+        ("ksmb", "valuations"),
+    ):
+        spec = InstanceSpec(seed=2, family=family, n=3, m=4, k=2, values=(5, 1, 7))
+        text = spec_to_json(spec)
+        assert json.loads(text)[key] == [5, 1, 7], family
+        assert spec_from_json(text) == spec, family
+        with pytest.raises(ValueError, match=f"{key} length must equal n"):
+            InstanceSpec(seed=2, family=family, n=4, m=4, k=2, values=(5, 1, 7))
+    for family in ("uduv", "matching", "housing"):
+        with pytest.raises(ValueError, match="takes no values"):
+            InstanceSpec(seed=2, family=family, n=3, m=4, k=2, values=(5, 1, 7))
+
+
+def test_standard_slot_pool_is_capped():
+    # explicit standard-mode capacities build one reverse record per slot,
+    # so their sum is capped like n and m; seeded capacities stay small
+    InstanceSpec(seed=0, family="scheduling-std", n=1, m=4, k=2, values=(MAX_SIZE,))
+    with pytest.raises(ValueError, match=f"bids may sum to at most {MAX_SIZE}"):
+        InstanceSpec(seed=0, family="scheduling-std", n=2, m=4, k=2, values=(MAX_SIZE, 1))
+    InstanceSpec(seed=0, family="scheduling-res", n=2, m=4, k=2, values=(MAX_SIZE, 1))
+
+
+@pytest.mark.parametrize("family,size", [("matching", "k"), ("uduv", "k"), ("housing", "d")])
+def test_seeded_rows_name_the_size_key(family, size):
+    spec = InstanceSpec(seed=0, family=family, n=3, m=4, k=5)
+    with pytest.raises(ValueError, match=f"need 1 <= {size} <= m, got {size}=5, m=4"):
+        build_instance(spec)
 
 
 def test_spec_json_size_key_spelling():
@@ -205,7 +247,7 @@ def test_upward_closure_keys_each_entity_once():
 
 def test_restricted_menu_draw_frequency():
     # capacity-proportional draws: machine 2 should soak up 36/48 of them
-    spec = InstanceSpec(seed=3, family="scheduling-res", n=3, m=100_000, k=2, bids=(4, 8, 36))
+    spec = InstanceSpec(seed=3, family="scheduling-res", n=3, m=100_000, k=2, values=(4, 8, 36))
     inst = build_instance(spec)
     hits = 0
     total = 0
