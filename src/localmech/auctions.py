@@ -68,7 +68,8 @@ UDUV = "uduv"
 UDUBV = "udubv"
 KSMB = "ksmb"
 
-HALF = Fraction(1, 2)
+# shared constant payments and utilities (a Fraction is immutable)
+ZERO, ONE, HALF, MINUS_HALF = Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _bid_key(v: Fraction) -> int | Fraction:
 
 
 def _uduv_value(inst: AuctionInstance, buyer: int, award: tuple[int, ...]) -> Fraction:
-    return Fraction(1) if any(j in inst.sets[buyer] for j in award) else Fraction(0)
+    return ONE if any(j in inst.sets[buyer] for j in award) else ZERO
 
 
 def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
@@ -198,14 +199,18 @@ def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Out
     for b, s in enumerate(inst.effective_sets(overlay)):
         for j in s:
             want[j].append(b)  # ascending b by construction
-    awards: dict[int, tuple[int, ...]] = {b: () for b in range(inst.n)}
-    payments: dict[int, Fraction] = {b: Fraction(0) for b in range(inst.n)}
-    items = sorted(range(inst.m), key=inst.item_order_key)
+    awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
+    payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
+    utilities = dict(payments)
+    # `item_order_key` order: descending score, ties (a stable sort) to the smaller item
+    scores = inst.tape.u64_table("item-rank", inst.m)
+    items = sorted(range(inst.m), key=scores.__getitem__, reverse=True)
     for j, b in serial_dictatorship(items, want.__getitem__).items():
         if b is not None:
             awards[b] = (j,)
             payments[b] = HALF
-    utilities = {b: _uduv_value(inst, b, awards[b]) - payments[b] for b in range(inst.n)}
+            # value 1 for an item of her true set, 0 for one won on a false report
+            utilities[b] = HALF if j in inst.sets[b] else MINUS_HALF
     return Outcome(awards=awards, payments=payments, utilities=utilities)
 
 

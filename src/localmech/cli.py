@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -209,6 +210,25 @@ _PAYMENTS = {
 }
 
 
+def _digits(x: int) -> int:
+    """Decimal digits of x > 0, counted without converting x to a string."""
+    e = int((x.bit_length() - 1) * math.log10(2))  # 10^e <= x < 10^(e+2)
+    return e + 1 + (x >= 10 ** (e + 1))
+
+
+def _payment_text(rec: scheduling.PaymentRecord) -> str:
+    """The exact payment as "p/q", or a usage error naming the payment when
+    p or q has more digits than Python prints an int with."""
+    try:
+        return str(rec.amount)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        num, den = _digits(abs(rec.amount.numerator)), _digits(rec.amount.denominator)
+        raise _Usage(
+            f"machine {rec.machine}'s exact {rec.scheme} payment is a fraction of {num}/{den} "
+            f"digits, past the {sys.get_int_max_str_digits()}-digit limit on printing an int"
+        ) from None
+
+
 def _cmd_run(args, single: bool) -> int:
     """Answer `--pay-machine`, else the first of the family's single-entity
     queries that has its `--query-<entity>` flag, else `--audit`, else (`run`
@@ -224,7 +244,7 @@ def _cmd_run(args, single: bool) -> int:
         if (args.mode, scheme) not in _PAYMENTS:
             raise _Usage(f"--mode {args.mode} payments take no --scheme {scheme}")
         rec = getattr(scheduling, _PAYMENTS[args.mode, scheme])(inst, args.pay_machine)
-        _emit({"machine": rec.machine, "payment": str(rec.amount), "scheme": rec.scheme})
+        _emit({"machine": rec.machine, "payment": _payment_text(rec), "scheme": rec.scheme})
         return 0
     rounds = flags.get("rounds")
     if rounds is None:

@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping, Sequence
 from . import auctions, matching, rsd, scheduling
 from .auctions import AuctionInstance
 from .matching import MatchingInstance
-from .randomness import RandomTape, derive_uniform, sample_without_replacement
+from .randomness import RandomTape, sample_table, uniform_table
 from .rsd import HousingInstance
 from .scheduling import SchedulingInstance
 
@@ -272,18 +272,13 @@ class InstanceSpec:
         if not 1 <= self.k <= self.m:
             size = FAMILIES[self.family].size
             raise ValueError(f"need 1 <= {size} <= m, got {size}={self.k}, m={self.m}")
-        tape = RandomTape(self.seed)
-        return [
-            tuple(sample_without_replacement(tape, (tag, i), self.m, self.k))
-            for i in range(self.n)
-        ]
+        return sample_table(RandomTape(self.seed), tag, self.n, self.m, self.k)
 
     def seeded_values(self, tag: str, span: int) -> Sequence[int]:
         """`values` when given, else one draw from [1, span] per entity of n, under (tag, i)."""
         if self.values is not None:
             return self.values
-        tape = RandomTape(self.seed)
-        return [1 + derive_uniform(tape, (tag, i), span) for i in range(self.n)]
+        return [1 + v for v in uniform_table(RandomTape(self.seed), tag, self.n, span)]
 
 
 def spec_to_json(spec: InstanceSpec) -> str:

@@ -22,6 +22,27 @@ alone, so each prefix is hashed once:
 - `derive_uniform` and `sample_without_replacement` hash their key once,
   then pay one step per draw index and one per attempt.
 
+An instance draws its seeded data as tables over (tag, i), i = 0..count-1,
+one entry per entity, and gets the same bits as the per-key draws:
+
+- `RandomTape.u64_table(tag, count)` is `u64(tag, i)` for each i; it hashes
+  the tag once, then pays one step per i (job ranks in
+  `SchedulingInstance.rank_order`, item scores in `auctions.uduv_run`);
+- `uniform_table(tape, tag, count, n)` is `derive_uniform(tape, (tag, i), n)`
+  for each i (capacities and values in `InstanceSpec.seeded_values`, the
+  housing lottery);
+- `sample_table(tape, tag, count, n, k)` is row i of
+  `sample_without_replacement(tape, (tag, i), n, k)` for each i (the rows of
+  `InstanceSpec.seeded_rows`, the standard-mode slot choices of
+  `SchedulingInstance.oracle`);
+- `uniform_rows(tape, tag, count, n, k)` is `derive_uniform(tape, (tag, i,
+  t), n)` for t < k in row i (the restricted menus).
+
+The draw under the key (tag, i) is draw i of the row stream under (tag,),
+and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)
+without the duplicate check.  So one loop, `_rows`, draws every row, per key
+or per table.
+
 A range n above 2^64 needs more than one 64-bit word per attempt: attempt a
 joins the state after (a,) with the states after (a, 1), (a, 2), ... as the
 low-to-high 64-bit digits of one number, as many as n - 1 needs.  Ranges up
@@ -43,7 +64,10 @@ __all__ = [
     "KeyPart",
     "RandomTape",
     "derive_uniform",
+    "sample_table",
     "sample_without_replacement",
+    "uniform_rows",
+    "uniform_table",
 ]
 
 KeyPart = Union[int, str]
@@ -122,6 +146,17 @@ class RandomTape:
     def u64(self, *key: KeyPart) -> int:
         return self._state(key)
 
+    def u64_table(self, tag: KeyPart, count: int) -> list[int]:
+        """`[self.u64(tag, i) for i in range(count)]`, hashing the tag once."""
+        h = self._state((tag,))
+        out = []
+        for i in range(count):
+            s = h ^ (_LEAF[i] if i < 256 else _mix(i + _GOLDEN))
+            s = ((s ^ (s >> 30)) * _M1) & _MASK
+            s = ((s ^ (s >> 27)) * _M2) & _MASK
+            out.append(s ^ (s >> 31))
+        return out
+
     def unit(self, *key: KeyPart) -> float:
         """Uniform float in [0, 1) — convenience for demos/diagnostics only."""
         return self.u64(*key) / 2.0**64
@@ -161,6 +196,34 @@ def _draw_wide(s: int, n: int) -> int:
         attempt += 1
 
 
+def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[int, ...]]:
+    """One row of k values from [0, n) per hash state h: draw idx of a row
+    is the first value below the limit over attempts after the state
+    (h, idx), reduced mod n.  With `distinct`, a value the row already holds
+    is dropped and the next index drawn."""
+    if k <= 0:
+        return [()] * len(states)
+    draw, bound = (_draw, (1 << 64) - ((1 << 64) % n)) if n <= 1 << 64 else (_draw_wide, n)
+    rows = []
+    for h in states:
+        row: list[int] = []
+        seen: set[int] = set()
+        idx = 0
+        while len(row) < k:
+            s = h ^ (_LEAF[idx] if idx < 256 else _mix(idx + _GOLDEN))
+            s = ((s ^ (s >> 30)) * _M1) & _MASK
+            s = ((s ^ (s >> 27)) * _M2) & _MASK
+            v = draw(s ^ (s >> 31), bound) % n
+            idx += 1
+            if distinct:
+                if v in seen:
+                    continue
+                seen.add(v)
+            row.append(v)
+        rows.append(tuple(row))
+    return rows
+
+
 def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     """Unbiased uniform integer in [0, n), keyed by `key`.
 
@@ -175,6 +238,24 @@ def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     return _draw(tape._state(tuple(key)), (1 << 64) - ((1 << 64) % n)) % n
 
 
+def uniform_table(tape: RandomTape, tag: KeyPart, count: int, n: int) -> tuple[int, ...]:
+    """`derive_uniform(tape, (tag, i), n)` for i in range(count): draw i of
+    the row stream under (tag,)."""
+    if n <= 0:
+        raise ValueError(f"range must be positive, got {n}")
+    return _rows([tape._state((tag,))], n, count, False)[0]
+
+
+def uniform_rows(
+    tape: RandomTape, tag: KeyPart, count: int, n: int, k: int
+) -> list[tuple[int, ...]]:
+    """Row i holds `derive_uniform(tape, (tag, i, t), n)` for t in range(k),
+    for i in range(count): k draws with replacement per row."""
+    if n <= 0:
+        raise ValueError(f"range must be positive, got {n}")
+    return _rows(tape.u64_table(tag, count), n, k, False)
+
+
 def sample_without_replacement(
     tape: RandomTape, key: Sequence[KeyPart], n: int, count: int
 ) -> list[int]:
@@ -186,20 +267,14 @@ def sample_without_replacement(
     """
     if count > n:
         raise ValueError(f"cannot draw {count} distinct values from range {n}")
-    out: list[int] = []
-    if count <= 0:
-        return out
-    draw, bound = (_draw, (1 << 64) - ((1 << 64) % n)) if n <= 1 << 64 else (_draw_wide, n)
-    h = tape._state(tuple(key))
-    seen: set[int] = set()
-    idx = 0
-    while len(out) < count:
-        s = h ^ (_LEAF[idx] if idx < 256 else _mix(idx + _GOLDEN))
-        s = ((s ^ (s >> 30)) * _M1) & _MASK
-        s = ((s ^ (s >> 27)) * _M2) & _MASK
-        v = draw(s ^ (s >> 31), bound) % n
-        idx += 1
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return list(_rows([tape._state(tuple(key))], n, count, True)[0])
+
+
+def sample_table(
+    tape: RandomTape, tag: KeyPart, count: int, n: int, k: int
+) -> list[tuple[int, ...]]:
+    """Row i is `sample_without_replacement(tape, (tag, i), n, k)`, for i in
+    range(count)."""
+    if k > n:
+        raise ValueError(f"cannot draw {k} distinct values from range {n}")
+    return _rows(tape.u64_table(tag, count), n, k, True)

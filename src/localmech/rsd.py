@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
-from .randomness import RandomTape, derive_uniform
+from .randomness import RandomTape, uniform_table
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -47,10 +47,8 @@ class HousingInstance:
                 raise ValueError("need one lottery number per agent")
             self.ranks: tuple[int, ...] = tuple(int(r) for r in ranks)
         else:
-            span = max(1, self.n**4)
-            self.ranks = tuple(
-                1 + derive_uniform(self.tape, ("lottery", a), span) for a in range(self.n)
-            )
+            lottery = uniform_table(self.tape, "lottery", self.n, max(1, self.n**4))
+            self.ranks = tuple(1 + v for v in lottery)
         self.oracle = AdjacencyOracle(self.lists, m)
 
     @classmethod

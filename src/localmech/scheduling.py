@@ -38,7 +38,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, MutableMapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
-from .randomness import RandomTape, derive_uniform, sample_without_replacement
+from .randomness import RandomTape, derive_uniform, sample_table, uniform_rows
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -154,14 +154,12 @@ class SchedulingInstance:
                     if any(not 0 <= i < self.n for i in mu):
                         raise ValueError(f"menu of job {j} names an unknown machine")
             else:
-                # capacity-proportional machine draws over the true slot pool
+                # capacity-proportional machine draws over the true slot pool,
+                # draw t of job j under ("menu", j, t)
                 prefix = self.slot_prefix
                 self._menus = tuple(
-                    tuple(
-                        bisect_right(prefix, derive_uniform(self.tape, ("menu", j, t), self.B))
-                        for t in range(d)
-                    )
-                    for j in range(m)
+                    tuple(bisect_right(prefix, slot) for slot in row)
+                    for row in uniform_rows(self.tape, "menu", m, self.B, d)
                 )
             if not all(self._menus):
                 raise ValueError(f"job {self._menus.index(())} has an empty menu")
@@ -189,32 +187,29 @@ class SchedulingInstance:
         assert self._menus is not None
         return self._menus[j]
 
-    def slot_choices(self, j: int, caps: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Job j's d distinct slot choices over the (possibly deviated) pool."""
-        if self.mode != STANDARD:
-            raise ValueError("slot choices exist only in standard mode")
-        pool = self.B if caps is None else sum(caps)
-        if pool < self.d:
-            raise ValueError("slot pool smaller than d")
-        return tuple(sample_without_replacement(self.tape, ("slot-choice", j), pool, self.d))
-
     def rank_key(self, j: int) -> tuple[int, int]:
         """Simulated arrival rank used by the local queries."""
         return (self.tape.u64("job-rank", j), j)
 
     def rank_order(self) -> list[int]:
-        return sorted(range(self.m), key=self.rank_key)
+        """The jobs sorted by `rank_key`: by rank draw, ties (a stable sort)
+        to the smaller job."""
+        ranks = self.tape.u64_table("job-rank", self.m)
+        return sorted(range(self.m), key=ranks.__getitem__)
 
     @property
     def oracle(self) -> AdjacencyOracle:
-        """job → distinct chosen slots (standard) or distinct menu machines
-        (restricted), with materialized reverse lists; built on first use."""
+        """job → distinct chosen slots (standard: job j's d draws under
+        ("slot-choice", j) over the slot pool, in draw order) or distinct
+        menu machines (restricted), with materialized reverse lists; built
+        on first use.  `slms_online` at the true capacities reads its slot
+        choices from here."""
         if self._oracle is None:
             if self.mode == RESTRICTED:
                 fwd = [tuple(sorted(set(self.menu(j)))) for j in range(self.m)]
                 self._oracle = AdjacencyOracle(fwd, self.n)
             else:
-                chosen = [self.slot_choices(j) for j in range(self.m)]
+                chosen = sample_table(self.tape, "slot-choice", self.m, self.B, self.d)
                 self._oracle = AdjacencyOracle(chosen, self.B)
         return self._oracle
 
@@ -257,23 +252,29 @@ def slms_online(
     caps: Sequence[int] | None = None,
     order: Iterable[int] | None = None,
 ) -> Allocation:
-    """Slot-based allocation over all jobs (index order unless given)."""
+    """Slot-based allocation over all jobs (index order unless given).
+
+    At the instance's own capacities the slot choices are the oracle's
+    records, drawn once with the instance; a deviated slot pool redraws
+    them from the same keys."""
     if inst.mode != STANDARD:
         raise ValueError("slms_online requires standard mode")
     caps = inst.caps if caps is None else tuple(caps)
     pool = sum(caps)
     if pool == 0:
         raise ValueError("empty slot pool")
-    prefix = inst.slot_prefix if caps is inst.caps else list(accumulate(caps))
+    if caps == inst.caps:
+        prefix, choices = inst.slot_prefix, inst.oracle.fwd
+    else:
+        prefix = list(accumulate(caps))
+        choices = sample_table(inst.tape, "slot-choice", inst.m, pool, inst.d).__getitem__
     tape = inst.tape
-    d = inst.d
     slot_h = [0] * pool
     heights = [0] * len(caps)
     assign: list[int | None] = [None] * inst.m
     jobs = range(inst.m) if order is None else order
     for j in jobs:
-        chosen = sample_without_replacement(tape, ("slot-choice", j), pool, d)
-        slot = _pick_slot(tape, j, chosen, slot_h)
+        slot = _pick_slot(tape, j, choices(j), slot_h)
         machine = bisect_right(prefix, slot)
         heights[machine] += 1
         assign[j] = machine
@@ -489,16 +490,25 @@ def greedy_unmodified(
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
 
 
+def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> list[int]:
+    """Machine i's height in the rank-order run at each of `bids`, others at
+    truth: one rank order, one rerun per positive bid (a zero bid skips the
+    machine in every job, so its height is 0)."""
+    _check_machine(inst, i)
+    order = inst.rank_order()
+    caps = list(inst.caps)
+    heights = []
+    for bid in bids:
+        caps[i] = bid
+        heights.append(bid and rlms_online(inst, caps=caps, order=order).heights[i])
+    return heights
+
+
 def rerun_height(inst: SchedulingInstance, i: int, bid: int) -> int:
     """Height of machine i in the rank-order run when its bid is replaced by
     `bid` (0 allowed: the machine is then skipped by every job and its
     height is 0)."""
-    _check_machine(inst, i)
-    if bid == 0:
-        return 0
-    caps = list(inst.caps)
-    caps[i] = bid
-    return rlms_online(inst, caps=caps, order=inst.rank_order()).heights[i]
+    return _rerun_heights(inst, i, (bid,))[0]
 
 
 def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction, int]:
@@ -506,7 +516,7 @@ def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction
     truth, and h(bid): one list of heights, one rerun per positive x."""
     if bid < 0:
         raise ValueError(f"bid must be >= 0, got {bid}")
-    heights = [rerun_height(inst, i, x) for x in range(bid + 1)]
+    heights = _rerun_heights(inst, i, range(bid + 1))
     return Fraction(bid * heights[bid] + sum(heights)), heights[bid]
 
 

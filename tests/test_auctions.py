@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,51 @@ def test_uduv_every_winner_pays_half():
             assert out.utilities[b] == F(1, 2)
         else:
             assert out.payments[b] == F(0)
+
+
+def test_uduv_win_on_a_false_report_has_utility_minus_half():
+    # buyer 0 wants item 0 but reports item 1, which she takes from buyer 1
+    # as the smaller id: she pays 1/2 for an item worth 0 to her
+    inst = _uduv([(0,), (1,)], 2)
+    overlay = ReportOverlay(sets={0: (1,)})
+    out = uduv_run(inst, overlay)
+    assert out.awards == {0: (1,), 1: ()}
+    assert out.payments == {0: F(1, 2), 1: F(0)}
+    assert out.utilities == {0: F(-1, 2), 1: F(0)}
+    got = uduv_local(inst, ("buyer", 0), overlay=overlay)
+    assert (got["award"], got["payment"]) == ((1,), F(1, 2))
+
+
+def _uduv_run_per_buyer(inst, overlay=None):
+    """uduv's outcome computed buyer by buyer: items in `item_order_key`
+    order, each to the smallest-id unserved buyer reporting it; a winner
+    pays 1/2 and values her item 1 if it is in her true set, else 0."""
+    sets = inst.effective_sets(overlay)
+    awards = {b: () for b in range(inst.n)}
+    for j in sorted(range(inst.m), key=inst.item_order_key):
+        b = next((b for b in range(inst.n) if j in sets[b] and not awards[b]), None)
+        if b is not None:
+            awards[b] = (j,)
+    payments = {b: F(1, 2) if awards[b] else F(0) for b in range(inst.n)}
+    values = {b: F(int(any(j in inst.sets[b] for j in awards[b]))) for b in range(inst.n)}
+    return awards, payments, {b: values[b] - payments[b] for b in range(inst.n)}
+
+
+def test_uduv_run_matches_the_per_buyer_formula():
+    rng = random.Random(15)
+    false_wins = 0
+    for seed in range(2):
+        inst = build_instance(InstanceSpec(seed=seed, family="uduv", n=512, m=512, k=3))
+        overlays = [None]
+        for _ in range(2):
+            liars = rng.sample(range(inst.n), 64)
+            sets = {b: rng.sample(range(inst.m), rng.randrange(4)) for b in liars}
+            overlays.append(ReportOverlay(sets=sets))
+        for overlay in overlays:
+            out = uduv_run(inst, overlay)
+            assert (out.awards, out.payments, out.utilities) == _uduv_run_per_buyer(inst, overlay)
+            false_wins += sum(u == F(-1, 2) for u in out.utilities.values())
+    assert false_wins  # some liar won an item outside her true set
 
 
 def test_udubv_higher_bid_wins_pays_rival():

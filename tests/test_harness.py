@@ -28,7 +28,7 @@ from localmech.harness import (
     summarize_bench,
     verify_family,
 )
-from localmech.instances import MAX_SIZE, build_instance, spec_from_json
+from localmech.instances import FAMILIES, MAX_SIZE, build_instance, spec_from_json
 from localmech.probes import ProbeCounter
 
 # ---------------------------------------------------------------------------
@@ -348,17 +348,28 @@ _ROWS = st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=7)
 @st.composite
 def _config_docs(draw):
     """Spec JSON objects: mostly well-typed fields of small instances, with
-    any field dropped or replaced by arbitrary JSON."""
+    any field dropped or replaced by arbitrary JSON.  A document holds the
+    optional keys its family reads, each perhaps absent; about one in eight
+    also holds a key the family does not read, which is refused."""
+    family = draw(st.sampled_from(sorted(_VERBS)))
     doc = {
-        "family": draw(st.sampled_from(sorted(_VERBS))),
+        "family": family,
         "seed": draw(st.integers(-2, 50)),
         "n": draw(_SMALL_INT),
         "m": draw(_SMALL_INT),
         draw(st.sampled_from(["k", "d"])): draw(_SMALL_INT),
-        "bids": draw(st.none() | st.lists(st.integers(-2, 9), max_size=7)),
-        "valuations": draw(st.none() | st.lists(st.integers(-2, 9), max_size=7)),
-        "explicit_edges": draw(st.none() | _ROWS),
     }
+    fam = FAMILIES[family]
+    optional = {
+        "bids": st.none() | st.lists(st.integers(-2, 9), max_size=7),
+        "valuations": st.none() | st.lists(st.integers(-2, 9), max_size=7),
+        "explicit_edges": st.none() | _ROWS,
+    }
+    own = [key for key in optional if key == fam.values or (key == "explicit_edges" and fam.rows)]
+    keys = [key for key in own if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 0:
+        keys.append(draw(st.sampled_from([key for key in optional if key not in own])))
+    doc.update((key, draw(optional[key])) for key in keys)
     for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True, max_size=2)):
         if draw(st.booleans()):
             del doc[key]
@@ -562,6 +573,24 @@ def test_cli_refuses_a_standard_slot_pool_past_max_size(capsys):
     assert cli.main([*argv, "--query-job", "0"]) == 2
     assert time.perf_counter() - start < 0.5
     assert "bids may sum to at most" in capsys.readouterr().err
+
+
+def test_cli_payment_past_the_int_print_limit_exits_2(capsys):
+    # against one other slot and 4 jobs, 9859 slots is the smallest capacity
+    # whose exact expected payment has a part past 4300 digits
+    argv = ["query", "scheduling", "--mode", "std", "--m", "4", "--pay-machine", "0", "--bids"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli.main([*argv, "9858,1"]) == 0
+        num, den = json.loads(capsys.readouterr().out)["payment"].split("/")
+        assert (len(num), len(den)) == (4298, 4293)
+        assert cli.main([*argv, "9859,1"]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert "machine 0's exact expected payment is a fraction of 4302/4297 digits" in err
+    assert "past the 4300-digit limit" in err
 
 
 def test_cli_explicit_rows_must_match_n(tmp_path, capsys):

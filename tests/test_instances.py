@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from localmech.auctions import UDUV, AuctionInstance
+from localmech.auctions import UDUV, AuctionInstance, uduv_run
 from localmech.instances import (
     FAMILIES,
     MAX_SIZE,
@@ -29,7 +29,7 @@ from localmech.probes import (
     neighborhood,
     upward_closure,
 )
-from localmech.scheduling import RESTRICTED, SchedulingInstance
+from localmech.scheduling import RESTRICTED, STANDARD, SchedulingInstance
 
 
 def test_spec_json_round_trip():
@@ -305,6 +305,39 @@ def test_seeded_instances_are_pinned_bit_for_bit():
         inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=k))
         got[family, seed] = hashlib.sha256(repr(_seeded_draws(inst)).encode()).hexdigest()
     assert got == SEEDED_DIGESTS
+
+
+class _TiedTape:
+    """A stand-in tape whose draw (tag, i) is i % 3, so most draws tie."""
+
+    def u64(self, tag, i):
+        return i % 3
+
+    def u64_table(self, tag, count):
+        return [self.u64(tag, i) for i in range(count)]
+
+
+def _uduv_item_order(inst) -> list[int]:
+    """The order in which `uduv_run` hands out items: with every buyer
+    reporting every item, buyer b wins the b-th item handed out."""
+    everyone = AuctionInstance([range(inst.m)] * inst.m, inst.m, UDUV, seed=inst.seed)
+    everyone.tape = inst.tape
+    awards = uduv_run(everyone).awards
+    return [awards[b][0] for b in range(inst.m)]
+
+
+def test_table_orders_equal_the_per_key_sorts():
+    # the job rank order and the uduv item order sort one table of draws;
+    # ties go to the smaller id, as in the sorts by `rank_key` and
+    # `item_order_key`
+    for m in (0, 1, 2, 300):
+        for seed in (0, 1, 2):
+            sched = SchedulingInstance((2, 1), m=m, d=1, mode=STANDARD, seed=seed)
+            auction = AuctionInstance([()], m=m, mode=UDUV, seed=seed)
+            for tape in (sched.tape, _TiedTape()):
+                sched.tape = auction.tape = tape
+                assert sched.rank_order() == sorted(range(m), key=sched.rank_key)
+                assert _uduv_item_order(auction) == sorted(range(m), key=auction.item_order_key)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from localmech.randomness import RandomTape, derive_uniform, sample_without_replacement
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from localmech.randomness import (
+    RandomTape,
+    derive_uniform,
+    sample_table,
+    sample_without_replacement,
+    uniform_rows,
+    uniform_table,
+)
 
 
 def test_same_seed_same_stream():
@@ -231,6 +241,63 @@ def test_known_answers():
     got = sample_without_replacement(RandomTape(2), ("house-list", 4), 1000, 4)
     assert got == [0x2C1, 0x72, 0xB4, 0x33C]
     assert sample_without_replacement(RandomTape(2), ("perm",), 300, 300)[-3:] == [182, 132, 111]
+
+
+# ---------------------------------------------------------------------------
+# table draws: one pass over (tag, i), the same bits as the per-key draws
+# ---------------------------------------------------------------------------
+
+# 1 and 2^64 take every first attempt; 2^64 - 1 rejects some; 2^64 + 1 and
+# 2^80 + 7 take the wide path
+_TABLE_RANGES = [1, 2, 7, 300, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 1, 2**80 + 7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(-(2**65), 2**65),
+    tag=st.sampled_from(["menu", "lottery", "", 7, 2**64 + 3]),
+    count=st.sampled_from([0, 1, 3, 257, 300]),
+    n=st.sampled_from(_TABLE_RANGES),
+    data=st.data(),
+)
+def test_table_draws_equal_the_per_key_draws(seed, tag, count, n, data):
+    # k runs from 0 to n, k = n included, capped at 3 for the long tables
+    k = data.draw(st.integers(0, min(n, 3 if count > 3 else 8)), label="k")
+    t = RandomTape(seed)
+    assert t.u64_table(tag, count) == [t.u64(tag, i) for i in range(count)]
+    want = [derive_uniform(t, (tag, i), n) for i in range(count)]
+    assert list(uniform_table(t, tag, count, n)) == want
+    want = [tuple(derive_uniform(t, (tag, i, s), n) for s in range(k)) for i in range(count)]
+    assert uniform_rows(t, tag, count, n, k) == want
+    want = [tuple(sample_without_replacement(t, (tag, i), n, k)) for i in range(count)]
+    assert sample_table(t, tag, count, n, k) == want
+
+
+def test_table_rows_past_the_small_int_table():
+    # a full draw of 300 values runs its draw indices past 255 within a row
+    t = RandomTape(2)
+    rows = sample_table(t, "perm", 2, 300, 300)
+    assert rows == [tuple(_ref_sample(2, ("perm", i), 300, 300)) for i in range(2)]
+    assert uniform_table(t, "perm", 300, 300)[-3:] == tuple(
+        _ref_uniform(2, ("perm", i), 300) for i in range(297, 300)
+    )
+
+
+def test_table_draws_refuse_what_the_per_key_draws_refuse():
+    t = RandomTape(0)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            uniform_table(t, "x", 3, n)
+        with pytest.raises(ValueError):
+            uniform_rows(t, "x", 3, n, 1)
+        with pytest.raises(ValueError):
+            sample_table(t, "x", 3, n, 1)
+    with pytest.raises(ValueError):
+        sample_table(t, "x", 3, 5, 6)
+    with pytest.raises(ValueError):
+        sample_table(t, "x", 0, 5, 6)
+    with pytest.raises(TypeError):
+        t.u64_table(0.5, 2)
 
 
 def test_float_key_part_is_rejected():
