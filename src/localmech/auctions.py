@@ -31,9 +31,10 @@ payments are `Fraction`s.  Only whole bids skip `Fraction` comparisons:
 every spec-built instance bids whole numbers, while fractional bids (given
 through the API, or an audit's deviations) sort as fast as before.
 
-`truthfulness_audit` checks those served local answers, not a global rerun:
-it asks each buyer's local query under a `ReportOverlay`, for the truth and
-for every deviation.
+Runners and local queries read a misreport (a `ReportOverlay`) only through
+`AuctionInstance.reports`, which checks it.  `truthfulness_audit` checks the
+served local answers, not a global rerun: it asks each buyer's local query
+under a `ReportOverlay`, for the truth and for every deviation.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ ZERO, ONE, HALF, MINUS_HALF = Fraction(0), Fraction(1), Fraction(1, 2), Fraction
 
 @dataclass(frozen=True)
 class ReportOverlay:
-    """Deviating reports; absent entries default to the truth."""
+    """Deviating reports; absent entries default to the truth.  A uduv buyer
+    reports a set (every value is 1) and a udubv or ksmb buyer a bid (sets
+    are public); an overlay of the other field is refused."""
 
     sets: Mapping[int, Sequence[int]] | None = None
     bids: Mapping[int, Fraction | int] | None = None
@@ -140,40 +143,36 @@ class AuctionInstance:
     def item_order_key(self, j: int) -> tuple[int, int]:
         return (-self.tape.u64("item-rank", j), j)
 
-    def _check_buyer(self, b: int) -> None:
-        if not 0 <= b < self.n:
-            raise ValueError(f"report overlay names unknown buyer {b}")
-
-    def overlay_sets(self, overlay: ReportOverlay | None) -> dict[int, tuple[int, ...]]:
-        """The overlay's reported sets, sorted and deduplicated, ids checked."""
-        if overlay is None or overlay.sets is None:
-            return {}
-        out = {}
-        for b, s in overlay.sets.items():
-            self._check_buyer(b)
-            cleaned = tuple(sorted(set(int(j) for j in s)))
-            if any(not 0 <= j < self.m for j in cleaned):
+    def reports(
+        self, overlay: ReportOverlay | None
+    ) -> tuple[dict[int, tuple[int, ...]], Sequence[int | Fraction]]:
+        """The overlay's reported sets (sorted, deduplicated) and `bid_keys`
+        with its reported bids patched in, buyer ids, item ids and bid signs
+        checked; `({}, bid_keys)`, nothing copied, without an overlay."""
+        if overlay is None:
+            return {}, self.bid_keys
+        fixed = "bids" if self.mode == UDUV else "sets"
+        if getattr(overlay, fixed) is not None:
+            why = "every value is 1" if self.mode == UDUV else "they are public"
+            raise ValueError(f"{self.mode} takes no reported {fixed}: {why}")
+        # only the reportable field can be set by now
+        unknown = [b for b in (overlay.sets or overlay.bids or ()) if not 0 <= b < self.n]
+        if unknown:
+            raise ValueError(f"report overlay names unknown buyer {unknown[0]}")
+        sets: dict[int, tuple[int, ...]] = {}
+        for b, s in (overlay.sets or {}).items():
+            sets[b] = tuple(sorted(set(int(j) for j in s)))
+            if any(not 0 <= j < self.m for j in sets[b]):
                 raise ValueError(f"buyer {b} reports an unknown item")
-            out[b] = cleaned
-        return out
-
-    def effective_sets(self, overlay: ReportOverlay | None) -> list[tuple[int, ...]]:
-        reported = self.overlay_sets(overlay)
-        return [reported.get(b, s) for b, s in enumerate(self.sets)]
-
-    def effective_bid_keys(self, overlay: ReportOverlay | None) -> Sequence[int | Fraction]:
-        """`bid_keys` with the overlay's bids patched in, ids and signs
-        checked; the other keys are copied, never recomputed."""
-        if overlay is None or overlay.bids is None:
-            return self.bid_keys
-        keys = list(self.bid_keys)
-        for b, v in overlay.bids.items():
-            self._check_buyer(b)
-            v = Fraction(v)
-            if v < 0:
-                raise ValueError("bids must be non-negative")
-            keys[b] = _bid_key(v)
-        return keys
+        keys = self.bid_keys
+        if overlay.bids is not None:
+            keys = list(keys)
+            for b, v in overlay.bids.items():
+                v = Fraction(v)
+                if v < 0:
+                    raise ValueError("bids must be non-negative")
+                keys[b] = _bid_key(v)
+        return sets, keys
 
 
 def _bid_key(v: Fraction) -> int | Fraction:
@@ -195,9 +194,10 @@ def _uduv_value(inst: AuctionInstance, buyer: int, award: tuple[int, ...]) -> Fr
 def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
     if inst.mode != UDUV:
         raise ValueError("uduv_run requires uduv mode")
+    reported, _ = inst.reports(overlay)
     want: list[list[int]] = [[] for _ in range(inst.m)]
-    for b, s in enumerate(inst.effective_sets(overlay)):
-        for j in s:
+    for b, s in enumerate(inst.sets):
+        for j in reported.get(b, s):
             want[j].append(b)  # ascending b by construction
     awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
     payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
@@ -252,7 +252,7 @@ def uduv_local(
         view = MemoView(inst.oracle, counter)
     else:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
-    fwd, rev = _reported_reads(view, inst.overlay_sets(overlay))
+    fwd, rev = _reported_reads(view, inst.reports(overlay)[0])
     roots = fwd(idx) if kind == "buyer" else (idx,)
     items = upward_closure(roots, inst.item_order_key, rev, fwd)
     okey = items.__getitem__
@@ -330,9 +330,7 @@ def _critical(
 
 
 def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
-    if overlay is not None and overlay.sets is not None:
-        raise ValueError(f"{inst.mode} sets are public; overlay may alter bids only")
-    bids = inst.effective_bid_keys(overlay)
+    _, bids = inst.reports(overlay)
     order = _bid_order(bids)
     won = _BID_RULES[inst.mode][0](order, inst.sets.__getitem__)
     awards = {b: won.get(b, ()) for b in range(inst.n)}
@@ -408,9 +406,7 @@ def _bid_local(
     """
     if not 0 <= buyer < inst.n:
         raise ValueError(f"unknown buyer {buyer}")
-    if overlay is not None and overlay.sets is not None:
-        raise ValueError("sets are public in this mode")
-    keys = inst.effective_bid_keys(overlay)
+    _, keys = inst.reports(overlay)
     # Sets are public data in these modes, but reading another buyer's set
     # still costs a probe, so all reads go through the memoised view.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))

@@ -14,7 +14,8 @@ Single-query answers are JSON objects on stdout; batch output is CSV.
 --bids/--sets/--config to an instance spec the same way (`_spec`); `gen`
 builds the instance before it writes the spec.  One handler, `_cmd_run`,
 serves `run` and `query` for every family from `instances.FAMILIES`: each
-query kind there is a `--query-<entity>` flag.
+query kind there is a `--query-<entity>` flag of the `run`/`query` family
+that serves it (`_add_query_flags`).
 """
 
 from __future__ import annotations
@@ -103,6 +104,23 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# run/query family -> instance family, formatted with the parsed flags
+_FAMILY_OF = {
+    "matching": "matching", "scheduling": "scheduling-{mode}", "auction": "{mode}", "rsd": "housing"
+}
+
+# run/query family -> its --mode choices
+_MODES = {"scheduling": ("std", "res"), "auction": ("uduv", "udubv", "ksmb")}
+
+
+def _add_query_flags(parser: argparse.ArgumentParser, family: str) -> None:
+    """One `--query-<entity>` flag per query kind that the instance families
+    served by `family` (one per --mode) declare in `FAMILIES`."""
+    served = [_FAMILY_OF[family].format(mode=mode) for mode in _MODES.get(family, ("",))]
+    for entity in dict.fromkeys(q.entity for name in served for q in FAMILIES[name].queries):
+        parser.add_argument(f"--query-{entity}", type=int)
+
+
 def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     fams = verb_parser.add_subparsers(dest="family", required=True, metavar="FAMILY")
 
@@ -111,33 +129,32 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     mp.add_argument("--n", type=int)
     mp.add_argument("--k", dest="size", type=int, default=3)
     mp.add_argument("--rounds", type=int)
-    mp.add_argument("--query-man", type=int)
+    _add_query_flags(mp, "matching")
     mp.add_argument("--all", action="store_true")
     mp.add_argument("--config")
 
     sp = fams.add_parser("scheduling", help="load balancing; std slots or res menus")
-    sp.add_argument("--mode", choices=("std", "res"), required=True)
+    sp.add_argument("--mode", choices=_MODES["scheduling"], required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--d", dest="size", type=int, default=2)
     sp.add_argument("--bids", type=_int_list)
-    sp.add_argument("--query-job", type=int)
+    _add_query_flags(sp, "scheduling")
     sp.add_argument("--pay-machine", type=int)
     sp.add_argument("--scheme", choices=("expected", "sampled", "rerun"))
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--config")
 
     ap = fams.add_parser("auction", help="greedy auctions with critical payments")
-    ap.add_argument("--mode", choices=("uduv", "udubv", "ksmb"), required=True)
+    ap.add_argument("--mode", choices=_MODES["auction"], required=True)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n", type=int)
     ap.add_argument("--m", type=int)
     ap.add_argument("--k", dest="size", type=int, default=2)
     ap.add_argument("--bids", type=_int_list)
     ap.add_argument("--sets", help="JSON file: list of item-id lists, one per buyer")
-    ap.add_argument("--query-buyer", type=int)
-    ap.add_argument("--query-item", type=int)
+    _add_query_flags(ap, "auction")
     ap.add_argument("--audit", action="store_true")
     ap.add_argument("--config")
 
@@ -146,7 +163,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     hp.add_argument("--n", type=int)
     hp.add_argument("--m", type=int)
     hp.add_argument("--d", dest="size", type=int, default=3)
-    hp.add_argument("--query-agent", type=int)
+    _add_query_flags(hp, "rsd")
     hp.add_argument("--all", action="store_true")
     hp.add_argument("--config")
 
@@ -196,11 +213,6 @@ def _cmd_gen(args) -> int:
     _write_text(args.out, spec_to_json(spec) + "\n")
     return 0
 
-
-# run/query family -> instance family, formatted with the parsed flags
-_FAMILY_OF = {
-    "matching": "matching", "scheduling": "scheduling-{mode}", "auction": "{mode}", "rsd": "housing"
-}
 
 # (--mode, --scheme) -> the scheduling payment; a mode's first scheme is its default
 _PAYMENTS = {

@@ -38,8 +38,8 @@ class ProbeCounter:
 
     count: int = 0
 
-    def tick(self, amount: int = 1) -> None:
-        self.count += amount
+    def tick(self) -> None:
+        self.count += 1
 
 
 class AdjacencyOracle:

@@ -157,10 +157,6 @@ class RandomTape:
             out.append(s ^ (s >> 31))
         return out
 
-    def unit(self, *key: KeyPart) -> float:
-        """Uniform float in [0, 1) — convenience for demos/diagnostics only."""
-        return self.u64(*key) / 2.0**64
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomTape(seed={self.seed})"
 

@@ -103,9 +103,9 @@ class SchedulingInstance:
     Restricted mode fixes each job's machine menu as input data: explicit
     when given, otherwise d capacity-proportional draws (with replacement)
     made once from the *true* capacities.  Standard mode has no menus — the
-    mechanism itself draws d distinct slots per job, and those draws are
-    re-derived from the same keys whenever a capacity deviation changes the
-    slot pool.
+    mechanism itself draws d distinct slots per job over the slot pool of
+    these capacities; a capacity deviation is an instance built with the
+    deviated capacities, which draws its choices from the same keys.
     """
 
     def __init__(
@@ -202,8 +202,8 @@ class SchedulingInstance:
         """job → distinct chosen slots (standard: job j's d draws under
         ("slot-choice", j) over the slot pool, in draw order) or distinct
         menu machines (restricted), with materialized reverse lists; built
-        on first use.  `slms_online` at the true capacities reads its slot
-        choices from here."""
+        on first use.  `slms_online` and `slms_local` read their slot choices
+        from here only."""
         if self._oracle is None:
             if self.mode == RESTRICTED:
                 fwd = [tuple(sorted(set(self.menu(j)))) for j in range(self.m)]
@@ -247,30 +247,15 @@ def _rank_closure(
     return view, sorted(closure, key=closure.__getitem__)
 
 
-def slms_online(
-    inst: SchedulingInstance,
-    caps: Sequence[int] | None = None,
-    order: Iterable[int] | None = None,
-) -> Allocation:
-    """Slot-based allocation over all jobs (index order unless given).
-
-    At the instance's own capacities the slot choices are the oracle's
-    records, drawn once with the instance; a deviated slot pool redraws
-    them from the same keys."""
+def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) -> Allocation:
+    """Slot-based allocation over all jobs (index order unless given), with
+    the slot choices of the oracle's records, drawn once with the instance.
+    A run at other capacities is the run of an instance built with them."""
     if inst.mode != STANDARD:
         raise ValueError("slms_online requires standard mode")
-    caps = inst.caps if caps is None else tuple(caps)
-    pool = sum(caps)
-    if pool == 0:
-        raise ValueError("empty slot pool")
-    if caps == inst.caps:
-        prefix, choices = inst.slot_prefix, inst.oracle.fwd
-    else:
-        prefix = list(accumulate(caps))
-        choices = sample_table(inst.tape, "slot-choice", inst.m, pool, inst.d).__getitem__
-    tape = inst.tape
-    slot_h = [0] * pool
-    heights = [0] * len(caps)
+    tape, prefix, choices = inst.tape, inst.slot_prefix, inst.oracle.fwd
+    slot_h = [0] * inst.B
+    heights = [0] * inst.n
     assign: list[int | None] = [None] * inst.m
     jobs = range(inst.m) if order is None else order
     for j in jobs:
@@ -278,7 +263,7 @@ def slms_online(
         machine = bisect_right(prefix, slot)
         heights[machine] += 1
         assign[j] = machine
-    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
+    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=inst.caps)
 
 
 def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:
@@ -308,11 +293,21 @@ def expected_height(b_i: int, B_minus_i: int, m: int) -> Fraction:
     return Fraction(m * b_i, B_minus_i + b_i)
 
 
+def _ratio_sum(lo: int, hi: int, c: int) -> tuple[int, int]:
+    """Σ_{x=lo}^{hi-1} x/(c+x) as an unreduced numerator and denominator
+    (hi > lo).  Halves are merged pairwise, so the big products multiply
+    numbers of equal size, and nothing is reduced on the way."""
+    if hi - lo == 1:
+        return lo, c + lo
+    mid = (lo + hi) // 2
+    p1, q1 = _ratio_sum(lo, mid, c)
+    p2, q2 = _ratio_sum(mid, hi, c)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
 def _expected_slot_payment(b: int, B_minus: int, m: int) -> Fraction:
-    """Exact expected payment for b slots against B₋ others' slots."""
-    return Fraction(m * b * b, B_minus + b) + m * sum(
-        (Fraction(x, B_minus + x) for x in range(1, b + 1)), Fraction(0)
-    )
+    """Exact expected payment for b >= 1 slots against B₋ others' slots."""
+    return Fraction(m * b * b, B_minus + b) + m * Fraction(*_ratio_sum(1, b + 1, B_minus))
 
 
 def payment_slms_expected(inst: SchedulingInstance, i: int) -> PaymentRecord:
@@ -442,7 +437,6 @@ def greedy_unmodified(
     caps: Sequence[int] | None = None,
     initial_heights: Sequence[int] | None = None,
     tie_choices: dict[int, int] | None = None,
-    _trace: list[tuple[int, ...]] | None = None,
 ) -> Allocation:
     """The unfloored rule: minimize (h_i+1)/b_i exactly (cross-multiplied).
 
@@ -457,8 +451,6 @@ def greedy_unmodified(
     tie_pos = inst._tie_pos
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
     assign: list[int | None] = [None] * inst.m
-    if _trace is not None:
-        _trace.append(tuple(heights))
     for j in range(inst.m):
         cands = _eligible(inst.menu(j), caps)
         if cands:
@@ -485,8 +477,6 @@ def greedy_unmodified(
                 pick = mins[0]
             heights[pick] += 1
             assign[j] = pick
-        if _trace is not None:
-            _trace.append(tuple(heights))
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
 
 

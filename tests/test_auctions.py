@@ -77,7 +77,8 @@ def _uduv_run_per_buyer(inst, overlay=None):
     """uduv's outcome computed buyer by buyer: items in `item_order_key`
     order, each to the smallest-id unserved buyer reporting it; a winner
     pays 1/2 and values her item 1 if it is in her true set, else 0."""
-    sets = inst.effective_sets(overlay)
+    reported, _ = inst.reports(overlay)
+    sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
     awards = {b: () for b in range(inst.n)}
     for j in sorted(range(inst.m), key=inst.item_order_key):
         b = next((b for b in range(inst.n) if j in sets[b] and not awards[b]), None)
@@ -147,12 +148,27 @@ def test_local_payment_at_a_top_bid_is_the_critical_bid():
 
 
 def test_public_sets_cannot_be_overlaid():
-    inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
-    with pytest.raises(ValueError):
-        udubv_run(inst, ReportOverlay(sets={0: (0,)}))
-    kinst = _ksmb([(0,)], values=(2,), m=1, k=1)
-    with pytest.raises(ValueError):
-        ksmb_run(kinst, ReportOverlay(sets={0: (0,)}))
+    for inst, run, local in (
+        (_udubv([(0,), (0,)], values=(5, 3), m=1), udubv_run, udubv_local),
+        (_ksmb([(0,)], values=(2,), m=1, k=1), ksmb_run, ksmb_local),
+    ):
+        overlay = ReportOverlay(sets={0: (0,)})
+        with pytest.raises(ValueError, match=f"{inst.mode} takes no reported sets"):
+            run(inst, overlay)
+        with pytest.raises(ValueError, match=f"{inst.mode} takes no reported sets"):
+            local(inst, 0, overlay=overlay)
+
+
+def test_uduv_bids_cannot_be_overlaid():
+    # every uduv value is 1, so a reported bid is refused, not ignored
+    inst = _uduv([(0,), (0, 1)], 2)
+    for bid in (F(3), F(-3)):
+        overlay = ReportOverlay(bids={0: bid})
+        with pytest.raises(ValueError, match="uduv takes no reported bids"):
+            uduv_run(inst, overlay)
+        for query in (("buyer", 0), ("buyer", 1), ("item", 0), ("item", 1)):
+            with pytest.raises(ValueError, match="uduv takes no reported bids"):
+                uduv_local(inst, query, overlay=overlay)
 
 
 def test_negative_bids_rejected():

@@ -270,6 +270,12 @@ def _man_doc(inst, man, counter):
     return {"man": man, "status": st.state, **matched}
 
 
+def _woman_doc(inst, woman, counter):
+    st = matching.local_ags_woman(inst, 2 * inst.k * inst.k, woman, counter)
+    matched = {} if st.partner is None else {"man": st.partner}
+    return {"woman": woman, "status": st.state, **matched}
+
+
 def _buyer_doc(local):
     def doc(inst, buyer, counter):
         got = local(inst, buyer, counter)
@@ -282,6 +288,7 @@ def _buyer_doc(local):
 # one entity, from the library's local answer)
 _QUERY_KINDS = [
     ("matching", "--query-man", "n", _man_doc),
+    ("matching", "--query-woman", "m", _woman_doc),
     ("scheduling-std", "--query-job", "m",
      lambda inst, j, c: {"job": j, "machine": scheduling.slms_local(inst, j, c)}),
     ("scheduling-res", "--query-job", "m",

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localmech.auctions import (
@@ -36,6 +36,7 @@ from localmech.scheduling import (
     RESTRICTED,
     STANDARD,
     SchedulingInstance,
+    _expected_slot_payment,
     rlms_local,
     rlms_online,
     slms_local,
@@ -131,6 +132,17 @@ def test_standard_scheduling_local_matches_global(inst):
         assert counter.count <= _reachable(inst.oracle, (LEFT, j))
 
 
+@PROPERTY
+@given(st.integers(1, 300), st.integers(0, 60), st.integers(0, 50))
+@example(1, 0, 1)
+@example(300, 0, 7)
+def test_expected_payment_equals_the_sequential_sum(b, B_minus, m):
+    # the pairwise-merged sum against the terms added one Fraction at a time
+    terms = sum((Fraction(x, B_minus + x) for x in range(1, b + 1)), Fraction(0))
+    want = Fraction(m * b * b, B_minus + b) + m * terms
+    assert _expected_slot_payment(b, B_minus, m) == want
+
+
 # ---------------------------------------------------------------------------
 # auctions
 # ---------------------------------------------------------------------------
@@ -150,8 +162,9 @@ def uduv_cases(draw):
 
 def _union_oracle(inst: AuctionInstance, overlay: ReportOverlay | None) -> AdjacencyOracle:
     """True and reported sets together: every record a query may follow."""
-    reported = inst.effective_sets(overlay)
-    return AdjacencyOracle([set(a) | set(b) for a, b in zip(inst.sets, reported)], inst.m)
+    reported, _ = inst.reports(overlay)
+    union = [set(s) | set(reported.get(b, s)) for b, s in enumerate(inst.sets)]
+    return AdjacencyOracle(union, inst.m)
 
 
 @PROPERTY

@@ -31,7 +31,6 @@ def test_same_seed_same_stream():
     b = RandomTape(42)
     for i in range(200):
         assert a.u64("x", i) == b.u64("x", i)
-        assert a.unit("y", i) == b.unit("y", i)
 
 
 def test_different_seeds_disagree():
@@ -45,13 +44,6 @@ def test_key_order_matters():
     t = RandomTape(0)
     assert t.u64("a", 1) != t.u64(1, "a")
     assert t.u64("ab") != t.u64("a", "b")
-
-
-def test_unit_in_range():
-    t = RandomTape(3)
-    for i in range(1000):
-        u = t.unit("u", i)
-        assert 0.0 <= u < 1.0
 
 
 def test_derive_uniform_range_and_determinism():
