@@ -24,7 +24,7 @@ def main() -> None:
     inst = HousingInstance.seeded(n=args.n, d=args.d, seed=args.seed)
     alloc = rsd_global(inst)
     housed = sum(1 for h in alloc.values() if h is not None)
-    order = sorted(range(inst.n), key=inst.arrival_key)
+    order = inst.order
     print(f"{args.n} agents, lists of {args.d}, seed {args.seed}: {housed} housed")
     first, last = order[0], order[-1]
     print(f"first arrival is agent {first} (rank {inst.ranks[first]}), "
@@ -36,7 +36,7 @@ def main() -> None:
         counter = ProbeCounter()
         h = rsd_local(inst, a, counter)
         probes_total += counter.count
-        print(f"  agent {a:>5} (arrival #{order.index(a) + 1:>5}): house "
+        print(f"  agent {a:>5} (arrival #{inst.place[a] + 1:>5}): house "
               f"{h if h is not None else '-':>5}  in {counter.count} probes")
     print(f"(the whole instance holds {inst.n + inst.m} records; "
           f"these three queries read {probes_total})")

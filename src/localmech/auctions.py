@@ -1,8 +1,8 @@
 """Three greedy item auctions with critical payments and local queries.
 
 * uduv:  private demand sets, unit values.  Items are assigned one by one in
-  a seeded order (descending 64-bit item scores); each item goes to the
-  smallest-id unserved buyer reporting it, and every winner pays 1/2.
+  a seeded order (descending 64-bit item scores, sorted at build); each item
+  goes to the smallest-id unserved buyer reporting it; every winner pays 1/2.
 * udubv: public demand sets, private values.  Buyers are served in
   descending bid order (ties to the smaller id); each takes the smallest
   free item of her set and pays the smallest level at which any of her items
@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, Sequence
 
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
+from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
 from .randomness import RandomTape
 from .rsd import serial_dictatorship
 
@@ -115,10 +115,15 @@ class AuctionInstance:
         self.n = len(self.sets)
         self.m = m
         self.k = k if k is not None else max((len(s) for s in self.sets), default=0)
+        for b, s in enumerate(self.sets):
+            if len(s) > self.k:
+                raise ValueError(f"buyer {b} wants more than k={self.k} items")
         self.seed = seed
         self.tape = RandomTape(seed)
         if mode == UDUV:
             self.values: tuple[Fraction, ...] = (Fraction(1),) * self.n
+            # items by descending ("item-rank", j) score, ties to the smaller
+            self.order, self.place = rank_tables(self.tape.u64_table("item-rank", m), True)
         else:
             if values is None:
                 raise ValueError(f"{mode} needs buyer values")
@@ -137,11 +142,6 @@ class AuctionInstance:
         sets = spec.seeded_rows("item-set")
         values = None if spec.family == UDUV else spec.seeded_values("value", 10**6)
         return cls(sets, m=spec.m, mode=spec.family, values=values, k=spec.k, seed=spec.seed)
-
-    # seeded item scores; items are handled in descending score order,
-    # score ties (negligible) to the smaller id
-    def item_order_key(self, j: int) -> tuple[int, int]:
-        return (-self.tape.u64("item-rank", j), j)
 
     def reports(
         self, overlay: ReportOverlay | None
@@ -202,10 +202,7 @@ def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Out
     awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
     payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
     utilities = dict(payments)
-    # `item_order_key` order: descending score, ties (a stable sort) to the smaller item
-    scores = inst.tape.u64_table("item-rank", inst.m)
-    items = sorted(range(inst.m), key=scores.__getitem__, reverse=True)
-    for j, b in serial_dictatorship(items, want.__getitem__).items():
+    for j, b in serial_dictatorship(inst.order, want.__getitem__).items():
         if b is not None:
             awards[b] = (j,)
             payments[b] = HALF
@@ -254,13 +251,11 @@ def uduv_local(
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
     fwd, rev = _reported_reads(view, inst.reports(overlay)[0])
     roots = fwd(idx) if kind == "buyer" else (idx,)
-    items = upward_closure(roots, inst.item_order_key, rev, fwd)
-    okey = items.__getitem__
-    winner_of = serial_dictatorship(sorted(items, key=okey), rev)
+    winner_of = serial_dictatorship(upward_closure(roots, inst.place, rev, fwd), rev)
     if kind == "item":
         return {"item": idx, "winner": winner_of[idx]}
-    won = [j for j, b in winner_of.items() if b == idx]
-    award = (min(won, key=okey),) if won else ()
+    # an item takes an unserved buyer, so she wins at most one
+    award = next(((j,) for j, b in winner_of.items() if b == idx), ())
     payment = HALF if award else Fraction(0)
     return {"buyer": idx, "award": award, "payment": payment}
 

@@ -15,15 +15,18 @@ scheduling, housing and the uduv auction: the query tree of Mansour,
 Rubinstein, Vardi and Xie (ICALP 2012).  A greedy rule that serves entities in priority order
 decides an entity from the higher-priority entities sharing a resource with
 it, transitively; the query collects that set and replays the rule on it.
+Instances sort their order once, at build (`rank_tables`); queries compare places.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
-    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood", "upward_closure"
+    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood", "rank_tables",
+    "upward_closure",
 ]
 
 Entity = tuple[str, int]
@@ -145,36 +148,39 @@ def neighborhood(
     return seen
 
 
+def rank_tables(keys: Sequence, descending: bool = False) -> tuple[array, array]:
+    """The ids 0..len(keys)-1 by key, descending if asked, ties to the
+    smaller id (`sorted` is stable, `reverse` too), and each id's place in
+    that order: `order[place[x]] == x`."""
+    order = array("q", sorted(range(len(keys)), key=keys.__getitem__, reverse=descending))
+    place = array("q", bytes(8 * len(order)))
+    for p, x in enumerate(order):
+        place[x] = p
+    return order, place
+
+
 def upward_closure(
     seeds: Iterable[int],
-    key: Callable[[int], Any],
+    place: Sequence[int],
     out: Callable[[int], Iterable[int]],
     back: Callable[[int], Iterable[int]],
-) -> dict[int, Any]:
-    """The seeds plus every y with key(y) < key(x) found in back(r) for some
-    r in out(x), x already in the set, transitively; each member maps to
-    its key, so callers sort by the stored keys.
+) -> list[int]:
+    """The seeds plus every y with place[y] < place[x] found in back(r) for
+    some r in out(x), x already in the set, transitively, sorted by place:
+    the order in which the greedy rule serves them.
 
-    `key` runs at most once per entity the closure scans.  With `out`/`back`
-    the reads of a `MemoView`, this reads out(x) for every member and
-    back(r) for every r it lists, whatever the visiting order, so the probes
-    charged depend only on the set returned.
+    With `out`/`back` the reads of a `MemoView`, this reads out(x) for every
+    member and back(r) for every r it lists, whatever the visiting order, so
+    the probes charged depend only on the set returned.
     """
-    closure = {x: key(x) for x in seeds}
-    keyed = dict(closure)  # every entity whose key is known, members or not
-    stack = list(closure)
+    members = set(seeds)
+    stack = list(members)
     while stack:
         x = stack.pop()
-        kx = closure[x]
+        px = place[x]
         for r in out(x):
             for y in back(r):
-                if y in closure:
-                    continue
-                if y in keyed:
-                    ky = keyed[y]
-                else:
-                    ky = keyed[y] = key(y)
-                if ky < kx:
-                    closure[y] = ky
+                if y not in members and place[y] < px:
+                    members.add(y)
                     stack.append(y)
-    return closure
+    return sorted(members, key=place.__getitem__)

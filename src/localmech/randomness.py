@@ -26,8 +26,8 @@ An instance draws its seeded data as tables over (tag, i), i = 0..count-1,
 one entry per entity, and gets the same bits as the per-key draws:
 
 - `RandomTape.u64_table(tag, count)` is `u64(tag, i)` for each i; it hashes
-  the tag once, then pays one step per i (job ranks in
-  `SchedulingInstance.rank_order`, item scores in `auctions.uduv_run`);
+  the tag once, then pays one step per i (the job ranks and uduv item
+  scores that `SchedulingInstance` and `AuctionInstance` sort at build);
 - `uniform_table(tape, tag, count, n)` is `derive_uniform(tape, (tag, i), n)`
   for each i (capacities and values in `InstanceSpec.seeded_values`, the
   housing lottery);

@@ -3,7 +3,7 @@
 Each agent holds an ordered list of d houses; agents take turns in
 increasing lottery number (seeded uniform over [1, n⁴]; the rare collision
 goes to the smaller agent id) and grab their best still-available listed
-house, or nothing if all d are gone.
+house, or nothing if all d are gone.  The lottery is sorted at build time.
 
 The local query resolves an agent by settling only the earlier-arriving
 agents who share a listed house, transitively (`probes.upward_closure`) — the
@@ -14,9 +14,10 @@ local query over its closure, and by the udubv and uduv auctions.
 
 from __future__ import annotations
 
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
+from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
 from .randomness import RandomTape, uniform_table
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -45,10 +46,14 @@ class HousingInstance:
         if ranks is not None:
             if len(ranks) != self.n:
                 raise ValueError("need one lottery number per agent")
-            self.ranks: tuple[int, ...] = tuple(int(r) for r in ranks)
+            try:
+                self.ranks: tuple[int, ...] = tuple(index(r) for r in ranks)
+            except TypeError:
+                raise ValueError("lottery numbers must be integers") from None
         else:
             lottery = uniform_table(self.tape, "lottery", self.n, max(1, self.n**4))
             self.ranks = tuple(1 + v for v in lottery)
+        self.order, self.place = rank_tables(self.ranks)
         self.oracle = AdjacencyOracle(self.lists, m)
 
     @classmethod
@@ -64,9 +69,6 @@ class HousingInstance:
         return cls.from_spec(
             InstanceSpec(seed=seed, family="housing", n=n, m=m if m is not None else n, k=d)
         )
-
-    def arrival_key(self, agent: int) -> tuple[int, int]:
-        return (self.ranks[agent], agent)
 
 
 def serial_dictatorship(
@@ -88,8 +90,7 @@ def serial_dictatorship(
 
 
 def rsd_global(inst: HousingInstance) -> dict[int, int | None]:
-    order = sorted(range(inst.n), key=inst.arrival_key)
-    return serial_dictatorship(order, inst.lists.__getitem__)
+    return serial_dictatorship(inst.order, inst.lists.__getitem__)
 
 
 def rsd_local(
@@ -103,5 +104,5 @@ def rsd_local(
     if not 0 <= agent < inst.n:
         raise ValueError(f"unknown agent {agent}")
     view = MemoView(inst.oracle, counter, free=((LEFT, agent),))
-    closure = upward_closure((agent,), inst.arrival_key, view.fwd, view.rev)
-    return serial_dictatorship(sorted(closure, key=closure.__getitem__), view.fwd)[agent]
+    closure = upward_closure((agent,), inst.place, view.fwd, view.rev)
+    return serial_dictatorship(closure, view.fwd)[agent]

@@ -18,11 +18,10 @@ Both allocators have per-job local queries that replay only the query's
 rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
 or menu machine) and agree exactly with the online run replayed in rank
 order: the online run and the local query place each job with the same step,
-`_pick_slot` or `_pick_floored`.  A standard-mode query maps its slot to a
-machine by bisection on `slot_prefix`, the prefix sums of the capacities,
-which the instance builds once; like the oracle's reverse records it is
-build-time data and costs no probe, and no local query loops over all
-machines.
+`_pick_slot` or `_pick_floored`.  The rank order and `slot_prefix`, the
+prefix sums of the capacities that map a slot to its machine by bisection,
+are built with the instance; like the oracle's reverse records they cost no
+probe, and no local query draws a rank or loops over all machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -35,9 +34,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import index
 from typing import TYPE_CHECKING, Iterable, MutableMapping, Sequence
 
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
+from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_table, uniform_rows
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -120,7 +120,10 @@ class SchedulingInstance:
     ) -> None:
         if mode not in (STANDARD, RESTRICTED):
             raise ValueError(f"mode must be {STANDARD!r} or {RESTRICTED!r}")
-        self.caps = tuple(int(c) for c in caps)
+        try:
+            self.caps = tuple(index(c) for c in caps)
+        except TypeError:
+            raise ValueError("capacities must be positive integers") from None
         if any(c < 1 for c in self.caps):
             raise ValueError("capacities must be positive integers")
         self.n = len(self.caps)
@@ -143,6 +146,8 @@ class SchedulingInstance:
         self._tie_pos = [0] * self.n
         for pos, i in enumerate(self.tie_order):
             self._tie_pos[i] = pos
+        # jobs by their ("job-rank", j) draw, ties to the smaller job
+        self.order, self.place = rank_tables(self.tape.u64_table("job-rank", m))
 
         self._menus: tuple[tuple[int, ...], ...] | None = None
         if mode == RESTRICTED:
@@ -187,15 +192,9 @@ class SchedulingInstance:
         assert self._menus is not None
         return self._menus[j]
 
-    def rank_key(self, j: int) -> tuple[int, int]:
-        """Simulated arrival rank used by the local queries."""
-        return (self.tape.u64("job-rank", j), j)
-
-    def rank_order(self) -> list[int]:
-        """The jobs sorted by `rank_key`: by rank draw, ties (a stable sort)
-        to the smaller job."""
-        ranks = self.tape.u64_table("job-rank", self.m)
-        return sorted(range(self.m), key=ranks.__getitem__)
+    def rank_order(self) -> Sequence[int]:
+        """The jobs in simulated arrival order, as drawn at build time."""
+        return self.order
 
     @property
     def oracle(self) -> AdjacencyOracle:
@@ -243,8 +242,7 @@ def _rank_closure(
     if not 0 <= job < inst.m:
         raise ValueError(f"unknown job {job}")
     view = MemoView(inst.oracle, counter, free=((LEFT, job),))
-    closure = upward_closure((job,), inst.rank_key, view.fwd, view.rev)
-    return view, sorted(closure, key=closure.__getitem__)
+    return view, upward_closure((job,), inst.place, view.fwd, view.rev)
 
 
 def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) -> Allocation:
@@ -482,15 +480,14 @@ def greedy_unmodified(
 
 def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> list[int]:
     """Machine i's height in the rank-order run at each of `bids`, others at
-    truth: one rank order, one rerun per positive bid (a zero bid skips the
-    machine in every job, so its height is 0)."""
+    truth: one rerun of the stored rank order per positive bid (a zero bid
+    skips the machine in every job, so its height is 0)."""
     _check_machine(inst, i)
-    order = inst.rank_order()
     caps = list(inst.caps)
     heights = []
     for bid in bids:
         caps[i] = bid
-        heights.append(bid and rlms_online(inst, caps=caps, order=order).heights[i])
+        heights.append(bid and rlms_online(inst, caps=caps, order=inst.order).heights[i])
     return heights
 
 
@@ -542,13 +539,12 @@ def monotonicity_trace(
     _check_machine(inst, i)
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
-    order = inst.rank_order()
     traces: list[list[tuple[int, ...]]] = []
     for bid in (bid_low, bid_high):
         caps = list(inst.caps)
         caps[i] = bid
         traces.append([])
-        rlms_online(inst, caps=caps, order=order, _trace=traces[-1])
+        rlms_online(inst, caps=caps, order=inst.order, _trace=traces[-1])
     low, high = traces
     return [tuple(hb - lb for hb, lb in zip(h, lo)) for h, lo in zip(high, low)]
 

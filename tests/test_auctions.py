@@ -74,13 +74,14 @@ def test_uduv_win_on_a_false_report_has_utility_minus_half():
 
 
 def _uduv_run_per_buyer(inst, overlay=None):
-    """uduv's outcome computed buyer by buyer: items in `item_order_key`
-    order, each to the smallest-id unserved buyer reporting it; a winner
-    pays 1/2 and values her item 1 if it is in her true set, else 0."""
+    """uduv's outcome computed buyer by buyer: items by descending score
+    (ties to the smaller item), each to the smallest-id unserved buyer
+    reporting it; a winner pays 1/2 and values her item 1 if it is in her
+    true set, else 0."""
     reported, _ = inst.reports(overlay)
     sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
     awards = {b: () for b in range(inst.n)}
-    for j in sorted(range(inst.m), key=inst.item_order_key):
+    for j in sorted(range(inst.m), key=lambda j: (-inst.tape.u64("item-rank", j), j)):
         b = next((b for b in range(inst.n) if j in sets[b] and not awards[b]), None)
         if b is not None:
             awards[b] = (j,)
@@ -169,6 +170,15 @@ def test_uduv_bids_cannot_be_overlaid():
         for query in (("buyer", 0), ("buyer", 1), ("item", 0), ("item", 1)):
             with pytest.raises(ValueError, match="uduv takes no reported bids"):
                 uduv_local(inst, query, overlay=overlay)
+
+
+def test_sets_longer_than_k_are_refused():
+    # a 3-item set under k=1 would escape the uduv audit's reports of at
+    # most k+1 items
+    for mode, values in (("uduv", None), ("udubv", (1,)), ("ksmb", (1,))):
+        with pytest.raises(ValueError, match="buyer 0 wants more than k=1 items"):
+            AuctionInstance([(0, 1, 2)], 3, mode, values=values, k=1)
+        assert AuctionInstance([(0, 1, 2)], 3, mode, values=values).k == 3
 
 
 def test_negative_bids_rejected():
@@ -381,22 +391,20 @@ def _closure_replay(inst, overlay=None):
     place = [0] * inst.n
     for i, b in enumerate(sorted(range(inst.n), key=lambda b: (-bids[b], b))):
         place[b] = i
-    pkey = place.__getitem__
     bidding = [v > 0 for v in bids]
     awards, price = _BID_RULES[inst.mode]
 
     def query(buyer, counter):
         view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
-        closure = upward_closure((buyer,), pkey, view.fwd, view.rev) if bidding[buyer] else ()
-        won = awards(sorted((b for b in closure if bidding[b]), key=pkey), view.fwd)
+        closure = upward_closure((buyer,), place, view.fwd, view.rev) if bidding[buyer] else ()
+        won = awards((b for b in closure if bidding[b]), view.fwd)
         award = won.get(buyer, ())
         if not award:
             return {"buyer": buyer, "award": (), "payment": Fraction(0)}
         mine = view.fwd(buyer)
         seeds = {y for j in mine for y in view.rev(j) if y != buyer and bidding[y]}
-        rivals = upward_closure(seeds, pkey, view.fwd, view.rev)
-        rivals.pop(buyer, None)
-        won = awards(sorted((b for b in rivals if bidding[b]), key=pkey), view.fwd)
+        rivals = upward_closure(seeds, place, view.fwd, view.rev)
+        won = awards((b for b in rivals if b != buyer and bidding[b]), view.fwd)
         return {"buyer": buyer, "award": award, "payment": price(won, mine, bids)}
 
     return query

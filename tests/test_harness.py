@@ -563,6 +563,17 @@ def test_cli_refuses_spec_keys_the_family_does_not_read(tmp_path, capsys):
                 assert out == "" and repr(key) in err, (argv, key)
 
 
+def test_cli_refuses_buyer_sets_longer_than_k(tmp_path, capsys):
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps([[0, 1, 2], [1]]))
+    for mode in ("uduv", "udubv", "ksmb"):
+        flags = ["--mode", mode, "--n", "2", "--m", "3", "--k", "1", "--sets", str(sets)]
+        for argv in (["run", "auction", *flags], ["query", "auction", *flags, "--query-buyer", "1"]):
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "more than k=1 items" in err, argv
+
+
 def test_cli_uduv_takes_no_bids(capsys):
     # every uduv buyer values an item at 1, so --bids has nowhere to go
     flags = ["--n", "3", "--m", "3", "--k", "1", "--bids", "5,6,7"]

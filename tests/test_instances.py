@@ -10,7 +10,8 @@ from collections import Counter
 
 import pytest
 
-from localmech.auctions import UDUV, AuctionInstance, uduv_run
+from localmech import auctions, scheduling
+from localmech.auctions import UDUV, AuctionInstance, uduv_local, uduv_run
 from localmech.instances import (
     FAMILIES,
     MAX_SIZE,
@@ -27,9 +28,20 @@ from localmech.probes import (
     MemoView,
     ProbeCounter,
     neighborhood,
+    rank_tables,
     upward_closure,
 )
-from localmech.scheduling import RESTRICTED, STANDARD, SchedulingInstance
+from localmech.randomness import RandomTape
+from localmech.rsd import HousingInstance, rsd_global, rsd_local
+from localmech.scheduling import (
+    RESTRICTED,
+    STANDARD,
+    SchedulingInstance,
+    rlms_local,
+    rlms_online,
+    slms_local,
+    slms_online,
+)
 
 
 def test_spec_json_round_trip():
@@ -219,7 +231,7 @@ def _closure_rescanning_keys(seeds, key, out, back):
     return closure
 
 
-def test_upward_closure_keys_each_entity_once():
+def test_upward_closure_walks_the_place_table():
     rng = random.Random(5)
     for _ in range(300):
         n, m = rng.randrange(1, 40), rng.randrange(1, 12)
@@ -227,21 +239,15 @@ def test_upward_closure_keys_each_entity_once():
             [rng.sample(range(m), rng.randrange(0, min(m, 4) + 1)) for _ in range(n)], m
         )
         rank = [rng.randrange(8) for _ in range(n)]  # ties are common
-        calls: Counter[int] = Counter()
-
-        def key(x):
-            calls[x] += 1
-            return (rank[x], x)
-
+        order, place = rank_tables(rank)
+        assert list(order) == sorted(range(n), key=lambda x: (rank[x], x))
         seeds = rng.sample(range(n), rng.randrange(1, min(n, 3) + 1))
         got_probes, want_probes = ProbeCounter(), ProbeCounter()
         view = MemoView(oracle, got_probes)
-        got = upward_closure(seeds, key, view.fwd, view.rev)
-        assert max(calls.values()) == 1
-        assert got == {x: (rank[x], x) for x in got}
+        got = upward_closure(seeds, place, view.fwd, view.rev)
         view = MemoView(oracle, want_probes)
         want = _closure_rescanning_keys(seeds, lambda x: (rank[x], x), view.fwd, view.rev)
-        assert set(got) == want
+        assert got == sorted(want, key=lambda x: (rank[x], x))  # in replay order
         assert got_probes.count == want_probes.count
 
 
@@ -289,9 +295,9 @@ def _seeded_draws(inst) -> list:
     if isinstance(inst, SchedulingInstance):
         if inst.mode == RESTRICTED:
             draws.append([inst.menu(j) for j in range(inst.m)])
-        draws.append(inst.rank_order())
+        draws.append(list(inst.order))
     if isinstance(inst, AuctionInstance) and inst.mode == UDUV:
-        draws.append(sorted(range(inst.m), key=inst.item_order_key))
+        draws.append(list(inst.order))
     if isinstance(inst, MatchingInstance):
         prefs = inst.men_prefs
         draws.append([inst.priority_key(w, man) for man, lst in enumerate(prefs) for w in lst])
@@ -307,37 +313,90 @@ def test_seeded_instances_are_pinned_bit_for_bit():
     assert got == SEEDED_DIGESTS
 
 
-class _TiedTape:
-    """A stand-in tape whose draw (tag, i) is i % 3, so most draws tie."""
-
-    def u64(self, tag, i):
-        return i % 3
+class _TiedTape(RandomTape):
+    """A tape whose job-rank and item-rank draws (tag, i) are i % 3, so most
+    of them tie; every other draw is the real one."""
 
     def u64_table(self, tag, count):
-        return [self.u64(tag, i) for i in range(count)]
+        if tag in ("job-rank", "item-rank"):
+            return [i % 3 for i in range(count)]
+        return super().u64_table(tag, count)
 
 
 def _uduv_item_order(inst) -> list[int]:
-    """The order in which `uduv_run` hands out items: with every buyer
-    reporting every item, buyer b wins the b-th item handed out."""
-    everyone = AuctionInstance([range(inst.m)] * inst.m, inst.m, UDUV, seed=inst.seed)
-    everyone.tape = inst.tape
-    awards = uduv_run(everyone).awards
+    """The order in which `uduv_run` hands out items, on an instance where
+    every buyer reports every item: buyer b wins the b-th item handed out."""
+    awards = uduv_run(inst).awards
     return [awards[b][0] for b in range(inst.m)]
 
 
-def test_table_orders_equal_the_per_key_sorts():
-    # the job rank order and the uduv item order sort one table of draws;
-    # ties go to the smaller id, as in the sorts by `rank_key` and
-    # `item_order_key`
-    for m in (0, 1, 2, 300):
-        for seed in (0, 1, 2):
-            sched = SchedulingInstance((2, 1), m=m, d=1, mode=STANDARD, seed=seed)
-            auction = AuctionInstance([()], m=m, mode=UDUV, seed=seed)
-            for tape in (sched.tape, _TiedTape()):
-                sched.tape = auction.tape = tape
-                assert sched.rank_order() == sorted(range(m), key=sched.rank_key)
-                assert _uduv_item_order(auction) == sorted(range(m), key=auction.item_order_key)
+def _assert_tables(inst, order):
+    assert list(inst.order) == order
+    assert list(inst.place) == sorted(range(len(order)), key=order.__getitem__)
+
+
+def test_build_time_orders_break_ties_to_the_smaller_id(monkeypatch):
+    # the tied draws reach the builds, which sort them once: jobs by rank,
+    # items by descending score and agents by lottery number, each tie to
+    # the smaller id; the global runs walk that order and the local
+    # queries, which compare places, agree with them
+    monkeypatch.setattr(scheduling, "RandomTape", _TiedTape)
+    monkeypatch.setattr(auctions, "RandomTape", _TiedTape)
+    for m in (0, 1, 2, 40):
+        up = sorted(range(m), key=lambda j: (j % 3, j))
+        down = sorted(range(m), key=lambda j: (-(j % 3), j))
+        for seed in (0, 1):
+            for mode in (STANDARD, RESTRICTED):
+                sched = SchedulingInstance((2, 1), m=m, d=1, mode=mode, seed=seed)
+                _assert_tables(sched, up)
+                run, local = (
+                    (slms_online, slms_local) if mode == STANDARD else (rlms_online, rlms_local)
+                )
+                alloc = run(sched, order=sched.rank_order())
+                assert [local(sched, j) for j in range(m)] == list(alloc.assign)
+            everyone = AuctionInstance([range(m)] * m, m, UDUV, seed=seed)
+            _assert_tables(everyone, down)
+            assert _uduv_item_order(everyone) == down
+            winners = [uduv_local(everyone, ("item", j))["winner"] for j in range(m)]
+            assert winners == [down.index(j) for j in range(m)]
+        houses = HousingInstance([(0,)] * m, m=1, ranks=[j % 3 for j in range(m)])
+        _assert_tables(houses, up)
+        assert list(rsd_global(houses)) == up
+        first_gets_the_house = [0 if a == up[0] else None for a in range(m)]
+        assert [rsd_local(houses, a) for a in range(m)] == first_gets_the_house
+
+
+def test_local_queries_draw_nothing(monkeypatch):
+    # the seeded orders are build-time tables: a local query draws only
+    # standard mode's slot tie-breaks
+    insts = {
+        family: build_instance(InstanceSpec(seed=4, family=family, n=300, m=300, k=2))
+        for family in ("housing", "scheduling-res", "scheduling-std", "uduv")
+    }
+    insts["scheduling-std"].oracle  # built on first use, with its draws
+    tags: Counter[str] = Counter()
+    state = RandomTape._state
+
+    def counted(tape, key):
+        tags[key[0]] += 1
+        return state(tape, key)
+
+    monkeypatch.setattr(RandomTape, "_state", counted)
+    for family, inst in insts.items():
+        tags.clear()
+        if family == "housing":
+            for a in range(inst.n):
+                rsd_local(inst, a)
+        elif family == "uduv":
+            for b in range(inst.n):
+                uduv_local(inst, ("buyer", b))
+            for j in range(inst.m):
+                uduv_local(inst, ("item", j))
+        else:
+            local = slms_local if inst.mode == STANDARD else rlms_local
+            for j in range(inst.m):
+                local(inst, j)
+        assert set(tags) == ({"slot-tie"} if family == "scheduling-std" else set()), family
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,13 @@ def test_explicit_ranks_control_the_order():
     assert rsd_global(inst) == {0: None, 1: 0}
 
 
+def test_fractional_lottery_numbers_are_refused():
+    # truncating them would hand agent 0 the house although 1.2 < 1.9
+    for ranks in ([1.9, 1.2], [1, "2"]):
+        with pytest.raises(ValueError, match="lottery numbers must be integers"):
+            HousingInstance([(0,), (0,)], m=1, ranks=ranks)
+
+
 def test_first_arrival_gets_top_choice_and_houses_stay_unique():
     inst = HousingInstance.seeded(n=500, d=3, seed=9)
     alloc = rsd_global(inst)
@@ -30,7 +37,7 @@ def test_first_arrival_gets_top_choice_and_houses_stay_unique():
     for a, h in alloc.items():
         if h is not None:
             assert h in inst.lists[a]
-    first = min(range(inst.n), key=inst.arrival_key)
+    first = inst.order[0]
     assert alloc[first] == inst.lists[first][0]
 
 
@@ -43,7 +50,7 @@ def test_local_matches_global_everywhere():
 
 def test_earliest_agent_resolves_in_at_most_d_probes():
     inst = HousingInstance.seeded(n=2000, d=3, seed=5)
-    first = min(range(inst.n), key=inst.arrival_key)
+    first = inst.order[0]
     counter = ProbeCounter()
     assert rsd_local(inst, first, counter) == inst.lists[first][0]
     assert counter.count <= inst.d

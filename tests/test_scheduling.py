@@ -57,6 +57,10 @@ def test_validation():
         SchedulingInstance(caps=(1, 1), m=2, d=1, mode=STANDARD, menus=[(0,), (1,)])
     with pytest.raises(ValueError):
         _res((1, 1), 1, tie_order=(0, 0))
+    for caps in ((2.9, 1), (2, "1")):  # refused, not truncated to (2, 1)
+        for mode in (STANDARD, RESTRICTED):
+            with pytest.raises(ValueError, match="capacities must be positive integers"):
+                SchedulingInstance(caps, m=2, d=1, mode=mode)
 
 
 def test_single_machine_takes_everything():
