@@ -25,9 +25,9 @@ alone, so each prefix is hashed once:
 An instance draws its seeded data as tables over (tag, i), i = 0..count-1,
 one entry per entity, and gets the same bits as the per-key draws:
 
-- `RandomTape.u64_table(tag, count)` is `u64(tag, i)` for each i; it hashes
-  the tag once, then pays one step per i (the job ranks and uduv item
-  scores that `SchedulingInstance` and `AuctionInstance` sort at build);
+- `RandomTape.u64_table(tag, count)` is `u64(tag, i)` for each i (the job
+  ranks and uduv item scores that `SchedulingInstance` and `AuctionInstance`
+  sort at build);
 - `uniform_table(tape, tag, count, n)` is `derive_uniform(tape, (tag, i), n)`
   for each i (capacities and values in `InstanceSpec.seeded_values`, the
   housing lottery);
@@ -40,8 +40,24 @@ one entry per entity, and gets the same bits as the per-key draws:
 
 The draw under the key (tag, i) is draw i of the row stream under (tag,),
 and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)
-without the duplicate check.  So one loop, `_rows`, draws every row, per key
-or per table.
+without the duplicate check.  So one loop, `_rows`, draws every row per key.
+
+The tables run splitmix64 on many entries per integer operation (SIMD
+within a register, Fisher and Dietz, LCPC 1998).  A block of up to 4,096
+64-bit states is packed into one Python int, one state in the low half of
+each 128-bit lane, so that a product by a splitmix64 multiplier never
+carries into the next lane; each shift is masked back to the low halves.
+One pass over a block gives the row states mix(h ^ leaf(i)) of its entries,
+the state of draw t, mix(row ^ leaf(t)), and its first attempt,
+mix(draw ^ leaf(0)); each lane is then checked against the rejection bound
+and reduced mod n.  A block's ints are 64 KB, and nothing is cached per
+count.  What the lanes cannot settle goes to the scalar loops, so each
+bit still comes from one definition:
+
+- a lane whose first attempt is rejected is drawn by `_draw`;
+- a `sample_table` row with a repeat among its first k draws is redrawn
+  whole from its state by `_rows`;
+- every table over a range above 2^64 is drawn by `_rows`.
 
 A range n above 2^64 needs more than one 64-bit word per attempt: attempt a
 joins the state after (a,) with the states after (a, 1), (a, 2), ... as the
@@ -57,8 +73,10 @@ only the exact solvers in `oracles` and `scheduling.makespan_ratio` do.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from hashlib import blake2b
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "KeyPart",
@@ -93,6 +111,47 @@ _LEAF = tuple(_mix(i + _GOLDEN) for i in range(256))
 def _leaf(i: int) -> int:
     """The leaf of the int part i (the hot paths inline this)."""
     return _LEAF[i] if 0 <= i < 256 else _mix(i + _GOLDEN)
+
+
+_BLOCK = 4096  # lanes per packed int, 64 KB of it
+
+
+def _spread(word: int, b: int) -> int:
+    """b 128-bit lanes that each hold `word` in their low half."""
+    return int.from_bytes((word.to_bytes(8, "little") + bytes(8)) * b, "little")
+
+
+_LANES = _spread(_MASK, _BLOCK)  # the low half of every lane
+# lane j holds j
+_IOTA = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
+
+
+def _unpack(x: int, b: int) -> list[int]:
+    """The words in the b lanes of x."""
+    words = array("Q", x.to_bytes(16 * b, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2].tolist()
+
+
+def _mix_lanes(x: int) -> int:
+    """`_mix` of every lane of x at once.  Each lane holds a word below 2^64,
+    so its product by _M1 or _M2 stays inside its 128 bits."""
+    m = _LANES
+    x = (((x ^ (x >> 30)) & m) * _M1) & m
+    x = (((x ^ (x >> 27)) & m) * _M2) & m
+    return (x ^ (x >> 31)) & m
+
+
+def _state_blocks(h: int, count: int) -> Iterator[tuple[int, int]]:
+    """(b, states) for each block of the row states mix(h ^ leaf(i)), i <
+    count, b of them packed in one int: lane j holds i = start + j.  The
+    leaf's input start + j + _GOLDEN stays below 2^64, as no list holds
+    2^62 entries, so no lane carries into the next."""
+    for start in range(0, count, _BLOCK):
+        b = min(_BLOCK, count - start)
+        leaves = _mix_lanes((_IOTA & ((1 << 128 * b) - 1)) + _spread(start + _GOLDEN, b))
+        yield b, _mix_lanes(leaves ^ _spread(h, b))
 
 
 class RandomTape:
@@ -147,14 +206,11 @@ class RandomTape:
         return self._state(key)
 
     def u64_table(self, tag: KeyPart, count: int) -> list[int]:
-        """`[self.u64(tag, i) for i in range(count)]`, hashing the tag once."""
-        h = self._state((tag,))
-        out = []
-        for i in range(count):
-            s = h ^ (_LEAF[i] if i < 256 else _mix(i + _GOLDEN))
-            s = ((s ^ (s >> 30)) * _M1) & _MASK
-            s = ((s ^ (s >> 27)) * _M2) & _MASK
-            out.append(s ^ (s >> 31))
+        """`[self.u64(tag, i) for i in range(count)]`, a block of lanes at a
+        time."""
+        out: list[int] = []
+        for b, states in _state_blocks(self._state((tag,)), count):
+            out += _unpack(states, b)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -220,6 +276,39 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
     return rows
 
 
+def _first_draws(d: int, b: int, n: int, bound: int) -> list[int]:
+    """The value in [0, n) that each of the b draw states packed in d draws:
+    its first attempt when that is below `bound`, else `_draw`'s."""
+    vals = _unpack(_mix_lanes(d ^ _spread(_LEAF[0], b)), b)
+    if max(vals) >= bound:
+        states = _unpack(d, b)
+        vals = [v if v < bound else _draw(s, bound) for v, s in zip(vals, states)]
+    return [v % n for v in vals]
+
+
+def _table_rows(
+    tape: RandomTape, tag: KeyPart, count: int, n: int, k: int, distinct: bool
+) -> list[tuple[int, ...]]:
+    """`_rows(tape.u64_table(tag, count), n, k, distinct)`, a block of rows at
+    a time: lane j of a block draws its row's draw t, for each t < k.  A
+    distinct row whose k draws repeat a value is redrawn whole by `_rows`,
+    which also draws the wide ranges."""
+    if k <= 0 or n > 1 << 64:
+        return _rows(tape.u64_table(tag, count), n, k, distinct)
+    bound = (1 << 64) - ((1 << 64) % n)
+    rows: list[tuple[int, ...]] = []
+    for b, s in _state_blocks(tape._state((tag,)), count):
+        cols = [_first_draws(_mix_lanes(s ^ _spread(_leaf(t), b)), b, n, bound) for t in range(k)]
+        block = list(zip(*cols))
+        redo = [j for j, row in enumerate(block) if len(set(row)) < k] if distinct else []
+        if redo:
+            states = _unpack(s, b)
+            for j, row in zip(redo, _rows([states[j] for j in redo], n, k, True)):
+                block[j] = row
+        rows += block
+    return rows
+
+
 def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     """Unbiased uniform integer in [0, n), keyed by `key`.
 
@@ -239,7 +328,14 @@ def uniform_table(tape: RandomTape, tag: KeyPart, count: int, n: int) -> tuple[i
     the row stream under (tag,)."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    return _rows([tape._state((tag,))], n, count, False)[0]
+    h = tape._state((tag,))
+    if n > 1 << 64:
+        return _rows([h], n, count, False)[0]
+    bound = (1 << 64) - ((1 << 64) % n)
+    vals: list[int] = []
+    for b, states in _state_blocks(h, count):
+        vals += _first_draws(states, b, n, bound)
+    return tuple(vals)
 
 
 def uniform_rows(
@@ -249,7 +345,7 @@ def uniform_rows(
     for i in range(count): k draws with replacement per row."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    return _rows(tape.u64_table(tag, count), n, k, False)
+    return _table_rows(tape, tag, count, n, k, False)
 
 
 def sample_without_replacement(
@@ -273,4 +369,4 @@ def sample_table(
     range(count)."""
     if k > n:
         raise ValueError(f"cannot draw {k} distinct values from range {n}")
-    return _rows(tape.u64_table(tag, count), n, k, True)
+    return _table_rows(tape, tag, count, n, k, True)

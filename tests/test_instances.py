@@ -6,11 +6,12 @@ import hashlib
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
 
-from localmech import auctions, scheduling
+from localmech import auctions, randomness, scheduling
 from localmech.auctions import UDUV, AuctionInstance, uduv_local, uduv_run
 from localmech.instances import (
     FAMILIES,
@@ -31,7 +32,7 @@ from localmech.probes import (
     rank_tables,
     upward_closure,
 )
-from localmech.randomness import RandomTape
+from localmech.randomness import RandomTape, derive_uniform, sample_without_replacement
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
 from localmech.scheduling import (
     RESTRICTED,
@@ -311,6 +312,52 @@ def test_seeded_instances_are_pinned_bit_for_bit():
         inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=k))
         got[family, seed] = hashlib.sha256(repr(_seeded_draws(inst)).encode()).hexdigest()
     assert got == SEEDED_DIGESTS
+
+
+def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
+    # the table draws pack 4,096 entries a block; n = 2 blocks + 1 spans three
+    n, seed = 2 * randomness._BLOCK + 1, 6
+    t = RandomTape(seed)
+
+    def rows(tag, count, span, k):
+        return [tuple(sample_without_replacement(t, (tag, i), span, k)) for i in range(count)]
+
+    def values(tag, count, span):
+        return [1 + derive_uniform(t, (tag, i), span) for i in range(count)]
+
+    def order(tag, count, sign):
+        return sorted(range(count), key=lambda i: (sign * t.u64(tag, i), i))
+
+    for family, fam in FAMILIES.items():
+        k = 3 if fam.size == "k" else 2
+        inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=k))
+        if family == "matching":
+            assert list(inst.men_prefs) == rows("men-list", n, n, k)
+        elif family == "housing":
+            assert list(inst.lists) == rows("house-list", n, n, k)
+            assert list(inst.ranks) == values("lottery", n, n**4)
+            assert list(inst.order) == sorted(range(n), key=lambda a: (inst.ranks[a], a))
+        elif isinstance(inst, SchedulingInstance):
+            assert list(inst.caps) == values("cap", n, n.bit_length() - 1)
+            assert list(inst.order) == order("job-rank", n, 1)
+            if inst.mode == STANDARD:
+                chosen = [inst.oracle.fwd(j) for j in range(n)]
+                assert chosen == rows("slot-choice", n, inst.B, k)
+            else:
+                menus = [
+                    tuple(
+                        bisect_right(inst.slot_prefix, derive_uniform(t, ("menu", j, s), inst.B))
+                        for s in range(k)
+                    )
+                    for j in range(n)
+                ]
+                assert [inst.menu(j) for j in range(n)] == menus
+        else:
+            assert list(inst.sets) == [tuple(sorted(r)) for r in rows("item-set", n, n, k)]
+            if family == UDUV:
+                assert list(inst.order) == order("item-rank", n, -1)
+            else:
+                assert list(inst.values) == values("value", n, 10**6)
 
 
 class _TiedTape(RandomTape):

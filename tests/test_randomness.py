@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localmech import randomness
 from localmech.randomness import (
     RandomTape,
     derive_uniform,
@@ -255,14 +256,60 @@ _TABLE_RANGES = [1, 2, 7, 300, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 1, 2**80 + 7
 def test_table_draws_equal_the_per_key_draws(seed, tag, count, n, data):
     # k runs from 0 to n, k = n included, capped at 3 for the long tables
     k = data.draw(st.integers(0, min(n, 3 if count > 3 else 8)), label="k")
-    t = RandomTape(seed)
-    assert t.u64_table(tag, count) == [t.u64(tag, i) for i in range(count)]
+    _assert_tables_equal_per_key_draws(RandomTape(seed), tag, count, n, k)
+
+
+def _assert_tables_equal_per_key_draws(t, tag, count, n, k):
+    got = t.u64_table(tag, count)
+    assert type(got) is list
+    assert got == [t.u64(tag, i) for i in range(count)]
     want = [derive_uniform(t, (tag, i), n) for i in range(count)]
     assert list(uniform_table(t, tag, count, n)) == want
     want = [tuple(derive_uniform(t, (tag, i, s), n) for s in range(k)) for i in range(count)]
     assert uniform_rows(t, tag, count, n, k) == want
     want = [tuple(sample_without_replacement(t, (tag, i), n, k)) for i in range(count)]
     assert sample_table(t, tag, count, n, k) == want
+
+
+_BLOCK = randomness._BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize(
+    "seed, n, k",
+    [
+        pytest.param(-7, 1000, 2, id="plain"),
+        # about half of all first attempts are rejected
+        pytest.param(2**64 + 9, 2**63 + 5, 2, id="rejecting"),
+        pytest.param(3, 2**64 - 1, 0, id="k0"),
+        # about a third of the sample rows repeat a value and are redrawn
+        pytest.param(4, 16, 4, id="repeating"),
+        # k close to n: nearly every sample row repeats a value and is redrawn
+        pytest.param(5, 10, 8, id="near-full"),
+        pytest.param(-(2**70), 2**64 + 1, 1, id="wide"),
+    ],
+)
+def test_table_draws_equal_the_per_key_draws_across_blocks(count, seed, n, k):
+    # the lane blocks hold 4,096 entries: counts either side of one and two
+    _assert_tables_equal_per_key_draws(RandomTape(seed), "menu", count, n, k)
+
+
+def test_table_draws_keep_no_state_per_count():
+    def footprint():
+        sizes = {}
+        for name, value in vars(randomness).items():
+            cached = value.cache_info().currsize if hasattr(value, "cache_info") else None
+            sizes[name] = (sys.getsizeof(value), cached)
+        return sizes
+
+    before = footprint()
+    t = RandomTape(9)
+    for count in (1, 2, 3, 100, 255, 256, 257, 1000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 17):
+        t.u64_table("x", count)
+        uniform_table(t, "v", count, 1000 + count)
+        uniform_rows(t, "m", count, 7, 2)
+        sample_table(t, "s", count, 50 + count, 3)
+    assert footprint() == before
 
 
 def test_table_rows_past_the_small_int_table():
@@ -273,6 +320,8 @@ def test_table_rows_past_the_small_int_table():
     assert uniform_table(t, "perm", 300, 300)[-3:] == tuple(
         _ref_uniform(2, ("perm", i), 300) for i in range(297, 300)
     )
+    want = [tuple(_ref_uniform(2, ("perm", i, s), 300) for s in range(300)) for i in range(2)]
+    assert uniform_rows(t, "perm", 2, 300, 300) == want
 
 
 def test_table_draws_refuse_what_the_per_key_draws_refuse():
