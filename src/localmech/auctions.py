@@ -15,7 +15,8 @@ uduv is serial dictatorship with items as the dictators (each item in score
 order takes the first unserved buyer reporting it) and udubv is serial
 dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
 its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
-the same step.
+the same step, and uduv's run and query read the same records: the
+instance oracle's, with a misreport patched in by `_reported_reads`.
 
 Local queries agree with the global run outcome exactly.  uduv queries
 replay the dependency closure of the queried buyer/item
@@ -191,41 +192,42 @@ def _uduv_value(inst: AuctionInstance, buyer: int, award: tuple[int, ...]) -> Fr
     return ONE if any(j in inst.sets[buyer] for j in award) else ZERO
 
 
-def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
-    if inst.mode != UDUV:
-        raise ValueError("uduv_run requires uduv mode")
-    reported, _ = inst.reports(overlay)
-    want: list[list[int]] = [[] for _ in range(inst.m)]
-    for b, s in enumerate(inst.sets):
-        for j in reported.get(b, s):
-            want[j].append(b)  # ascending b by construction
-    awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
-    payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
-    utilities = dict(payments)
-    for j, b in serial_dictatorship(inst.order, want.__getitem__).items():
-        if b is not None:
-            awards[b] = (j,)
-            payments[b] = HALF
-            # value 1 for an item of her true set, 0 for one won on a false report
-            utilities[b] = HALF if j in inst.sets[b] else MINUS_HALF
-    return Outcome(awards=awards, payments=payments, utilities=utilities)
-
-
-def _reported_reads(view: MemoView, reported: Mapping[int, tuple[int, ...]]):
-    """The view's set reads (buyer → items, item → buyers by ascending id)
-    with the reported sets in place of the true ones."""
+def _reported_reads(view: AdjacencyOracle | MemoView, reported: Mapping[int, tuple[int, ...]]):
+    """An oracle's or a view's set reads (buyer → items, item → buyers by
+    ascending id) with the reported sets in place of the true ones."""
     if not reported:
         return view.fwd, view.rev
+
+    reporters: dict[int, list[int]] = {}  # item → buyers reporting it
+    for b, s in reported.items():
+        for j in s:
+            reporters.setdefault(j, []).append(b)
 
     def fwd(b: int) -> tuple[int, ...]:
         return reported[b] if b in reported else view.fwd(b)
 
     def rev(j: int) -> list[int]:
         base = [b for b in view.rev(j) if b not in reported]
-        base.extend(b for b, s in reported.items() if j in s)
+        base.extend(reporters.get(j, ()))
         return sorted(base)
 
     return fwd, rev
+
+
+def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
+    if inst.mode != UDUV:
+        raise ValueError("uduv_run requires uduv mode")
+    _, rev = _reported_reads(inst.oracle, inst.reports(overlay)[0])
+    awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
+    payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
+    utilities = dict(payments)
+    for j, b in serial_dictatorship(inst.order, rev).items():
+        if b is not None:
+            awards[b] = (j,)
+            payments[b] = HALF
+            # value 1 for an item of her true set, 0 for one won on a false report
+            utilities[b] = HALF if j in inst.sets[b] else MINUS_HALF
+    return Outcome(awards=awards, payments=payments, utilities=utilities)
 
 
 def uduv_local(

@@ -18,7 +18,8 @@ Both allocators have per-job local queries that replay only the query's
 rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
 or menu machine) and agree exactly with the online run replayed in rank
 order: the online run and the local query place each job with the same step,
-`_pick_slot` or `_pick_floored`.  The rank order and `slot_prefix`, the
+`_pick_slot` or `_pick_floored`, on the same records, the instance oracle's
+slot choices or distinct menu machines.  The rank order and `slot_prefix`, the
 prefix sums of the capacities that map a slot to its machine by bisection,
 are built with the instance; like the oracle's reverse records they cost no
 probe, and no local query draws a rank or loops over all machines.
@@ -70,9 +71,10 @@ RESTRICTED = "restricted"
 
 @dataclass(frozen=True)
 class Allocation:
-    """Result of one allocator run.  `assign[j]` is None only for jobs that
-    had no positive-capacity machine available (internal payment reruns with
-    a zeroed bid); normal runs always place every job."""
+    """Result of one allocator run.  `assign[j]` is None only for a job
+    whose every menu machine has a caller-given capacity below 1 (such as
+    `monotonicity_trace` from bid 0); runs at the instance's capacities
+    place every job."""
 
     assign: tuple[int | None, ...]
     heights: tuple[int, ...]
@@ -186,7 +188,9 @@ class SchedulingInstance:
     # -- derived data ------------------------------------------------------
 
     def menu(self, j: int) -> tuple[int, ...]:
-        """Raw menu draws of job j, in draw order (may repeat machines)."""
+        """Raw menu draws of job j, in draw order (may repeat machines).  The
+        allocators read the oracle's record of job j instead: the same
+        machines, sorted and distinct."""
         if self.mode != RESTRICTED:
             raise ValueError("menus exist only in restricted mode")
         assert self._menus is not None
@@ -200,12 +204,13 @@ class SchedulingInstance:
     def oracle(self) -> AdjacencyOracle:
         """job → distinct chosen slots (standard: job j's d draws under
         ("slot-choice", j) over the slot pool, in draw order) or distinct
-        menu machines (restricted), with materialized reverse lists; built
-        on first use.  `slms_online` and `slms_local` read their slot choices
-        from here only."""
+        menu machines in ascending order (restricted), with materialized
+        reverse lists; built on first use.  Every allocator, global run,
+        rerun payment and local query reads a job's slots or machines from
+        here only."""
         if self._oracle is None:
-            if self.mode == RESTRICTED:
-                fwd = [tuple(sorted(set(self.menu(j)))) for j in range(self.m)]
+            if self._menus is not None:
+                fwd = [tuple(sorted(set(mu))) for mu in self._menus]
                 self._oracle = AdjacencyOracle(fwd, self.n)
             else:
                 chosen = sample_table(self.tape, "slot-choice", self.m, self.B, self.d)
@@ -360,17 +365,6 @@ def slms_expected_utility(
 # ---------------------------------------------------------------------------
 
 
-def _eligible(menu: Iterable[int], caps: Sequence[int]) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for i in menu:
-        if i not in seen:
-            seen.add(i)
-            if caps[i] >= 1:
-                out.append(i)
-    return out
-
-
 def _pick_floored(
     cands: Iterable[int],
     heights: MutableMapping[int, int],
@@ -378,12 +372,15 @@ def _pick_floored(
     tie_pos: Sequence[int],
 ) -> int | None:
     """A job's step: the candidate machine minimizing ⌊(h_i+1)/b_i⌋, ties by
-    the machine permutation, whose height it raises by one (None if there
-    is no candidate)."""
+    the machine permutation, whose height it raises by one.  A machine with
+    capacity below 1 takes no job; None if every candidate has one."""
     best = None
     best_key: tuple[int, int] | None = None
     for i in cands:
-        key = ((heights[i] + 1) // caps[i], tie_pos[i])
+        c = caps[i]
+        if c < 1:
+            continue
+        key = ((heights[i] + 1) // c, tie_pos[i])
         if best_key is None or key < best_key:
             best_key, best = key, i
     if best is not None:
@@ -403,16 +400,16 @@ def rlms_online(
     if inst.mode != RESTRICTED:
         raise ValueError("rlms_online requires restricted mode")
     caps = inst.caps if caps is None else tuple(caps)
-    tie_pos = inst._tie_pos
+    tie_pos, menus = inst._tie_pos, inst.oracle.fwd
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
     assign: list[int | None] = [None] * inst.m
     if _trace is not None:
         _trace.append(tuple(heights))
     jobs = range(inst.m) if order is None else order
     for j in jobs:
-        # None when every menu machine has a zeroed bid (payment reruns
-        # only): the job stays unplaced and adds no height anywhere.
-        assign[j] = _pick_floored(_eligible(inst.menu(j), caps), heights, caps, tie_pos)
+        # None when the caller gave every menu machine a capacity below 1
+        # (monotonicity_trace from bid 0): the job adds no height anywhere.
+        assign[j] = _pick_floored(menus(j), heights, caps, tie_pos)
         if _trace is not None:
             _trace.append(tuple(heights))
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
@@ -446,11 +443,11 @@ def greedy_unmodified(
     if inst.mode != RESTRICTED:
         raise ValueError("greedy_unmodified runs on restricted menus")
     caps = inst.caps if caps is None else tuple(caps)
-    tie_pos = inst._tie_pos
+    tie_pos, menus = inst._tie_pos, inst.oracle.fwd
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
     assign: list[int | None] = [None] * inst.m
     for j in range(inst.m):
-        cands = _eligible(inst.menu(j), caps)
+        cands = [i for i in menus(j) if caps[i] >= 1]
         if cands:
             # exact argmin of (h+1)/b via cross-multiplication
             mins: list[int] = []
@@ -556,6 +553,6 @@ def makespan_ratio(inst: SchedulingInstance) -> Fraction:
     if inst.mode != RESTRICTED:
         raise ValueError("makespan_ratio is defined for restricted mode")
     alloc = rlms_online(inst)
-    menus = [tuple(sorted(set(inst.menu(j)))) for j in range(inst.m)]
+    menus = [inst.oracle.fwd(j) for j in range(inst.m)]
     opt = oracles.optimal_makespan(inst.caps, inst.m, menus=menus)
     return alloc.makespan / opt

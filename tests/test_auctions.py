@@ -96,8 +96,8 @@ def test_uduv_run_matches_the_per_buyer_formula():
     for seed in range(2):
         inst = build_instance(InstanceSpec(seed=seed, family="uduv", n=512, m=512, k=3))
         overlays = [None]
-        for _ in range(2):
-            liars = rng.sample(range(inst.n), 64)
+        for count in (64, 64, inst.n):  # the last overlay has every buyer lie
+            liars = rng.sample(range(inst.n), count)
             sets = {b: rng.sample(range(inst.m), rng.randrange(4)) for b in liars}
             overlays.append(ReportOverlay(sets=sets))
         for overlay in overlays:

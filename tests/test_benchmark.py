@@ -3,7 +3,7 @@
 The benchmark reads about thirty library names (local queries, runners,
 `from_spec`, `SchedulingInstance.oracle`, `MemoView` internals...), so a
 change that drops one breaks every benchmark run while the other tests
-pass.  This runs two cheap workloads with the tracer installed.
+pass.  This runs three cheap workloads with the tracer installed.
 """
 
 from __future__ import annotations
@@ -26,12 +26,16 @@ def test_benchmark_workloads_run_correctly_under_the_tracer(monkeypatch):
         try:
             ball = workloads.matching_ball(1, 1)
             cold = workloads.cold_build(1, 1)
+            pay = workloads.auction_payments(1, 1)
         finally:
             tracer.uninstall()
         assert workloads.scheduling.slms_online is original
         assert (ball.attempted, ball.failed, ball.problems) == (100, 0, [])
         assert (cold.attempted, cold.failed, cold.problems) == (5000, 0, [])
-        assert tracer.layer_metrics()["scheduling.local_calls"] > 0
+        assert (pay.attempted, pay.failed, pay.problems) == (1380, 0, [])
+        layers = tracer.layer_metrics()
+        assert layers["scheduling.local_calls"] > 0
+        assert layers["auctions.local_calls"] > 0
     finally:
         # the benchmark's modules are not the library's: forget them
         for name in set(sys.modules) - before:

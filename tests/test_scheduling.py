@@ -256,6 +256,55 @@ def test_rerun_height_zero_bid_empties_machine():
     assert rerun_height(inst, 0, 2) == rlms_online(inst).heights[0]
 
 
+def test_zero_cap_leaves_a_whole_menu_job_unplaced():
+    # job 0 can use machine 0 only; at capacity 0 it stays unplaced, and the
+    # others land where the floored (and unfloored) rule puts them without it
+    inst = _res((2, 1, 1), 4, menus=[(0,), (0, 1), (2, 0), (1, 2)])
+    assert list(inst.order) == [0, 2, 3, 1]
+    want = (None, 1, 2, 1)
+    for alloc in (
+        rlms_online(inst, caps=(0, 1, 1)),
+        rlms_online(inst, caps=(0, 1, 1), order=inst.order),
+        greedy_unmodified(inst, caps=(0, 1, 1)),
+    ):
+        assert alloc.assign == want
+        assert alloc.heights == (0, 2, 1)
+    # rank order 0, 2, 3, 1: at bid 0 job 0 drops out, at bid 2 machine 0
+    # takes jobs 0, 2 and 1
+    assert monotonicity_trace(inst, 0, 0, 2) == [
+        (0, 0, 0),
+        (1, 0, 0),
+        (2, 0, -1),
+        (2, 0, -1),
+        (3, -1, -1),
+    ]
+
+
+def test_menu_draw_order_and_repeats_never_matter():
+    # the allocators read the oracle's sorted, distinct machines, so a twin
+    # built from those menus runs exactly alike
+    caps, tie_order = (2, 1, 3, 1), (2, 0, 3, 1)
+    raw = [(3, 1, 3), (2, 1), (1, 1, 0), (0, 2), (3, 2, 2), (1, 3, 0), (2,), (3, 0), (0, 0)]
+    tidy = [tuple(sorted(set(mu))) for mu in raw]
+    a, b = (_res(caps, len(raw), seed=7, menus=mus, tie_order=tie_order) for mus in (raw, tidy))
+    assert [a.menu(j) for j in range(a.m)] == raw
+    assert [b.menu(j) for j in range(b.m)] == tidy
+    assert list(a.order) == list(b.order)
+    assert rlms_online(a) == rlms_online(b)
+    assert rlms_online(a, order=a.order) == rlms_online(b, order=b.order)
+    assert [rlms_local(a, j) for j in range(a.m)] == [rlms_local(b, j) for j in range(b.m)]
+    # job 0 ties machines 3 and 1 at 1/1 under the unfloored rule: the
+    # permutation picks 3, the script picks 1
+    for ties in (None, {0: 1}):
+        assert greedy_unmodified(a, tie_choices=ties) == greedy_unmodified(b, tie_choices=ties)
+    assert greedy_unmodified(a).assign[0] == 3
+    assert greedy_unmodified(a, tie_choices={0: 1}).assign[0] == 1
+    for i in range(len(caps)):
+        for low, high in ((0, caps[i]), (caps[i], caps[i] + 2)):
+            assert monotonicity_trace(a, i, low, high) == monotonicity_trace(b, i, low, high)
+    assert makespan_ratio(a) == makespan_ratio(b)
+
+
 def test_rerun_height_is_the_rank_order_height():
     # the payments price the run that the local queries answer
     for seed in range(20):
