@@ -25,7 +25,8 @@ udubv and ksmb buyer queries walk a memoised query tree instead (Nguyen and
 Onak, FOCS 2008), asking earlier rivals best first as Yoshida, Yamamoto and
 Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
 payment comes from the same recursion run without her, which shares every
-answer of the buyers ahead of her.  Neither reads a zero-bid rival's set.
+answer of the buyers ahead of her.  `probes.resolve` drives both, with a
+plain dict as the memo.  Neither reads a zero-bid rival's set.
 Buyers are ordered by exact bid keys (`AuctionInstance.bid_keys`): a whole
 bid as its int, any other as its `Fraction`, which Python compares exactly;
 payments are `Fraction`s.  Only whole bids skip `Fraction` comparisons:
@@ -43,9 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
+from .probes import (
+    LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, resolve, upward_closure,
+)
 from .randomness import RandomTape
 from .rsd import serial_dictatorship
 
@@ -352,32 +355,6 @@ def ksmb_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Out
     return _bid_run(inst, overlay)
 
 
-def _resolve(
-    x: int, frame: Callable[[int], Generator], memo: dict[int, tuple[int, ...]]
-) -> tuple[int, ...]:
-    """memo[x], computed first if missing.
-
-    `frame(y)` is a generator that yields each entry y's answer needs, is sent
-    that entry's answer, and returns y's answer; entries must depend on one
-    another acyclically.  Every answer computed on the way lands in `memo`.
-    The frames live on an explicit stack, because bid chains can be n deep.
-    """
-    answer = memo.get(x)
-    stack = [] if answer is not None else [(x, frame(x))]
-    while stack:
-        y, gen = stack[-1]
-        try:
-            z = gen.send(answer)
-        except StopIteration as done:
-            answer = memo[y] = done.value
-            stack.pop()
-            continue
-        answer = memo.get(z)
-        if answer is None:
-            stack.append((z, frame(z)))
-    return answer
-
-
 def _bid_local(
     inst: AuctionInstance,
     buyer: int,
@@ -448,7 +425,7 @@ def _bid_local(
 
     frame = udubv_frame if inst.mode == UDUBV else ksmb_frame
     memo: dict[int, tuple[int, ...]] = {}
-    won = _resolve(buyer, frame, memo)
+    won = resolve(buyer, frame, memo.get, memo.__setitem__)
     if not won:
         return {"buyer": buyer, "award": (), "payment": Fraction(0)}
     # A winner holds every item of her award (udubv) or set (ksmb) and no
@@ -458,7 +435,7 @@ def _bid_local(
     holders = {}
     for j in mine:
         for z in bidders(j):
-            if z != buyer and j in _resolve(z, frame, memo):
+            if z != buyer and j in resolve(z, frame, memo.get, memo.__setitem__):
                 holders[z] = memo[z]
                 break
     # each key equals its bid in value, so the price read off the keys is exact

@@ -114,12 +114,10 @@ def _digest(text: str) -> str:
 
 def _cell(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
     """The table entry, the instance and the matching round budget of one
-    (family, n, seed) cell.  The instance's oracle is built here (scheduling
-    builds it lazily), so no timed query pays for it."""
+    (family, n, seed) cell."""
     fam = FAMILIES[family]
     size = {"k": k, "d": d}[fam.size]
     inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
-    inst.oracle  # noqa: B018 - evaluated for its side effect
     return fam, inst, rounds if rounds is not None else default_rounds(k)
 
 

@@ -325,15 +325,12 @@ def spec_from_json(text: str) -> InstanceSpec:
     if missing:
         raise ValueError(f"instance JSON missing required field {missing[0]!r}")
     fam = _family(doc["family"])
-    taken = {"family", "seed", "n", "m", "k", "d", fam.values, fam.rows and "explicit_edges"}
+    taken = {"family", "seed", "n", "m", fam.size, fam.values, fam.rows and "explicit_edges"}
     foreign = sorted(set(doc) - taken)
     if foreign:
         raise ValueError(f"{doc['family']} takes no field {foreign[0]!r}")
     n = _int(doc["n"], "n")
     m = _int(doc.get("m", n), "m")
-    if "k" in doc and "d" in doc and _int(doc["k"], "k") != _int(doc["d"], "d"):
-        raise ValueError("instance JSON gives conflicting k and d")
-    size = "k" if "k" in doc else "d"
 
     def _field(name: str | None, parse):
         return None if doc.get(name) is None else parse(doc[name], name)
@@ -343,7 +340,7 @@ def spec_from_json(text: str) -> InstanceSpec:
         family=doc["family"],
         n=n,
         m=m,
-        k=_int(doc.get(size, 0), size),
+        k=_int(doc.get(fam.size, 0), fam.size),
         values=_field(fam.values, _ints),
         explicit_edges=_field("explicit_edges", int_rows),
     )

@@ -15,10 +15,10 @@ of any suitor she ranks above him), and he arrives one round after his
 rejection at position i-1.  So his answer depends only on the arrival chains
 of higher-ranked rivals, which the query settles by a memoised recursion in
 the manner of Nguyen and Onak: rivals in list-position order, stopping as
-soon as the outcome is fixed, with the round budget falling at every level.
-It equals the truncated global run's answer, record for record.  A woman
-keeps the best proposal so far, so her query answers with the first of her
-suitors, best first, to arrive within the budget.
+soon as the outcome is fixed, with the round budget falling at every level;
+`probes.resolve` drives it.  It equals the truncated global run's answer,
+record for record.  A woman keeps the best proposal so far, so her query
+answers with the first of her suitors, best first, to arrive within the budget.
 
 Cost rule: priority scores are derived from the seed and cost no probes;
 reading any man's list or any woman's suitor list costs one probe per query
@@ -37,7 +37,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
+from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, resolve
 from .randomness import RandomTape
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -267,8 +267,8 @@ class _RejectionRounds:
     there by round T, and r is a lower bound (NEVER if he never is).  A
     question (man, i, T) asks about the arrivals of higher-ranked rivals with
     budget T-1 or less, so T falls at every level and the evaluation ends.
-    It runs on an explicit stack of generator frames, so long chains cost
-    heap rather than interpreter stack.
+    Each attempt runs `_frame` on `probes.resolve`, whose explicit stack of
+    generator frames makes long chains cost heap, not interpreter stack.
 
     A question whose (man, i) is already open further down the stack closes
     a cycle of "he stays until she is taken" dependencies.  Rather than
@@ -305,9 +305,10 @@ class _RejectionRounds:
             got = self._suitors[woman] = (order, keys)
         return got
 
-    def _frame(self, man: int, pos: int, budget: int):
-        """Evaluate one question; yields sub-questions (man, pos, budget)
+    def _frame(self, question: tuple[int, int, int]):
+        """Evaluate one question (man, pos, budget); yields sub-questions
         and is sent their answers."""
+        man, pos, budget = question
         if pos == 0:
             arrival = 1
         else:
@@ -366,50 +367,37 @@ class _RejectionRounds:
                 if r > self._at_least.get(node, 0):
                     self._at_least[node] = r
 
-    @staticmethod
-    def _known(question, exact, at_least) -> float | None:
-        man, pos, budget = question
-        r = exact.get((man, pos))
-        if r is not None:
-            return r
-        # arrival at position pos is no earlier than round pos + 1
-        lower = at_least.get((man, pos), pos + 1)
-        return lower if lower > budget else None
-
     def _attempt(self, question, exact, at_least, assumed) -> float:
         """Answer `question`, filling `exact` and `at_least` and recording in
         `assumed` each node assumed "not by T" on closing a cycle (largest
         T per node)."""
-        answer = self._known(question, exact, at_least)
-        if answer is not None:
-            return answer
-        stack = [(question, self._frame(*question))]
-        open_nodes = {question[:2]}
-        while True:
-            question, frame = stack[-1]
-            try:
-                sub = frame.send(answer)
-            except StopIteration as done:
-                answer = done.value
-                node = question[:2]
-                open_nodes.discard(node)
-                stack.pop()
-                if answer <= question[2]:
-                    exact[node] = answer
-                elif answer > at_least.get(node, 0):
-                    at_least[node] = answer
-                if not stack:
-                    return answer
-                continue
-            answer = self._known(sub, exact, at_least)
-            if answer is None:
-                node = sub[:2]
-                if node in open_nodes:
-                    answer = sub[2] + 1
-                    assumed[node] = max(assumed.get(node, 0), sub[2])
-                else:
-                    open_nodes.add(node)
-                    stack.append((sub, self._frame(*sub)))
+        open_nodes: set[tuple[int, int]] = set()
+
+        def lookup(q) -> float | None:
+            man, pos, budget = q
+            node = (man, pos)
+            r = exact.get(node)
+            if r is not None:
+                return r
+            # arrival at position pos is no earlier than round pos + 1
+            lower = at_least.get(node, pos + 1)
+            if lower > budget:
+                return lower
+            if node in open_nodes:
+                assumed[node] = max(assumed.get(node, 0), budget)
+                return budget + 1
+            open_nodes.add(node)
+            return None
+
+        def store(q, answer: float) -> None:
+            node = q[:2]
+            open_nodes.discard(node)
+            if answer <= q[2]:
+                exact[node] = answer
+            elif answer > at_least.get(node, 0):
+                at_least[node] = answer
+
+        return resolve(question, self._frame, lookup, store)
 
 
 def local_ags(

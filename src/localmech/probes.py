@@ -16,17 +16,23 @@ Rubinstein, Vardi and Xie (ICALP 2012).  A greedy rule that serves entities in p
 decides an entity from the higher-priority entities sharing a resource with
 it, transitively; the query collects that set and replays the rule on it.
 Instances sort their order once, at build (`rank_tables`); queries compare places.
+
+`resolve` walks the memoised query trees of Nguyen and Onak
+(FOCS 2008), asked best first as Yoshida, Yamamoto and Ito do (STOC 2009):
+the udubv and ksmb buyer queries and matching's rejection rounds.  A frame
+yields each question its answer needs and is sent that question's answer;
+the caller's `lookup` and `store` hold the memo policy.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Generator, Hashable, Iterable, Sequence
 
 __all__ = [
     "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood", "rank_tables",
-    "upward_closure",
+    "upward_closure", "resolve",
 ]
 
 Entity = tuple[str, int]
@@ -184,3 +190,35 @@ def upward_closure(
                     members.add(y)
                     stack.append(y)
     return sorted(members, key=place.__getitem__)
+
+
+def resolve(
+    root: Hashable,
+    frame: Callable[[Any], Generator],
+    lookup: Callable[[Any], Any],
+    store: Callable[[Any, Any], object],
+) -> Any:
+    """The answer to `root`: `lookup(root)` if that is not None, else computed.
+
+    `frame(q)` is a generator that yields each question q's answer needs, is
+    sent that question's answer, and returns q's answer.  `lookup(q)` gives a
+    known answer or None, in which case q gets a frame of its own; every
+    answer a frame returns is handed to `store(q, answer)`.  Answers are never
+    None.  The frames live on an explicit stack, because a chain of questions
+    can be as long as the instance.
+    """
+    answer = lookup(root)
+    stack = [] if answer is not None else [(root, frame(root))]
+    while stack:
+        q, gen = stack[-1]
+        try:
+            sub = gen.send(answer)
+        except StopIteration as done:
+            answer = done.value
+            store(q, answer)
+            stack.pop()
+            continue
+        answer = lookup(sub)
+        if answer is None:
+            stack.append((sub, frame(sub)))
+    return answer

@@ -173,7 +173,11 @@ class SchedulingInstance:
         elif menus is not None:
             raise ValueError("standard mode draws its own slot choices; menus not accepted")
 
-        self._oracle: AdjacencyOracle | None = None
+        if self._menus is not None:
+            self._oracle = AdjacencyOracle([tuple(sorted(set(mu))) for mu in self._menus], self.n)
+        else:
+            chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
+            self._oracle = AdjacencyOracle(chosen, self.B)
 
     # -- construction -----------------------------------------------------
 
@@ -205,16 +209,9 @@ class SchedulingInstance:
         """job → distinct chosen slots (standard: job j's d draws under
         ("slot-choice", j) over the slot pool, in draw order) or distinct
         menu machines in ascending order (restricted), with materialized
-        reverse lists; built on first use.  Every allocator, global run,
+        reverse lists; built with the instance.  Every allocator, global run,
         rerun payment and local query reads a job's slots or machines from
         here only."""
-        if self._oracle is None:
-            if self._menus is not None:
-                fwd = [tuple(sorted(set(mu))) for mu in self._menus]
-                self._oracle = AdjacencyOracle(fwd, self.n)
-            else:
-                chosen = sample_table(self.tape, "slot-choice", self.m, self.B, self.d)
-                self._oracle = AdjacencyOracle(chosen, self.B)
         return self._oracle
 
 

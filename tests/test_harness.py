@@ -153,7 +153,7 @@ def test_bench_grid_shape_and_determinism():
 
 @pytest.mark.parametrize("family", ["scheduling-std", "scheduling-res"])
 def test_cells_come_with_their_oracle_built(family):
-    # the first timed query of a cell must not pay for the lazy oracle
+    # the first timed query of a cell must not pay for the oracle
     for n in (8, 64):
         for seed in range(3):
             _, inst, _ = harness._cell(family, n, seed, k=3, d=2, rounds=None)
@@ -355,22 +355,25 @@ _ROWS = st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=7)
 @st.composite
 def _config_docs(draw):
     """Spec JSON objects: mostly well-typed fields of small instances, with
-    any field dropped or replaced by arbitrary JSON.  A document holds the
-    optional keys its family reads, each perhaps absent; about one in eight
-    also holds a key the family does not read, which is refused."""
+    any field dropped or replaced by arbitrary JSON.  A document holds its
+    family's size key and the optional keys the family reads, each perhaps
+    absent; about one in eight also holds a key the family does not read
+    (another family's value key or the other size spelling), which is
+    refused."""
     family = draw(st.sampled_from(sorted(_VERBS)))
+    fam = FAMILIES[family]
     doc = {
         "family": family,
         "seed": draw(st.integers(-2, 50)),
         "n": draw(_SMALL_INT),
         "m": draw(_SMALL_INT),
-        draw(st.sampled_from(["k", "d"])): draw(_SMALL_INT),
+        fam.size: draw(_SMALL_INT),
     }
-    fam = FAMILIES[family]
     optional = {
         "bids": st.none() | st.lists(st.integers(-2, 9), max_size=7),
         "valuations": st.none() | st.lists(st.integers(-2, 9), max_size=7),
         "explicit_edges": st.none() | _ROWS,
+        "d" if fam.size == "k" else "k": _SMALL_INT,
     }
     own = [key for key in optional if key == fam.values or (key == "explicit_edges" and fam.rows)]
     keys = [key for key in own if draw(st.booleans())]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from bisect import bisect_right
 from collections import Counter
 
@@ -30,6 +31,7 @@ from localmech.probes import (
     ProbeCounter,
     neighborhood,
     rank_tables,
+    resolve,
     upward_closure,
 )
 from localmech.randomness import RandomTape, derive_uniform, sample_without_replacement
@@ -106,6 +108,12 @@ def test_spec_json_size_key_spelling():
     assert '"k"' in spec_to_json(InstanceSpec(seed=0, family="uduv", n=4, m=4, k=2))
     with pytest.raises(ValueError):
         spec_from_json(json.dumps({"family": "uduv", "seed": 0, "n": 4, "k": 1, "d": 2}))
+    # each family reads its own spelling only; the other is a foreign field
+    for family, own, other in (("matching", "k", "d"), ("housing", "d", "k")):
+        doc = {"family": family, "seed": 0, "n": 4, own: 2}
+        assert spec_from_json(json.dumps(doc)).k == 2
+        with pytest.raises(ValueError, match=f"takes no field '{other}'"):
+            spec_from_json(json.dumps({"family": family, "seed": 0, "n": 4, other: 2}))
 
 
 def test_spec_validation():
@@ -251,6 +259,37 @@ def test_upward_closure_walks_the_place_table():
         assert got == sorted(want, key=lambda x: (rank[x], x))  # in replay order
         assert got_probes.count == want_probes.count
 
+
+def test_resolve_stores_each_answer_once_on_an_explicit_stack():
+    built: Counter[int] = Counter()
+    stored: Counter[int] = Counter()
+    memo: dict[int, int] = {}
+
+    def frame(x: int):
+        built[x] += 1
+        return chain(x)
+
+    def chain(x: int):
+        # question x asks x-1, then x-2, which x-1's frame has stored by then
+        if x < 2:
+            return x
+        below = yield x - 1
+        assert (yield x - 2) == x - 2
+        return below + 1
+
+    def store(q: int, answer: int) -> None:
+        stored[q] += 1
+        memo[q] = answer
+
+    assert resolve(7, frame, {7: -1}.get, store) == -1
+    assert not built and not stored  # a known root builds no frame
+    deep = sys.getrecursionlimit() + 50
+    assert resolve(deep, frame, memo.get, store) == deep
+    assert stored == Counter(range(deep + 1))  # every question stored, once
+    assert built == stored
+    built.clear()
+    assert [resolve(q, frame, memo.get, store) for q in (deep, 3)] == [deep, 3]
+    assert not built  # a second call over the same memo builds no frame
 
 def test_restricted_menu_draw_frequency():
     # capacity-proportional draws: machine 2 should soak up 36/48 of them
@@ -414,13 +453,12 @@ def test_build_time_orders_break_ties_to_the_smaller_id(monkeypatch):
 
 
 def test_local_queries_draw_nothing(monkeypatch):
-    # the seeded orders are build-time tables: a local query draws only
-    # standard mode's slot tie-breaks
+    # the seeded orders and oracles are build-time tables: a local query
+    # draws only standard mode's slot tie-breaks
     insts = {
         family: build_instance(InstanceSpec(seed=4, family=family, n=300, m=300, k=2))
         for family in ("housing", "scheduling-res", "scheduling-std", "uduv")
     }
-    insts["scheduling-std"].oracle  # built on first use, with its draws
     tags: Counter[str] = Counter()
     state = RandomTape._state
 

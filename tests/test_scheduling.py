@@ -394,7 +394,6 @@ def test_standard_local_query_makes_no_pass_over_the_machines():
     for seed in range(3):
         inst = build_instance(InstanceSpec(seed=seed, family="scheduling-std", n=512, m=512, k=2))
         want = slms_online(inst, order=inst.rank_order()).assign
-        inst.oracle  # noqa: B018 - build the lazy oracle before caps goes
         inst.caps = _NoPass()
         for j in range(inst.m):
             assert slms_local(inst, j) == want[j], (seed, j)
