@@ -27,11 +27,12 @@ Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
 payment comes from the same recursion run without her, which shares every
 answer of the buyers ahead of her.  `probes.resolve` drives both, with a
 plain dict as the memo.  Neither reads a zero-bid rival's set.
-Buyers are ordered by exact bid keys (`AuctionInstance.bid_keys`): a whole
-bid as its int, any other as its `Fraction`, which Python compares exactly;
-payments are `Fraction`s.  Only whole bids skip `Fraction` comparisons:
-every spec-built instance bids whole numbers, while fractional bids (given
-through the API, or an audit's deviations) sort as fast as before.
+`_by_bid` is the one bid order, for the global run and the query tree
+alike, over exact bid keys (`AuctionInstance.bid_keys`): a whole bid as its
+int, any other as its `Fraction`, which Python compares exactly; payments
+are `Fraction`s.  Only whole bids skip `Fraction` comparisons: every
+spec-built instance bids whole numbers, while fractional bids (given through
+the API, or an audit's deviations) sort as fast as before.
 
 Runners and local queries read a misreport (a `ReportOverlay`) only through
 `AuctionInstance.reports`, which checks it.  `truthfulness_audit` checks the
@@ -270,10 +271,10 @@ def uduv_local(
 # ---------------------------------------------------------------------------
 
 
-def _bid_order(bids: Sequence[Fraction | int]) -> list[int]:
-    """Positive bidders by descending bid, ties to the smaller id."""
-    active = [b for b in range(len(bids)) if bids[b] > 0]
-    return sorted(active, key=lambda b: (-bids[b], b))
+def _by_bid(ids: Iterable[int], bids: Sequence[Fraction | int]) -> list[int]:
+    """The positive bidders among `ids` by descending bid; the stable sort
+    keeps equal bids in `ids` order, so ascending `ids` break ties by id."""
+    return sorted((b for b in ids if bids[b]), key=bids.__getitem__, reverse=True)
 
 
 _Sets = Callable[[int], Sequence[int]]
@@ -331,7 +332,7 @@ def _critical(
 
 def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
     _, bids = inst.reports(overlay)
-    order = _bid_order(bids)
+    order = _by_bid(range(inst.n), bids)
     won = _BID_RULES[inst.mode][0](order, inst.sets.__getitem__)
     awards = {b: won.get(b, ()) for b in range(inst.n)}
     payments = {
@@ -390,14 +391,11 @@ def _bid_local(
     ranked: dict[int, list[int]] = {}
 
     def bidders(j: int) -> list[int]:
-        """Item j's positive-bid buyers in bid order, `buyer` included."""
+        """Item j's positive-bid buyers in bid order, `buyer` included.  The
+        record lists buyers by ascending id, so ties go to the smaller id."""
         got = ranked.get(j)
         if got is None:
-            # the record lists buyers by ascending id and the sort is stable,
-            # so equal bids stay in id order
-            got = ranked[j] = sorted(
-                (b for b in view.rev(j) if keys[b]), key=keys.__getitem__, reverse=True
-            )
+            got = ranked[j] = _by_bid(view.rev(j), keys)
         return got
 
     def taken(j: int, y: int):

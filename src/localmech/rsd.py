@@ -60,7 +60,11 @@ class HousingInstance:
     def from_spec(cls, spec: InstanceSpec) -> "HousingInstance":
         if spec.family != "housing":
             raise ValueError(f"not a housing spec: {spec.family!r}")
-        return cls(spec.seeded_rows("house-list"), m=spec.m, seed=spec.seed)
+        lists = spec.seeded_rows("house-list")
+        for a, lst in enumerate(lists):
+            if len(lst) > spec.k:
+                raise ValueError(f"agent {a} lists more than d={spec.k} houses")
+        return cls(lists, m=spec.m, seed=spec.seed)
 
     @classmethod
     def seeded(cls, n: int, d: int, seed: int, m: int | None = None) -> "HousingInstance":

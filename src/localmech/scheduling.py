@@ -349,6 +349,8 @@ def slms_expected_utility(
     The payment schedule makes truth the exact argmax of this function."""
     if not 0 <= i < len(caps):
         raise ValueError(f"unknown machine {i}; machines are 0..{len(caps) - 1}")
+    if true_cap < 1:
+        raise ValueError(f"true_cap must be >= 1, got {true_cap}")
     caps = list(caps)
     B_minus = sum(caps) - caps[i]
     if bid == 0:
@@ -430,7 +432,7 @@ def greedy_unmodified(
     initial_heights: Sequence[int] | None = None,
     tie_choices: dict[int, int] | None = None,
 ) -> Allocation:
-    """The unfloored rule: minimize (h_i+1)/b_i exactly (cross-multiplied).
+    """The unfloored rule: minimize (h_i+1)/b_i exactly.
 
     Kept as the negative exhibit: raising a bid can strictly lower the
     machine's job count under this rule, which the regression fixtures pin
@@ -444,31 +446,19 @@ def greedy_unmodified(
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
     assign: list[int | None] = [None] * inst.m
     for j in range(inst.m):
-        cands = [i for i in menus(j) if caps[i] >= 1]
-        if cands:
-            # exact argmin of (h+1)/b via cross-multiplication
-            mins: list[int] = []
-            for i in cands:
-                if not mins:
-                    mins = [i]
-                    continue
-                lead = mins[0]
-                lhs = (heights[i] + 1) * caps[lead]
-                rhs = (heights[lead] + 1) * caps[i]
-                if lhs < rhs:
-                    mins = [i]
-                elif lhs == rhs:
-                    mins.append(i)
-            if len(mins) > 1 and tie_choices and j in tie_choices:
-                pick = tie_choices[j]
-                if pick not in mins:
-                    raise ValueError(f"job {j}: scripted tie pick {pick} is not minimal")
-            elif len(mins) > 1:
-                pick = min(mins, key=lambda i: tie_pos[i])
-            else:
-                pick = mins[0]
-            heights[pick] += 1
-            assign[j] = pick
+        loads = {i: Fraction(heights[i] + 1, caps[i]) for i in menus(j) if caps[i] >= 1}
+        if not loads:
+            continue
+        least = min(loads.values())
+        mins = [i for i, load in loads.items() if load == least]
+        if len(mins) > 1 and tie_choices and j in tie_choices:
+            pick = tie_choices[j]
+            if pick not in mins:
+                raise ValueError(f"job {j}: scripted tie pick {pick} is not minimal")
+        else:
+            pick = min(mins, key=tie_pos.__getitem__)
+        heights[pick] += 1
+        assign[j] = pick
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
 
 
@@ -520,6 +510,8 @@ def rlms_utility(inst: SchedulingInstance, i: int, bid: int, true_cap: int) -> F
     """Utility of bidding `bid` with true capacity `true_cap` under the
     quadratic cost model x²·h(x)/true_cap (same calibration as the standard
     mode's closed-form sweep)."""
+    if true_cap < 1:
+        raise ValueError(f"true_cap must be >= 1, got {true_cap}")
     payment, height = _rerun_payment(inst, i, bid)
     return payment - Fraction(bid * bid * height, true_cap)
 

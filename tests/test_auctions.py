@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from localmech import auctions
 from localmech.auctions import (
     _BID_RULES,
-    _bid_order,
+    _by_bid,
     _critical,
     AuctionInstance,
     ReportOverlay,
@@ -141,7 +141,7 @@ def test_local_payment_at_a_top_bid_is_the_critical_bid():
         for seed in range(2):
             inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=3))
             bids = list(inst.values)
-            order = _bid_order(bids)
+            order = _by_bid(range(inst.n), bids)
             top = max(bids) + 1
             for b in range(inst.n):
                 got = local(inst, b, overlay=ReportOverlay(bids={b: top}))

@@ -577,6 +577,15 @@ def test_cli_refuses_buyer_sets_longer_than_k(tmp_path, capsys):
             assert out == "" and "more than k=1 items" in err, argv
 
 
+def test_cli_refuses_housing_lists_longer_than_d(tmp_path, capsys):
+    path = tmp_path / "lists.json"
+    doc = {"family": "housing", "seed": 0, "n": 2, "m": 3, "d": 1}
+    path.write_text(json.dumps({**doc, "explicit_edges": [[0, 1, 2], [1]]}))
+    assert cli.main(["query", "rsd", "--config", str(path), "--query-agent", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "agent 0 lists more than d=1 houses" in err
+
+
 def test_cli_uduv_takes_no_bids(capsys):
     # every uduv buyer values an item at 1, so --bids has nowhere to go
     flags = ["--n", "3", "--m", "3", "--k", "1", "--bids", "5,6,7"]

@@ -75,6 +75,14 @@ def test_validation_errors():
         rsd_local(inst, 3)
     with pytest.raises(ValueError):
         HousingInstance.from_spec(InstanceSpec(seed=0, family="uduv", n=2, m=2, k=1))
+    # a spec's lists hold at most d houses, as matching and auction rows
+    # hold at most k; the direct constructor reads d off the lists
+    rows = ((0, 1, 2), (1,))
+    with pytest.raises(ValueError, match="agent 0 lists more than d=1 houses"):
+        HousingInstance.from_spec(
+            InstanceSpec(seed=0, family="housing", n=2, m=3, k=1, explicit_edges=rows)
+        )
+    assert HousingInstance(rows, m=3).d == 3
 
 
 def test_housing_builds_past_65536_agents():

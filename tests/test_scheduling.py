@@ -333,6 +333,16 @@ def test_rlms_quadratic_utility_beats_naive_model_on_overbid():
     assert rlms_utility(inst, 0, 2, true_cap=1) < rlms_utility(inst, 0, 1, true_cap=1)
 
 
+def test_utilities_refuse_a_true_capacity_below_1():
+    # the cost x²·h/true_cap needs a machine that can hold a job
+    inst = SchedulingInstance((2, 3), m=6, d=2, mode="restricted", seed=1)
+    for true_cap in (0, -1):
+        with pytest.raises(ValueError, match="true_cap"):
+            rlms_utility(inst, 0, 2, true_cap)
+        with pytest.raises(ValueError, match="true_cap"):
+            slms_expected_utility((2, 3), 12, 0, 2, true_cap)
+
+
 def test_rlms_truthful_utility_dominates_grid():
     for seed in range(10):
         inst = SchedulingInstance.from_spec(
