@@ -75,7 +75,7 @@ UDUBV = "udubv"
 KSMB = "ksmb"
 
 # shared constant payments and utilities (a Fraction is immutable)
-ZERO, ONE, HALF, MINUS_HALF = Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2)
+ZERO, HALF, MINUS_HALF = Fraction(0), Fraction(1, 2), Fraction(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,10 @@ class AuctionInstance:
         checked; `({}, bid_keys)`, nothing copied, without an overlay."""
         if overlay is None:
             return {}, self.bid_keys
-        fixed = "bids" if self.mode == UDUV else "sets"
+        fixed, why = "sets", "they are public"
+        if self.mode == UDUV:
+            fixed, why = "bids", "every value is 1"
         if getattr(overlay, fixed) is not None:
-            why = "every value is 1" if self.mode == UDUV else "they are public"
             raise ValueError(f"{self.mode} takes no reported {fixed}: {why}")
         # only the reportable field can be set by now
         unknown = [b for b in (overlay.sets or overlay.bids or ()) if not 0 <= b < self.n]
@@ -190,10 +191,6 @@ def _bid_key(v: Fraction) -> int | Fraction:
 # ---------------------------------------------------------------------------
 # uduv — private sets, unit values
 # ---------------------------------------------------------------------------
-
-
-def _uduv_value(inst: AuctionInstance, buyer: int, award: tuple[int, ...]) -> Fraction:
-    return ONE if any(j in inst.sets[buyer] for j in award) else ZERO
 
 
 def _reported_reads(view: AdjacencyOracle | MemoView, reported: Mapping[int, tuple[int, ...]]):
@@ -480,9 +477,11 @@ def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> l
     with t the buyer's value and p her critical bid.  A winner pays her
     critical bid, and it depends on the other bids only (Lehmann,
     O'Callaghan and Shoham, JACM 2002), so p is her local payment at a bid
-    above every value, whether she wins at t or not.  `_zero_payments`
-    drops every payment from the utilities, to show that the audit catches
-    a broken payment rule.
+    above every value, whether she wins at t or not.  Every award is valued
+    one way: her true value if its first item is in her true set, else 0 (a
+    udubv or ksmb award always lies in her public set, and every uduv value
+    is 1).  `_zero_payments` drops every payment from the utilities, to show
+    that the audit catches a broken payment rule.
     """
     eps = Fraction(1, 1000)
     if inst.mode == UDUV:
@@ -497,11 +496,10 @@ def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> l
             return [(f"set={rep}", ReportOverlay(sets={buyer: rep})) for rep in subsets]
 
     else:
-        local = udubv_local if inst.mode == UDUBV else ksmb_local
         top = max(inst.values, default=Fraction(0)) + 1
 
         def answer(buyer: int, overlay: ReportOverlay | None) -> dict:
-            return local(inst, buyer, None, overlay)
+            return _bid_local(inst, buyer, None, overlay)
 
         def deviations(buyer: int) -> list[tuple[str, ReportOverlay]]:
             t = inst.values[buyer]
@@ -516,12 +514,9 @@ def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> l
     def utility(buyer: int, overlay: ReportOverlay | None) -> Fraction:
         got = answer(buyer, overlay)
         if not got["award"]:
-            return Fraction(0)
-        if inst.mode == UDUV:
-            value = _uduv_value(inst, buyer, got["award"])
-        else:
-            value = inst.values[buyer]
-        return value - (Fraction(0) if _zero_payments else got["payment"])
+            return ZERO
+        value = inst.values[buyer] if got["award"][0] in inst.sets[buyer] else ZERO
+        return value - (ZERO if _zero_payments else got["payment"])
 
     violations: list[Violation] = []
     for buyer in range(inst.n):

@@ -138,10 +138,7 @@ def _matching_extra(inst, statuses) -> list[tuple[str, int]]:
     ]
 
 
-def _scheduling_run(inst, rounds: int):
-    std = inst.mode == scheduling.STANDARD
-    runner = scheduling.slms_online if std else scheduling.rlms_online
-    alloc = runner(inst, order=inst.rank_order())
+def _placed(alloc: scheduling.Allocation):
     return alloc, (alloc.assign,)
 
 
@@ -158,8 +155,7 @@ def _scheduling_extra(inst, alloc) -> list[tuple[str, int]]:
     return rows
 
 
-def _auction_run(inst, rounds: int):
-    out = getattr(auctions, f"{inst.mode}_run")(inst)
+def _auction_answers(inst, out: auctions.Outcome):
     buyers = [{"award": out.awards[b], "payment": out.payments[b]} for b in range(inst.n)]
     if inst.mode != auctions.UDUV:
         return out, (buyers,)
@@ -195,21 +191,21 @@ FAMILIES: dict[str, Family] = {
     ), _matching_run, _matching_extra),
     "scheduling-std": Family("d", "bids", None, SchedulingInstance, (
         _plain_query("job", "m", "machine", lambda i, r, e, c: scheduling.slms_local(i, e, c)),
-    ), _scheduling_run, _scheduling_extra),
+    ), lambda i, r: _placed(scheduling.slms_online(i, order=i.order)), _scheduling_extra),
     "scheduling-res": Family("d", "bids", "m", SchedulingInstance, (
         _plain_query("job", "m", "machine", lambda i, r, e, c: scheduling.rlms_local(i, e, c)),
-    ), _scheduling_run, _scheduling_extra),
+    ), lambda i, r: _placed(scheduling.rlms_online(i, order=i.order)), _scheduling_extra),
     "uduv": Family("k", None, "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.uduv_local(i, ("buyer", e), c)),
         _plain_query("item", "m", "winner",
                      lambda i, r, e, c: auctions.uduv_local(i, ("item", e), c)["winner"]),
-    ), _auction_run, _auction_extra),
+    ), lambda i, r: _auction_answers(i, auctions.uduv_run(i)), _auction_extra),
     "udubv": Family("k", "valuations", "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.udubv_local(i, e, c)),
-    ), _auction_run, _auction_extra),
+    ), lambda i, r: _auction_answers(i, auctions.udubv_run(i)), _auction_extra),
     "ksmb": Family("k", "valuations", "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.ksmb_local(i, e, c)),
-    ), _auction_run, _auction_extra),
+    ), lambda i, r: _auction_answers(i, auctions.ksmb_run(i)), _auction_extra),
     "housing": Family("d", None, "n", HousingInstance, (
         _plain_query("agent", "n", "house", lambda i, r, e, c: rsd.rsd_local(i, e, c)),
     ), _housing_run, _housing_extra),

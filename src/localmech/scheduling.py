@@ -104,10 +104,13 @@ class SchedulingInstance:
 
     Restricted mode fixes each job's machine menu as input data: explicit
     when given, otherwise d capacity-proportional draws (with replacement)
-    made once from the *true* capacities.  Standard mode has no menus — the
-    mechanism itself draws d distinct slots per job over the slot pool of
-    these capacities; a capacity deviation is an instance built with the
-    deviated capacities, which draws its choices from the same keys.
+    made once from the *true* capacities; `tie_order` is the machine
+    permutation that breaks floored-load ties (index order by default).
+    Standard mode takes no menus and no tie order — the mechanism itself
+    draws d distinct slots per job over the slot pool of these capacities
+    and breaks slot ties by seeded draws; a capacity deviation is an
+    instance built with the deviated capacities, which draws its choices
+    from the same keys.
     """
 
     def __init__(
@@ -138,46 +141,43 @@ class SchedulingInstance:
         # slot s of the pool belongs to machine bisect_right(slot_prefix, s);
         # build-time data, uncounted like the oracle's reverse records
         self.slot_prefix = tuple(accumulate(self.caps))
-        if mode == STANDARD and not 1 <= d <= self.B:
-            raise ValueError(f"need 1 <= d <= B={self.B} slot choices")
-        if tie_order is None:
-            tie_order = range(self.n)
-        self.tie_order = tuple(tie_order)
+        # jobs by their ("job-rank", j) draw, ties to the smaller job
+        self.order, self.place = rank_tables(self.tape.u64_table("job-rank", m))
+
+        if mode == STANDARD:
+            if not 1 <= d <= self.B:
+                raise ValueError(f"need 1 <= d <= B={self.B} slot choices")
+            if menus is not None or tie_order is not None:
+                raise ValueError("standard mode takes no menus and no tie_order")
+            self._menus: tuple[tuple[int, ...], ...] | None = None
+            chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
+            self._oracle = AdjacencyOracle(chosen, self.B)
+            return
+
+        self.tie_order = tuple(range(self.n) if tie_order is None else tie_order)
         if sorted(self.tie_order) != list(range(self.n)):
             raise ValueError("tie_order must be a permutation of the machines")
         self._tie_pos = [0] * self.n
         for pos, i in enumerate(self.tie_order):
             self._tie_pos[i] = pos
-        # jobs by their ("job-rank", j) draw, ties to the smaller job
-        self.order, self.place = rank_tables(self.tape.u64_table("job-rank", m))
-
-        self._menus: tuple[tuple[int, ...], ...] | None = None
-        if mode == RESTRICTED:
-            if menus is not None:
-                self._menus = tuple(tuple(mu) for mu in menus)
-                if len(self._menus) != m:
-                    raise ValueError("need one menu per job")
-                for j, mu in enumerate(self._menus):
-                    if any(not 0 <= i < self.n for i in mu):
-                        raise ValueError(f"menu of job {j} names an unknown machine")
-            else:
-                # capacity-proportional machine draws over the true slot pool,
-                # draw t of job j under ("menu", j, t)
-                prefix = self.slot_prefix
-                self._menus = tuple(
-                    tuple(bisect_right(prefix, slot) for slot in row)
-                    for row in uniform_rows(self.tape, "menu", m, self.B, d)
-                )
-            if not all(self._menus):
-                raise ValueError(f"job {self._menus.index(())} has an empty menu")
-        elif menus is not None:
-            raise ValueError("standard mode draws its own slot choices; menus not accepted")
-
-        if self._menus is not None:
-            self._oracle = AdjacencyOracle([tuple(sorted(set(mu))) for mu in self._menus], self.n)
+        if menus is not None:
+            self._menus = tuple(tuple(mu) for mu in menus)
+            if len(self._menus) != m:
+                raise ValueError("need one menu per job")
+            for j, mu in enumerate(self._menus):
+                if any(not 0 <= i < self.n for i in mu):
+                    raise ValueError(f"menu of job {j} names an unknown machine")
         else:
-            chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
-            self._oracle = AdjacencyOracle(chosen, self.B)
+            # capacity-proportional machine draws over the true slot pool,
+            # draw t of job j under ("menu", j, t)
+            prefix = self.slot_prefix
+            self._menus = tuple(
+                tuple(bisect_right(prefix, slot) for slot in row)
+                for row in uniform_rows(self.tape, "menu", m, self.B, d)
+            )
+        if not all(self._menus):
+            raise ValueError(f"job {self._menus.index(())} has an empty menu")
+        self._oracle = AdjacencyOracle([tuple(sorted(set(mu))) for mu in self._menus], self.n)
 
     # -- construction -----------------------------------------------------
 
@@ -187,17 +187,20 @@ class SchedulingInstance:
             raise ValueError(f"not a scheduling spec: {spec.family!r}")
         mode = STANDARD if spec.family == "scheduling-std" else RESTRICTED
         caps = spec.seeded_values("cap", max(1, spec.n.bit_length() - 1))  # 1..~log2(n)
+        # a seeded menu holds exactly d draws, so d bounds an explicit one too
+        for j, mu in enumerate(spec.explicit_edges or ()):
+            if len(mu) > spec.k:
+                raise ValueError(f"job {j}'s menu holds more than d={spec.k} machine draws")
         return cls(caps, m=spec.m, d=spec.k, mode=mode, seed=spec.seed, menus=spec.explicit_edges)
 
     # -- derived data ------------------------------------------------------
 
     def menu(self, j: int) -> tuple[int, ...]:
-        """Raw menu draws of job j, in draw order (may repeat machines).  The
-        allocators read the oracle's record of job j instead: the same
-        machines, sorted and distinct."""
-        if self.mode != RESTRICTED:
+        """Raw menu draws of job j, in draw order (may repeat machines); a
+        restricted-mode instance only.  The allocators read the oracle's
+        record of job j instead: the same machines, sorted and distinct."""
+        if self._menus is None:
             raise ValueError("menus exist only in restricted mode")
-        assert self._menus is not None
         return self._menus[j]
 
     def rank_order(self) -> Sequence[int]:
@@ -465,7 +468,11 @@ def greedy_unmodified(
 def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> list[int]:
     """Machine i's height in the rank-order run at each of `bids`, others at
     truth: one rerun of the stored rank order per positive bid (a zero bid
-    skips the machine in every job, so its height is 0)."""
+    skips the machine in every job, so its height is 0).  Restricted mode
+    only: this is the one mode guard of every rerun payment, checked before
+    any bid, a zero bid included."""
+    if inst.mode != RESTRICTED:
+        raise ValueError("rerun payments apply to restricted mode")
     _check_machine(inst, i)
     caps = list(inst.caps)
     heights = []
@@ -494,8 +501,6 @@ def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction
 def payment_rlms(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """Rerun payment at the true bid, priced on the rank-order run that the
     local queries answer."""
-    if inst.mode != RESTRICTED:
-        raise ValueError("rerun payment applies to restricted mode")
     _check_machine(inst, i)
     amount = payment_rlms_for_bid(inst, i, inst.caps[i])
     return PaymentRecord(machine=i, amount=amount, scheme="rerun")
@@ -539,8 +544,6 @@ def makespan_ratio(inst: SchedulingInstance) -> Fraction:
     """makespan(restricted allocator) / exact optimal makespan."""
     from . import oracles
 
-    if inst.mode != RESTRICTED:
-        raise ValueError("makespan_ratio is defined for restricted mode")
     alloc = rlms_online(inst)
     menus = [inst.oracle.fwd(j) for j in range(inst.m)]
     opt = oracles.optimal_makespan(inst.caps, inst.m, menus=menus)

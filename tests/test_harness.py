@@ -586,6 +586,16 @@ def test_cli_refuses_housing_lists_longer_than_d(tmp_path, capsys):
     assert out == "" and "agent 0 lists more than d=1 houses" in err
 
 
+def test_cli_refuses_restricted_menus_longer_than_d(tmp_path, capsys):
+    path = tmp_path / "menus.json"
+    doc = {"family": "scheduling-res", "seed": 0, "n": 3, "m": 2, "d": 1}
+    path.write_text(json.dumps({**doc, "explicit_edges": [[0], [0, 1, 2]]}))
+    argv = ["query", "scheduling", "--mode", "res", "--config", str(path), "--query-job", "0"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "job 1's menu holds more than d=1 machine draws" in err
+
+
 def test_cli_uduv_takes_no_bids(capsys):
     # every uduv buyer values an item at 1, so --bids has nowhere to go
     flags = ["--n", "3", "--m", "3", "--k", "1", "--bids", "5,6,7"]

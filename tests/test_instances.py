@@ -9,6 +9,7 @@ import random
 import sys
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -138,6 +139,72 @@ def test_explicit_rows_give_one_row_per_entity():
     assert [inst.menu(j) for j in range(3)] == list(rows)
     with pytest.raises(ValueError, match="takes no explicit_edges"):
         InstanceSpec(seed=0, family="scheduling-std", n=3, m=3, k=1, explicit_edges=rows)
+
+
+def test_restricted_spec_menus_hold_at_most_d_draws():
+    # a seeded menu holds exactly d draws, so an explicit one may not hold more
+    spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=1, k=1, explicit_edges=((0, 1, 2),))
+    with pytest.raises(ValueError, match="job 0's menu holds more than d=1 machine draws"):
+        build_instance(spec)
+    for menu in ((0, 0), (2, 1)):
+        spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=1, k=2, explicit_edges=(menu,))
+        assert build_instance(spec).menu(0) == menu
+
+
+_STD = SchedulingInstance((2, 3), m=6, d=2, mode=STANDARD, seed=1)
+_RES = SchedulingInstance((2, 3), m=6, d=2, mode=RESTRICTED, seed=1)
+_AUCTIONS = {
+    mode: AuctionInstance([(0, 1), (1,), (0, 2)], m=3, mode=mode, values=values)
+    for mode, values in ((UDUV, None), (auctions.UDUBV, (3, 2, 1)), (auctions.KSMB, (3, 2, 1)))
+}
+
+# (case, call, the word the refusal names): each call is made on an instance
+# of the mode it does not serve
+_WRONG_MODE = [
+    ("slms_online", lambda: slms_online(_RES), "standard"),
+    ("slms_local", lambda: slms_local(_RES, 0), "standard"),
+    ("payment_slms_expected", lambda: scheduling.payment_slms_expected(_RES, 0), "standard"),
+    ("payment_slms_sampled", lambda: scheduling.payment_slms_sampled(_RES, 0), "standard"),
+    ("rlms_online", lambda: rlms_online(_STD), "restricted"),
+    ("rlms_local", lambda: rlms_local(_STD, 0), "restricted"),
+    ("greedy_unmodified", lambda: scheduling.greedy_unmodified(_STD), "restricted"),
+    ("payment_rlms", lambda: scheduling.payment_rlms(_STD, 0), "restricted"),
+    ("makespan_ratio", lambda: scheduling.makespan_ratio(_STD), "restricted"),
+    ("monotonicity_trace", lambda: scheduling.monotonicity_trace(_STD, 0, 0, 2), "restricted"),
+    ("menu", lambda: _STD.menu(0), "restricted"),
+    *(
+        (f"{call.__name__}-bid{bid}", partial(call, _STD, 0, bid, *more), "restricted")
+        for bid in (0, 2)
+        for call, more in (
+            (scheduling.rerun_height, ()),
+            (scheduling.payment_rlms_for_bid, ()),
+            (scheduling.rlms_utility, (2,)),
+        )
+    ),
+    (
+        "standard-tie_order",
+        lambda: SchedulingInstance((2, 3), m=6, d=2, mode=STANDARD, tie_order=(1, 0)),
+        "tie_order",
+    ),
+    *(
+        (f"{mode}_{kind}-on-{other}", partial(call, _AUCTIONS[other]), mode)
+        for mode, calls in (
+            (UDUV, (uduv_run, lambda inst: uduv_local(inst, ("buyer", 0)))),
+            (auctions.UDUBV, (auctions.udubv_run, lambda inst: auctions.udubv_local(inst, 0))),
+            (auctions.KSMB, (auctions.ksmb_run, lambda inst: auctions.ksmb_local(inst, 0))),
+        )
+        for kind, call in zip(("run", "local"), calls)
+        for other in _AUCTIONS
+        if other != mode
+    ),
+]
+
+
+@pytest.mark.parametrize("case, call, word", _WRONG_MODE, ids=[c[0] for c in _WRONG_MODE])
+def test_every_mode_specific_call_refuses_the_other_mode(case, call, word):
+    # a zero bid reruns nothing, so the rerun payments must refuse before any bid
+    with pytest.raises(ValueError, match=word):
+        call()
 
 
 def test_build_instance_dispatch():
