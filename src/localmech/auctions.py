@@ -126,6 +126,8 @@ class AuctionInstance:
         self.seed = seed
         self.tape = RandomTape(seed)
         if mode == UDUV:
+            if values is not None:
+                raise ValueError("uduv takes no values: every value is 1")
             self.values: tuple[Fraction, ...] = (Fraction(1),) * self.n
             # items by descending ("item-rank", j) score, ties to the smaller
             self.order, self.place = rank_tables(self.tape.u64_table("item-rank", m), True)
@@ -147,6 +149,11 @@ class AuctionInstance:
         sets = spec.seeded_rows("item-set")
         values = None if spec.family == UDUV else spec.seeded_values("value", 10**6)
         return cls(sets, m=spec.m, mode=spec.family, values=values, k=spec.k, seed=spec.seed)
+
+    def require_mode(self, mode: str, call: str) -> None:
+        """The one wrong-mode check: refuse `call` unless this is a `mode` instance."""
+        if self.mode != mode:
+            raise ValueError(f"{call} requires {mode} mode")
 
     def reports(
         self, overlay: ReportOverlay | None
@@ -216,8 +223,7 @@ def _reported_reads(view: AdjacencyOracle | MemoView, reported: Mapping[int, tup
 
 
 def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
-    if inst.mode != UDUV:
-        raise ValueError("uduv_run requires uduv mode")
+    inst.require_mode(UDUV, "uduv_run")
     _, rev = _reported_reads(inst.oracle, inst.reports(overlay)[0])
     awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
     payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
@@ -239,8 +245,7 @@ def uduv_local(
 ) -> dict:
     """Resolve one buyer or one item.  Buyer queries return her award and
     payment; item queries return the item's winner (or None)."""
-    if inst.mode != UDUV:
-        raise ValueError("uduv_local requires uduv mode")
+    inst.require_mode(UDUV, "uduv_local")
     kind, idx = query
     if kind == "buyer":
         if not 0 <= idx < inst.n:
@@ -342,14 +347,12 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
 
 
 def udubv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
-    if inst.mode != UDUBV:
-        raise ValueError("udubv_run requires udubv mode")
+    inst.require_mode(UDUBV, "udubv_run")
     return _bid_run(inst, overlay)
 
 
 def ksmb_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
-    if inst.mode != KSMB:
-        raise ValueError("ksmb_run requires ksmb mode")
+    inst.require_mode(KSMB, "ksmb_run")
     return _bid_run(inst, overlay)
 
 
@@ -444,8 +447,7 @@ def udubv_local(
     counter: ProbeCounter | None = None,
     overlay: ReportOverlay | None = None,
 ) -> dict:
-    if inst.mode != UDUBV:
-        raise ValueError("udubv_local requires udubv mode")
+    inst.require_mode(UDUBV, "udubv_local")
     return _bid_local(inst, buyer, counter, overlay)
 
 
@@ -455,8 +457,7 @@ def ksmb_local(
     counter: ProbeCounter | None = None,
     overlay: ReportOverlay | None = None,
 ) -> dict:
-    if inst.mode != KSMB:
-        raise ValueError("ksmb_local requires ksmb mode")
+    inst.require_mode(KSMB, "ksmb_local")
     return _bid_local(inst, buyer, counter, overlay)
 
 

@@ -15,7 +15,8 @@ Single-query answers are JSON objects on stdout; batch output is CSV.
 builds the instance before it writes the spec.  One handler, `_cmd_run`,
 serves `run` and `query` for every family from `instances.FAMILIES`: each
 query kind there is a `--query-<entity>` flag of the `run`/`query` family
-that serves it (`_add_query_flags`).
+that serves it (`_add_query_flags`), and `harness.LCMD_FAMILIES` maps each
+`run`/`query` family and `--mode` to its instance family.
 """
 
 from __future__ import annotations
@@ -104,19 +105,20 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# run/query family -> instance family, formatted with the parsed flags
-_FAMILY_OF = {
-    "matching": "matching", "scheduling": "scheduling-{mode}", "auction": "{mode}", "rsd": "housing"
+# --mode -> {--scheme: scheduling payment}; a mode's first scheme is its default
+_PAYMENTS = {
+    "std": {
+        "expected": scheduling.payment_slms_expected,
+        "sampled": scheduling.payment_slms_sampled,
+    },
+    "res": {"rerun": scheduling.payment_rlms},
 }
-
-# run/query family -> its --mode choices
-_MODES = {"scheduling": ("std", "res"), "auction": ("uduv", "udubv", "ksmb")}
 
 
 def _add_query_flags(parser: argparse.ArgumentParser, family: str) -> None:
     """One `--query-<entity>` flag per query kind that the instance families
     served by `family` (one per --mode) declare in `FAMILIES`."""
-    served = [_FAMILY_OF[family].format(mode=mode) for mode in _MODES.get(family, ("",))]
+    served = harness.LCMD_FAMILIES[family].values()
     for entity in dict.fromkeys(q.entity for name in served for q in FAMILIES[name].queries):
         parser.add_argument(f"--query-{entity}", type=int)
 
@@ -134,7 +136,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     mp.add_argument("--config")
 
     sp = fams.add_parser("scheduling", help="load balancing; std slots or res menus")
-    sp.add_argument("--mode", choices=_MODES["scheduling"], required=True)
+    sp.add_argument("--mode", choices=tuple(harness.LCMD_FAMILIES["scheduling"]), required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
@@ -142,12 +144,12 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     sp.add_argument("--bids", type=_int_list)
     _add_query_flags(sp, "scheduling")
     sp.add_argument("--pay-machine", type=int)
-    sp.add_argument("--scheme", choices=("expected", "sampled", "rerun"))
+    sp.add_argument("--scheme", choices=[s for schemes in _PAYMENTS.values() for s in schemes])
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--config")
 
     ap = fams.add_parser("auction", help="greedy auctions with critical payments")
-    ap.add_argument("--mode", choices=_MODES["auction"], required=True)
+    ap.add_argument("--mode", choices=tuple(harness.LCMD_FAMILIES["auction"]), required=True)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n", type=int)
     ap.add_argument("--m", type=int)
@@ -214,14 +216,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# (--mode, --scheme) -> the scheduling payment; a mode's first scheme is its default
-_PAYMENTS = {
-    ("std", "expected"): "payment_slms_expected",
-    ("std", "sampled"): "payment_slms_sampled",
-    ("res", "rerun"): "payment_rlms",
-}
-
-
 def _digits(x: int) -> int:
     """Decimal digits of x > 0, counted without converting x to a string."""
     e = int((x.bit_length() - 1) * math.log10(2))  # 10^e <= x < 10^(e+2)
@@ -247,15 +241,16 @@ def _cmd_run(args, single: bool) -> int:
     only) the whole global run: one line per entity with `--all`, or the
     auctions' one awards/payments object."""
     flags = vars(args)
-    family = _FAMILY_OF[args.family].format(**flags)
+    family = harness.LCMD_FAMILIES[args.family][flags.get("mode")]
     fam = FAMILIES[family]
     spec = _spec(args, family)
     inst = build_instance(spec)
     if flags.get("pay_machine") is not None:
-        scheme = args.scheme or next(s for mode, s in _PAYMENTS if mode == args.mode)
-        if (args.mode, scheme) not in _PAYMENTS:
+        schemes = _PAYMENTS[args.mode]
+        scheme = args.scheme or next(iter(schemes))
+        if scheme not in schemes:
             raise _Usage(f"--mode {args.mode} payments take no --scheme {scheme}")
-        rec = getattr(scheduling, _PAYMENTS[args.mode, scheme])(inst, args.pay_machine)
+        rec = schemes[scheme](inst, args.pay_machine)
         _emit({"machine": rec.machine, "payment": _payment_text(rec), "scheme": rec.scheme})
         return 0
     rounds = flags.get("rounds")

@@ -39,6 +39,7 @@ __all__ = [
     "BENCH_COLUMNS",
     "SUMMARY_COLUMNS",
     "VERIFY_COLUMNS",
+    "LCMD_FAMILIES",
     "canonical_family",
     "bench_family",
     "bench_points",
@@ -54,16 +55,18 @@ BENCH_COLUMNS = ("family", "n", "seed", "query", "probes", "digest")
 SUMMARY_COLUMNS = ("family", "n", "stat", "value")
 VERIFY_COLUMNS = ("name", "instances", "violations")
 
-# CLI-facing aliases for the canonical instance families.
-_ALIASES = {
-    "rsd": "housing",
-    "scheduling": "scheduling-res",
-    "auction": "uduv",
+# lcmd family -> {--mode (None: none): instance family}; bench, verify and gen take the first
+LCMD_FAMILIES: dict[str, dict[str | None, str]] = {
+    "matching": {None: "matching"},
+    "scheduling": {"res": "scheduling-res", "std": "scheduling-std"},
+    "auction": {"uduv": "uduv", "udubv": "udubv", "ksmb": "ksmb"},
+    "rsd": {None: "housing"},
 }
 
 
 def canonical_family(name: str) -> str:
-    fam = _ALIASES.get(name, name)
+    """The instance family an lcmd family name means, or an instance family's own name."""
+    fam = next(iter(LCMD_FAMILIES[name].values())) if name in LCMD_FAMILIES else name
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
     return fam

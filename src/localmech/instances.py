@@ -81,7 +81,8 @@ class Family:
     classmethod.  `queries` holds the query kinds, the bench's kind first.
     `run` maps (inst, rounds) to the global run and one list of answers per
     query kind; `extra` maps (inst, global run) to the (verify row,
-    violations) pairs beyond local == global.
+    violations) pairs beyond local == global.  Each row names its runner,
+    answers and extra rows itself: none tests the instance's mode.
 
     Every function here looks the library's runners and local queries up on
     their modules when it is called, so wrappers set on those module
@@ -142,35 +143,38 @@ def _placed(alloc: scheduling.Allocation):
     return alloc, (alloc.assign,)
 
 
-def _scheduling_extra(inst, alloc) -> list[tuple[str, int]]:
+def _heights_rows(inst, alloc) -> list[tuple[str, int]]:
     counts = [0] * inst.n
     for mach in alloc.assign:
         if mach is not None:
             counts[mach] += 1
-    rows = [("heights_match_assignments", int(tuple(counts) != alloc.heights))]
-    if inst.mode == scheduling.RESTRICTED:
-        jobs = enumerate(alloc.assign)
-        outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.menu(j))
-        rows.append(("assignment_within_menu", outside))
-    return rows
+    return [("heights_match_assignments", int(tuple(counts) != alloc.heights))]
 
 
-def _auction_answers(inst, out: auctions.Outcome):
-    buyers = [{"award": out.awards[b], "payment": out.payments[b]} for b in range(inst.n)]
-    if inst.mode != auctions.UDUV:
-        return out, (buyers,)
+def _menu_rows(inst, alloc) -> list[tuple[str, int]]:
+    jobs = enumerate(alloc.assign)
+    outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.menu(j))
+    return [("assignment_within_menu", outside)]
+
+
+def _buyers(inst, out: auctions.Outcome):
+    return out, ([{"award": out.awards[b], "payment": out.payments[b]} for b in range(inst.n)],)
+
+
+def _buyers_and_items(inst, out: auctions.Outcome):
+    _, (buyers,) = _buyers(inst, out)
     winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
     return out, (buyers, [winner_of.get(j) for j in range(inst.m)])
 
 
-def _auction_extra(inst, out) -> list[tuple[str, int]]:
-    rows = []
-    if inst.mode != auctions.UDUV:
-        winners = (b for b in range(inst.n) if out.awards[b])
-        overpaid = sum(1 for b in winners if out.payments[b] > inst.values[b])
-        rows.append(("winner_pays_at_most_bid", overpaid))
+def _awarded_once_rows(inst, out) -> list[tuple[str, int]]:
     awarded = [j for jt in out.awards.values() for j in jt]
-    return rows + [("items_awarded_once", len(awarded) - len(set(awarded)))]
+    return [("items_awarded_once", len(awarded) - len(set(awarded)))]
+
+
+def _within_bid_rows(inst, out) -> list[tuple[str, int]]:
+    winners = (b for b in range(inst.n) if out.awards[b])
+    return [("winner_pays_at_most_bid", sum(out.payments[b] > inst.values[b] for b in winners))]
 
 
 def _housing_run(inst, rounds: int):
@@ -191,21 +195,24 @@ FAMILIES: dict[str, Family] = {
     ), _matching_run, _matching_extra),
     "scheduling-std": Family("d", "bids", None, SchedulingInstance, (
         _plain_query("job", "m", "machine", lambda i, r, e, c: scheduling.slms_local(i, e, c)),
-    ), lambda i, r: _placed(scheduling.slms_online(i, order=i.order)), _scheduling_extra),
+    ), lambda i, r: _placed(scheduling.slms_online(i, order=i.order)), _heights_rows),
     "scheduling-res": Family("d", "bids", "m", SchedulingInstance, (
         _plain_query("job", "m", "machine", lambda i, r, e, c: scheduling.rlms_local(i, e, c)),
-    ), lambda i, r: _placed(scheduling.rlms_online(i, order=i.order)), _scheduling_extra),
+    ), lambda i, r: _placed(scheduling.rlms_online(i, order=i.order)),
+       lambda i, a: _heights_rows(i, a) + _menu_rows(i, a)),
     "uduv": Family("k", None, "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.uduv_local(i, ("buyer", e), c)),
         _plain_query("item", "m", "winner",
                      lambda i, r, e, c: auctions.uduv_local(i, ("item", e), c)["winner"]),
-    ), lambda i, r: _auction_answers(i, auctions.uduv_run(i)), _auction_extra),
+    ), lambda i, r: _buyers_and_items(i, auctions.uduv_run(i)), _awarded_once_rows),
     "udubv": Family("k", "valuations", "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.udubv_local(i, e, c)),
-    ), lambda i, r: _auction_answers(i, auctions.udubv_run(i)), _auction_extra),
+    ), lambda i, r: _buyers(i, auctions.udubv_run(i)),
+       lambda i, o: _within_bid_rows(i, o) + _awarded_once_rows(i, o)),
     "ksmb": Family("k", "valuations", "n", AuctionInstance, (
         _buyer_query(lambda i, r, e, c: auctions.ksmb_local(i, e, c)),
-    ), lambda i, r: _auction_answers(i, auctions.ksmb_run(i)), _auction_extra),
+    ), lambda i, r: _buyers(i, auctions.ksmb_run(i)),
+       lambda i, o: _within_bid_rows(i, o) + _awarded_once_rows(i, o)),
     "housing": Family("d", None, "n", HousingInstance, (
         _plain_query("agent", "n", "house", lambda i, r, e, c: rsd.rsd_local(i, e, c)),
     ), _housing_run, _housing_extra),

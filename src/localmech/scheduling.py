@@ -149,7 +149,6 @@ class SchedulingInstance:
                 raise ValueError(f"need 1 <= d <= B={self.B} slot choices")
             if menus is not None or tie_order is not None:
                 raise ValueError("standard mode takes no menus and no tie_order")
-            self._menus: tuple[tuple[int, ...], ...] | None = None
             chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
             self._oracle = AdjacencyOracle(chosen, self.B)
             return
@@ -161,12 +160,14 @@ class SchedulingInstance:
         for pos, i in enumerate(self.tie_order):
             self._tie_pos[i] = pos
         if menus is not None:
-            self._menus = tuple(tuple(mu) for mu in menus)
+            self._menus: tuple[tuple[int, ...], ...] = tuple(tuple(mu) for mu in menus)
             if len(self._menus) != m:
                 raise ValueError("need one menu per job")
             for j, mu in enumerate(self._menus):
                 if any(not 0 <= i < self.n for i in mu):
                     raise ValueError(f"menu of job {j} names an unknown machine")
+        elif d < 1:
+            raise ValueError(f"need d >= 1 menu draws, got d={d}: each job gets an empty menu")
         else:
             # capacity-proportional machine draws over the true slot pool,
             # draw t of job j under ("menu", j, t)
@@ -195,12 +196,16 @@ class SchedulingInstance:
 
     # -- derived data ------------------------------------------------------
 
+    def require_mode(self, mode: str, call: str) -> None:
+        """The one wrong-mode check: refuse `call` unless this is a `mode` instance."""
+        if self.mode != mode:
+            raise ValueError(f"{call} requires {mode} mode")
+
     def menu(self, j: int) -> tuple[int, ...]:
         """Raw menu draws of job j, in draw order (may repeat machines); a
         restricted-mode instance only.  The allocators read the oracle's
         record of job j instead: the same machines, sorted and distinct."""
-        if self._menus is None:
-            raise ValueError("menus exist only in restricted mode")
+        self.require_mode(RESTRICTED, "menu")
         return self._menus[j]
 
     def rank_order(self) -> Sequence[int]:
@@ -254,8 +259,7 @@ def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) ->
     """Slot-based allocation over all jobs (index order unless given), with
     the slot choices of the oracle's records, drawn once with the instance.
     A run at other capacities is the run of an instance built with them."""
-    if inst.mode != STANDARD:
-        raise ValueError("slms_online requires standard mode")
+    inst.require_mode(STANDARD, "slms_online")
     tape, prefix, choices = inst.tape, inst.slot_prefix, inst.oracle.fwd
     slot_h = [0] * inst.B
     heights = [0] * inst.n
@@ -272,8 +276,7 @@ def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) ->
 def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:
     """Machine of `job` under the rank-order replay, resolved from the jobs
     sharing a chosen slot with lower rank, transitively."""
-    if inst.mode != STANDARD:
-        raise ValueError("slms_local requires standard mode")
+    inst.require_mode(STANDARD, "slms_local")
     view, order = _rank_closure(inst, job, counter)
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
@@ -315,8 +318,7 @@ def _expected_slot_payment(b: int, B_minus: int, m: int) -> Fraction:
 
 def payment_slms_expected(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """Exact expected payment: m·b²/(B₋+b) + m·Σ_{x=1}^{b} x/(B₋+x)."""
-    if inst.mode != STANDARD:
-        raise ValueError("expected payment applies to standard mode")
+    inst.require_mode(STANDARD, "payment_slms_expected")
     _check_machine(inst, i)
     b = inst.caps[i]
     amount = _expected_slot_payment(b, inst.B - b, inst.m)
@@ -328,8 +330,7 @@ def payment_slms_sampled(
 ) -> PaymentRecord:
     """One-draw unbiased payment: m·b²/B + m·b·k/(B₋+k) with k uniform on
     [1, b].  Averaging over all k reproduces the expected payment exactly."""
-    if inst.mode != STANDARD:
-        raise ValueError("sampled payment applies to standard mode")
+    inst.require_mode(STANDARD, "payment_slms_sampled")
     _check_machine(inst, i)
     b = inst.caps[i]
     B_minus = inst.B - b
@@ -399,8 +400,7 @@ def rlms_online(
 ) -> Allocation:
     """Floored-load allocation: job j goes to the menu machine minimizing
     ⌊(h_i+1)/b_i⌋, ties by the instance's machine permutation."""
-    if inst.mode != RESTRICTED:
-        raise ValueError("rlms_online requires restricted mode")
+    inst.require_mode(RESTRICTED, "rlms_online")
     caps = inst.caps if caps is None else tuple(caps)
     tie_pos, menus = inst._tie_pos, inst.oracle.fwd
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
@@ -420,8 +420,7 @@ def rlms_online(
 def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:
     """Machine of `job` under the rank-order replay, resolved from the jobs
     sharing a menu machine with lower rank, transitively."""
-    if inst.mode != RESTRICTED:
-        raise ValueError("rlms_local requires restricted mode")
+    inst.require_mode(RESTRICTED, "rlms_local")
     view, order = _rank_closure(inst, job, counter)
     heights: defaultdict[int, int] = defaultdict(int)
     for j in order:
@@ -442,8 +441,7 @@ def greedy_unmodified(
     down step by step.  `tie_choices` maps job index → machine for scripted
     tie resolutions; unscripted ties fall back to the instance permutation.
     """
-    if inst.mode != RESTRICTED:
-        raise ValueError("greedy_unmodified runs on restricted menus")
+    inst.require_mode(RESTRICTED, "greedy_unmodified")
     caps = inst.caps if caps is None else tuple(caps)
     tie_pos, menus = inst._tie_pos, inst.oracle.fwd
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
@@ -465,14 +463,18 @@ def greedy_unmodified(
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
 
 
+def _check_bid(bid: int) -> None:
+    if bid < 0:
+        raise ValueError(f"bid must be >= 0, got {bid}")
+
+
 def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> list[int]:
     """Machine i's height in the rank-order run at each of `bids`, others at
     truth: one rerun of the stored rank order per positive bid (a zero bid
     skips the machine in every job, so its height is 0).  Restricted mode
     only: this is the one mode guard of every rerun payment, checked before
     any bid, a zero bid included."""
-    if inst.mode != RESTRICTED:
-        raise ValueError("rerun payments apply to restricted mode")
+    inst.require_mode(RESTRICTED, "a rerun height or payment")
     _check_machine(inst, i)
     caps = list(inst.caps)
     heights = []
@@ -486,14 +488,14 @@ def rerun_height(inst: SchedulingInstance, i: int, bid: int) -> int:
     """Height of machine i in the rank-order run when its bid is replaced by
     `bid` (0 allowed: the machine is then skipped by every job and its
     height is 0)."""
+    _check_bid(bid)
     return _rerun_heights(inst, i, (bid,))[0]
 
 
 def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction, int]:
     """Machine i's rerun payment bid·h(bid) + Σ_{x=0}^{bid} h(x), others at
     truth, and h(bid): one list of heights, one rerun per positive x."""
-    if bid < 0:
-        raise ValueError(f"bid must be >= 0, got {bid}")
+    _check_bid(bid)  # before range(bid + 1), which is empty for a negative bid
     heights = _rerun_heights(inst, i, range(bid + 1))
     return Fraction(bid * heights[bid] + sum(heights)), heights[bid]
 
@@ -530,6 +532,7 @@ def monotonicity_trace(
     _check_machine(inst, i)
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
+    _check_bid(bid_low)
     traces: list[list[tuple[int, ...]]] = []
     for bid in (bid_low, bid_high):
         caps = list(inst.caps)
@@ -541,7 +544,9 @@ def monotonicity_trace(
 
 
 def makespan_ratio(inst: SchedulingInstance) -> Fraction:
-    """makespan(restricted allocator) / exact optimal makespan."""
+    """The makespan of `rlms_online(inst)`, the restricted allocator run in
+    job index order (not the rank-order run that the local queries and the
+    rerun payments serve), over the exact optimal makespan."""
     from . import oracles
 
     alloc = rlms_online(inst)

@@ -170,6 +170,9 @@ def test_uduv_bids_cannot_be_overlaid():
         for query in (("buyer", 0), ("buyer", 1), ("item", 0), ("item", 1)):
             with pytest.raises(ValueError, match="uduv takes no reported bids"):
                 uduv_local(inst, query, overlay=overlay)
+    # nor are values given to the constructor
+    with pytest.raises(ValueError, match="uduv takes no values"):
+        AuctionInstance([(0,), (0, 1)], 2, "uduv", values=(5, 7))
 
 
 def test_sets_longer_than_k_are_refused():

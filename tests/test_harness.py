@@ -43,6 +43,14 @@ def test_family_aliases():
     assert canonical_family("matching") == "matching"
     with pytest.raises(ValueError):
         canonical_family("raffle")
+    # every (lcmd family, --mode) pair names an instance family, and each
+    # instance family is reached by exactly one pair
+    reached = [fam for modes in harness.LCMD_FAMILIES.values() for fam in modes.values()]
+    assert sorted(reached) == sorted(FAMILIES)
+    assert harness.LCMD_FAMILIES["scheduling"] == {"std": "scheduling-std", "res": "scheduling-res"}
+    assert harness.LCMD_FAMILIES["auction"] == {m: m for m in ("uduv", "udubv", "ksmb")}
+    for name in FAMILIES:
+        assert canonical_family(name) == name
 
 
 def test_experiment_config_validation():
@@ -161,18 +169,28 @@ def test_cells_come_with_their_oracle_built(family):
 
 
 def test_verify_batteries_come_back_clean():
+    scheduling_rows = ["job_local_matches_global", "heights_match_assignments"]
+    bid_rows = ["buyer_local_matches_global", "winner_pays_at_most_bid", "items_awarded_once"]
+    # (family, size, the battery's rows in order)
     cases = [
-        ("matching", dict(k=2)),
-        ("scheduling-std", dict(d=2)),
-        ("scheduling-res", dict(d=2)),
-        ("uduv", dict(k=2)),
-        ("udubv", dict(k=2)),
-        ("ksmb", dict(k=2)),
-        ("rsd", dict(d=2)),
+        ("matching", dict(k=2), [
+            "man_local_matches_global", "woman_local_matches_global", "round_rejections_bounded",
+            "truncated_size_lower_bound", "no_blocking_pairs_full_run",
+        ]),
+        ("scheduling-std", dict(d=2), scheduling_rows),
+        ("scheduling-res", dict(d=2), [*scheduling_rows, "assignment_within_menu"]),
+        ("uduv", dict(k=2), [
+            "buyer_local_matches_global", "item_local_matches_global", "items_awarded_once",
+        ]),
+        ("udubv", dict(k=2), bid_rows),
+        ("ksmb", dict(k=2), bid_rows),
+        ("rsd", dict(d=2), [
+            "agent_local_matches_global", "houses_assigned_once", "house_within_list",
+        ]),
     ]
-    for family, kw in cases:
+    for family, kw, names in cases:
         rows = verify_family(family, ns=[40], seeds=2, **kw)
-        assert rows, family
+        assert [name for name, _, _ in rows] == names, family
         for name, instances, violations in rows:
             assert instances > 0, (family, name)
             assert violations == 0, (family, name)
@@ -595,7 +613,6 @@ def test_cli_refuses_restricted_menus_longer_than_d(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "job 1's menu holds more than d=1 machine draws" in err
 
-
 def test_cli_uduv_takes_no_bids(capsys):
     # every uduv buyer values an item at 1, so --bids has nowhere to go
     flags = ["--n", "3", "--m", "3", "--k", "1", "--bids", "5,6,7"]
@@ -695,6 +712,11 @@ def test_cli_empty_menu_exits_2(tmp_path, capsys):
     argv = ["query", "scheduling", "--mode", "res", "--config", str(path), "--query-job", "0"]
     assert cli.main(argv) == 2
     assert "job 0 has an empty menu" in capsys.readouterr().err
+    # a seeded build with d = 0 draws no menu at all, and says so by d
+    argv = ["query", "scheduling", "--mode", "res", "--n", "3", "--d", "0", "--query-job", "0"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "got d=0" in err
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):

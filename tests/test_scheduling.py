@@ -230,6 +230,31 @@ def test_rlms_empty_menu_rejected():
         SchedulingInstance((1, 1), m=2, d=0, mode="restricted")
 
 
+def test_seeded_restricted_build_names_d():
+    # a seeded menu holds d draws, so d < 1 is refused by name, as standard
+    # mode and housing refuse theirs, even with no job to give a menu
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"got d={d}"):
+            SchedulingInstance((1, 2), m=0, d=d)
+    with pytest.raises(ValueError, match="got d=0"):
+        build_instance(InstanceSpec(seed=0, family="scheduling-res", n=3, m=2, k=0))
+
+
+def test_rerun_helpers_refuse_a_negative_bid():
+    # as the rerun payments do; a negative bid used to read as bid 0 in
+    # rerun_height and to run in monotonicity_trace
+    inst = SchedulingInstance((1, 2, 3), m=6, d=2, seed=1)
+    for call in (
+        lambda: rerun_height(inst, 0, -3),
+        lambda: monotonicity_trace(inst, 0, -2, 1),
+        lambda: payment_rlms_for_bid(inst, 0, -1),
+        lambda: rlms_utility(inst, 0, -1, 2),
+    ):
+        with pytest.raises(ValueError, match="bid must be >= 0"):
+            call()
+    assert rerun_height(inst, 0, 0) == 0
+
+
 def test_payments_reject_unknown_machines():
     std = _std((1, 2, 3), 6, 2)
     res = _res((1, 2, 3), 6)
