@@ -50,7 +50,6 @@ from .matching import (
     rounds_for_epsilon,
 )
 from .oracles import (
-    majorization_step_check,
     majorizes,
     max_matching,
     max_weight_matching,

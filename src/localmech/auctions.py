@@ -466,7 +466,16 @@ def ksmb_local(
 # ---------------------------------------------------------------------------
 
 
-def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> list[Violation]:
+def _utility(inst: AuctionInstance, buyer: int, got: dict) -> Fraction:
+    """Buyer's true utility of the local answer `got`: her true value if the
+    award's first item is in her true set (else 0), less the payment."""
+    if not got["award"]:
+        return ZERO
+    value = inst.values[buyer] if got["award"][0] in inst.sets[buyer] else ZERO
+    return value - got["payment"]
+
+
+def truthfulness_audit(inst: AuctionInstance) -> list[Violation]:
     """Enumerate unilateral deviations and report every one that strictly
     beats truth-telling.  An empty list means no buyer can gain.
 
@@ -479,10 +488,8 @@ def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> l
     critical bid, and it depends on the other bids only (Lehmann,
     O'Callaghan and Shoham, JACM 2002), so p is her local payment at a bid
     above every value, whether she wins at t or not.  Every award is valued
-    one way: her true value if its first item is in her true set, else 0 (a
-    udubv or ksmb award always lies in her public set, and every uduv value
-    is 1).  `_zero_payments` drops every payment from the utilities, to show
-    that the audit catches a broken payment rule.
+    one way, by `_utility` (a udubv or ksmb award always lies in her public
+    set, and every uduv value is 1).
     """
     eps = Fraction(1, 1000)
     if inst.mode == UDUV:
@@ -512,18 +519,11 @@ def truthfulness_audit(inst: AuctionInstance, _zero_payments: bool = False) -> l
                 if bid >= 0 and bid != t
             ]
 
-    def utility(buyer: int, overlay: ReportOverlay | None) -> Fraction:
-        got = answer(buyer, overlay)
-        if not got["award"]:
-            return ZERO
-        value = inst.values[buyer] if got["award"][0] in inst.sets[buyer] else ZERO
-        return value - (ZERO if _zero_payments else got["payment"])
-
     violations: list[Violation] = []
     for buyer in range(inst.n):
-        u_truth = utility(buyer, None)
+        u_truth = _utility(inst, buyer, answer(buyer, None))
         for report, overlay in deviations(buyer):
-            u_dev = utility(buyer, overlay)
+            u_dev = _utility(inst, buyer, answer(buyer, overlay))
             if u_dev > u_truth:
                 violations.append(Violation(buyer, report, u_truth, u_dev))
     return violations

@@ -262,12 +262,11 @@ def csv_body(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if not line.startswith("#"))
 
 
-def bench_records_csv(records: Sequence[BenchRecord], comments: Sequence[str] = ()) -> str:
+def bench_records_csv(records: Sequence[BenchRecord]) -> str:
     total = sum(rec.wall_time for rec in records)
     head = [
         f"generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}",
         f"total-wall-time-s: {total:.3f}",
-        *comments,
     ]
     rows = [
         (rec.family, rec.n, rec.seed, rec.query, rec.probes, rec.digest) for rec in records

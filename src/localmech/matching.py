@@ -135,12 +135,10 @@ class MatchingInstance:
         return cls(spec.seeded_rows("men-list"), m=spec.m, seed=spec.seed, k=spec.k)
 
     @classmethod
-    def seeded(cls, n: int, k: int, seed: int, m: int | None = None) -> "MatchingInstance":
+    def seeded(cls, n: int, k: int, seed: int) -> "MatchingInstance":
         from .instances import InstanceSpec
 
-        return cls.from_spec(
-            InstanceSpec(seed=seed, family="matching", n=n, m=m if m is not None else n, k=k)
-        )
+        return cls.from_spec(InstanceSpec(seed=seed, family="matching", n=n, m=n, k=k))
 
     def priority_key(self, woman: int, man: int) -> tuple[int, int]:
         """Strict comparable priority of `man` for `woman`; larger wins.

@@ -18,7 +18,6 @@ from .randomness import RandomTape, derive_uniform
 __all__ = [
     "slot_load_vector",
     "majorizes",
-    "majorization_step_check",
     "uniform_majorizes_nonuniform",
     "max_matching",
     "max_weight_matching",
@@ -55,19 +54,6 @@ def majorizes(p: Sequence, q: Sequence) -> bool:
         if acc_p < acc_q:
             return False
     return True
-
-
-def majorization_step_check(p: Sequence[int], q: Sequence[int], i: int, j: int) -> bool:
-    """Add one unit at 1-based position i of normalized p and position j of
-    normalized q, renormalize, and test p' ⪰ q'.  (True is guaranteed when
-    p ⪰ q and i ≤ j; callers probing i > j can and do get False.)"""
-    ps = sorted(p, reverse=True)
-    qs = sorted(q, reverse=True)
-    if not 1 <= i <= len(ps) or not 1 <= j <= len(qs):
-        raise ValueError("positions out of range")
-    ps[i - 1] += 1
-    qs[j - 1] += 1
-    return majorizes(ps, qs)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ class AdjacencyOracle:
     __slots__ = ("n", "m", "_fwd", "_rev")
 
     def __init__(self, fwd: Sequence[Sequence[int]], m: int) -> None:
+        if m < 0:
+            raise ValueError(f"right count must be >= 0, got m={m}")
         self.n = len(fwd)
         self.m = m
         self._fwd: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in fwd)

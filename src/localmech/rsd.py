@@ -67,12 +67,10 @@ class HousingInstance:
         return cls(lists, m=spec.m, seed=spec.seed)
 
     @classmethod
-    def seeded(cls, n: int, d: int, seed: int, m: int | None = None) -> "HousingInstance":
+    def seeded(cls, n: int, d: int, seed: int) -> "HousingInstance":
         from .instances import InstanceSpec
 
-        return cls.from_spec(
-            InstanceSpec(seed=seed, family="housing", n=n, m=m if m is not None else n, k=d)
-        )
+        return cls.from_spec(InstanceSpec(seed=seed, family="housing", n=n, m=n, k=d))
 
 
 def serial_dictatorship(

@@ -10,8 +10,8 @@ Two allocators over unit jobs:
 
 * restricted mode: each job arrives with a fixed menu M_j of machines and is
   placed on the menu machine minimizing the floored post-placement load
-  ⌊(h_i+1)/b_i⌋, ties by a fixed machine permutation.  Flooring is what makes
-  the rule universally monotone — the unfloored variant `greedy_unmodified`
+  ⌊(h_i+1)/b_i⌋, ties to the smaller machine.  Flooring is what makes the
+  rule universally monotone — the unfloored variant `greedy_unmodified`
   is kept because it demonstrably is not (see its regression fixtures).
 
 Both allocators have per-job local queries that replay only the query's
@@ -104,9 +104,8 @@ class SchedulingInstance:
 
     Restricted mode fixes each job's machine menu as input data: explicit
     when given, otherwise d capacity-proportional draws (with replacement)
-    made once from the *true* capacities; `tie_order` is the machine
-    permutation that breaks floored-load ties (index order by default).
-    Standard mode takes no menus and no tie order — the mechanism itself
+    made once from the *true* capacities; floored-load ties go to the
+    smaller machine.  Standard mode takes no menus — the mechanism itself
     draws d distinct slots per job over the slot pool of these capacities
     and breaks slot ties by seeded draws; a capacity deviation is an
     instance built with the deviated capacities, which draws its choices
@@ -121,7 +120,6 @@ class SchedulingInstance:
         mode: str = RESTRICTED,
         seed: int = 0,
         menus: Sequence[Sequence[int]] | None = None,
-        tie_order: Sequence[int] | None = None,
     ) -> None:
         if mode not in (STANDARD, RESTRICTED):
             raise ValueError(f"mode must be {STANDARD!r} or {RESTRICTED!r}")
@@ -131,6 +129,8 @@ class SchedulingInstance:
             raise ValueError("capacities must be positive integers") from None
         if any(c < 1 for c in self.caps):
             raise ValueError("capacities must be positive integers")
+        if m < 0:
+            raise ValueError(f"need m >= 0 jobs, got m={m}")
         self.n = len(self.caps)
         self.m = m
         self.d = d
@@ -147,18 +147,12 @@ class SchedulingInstance:
         if mode == STANDARD:
             if not 1 <= d <= self.B:
                 raise ValueError(f"need 1 <= d <= B={self.B} slot choices")
-            if menus is not None or tie_order is not None:
-                raise ValueError("standard mode takes no menus and no tie_order")
+            if menus is not None:
+                raise ValueError("standard mode takes no menus")
             chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
             self._oracle = AdjacencyOracle(chosen, self.B)
             return
 
-        self.tie_order = tuple(range(self.n) if tie_order is None else tie_order)
-        if sorted(self.tie_order) != list(range(self.n)):
-            raise ValueError("tie_order must be a permutation of the machines")
-        self._tie_pos = [0] * self.n
-        for pos, i in enumerate(self.tie_order):
-            self._tie_pos[i] = pos
         if menus is not None:
             self._menus: tuple[tuple[int, ...], ...] = tuple(tuple(mu) for mu in menus)
             if len(self._menus) != m:
@@ -325,21 +319,15 @@ def payment_slms_expected(inst: SchedulingInstance, i: int) -> PaymentRecord:
     return PaymentRecord(machine=i, amount=amount, scheme="expected")
 
 
-def payment_slms_sampled(
-    inst: SchedulingInstance, i: int, draw: int | None = None
-) -> PaymentRecord:
+def payment_slms_sampled(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """One-draw unbiased payment: m·b²/B + m·b·k/(B₋+k) with k uniform on
-    [1, b].  Averaging over all k reproduces the expected payment exactly."""
+    [1, b], drawn under ("slms-pay-k", i).  Averaging over all k reproduces
+    the expected payment exactly."""
     inst.require_mode(STANDARD, "payment_slms_sampled")
     _check_machine(inst, i)
     b = inst.caps[i]
     B_minus = inst.B - b
-    if draw is None:
-        k = 1 + derive_uniform(inst.tape, ("slms-pay-k", i), b)
-    else:
-        if not 1 <= draw <= b:
-            raise ValueError(f"draw must be in [1, {b}]")
-        k = draw
+    k = 1 + derive_uniform(inst.tape, ("slms-pay-k", i), b)
     amount = Fraction(inst.m * b * b, inst.B) + inst.m * b * Fraction(k, B_minus + k)
     return PaymentRecord(machine=i, amount=amount, scheme="sampled")
 
@@ -369,21 +357,20 @@ def slms_expected_utility(
 
 
 def _pick_floored(
-    cands: Iterable[int],
-    heights: MutableMapping[int, int],
-    caps: Sequence[int],
-    tie_pos: Sequence[int],
+    cands: Iterable[int], heights: MutableMapping[int, int], caps: Sequence[int]
 ) -> int | None:
-    """A job's step: the candidate machine minimizing ⌊(h_i+1)/b_i⌋, ties by
-    the machine permutation, whose height it raises by one.  A machine with
-    capacity below 1 takes no job; None if every candidate has one."""
+    """A job's step: the candidate machine minimizing ⌊(h_i+1)/b_i⌋, ties to
+    the smaller machine, whose height it raises by one.  The candidates are
+    a job's oracle record, sorted and distinct, so the first least floor is
+    the smaller machine.  A machine with capacity below 1 takes no job; None
+    if every candidate has one."""
     best = None
-    best_key: tuple[int, int] | None = None
+    best_key: int | None = None
     for i in cands:
         c = caps[i]
         if c < 1:
             continue
-        key = ((heights[i] + 1) // c, tie_pos[i])
+        key = (heights[i] + 1) // c
         if best_key is None or key < best_key:
             best_key, best = key, i
     if best is not None:
@@ -399,10 +386,10 @@ def rlms_online(
     _trace: list[tuple[int, ...]] | None = None,
 ) -> Allocation:
     """Floored-load allocation: job j goes to the menu machine minimizing
-    ⌊(h_i+1)/b_i⌋, ties by the instance's machine permutation."""
+    ⌊(h_i+1)/b_i⌋, ties to the smaller machine."""
     inst.require_mode(RESTRICTED, "rlms_online")
     caps = inst.caps if caps is None else tuple(caps)
-    tie_pos, menus = inst._tie_pos, inst.oracle.fwd
+    menus = inst.oracle.fwd
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
     assign: list[int | None] = [None] * inst.m
     if _trace is not None:
@@ -411,7 +398,7 @@ def rlms_online(
     for j in jobs:
         # None when the caller gave every menu machine a capacity below 1
         # (monotonicity_trace from bid 0): the job adds no height anywhere.
-        assign[j] = _pick_floored(menus(j), heights, caps, tie_pos)
+        assign[j] = _pick_floored(menus(j), heights, caps)
         if _trace is not None:
             _trace.append(tuple(heights))
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
@@ -424,7 +411,7 @@ def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     view, order = _rank_closure(inst, job, counter)
     heights: defaultdict[int, int] = defaultdict(int)
     for j in order:
-        machine = _pick_floored(view.fwd(j), heights, inst.caps, inst._tie_pos)
+        machine = _pick_floored(view.fwd(j), heights, inst.caps)
     return machine  # the last job placed is the query
 
 
@@ -439,11 +426,11 @@ def greedy_unmodified(
     Kept as the negative exhibit: raising a bid can strictly lower the
     machine's job count under this rule, which the regression fixtures pin
     down step by step.  `tie_choices` maps job index → machine for scripted
-    tie resolutions; unscripted ties fall back to the instance permutation.
+    tie resolutions; unscripted ties go to the smaller machine.
     """
     inst.require_mode(RESTRICTED, "greedy_unmodified")
     caps = inst.caps if caps is None else tuple(caps)
-    tie_pos, menus = inst._tie_pos, inst.oracle.fwd
+    menus = inst.oracle.fwd
     heights = [0] * inst.n if initial_heights is None else list(initial_heights)
     assign: list[int | None] = [None] * inst.m
     for j in range(inst.m):
@@ -457,7 +444,7 @@ def greedy_unmodified(
             if pick not in mins:
                 raise ValueError(f"job {j}: scripted tie pick {pick} is not minimal")
         else:
-            pick = min(mins, key=tie_pos.__getitem__)
+            pick = min(mins)
         heights[pick] += 1
         assign[j] = pick
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
@@ -550,6 +537,8 @@ def makespan_ratio(inst: SchedulingInstance) -> Fraction:
     from . import oracles
 
     alloc = rlms_online(inst)
+    if inst.m < 1:  # the optimal makespan of no jobs is 0
+        raise ValueError(f"makespan_ratio needs m >= 1 jobs, got m={inst.m}")
     menus = [inst.oracle.fwd(j) for j in range(inst.m)]
     opt = oracles.optimal_makespan(inst.caps, inst.m, menus=menus)
     return alloc.makespan / opt

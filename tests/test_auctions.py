@@ -280,19 +280,23 @@ def test_audit_asks_no_global_runner(monkeypatch):
         assert truthfulness_audit(inst) == [], family
 
 
-def test_audit_catches_a_broken_payment_rule():
+def test_audit_catches_a_broken_payment_rule(monkeypatch):
     # with payments forced to zero, overbidding a lost contest becomes strictly
     # profitable, and the audit must say so
     inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
+    kinst = _ksmb([(0,), (0,)], values=(10, 3), m=1, k=1)
     assert truthfulness_audit(inst) == []
-    broken = truthfulness_audit(inst, _zero_payments=True)
+    assert truthfulness_audit(kinst) == []
+    utility = auctions._utility
+    monkeypatch.setattr(
+        auctions, "_utility", lambda auc, buyer, got: utility(auc, buyer, {**got, "payment": 0})
+    )
+    broken = truthfulness_audit(inst)
     assert any(v.buyer == 1 for v in broken)
     v = next(v for v in broken if v.buyer == 1)
     assert v.utility_deviation > v.utility_truth
     # a loser whose critical bid is above twice her value wins only at p + ε
-    kinst = _ksmb([(0,), (0,)], values=(10, 3), m=1, k=1)
-    assert truthfulness_audit(kinst) == []
-    broken = truthfulness_audit(kinst, _zero_payments=True)
+    broken = truthfulness_audit(kinst)
     assert [(v.buyer, v.report) for v in broken] == [(1, "bid=10001/1000")]
 
 

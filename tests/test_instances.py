@@ -181,11 +181,6 @@ _WRONG_MODE = [
             (scheduling.rlms_utility, (2,)),
         )
     ),
-    (
-        "standard-tie_order",
-        lambda: SchedulingInstance((2, 3), m=6, d=2, mode=STANDARD, tie_order=(1, 0)),
-        "tie_order",
-    ),
     *(
         (f"{mode}_{kind}-on-{other}", partial(call, _AUCTIONS[other]), mode)
         for mode, calls in (
@@ -211,6 +206,23 @@ def test_build_instance_dispatch():
     for family in FAMILIES:
         inst = build_instance(InstanceSpec(seed=2, family=family, n=6, m=6, k=2))
         assert inst.n == 6
+
+
+@pytest.mark.parametrize(
+    "build, word",
+    [
+        (lambda: MatchingInstance([], -1), "got m=-1"),
+        (lambda: AuctionInstance([], -1, UDUV), "got m=-1"),
+        (lambda: HousingInstance([], -1), "got m=-1"),
+        (lambda: SchedulingInstance((1,), -1, 1, mode=RESTRICTED), "got m=-1"),
+        (lambda: SchedulingInstance((1,), -1, 1, mode=STANDARD), "got m=-1"),
+    ],
+    ids=["matching", "auction", "housing", "scheduling-res", "scheduling-std"],
+)
+def test_constructors_refuse_a_negative_size(build, word):
+    # the spec refuses a negative size; the constructors used to build one
+    with pytest.raises(ValueError, match=word):
+        build()
 
 
 def test_oracle_transpose_consistency():

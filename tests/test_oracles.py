@@ -10,7 +10,6 @@ import pytest
 
 from localmech.oracles import (
     _restricted_feasible,
-    majorization_step_check,
     majorizes,
     max_matching,
     max_weight_matching,
@@ -72,32 +71,6 @@ def test_majorizes_reflexive_and_transitive():
         if majorizes(p, q) and majorizes(q, r):
             assert majorizes(p, r)
             checked += 1
-
-
-def test_step_check_examples():
-    assert majorization_step_check((1, 1), (1, 1), 2, 1)
-    assert not majorization_step_check((1, 1, 0), (1, 1, 0), 3, 1)
-    with pytest.raises(ValueError):
-        majorization_step_check((1, 1), (1, 1), 0, 1)
-    with pytest.raises(ValueError):
-        majorization_step_check((1, 1), (1, 1), 1, 3)
-
-
-def test_step_check_holds_for_ordered_positions():
-    # adding a unit higher in the dominant vector than in the dominated one
-    # preserves dominance
-    rng = random.Random(23)
-    checked = 0
-    while checked < 300:
-        parts = rng.randrange(2, 6)
-        p = _random_split(rng, 10, parts)
-        q = _random_split(rng, 10, parts)
-        if not majorizes(p, q):
-            continue
-        i = rng.randrange(1, parts + 1)
-        j = rng.randrange(i, parts + 1)
-        assert majorization_step_check(p, q, i, j), (p, q, i, j)
-        checked += 1
 
 
 def test_uniform_majorizes_nonuniform_small_profiles():

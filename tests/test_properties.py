@@ -97,10 +97,7 @@ def restricted_instances(draw):
     caps = draw(st.lists(st.integers(1, 3), min_size=machines, max_size=machines))
     # menus repeat machines freely; the allocator must count each one once
     menus = _item_lists(draw, jobs, machines, max_size=4, min_size=1)
-    tie_order = draw(st.permutations(range(machines)))
-    return SchedulingInstance(
-        caps, m=jobs, d=2, mode=RESTRICTED, seed=draw(seeds), menus=menus, tie_order=tie_order
-    )
+    return SchedulingInstance(caps, m=jobs, d=2, mode=RESTRICTED, seed=draw(seeds), menus=menus)
 
 
 @st.composite

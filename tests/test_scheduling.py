@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from localmech import scheduling
 from localmech.instances import InstanceSpec, build_instance
 from localmech.scheduling import (
     RESTRICTED,
@@ -37,10 +38,8 @@ def _std(caps, m, d, seed=0):
     return SchedulingInstance(caps=caps, m=m, d=d, mode=STANDARD, seed=seed)
 
 
-def _res(caps, m, d=2, seed=0, menus=None, tie_order=None):
-    return SchedulingInstance(
-        caps=caps, m=m, d=d, mode=RESTRICTED, seed=seed, menus=menus, tie_order=tie_order
-    )
+def _res(caps, m, d=2, seed=0, menus=None):
+    return SchedulingInstance(caps=caps, m=m, d=d, mode=RESTRICTED, seed=seed, menus=menus)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +54,6 @@ def test_validation():
         _std((1, 1), 2, 3)  # d beyond the slot pool
     with pytest.raises(ValueError):
         SchedulingInstance(caps=(1, 1), m=2, d=1, mode=STANDARD, menus=[(0,), (1,)])
-    with pytest.raises(ValueError):
-        _res((1, 1), 1, tie_order=(0, 0))
     for caps in ((2.9, 1), (2, "1")):  # refused, not truncated to (2, 1)
         for mode in (STANDARD, RESTRICTED):
             with pytest.raises(ValueError, match="capacities must be positive integers"):
@@ -124,21 +121,17 @@ def test_slms_expected_payment_two_unit_machines():
     assert rec.scheme == "expected"
 
 
-def test_slms_sampled_payment_is_unbiased():
+def test_slms_sampled_payment_is_unbiased(monkeypatch):
     # averaging the sampled rule over its draw reproduces the closed form
+    def sampled(inst, i, k):
+        monkeypatch.setattr(scheduling, "derive_uniform", lambda tape, key, b: k - 1)
+        return payment_slms_sampled(inst, i).amount
+
     for caps, m, i in [((2, 3), 12, 0), ((2, 3), 12, 1), ((1, 4, 2), 9, 1), ((5,), 7, 0)]:
         inst = _std(caps, m, 1)
         b = caps[i]
-        total = sum(payment_slms_sampled(inst, i, draw=k).amount for k in range(1, b + 1))
+        total = sum(sampled(inst, i, k) for k in range(1, b + 1))
         assert total / b == payment_slms_expected(inst, i).amount, (caps, m, i)
-
-
-def test_slms_sampled_draw_validation():
-    inst = _std((2, 3), 6, 1)
-    with pytest.raises(ValueError):
-        payment_slms_sampled(inst, 0, draw=0)
-    with pytest.raises(ValueError):
-        payment_slms_sampled(inst, 0, draw=3)
 
 
 def test_slms_voluntary_participation():
@@ -177,6 +170,17 @@ def test_rlms_floored_rule_prefers_low_projected_load():
     inst = _res((4, 8, 36), 3, menus=[(0, 1), (1, 2), (0, 1)])
     alloc = rlms_online(inst, initial_heights=(1, 3, 18))
     assert alloc.heights == (3, 4, 18)
+
+
+def test_ties_go_to_the_smaller_machine_whatever_the_menu_order():
+    # the raw menu lists machine 3 first; every rule reads the sorted record,
+    # so the first least load, floored or not, is machine 1
+    inst = _res((1, 1, 1, 1), 1, menus=[(3, 1)])
+    assert inst.menu(0) == (3, 1)
+    assert rlms_online(inst).assign == (1,)
+    assert rlms_online(inst, order=inst.order).assign == (1,)
+    assert rlms_local(inst, 0) == 1
+    assert greedy_unmodified(inst).assign == (1,)
 
 
 def test_rlms_bid_raise_keeps_monotonicity_on_fixture():
@@ -308,10 +312,10 @@ def test_zero_cap_leaves_a_whole_menu_job_unplaced():
 def test_menu_draw_order_and_repeats_never_matter():
     # the allocators read the oracle's sorted, distinct machines, so a twin
     # built from those menus runs exactly alike
-    caps, tie_order = (2, 1, 3, 1), (2, 0, 3, 1)
+    caps = (2, 1, 3, 1)
     raw = [(3, 1, 3), (2, 1), (1, 1, 0), (0, 2), (3, 2, 2), (1, 3, 0), (2,), (3, 0), (0, 0)]
     tidy = [tuple(sorted(set(mu))) for mu in raw]
-    a, b = (_res(caps, len(raw), seed=7, menus=mus, tie_order=tie_order) for mus in (raw, tidy))
+    a, b = (_res(caps, len(raw), seed=7, menus=mus) for mus in (raw, tidy))
     assert [a.menu(j) for j in range(a.m)] == raw
     assert [b.menu(j) for j in range(b.m)] == tidy
     assert list(a.order) == list(b.order)
@@ -319,11 +323,11 @@ def test_menu_draw_order_and_repeats_never_matter():
     assert rlms_online(a, order=a.order) == rlms_online(b, order=b.order)
     assert [rlms_local(a, j) for j in range(a.m)] == [rlms_local(b, j) for j in range(b.m)]
     # job 0 ties machines 3 and 1 at 1/1 under the unfloored rule: the
-    # permutation picks 3, the script picks 1
-    for ties in (None, {0: 1}):
+    # smaller machine, 1, by default; the script picks 3
+    for ties in (None, {0: 3}):
         assert greedy_unmodified(a, tie_choices=ties) == greedy_unmodified(b, tie_choices=ties)
-    assert greedy_unmodified(a).assign[0] == 3
-    assert greedy_unmodified(a, tie_choices={0: 1}).assign[0] == 1
+    assert greedy_unmodified(a).assign[0] == 1
+    assert greedy_unmodified(a, tie_choices={0: 3}).assign[0] == 3
     for i in range(len(caps)):
         for low, high in ((0, caps[i]), (caps[i], caps[i] + 2)):
             assert monotonicity_trace(a, i, low, high) == monotonicity_trace(b, i, low, high)
@@ -467,6 +471,12 @@ def test_makespan_ratio_on_forced_menus():
     # menus force 3 jobs through machine 0; the allocator can't do better
     inst = _res((1, 1), 3, menus=[(0,), (0,), (0, 1)])
     assert makespan_ratio(inst) == F(1)
+
+
+def test_makespan_ratio_refuses_no_jobs():
+    # the optimal makespan of no jobs is 0, and the ratio would divide by it
+    with pytest.raises(ValueError, match="got m=0"):
+        makespan_ratio(SchedulingInstance((1, 2), m=0, d=1))
 
 
 def test_makespan_ratio_seeded_restricted():
