@@ -52,14 +52,16 @@ def main() -> None:
         print(f"  bid {bid}: utility {float(u):7.3f}{marker}")
 
     print("\nrestricted mode, floored rule is monotone in the bid:")
-    menus = [(0, 1), (1, 2), (0, 1)]
-    small = SchedulingInstance((4, 8, 36), m=3, d=2, mode="restricted", menus=menus)
+    # 22 single-machine jobs load the machines to heights (1, 3, 18), then
+    # three jobs choose between two machines each
+    menus = [(0,)] + [(1,)] * 3 + [(2,)] * 18 + [(0, 1), (1, 2), (0, 1)]
+    small = SchedulingInstance((4, 8, 36), m=len(menus), d=2, mode="restricted", menus=menus)
     for bid in (8, 9):
-        h = rlms_online(small, caps=(4, bid, 36), initial_heights=(1, 3, 18)).heights
+        h = rlms_online(small, caps=(4, bid, 36)).heights
         print(f"  machine 1 bids {bid}: heights {h}")
     print("the unfloored variant is not:")
     for bid in (8, 9):
-        h = greedy_unmodified(small, caps=(4, bid, 36), initial_heights=(1, 3, 18)).heights
+        h = greedy_unmodified(small, caps=(4, bid, 36)).heights
         print(f"  machine 1 bids {bid}: heights {h}")
 
 

@@ -13,6 +13,8 @@ Two allocators over unit jobs:
   ⌊(h_i+1)/b_i⌋, ties to the smaller machine.  Flooring is what makes the
   rule universally monotone — the unfloored variant `greedy_unmodified`
   is kept because it demonstrably is not (see its regression fixtures).
+  Both rules run one loop, `_restricted_run`, each with its own step,
+  `_pick_floored` or `_pick_unfloored`.
 
 Both allocators have per-job local queries that replay only the query's
 rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import index
-from typing import TYPE_CHECKING, Iterable, MutableMapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
 from .randomness import RandomTape, derive_uniform, sample_table, uniform_rows
@@ -71,10 +73,11 @@ RESTRICTED = "restricted"
 
 @dataclass(frozen=True)
 class Allocation:
-    """Result of one allocator run.  `assign[j]` is None only for a job
-    whose every menu machine has a caller-given capacity below 1 (such as
-    `monotonicity_trace` from bid 0); runs at the instance's capacities
-    place every job."""
+    """Result of one allocator run; its heights after each step are read off
+    `assign` in run order, as `monotonicity_trace` does.  `assign[j]` is
+    None only for a job whose every menu machine has a caller-given
+    capacity below 1 (a bid of 0); runs at the instance's capacities place
+    every job."""
 
     assign: tuple[int | None, ...]
     heights: tuple[int, ...]
@@ -162,6 +165,8 @@ class SchedulingInstance:
                     raise ValueError(f"menu of job {j} names an unknown machine")
         elif d < 1:
             raise ValueError(f"need d >= 1 menu draws, got d={d}: each job gets an empty menu")
+        elif self.n < 1:
+            raise ValueError(f"need n >= 1 machines to draw menus from, got n={self.n}")
         else:
             # capacity-proportional machine draws over the true slot pool,
             # draw t of job j under ("menu", j, t)
@@ -378,30 +383,35 @@ def _pick_floored(
     return best
 
 
+_Step = Callable[[Iterable[int], MutableMapping[int, int], Sequence[int]], int | None]
+
+
+def _restricted_run(
+    inst: SchedulingInstance, step: _Step, caps: Sequence[int] | None, jobs: Iterable[int]
+) -> Allocation:
+    """The one restricted-mode loop: each of `jobs` in turn takes
+    `step(record, heights, caps)` over its oracle record.  A job whose
+    every menu machine has a capacity below 1 takes None and adds no
+    height anywhere (a bid of 0 in the rerun payments and the trace)."""
+    caps = inst.caps if caps is None else tuple(caps)
+    menus = inst.oracle.fwd
+    heights = [0] * inst.n
+    assign: list[int | None] = [None] * inst.m
+    for j in jobs:
+        assign[j] = step(menus(j), heights, caps)
+    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
+
+
 def rlms_online(
     inst: SchedulingInstance,
     caps: Sequence[int] | None = None,
     order: Iterable[int] | None = None,
-    initial_heights: Sequence[int] | None = None,
-    _trace: list[tuple[int, ...]] | None = None,
 ) -> Allocation:
-    """Floored-load allocation: job j goes to the menu machine minimizing
-    ⌊(h_i+1)/b_i⌋, ties to the smaller machine."""
+    """Floored-load allocation over all jobs (index order unless given):
+    job j goes to the menu machine minimizing ⌊(h_i+1)/b_i⌋, ties to the
+    smaller machine."""
     inst.require_mode(RESTRICTED, "rlms_online")
-    caps = inst.caps if caps is None else tuple(caps)
-    menus = inst.oracle.fwd
-    heights = [0] * inst.n if initial_heights is None else list(initial_heights)
-    assign: list[int | None] = [None] * inst.m
-    if _trace is not None:
-        _trace.append(tuple(heights))
-    jobs = range(inst.m) if order is None else order
-    for j in jobs:
-        # None when the caller gave every menu machine a capacity below 1
-        # (monotonicity_trace from bid 0): the job adds no height anywhere.
-        assign[j] = _pick_floored(menus(j), heights, caps)
-        if _trace is not None:
-            _trace.append(tuple(heights))
-    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
+    return _restricted_run(inst, _pick_floored, caps, range(inst.m) if order is None else order)
 
 
 def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:
@@ -415,44 +425,42 @@ def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     return machine  # the last job placed is the query
 
 
-def greedy_unmodified(
-    inst: SchedulingInstance,
-    caps: Sequence[int] | None = None,
-    initial_heights: Sequence[int] | None = None,
-    tie_choices: dict[int, int] | None = None,
-) -> Allocation:
-    """The unfloored rule: minimize (h_i+1)/b_i exactly.
+def _pick_unfloored(
+    cands: Iterable[int], heights: MutableMapping[int, int], caps: Sequence[int]
+) -> int | None:
+    """The unfloored step: the candidate minimizing the exact (h_i+1)/b_i,
+    ties to the smaller machine (the first of the sorted record), whose
+    height it raises by one; None if no candidate has capacity 1 or more."""
+    fits = [i for i in cands if caps[i] >= 1]
+    if not fits:
+        return None
+    best = min(fits, key=lambda i: Fraction(heights[i] + 1, caps[i]))
+    heights[best] += 1
+    return best
+
+
+def greedy_unmodified(inst: SchedulingInstance, caps: Sequence[int] | None = None) -> Allocation:
+    """The unfloored rule in job index order: minimize (h_i+1)/b_i exactly,
+    ties to the smaller machine.
 
     Kept as the negative exhibit: raising a bid can strictly lower the
     machine's job count under this rule, which the regression fixtures pin
-    down step by step.  `tie_choices` maps job index → machine for scripted
-    tie resolutions; unscripted ties go to the smaller machine.
+    down, their earlier load given as leading single-machine jobs.
     """
     inst.require_mode(RESTRICTED, "greedy_unmodified")
-    caps = inst.caps if caps is None else tuple(caps)
-    menus = inst.oracle.fwd
-    heights = [0] * inst.n if initial_heights is None else list(initial_heights)
-    assign: list[int | None] = [None] * inst.m
-    for j in range(inst.m):
-        loads = {i: Fraction(heights[i] + 1, caps[i]) for i in menus(j) if caps[i] >= 1}
-        if not loads:
-            continue
-        least = min(loads.values())
-        mins = [i for i, load in loads.items() if load == least]
-        if len(mins) > 1 and tie_choices and j in tie_choices:
-            pick = tie_choices[j]
-            if pick not in mins:
-                raise ValueError(f"job {j}: scripted tie pick {pick} is not minimal")
-        else:
-            pick = min(mins)
-        heights[pick] += 1
-        assign[j] = pick
-    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
+    return _restricted_run(inst, _pick_unfloored, caps, range(inst.m))
 
 
 def _check_bid(bid: int) -> None:
     if bid < 0:
         raise ValueError(f"bid must be >= 0, got {bid}")
+
+
+def _rank_run(inst: SchedulingInstance, i: int, bid: int) -> Allocation:
+    """The rank-order run with machine i at `bid`, the others at truth."""
+    caps = list(inst.caps)
+    caps[i] = bid
+    return rlms_online(inst, caps=caps, order=inst.order)
 
 
 def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> list[int]:
@@ -463,12 +471,7 @@ def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> lis
     any bid, a zero bid included."""
     inst.require_mode(RESTRICTED, "a rerun height or payment")
     _check_machine(inst, i)
-    caps = list(inst.caps)
-    heights = []
-    for bid in bids:
-        caps[i] = bid
-        heights.append(bid and rlms_online(inst, caps=caps, order=inst.order).heights[i])
-    return heights
+    return [bid and _rank_run(inst, i, bid).heights[i] for bid in bids]
 
 
 def rerun_height(inst: SchedulingInstance, i: int, bid: int) -> int:
@@ -515,19 +518,22 @@ def monotonicity_trace(
 ) -> list[tuple[int, ...]]:
     """Per-step height deltas D^t = heights(bid_high) − heights(bid_low) for
     machine i's bid raised from bid_low to bid_high in the rank-order run,
-    menus and ties fixed.  Entry t is the delta after t jobs (t = 0 … m)."""
+    menus and ties fixed.  Entry t is the delta after the first t jobs of
+    the rank order (t = 0 … m), read off the two runs' assignments."""
     _check_machine(inst, i)
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
     _check_bid(bid_low)
-    traces: list[list[tuple[int, ...]]] = []
-    for bid in (bid_low, bid_high):
-        caps = list(inst.caps)
-        caps[i] = bid
-        traces.append([])
-        rlms_online(inst, caps=caps, order=inst.order, _trace=traces[-1])
-    low, high = traces
-    return [tuple(hb - lb for hb, lb in zip(h, lo)) for h, lo in zip(high, low)]
+    low, high = (_rank_run(inst, i, bid).assign for bid in (bid_low, bid_high))
+    delta = [0] * inst.n
+    rows = [tuple(delta)]
+    for j in inst.order:
+        if high[j] is not None:
+            delta[high[j]] += 1
+        if low[j] is not None:
+            delta[low[j]] -= 1
+        rows.append(tuple(delta))
+    return rows
 
 
 def makespan_ratio(inst: SchedulingInstance) -> Fraction:

@@ -262,6 +262,17 @@ def test_criterion_04_truncation_bounds():
 # ---------------------------------------------------------------------------
 
 
+def _height_rows(alloc, n: int) -> list[tuple[int, ...]]:
+    """The heights after each of the first t jobs (t = 0 … m) of a run in
+    job index order, read off its assignment."""
+    heights = [0] * n
+    rows = [tuple(heights)]
+    for machine in alloc.assign:
+        heights[machine] += 1
+        rows.append(tuple(heights))
+    return rows
+
+
 def test_criterion_05_restricted_bid_monotonicity():
     rnd = random.Random(505)
     own_violations = other_violations = 0
@@ -276,9 +287,7 @@ def test_criterion_05_restricted_bid_monotonicity():
             for b in range(1, 7):
                 cv = list(caps)
                 cv[i] = b
-                tr: list[tuple[int, ...]] = []
-                rlms_online(inst, caps=cv, _trace=tr)
-                traces[b] = tr
+                traces[b] = _height_rows(rlms_online(inst, caps=cv), n)
             for b in range(1, 7):
                 for b2 in range(b + 1, 7):
                     pairs += 1
@@ -304,20 +313,22 @@ def test_criterion_05_restricted_bid_monotonicity():
 # ---------------------------------------------------------------------------
 
 _GREEDY_MENUS = [(0, 3), (0, 3), (1, 3), (1, 3)] + [(2, 3)] * 6 + [(0, 1), (0, 2)]
+# 22 single-machine jobs set heights (1, 3, 18) before the three that choose
+_SMALL_MENUS = [(0,)] + [(1,)] * 3 + [(2,)] * 18 + [(0, 1), (1, 2), (0, 1)]
 
 
 def test_criterion_06_counterexample_fixtures():
     inst = SchedulingInstance((4, 4, 8, 1), m=12, d=2, mode="restricted", menus=_GREEDY_MENUS)
-    base = greedy_unmodified(inst, tie_choices={10: 0})
+    base = greedy_unmodified(inst)
     menus2 = list(_GREEDY_MENUS)
     menus2[10] = (1, 2)
     inst2 = SchedulingInstance((4, 4, 8, 1), m=12, d=2, mode="restricted", menus=menus2)
     raised = greedy_unmodified(inst2, caps=(4, 4, 9, 1))
     twelve_ok = base.heights == (3, 2, 7, 0) and raised.heights == (3, 3, 6, 0)
 
-    small = SchedulingInstance((4, 8, 36), m=3, d=2, mode="restricted", menus=[(0, 1), (1, 2), (0, 1)])
-    lo = greedy_unmodified(small, initial_heights=(1, 3, 18))
-    hi = greedy_unmodified(small, caps=(4, 9, 36), initial_heights=(1, 3, 18))
+    small = SchedulingInstance((4, 8, 36), m=25, d=2, mode="restricted", menus=_SMALL_MENUS)
+    lo = greedy_unmodified(small)
+    hi = greedy_unmodified(small, caps=(4, 9, 36))
     three_ok = lo.heights == (2, 5, 18) and hi.heights == (2, 4, 19)
 
     ok = twelve_ok and three_ok
@@ -325,7 +336,7 @@ def test_criterion_06_counterexample_fixtures():
         6,
         ok,
         f"12-job fixture {base.heights}->{raised.heights}; "
-        f"3-job fixture {lo.heights}->{hi.heights}; both bit-exact: {ok}",
+        f"25-job fixture {lo.heights}->{hi.heights}; both bit-exact: {ok}",
     )
     assert ok, line
 

@@ -1,0 +1,32 @@
+"""ROADMAP's design census, recomputed: a change that moves either figure
+updates the pin here and the census in ROADMAP.md together."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "localmech").glob("*.py"))
+
+
+def test_defaulted_parameter_census():
+    # ROADMAP's one-liner: defaulted positional and keyword-only parameters
+    # of every function and method
+    count = sum(
+        len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+        for p in SOURCES
+        for f in ast.walk(ast.parse(p.read_text()))
+        if isinstance(f, ast.FunctionDef)
+    )
+    assert count == 42
+
+
+def test_mode_and_family_comparison_census():
+    # ROADMAP's `grep -cE` over src/, summed: lines that compare a mode or
+    # family name
+    pattern = re.compile(r"(mode|family)[a-z_]*\)? *(==|!=|not in| in )")
+    count = sum(
+        sum(1 for line in p.read_text().splitlines() if pattern.search(line)) for p in SOURCES
+    )
+    assert count == 17

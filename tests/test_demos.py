@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,13 +25,27 @@ def test_every_demo_is_listed():
     assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMOS)
 
 
-@pytest.mark.parametrize("demo", sorted(DEMOS))
-def test_demo_runs(demo):
+def _run(demo: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo), *DEMOS[demo]],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_runs(demo):
+    proc = _run(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), demo
+
+
+def test_scheduling_demo_prints_the_exhibit_heights():
+    # machine 1 bids 8, then 9: the floored rule keeps its height, the
+    # unfloored rule takes a job from it
+    proc = _run("scheduling_payments.py")
+    assert proc.returncode == 0, proc.stderr
+    assert re.findall(r"heights (\(.*\))", proc.stdout) == [
+        "(3, 4, 18)", "(3, 4, 18)", "(2, 5, 18)", "(2, 4, 19)",
+    ]

@@ -502,9 +502,12 @@ def test_cli_flag_fuzz_exits_0_1_or_2(data, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cli_usage_errors_exit_2(tmp_path):
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
     # query without a query flag
     assert cli.main(["query", "rsd", "--seed", "0", "--n", "8"]) == 2
+    # seeded restricted menus with no machine to draw from: refused by n
+    assert cli.main(["run", "scheduling", "--mode", "res", "--n", "0", "--m", "0", "--all"]) == 2
+    assert "got n=0" in capsys.readouterr().err
     # config family mismatch
     out = tmp_path / "h.json"
     assert cli.main(["gen", "rsd", "--n", "8", "--out", str(out)]) == 0

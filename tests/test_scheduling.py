@@ -164,11 +164,21 @@ def test_slms_utility_sweep_peaks_at_truth():
 # ---------------------------------------------------------------------------
 
 
+# 22 single-machine jobs bring machines 0, 1, 2 to heights (1, 3, 18), then
+# three jobs choose: the small exhibit of floored vs unfloored loads
+_LEAD = [(0,)] + [(1,)] * 3 + [(2,)] * 18
+_SMALL_MENUS = _LEAD + [(0, 1), (1, 2), (0, 1)]
+
+
+def _small():
+    return _res((4, 8, 36), len(_SMALL_MENUS), menus=_SMALL_MENUS)
+
+
 def test_rlms_floored_rule_prefers_low_projected_load():
     # heights (1,3,18), caps (4,8,36): job with menu {0,1} projects
     # floor(2/4)=0 on machine 0 and floor(4/8)=0 on machine 1; tie -> 0
-    inst = _res((4, 8, 36), 3, menus=[(0, 1), (1, 2), (0, 1)])
-    alloc = rlms_online(inst, initial_heights=(1, 3, 18))
+    alloc = rlms_online(_small())
+    assert alloc.assign[: len(_LEAD)] == tuple(mu[0] for mu in _LEAD)
     assert alloc.heights == (3, 4, 18)
 
 
@@ -184,9 +194,9 @@ def test_ties_go_to_the_smaller_machine_whatever_the_menu_order():
 
 
 def test_rlms_bid_raise_keeps_monotonicity_on_fixture():
-    inst = _res((4, 8, 36), 3, menus=[(0, 1), (1, 2), (0, 1)])
-    base = rlms_online(inst, initial_heights=(1, 3, 18))
-    raised = rlms_online(inst, caps=(4, 9, 36), initial_heights=(1, 3, 18))
+    inst = _small()
+    base = rlms_online(inst)
+    raised = rlms_online(inst, caps=(4, 9, 36))
     assert raised.heights[1] >= base.heights[1]
     assert base.heights == raised.heights == (3, 4, 18)
 
@@ -194,9 +204,9 @@ def test_rlms_bid_raise_keeps_monotonicity_on_fixture():
 def test_unfloored_greedy_reproduces_taller_trace():
     # same fixture under the unfloored rule: machine 1 climbs to 5, then
     # _loses_ a job when it raises its bid to 9
-    inst = _res((4, 8, 36), 3, menus=[(0, 1), (1, 2), (0, 1)])
-    base = greedy_unmodified(inst, initial_heights=(1, 3, 18))
-    raised = greedy_unmodified(inst, caps=(4, 9, 36), initial_heights=(1, 3, 18))
+    inst = _small()
+    base = greedy_unmodified(inst)
+    raised = greedy_unmodified(inst, caps=(4, 9, 36))
     assert base.heights == (2, 5, 18)
     assert raised.heights == (2, 4, 19)
     assert raised.heights[1] < base.heights[1]  # the non-monotonicity exhibit
@@ -207,7 +217,7 @@ _GREEDY_MENUS = [(0, 3), (0, 3), (1, 3), (1, 3)] + [(2, 3)] * 6 + [(0, 1), (0, 2
 
 def test_unfloored_greedy_twelve_job_fixture():
     inst = _res((4, 4, 8, 1), 12, menus=_GREEDY_MENUS)
-    base = greedy_unmodified(inst, tie_choices={10: 0})
+    base = greedy_unmodified(inst)  # job 10 ties machines 0 and 1 at 3/4; 0 takes it
     assert base.heights == (3, 2, 7, 0)
     # machine 2 bids 9 and job 10's menu moves to {1, 2}
     menus2 = list(_GREEDY_MENUS)
@@ -216,13 +226,6 @@ def test_unfloored_greedy_twelve_job_fixture():
     raised = greedy_unmodified(inst2, caps=(4, 4, 9, 1))
     assert raised.heights == (3, 3, 6, 0)
     assert raised.heights[2] < base.heights[2]
-
-
-def test_greedy_scripted_tie_must_be_minimal():
-    # machines 0 and 1 tie at 1/2; scripting the strictly worse machine 2 fails
-    inst = _res((2, 2, 1), 1, menus=[(0, 1, 2)])
-    with pytest.raises(ValueError):
-        greedy_unmodified(inst, tie_choices={0: 2})
 
 
 def test_rlms_empty_menu_rejected():
@@ -242,6 +245,18 @@ def test_seeded_restricted_build_names_d():
             SchedulingInstance((1, 2), m=0, d=d)
     with pytest.raises(ValueError, match="got d=0"):
         build_instance(InstanceSpec(seed=0, family="scheduling-res", n=3, m=2, k=0))
+
+
+def test_seeded_restricted_build_names_n():
+    # seeded menus are drawn from the machines, so with none the build is
+    # refused by n before the menu draw, as standard mode names B
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="got n=0"):
+            SchedulingInstance((), m=m, d=1)
+    with pytest.raises(ValueError, match="B=0"):
+        SchedulingInstance((), m=0, d=1, mode=STANDARD)
+    # explicit menus name no machine when there is no job
+    assert rlms_online(_res((), 0, menus=[])).heights == ()
 
 
 def test_rerun_helpers_refuse_a_negative_bid():
@@ -323,11 +338,9 @@ def test_menu_draw_order_and_repeats_never_matter():
     assert rlms_online(a, order=a.order) == rlms_online(b, order=b.order)
     assert [rlms_local(a, j) for j in range(a.m)] == [rlms_local(b, j) for j in range(b.m)]
     # job 0 ties machines 3 and 1 at 1/1 under the unfloored rule: the
-    # smaller machine, 1, by default; the script picks 3
-    for ties in (None, {0: 3}):
-        assert greedy_unmodified(a, tie_choices=ties) == greedy_unmodified(b, tie_choices=ties)
+    # smaller machine, 1, takes it
+    assert greedy_unmodified(a) == greedy_unmodified(b)
     assert greedy_unmodified(a).assign[0] == 1
-    assert greedy_unmodified(a, tie_choices={0: 3}).assign[0] == 3
     for i in range(len(caps)):
         for low, high in ((0, caps[i]), (caps[i], caps[i] + 2)):
             assert monotonicity_trace(a, i, low, high) == monotonicity_trace(b, i, low, high)
@@ -382,6 +395,26 @@ def test_rlms_truthful_utility_dominates_grid():
             u_truth = rlms_utility(inst, i, truth, truth)
             for bid in range(7):
                 assert rlms_utility(inst, i, bid, truth) <= u_truth, (seed, i, bid)
+
+
+def test_rerun_height_difference_is_the_final_delta():
+    # the last row is the whole rank-order run at each bid, so machine i's
+    # entry is the difference of the heights its rerun payments price
+    for seed in range(10):
+        inst = SchedulingInstance.from_spec(
+            InstanceSpec(seed=seed, family="scheduling-res", n=5, m=20, k=2)
+        )
+        for i in range(inst.n):
+            b = inst.caps[i]
+            for lo, hi in ((0, b), (b, b + 2)):
+                runs = []
+                for bid in (lo, hi):
+                    caps = list(inst.caps)
+                    caps[i] = bid
+                    runs.append(rlms_online(inst, caps=caps, order=inst.order).heights)
+                last = monotonicity_trace(inst, i, lo, hi)[-1]
+                assert last == tuple(h - l for h, l in zip(runs[1], runs[0])), (seed, i, lo)
+                assert last[i] == rerun_height(inst, i, hi) - rerun_height(inst, i, lo)
 
 
 def test_monotonicity_trace_signs():
