@@ -18,6 +18,13 @@ its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
 the same step, and uduv's run and query read the same records: the
 instance oracle's, with a misreport patched in by `_reported_reads`.
 
+The udubv and ksmb global runs price a winner by a displacement replay
+(`_bid_run`), not by rerunning the auction without her: they free her items
+and re-decide, in bid order, only the buyers whose items changed holder
+ahead of them, so a winner costs the bidder lists of the items her removal
+moves, not a whole run.  `_critical`, the full rerun that defines the
+price, is kept as the test oracle.
+
 Local queries agree with the global run outcome exactly.  uduv queries
 replay the dependency closure of the queried buyer/item
 (`probes.upward_closure`: higher-scored items sharing buyers, transitively).
@@ -42,8 +49,10 @@ under a `ReportOverlay`, for the truth and for every deviation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -324,8 +333,9 @@ _BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_p
 def _critical(
     inst: AuctionInstance, bids: Sequence[Fraction | int], order: Sequence[int], i: int
 ) -> Fraction:
-    """Buyer i's critical price: her price rule applied to the run without
-    her, which serves the bid order `order` with i removed."""
+    """Buyer i's critical price by its definition, the test oracle of
+    `_bid_run`: her price rule applied to a full rerun without her, which
+    serves the bid order `order` with i removed."""
     awards, price = _BID_RULES[inst.mode]
     without = (b for b in order if b != i)
     # each key equals its bid in value, so the price read off the keys is exact
@@ -333,12 +343,83 @@ def _critical(
 
 
 def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
+    """The full run, with each winner priced by a displacement replay.
+
+    Without winner i, a buyer's award can change only if an item of her set
+    was taken before her in one run and not in the other: a bidder of item
+    j whose place lies between j's holders in the two runs (the later one
+    included).  The replay re-decides only those, in bid order from a heap,
+    each by the full run's step over the earlier holders of her items.  An
+    item that loses its holder (i's items first) is offered down its later
+    bidders until one takes it; an item taken earlier than in the full run
+    queues its bidders up to its old holder.  i's price is read off the
+    holders of her items in the run without her.
+    """
     _, bids = inst.reports(overlay)
+    sets = inst.sets
     order = _by_bid(range(inst.n), bids)
-    won = _BID_RULES[inst.mode][0](order, inst.sets.__getitem__)
+    step, price = _BID_RULES[inst.mode]
+    won = step(order, sets.__getitem__)
+    holder = {j: b for b, award in won.items() for j in award}
+    place = [0] * inst.n
+    bidders: list[list[int]] = [[] for _ in range(inst.m)]  # item → bidders' places, ascending
+    for p, b in enumerate(order):
+        place[b] = p
+        for j in sets[b]:
+            bidders[j].append(p)
+
+    def without(i: int) -> dict[int, tuple[int, ...]]:
+        """The awards in the run without i of the holders of i's items."""
+        moved: dict[int, int | None] = {}  # item → holder, where it differs
+        changed: dict[int, tuple[int, ...]] = {}  # buyer → award, where it differs
+        queue, last = [place[i]], -1
+        while queue:
+            p = heappop(queue)
+            if p == last:
+                continue
+            last, y = p, order[p]  # places pop in order, so repeats are adjacent
+            old, got = won.get(y, ()), ()  # i wins nothing in the run without her
+            if y != i:
+                # the earlier holders of her items take their awards, then she steps
+                ahead = {
+                    h: changed.get(h, won.get(h, ()))
+                    for j in sets[y]
+                    if (h := moved.get(j, holder.get(j))) is not None and place[h] < p
+                }
+                ahead[y] = sets[y]
+                got = step(ahead, ahead.__getitem__).get(y, ())
+            if got != old:
+                changed[y] = got
+                for j in old:
+                    if j not in moved:  # else an earlier buyer took it from her
+                        moved[j] = None
+                for j in got:
+                    if j not in moved:
+                        # it went later or unsold: the bidders up to its old
+                        # holder now find it taken
+                        later = bidders[j]
+                        end = place[holder[j]] if j in holder else len(order)
+                        for q in later[bisect_right(later, p) : bisect_right(later, end)]:
+                            heappush(queue, q)
+                    moved[j] = y
+            for j in sets[y]:
+                if j in moved and moved[j] is None:
+                    # a freed item is offered down its bidders until one takes it
+                    later = bidders[j]
+                    k = bisect_right(later, p)
+                    if k < len(later):
+                        heappush(queue, later[k])
+        return {
+            h: changed.get(h, won.get(h, ()))
+            for j in sets[i]
+            if (h := moved.get(j, holder.get(j))) is not None
+        }
+
     awards = {b: won.get(b, ()) for b in range(inst.n)}
+    # each key equals its bid in value, so the price read off the keys is exact
     payments = {
-        b: (_critical(inst, bids, order, b) if awards[b] else Fraction(0)) for b in range(inst.n)
+        b: (Fraction(price(without(b), sets[b], bids)) if awards[b] else Fraction(0))
+        for b in range(inst.n)
     }
     utilities = {
         b: (inst.values[b] - payments[b] if awards[b] else Fraction(0)) for b in range(inst.n)
@@ -376,6 +457,10 @@ def _bid_local(
 
     Each buyer the tree resolves costs her set, each item whose rivals it
     scans costs the item's buyer list, and zero-bid rivals are never read.
+    An item's buyer list carries each listed buyer's bid: the tree orders
+    its rivals by bid (`_by_bid(view.rev(j), keys)`) without reading their
+    sets, so a rival's bid can move an answer through a list it was charged
+    for even when her own set goes unread.
     Every buyer it resolves lies in the upward closure by bid of the queried
     buyer or of her rivals, so it reads no record outside those closures.
     """

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from localmech.oracles import max_matching, max_weight_matching, optimal_packing
 from localmech.probes import LEFT, MemoView, ProbeCounter, upward_closure
 
 F = Fraction
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 
 def _uduv(sets, m):
@@ -244,6 +247,39 @@ def test_ksmb_critical_bid_is_the_win_threshold():
                 assert not ksmb_run(inst, ReportOverlay(bids={b: p - eps})).awards[b]
 
 
+def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
+    # A winner's price is read off the holders of her items in the run
+    # without her, and a price can hide a wrong holder (ksmb pays the best
+    # of them), so the holders themselves are compared with a full rerun.
+    # In the fixed example, without buyer 0, buyer 1 takes item 2 from
+    # buyer 2, who so loses item 3 to buyer 3, a holder of buyer 0's item 1.
+    rng = random.Random(26)
+    cases = [_ksmb([(0, 1), (0, 2), (2, 3), (1, 3)], values=(10, 9, 8, 7), m=4, k=2)]
+    for _ in range(300):
+        n, m = rng.randrange(1, 13), rng.randrange(1, 8)
+        sets = [rng.sample(range(m), rng.randrange(min(m, 3) + 1)) for _ in range(n)]
+        values = [rng.randrange(6) for _ in range(n)]
+        cases.append(AuctionInstance(sets, m, rng.choice(["udubv", "ksmb"]), values=values))
+    rules = dict(_BID_RULES)
+    for inst in cases:
+        awards, price = rules[inst.mode]
+        handed = []
+
+        def recorded(won, mine, bids):
+            handed.append(dict(won))
+            return price(won, mine, bids)
+
+        monkeypatch.setitem(_BID_RULES, inst.mode, (awards, recorded))
+        out = _BID_PAIRS[inst.mode][0](inst)
+        order = _by_bid(range(inst.n), inst.bid_keys)
+        winners = [b for b in range(inst.n) if out.awards[b]]
+        assert len(handed) == len(winners)
+        for i, got in zip(winners, handed):
+            rerun = awards((b for b in order if b != i), inst.sets.__getitem__)
+            want = {h: award for h, award in rerun.items() if set(award) & set(inst.sets[i])}
+            assert got == want, (inst.sets, inst.values, i)
+
+
 # ---------------------------------------------------------------------------
 # truthfulness audits
 # ---------------------------------------------------------------------------
@@ -432,6 +468,17 @@ def _check_against_replay(inst, overlay):
         assert tree.count <= replay.count, (b, tree.count, replay.count)
 
 
+def _check_run_against_critical(inst, overlay):
+    """Every winner of the global run pays her price by its definition:
+    `_critical`'s full rerun of the auction without her."""
+    out = _BID_PAIRS[inst.mode][0](inst, overlay)
+    _, bids = inst.reports(overlay)
+    order = _by_bid(range(inst.n), bids)
+    for b in range(inst.n):
+        if out.awards[b]:
+            assert out.payments[b] == _critical(inst, bids, order, b), b
+
+
 @pytest.mark.parametrize("family", ["udubv", "ksmb"])
 @pytest.mark.parametrize("m", [512, 200])
 def test_query_tree_matches_closure_replay(family, m):
@@ -459,6 +506,7 @@ def test_query_tree_matches_global_on_small_instances(data):
         bids = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 12), max_size=3))
         overlay = ReportOverlay(bids={b: Fraction(v, 2) for b, v in bids.items()})
     _check_against_replay(inst, overlay)
+    _check_run_against_critical(inst, overlay)
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,6 +537,21 @@ def test_query_tree_matches_global_on_mixed_denominators(data):
             }
         )
     _check_against_replay(inst, overlay)
+    _check_run_against_critical(inst, overlay)
+
+
+@pytest.mark.parametrize("family", ["udubv", "ksmb"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_runs_reproduce_the_recorded_n4096_outcomes(family, seed):
+    # the benchmark's reference answers, recorded when every winner was
+    # priced by `_critical`'s full rerun; the file is only read here
+    ref = REFS / f"{family}_n4096_k3_seed{seed}.json"
+    answers = json.loads(ref.read_text())["answers"]
+    inst = build_instance(InstanceSpec(seed=seed, family=family, n=4096, m=4096, k=3))
+    out = _BID_PAIRS[family][0](inst)
+    assert len(answers) == inst.n
+    for b, (award, payment) in enumerate(answers):
+        assert (out.awards[b], str(out.payments[b])) == (tuple(award), payment), b
 
 
 @pytest.mark.parametrize("family", ["udubv", "ksmb"])
