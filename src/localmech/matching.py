@@ -20,6 +20,16 @@ soon as the outcome is fixed, with the round budget falling at every level;
 record for record.  A woman keeps the best proposal so far, so her query
 answers with the first of her suitors, best first, to arrive within the budget.
 
+Priority keys: `MatchingInstance.priority_key(w, man)` is the per-pair
+definition.  The global run and `blocking_pairs` read the same keys from
+`key_rows`, one row per man aligned with his list, which a seeded instance
+draws as one lane-packed table (`RandomTape.u64_rows`) per run; a global run
+draws only the positions below its round cap, since position p is first
+proposed to in round p + 1.  A local query takes a settled woman's keys from
+`suitor_keys`, which hashes her stem ("woman-priority", w) once and takes
+one step per suitor (`RandomTape.u64_each`).  Explicit rankings answer from
+the ranking in both.
+
 Cost rule: priority scores are derived from the seed and cost no probes;
 reading any man's list or any woman's suitor list costs one probe per query
 (memoised), except the queried entity's own record.  Settling a woman reads
@@ -147,6 +157,25 @@ class MatchingInstance:
             return (self._explicit_rank[woman].get(man, -1), -man)
         return (self.tape.u64("woman-priority", woman, man), -man)
 
+    def key_rows(self, depth: int) -> list[list[int]]:
+        """Each man's priority with the women of his list, aligned with
+        `men_prefs` and cut at `depth` women: row[man][p] is the first part
+        of `priority_key(men_prefs[man][p], man)`.  A seeded instance draws
+        them as one lane-packed table."""
+        prefs = self.men_prefs if depth >= self.k else [p[:depth] for p in self.men_prefs]
+        if self._explicit_rank is not None:
+            rank = self._explicit_rank
+            return [[rank[w].get(man, -1) for w in p] for man, p in enumerate(prefs)]
+        return self.tape.u64_rows("woman-priority", prefs)
+
+    def suitor_keys(self, woman: int, men: Sequence[int]) -> list[int]:
+        """The first part of `priority_key(woman, man)` for each of `men`; a
+        seeded instance hashes the woman's stem once."""
+        if self._explicit_rank is not None:
+            rank = self._explicit_rank[woman]
+            return [rank.get(man, -1) for man in men]
+        return self.tape.u64_each(("woman-priority", woman), men)
+
 
 # ---------------------------------------------------------------------------
 # global engine
@@ -158,7 +187,8 @@ def _run_global(
 ) -> tuple[dict[int, ManStatus], list[RoundStats]]:
     n, k = inst.n, inst.k
     prefs = inst.men_prefs
-    pkey = inst.priority_key
+    # position p of a list is first proposed to in round p + 1
+    rows = inst.key_rows(k if max_rounds is None else min(k, max_rounds))
     next_idx = [0] * n
     holder_man: dict[int, int] = {}
     holder_key: dict[int, tuple[int, int]] = {}
@@ -178,7 +208,7 @@ def _run_global(
             best_key = holder_key.get(w)
             incumbent = best_man
             for man in cands:
-                key = pkey(w, man)
+                key = (rows[man][next_idx[man]], -man)
                 if best_key is None or key > best_key:
                     best_key, best_man = key, man
             for man in cands:
@@ -281,11 +311,11 @@ class _RejectionRounds:
     settles at least one more node exactly.
     """
 
-    __slots__ = ("_view", "_pkey", "_suitors", "_exact", "_at_least")
+    __slots__ = ("_view", "_keys", "_suitors", "_exact", "_at_least")
 
     def __init__(self, inst: MatchingInstance, view: MemoView) -> None:
         self._view = view
-        self._pkey = inst.priority_key
+        self._keys = inst.suitor_keys
         # woman -> ([(position of her in his list, man, her key for him)]
         # sorted: first choices first, then by position, then by man;
         # {man: her key for him})
@@ -297,8 +327,9 @@ class _RejectionRounds:
         """Read her suitor record and every suitor's list."""
         got = self._suitors.get(woman)
         if got is None:
-            view, pkey = self._view, self._pkey
-            keys = {mm: pkey(woman, mm) for mm in view.rev(woman)}
+            view = self._view
+            men = view.rev(woman)
+            keys = {mm: (key, -mm) for mm, key in zip(men, self._keys(woman, men))}
             order = sorted((view.fwd(mm).index(woman), mm, key) for mm, key in keys.items())
             got = self._suitors[woman] = (order, keys)
         return got
@@ -482,18 +513,18 @@ def blocking_pairs(
                     f"woman {st.partner} assigned to both {man_of[st.partner]} and {mm}"
                 )
             man_of[st.partner] = mm
+    prefs = inst.men_prefs
+    rows = inst.key_rows(inst.k)
     pairs: list[tuple[int, int]] = []
     for mm in range(inst.n):
         st = statuses.get(mm, UNMATCHED_STATUS)
         if st.state == DISQUALIFIED:
             continue
-        lst = inst.men_prefs[mm]
-        if st.state == MATCHED:
-            better = lst[: lst.index(st.partner)]
-        else:
-            better = lst
-        for w in better:
+        lst = prefs[mm]
+        better = lst.index(st.partner) if st.state == MATCHED else len(lst)
+        for p in range(better):
+            w = lst[p]
             cur = man_of.get(w)
-            if cur is None or inst.priority_key(w, mm) > inst.priority_key(w, cur):
+            if cur is None or (rows[mm][p], -mm) > (rows[cur][prefs[cur].index(w)], -cur):
                 pairs.append((mm, w))
     return sorted(pairs)

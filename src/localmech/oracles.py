@@ -13,7 +13,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .randomness import RandomTape, derive_uniform
+from .randomness import RandomTape, uniform_rows
 
 __all__ = [
     "slot_load_vector",
@@ -124,9 +124,8 @@ def uniform_majorizes_nonuniform(
     for t in range(trials):
         a = _SlotOrder(caps)
         b = _SlotOrder(unit)
-        for step in range(m):
-            k1 = derive_uniform(tape, ("tau", t, step, 0), C)
-            k2 = derive_uniform(tape, ("tau", t, step, 1), C)
+        # step s draws its k1, k2 under ("tau", t, s, 0) and ("tau", t, s, 1)
+        for k1, k2 in uniform_rows(tape, ("tau", t), m, C, 2):
             lo, hi = (k1, k2) if k1 <= k2 else (k2, k1)
             for system in (a, b):
                 mi, mj = system.machine_at(lo), system.machine_at(hi)

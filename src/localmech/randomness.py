@@ -36,7 +36,24 @@ one entry per entity, and gets the same bits as the per-key draws:
   `InstanceSpec.seeded_rows`, the standard-mode slot choices of
   `SchedulingInstance.oracle`);
 - `uniform_rows(tape, tag, count, n, k)` is `derive_uniform(tape, (tag, i,
-  t), n)` for t < k in row i (the restricted menus).
+  t), n)` for t < k in row i (the restricted menus);
+- `RandomTape.u64_rows(tag, rows)` is `u64(tag, x, i)` for each id x of row
+  i (the matching priority keys ("woman-priority", w, man), one row per man,
+  drawn by each global run and by `blocking_pairs`): the states after (tag,
+  x) come from `u64_table`, each entry XORs in the leaf of its row, and each
+  block of entries takes one lane pass.
+
+The tag of a table may also be a tuple, a key prefix: the table draws under
+the state after it, so `uniform_rows(tape, ("tau", t), m, C, 2)` is
+`derive_uniform(tape, ("tau", t, s, x), C)` for x < 2 in row s (one call per
+trial of `oracles.uniform_majorizes_nonuniform`).  Two scalar forms serve
+callers that hold a stem or a state already:
+
+- `RandomTape.u64_each(prefix, ids)` is `u64(*prefix, i)` for each id,
+  hashing the prefix once (a local matching query, once per settled woman);
+- `uniform_at(state, n)` is `derive_uniform` from the state after its key
+  (the slot tie-breaks of `scheduling.slms_online`, read from a
+  `u64_table("slot-tie", m)`).
 
 The draw under the key (tag, i) is draw i of the row stream under (tag,),
 and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)
@@ -76,19 +93,24 @@ from __future__ import annotations
 import sys
 from array import array
 from hashlib import blake2b
-from typing import Iterator, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "KeyPart",
+    "KeyPrefix",
     "RandomTape",
     "derive_uniform",
     "sample_table",
     "sample_without_replacement",
+    "uniform_at",
     "uniform_rows",
     "uniform_table",
 ]
 
 KeyPart = Union[int, str]
+# what a table draws under: a lone part, or a tuple of parts (a key prefix)
+KeyPrefix = Union[KeyPart, tuple]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -143,15 +165,35 @@ def _mix_lanes(x: int) -> int:
     return (x ^ (x >> 31)) & m
 
 
-def _state_blocks(h: int, count: int) -> Iterator[tuple[int, int]]:
-    """(b, states) for each block of the row states mix(h ^ leaf(i)), i <
-    count, b of them packed in one int: lane j holds i = start + j.  The
-    leaf's input start + j + _GOLDEN stays below 2^64, as no list holds
-    2^62 entries, so no lane carries into the next."""
+def _pack(words: Sequence[int]) -> int:
+    """The words in the low halves of len(words) lanes (`_unpack` reversed)."""
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[::2] = array("Q", words)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _leaf_blocks(count: int) -> Iterator[tuple[int, int]]:
+    """(b, leaves) for each block of the leaves leaf(i), i < count, b of
+    them packed in one int: lane j holds i = start + j.  The leaf's input
+    start + j + _GOLDEN stays below 2^64, as no list holds 2^62 entries, so
+    no lane carries into the next."""
     for start in range(0, count, _BLOCK):
         b = min(_BLOCK, count - start)
-        leaves = _mix_lanes((_IOTA & ((1 << 128 * b) - 1)) + _spread(start + _GOLDEN, b))
+        yield b, _mix_lanes((_IOTA & ((1 << 128 * b) - 1)) + _spread(start + _GOLDEN, b))
+
+
+def _state_blocks(h: int, count: int) -> Iterator[tuple[int, int]]:
+    """(b, states) for each block of the row states mix(h ^ leaf(i)), i <
+    count, packed as `_leaf_blocks` packs the leaves."""
+    for b, leaves in _leaf_blocks(count):
         yield b, _mix_lanes(leaves ^ _spread(h, b))
+
+
+def _key(prefix: KeyPrefix) -> tuple:
+    """A table's key prefix as a tuple: a lone part is the prefix (part,)."""
+    return prefix if type(prefix) is tuple else (prefix,)
 
 
 class RandomTape:
@@ -205,12 +247,44 @@ class RandomTape:
     def u64(self, *key: KeyPart) -> int:
         return self._state(key)
 
-    def u64_table(self, tag: KeyPart, count: int) -> list[int]:
-        """`[self.u64(tag, i) for i in range(count)]`, a block of lanes at a
-        time."""
+    def u64_table(self, prefix: KeyPrefix, count: int) -> list[int]:
+        """`[self.u64(*prefix, i) for i in range(count)]`, a block of lanes at
+        a time."""
         out: list[int] = []
-        for b, states in _state_blocks(self._state((tag,)), count):
+        for b, states in _state_blocks(self._state(_key(prefix)), count):
             out += _unpack(states, b)
+        return out
+
+    def u64_rows(self, prefix: KeyPrefix, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Row i is `[self.u64(*prefix, x, i) for x in rows[i]]`, for ids x >=
+        0.  The states after (*prefix, x) come from `u64_table` up to the
+        largest x, so the ids should be dense; each entry XORs in the leaf of
+        its row, and a block of entries is mixed at a time."""
+        full = list(filter(None, rows))
+        if not full:
+            return [[] for _ in rows]
+        if min(map(min, full)) < 0:
+            raise ValueError(f"u64_rows takes ids >= 0, got {min(map(min, full))}")
+        stems = self.u64_table(prefix, max(map(max, full)) + 1)
+        leaves = [leaf for b, block in _leaf_blocks(len(rows)) for leaf in _unpack(block, b)]
+        words = [stems[x] ^ leaf for row, leaf in zip(rows, leaves) for x in row]
+        keys: list[int] = []
+        for start in range(0, len(words), _BLOCK):
+            block = words[start : start + _BLOCK]
+            keys += _unpack(_mix_lanes(_pack(block)), len(block))
+        ends = list(accumulate(map(len, rows), initial=0))
+        return [keys[a:b] for a, b in zip(ends, ends[1:])]
+
+    def u64_each(self, prefix: KeyPrefix, ids: Iterable[int]) -> list[int]:
+        """`[self.u64(*prefix, i) for i in ids]`: the prefix is hashed once,
+        then each id costs one step."""
+        stem = self._state(_key(prefix))
+        out = []
+        for i in ids:
+            h = stem ^ (_LEAF[i] if 0 <= i < 256 else _mix(i + _GOLDEN))
+            h = ((h ^ (h >> 30)) * _M1) & _MASK
+            h = ((h ^ (h >> 27)) * _M2) & _MASK
+            out.append(h ^ (h >> 31))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -287,17 +361,17 @@ def _first_draws(d: int, b: int, n: int, bound: int) -> list[int]:
 
 
 def _table_rows(
-    tape: RandomTape, tag: KeyPart, count: int, n: int, k: int, distinct: bool
+    tape: RandomTape, prefix: KeyPrefix, count: int, n: int, k: int, distinct: bool
 ) -> list[tuple[int, ...]]:
-    """`_rows(tape.u64_table(tag, count), n, k, distinct)`, a block of rows at
-    a time: lane j of a block draws its row's draw t, for each t < k.  A
+    """`_rows(tape.u64_table(prefix, count), n, k, distinct)`, a block of rows
+    at a time: lane j of a block draws its row's draw t, for each t < k.  A
     distinct row whose k draws repeat a value is redrawn whole by `_rows`,
     which also draws the wide ranges."""
     if k <= 0 or n > 1 << 64:
-        return _rows(tape.u64_table(tag, count), n, k, distinct)
+        return _rows(tape.u64_table(prefix, count), n, k, distinct)
     bound = (1 << 64) - ((1 << 64) % n)
     rows: list[tuple[int, ...]] = []
-    for b, s in _state_blocks(tape._state((tag,)), count):
+    for b, s in _state_blocks(tape._state(_key(prefix)), count):
         cols = [_first_draws(_mix_lanes(s ^ _spread(_leaf(t), b)), b, n, bound) for t in range(k)]
         block = list(zip(*cols))
         redo = [j for j, row in enumerate(block) if len(set(row)) < k] if distinct else []
@@ -316,19 +390,26 @@ def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     64-bit words as n needs); the attempt counter is the key's last part, so
     retries are themselves deterministic.
     """
+    return uniform_at(tape._state(tuple(key)), n)
+
+
+def uniform_at(state: int, n: int) -> int:
+    """`derive_uniform` from the hash state after its key, `tape.u64(*key)`:
+    a caller that holds the states of many keys, a `u64_table` of them,
+    draws each without hashing its key again."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
     if n > 1 << 64:
-        return _draw_wide(tape._state(tuple(key)), n) % n
-    return _draw(tape._state(tuple(key)), (1 << 64) - ((1 << 64) % n)) % n
+        return _draw_wide(state, n) % n
+    return _draw(state, (1 << 64) - ((1 << 64) % n)) % n
 
 
-def uniform_table(tape: RandomTape, tag: KeyPart, count: int, n: int) -> tuple[int, ...]:
-    """`derive_uniform(tape, (tag, i), n)` for i in range(count): draw i of
-    the row stream under (tag,)."""
+def uniform_table(tape: RandomTape, prefix: KeyPrefix, count: int, n: int) -> tuple[int, ...]:
+    """`derive_uniform(tape, (*prefix, i), n)` for i in range(count): draw i
+    of the row stream under the prefix."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    h = tape._state((tag,))
+    h = tape._state(_key(prefix))
     if n > 1 << 64:
         return _rows([h], n, count, False)[0]
     bound = (1 << 64) - ((1 << 64) % n)
@@ -339,13 +420,13 @@ def uniform_table(tape: RandomTape, tag: KeyPart, count: int, n: int) -> tuple[i
 
 
 def uniform_rows(
-    tape: RandomTape, tag: KeyPart, count: int, n: int, k: int
+    tape: RandomTape, prefix: KeyPrefix, count: int, n: int, k: int
 ) -> list[tuple[int, ...]]:
-    """Row i holds `derive_uniform(tape, (tag, i, t), n)` for t in range(k),
-    for i in range(count): k draws with replacement per row."""
+    """Row i holds `derive_uniform(tape, (*prefix, i, t), n)` for t in
+    range(k), for i in range(count): k draws with replacement per row."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    return _table_rows(tape, tag, count, n, k, False)
+    return _table_rows(tape, prefix, count, n, k, False)
 
 
 def sample_without_replacement(
@@ -363,10 +444,10 @@ def sample_without_replacement(
 
 
 def sample_table(
-    tape: RandomTape, tag: KeyPart, count: int, n: int, k: int
+    tape: RandomTape, prefix: KeyPrefix, count: int, n: int, k: int
 ) -> list[tuple[int, ...]]:
-    """Row i is `sample_without_replacement(tape, (tag, i), n, k)`, for i in
-    range(count)."""
+    """Row i is `sample_without_replacement(tape, (*prefix, i), n, k)`, for i
+    in range(count)."""
     if k > n:
         raise ValueError(f"cannot draw {k} distinct values from range {n}")
-    return _table_rows(tape, tag, count, n, k, True)
+    return _table_rows(tape, prefix, count, n, k, True)

@@ -36,12 +36,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
-from .randomness import RandomTape, derive_uniform, sample_table, uniform_rows
+from .randomness import RandomTape, derive_uniform, sample_table, uniform_at, uniform_rows
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -228,16 +229,17 @@ class SchedulingInstance:
 
 
 def _pick_slot(
-    tape: RandomTape, j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
+    tie_state: Callable[[int], int], j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
 ) -> int:
-    """Job j's step: the least-loaded of its chosen slots (seeded uniform
-    tie-break), whose height it raises by one."""
+    """Job j's step: the least-loaded of its chosen slots, whose height it
+    raises by one.  A tie is broken by `derive_uniform(tape, ("slot-tie", j),
+    ties)`, drawn from `tie_state(j)`, the state after ("slot-tie", j)."""
     best = min(slot_h[s] for s in chosen)
     mins = sorted(s for s in chosen if slot_h[s] == best)
     if len(mins) == 1:
         slot = mins[0]
     else:
-        slot = mins[derive_uniform(tape, ("slot-tie", j), len(mins))]
+        slot = mins[uniform_at(tie_state(j), len(mins))]
     slot_h[slot] += 1
     return slot
 
@@ -259,13 +261,14 @@ def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) ->
     the slot choices of the oracle's records, drawn once with the instance.
     A run at other capacities is the run of an instance built with them."""
     inst.require_mode(STANDARD, "slms_online")
-    tape, prefix, choices = inst.tape, inst.slot_prefix, inst.oracle.fwd
+    prefix, choices = inst.slot_prefix, inst.oracle.fwd
+    tie_state = inst.tape.u64_table("slot-tie", inst.m).__getitem__
     slot_h = [0] * inst.B
     heights = [0] * inst.n
     assign: list[int | None] = [None] * inst.m
     jobs = range(inst.m) if order is None else order
     for j in jobs:
-        slot = _pick_slot(tape, j, choices(j), slot_h)
+        slot = _pick_slot(tie_state, j, choices(j), slot_h)
         machine = bisect_right(prefix, slot)
         heights[machine] += 1
         assign[j] = machine
@@ -277,9 +280,10 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     sharing a chosen slot with lower rank, transitively."""
     inst.require_mode(STANDARD, "slms_local")
     view, order = _rank_closure(inst, job, counter)
+    tie_state = partial(inst.tape.u64, "slot-tie")
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
-        slot = _pick_slot(inst.tape, j, view.fwd(j), slot_h)
+        slot = _pick_slot(tie_state, j, view.fwd(j), slot_h)
     return bisect_right(inst.slot_prefix, slot)  # the last slot is the query's
 
 

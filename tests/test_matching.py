@@ -336,3 +336,99 @@ def test_seeded_lists_are_reproducible_and_sized():
     again = MatchingInstance.seeded(50, 4, 2)
     assert inst.men_prefs == again.men_prefs
     assert all(len(lst) == 4 and len(set(lst)) == 4 for lst in inst.men_prefs)
+
+
+# ---------------------------------------------------------------------------
+# priority keys: the global run's key rows and the local query's suitor keys
+# are priority_key, the per-pair definition
+# ---------------------------------------------------------------------------
+
+_KEY_CASES = {
+    # 4,500 (woman, suitor) pairs: two lane blocks, ids past the leaf table
+    "two-blocks": lambda: MatchingInstance.seeded(1500, 3, 2),
+    "n1": lambda: MatchingInstance.seeded(1, 1, 0),
+    "n0": lambda: MatchingInstance([], m=3),
+    "ragged": lambda: MatchingInstance([[0, 300, 5], [], [299], [7, 1]], m=301, seed=4),
+    # men 0 and 3 are missing from woman 0's ranking, and woman 2 ranks no
+    # one, so men 0 and 1 tie for her in round 1 (key -1 each)
+    "explicit": lambda: MatchingInstance(
+        [[2, 0], [2, 1], [0, 1], [0]], m=3, women_prefs=[[2], [1, 2, 0], []]
+    ),
+}
+
+
+def _reference_statuses(inst, rounds):
+    """Simultaneous proposal rounds, each woman keeping the best by
+    priority_key of her holder and her new suitors."""
+    prefs, nxt, holder = inst.men_prefs, [0] * inst.n, {}
+    free = [man for man in range(inst.n) if prefs[man]]
+    for _ in range(rounds):
+        if not free:
+            break
+        rejected = []
+        for man in free:
+            w = prefs[man][nxt[man]]
+            cur = holder.get(w)
+            if cur is not None and inst.priority_key(w, cur) > inst.priority_key(w, man):
+                rejected.append(man)
+            else:
+                if cur is not None:
+                    rejected.append(cur)
+                holder[w] = man
+        for man in rejected:
+            nxt[man] += 1
+        free = [man for man in rejected if nxt[man] < len(prefs[man])]
+    partner = {man: w for w, man in holder.items()}
+    return {
+        man: ManStatus.matched(partner[man])
+        if man in partner
+        else ManStatus(DISQUALIFIED if man in free else UNMATCHED)
+        for man in range(inst.n)
+    }
+
+
+def _reference_blocking(inst, statuses):
+    man_of = {st.partner: man for man, st in statuses.items() if st.state == MATCHED}
+    pairs = []
+    for man, st in statuses.items():
+        if st.state == DISQUALIFIED:
+            continue
+        lst = inst.men_prefs[man]
+        for w in lst[: lst.index(st.partner)] if st.state == MATCHED else lst:
+            cur = man_of.get(w)
+            if cur is None or inst.priority_key(w, man) > inst.priority_key(w, cur):
+                pairs.append((man, w))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_CASES))
+def test_key_rows_and_suitor_keys_are_priority_key(case):
+    inst = _KEY_CASES[case]()
+    # a depth below the longest list cuts every row to its first women
+    for depth in sorted({0, 1, max(inst.k - 1, 0), inst.k}):
+        want = [
+            [inst.priority_key(w, man)[0] for w in lst[:depth]]
+            for man, lst in enumerate(inst.men_prefs)
+        ]
+        assert inst.key_rows(depth) == want, depth
+    for w in range(inst.m):
+        men = inst.oracle.rev(w)
+        assert inst.suitor_keys(w, men) == [inst.priority_key(w, man)[0] for man in men]
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_CASES))
+def test_global_run_and_blocking_pairs_follow_priority_key(case):
+    inst = _KEY_CASES[case]()
+    # round budgets shorter than the longest list leave men disqualified
+    for rounds in (1, 2, inst.n * inst.k + 1):
+        want = _reference_statuses(inst, rounds)
+        statuses, _ = abridged_gs(inst, rounds)
+        assert statuses == want, rounds
+        assert blocking_pairs(inst, statuses) == _reference_blocking(inst, statuses)
+        # disqualified men read as unmatched become blockers
+        unmatched = {
+            man: ManStatus(UNMATCHED) if st.state == DISQUALIFIED else st
+            for man, st in statuses.items()
+        }
+        assert blocking_pairs(inst, unmatched) == _reference_blocking(inst, unmatched)
+    assert global_gs(inst) == _reference_statuses(inst, inst.n * inst.k + 1)

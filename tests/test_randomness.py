@@ -248,7 +248,8 @@ _TABLE_RANGES = [1, 2, 7, 300, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 1, 2**80 + 7
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(-(2**65), 2**65),
-    tag=st.sampled_from(["menu", "lottery", "", 7, 2**64 + 3]),
+    # a lone part or a key prefix: the tables draw under the state after it
+    tag=st.sampled_from(["menu", "lottery", "", 7, 2**64 + 3, (), ("tau", 3), (9, "x", -1)]),
     count=st.sampled_from([0, 1, 3, 257, 300]),
     n=st.sampled_from(_TABLE_RANGES),
     data=st.data(),
@@ -256,18 +257,35 @@ _TABLE_RANGES = [1, 2, 7, 300, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 1, 2**80 + 7
 def test_table_draws_equal_the_per_key_draws(seed, tag, count, n, data):
     # k runs from 0 to n, k = n included, capped at 3 for the long tables
     k = data.draw(st.integers(0, min(n, 3 if count > 3 else 8)), label="k")
-    _assert_tables_equal_per_key_draws(RandomTape(seed), tag, count, n, k)
+    t = RandomTape(seed)
+    _assert_tables_equal_per_key_draws(t, tag, count, n, k)
+    # ragged rows of ids, empty ones and ids past the leaf table among them
+    rows = data.draw(st.lists(st.lists(st.integers(0, 600), max_size=5), max_size=40), label="rows")
+    _assert_key_rows_equal_per_key_draws(t, tag, rows)
+    ids = data.draw(st.lists(st.integers(-(2**65), 2**65), max_size=20), label="ids")
+    assert t.u64_each(tag, ids) == [t.u64(*_prefix(tag), i) for i in ids]
+
+
+def _prefix(tag):
+    return tag if type(tag) is tuple else (tag,)
+
+
+def _assert_key_rows_equal_per_key_draws(t, tag, rows):
+    want = [[t.u64(*_prefix(tag), x, i) for x in row] for i, row in enumerate(rows)]
+    assert t.u64_rows(tag, rows) == want
 
 
 def _assert_tables_equal_per_key_draws(t, tag, count, n, k):
+    key = _prefix(tag)
     got = t.u64_table(tag, count)
     assert type(got) is list
-    assert got == [t.u64(tag, i) for i in range(count)]
-    want = [derive_uniform(t, (tag, i), n) for i in range(count)]
+    assert got == [t.u64(*key, i) for i in range(count)]
+    assert t.u64_each(tag, range(count)) == got
+    want = [derive_uniform(t, (*key, i), n) for i in range(count)]
     assert list(uniform_table(t, tag, count, n)) == want
-    want = [tuple(derive_uniform(t, (tag, i, s), n) for s in range(k)) for i in range(count)]
+    want = [tuple(derive_uniform(t, (*key, i, s), n) for s in range(k)) for i in range(count)]
     assert uniform_rows(t, tag, count, n, k) == want
-    want = [tuple(sample_without_replacement(t, (tag, i), n, k)) for i in range(count)]
+    want = [tuple(sample_without_replacement(t, (*key, i), n, k)) for i in range(count)]
     assert sample_table(t, tag, count, n, k) == want
 
 
@@ -294,6 +312,14 @@ def test_table_draws_equal_the_per_key_draws_across_blocks(count, seed, n, k):
     _assert_tables_equal_per_key_draws(RandomTape(seed), "menu", count, n, k)
 
 
+@pytest.mark.parametrize("count", [_BLOCK // 3, _BLOCK // 2 + 3, _BLOCK + 7])
+def test_key_rows_equal_the_per_key_draws_across_blocks(count):
+    # 0-4 ids a row, 2 on average: the entries span one, two and three
+    # blocks, and the row ids run past the leaf table
+    rows = [[(7 * i + 300 * x) % 1000 for x in range(i % 5)] for i in range(count)]
+    _assert_key_rows_equal_per_key_draws(RandomTape(-3), ("woman-priority",), rows)
+
+
 def test_table_draws_keep_no_state_per_count():
     def footprint():
         sizes = {}
@@ -309,6 +335,8 @@ def test_table_draws_keep_no_state_per_count():
         uniform_table(t, "v", count, 1000 + count)
         uniform_rows(t, "m", count, 7, 2)
         sample_table(t, "s", count, 50 + count, 3)
+        t.u64_rows("r", [[count, 0]] * count)
+        t.u64_each(("e", 1), range(count))
     assert footprint() == before
 
 
@@ -339,6 +367,11 @@ def test_table_draws_refuse_what_the_per_key_draws_refuse():
         sample_table(t, "x", 0, 5, 6)
     with pytest.raises(TypeError):
         t.u64_table(0.5, 2)
+    with pytest.raises(TypeError):
+        t.u64_table(("tau", 0.5), 2)
+    # the row ids index a table of the states after (tag, x), x >= 0
+    with pytest.raises(ValueError):
+        t.u64_rows("x", [[0, 1], [], [-1]])
 
 
 def test_float_key_part_is_rejected():
