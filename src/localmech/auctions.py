@@ -34,12 +34,16 @@ Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
 payment comes from the same recursion run without her, which shares every
 answer of the buyers ahead of her.  `probes.resolve` drives both, with a
 plain dict as the memo.  Neither reads a zero-bid rival's set.
-`_by_bid` is the one bid order, for the global run and the query tree
-alike, over exact bid keys (`AuctionInstance.bid_keys`): a whole bid as its
-int, any other as its `Fraction`, which Python compares exactly; payments
-are `Fraction`s.  Only whole bids skip `Fraction` comparisons: every
-spec-built instance bids whole numbers, while fractional bids (given through
-the API, or an audit's deviations) sort as fast as before.
+The bid order is descending bid, ties to the smaller id, over exact bid
+keys (`AuctionInstance.bid_keys`): a whole bid as its int, any other as its
+`Fraction`, which Python compares exactly; payments are `Fraction`s.  The
+build sorts the buyers once (`AuctionInstance.order`) and lists each item's
+buyers in that order, so the global run and the query tree read the order
+rather than sort: a query's rivals on an item are a prefix of the item's
+record.  Only reported bids sort again: a run under them ranks all buyers
+anew, and a query re-sorts (`_by_bid`) only the records it reads that list
+a buyer whose bid moved.  Only whole bids skip `Fraction` comparisons:
+every spec-built instance bids whole numbers.
 
 Runners and local queries read a misreport (a `ReportOverlay`) only through
 `AuctionInstance.reports`, which checks it.  `truthfulness_audit` checks the
@@ -49,7 +53,7 @@ under a `ReportOverlay`, for the truth and for every deviation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -138,18 +142,24 @@ class AuctionInstance:
             if values is not None:
                 raise ValueError("uduv takes no values: every value is 1")
             self.values: tuple[Fraction, ...] = (Fraction(1),) * self.n
+            self.bid_keys: tuple[int | Fraction, ...] = (1,) * self.n
             # items by descending ("item-rank", j) score, ties to the smaller
             self.order, self.place = rank_tables(self.tape.u64_table("item-rank", m), True)
+            records = range(self.n)  # item records list buyers by ascending id
         else:
             if values is None:
                 raise ValueError(f"{mode} needs buyer values")
             if len(values) != self.n:
                 raise ValueError("need one value per buyer")
             self.values = tuple(Fraction(v) for v in values)
-            if any(v < 0 for v in self.values):
+            self.bid_keys = tuple(_bid_key(v) for v in self.values)
+            if min(self.bid_keys, default=0) < 0:
                 raise ValueError("values must be non-negative")
-        self.bid_keys = tuple(_bid_key(v) for v in self.values)
-        self.oracle = AdjacencyOracle(self.sets, m)
+            # buyers by descending bid, ties to the smaller id: the order
+            # the greedy serves them in, and the order of each item record
+            self.order, self.place = rank_tables(self.bid_keys, True)
+            records = self.order
+        self.oracle = AdjacencyOracle(self.sets, m, records)
 
     @classmethod
     def from_spec(cls, spec: InstanceSpec) -> "AuctionInstance":
@@ -284,8 +294,17 @@ def uduv_local(
 
 def _by_bid(ids: Iterable[int], bids: Sequence[Fraction | int]) -> list[int]:
     """The positive bidders among `ids` by descending bid; the stable sort
-    keeps equal bids in `ids` order, so ascending `ids` break ties by id."""
+    keeps equal bids in `ids` order, so ascending `ids` break ties by id.
+    This is the order `rank_tables(bids, True)` gives, zero bids dropped."""
     return sorted((b for b in ids if bids[b]), key=bids.__getitem__, reverse=True)
+
+
+def _positive_prefix(ranked: Sequence[int], bids: Sequence[Fraction | int]) -> Sequence[int]:
+    """The positive bidders of `ranked`, a sequence in bid order: bids are
+    non-negative, so the zero bids sort last and the rest are a prefix."""
+    if not ranked or bids[ranked[-1]]:
+        return ranked
+    return ranked[: bisect_left(ranked, True, key=lambda b: not bids[b])]
 
 
 _Sets = Callable[[int], Sequence[int]]
@@ -357,14 +376,14 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
     """
     _, bids = inst.reports(overlay)
     sets = inst.sets
-    order = _by_bid(range(inst.n), bids)
+    # the instance's bid order, unless the overlay reports bids
+    order, place = (inst.order, inst.place) if bids is inst.bid_keys else rank_tables(bids, True)
+    order = _positive_prefix(order, bids)
     step, price = _BID_RULES[inst.mode]
     won = step(order, sets.__getitem__)
     holder = {j: b for b, award in won.items() for j in award}
-    place = [0] * inst.n
     bidders: list[list[int]] = [[] for _ in range(inst.m)]  # item → bidders' places, ascending
     for p, b in enumerate(order):
-        place[b] = p
         for j in sets[b]:
             bidders[j].append(p)
 
@@ -457,10 +476,11 @@ def _bid_local(
 
     Each buyer the tree resolves costs her set, each item whose rivals it
     scans costs the item's buyer list, and zero-bid rivals are never read.
-    An item's buyer list carries each listed buyer's bid: the tree orders
-    its rivals by bid (`_by_bid(view.rev(j), keys)`) without reading their
-    sets, so a rival's bid can move an answer through a list it was charged
-    for even when her own set goes unread.
+    An item's buyer list carries each listed buyer's bid: the record lists
+    its buyers by descending bid, ties to the smaller id (the instance's
+    `order`), so the tree takes its rivals in bid order without reading
+    their sets, and a rival's bid can move an answer through a list it was
+    charged for even when her own set goes unread.
     Every buyer it resolves lies in the upward closure by bid of the queried
     buyer or of her rivals, so it reads no record outside those closures.
     """
@@ -472,15 +492,21 @@ def _bid_local(
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
     if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": Fraction(0)}
-    fwd = view.fwd
-    ranked: dict[int, list[int]] = {}
+    fwd, truth = view.fwd, inst.bid_keys
+    ranked: dict[int, Sequence[int]] = {}
 
-    def bidders(j: int) -> list[int]:
-        """Item j's positive-bid buyers in bid order, `buyer` included.  The
-        record lists buyers by ascending id, so ties go to the smaller id."""
+    def bidders(j: int) -> Sequence[int]:
+        """Item j's positive-bid buyers in bid order, `buyer` included: the
+        record's positive prefix, or the record re-sorted if it lists a
+        buyer whose bid the overlay moved."""
         got = ranked.get(j)
         if got is None:
-            got = ranked[j] = _by_bid(view.rev(j), keys)
+            got = view.rev(j)
+            if keys is not truth and any(keys[b] != truth[b] for b in got):
+                got = _by_bid(sorted(got), keys)
+            else:
+                got = _positive_prefix(got, keys)
+            ranked[j] = got
         return got
 
     def taken(j: int, y: int):

@@ -126,7 +126,7 @@ class MatchingInstance:
                 raise ValueError(f"man {i} lists a woman twice")
             if len(p) > self.k:
                 raise ValueError(f"man {i} lists more than k={self.k} women")
-        self.oracle = AdjacencyOracle(self.men_prefs, m)
+        self.oracle = AdjacencyOracle(self.men_prefs, m, range(self.n))
         # Explicit women rankings (best first) for hand fixtures; otherwise
         # priorities are seeded hash scores, strict by construction.
         self._explicit_rank: list[dict[int, int]] | None = None

@@ -4,8 +4,10 @@ The cost model used throughout the package: one *probe* is one access to one
 entity's adjacency/preference record.  Within a single local query each
 record costs at most one probe (repeat reads hit a per-query memo), and for
 mechanism queries the queried entity's own forward record is free — the
-query hands it over.  Reverse lists are materialized once at build time;
-that setup pass is not counted, but every *access* to a reverse record is.
+query hands it over.  Reverse lists are materialized once at build time, in
+the order the instance gives (ascending id, or bid order for udubv and
+ksmb); that setup pass is not counted, but every *access* to a reverse
+record is, whatever its order.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
@@ -53,20 +55,26 @@ class ProbeCounter:
 
 class AdjacencyOracle:
     """Bipartite adjacency: n left records (ordered tuples of right ids)
-    plus materialized reverse records.  Reads here are uncounted; a local
-    query reads through a `MemoView`, which charges the probes."""
+    plus materialized reverse records, each listing its left ids in the
+    order the instance gives (`order`, a permutation of 0..n-1: `range(n)`
+    for ascending ids, the bid order for udubv and ksmb).  Reads here are
+    uncounted; a local query reads through a `MemoView`, which charges the
+    probes."""
 
     __slots__ = ("n", "m", "_fwd", "_rev")
 
-    def __init__(self, fwd: Sequence[Sequence[int]], m: int) -> None:
+    def __init__(self, fwd: Sequence[Sequence[int]], m: int, order: Sequence[int]) -> None:
         if m < 0:
             raise ValueError(f"right count must be >= 0, got m={m}")
         self.n = len(fwd)
         self.m = m
-        self._fwd: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in fwd)
+        # a range compares to range(n) in O(1); any other order is sorted
+        if order != range(self.n) and sorted(order) != list(range(self.n)):
+            raise ValueError(f"order must be a permutation of the {self.n} left ids")
+        rows = self._fwd = tuple(tuple(lst) for lst in fwd)
         rev: list[list[int]] = [[] for _ in range(m)]
-        for i, lst in enumerate(self._fwd):
-            for j in lst:
+        for i in order:
+            for j in rows[i]:
                 if not 0 <= j < m:
                     raise ValueError(f"right id {j} out of range [0, {m})")
                 rev[j].append(i)

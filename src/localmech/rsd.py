@@ -54,7 +54,7 @@ class HousingInstance:
             lottery = uniform_table(self.tape, "lottery", self.n, max(1, self.n**4))
             self.ranks = tuple(1 + v for v in lottery)
         self.order, self.place = rank_tables(self.ranks)
-        self.oracle = AdjacencyOracle(self.lists, m)
+        self.oracle = AdjacencyOracle(self.lists, m, range(self.n))
 
     @classmethod
     def from_spec(cls, spec: InstanceSpec) -> "HousingInstance":

@@ -154,7 +154,7 @@ class SchedulingInstance:
             if menus is not None:
                 raise ValueError("standard mode takes no menus")
             chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
-            self._oracle = AdjacencyOracle(chosen, self.B)
+            self._oracle = AdjacencyOracle(chosen, self.B, range(m))
             return
 
         if menus is not None:
@@ -178,7 +178,9 @@ class SchedulingInstance:
             )
         if not all(self._menus):
             raise ValueError(f"job {self._menus.index(())} has an empty menu")
-        self._oracle = AdjacencyOracle([tuple(sorted(set(mu))) for mu in self._menus], self.n)
+        self._oracle = AdjacencyOracle(
+            [tuple(sorted(set(mu))) for mu in self._menus], self.n, range(m)
+        )
 
     # -- construction -----------------------------------------------------
 

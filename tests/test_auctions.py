@@ -29,7 +29,7 @@ from localmech.auctions import (
 )
 from localmech.instances import InstanceSpec, build_instance
 from localmech.oracles import max_matching, max_weight_matching, optimal_packing
-from localmech.probes import LEFT, MemoView, ProbeCounter, upward_closure
+from localmech.probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 
 F = Fraction
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -570,3 +570,92 @@ def test_query_tree_follows_a_bid_chain_n_deep(family):
     got = _BID_PAIRS[family][1](inst, last, counter)
     assert (got["award"], got["payment"]) == (want_award, want_pay)
     assert counter.count > n  # the whole chain was read
+
+
+# ---------------------------------------------------------------------------
+# item records in bid order
+# ---------------------------------------------------------------------------
+
+
+def _bid_order(ids, values):
+    """`ids` by descending value, ties to the smaller id."""
+    return sorted(ids, key=lambda b: (-values[b], b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_item_records_list_the_by_id_buyers_in_bid_order(data):
+    mode = data.draw(st.sampled_from(["udubv", "ksmb"]))
+    n = data.draw(st.integers(0, 20))
+    m = data.draw(st.integers(1, 8))
+    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    # whole and fractional bids from a small range: zero bids and ties are common
+    bid = st.integers(0, 4) | st.builds(F, st.integers(0, 12), st.integers(1, 4))
+    values = data.draw(st.lists(bid, min_size=n, max_size=n))
+    inst = AuctionInstance(sets, m, mode, values=values)
+    by_id = AdjacencyOracle(inst.sets, m, range(n))
+    assert list(inst.order) == _bid_order(range(n), inst.values)
+    for j in range(m):
+        assert sorted(inst.oracle.rev(j)) == list(by_id.rev(j))
+        assert list(inst.oracle.rev(j)) == _bid_order(by_id.rev(j), inst.values)
+
+
+@pytest.mark.parametrize("mode", ["udubv", "ksmb"])
+def test_item_records_with_zero_tied_and_fractional_bids(mode):
+    # buyers 0 and 4 bid 0, buyers 1 and 3 tie at 3 and buyer 2 bids 7/2
+    sets = [(0, 1), (0,), (1,), (0, 1), (1,)]
+    values = [0, 3, F(7, 2), 3, 0]
+    inst = AuctionInstance(sets, 2, mode, values=values)
+    assert (inst.oracle.rev(0), inst.oracle.rev(1)) == ((1, 3, 0), (2, 3, 0, 4))
+    run, local = _BID_PAIRS[mode]
+    out = run(inst)
+    order = _by_bid(range(inst.n), inst.bid_keys)
+    for b in range(inst.n):
+        assert (out.awards[b], out.payments[b]) == tuple(local(inst, b).values())[1:], b
+        if out.awards[b]:
+            assert out.payments[b] == _critical(inst, inst.bid_keys, order, b), b
+    assert truthfulness_audit(inst) == []
+
+
+@pytest.mark.parametrize("mode", ["udubv", "ksmb"])
+@pytest.mark.parametrize(
+    "bids",
+    [
+        {2: 1},  # buyer 2 falls to tie buyer 0, whose smaller id now goes first
+        {1: 2},  # buyer 1 lifts her zero bid above zero, between buyers 2 and 0
+        {1: F(1, 2), 2: 1},  # both, and buyer 1 stays last
+        {0: 5},  # buyer 0 rises to tie buyer 2
+    ],
+)
+def test_overlays_that_reorder_an_item_record(mode, bids):
+    sets = [(0,), (0, 1), (0, 1)]
+    values = [1, 0, 5]
+    inst = AuctionInstance(sets, 2, mode, values=values)
+    assert inst.oracle.rev(0) == (2, 0, 1)
+    overlay = ReportOverlay(bids=bids)
+    # the same auction built with the overlaid bids as values
+    moved = AuctionInstance(sets, 2, mode, values=[bids.get(b, v) for b, v in enumerate(values)])
+    run, local = _BID_PAIRS[mode]
+    want = run(moved)
+    got = run(inst, overlay)
+    for b in range(inst.n):
+        pair = (want.awards[b], want.payments[b])
+        assert (got.awards[b], got.payments[b]) == pair, b
+        assert tuple(local(inst, b, None, overlay).values())[1:] == pair, b
+    assert truthfulness_audit(inst) == []
+    assert truthfulness_audit(moved) == []
+
+
+@pytest.mark.parametrize("mode", ["udubv", "ksmb"])
+def test_bid_order_of_no_buyer_and_of_one(mode):
+    run, local = _BID_PAIRS[mode]
+    empty = AuctionInstance([], 3, mode, values=[])
+    assert list(empty.order) == [] and list(empty.place) == []
+    assert [empty.oracle.rev(j) for j in range(3)] == [(), (), ()]
+    assert run(empty).awards == {}
+    for value in (0, 2, F(1, 3)):
+        inst = AuctionInstance([(1,)], 2, mode, values=[value])
+        assert list(inst.order) == [0] and (inst.oracle.rev(0), inst.oracle.rev(1)) == ((), (0,))
+        award = (1,) if value else ()
+        assert run(inst).awards == {0: award}
+        assert local(inst, 0) == {"buyer": 0, "award": award, "payment": F(0)}

@@ -239,16 +239,26 @@ def test_oracle_transpose_consistency():
 
 def test_oracle_rejects_out_of_range_ids():
     with pytest.raises(ValueError):
-        AdjacencyOracle([(0, 5)], 3)
-    oracle = AdjacencyOracle([(0, 1)], 2)
+        AdjacencyOracle([(0, 5)], 3, range(1))
+    oracle = AdjacencyOracle([(0, 1)], 2, range(1))
     with pytest.raises(ValueError):
         oracle.fwd(1)
     with pytest.raises(ValueError):
         oracle.rev(2)
 
 
+def test_oracle_refuses_an_order_that_is_not_a_permutation():
+    rows = [(0,), (0, 1), (1,)]
+    for order in ((0, 1), (0, 1, 1), (0, 1, 3), (-1, 0, 1), (0, 1, 2, 3), range(2), range(1, 4)):
+        with pytest.raises(ValueError, match="permutation of the 3 left ids"):
+            AdjacencyOracle(rows, 2, order)
+    oracle = AdjacencyOracle(rows, 2, (2, 0, 1))
+    assert (oracle.rev(0), oracle.rev(1)) == ((0, 1), (2, 1))
+    assert AdjacencyOracle([], 2, ()).rev(1) == ()
+
+
 def test_probe_counting_memoizes_per_record():
-    oracle = AdjacencyOracle([(0, 1), (1, 2)], 3)
+    oracle = AdjacencyOracle([(0, 1), (1, 2)], 3, range(2))
     counter = ProbeCounter()
     view = MemoView(oracle, counter)
     view.fwd(0)
@@ -261,7 +271,7 @@ def test_probe_counting_memoizes_per_record():
 
 
 def test_probe_free_records_cost_nothing():
-    oracle = AdjacencyOracle([(0, 1), (1, 2)], 3)
+    oracle = AdjacencyOracle([(0, 1), (1, 2)], 3, range(2))
     counter = ProbeCounter()
     view = MemoView(oracle, counter, free=((LEFT, 0),))
     view.fwd(0)
@@ -272,7 +282,7 @@ def test_probe_free_records_cost_nothing():
 
 def test_neighborhood_counts_every_record_including_root():
     #    0 - a - 1 - b - 2      (left 0,1,2 / right a=0, b=1)
-    oracle = AdjacencyOracle([(0,), (0, 1), (1,)], 2)
+    oracle = AdjacencyOracle([(0,), (0, 1), (1,)], 2, range(3))
     counter = ProbeCounter()
     ball = neighborhood(oracle, (LEFT, 0), 2, counter)
     assert ball == {(LEFT, 0), (RIGHT, 0), (LEFT, 1)}
@@ -285,7 +295,7 @@ def test_neighborhood_counts_every_record_including_root():
 
 
 def test_neighborhood_validates_entity():
-    oracle = AdjacencyOracle([(0,)], 1)
+    oracle = AdjacencyOracle([(0,)], 1, range(1))
     with pytest.raises(ValueError):
         neighborhood(oracle, ("X", 0), 1)
     with pytest.raises(ValueError):
@@ -324,7 +334,7 @@ def test_upward_closure_walks_the_place_table():
     for _ in range(300):
         n, m = rng.randrange(1, 40), rng.randrange(1, 12)
         oracle = AdjacencyOracle(
-            [rng.sample(range(m), rng.randrange(0, min(m, 4) + 1)) for _ in range(n)], m
+            [rng.sample(range(m), rng.randrange(0, min(m, 4) + 1)) for _ in range(n)], m, range(n)
         )
         rank = [rng.randrange(8) for _ in range(n)]  # ties are common
         order, place = rank_tables(rank)

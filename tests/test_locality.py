@@ -1,0 +1,135 @@
+"""Locality check of the cost model: a local answer is a function of the
+records its query was charged for.
+
+For every family and query kind of `instances.FAMILIES`, each query runs on
+a small explicit instance while its `MemoView` seen sets are collected.  The
+instance is then rebuilt with data the query did not read changed, and the
+same query must give the same answer for the same probe count:
+
+* every unread left record gets new right ids.  It keeps the ids whose
+  records were read and swaps the rest for ids whose records were not, so
+  every read record stays exactly as it was;
+* the values (udubv/ksmb bids, scheduling caps) of the entities whose own
+  record went unread and which no read record lists.
+
+Standard-mode scheduling draws its records from the seed, so its rebuild is
+a copy of the instance with the unread oracle rows changed.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+from dataclasses import replace
+
+import pytest
+
+from localmech.instances import FAMILIES, InstanceSpec, build_instance
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
+
+N = M = 40  # about 80 entities
+SEEDS = (0, 1)
+REBUILDS = 2  # per query and per kind of change
+
+
+def _spec(family: str, seed: int) -> InstanceSpec:
+    """An explicit instance: up to k = 3 ids a row (d = 2 for scheduling),
+    and small values, so ties and zero bids are common."""
+    fam = FAMILIES[family]
+    rng = random.Random(seed)
+    k = 2 if fam.values == "bids" else 3
+    rows = None
+    if fam.rows is not None:
+        # scheduling's rows are jobs (m) over machines (n); the others' are
+        # entities of n over m
+        count, right = (N, M) if fam.rows == "n" else (M, N)
+        rows = tuple(tuple(rng.sample(range(right), rng.randint(1, k))) for _ in range(count))
+    values = None
+    if fam.values == "valuations":
+        values = tuple(rng.randint(0, 5) for _ in range(N))
+    elif fam.values == "bids":
+        values = tuple(rng.randint(1, 4) for _ in range(N))
+    return InstanceSpec(seed, family, N, M, k, values, rows)
+
+
+def _answer(query, inst, rounds: int, entity: int, views: list) -> tuple:
+    """The query's canonical answer and probe count, and what it read: the
+    union of the seen sets of the views it made."""
+    views.clear()
+    counter = ProbeCounter()
+    got = query.canon(query.local(inst, rounds, entity, counter))
+    return (got, counter.count), set().union(*(v._seen for v in views))
+
+
+def _changed_rows(oracle: AdjacencyOracle, seen: set, k: int, rng: random.Random) -> list:
+    """Each unread left record keeps the right ids whose records were read
+    and draws the rest anew, up to k ids, from those whose records were not."""
+    unread = [r for r in range(oracle.m) if (RIGHT, r) not in seen]
+    rows = []
+    for i in range(oracle.n):
+        row = oracle.fwd(i)
+        if (LEFT, i) not in seen:
+            keep = [r for r in row if (RIGHT, r) in seen]
+            pool = [r for r in unread if r not in row]
+            extra = min(rng.randint(0 if keep else 1, k - len(keep)), len(pool))
+            row = tuple(keep + rng.sample(pool, extra)) or row
+        rows.append(row)
+    return rows
+
+
+def _changed_values(spec: InstanceSpec, oracle: AdjacencyOracle, seen: set, rng: random.Random):
+    """New values for the entities whose own record is unread and which no
+    read record lists: buyers for udubv/ksmb, machines for scheduling."""
+    side = LEFT if FAMILIES[spec.family].values == "valuations" else RIGHT
+    records = {LEFT: oracle.fwd, RIGHT: oracle.rev}
+    read = seen | {(side, x) for s, e in seen if s != side for x in records[s](e)}
+    low = 0 if side == LEFT else 1  # a bid may be 0, a capacity may not
+    return tuple(
+        v if (side, x) in read else rng.randint(low, 6) for x, v in enumerate(spec.values)
+    )
+
+
+def _rebuild(spec: InstanceSpec, inst, rows: list | None, values):
+    """The instance with these left records (None: the spec's) and values.
+    Standard-mode scheduling draws its records, so it gets a copy instead."""
+    if spec.explicit_edges is None:
+        twin = copy.copy(inst)
+        twin._oracle = AdjacencyOracle(rows, inst.oracle.m, range(len(rows)))
+        return twin
+    return build_instance(replace(spec, explicit_edges=rows or spec.explicit_edges, values=values))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
+    views: list = []
+    init = MemoView.__init__
+
+    def collecting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        views.append(self)
+
+    monkeypatch.setattr(MemoView, "__init__", collecting)
+    fam = FAMILIES[family]
+    changed_rows = changed_values = 0
+    for seed in SEEDS:
+        spec = _spec(family, seed)
+        inst = build_instance(spec)
+        truth = [inst.oracle.fwd(i) for i in range(inst.oracle.n)]
+        rng = random.Random(seed)
+        for query in fam.queries:
+            for rounds in (2, 6) if family == "matching" else (0,):
+                for e in range(getattr(inst, query.side)):
+                    want, seen = _answer(query, inst, rounds, e, views)
+                    for _ in range(REBUILDS):
+                        rows = _changed_rows(inst.oracle, seen, spec.k, rng)
+                        changed_rows += sum(a != b for a, b in zip(rows, truth))
+                        twin = _rebuild(spec, inst, rows, spec.values)
+                        assert _answer(query, twin, rounds, e, views)[0] == want, (seed, e)
+                        if spec.values is None or spec.explicit_edges is None:
+                            continue
+                        values = _changed_values(spec, inst.oracle, seen, rng)
+                        changed_values += sum(a != b for a, b in zip(values, spec.values))
+                        twin = _rebuild(spec, inst, None, values)
+                        assert _answer(query, twin, rounds, e, views)[0] == want, (seed, e)
+    assert changed_rows > 0
+    assert changed_values > 0 or spec.values is None or spec.explicit_edges is None

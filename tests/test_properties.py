@@ -161,7 +161,7 @@ def _union_oracle(inst: AuctionInstance, overlay: ReportOverlay | None) -> Adjac
     """True and reported sets together: every record a query may follow."""
     reported, _ = inst.reports(overlay)
     union = [set(s) | set(reported.get(b, s)) for b, s in enumerate(inst.sets)]
-    return AdjacencyOracle(union, inst.m)
+    return AdjacencyOracle(union, inst.m, range(inst.n))
 
 
 @PROPERTY
