@@ -2,16 +2,18 @@
 
 Everything here is a baseline the mechanisms are judged against: prefix-sum
 majorization of load vectors, the paired uniform-vs-nonuniform simulation,
-exact matching / packing / makespan optima.  Solvers favour correctness over
-scale; the packing oracle hard-caps its input size instead of silently
-approximating.
+exact matching / packing / makespan optima.  Solvers are pure Python and
+favour correctness over scale: matching and makespan feasibility share one
+augmenting-path placer, and the exhaustive weight-matching and packing
+oracles hard-cap their input size instead of silently approximating.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .randomness import RandomTape, uniform_rows
 
@@ -156,46 +158,73 @@ def uniform_majorizes_nonuniform(
 # ---------------------------------------------------------------------------
 
 
+def _placements(adj: Sequence[Sequence[int]], caps: Sequence[int]) -> Iterator[bool]:
+    """Place each left vertex u in turn on one of adj[u], with right vertex r
+    holding at most caps[r] of them, and yield whether u got a place.
+
+    u takes a free right vertex of its own if it has one, and otherwise the
+    end of an augmenting path found by BFS (Kuhn's method).  A vertex with
+    no augmenting path never gets one later, so a caller may stop at the
+    first False."""
+    holders: list[list[int]] = [[] for _ in caps]
+    spot: list[int | None] = [None] * len(adj)  # each placed vertex's right vertex
+    for u in range(len(adj)):
+        came: dict[int, int] = {}  # right vertex -> the left vertex that moves onto it
+        queue, free = [u], None
+        for x in queue:
+            for r in adj[x]:
+                if r in came:
+                    continue
+                came[r] = x
+                if len(holders[r]) < caps[r]:
+                    free = r
+                    break
+                queue.extend(holders[r])  # queued only from its own right vertex: once
+            if free is not None:
+                break
+        else:
+            yield False
+            continue
+        r = free
+        while r is not None:  # each vertex on the path moves one step along it
+            x = came[r]
+            if spot[x] is not None:
+                holders[spot[x]].remove(x)
+            holders[r].append(x)
+            spot[x], r = r, spot[x]
+        yield True
+
+
 def max_matching(adj: Sequence[Iterable[int]], n_right: int) -> int:
     """Maximum bipartite matching size via augmenting paths."""
-    match_right = [-1] * n_right
-    adj = [tuple(a) for a in adj]
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if augment(u, set()):
-            size += 1
-    return size
+    return sum(_placements([tuple(a) for a in adj], [1] * n_right))
 
 
-def max_weight_matching(weights: Sequence[Sequence[int]]):
-    """Maximum-weight bipartite matching value (missing edges = weight 0).
-
-    The assignment is found with scipy's Hungarian solver on a float copy —
-    exact for integer weights below 2⁵³ — and the value is re-summed from
-    the original entries, so the returned total carries their exact type.
-    """
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
-    rows = [list(r) for r in weights]
-    if not rows or not rows[0]:
-        return 0
-    arr = np.array([[float(x) for x in r] for r in rows])
-    if (arr < 0).any():
+def max_weight_matching(weights: Sequence[Sequence]):
+    """Maximum-weight bipartite matching value (missing edges = weight 0),
+    exhaustive over the smaller side and capped at 20: row by row, it keeps
+    the best total for each set of used columns, summed in the entries' own
+    type, so the value is exact for ints and Fractions alike."""
+    rows = [tuple(r) for r in weights]
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise ValueError("weights must be a rectangular matrix")
+    if any(x < 0 for r in rows for x in r):
         raise ValueError("weights must be non-negative")
-    ri, ci = linear_sum_assignment(arr, maximize=True)
-    return sum(rows[r][c] for r, c in zip(ri, ci))
+    if not width:
+        return 0
+    if len(rows) < width:
+        rows = list(zip(*rows))
+    if len(rows[0]) > 20:
+        raise ValueError("weight matching is exhaustive; capped at 20 on the smaller side")
+    best = {0: rows[0][0] * 0}  # used-column bitmask -> best total
+    for row in rows:
+        for used, acc in list(best.items()):
+            for c, w in enumerate(row):
+                key = used | 1 << c
+                if w and key != used and (key not in best or acc + w > best[key]):
+                    best[key] = acc + w
+    return max(best.values())
 
 
 def optimal_packing(sets: Sequence[Iterable[int]], values: Sequence):
@@ -227,44 +256,11 @@ def optimal_packing(sets: Sequence[Iterable[int]], values: Sequence):
     return best
 
 
-def _floor_times(T: Fraction, c: int) -> int:
-    return (T.numerator * c) // T.denominator
-
-
 def _restricted_feasible(
     menus: Sequence[Sequence[int]], capacities: Sequence[int], m: int
 ) -> bool:
-    """Can all m unit jobs be placed within per-machine capacities?  Solved
-    as an integer max-flow (source → machines → jobs → sink)."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    n = len(capacities)
-    if sum(capacities) < m:
-        return False
-    # nodes: 0 = source, 1..n machines, n+1..n+m jobs, n+m+1 = sink
-    src, sink = 0, n + m + 1
-    rows, cols, data = [], [], []
-    for i, cap in enumerate(capacities):
-        if cap > 0:
-            rows.append(src)
-            cols.append(1 + i)
-            data.append(min(cap, m))
-    for j, menu in enumerate(menus):
-        if not menu:
-            return False
-        for i in set(menu):
-            rows.append(1 + i)
-            cols.append(1 + n + j)
-            data.append(1)
-        rows.append(1 + n + j)
-        cols.append(sink)
-        data.append(1)
-    graph = csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)), shape=(sink + 1, sink + 1)
-    )
-    return maximum_flow(graph, src, sink).flow_value >= m
+    """Can all m unit jobs be placed within per-machine capacities?"""
+    return sum(capacities) >= m and all(_placements(menus, capacities))
 
 
 def optimal_makespan(
@@ -273,7 +269,8 @@ def optimal_makespan(
     """Exact minimum makespan for m unit jobs on machines with the given
     capacities; `menus` restricts each job to its listed machines.  The
     optimum is the smallest T among the candidate loads h/c (h ≤ m) at
-    which the jobs fit within per-machine budgets ⌊T·c_i⌋."""
+    which the jobs fit within per-machine budgets ⌊T·c_i⌋.  With L the lcm
+    of the distinct capacities, h/c is searched as the integer key h·(L/c)."""
     caps = tuple(caps)
     if any(c < 1 for c in caps):
         raise ValueError("capacities must be positive")
@@ -281,22 +278,24 @@ def optimal_makespan(
         return Fraction(0)
     if menus is not None and len(menus) != m:
         raise ValueError("need one menu per job")
+    for j, menu in enumerate(menus or ()):
+        if any(not 0 <= i < len(caps) for i in menu):
+            raise ValueError(f"job {j}'s menu {tuple(menu)} names an unknown machine")
 
-    candidates = sorted({Fraction(h, c) for c in set(caps) for h in range(1, m + 1)})
+    L = lcm(*set(caps))
+    keys = sorted({h * (L // c) for c in set(caps) for h in range(1, m + 1)})
 
-    def feasible(T: Fraction) -> bool:
-        budget = [_floor_times(T, c) for c in caps]
-        if menus is None:
-            return sum(budget) >= m
-        return _restricted_feasible(menus, budget, m)
+    def feasible(key: int) -> bool:
+        budget = [key * c // L for c in caps]
+        return sum(budget) >= m if menus is None else _restricted_feasible(menus, budget, m)
 
-    lo, hi = 0, len(candidates) - 1
-    if not feasible(candidates[hi]):
+    lo, hi = 0, len(keys) - 1
+    if not keys or not feasible(keys[hi]):  # no machines leaves no key
         raise ValueError("instance infeasible at any candidate makespan")
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
+        if feasible(keys[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return candidates[lo]
+    return Fraction(keys[lo], L)

@@ -84,8 +84,8 @@ to 2^64 draw one word, as they always did.
 The tape stays pure Python.  Importing numpy raises the peak RSS of a
 process that builds instances from about 21 to 32 MB (Python 3.11,
 numpy 2.4, x86-64 Linux), far more than the 10% growth of `peak_rss_mb`
-that BENCHMARK.json allows on any workload.  No `lcmd` verb imports numpy;
-only the exact solvers in `oracles` and `scheduling.makespan_ratio` do.
+that BENCHMARK.json allows on any workload.  No module of the package
+imports numpy, and `tests/test_census.py` keeps it that way.
 """
 
 from __future__ import annotations

@@ -30,3 +30,18 @@ def test_mode_and_family_comparison_census():
         sum(1 for line in p.read_text().splitlines() if pattern.search(line)) for p in SOURCES
     )
     assert count == 17
+
+
+def test_no_module_imports_numpy_or_scipy():
+    # the exact solvers are pure Python; keep the dependencies from creeping back
+    found = []
+    for p in SOURCES:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{p.name}: {n}" for n in names if n.split(".")[0] in ("numpy", "scipy")]
+    assert not found, found

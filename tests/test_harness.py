@@ -104,7 +104,7 @@ def test_bench_grids_holding_n_below_2_exit_2_before_any_cell(capsys, monkeypatc
 
 
 def test_bench_and_audit_do_not_import_numpy():
-    # numpy and scipy serve the exact solvers only; no lcmd verb loads them
+    # no lcmd verb loads numpy or scipy, even where one is installed
     root = Path(__file__).resolve().parent.parent
     code = (
         "import contextlib, io, sys\n"

@@ -125,6 +125,13 @@ def test_max_matching_agrees_with_exhaustive():
         assert max_matching(adj, m) == _brute_matching(adj, m), adj
 
 
+def test_max_matching_walks_long_augmenting_chains():
+    # each vertex u first takes u + 1, so the last vertex's only augmenting
+    # path moves every earlier one back to u: a path of 3,000 steps
+    adj = [(u + 1, u) for u in range(2999)] + [(2999,)]
+    assert max_matching(adj, 3000) == 3000
+
+
 def test_max_weight_matching_agrees_with_exhaustive():
     rng = random.Random(5)
     for _ in range(30):
@@ -136,6 +143,33 @@ def test_max_weight_matching_agrees_with_exhaustive():
     assert max_weight_matching([]) == 0
     with pytest.raises(ValueError):
         max_weight_matching([[1, -2]])
+
+
+def test_max_weight_matching_is_exact_on_fractions():
+    rng = random.Random(19)
+    for _ in range(30):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+        weights = [
+            [Fraction(rng.randrange(10), rng.randrange(1, 7)) for _ in range(m)]
+            for _ in range(n)
+        ]
+        got = max_weight_matching(weights)
+        assert isinstance(got, Fraction)
+        assert got == _brute_weight(weights), weights
+    # 2**53 + 1 rounds to 2**53 as a float, which ties the two entries
+    assert max_weight_matching([[2**53, 2**53 + 1], [0, 0]]) == 2**53 + 1
+
+
+def test_max_weight_matching_refusals():
+    with pytest.raises(ValueError, match="rectangular"):
+        max_weight_matching([[1, 2], [3]])
+    with pytest.raises(ValueError, match="rectangular"):
+        max_weight_matching([[], [1]])
+    with pytest.raises(ValueError, match="capped at 20"):
+        max_weight_matching([[1] * 21 for _ in range(21)])
+    # only the smaller side is capped
+    assert max_weight_matching([[1] * 3 for _ in range(25)]) == 3
+    assert max_weight_matching([[1] * 25 for _ in range(3)]) == 3
 
 
 def _brute_packing(sets, values):
@@ -182,6 +216,17 @@ def test_optimal_makespan_examples():
         optimal_makespan((1, 1), 1, menus=[()])
 
 
+def test_optimal_makespan_refuses_unknown_or_no_machines():
+    with pytest.raises(ValueError, match="infeasible"):
+        optimal_makespan((), 1)
+    with pytest.raises(ValueError, match="job 0's menu .* unknown machine"):
+        optimal_makespan((1, 1), 1, menus=[(-1,)])
+    with pytest.raises(ValueError, match="job 0's menu .* unknown machine"):
+        optimal_makespan((1,), 1, menus=[(5,)])
+    with pytest.raises(ValueError, match="job 2's menu"):
+        optimal_makespan((1, 1), 3, menus=[(0,), (1,), (0, 2)])
+
+
 def _exhaustive_feasible(menus, budget, m):
     left = list(budget)
 
@@ -212,6 +257,34 @@ def test_flow_feasibility_agrees_with_exhaustive_search():
         assert _restricted_feasible(menus, budget, m) == _exhaustive_feasible(
             menus, budget, m
         ), (menus, budget)
+
+
+def _hall_feasible(menus, budget):
+    # Hall's condition: for every set S of machines, the jobs whose menu lies
+    # inside S number at most S's total budget
+    n = len(budget)
+    masks = [sum(1 << i for i in set(menu)) for menu in menus]
+    return all(
+        sum(mask & ~S == 0 for mask in masks)
+        <= sum(budget[i] for i in range(n) if S >> i & 1)
+        for S in range(1 << n)
+    )
+
+
+def test_restricted_feasibility_agrees_with_halls_condition():
+    rng = random.Random(23)
+    feasible = 0
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        m = rng.randrange(1, 41)
+        budget = [rng.randrange(0, 8) for _ in range(n)]
+        menus = [
+            tuple(rng.randrange(n) for _ in range(rng.randrange(1, 4))) for _ in range(m)
+        ]
+        got = _restricted_feasible(menus, budget, m)
+        assert got == _hall_feasible(menus, budget), (menus, budget)
+        feasible += got
+    assert 30 < feasible < 270  # both answers are well represented
 
 
 def test_restricted_makespan_agrees_with_exhaustive_scan():
