@@ -21,14 +21,13 @@ record for record.  A woman keeps the best proposal so far, so her query
 answers with the first of her suitors, best first, to arrive within the budget.
 
 Priority keys: `MatchingInstance.priority_key(w, man)` is the per-pair
-definition.  The global run and `blocking_pairs` read the same keys from
-`key_rows`, one row per man aligned with his list, which a seeded instance
-draws as one lane-packed table (`RandomTape.u64_rows`) per run; a global run
-draws only the positions below its round cap, since position p is first
-proposed to in round p + 1.  A local query takes a settled woman's keys from
-`suitor_keys`, which hashes her stem ("woman-priority", w) once and takes
-one step per suitor (`RandomTape.u64_each`).  Explicit rankings answer from
-the ranking in both.
+definition.  A seeded instance draws the stems ("woman-priority", w) and the
+men's leaves at build (`randomness.pair_tables`); a key is one mix of the
+two.  The global run and `blocking_pairs` read `key_rows`, one row per man
+aligned with his list, mixed a block of lanes at a time; a global run mixes
+only the positions below its round cap (position p is first proposed to in
+round p + 1).  A local query takes a settled woman's `suitor_keys`, one mix
+per suitor.  Explicit rankings draw no tables and answer from the ranking.
 
 Cost rule: priority scores are derived from the seed and cost no probes;
 reading any man's list or any woman's suitor list costs one probe per query
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, resolve
-from .randomness import RandomTape
+from .randomness import RandomTape, pair_keys, pair_rows, pair_tables
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -137,6 +136,8 @@ class MatchingInstance:
                 {man: len(order) - pos for pos, man in enumerate(order)}
                 for order in women_prefs
             ]
+        else:  # the stems ("woman-priority", w) and the leaves of the men
+            self._tables = pair_tables(self.tape, "woman-priority", m, self.n)
 
     @classmethod
     def from_spec(cls, spec: InstanceSpec) -> "MatchingInstance":
@@ -160,21 +161,21 @@ class MatchingInstance:
     def key_rows(self, depth: int) -> list[list[int]]:
         """Each man's priority with the women of his list, aligned with
         `men_prefs` and cut at `depth` women: row[man][p] is the first part
-        of `priority_key(men_prefs[man][p], man)`.  A seeded instance draws
-        them as one lane-packed table."""
+        of `priority_key(men_prefs[man][p], man)`.  A seeded instance mixes
+        them from its tables, a block of lanes at a time."""
         prefs = self.men_prefs if depth >= self.k else [p[:depth] for p in self.men_prefs]
         if self._explicit_rank is not None:
             rank = self._explicit_rank
             return [[rank[w].get(man, -1) for w in p] for man, p in enumerate(prefs)]
-        return self.tape.u64_rows("woman-priority", prefs)
+        return pair_rows(self._tables, prefs)
 
     def suitor_keys(self, woman: int, men: Sequence[int]) -> list[int]:
         """The first part of `priority_key(woman, man)` for each of `men`; a
-        seeded instance hashes the woman's stem once."""
+        seeded instance takes one mix step per man from its tables."""
         if self._explicit_rank is not None:
             rank = self._explicit_rank[woman]
             return [rank.get(man, -1) for man in men]
-        return self.tape.u64_each(("woman-priority", woman), men)
+        return pair_keys(self._tables, woman, men)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +330,11 @@ class _RejectionRounds:
         if got is None:
             view = self._view
             men = view.rev(woman)
-            keys = {mm: (key, -mm) for mm, key in zip(men, self._keys(woman, men))}
-            order = sorted((view.fwd(mm).index(woman), mm, key) for mm, key in keys.items())
+            order, keys = [], {}
+            for mm, key in zip(men, self._keys(woman, men)):
+                key = keys[mm] = (key, -mm)
+                order.append((view.fwd(mm).index(woman), mm, key))
+            order.sort()
             got = self._suitors[woman] = (order, keys)
         return got
 

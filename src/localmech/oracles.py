@@ -197,7 +197,10 @@ def _placements(adj: Sequence[Sequence[int]], caps: Sequence[int]) -> Iterator[b
 
 def max_matching(adj: Sequence[Iterable[int]], n_right: int) -> int:
     """Maximum bipartite matching size via augmenting paths."""
-    return sum(_placements([tuple(a) for a in adj], [1] * n_right))
+    rows = [tuple(a) for a in adj]
+    for u, r in ((u, r) for u, row in enumerate(rows) for r in row if not 0 <= r < n_right):
+        raise ValueError(f"left vertex {u} names right vertex {r}, not in 0..{n_right - 1}")
+    return sum(_placements(rows, [1] * n_right))
 
 
 def max_weight_matching(weights: Sequence[Sequence]):

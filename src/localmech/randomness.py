@@ -37,23 +37,19 @@ one entry per entity, and gets the same bits as the per-key draws:
   `SchedulingInstance.oracle`);
 - `uniform_rows(tape, tag, count, n, k)` is `derive_uniform(tape, (tag, i,
   t), n)` for t < k in row i (the restricted menus);
-- `RandomTape.u64_rows(tag, rows)` is `u64(tag, x, i)` for each id x of row
-  i (the matching priority keys ("woman-priority", w, man), one row per man,
-  drawn by each global run and by `blocking_pairs`): the states after (tag,
-  x) come from `u64_table`, each entry XORs in the leaf of its row, and each
-  block of entries takes one lane pass.
+- `pair_tables(tape, tag, m, n)` is the stems `u64(tag, x)`, x < m, and the
+  leaves leaf(i), i < n, from one lane pass; `u64(tag, x, i)` is then
+  mix(stems[x] ^ leaves[i]), which `pair_rows` mixes for row i's ids x a
+  block at a time and `pair_keys` one id at a time (a seeded
+  `MatchingInstance`'s priority keys ("woman-priority", w, man)).
 
 The tag of a table may also be a tuple, a key prefix: the table draws under
 the state after it, so `uniform_rows(tape, ("tau", t), m, C, 2)` is
 `derive_uniform(tape, ("tau", t, s, x), C)` for x < 2 in row s (one call per
-trial of `oracles.uniform_majorizes_nonuniform`).  Two scalar forms serve
-callers that hold a stem or a state already:
-
-- `RandomTape.u64_each(prefix, ids)` is `u64(*prefix, i)` for each id,
-  hashing the prefix once (a local matching query, once per settled woman);
-- `uniform_at(state, n)` is `derive_uniform` from the state after its key
-  (the slot tie-breaks of `scheduling.slms_online`, read from a
-  `u64_table("slot-tie", m)`).
+trial of `oracles.uniform_majorizes_nonuniform`).  A scalar form,
+`uniform_at(state, n)`, is `derive_uniform` from the state after its key
+(the slot tie-breaks of `scheduling.slms_online`, read from a
+`u64_table("slot-tie", m)`).
 
 The draw under the key (tag, i) is draw i of the row stream under (tag,),
 and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)
@@ -94,13 +90,16 @@ import sys
 from array import array
 from hashlib import blake2b
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "KeyPart",
     "KeyPrefix",
     "RandomTape",
     "derive_uniform",
+    "pair_keys",
+    "pair_rows",
+    "pair_tables",
     "sample_table",
     "sample_without_replacement",
     "uniform_at",
@@ -130,11 +129,6 @@ def _mix(x: int) -> int:
 _LEAF = tuple(_mix(i + _GOLDEN) for i in range(256))
 
 
-def _leaf(i: int) -> int:
-    """The leaf of the int part i (the hot paths inline this)."""
-    return _LEAF[i] if 0 <= i < 256 else _mix(i + _GOLDEN)
-
-
 _BLOCK = 4096  # lanes per packed int, 64 KB of it
 
 
@@ -148,12 +142,12 @@ _LANES = _spread(_MASK, _BLOCK)  # the low half of every lane
 _IOTA = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
 
 
-def _unpack(x: int, b: int) -> list[int]:
+def _unpack(x: int, b: int) -> array:
     """The words in the b lanes of x."""
     words = array("Q", x.to_bytes(16 * b, "little"))
     if sys.byteorder == "big":
         words.byteswap()
-    return words[::2].tolist()
+    return words[::2]
 
 
 def _mix_lanes(x: int) -> int:
@@ -252,43 +246,52 @@ class RandomTape:
         a time."""
         out: list[int] = []
         for b, states in _state_blocks(self._state(_key(prefix)), count):
-            out += _unpack(states, b)
-        return out
-
-    def u64_rows(self, prefix: KeyPrefix, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Row i is `[self.u64(*prefix, x, i) for x in rows[i]]`, for ids x >=
-        0.  The states after (*prefix, x) come from `u64_table` up to the
-        largest x, so the ids should be dense; each entry XORs in the leaf of
-        its row, and a block of entries is mixed at a time."""
-        full = list(filter(None, rows))
-        if not full:
-            return [[] for _ in rows]
-        if min(map(min, full)) < 0:
-            raise ValueError(f"u64_rows takes ids >= 0, got {min(map(min, full))}")
-        stems = self.u64_table(prefix, max(map(max, full)) + 1)
-        leaves = [leaf for b, block in _leaf_blocks(len(rows)) for leaf in _unpack(block, b)]
-        words = [stems[x] ^ leaf for row, leaf in zip(rows, leaves) for x in row]
-        keys: list[int] = []
-        for start in range(0, len(words), _BLOCK):
-            block = words[start : start + _BLOCK]
-            keys += _unpack(_mix_lanes(_pack(block)), len(block))
-        ends = list(accumulate(map(len, rows), initial=0))
-        return [keys[a:b] for a, b in zip(ends, ends[1:])]
-
-    def u64_each(self, prefix: KeyPrefix, ids: Iterable[int]) -> list[int]:
-        """`[self.u64(*prefix, i) for i in ids]`: the prefix is hashed once,
-        then each id costs one step."""
-        stem = self._state(_key(prefix))
-        out = []
-        for i in ids:
-            h = stem ^ (_LEAF[i] if 0 <= i < 256 else _mix(i + _GOLDEN))
-            h = ((h ^ (h >> 30)) * _M1) & _MASK
-            h = ((h ^ (h >> 27)) * _M2) & _MASK
-            out.append(h ^ (h >> 31))
+            out += _unpack(states, b).tolist()
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomTape(seed={self.seed})"
+
+
+def pair_tables(tape: RandomTape, prefix: KeyPrefix, m: int, n: int) -> tuple[array, array]:
+    """The stems `tape.u64(*prefix, x)`, x < m, and the leaves leaf(i), i < n,
+    of the keys `tape.u64(*prefix, x, i)` = mix(stems[x] ^ leaves[i])."""
+    h = tape._state(_key(prefix))
+    stems, leaves = array("Q"), array("Q")
+    for b, block in _leaf_blocks(max(m, n)):
+        leaves += _unpack(block, b)
+        stems += _unpack(_mix_lanes(block ^ _spread(h, b)), b)
+    return stems[:m], leaves[:n]
+
+
+def pair_keys(tables: tuple[array, array], x: int, ids: Sequence[int]) -> list[int]:
+    """`[tape.u64(*prefix, x, i) for i in ids]` from the `pair_tables` of the
+    prefix, one step per id."""
+    if x < 0 or min(ids, default=0) < 0:
+        raise IndexError(f"pair ids must be >= 0, got {x} and {list(ids)}")
+    stem, leaves = tables[0][x], tables[1]
+    out = []
+    for i in ids:
+        h = stem ^ leaves[i]
+        h = ((h ^ (h >> 30)) * _M1) & _MASK
+        h = ((h ^ (h >> 27)) * _M2) & _MASK
+        out.append(h ^ (h >> 31))
+    return out
+
+
+def pair_rows(tables: tuple[array, array], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row i is `[tape.u64(*prefix, x, i) for x in rows[i]]`, from the
+    `pair_tables` of the prefix, a block of entries mixed at a time."""
+    stems, leaves = tables
+    if len(rows) > len(leaves) or min(map(min, filter(None, rows)), default=0) < 0:
+        raise IndexError(f"{len(rows)} rows of ids >= 0 need as many leaves, got {len(leaves)}")
+    words = [stems[x] ^ leaf for row, leaf in zip(rows, leaves) for x in row]
+    keys: list[int] = []
+    for start in range(0, len(words), _BLOCK):
+        block = words[start : start + _BLOCK]
+        keys += _unpack(_mix_lanes(_pack(block)), len(block)).tolist()
+    ends = list(accumulate(map(len, rows), initial=0))
+    return [keys[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _draw(s: int, limit: int) -> int:
@@ -313,10 +316,9 @@ def _draw_wide(s: int, n: int) -> int:
     limit = span - span % n
     attempt = 0
     while True:
-        h = _mix(s ^ _leaf(attempt))
-        v = h
+        v = h = _mix(s ^ _mix(attempt + _GOLDEN))
         for i in range(1, words):
-            v |= _mix(h ^ _leaf(i)) << (64 * i)
+            v |= _mix(h ^ _mix(i + _GOLDEN)) << (64 * i)
         if v < limit:
             return v
         attempt += 1
@@ -353,7 +355,7 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
 def _first_draws(d: int, b: int, n: int, bound: int) -> list[int]:
     """The value in [0, n) that each of the b draw states packed in d draws:
     its first attempt when that is below `bound`, else `_draw`'s."""
-    vals = _unpack(_mix_lanes(d ^ _spread(_LEAF[0], b)), b)
+    vals = _unpack(_mix_lanes(d ^ _spread(_LEAF[0], b)), b).tolist()
     if max(vals) >= bound:
         states = _unpack(d, b)
         vals = [v if v < bound else _draw(s, bound) for v, s in zip(vals, states)]
@@ -372,7 +374,8 @@ def _table_rows(
     bound = (1 << 64) - ((1 << 64) % n)
     rows: list[tuple[int, ...]] = []
     for b, s in _state_blocks(tape._state(_key(prefix)), count):
-        cols = [_first_draws(_mix_lanes(s ^ _spread(_leaf(t), b)), b, n, bound) for t in range(k)]
+        draws = (_mix_lanes(s ^ _spread(_mix(t + _GOLDEN), b)) for t in range(k))
+        cols = [_first_draws(d, b, n, bound) for d in draws]
         block = list(zip(*cols))
         redo = [j for j, row in enumerate(block) if len(set(row)) < k] if distinct else []
         if redo:

@@ -45,3 +45,17 @@ def test_no_module_imports_numpy_or_scipy():
                 continue
             found += [f"{p.name}: {n}" for n in names if n.split(".")[0] in ("numpy", "scipy")]
     assert not found, found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module's private names (the splitmix constants of randomness.py
+    # among them) stay behind its functions
+    found = []
+    for p in SOURCES:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            # a relative import, or an absolute one of the package
+            if node.level or node.module.split(".")[0] == "localmech":
+                found += [f"{p.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, found

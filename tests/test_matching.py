@@ -21,6 +21,7 @@ from localmech.matching import (
     rounds_for_epsilon,
 )
 from localmech.probes import LEFT, RIGHT, ProbeCounter, neighborhood
+from localmech.randomness import RandomTape
 
 
 def test_single_pair_matches():
@@ -349,12 +350,22 @@ _KEY_CASES = {
     "n1": lambda: MatchingInstance.seeded(1, 1, 0),
     "n0": lambda: MatchingInstance([], m=3),
     "ragged": lambda: MatchingInstance([[0, 300, 5], [], [299], [7, 1]], m=301, seed=4),
+    # more than one lane block of stems and of leaves, the shorter table
+    # on either side
+    "wide-women": lambda: _listed(4200, 5000, 3, 6),
+    "wide-men": lambda: _listed(5000, 4200, 3, 7),
     # men 0 and 3 are missing from woman 0's ranking, and woman 2 ranks no
     # one, so men 0 and 1 tie for her in round 1 (key -1 each)
     "explicit": lambda: MatchingInstance(
         [[2, 0], [2, 1], [0, 1], [0]], m=3, women_prefs=[[2], [1, 2, 0], []]
     ),
 }
+
+
+def _listed(n, m, k, seed):
+    """n men listing k distinct women of m each, drawn by `random.Random`."""
+    rng = random.Random(seed)
+    return MatchingInstance([rng.sample(range(m), k) for _ in range(n)], m=m, seed=seed)
 
 
 def _reference_statuses(inst, rounds):
@@ -432,3 +443,30 @@ def test_global_run_and_blocking_pairs_follow_priority_key(case):
         }
         assert blocking_pairs(inst, unmatched) == _reference_blocking(inst, unmatched)
     assert global_gs(inst) == _reference_statuses(inst, inst.n * inst.k + 1)
+
+
+def test_seeded_queries_and_runs_hash_no_key(monkeypatch):
+    # a seeded instance draws its stem and leaf tables at build: its local
+    # queries and global runs only mix them
+    n, k, rounds = 200, 3, 18
+    inst = MatchingInstance.seeded(n, k, 29)
+
+    def refuse(tape, key):
+        raise AssertionError(f"hashed {key}")
+
+    monkeypatch.setattr(RandomTape, "_state", refuse)
+    statuses, _ = abridged_gs(inst, rounds)
+    assert [local_ags(inst, rounds, man) for man in range(n)] == [statuses[i] for i in range(n)]
+    holder = {st.partner: man for man, st in statuses.items() if st.state == MATCHED}
+    for w in range(inst.m):
+        want = ManStatus.matched(holder[w]) if w in holder else ManStatus(UNMATCHED)
+        assert local_ags_woman(inst, rounds, w) == want
+
+
+def test_suitor_keys_refuse_ids_outside_the_tables():
+    # a negative id would read the last stem or leaf of an array table
+    inst = MatchingInstance.seeded(5, 2, 1)
+    assert inst.suitor_keys(4, [4, 0]) == [inst.priority_key(4, man)[0] for man in (4, 0)]
+    for woman, men in ((-1, [0]), (5, [0]), (0, [-1]), (0, [1, 5])):
+        with pytest.raises(IndexError):
+            inst.suitor_keys(woman, men)

@@ -125,6 +125,13 @@ def test_max_matching_agrees_with_exhaustive():
         assert max_matching(adj, m) == _brute_matching(adj, m), adj
 
 
+def test_max_matching_refuses_unknown_right_vertices():
+    # -1 would index the last right vertex, 2 the one past the end
+    for r in (-1, 2):
+        with pytest.raises(ValueError, match=f"left vertex 0 names right vertex {r},"):
+            max_matching([(r,)], 2)
+
+
 def test_max_matching_walks_long_augmenting_chains():
     # each vertex u first takes u + 1, so the last vertex's only augmenting
     # path moves every earlier one back to u: a path of 3,000 steps

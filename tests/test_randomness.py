@@ -20,6 +20,9 @@ from localmech import randomness
 from localmech.randomness import (
     RandomTape,
     derive_uniform,
+    pair_keys,
+    pair_rows,
+    pair_tables,
     sample_table,
     sample_without_replacement,
     uniform_rows,
@@ -262,17 +265,25 @@ def test_table_draws_equal_the_per_key_draws(seed, tag, count, n, data):
     # ragged rows of ids, empty ones and ids past the leaf table among them
     rows = data.draw(st.lists(st.lists(st.integers(0, 600), max_size=5), max_size=40), label="rows")
     _assert_key_rows_equal_per_key_draws(t, tag, rows)
-    ids = data.draw(st.lists(st.integers(-(2**65), 2**65), max_size=20), label="ids")
-    assert t.u64_each(tag, ids) == [t.u64(*_prefix(tag), i) for i in ids]
 
 
 def _prefix(tag):
     return tag if type(tag) is tuple else (tag,)
 
 
-def _assert_key_rows_equal_per_key_draws(t, tag, rows):
+def _assert_key_rows_equal_per_key_draws(t, tag, rows, m=None):
+    # the stems run over the row ids, the leaves over the rows
+    m = max((x + 1 for row in rows for x in row), default=0) if m is None else m
+    tables = pair_tables(t, tag, m, len(rows))
     want = [[t.u64(*_prefix(tag), x, i) for x in row] for i, row in enumerate(rows)]
-    assert t.u64_rows(tag, rows) == want
+    assert pair_rows(tables, rows) == want
+    # each id's column, in reverse: the rows that list it, as a suitor record
+    cols: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for x in row:
+            cols.setdefault(x, []).insert(0, i)
+    for x, ids in cols.items():
+        assert pair_keys(tables, x, ids) == [want[i][rows[i].index(x)] for i in ids]
 
 
 def _assert_tables_equal_per_key_draws(t, tag, count, n, k):
@@ -280,7 +291,11 @@ def _assert_tables_equal_per_key_draws(t, tag, count, n, k):
     got = t.u64_table(tag, count)
     assert type(got) is list
     assert got == [t.u64(*key, i) for i in range(count)]
-    assert t.u64_each(tag, range(count)) == got
+    stems, leaves = pair_tables(t, tag, count, count)
+    assert stems.tolist() == got
+    if count:
+        want = t.u64_table((*key, count - 1), count)
+        assert pair_keys((stems, leaves), count - 1, range(count)) == want
     want = [derive_uniform(t, (*key, i), n) for i in range(count)]
     assert list(uniform_table(t, tag, count, n)) == want
     want = [tuple(derive_uniform(t, (*key, i, s), n) for s in range(k)) for i in range(count)]
@@ -320,6 +335,15 @@ def test_key_rows_equal_the_per_key_draws_across_blocks(count):
     _assert_key_rows_equal_per_key_draws(RandomTape(-3), ("woman-priority",), rows)
 
 
+@pytest.mark.parametrize("count", [1, _BLOCK // 3, _BLOCK + 7])
+def test_key_rows_equal_the_per_key_draws_across_stem_blocks(count):
+    # two blocks of stems, with fewer or more leaves: 1-5 ids a row run
+    # from the last stem down across both
+    rows = [[(_BLOCK + 4 - 7 * i - 1500 * x) % (_BLOCK + 5) for x in range(i % 5 + 1)]
+            for i in range(count)]
+    _assert_key_rows_equal_per_key_draws(RandomTape(-3), ("woman-priority",), rows, _BLOCK + 5)
+
+
 def test_table_draws_keep_no_state_per_count():
     def footprint():
         sizes = {}
@@ -335,8 +359,9 @@ def test_table_draws_keep_no_state_per_count():
         uniform_table(t, "v", count, 1000 + count)
         uniform_rows(t, "m", count, 7, 2)
         sample_table(t, "s", count, 50 + count, 3)
-        t.u64_rows("r", [[count, 0]] * count)
-        t.u64_each(("e", 1), range(count))
+        tables = pair_tables(t, "r", count + 1, count)
+        pair_rows(tables, [[count, 0]] * count)
+        pair_keys(tables, count, range(count))
     assert footprint() == before
 
 
@@ -369,9 +394,14 @@ def test_table_draws_refuse_what_the_per_key_draws_refuse():
         t.u64_table(0.5, 2)
     with pytest.raises(TypeError):
         t.u64_table(("tau", 0.5), 2)
-    # the row ids index a table of the states after (tag, x), x >= 0
-    with pytest.raises(ValueError):
-        t.u64_rows("x", [[0, 1], [], [-1]])
+    # the ids index the pair tables: none wraps around from the end
+    tables = pair_tables(t, "x", 3, 3)
+    for x, ids in ((-1, [0]), (0, [-1]), (3, [0]), (0, [1, 3])):
+        with pytest.raises(IndexError):
+            pair_keys(tables, x, ids)
+    for rows in ([[0, 1], [], [-1]], [[0], [3]], [[0]] * 4):
+        with pytest.raises(IndexError):
+            pair_rows(tables, rows)
 
 
 def test_float_key_part_is_rejected():
