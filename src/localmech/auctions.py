@@ -34,8 +34,8 @@ Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
 payment comes from the same recursion run without her, which shares every
 answer of the buyers ahead of her.  `probes.resolve` drives both, with a
 plain dict as the memo.  Neither reads a zero-bid rival's set.
-The bid order is descending bid, ties to the smaller id, over exact bid
-keys (`AuctionInstance.bid_keys`): a whole bid as its int, any other as its
+The bid order is descending bid, ties to the smaller id, over the exact
+bids `AuctionInstance.values`: a whole bid as its int, any other as its
 `Fraction`, which Python compares exactly; payments are `Fraction`s.  The
 build sorts the buyers once (`AuctionInstance.order`) and lists each item's
 buyers in that order, so the global run and the query tree read the order
@@ -141,8 +141,7 @@ class AuctionInstance:
         if mode == UDUV:
             if values is not None:
                 raise ValueError("uduv takes no values: every value is 1")
-            self.values: tuple[Fraction, ...] = (Fraction(1),) * self.n
-            self.bid_keys: tuple[int | Fraction, ...] = (1,) * self.n
+            self.values: tuple[int | Fraction, ...] = (1,) * self.n
             # items by descending ("item-rank", j) score, ties to the smaller
             self.order, self.place = rank_tables(self.tape.u64_table("item-rank", m), True)
             records = range(self.n)  # item records list buyers by ascending id
@@ -151,13 +150,12 @@ class AuctionInstance:
                 raise ValueError(f"{mode} needs buyer values")
             if len(values) != self.n:
                 raise ValueError("need one value per buyer")
-            self.values = tuple(Fraction(v) for v in values)
-            self.bid_keys = tuple(_bid_key(v) for v in self.values)
-            if min(self.bid_keys, default=0) < 0:
+            self.values = tuple(v if type(v) is int else _bid_key(v) for v in values)
+            if min(self.values, default=0) < 0:
                 raise ValueError("values must be non-negative")
             # buyers by descending bid, ties to the smaller id: the order
             # the greedy serves them in, and the order of each item record
-            self.order, self.place = rank_tables(self.bid_keys, True)
+            self.order, self.place = rank_tables(self.values, True)
             records = self.order
         self.oracle = AdjacencyOracle(self.sets, m, records)
 
@@ -177,11 +175,11 @@ class AuctionInstance:
     def reports(
         self, overlay: ReportOverlay | None
     ) -> tuple[dict[int, tuple[int, ...]], Sequence[int | Fraction]]:
-        """The overlay's reported sets (sorted, deduplicated) and `bid_keys`
+        """The overlay's reported sets (sorted, deduplicated) and `values`
         with its reported bids patched in, buyer ids, item ids and bid signs
-        checked; `({}, bid_keys)`, nothing copied, without an overlay."""
+        checked; `({}, values)`, nothing copied, without an overlay."""
         if overlay is None:
-            return {}, self.bid_keys
+            return {}, self.values
         fixed, why = "sets", "they are public"
         if self.mode == UDUV:
             fixed, why = "bids", "every value is 1"
@@ -196,21 +194,21 @@ class AuctionInstance:
             sets[b] = tuple(sorted(set(int(j) for j in s)))
             if any(not 0 <= j < self.m for j in sets[b]):
                 raise ValueError(f"buyer {b} reports an unknown item")
-        keys = self.bid_keys
+        keys = self.values
         if overlay.bids is not None:
             keys = list(keys)
             for b, v in overlay.bids.items():
-                v = Fraction(v)
+                keys[b] = v = _bid_key(v)
                 if v < 0:
                     raise ValueError("bids must be non-negative")
-                keys[b] = _bid_key(v)
         return sets, keys
 
 
-def _bid_key(v: Fraction) -> int | Fraction:
-    """A sort key that orders, and tests zero, exactly like the bid v: its
-    numerator when v is whole, else v itself.  Python compares int and
-    Fraction exactly, and int comparisons skip `Fraction`'s slow path."""
+def _bid_key(v: Fraction | int | float | str) -> int | Fraction:
+    """The bid v exactly, as `values` holds it: its int when v is whole,
+    else `Fraction(v)`.  Python compares int and Fraction exactly, and int
+    comparisons skip `Fraction`'s slow path."""
+    v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 
 
@@ -283,7 +281,7 @@ def uduv_local(
         return {"item": idx, "winner": winner_of[idx]}
     # an item takes an unserved buyer, so she wins at most one
     award = next(((j,) for j, b in winner_of.items() if b == idx), ())
-    payment = HALF if award else Fraction(0)
+    payment = HALF if award else ZERO
     return {"buyer": idx, "award": award, "payment": payment}
 
 
@@ -321,7 +319,7 @@ def _udubv_price(
     """Smallest winning bid on one of `mine`, 0 if one of them goes unsold."""
     holder = {jt[0]: b for b, jt in won.items()}
     if not mine or any(j not in holder for j in mine):
-        return Fraction(0)
+        return ZERO
     return min(bids[holder[j]] for j in mine)
 
 
@@ -342,7 +340,7 @@ def _ksmb_price(
 ) -> Fraction | int:
     """Highest winning bid among the sets that meet `mine`."""
     mine_set = set(mine)
-    return max((bids[b] for b, s in won.items() if mine_set.intersection(s)), default=Fraction(0))
+    return max((bids[b] for b, s in won.items() if mine_set.intersection(s)), default=ZERO)
 
 
 # mode -> (allocation step, critical price of a buyer's items in the run without her)
@@ -357,7 +355,7 @@ def _critical(
     serves the bid order `order` with i removed."""
     awards, price = _BID_RULES[inst.mode]
     without = (b for b in order if b != i)
-    # each key equals its bid in value, so the price read off the keys is exact
+    # the price is a bid, an int when whole; every payment is a Fraction
     return Fraction(price(awards(without, inst.sets.__getitem__), inst.sets[i], bids))
 
 
@@ -377,7 +375,7 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
     _, bids = inst.reports(overlay)
     sets = inst.sets
     # the instance's bid order, unless the overlay reports bids
-    order, place = (inst.order, inst.place) if bids is inst.bid_keys else rank_tables(bids, True)
+    order, place = (inst.order, inst.place) if bids is inst.values else rank_tables(bids, True)
     order = _positive_prefix(order, bids)
     step, price = _BID_RULES[inst.mode]
     won = step(order, sets.__getitem__)
@@ -435,14 +433,12 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
         }
 
     awards = {b: won.get(b, ()) for b in range(inst.n)}
-    # each key equals its bid in value, so the price read off the keys is exact
+    # the price is a bid, an int when whole; every payment is a Fraction
     payments = {
-        b: (Fraction(price(without(b), sets[b], bids)) if awards[b] else Fraction(0))
+        b: (Fraction(price(without(b), sets[b], bids)) if awards[b] else ZERO)
         for b in range(inst.n)
     }
-    utilities = {
-        b: (inst.values[b] - payments[b] if awards[b] else Fraction(0)) for b in range(inst.n)
-    }
+    utilities = {b: (inst.values[b] - payments[b] if awards[b] else ZERO) for b in range(inst.n)}
     return Outcome(awards=awards, payments=payments, utilities=utilities)
 
 
@@ -491,8 +487,8 @@ def _bid_local(
     # still costs a probe, so all reads go through the memoised view.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
     if not keys[buyer]:
-        return {"buyer": buyer, "award": (), "payment": Fraction(0)}
-    fwd, truth = view.fwd, inst.bid_keys
+        return {"buyer": buyer, "award": (), "payment": ZERO}
+    fwd, truth = view.fwd, inst.values
     ranked: dict[int, Sequence[int]] = {}
 
     def bidders(j: int) -> Sequence[int]:
@@ -536,7 +532,7 @@ def _bid_local(
     memo: dict[int, tuple[int, ...]] = {}
     won = resolve(buyer, frame, memo.get, memo.__setitem__)
     if not won:
-        return {"buyer": buyer, "award": (), "payment": Fraction(0)}
+        return {"buyer": buyer, "award": (), "payment": ZERO}
     # A winner holds every item of her award (udubv) or set (ksmb) and no
     # item has two holders, so the first rival found on j holding it is j's
     # holder in the run without her.
@@ -547,7 +543,7 @@ def _bid_local(
             if z != buyer and j in resolve(z, frame, memo.get, memo.__setitem__):
                 holders[z] = memo[z]
                 break
-    # each key equals its bid in value, so the price read off the keys is exact
+    # the price is a bid, an int when whole; every payment is a Fraction
     payment = Fraction(_BID_RULES[inst.mode][1](holders, mine, keys))
     return {"buyer": buyer, "award": won, "payment": payment}
 
@@ -615,7 +611,7 @@ def truthfulness_audit(inst: AuctionInstance) -> list[Violation]:
             return [(f"set={rep}", ReportOverlay(sets={buyer: rep})) for rep in subsets]
 
     else:
-        top = max(inst.values, default=Fraction(0)) + 1
+        top = max(inst.values, default=0) + 1
 
         def answer(buyer: int, overlay: ReportOverlay | None) -> dict:
             return _bid_local(inst, buyer, None, overlay)
@@ -623,7 +619,7 @@ def truthfulness_audit(inst: AuctionInstance) -> list[Violation]:
         def deviations(buyer: int) -> list[tuple[str, ReportOverlay]]:
             t = inst.values[buyer]
             p = answer(buyer, ReportOverlay(bids={buyer: top}))["payment"]
-            grid = [Fraction(0), t / 2, t - eps, t + eps, 2 * t, p, p - eps, p + eps]
+            grid = [ZERO, Fraction(t, 2), t - eps, t + eps, 2 * t, p, p - eps, p + eps]
             return [
                 (f"bid={bid}", ReportOverlay(bids={buyer: bid}))
                 for bid in grid

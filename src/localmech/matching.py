@@ -154,6 +154,8 @@ class MatchingInstance:
     def priority_key(self, woman: int, man: int) -> tuple[int, int]:
         """Strict comparable priority of `man` for `woman`; larger wins.
         Hash-score ties (negligible but possible) go to the smaller man id."""
+        if not (0 <= woman < self.m and 0 <= man < self.n):
+            raise IndexError(f"no woman {woman} or no man {man} in this instance")
         if self._explicit_rank is not None:
             return (self._explicit_rank[woman].get(man, -1), -man)
         return (self.tape.u64("woman-priority", woman, man), -man)
@@ -172,10 +174,12 @@ class MatchingInstance:
     def suitor_keys(self, woman: int, men: Sequence[int]) -> list[int]:
         """The first part of `priority_key(woman, man)` for each of `men`; a
         seeded instance takes one mix step per man from its tables."""
-        if self._explicit_rank is not None:
-            rank = self._explicit_rank[woman]
-            return [rank.get(man, -1) for man in men]
-        return pair_keys(self._tables, woman, men)
+        if self._explicit_rank is None:
+            return pair_keys(self._tables, woman, men)  # which refuses ids outside the tables
+        if not 0 <= woman < self.m or (men and not 0 <= min(men) <= max(men) < self.n):
+            raise IndexError(f"no woman {woman} or a man of {list(men)} not in this instance")
+        rank = self._explicit_rank[woman]
+        return [rank.get(man, -1) for man in men]
 
 
 # ---------------------------------------------------------------------------

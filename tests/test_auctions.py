@@ -271,7 +271,7 @@ def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
 
         monkeypatch.setitem(_BID_RULES, inst.mode, (awards, recorded))
         out = _BID_PAIRS[inst.mode][0](inst)
-        order = _by_bid(range(inst.n), inst.bid_keys)
+        order = _by_bid(range(inst.n), inst.values)
         winners = [b for b in range(inst.n) if out.awards[b]]
         assert len(handed) == len(winners)
         for i, got in zip(winners, handed):
@@ -523,7 +523,9 @@ def test_query_tree_matches_global_on_mixed_denominators(data):
     bid |= st.builds(F, st.integers(0, 24), st.integers(1, 12))
     values = data.draw(st.lists(bid, min_size=n, max_size=n))
     inst = AuctionInstance(sets, m, mode, values=values)
-    assert all(k == v for k, v in zip(inst.bid_keys, inst.values))
+    # each value is its bid, an int when whole
+    assert inst.values == tuple(values)
+    assert [type(v) is int for v in inst.values] == [w.denominator == 1 for w in values]
     overlay = None
     if data.draw(st.booleans()):
         eps = F(1, 1000)
@@ -538,6 +540,45 @@ def test_query_tree_matches_global_on_mixed_denominators(data):
         )
     _check_against_replay(inst, overlay)
     _check_run_against_critical(inst, overlay)
+
+
+@pytest.mark.parametrize("mode", ["udubv", "ksmb"])
+def test_values_hold_whole_bids_as_ints(mode):
+    # every seeded value is whole, so no buyer holds a Fraction
+    seeded = build_instance(InstanceSpec(seed=3, family=mode, n=64, m=64, k=2))
+    assert {type(v) for v in seeded.values} == {int}
+    assert {type(v) for v in build_instance(InstanceSpec(3, "uduv", 64, 64, 2)).values} == {int}
+    # a bool, a float and a whole Fraction map to their exact values as before
+    inst = AuctionInstance([(0,)] * 5, 1, mode, values=[True, 0.5, F(7, 2), F(6, 3), 4])
+    assert inst.values == (1, F(1, 2), F(7, 2), 2, 4)
+    assert [type(v) for v in inst.values] == [int, F, F, int, int]
+    assert list(inst.order) == [4, 2, 3, 0, 1]
+    _, bids = inst.reports(ReportOverlay(bids={0: 0.5, 1: True, 3: F(8, 2)}))
+    assert bids == [F(1, 2), 1, F(7, 2), 4, 4]
+    assert [type(v) for v in bids] == [F, int, F, int, int]
+    for bad in (-1, F(-1, 2), -0.5):
+        with pytest.raises(ValueError, match="^values must be non-negative$"):
+            AuctionInstance([(0,)], 1, mode, values=[bad])
+        with pytest.raises(ValueError, match="^bids must be non-negative$"):
+            inst.reports(ReportOverlay(bids={2: bad}))
+
+
+@pytest.mark.parametrize("mode", ["udubv", "ksmb"])
+def test_audit_deviations_are_exact_bids(mode, monkeypatch):
+    # buyer 0 bids 5, so t/2 is 5/2: an int t must not halve to the float 2.5
+    inst = AuctionInstance([(0,), (0,)], 1, mode, values=[5, 3])
+    local = auctions._bid_local
+    asked = []
+
+    def answer(inst, buyer, counter, overlay):
+        asked.extend(overlay.bids.values() if overlay else ())
+        if buyer == 0 and overlay and overlay.bids[0] == F(5, 2):
+            return {"buyer": 0, "award": (0,), "payment": F(-100)}  # a planted gain
+        return local(inst, buyer, counter, overlay)
+
+    monkeypatch.setattr(auctions, "_bid_local", answer)
+    assert [v.report for v in truthfulness_audit(inst)] == ["bid=5/2"]
+    assert asked and {type(bid) for bid in asked} <= {int, F}
 
 
 @pytest.mark.parametrize("family", ["udubv", "ksmb"])
@@ -609,11 +650,11 @@ def test_item_records_with_zero_tied_and_fractional_bids(mode):
     assert (inst.oracle.rev(0), inst.oracle.rev(1)) == ((1, 3, 0), (2, 3, 0, 4))
     run, local = _BID_PAIRS[mode]
     out = run(inst)
-    order = _by_bid(range(inst.n), inst.bid_keys)
+    order = _by_bid(range(inst.n), inst.values)
     for b in range(inst.n):
         assert (out.awards[b], out.payments[b]) == tuple(local(inst, b).values())[1:], b
         if out.awards[b]:
-            assert out.payments[b] == _critical(inst, inst.bid_keys, order, b), b
+            assert out.payments[b] == _critical(inst, inst.values, order, b), b
     assert truthfulness_audit(inst) == []
 
 

@@ -9,6 +9,7 @@ import random
 import sys
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -420,7 +421,10 @@ def _seeded_draws(inst) -> list:
     """The forward records, the lottery ranks, caps, values and menus, the
     job rank order, the uduv item order and every listed matching priority."""
     draws = [[inst.oracle.fwd(i) for i in range(inst.oracle.n)]]
-    draws += [getattr(inst, name) for name in ("ranks", "caps", "values") if hasattr(inst, name)]
+    draws += [getattr(inst, name) for name in ("ranks", "caps") if hasattr(inst, name)]
+    if hasattr(inst, "values"):
+        # whole values are ints; hashed as Fractions, as they were first pinned
+        draws.append(tuple(map(Fraction, inst.values)))
     if isinstance(inst, SchedulingInstance):
         if inst.mode == RESTRICTED:
             draws.append([inst.menu(j) for j in range(inst.m)])

@@ -470,3 +470,28 @@ def test_suitor_keys_refuse_ids_outside_the_tables():
     for woman, men in ((-1, [0]), (5, [0]), (0, [-1]), (0, [1, 5])):
         with pytest.raises(IndexError):
             inst.suitor_keys(woman, men)
+
+
+@pytest.mark.parametrize("ranked", [False, True])
+def test_keys_refuse_a_woman_or_man_outside_the_instance(ranked):
+    # n = 3 men, m = 4 women; explicit rankings once read woman -1 as woman
+    # m - 1, and a seeded priority_key hashed any pair of ints
+    prefs = [[0, 3], [1, 2], [3]]
+    women = [[0], [1, 0], [1], [2, 0]] if ranked else None
+    inst = MatchingInstance(prefs, m=4, seed=3, women_prefs=women)
+    for woman in (-1, 0, 3, 4):
+        for man in (-1, 0, 2, 3):
+            if 0 <= woman < 4 and 0 <= man < 3:
+                assert inst.suitor_keys(woman, [man]) == [inst.priority_key(woman, man)[0]]
+                continue
+            with pytest.raises(IndexError):
+                inst.priority_key(woman, man)
+            with pytest.raises(IndexError):
+                inst.suitor_keys(woman, [man])
+            with pytest.raises(IndexError):
+                inst.suitor_keys(woman, [0, man, 1])
+    for woman in (0, 3):
+        assert inst.suitor_keys(woman, []) == []
+    for woman in (-1, 4):
+        with pytest.raises(IndexError):
+            inst.suitor_keys(woman, [])

@@ -1,0 +1,79 @@
+"""Range and limit refusals, each asked exactly at its boundary and one step
+on each side: the accepted values must pass and the refused ones must raise
+`ValueError` with exactly the message given."""
+
+from __future__ import annotations
+
+import pytest
+
+from localmech.auctions import AuctionInstance, truthfulness_audit
+from localmech.matching import MatchingInstance, local_ags_woman
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
+from localmech.scheduling import (
+    RESTRICTED,
+    SchedulingInstance,
+    monotonicity_trace,
+    slms_expected_utility,
+)
+
+ORACLE = AdjacencyOracle([(0, 1), (1,), (3,)], 4, range(3))  # n = 3 left, m = 4 right
+WOMEN = MatchingInstance([[0, 1], [1, 2], [2, 0]], m=3, seed=1)
+MACHINES = SchedulingInstance((2, 1, 1), m=4, d=2, mode=RESTRICTED, seed=2)
+
+
+def _audit_uduv(m: int):
+    # one buyer wanting one item, so k = 1 and every m up to the cap is quick
+    return truthfulness_audit(AuctionInstance([(0,)], m, "uduv"))
+
+
+# name → (call of one int, accepted values, refused values, message of a refused value)
+REFUSALS = {
+    "neighborhood radius": (
+        lambda r: neighborhood(ORACLE, (LEFT, 0), r),
+        (0, 1), (-1,), lambda r: "radius must be >= 0",
+    ),
+    "neighborhood left id": (
+        lambda i: neighborhood(ORACLE, (LEFT, i), 1),
+        (0, 1, 2), (-1, 3, 4), lambda i: f"entity id {i} out of range",
+    ),
+    "neighborhood right id": (
+        lambda i: neighborhood(ORACLE, (RIGHT, i), 1),
+        (0, 1, 3), (-1, 4, 5), lambda i: f"entity id {i} out of range",
+    ),
+    "local_ags_woman woman": (
+        lambda w: local_ags_woman(WOMEN, 2, w),
+        (0, 1, 2), (-1, 3, 4), lambda w: f"unknown woman {w}",
+    ),
+    "restricted menu machine": (
+        lambda i: SchedulingInstance((1, 1, 1), m=1, d=1, menus=[(0, i)]),
+        (0, 1, 2), (-1, 3, 4), lambda i: "menu of job 0 names an unknown machine",
+    ),
+    "uduv audit item cap": (
+        _audit_uduv,
+        (11, 12), (13, 14), lambda m: "full subset enumeration capped at m <= 12",
+    ),
+    "monotonicity_trace bid order": (
+        lambda d: monotonicity_trace(MACHINES, 0, 2, 2 + d),
+        (0, 1), (-1, -2), lambda d: "bid_high must be >= bid_low",
+    ),
+    "slms_expected_utility machine": (
+        lambda i: slms_expected_utility((2, 1, 1), 4, i, 1, 1),
+        (0, 1, 2), (-1, 3, 4), lambda i: f"unknown machine {i}; machines are 0..2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_refusals_hold_exactly_at_their_boundaries(name):
+    call, accepted, refused, message = REFUSALS[name]
+    for x in accepted:
+        call(x)
+    for x in refused:
+        with pytest.raises(ValueError) as err:
+            call(x)
+        assert str(err.value) == message(x), x
+
+
+def test_monotonicity_trace_with_equal_bids_moves_nothing():
+    rows = monotonicity_trace(MACHINES, 1, 1, 1)
+    assert rows == [(0,) * MACHINES.n] * (MACHINES.m + 1)
