@@ -47,9 +47,10 @@ def main() -> None:
     eps = Fraction(1, 1000)
     winner = next(b for b in range(bv.n) if bout.awards[b])
     p = bout.payments[winner]
-    above = udubv_run(bv, ReportOverlay(bids={winner: p + eps})).awards[winner]
+    # the served query answers the re-bid as the run of the re-bid instance
+    above = udubv_local(bv, winner, overlay=ReportOverlay(bids={winner: p + eps}))["award"]
     below = (
-        not udubv_run(bv, ReportOverlay(bids={winner: p - eps})).awards[winner]
+        not udubv_local(bv, winner, overlay=ReportOverlay(bids={winner: p - eps}))["award"]
         if p > 0
         else True
     )

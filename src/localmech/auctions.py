@@ -15,15 +15,15 @@ uduv is serial dictatorship with items as the dictators (each item in score
 order takes the first unserved buyer reporting it) and udubv is serial
 dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
 its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
-the same step, and uduv's run and query read the same records: the
-instance oracle's, with a misreport patched in by `_reported_reads`.
+the same step on the same records, the instance oracle's.
 
 The udubv and ksmb global runs price a winner by a displacement replay
 (`_bid_run`), not by rerunning the auction without her: they free her items
 and re-decide, in bid order, only the buyers whose items changed holder
 ahead of them, so a winner costs the bidder lists of the items her removal
 moves, not a whole run.  `_critical`, the full rerun that defines the
-price, is kept as the test oracle.
+price, is kept as the test oracle.  A global run reads only its instance:
+the run under other reports is the run of the instance built with them.
 
 Local queries agree with the global run outcome exactly.  uduv queries
 replay the dependency closure of the queried buyer/item
@@ -40,15 +40,16 @@ bids `AuctionInstance.values`: a whole bid as its int, any other as its
 build sorts the buyers once (`AuctionInstance.order`) and lists each item's
 buyers in that order, so the global run and the query tree read the order
 rather than sort: a query's rivals on an item are a prefix of the item's
-record.  Only reported bids sort again: a run under them ranks all buyers
-anew, and a query re-sorts (`_by_bid`) only the records it reads that list
-a buyer whose bid moved.  Only whole bids skip `Fraction` comparisons:
-every spec-built instance bids whole numbers.
+record.  Only reported bids sort again: a query re-sorts (`_by_bid`) only
+the records it reads that list a buyer whose bid moved.  Only whole bids
+skip `Fraction` comparisons: every spec-built instance bids whole numbers.
 
-Runners and local queries read a misreport (a `ReportOverlay`) only through
-`AuctionInstance.reports`, which checks it.  `truthfulness_audit` checks the
-served local answers, not a global rerun: it asks each buyer's local query
-under a `ReportOverlay`, for the truth and for every deviation.
+Local queries read a misreport (a `ReportOverlay`) only through
+`AuctionInstance.reports`, which checks it; uduv's patches the reported
+sets into the records it reads (`_reported_reads`).  `truthfulness_audit`
+checks the served local answers, not a global rerun: it asks each buyer's
+local query under a `ReportOverlay`, for the truth and for every deviation,
+and values each answer by one rule, `_utility`.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ UDUV = "uduv"
 UDUBV = "udubv"
 KSMB = "ksmb"
 
-# shared constant payments and utilities (a Fraction is immutable)
-ZERO, HALF, MINUS_HALF = Fraction(0), Fraction(1, 2), Fraction(-1, 2)
+# shared constant payments (a Fraction is immutable)
+ZERO, HALF = Fraction(0), Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,6 @@ class ReportOverlay:
 class Outcome:
     awards: dict[int, tuple[int, ...]]
     payments: dict[int, Fraction]
-    utilities: dict[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,9 @@ def _bid_key(v: Fraction | int | float | str) -> int | Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _reported_reads(view: AdjacencyOracle | MemoView, reported: Mapping[int, tuple[int, ...]]):
-    """An oracle's or a view's set reads (buyer → items, item → buyers by
-    ascending id) with the reported sets in place of the true ones."""
+def _reported_reads(view: MemoView, reported: Mapping[int, tuple[int, ...]]):
+    """A view's set reads (buyer → items, item → buyers by ascending id)
+    with the reported sets in place of the true ones."""
     if not reported:
         return view.fwd, view.rev
 
@@ -239,19 +239,15 @@ def _reported_reads(view: AdjacencyOracle | MemoView, reported: Mapping[int, tup
     return fwd, rev
 
 
-def uduv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
+def uduv_run(inst: AuctionInstance) -> Outcome:
     inst.require_mode(UDUV, "uduv_run")
-    _, rev = _reported_reads(inst.oracle, inst.reports(overlay)[0])
     awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
     payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
-    utilities = dict(payments)
-    for j, b in serial_dictatorship(inst.order, rev).items():
+    for j, b in serial_dictatorship(inst.order, inst.oracle.rev).items():
         if b is not None:
             awards[b] = (j,)
             payments[b] = HALF
-            # value 1 for an item of her true set, 0 for one won on a false report
-            utilities[b] = HALF if j in inst.sets[b] else MINUS_HALF
-    return Outcome(awards=awards, payments=payments, utilities=utilities)
+    return Outcome(awards=awards, payments=payments)
 
 
 def uduv_local(
@@ -347,19 +343,17 @@ def _ksmb_price(
 _BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_price)}
 
 
-def _critical(
-    inst: AuctionInstance, bids: Sequence[Fraction | int], order: Sequence[int], i: int
-) -> Fraction:
+def _critical(inst: AuctionInstance, i: int) -> Fraction:
     """Buyer i's critical price by its definition, the test oracle of
     `_bid_run`: her price rule applied to a full rerun without her, which
-    serves the bid order `order` with i removed."""
+    serves the positive bidders in bid order with i removed."""
     awards, price = _BID_RULES[inst.mode]
-    without = (b for b in order if b != i)
+    without = (b for b in _positive_prefix(inst.order, inst.values) if b != i)
     # the price is a bid, an int when whole; every payment is a Fraction
-    return Fraction(price(awards(without, inst.sets.__getitem__), inst.sets[i], bids))
+    return Fraction(price(awards(without, inst.sets.__getitem__), inst.sets[i], inst.values))
 
 
-def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
+def _bid_run(inst: AuctionInstance) -> Outcome:
     """The full run, with each winner priced by a displacement replay.
 
     Without winner i, a buyer's award can change only if an item of her set
@@ -372,11 +366,8 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
     queues its bidders up to its old holder.  i's price is read off the
     holders of her items in the run without her.
     """
-    _, bids = inst.reports(overlay)
-    sets = inst.sets
-    # the instance's bid order, unless the overlay reports bids
-    order, place = (inst.order, inst.place) if bids is inst.values else rank_tables(bids, True)
-    order = _positive_prefix(order, bids)
+    sets, bids, place = inst.sets, inst.values, inst.place
+    order = _positive_prefix(inst.order, bids)
     step, price = _BID_RULES[inst.mode]
     won = step(order, sets.__getitem__)
     holder = {j: b for b, award in won.items() for j in award}
@@ -438,18 +429,17 @@ def _bid_run(inst: AuctionInstance, overlay: ReportOverlay | None) -> Outcome:
         b: (Fraction(price(without(b), sets[b], bids)) if awards[b] else ZERO)
         for b in range(inst.n)
     }
-    utilities = {b: (inst.values[b] - payments[b] if awards[b] else ZERO) for b in range(inst.n)}
-    return Outcome(awards=awards, payments=payments, utilities=utilities)
+    return Outcome(awards=awards, payments=payments)
 
 
-def udubv_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
+def udubv_run(inst: AuctionInstance) -> Outcome:
     inst.require_mode(UDUBV, "udubv_run")
-    return _bid_run(inst, overlay)
+    return _bid_run(inst)
 
 
-def ksmb_run(inst: AuctionInstance, overlay: ReportOverlay | None = None) -> Outcome:
+def ksmb_run(inst: AuctionInstance) -> Outcome:
     inst.require_mode(KSMB, "ksmb_run")
-    return _bid_run(inst, overlay)
+    return _bid_run(inst)
 
 
 def _bid_local(

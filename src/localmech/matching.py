@@ -132,6 +132,11 @@ class MatchingInstance:
         if women_prefs is not None:
             if len(women_prefs) != m:
                 raise ValueError("need one ranking per woman")
+            for w, order in enumerate(women_prefs):
+                if len(set(order)) != len(order):
+                    raise ValueError(f"woman {w} ranks a man twice")
+                if any(not 0 <= man < self.n for man in order):
+                    raise ValueError(f"woman {w} ranks a man outside 0..{self.n - 1}")
             self._explicit_rank = [
                 {man: len(order) - pos for pos, man in enumerate(order)}
                 for order in women_prefs

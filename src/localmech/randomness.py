@@ -48,8 +48,9 @@ the state after it, so `uniform_rows(tape, ("tau", t), m, C, 2)` is
 `derive_uniform(tape, ("tau", t, s, x), C)` for x < 2 in row s (one call per
 trial of `oracles.uniform_majorizes_nonuniform`).  A scalar form,
 `uniform_at(state, n)`, is `derive_uniform` from the state after its key
-(the slot tie-breaks of `scheduling.slms_online`, read from a
-`u64_table("slot-tie", m)`).
+(standard scheduling's slot tie-breaks, read from
+`SchedulingInstance.tie_states`, a `u64_table("slot-tie", m)` drawn at
+build).
 
 The draw under the key (tag, i) is draw i of the row stream under (tag,),
 and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)

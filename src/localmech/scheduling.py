@@ -21,10 +21,11 @@ rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
 or menu machine) and agree exactly with the online run replayed in rank
 order: the online run and the local query place each job with the same step,
 `_pick_slot` or `_pick_floored`, on the same records, the instance oracle's
-slot choices or distinct menu machines.  The rank order and `slot_prefix`, the
-prefix sums of the capacities that map a slot to its machine by bisection,
-are built with the instance; like the oracle's reverse records they cost no
-probe, and no local query draws a rank or loops over all machines.
+slot choices or distinct menu machines.  The rank order, the slot tie-break
+states (`tie_states`) and `slot_prefix`, the prefix sums of the capacities
+that map a slot to its machine by bisection, are built with the instance;
+like the oracle's reverse records they cost no probe, and no local query
+draws a rank or a tie-break or loops over all machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -36,7 +37,6 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
@@ -155,6 +155,8 @@ class SchedulingInstance:
                 raise ValueError("standard mode takes no menus")
             chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
             self._oracle = AdjacencyOracle(chosen, self.B, range(m))
+            # job j's slot ties break from the state after ("slot-tie", j)
+            self.tie_states = self.tape.u64_table("slot-tie", m)
             return
 
         if menus is not None:
@@ -230,18 +232,17 @@ class SchedulingInstance:
 # ---------------------------------------------------------------------------
 
 
-def _pick_slot(
-    tie_state: Callable[[int], int], j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
-) -> int:
-    """Job j's step: the least-loaded of its chosen slots, whose height it
-    raises by one.  A tie is broken by `derive_uniform(tape, ("slot-tie", j),
-    ties)`, drawn from `tie_state(j)`, the state after ("slot-tie", j)."""
+def _pick_slot(tie_state: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]) -> int:
+    """A job's step: the least-loaded of its chosen slots, whose height it
+    raises by one.  For job j, `tie_state` is `tie_states[j]`, the state
+    after ("slot-tie", j), so a tie is broken by `derive_uniform(tape,
+    ("slot-tie", j), ties)`."""
     best = min(slot_h[s] for s in chosen)
     mins = sorted(s for s in chosen if slot_h[s] == best)
     if len(mins) == 1:
         slot = mins[0]
     else:
-        slot = mins[uniform_at(tie_state(j), len(mins))]
+        slot = mins[uniform_at(tie_state, len(mins))]
     slot_h[slot] += 1
     return slot
 
@@ -260,17 +261,17 @@ def _rank_closure(
 
 def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) -> Allocation:
     """Slot-based allocation over all jobs (index order unless given), with
-    the slot choices of the oracle's records, drawn once with the instance.
-    A run at other capacities is the run of an instance built with them."""
+    the slot choices of the oracle's records and the tie-break states, both
+    drawn once with the instance.  A run at other capacities is the run of
+    an instance built with them."""
     inst.require_mode(STANDARD, "slms_online")
-    prefix, choices = inst.slot_prefix, inst.oracle.fwd
-    tie_state = inst.tape.u64_table("slot-tie", inst.m).__getitem__
+    prefix, choices, ties = inst.slot_prefix, inst.oracle.fwd, inst.tie_states
     slot_h = [0] * inst.B
     heights = [0] * inst.n
     assign: list[int | None] = [None] * inst.m
     jobs = range(inst.m) if order is None else order
     for j in jobs:
-        slot = _pick_slot(tie_state, j, choices(j), slot_h)
+        slot = _pick_slot(ties[j], choices(j), slot_h)
         machine = bisect_right(prefix, slot)
         heights[machine] += 1
         assign[j] = machine
@@ -282,10 +283,10 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     sharing a chosen slot with lower rank, transitively."""
     inst.require_mode(STANDARD, "slms_local")
     view, order = _rank_closure(inst, job, counter)
-    tie_state = partial(inst.tape.u64, "slot-tie")
+    ties = inst.tie_states
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
-        slot = _pick_slot(tie_state, j, view.fwd(j), slot_h)
+        slot = _pick_slot(ties[j], view.fwd(j), slot_h)
     return bisect_right(inst.slot_prefix, slot)  # the last slot is the query's
 
 

@@ -58,7 +58,7 @@ def test_uduv_every_winner_pays_half():
     for b in range(3):
         if out.awards[b]:
             assert out.payments[b] == F(1, 2)
-            assert out.utilities[b] == F(1, 2)
+            assert auctions._utility(inst, b, uduv_local(inst, ("buyer", b))) == F(1, 2)
         else:
             assert out.payments[b] == F(0)
 
@@ -68,21 +68,19 @@ def test_uduv_win_on_a_false_report_has_utility_minus_half():
     # as the smaller id: she pays 1/2 for an item worth 0 to her
     inst = _uduv([(0,), (1,)], 2)
     overlay = ReportOverlay(sets={0: (1,)})
-    out = uduv_run(inst, overlay)
+    out = uduv_run(_uduv([(1,), (1,)], 2))  # the instance built with her report
     assert out.awards == {0: (1,), 1: ()}
     assert out.payments == {0: F(1, 2), 1: F(0)}
-    assert out.utilities == {0: F(-1, 2), 1: F(0)}
     got = uduv_local(inst, ("buyer", 0), overlay=overlay)
     assert (got["award"], got["payment"]) == ((1,), F(1, 2))
+    assert auctions._utility(inst, 0, got) == F(-1, 2)
 
 
-def _uduv_run_per_buyer(inst, overlay=None):
-    """uduv's outcome computed buyer by buyer: items by descending score
-    (ties to the smaller item), each to the smallest-id unserved buyer
-    reporting it; a winner pays 1/2 and values her item 1 if it is in her
-    true set, else 0."""
-    reported, _ = inst.reports(overlay)
-    sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
+def _uduv_run_per_buyer(inst, sets):
+    """uduv's outcome under the reported `sets` computed buyer by buyer:
+    items by descending score (ties to the smaller item), each to the
+    smallest-id unserved buyer reporting it; a winner pays 1/2 and values
+    her item 1 if it is in her true set, else 0."""
     awards = {b: () for b in range(inst.n)}
     for j in sorted(range(inst.m), key=lambda j: (-inst.tape.u64("item-rank", j), j)):
         b = next((b for b in range(inst.n) if j in sets[b] and not awards[b]), None)
@@ -94,6 +92,9 @@ def _uduv_run_per_buyer(inst, overlay=None):
 
 
 def test_uduv_run_matches_the_per_buyer_formula():
+    # the run of the instance built with the reports (same seed, so the same
+    # item scores) gives the formula's awards and payments, and `_utility`
+    # of each buyer's answer there, against her true set, its utilities
     rng = random.Random(15)
     false_wins = 0
     for seed in range(2):
@@ -104,9 +105,15 @@ def test_uduv_run_matches_the_per_buyer_formula():
             sets = {b: rng.sample(range(inst.m), rng.randrange(4)) for b in liars}
             overlays.append(ReportOverlay(sets=sets))
         for overlay in overlays:
-            out = uduv_run(inst, overlay)
-            assert (out.awards, out.payments, out.utilities) == _uduv_run_per_buyer(inst, overlay)
-            false_wins += sum(u == F(-1, 2) for u in out.utilities.values())
+            reported, _ = inst.reports(overlay)
+            sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
+            awards, payments, utilities = _uduv_run_per_buyer(inst, sets)
+            out = uduv_run(AuctionInstance(sets, inst.m, "uduv", seed=inst.seed))
+            assert (out.awards, out.payments) == (awards, payments)
+            for b in range(inst.n):
+                got = {"award": out.awards[b], "payment": out.payments[b]}
+                assert auctions._utility(inst, b, got) == utilities[b], b
+            false_wins += sum(u == F(-1, 2) for u in utilities.values())
     assert false_wins  # some liar won an item outside her true set
 
 
@@ -116,7 +123,7 @@ def test_udubv_higher_bid_wins_pays_rival():
     assert out.awards[0] == (0,)
     assert out.awards[1] == ()
     assert out.payments[0] == F(3)
-    assert out.utilities[0] == F(2)
+    assert auctions._utility(inst, 0, udubv_local(inst, 0)) == F(2)
 
 
 def test_udubv_uncontested_item_is_free():
@@ -143,22 +150,18 @@ def test_local_payment_at_a_top_bid_is_the_critical_bid():
     for family, local in (("udubv", udubv_local), ("ksmb", ksmb_local)):
         for seed in range(2):
             inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=3))
-            bids = list(inst.values)
-            order = _by_bid(range(inst.n), bids)
-            top = max(bids) + 1
+            top = max(inst.values) + 1
             for b in range(inst.n):
                 got = local(inst, b, overlay=ReportOverlay(bids={b: top}))
-                assert got["payment"] == _critical(inst, bids, order, b), (family, seed, b)
+                assert got["payment"] == _critical(inst, b), (family, seed, b)
 
 
 def test_public_sets_cannot_be_overlaid():
-    for inst, run, local in (
-        (_udubv([(0,), (0,)], values=(5, 3), m=1), udubv_run, udubv_local),
-        (_ksmb([(0,)], values=(2,), m=1, k=1), ksmb_run, ksmb_local),
+    for inst, local in (
+        (_udubv([(0,), (0,)], values=(5, 3), m=1), udubv_local),
+        (_ksmb([(0,)], values=(2,), m=1, k=1), ksmb_local),
     ):
         overlay = ReportOverlay(sets={0: (0,)})
-        with pytest.raises(ValueError, match=f"{inst.mode} takes no reported sets"):
-            run(inst, overlay)
         with pytest.raises(ValueError, match=f"{inst.mode} takes no reported sets"):
             local(inst, 0, overlay=overlay)
 
@@ -168,8 +171,6 @@ def test_uduv_bids_cannot_be_overlaid():
     inst = _uduv([(0,), (0, 1)], 2)
     for bid in (F(3), F(-3)):
         overlay = ReportOverlay(bids={0: bid})
-        with pytest.raises(ValueError, match="uduv takes no reported bids"):
-            uduv_run(inst, overlay)
         for query in (("buyer", 0), ("buyer", 1), ("item", 0), ("item", 1)):
             with pytest.raises(ValueError, match="uduv takes no reported bids"):
                 uduv_local(inst, query, overlay=overlay)
@@ -189,25 +190,22 @@ def test_sets_longer_than_k_are_refused():
 
 def test_negative_bids_rejected():
     inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
-    with pytest.raises(ValueError):
-        udubv_run(inst, ReportOverlay(bids={0: F(-1)}))
+    for buyer in (0, 1):
+        with pytest.raises(ValueError, match="^bids must be non-negative$"):
+            udubv_local(inst, buyer, overlay=ReportOverlay(bids={0: F(-1)}))
 
 
 def test_overlays_naming_unknown_buyers_or_items_are_rejected():
-    # the run and the local query read reports through one checked path
+    # every local query reads reports through one checked path
     uduv = build_instance(InstanceSpec(seed=0, family="uduv", n=6, m=5, k=2))
     for sets in ({0: (-1,)}, {0: (uduv.m,)}, {9: (0,)}):
         overlay = ReportOverlay(sets=sets)
-        with pytest.raises(ValueError):
-            uduv_run(uduv, overlay)
         for query in (("buyer", 0), ("item", 0)):
             with pytest.raises(ValueError):
                 uduv_local(uduv, query, overlay=overlay)
     udubv = build_instance(InstanceSpec(seed=0, family="udubv", n=6, m=5, k=2))
     for buyer in (-1, udubv.n):
         overlay = ReportOverlay(bids={buyer: F(7)})
-        with pytest.raises(ValueError):
-            udubv_run(udubv, overlay)
         with pytest.raises(ValueError):
             udubv_local(udubv, 0, overlay=overlay)
 
@@ -217,34 +215,33 @@ def test_overlays_naming_unknown_buyers_or_items_are_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_critical_bid_is_the_win_threshold():
+def _reported(inst, overlay):
+    """The udubv or ksmb instance built with the overlay's bids as its
+    values, whose global run is the run under the reports."""
+    return AuctionInstance(inst.sets, inst.m, inst.mode, values=inst.reports(overlay)[1], k=inst.k)
+
+
+def _check_win_threshold(family, run):
+    # a winner re-bidding just above her payment still wins, just below loses
     eps = F(1, 1000)
     for seed in range(12):
-        inst = build_instance(InstanceSpec(seed=seed, family="udubv", n=8, m=8, k=2))
-        out = udubv_run(inst)
+        inst = build_instance(InstanceSpec(seed=seed, family=family, n=8, m=8, k=2))
+        out = run(inst)
         for b in range(inst.n):
             if not out.awards[b]:
                 continue
             p = out.payments[b]
-            above = udubv_run(inst, ReportOverlay(bids={b: p + eps}))
-            assert above.awards[b], (seed, b)
+            assert run(_reported(inst, ReportOverlay(bids={b: p + eps}))).awards[b], (seed, b)
             if p > 0:
-                below = udubv_run(inst, ReportOverlay(bids={b: p - eps}))
-                assert not below.awards[b], (seed, b)
+                assert not run(_reported(inst, ReportOverlay(bids={b: p - eps}))).awards[b], b
+
+
+def test_critical_bid_is_the_win_threshold():
+    _check_win_threshold("udubv", udubv_run)
 
 
 def test_ksmb_critical_bid_is_the_win_threshold():
-    eps = F(1, 1000)
-    for seed in range(12):
-        inst = build_instance(InstanceSpec(seed=seed, family="ksmb", n=8, m=8, k=2))
-        out = ksmb_run(inst)
-        for b in range(inst.n):
-            if not out.awards[b]:
-                continue
-            p = out.payments[b]
-            assert ksmb_run(inst, ReportOverlay(bids={b: p + eps})).awards[b]
-            if p > 0:
-                assert not ksmb_run(inst, ReportOverlay(bids={b: p - eps})).awards[b]
+    _check_win_threshold("ksmb", ksmb_run)
 
 
 def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
@@ -458,7 +455,7 @@ _BID_PAIRS = {"udubv": (udubv_run, udubv_local), "ksmb": (ksmb_run, ksmb_local)}
 
 def _check_against_replay(inst, overlay):
     run, local = _BID_PAIRS[inst.mode]
-    out = run(inst, overlay)
+    out = run(_reported(inst, overlay))
     reference = _closure_replay(inst, overlay)
     for b in range(inst.n):
         tree, replay = ProbeCounter(), ProbeCounter()
@@ -469,14 +466,13 @@ def _check_against_replay(inst, overlay):
 
 
 def _check_run_against_critical(inst, overlay):
-    """Every winner of the global run pays her price by its definition:
-    `_critical`'s full rerun of the auction without her."""
-    out = _BID_PAIRS[inst.mode][0](inst, overlay)
-    _, bids = inst.reports(overlay)
-    order = _by_bid(range(inst.n), bids)
+    """Every winner of the global run under the reports pays her price by
+    its definition: `_critical`'s full rerun of the auction without her."""
+    moved = _reported(inst, overlay)
+    out = _BID_PAIRS[inst.mode][0](moved)
     for b in range(inst.n):
         if out.awards[b]:
-            assert out.payments[b] == _critical(inst, bids, order, b), b
+            assert out.payments[b] == _critical(moved, b), b
 
 
 @pytest.mark.parametrize("family", ["udubv", "ksmb"])
@@ -606,7 +602,7 @@ def test_query_tree_follows_a_bid_chain_n_deep(family):
     order = list(range(n))
     last = n - 1
     want_award = awards(order, inst.sets.__getitem__).get(last, ())
-    want_pay = _critical(inst, inst.values, order, last) if want_award else Fraction(0)
+    want_pay = _critical(inst, last) if want_award else Fraction(0)
     counter = ProbeCounter()
     got = _BID_PAIRS[family][1](inst, last, counter)
     assert (got["award"], got["payment"]) == (want_award, want_pay)
@@ -650,11 +646,10 @@ def test_item_records_with_zero_tied_and_fractional_bids(mode):
     assert (inst.oracle.rev(0), inst.oracle.rev(1)) == ((1, 3, 0), (2, 3, 0, 4))
     run, local = _BID_PAIRS[mode]
     out = run(inst)
-    order = _by_bid(range(inst.n), inst.values)
     for b in range(inst.n):
         assert (out.awards[b], out.payments[b]) == tuple(local(inst, b).values())[1:], b
         if out.awards[b]:
-            assert out.payments[b] == _critical(inst, inst.values, order, b), b
+            assert out.payments[b] == _critical(inst, b), b
     assert truthfulness_audit(inst) == []
 
 
@@ -678,10 +673,8 @@ def test_overlays_that_reorder_an_item_record(mode, bids):
     moved = AuctionInstance(sets, 2, mode, values=[bids.get(b, v) for b, v in enumerate(values)])
     run, local = _BID_PAIRS[mode]
     want = run(moved)
-    got = run(inst, overlay)
     for b in range(inst.n):
         pair = (want.awards[b], want.payments[b])
-        assert (got.awards[b], got.payments[b]) == pair, b
         assert tuple(local(inst, b, None, overlay).values())[1:] == pair, b
     assert truthfulness_audit(inst) == []
     assert truthfulness_audit(moved) == []

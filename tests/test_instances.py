@@ -24,7 +24,7 @@ from localmech.instances import (
     spec_from_json,
     spec_to_json,
 )
-from localmech.matching import MatchingInstance
+from localmech.matching import MatchingInstance, default_rounds
 from localmech.probes import (
     LEFT,
     RIGHT,
@@ -546,35 +546,25 @@ def test_build_time_orders_break_ties_to_the_smaller_id(monkeypatch):
 
 
 def test_local_queries_draw_nothing(monkeypatch):
-    # the seeded orders and oracles are build-time tables: a local query
-    # draws only standard mode's slot tie-breaks
+    # the seeded orders, keys, slot tie-breaks and oracles are build-time
+    # tables: no local query of any family draws from the tape
     insts = {
         family: build_instance(InstanceSpec(seed=4, family=family, n=300, m=300, k=2))
-        for family in ("housing", "scheduling-res", "scheduling-std", "uduv")
+        for family in FAMILIES
     }
-    tags: Counter[str] = Counter()
+    drawn: list[tuple] = []
     state = RandomTape._state
 
     def counted(tape, key):
-        tags[key[0]] += 1
+        drawn.append(key)
         return state(tape, key)
 
     monkeypatch.setattr(RandomTape, "_state", counted)
     for family, inst in insts.items():
-        tags.clear()
-        if family == "housing":
-            for a in range(inst.n):
-                rsd_local(inst, a)
-        elif family == "uduv":
-            for b in range(inst.n):
-                uduv_local(inst, ("buyer", b))
-            for j in range(inst.m):
-                uduv_local(inst, ("item", j))
-        else:
-            local = slms_local if inst.mode == STANDARD else rlms_local
-            for j in range(inst.m):
-                local(inst, j)
-        assert set(tags) == ({"slot-tie"} if family == "scheduling-std" else set()), family
+        for kind in FAMILIES[family].queries:
+            for e in range(getattr(inst, kind.side)):
+                kind.local(inst, default_rounds(2), e, None)
+            assert drawn == [], (family, kind.entity, drawn[:3])
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,13 @@ def test_duplicate_names_rejected():
         MatchingInstance([[0, 0]], m=1)
 
 
+def test_a_woman_ranking_a_man_twice_is_refused():
+    # a repeat would rank man 1 above man 0 by the later position of man 0
+    with pytest.raises(ValueError, match="^woman 0 ranks a man twice$"):
+        MatchingInstance([[0], [0]], m=1, women_prefs=[[0, 1, 0]])
+    assert MatchingInstance([[0], [0]], m=1, women_prefs=[[0, 1]]).priority_key(0, 0) == (2, 0)
+
+
 def test_blocking_pairs_flags_bad_assignment():
     # hand-built assignment that swaps the stable partners
     inst = MatchingInstance(
@@ -283,6 +290,55 @@ def test_local_woman_stops_at_a_first_choice_best_suitor():
             assert counter.count == len(suitors), (seed, w)
             checked += 1
         assert checked > 300, seed
+
+
+# Small fixed instances with explicit rankings, and the exact probe count of
+# every man and woman query at one round budget.  The counts pin the rival
+# scan of `_RejectionRounds._frame`: asking a rival who arrives after the
+# limit, or scanning on past one who arrives with the man, reads records the
+# answer does not need.  A woman who ranks nobody ties all her suitors at -1,
+# the smaller id first.
+RIVAL_SCAN_PINS = [
+    (
+        [[], [1, 4], [2, 5, 4], [5, 0, 4], [5, 2, 1], [5], [], [4], [4, 2]],
+        [[], [4], [8], [], [3], [5]],
+        4,
+        [0, 11, 10, 5, 8, 4, 0, 11, 7],
+        [5, 8, 7, 0, 11, 4],
+    ),
+    (
+        [[], [], [4, 0], [], [2, 0, 3], [4], [0, 3], [], [], [2], [], [1, 3]],
+        [[], [], [9], [11, 6], [5]],
+        2,
+        [0, 0, 5, 0, 7, 2, 5, 0, 0, 2, 0, 1],
+        [5, 1, 2, 6, 2],
+    ),
+    (
+        [[], [], [4, 0], [], [2, 0, 3], [4], [0, 3], [], [], [2], [], [1, 3]],
+        [[], [], [9], [11, 6], [5]],
+        4,
+        [0, 0, 5, 0, 9, 2, 8, 0, 0, 2, 0, 1],
+        [5, 1, 2, 8, 2],
+    ),
+]
+
+
+@pytest.mark.parametrize("men, women, rounds, man_probes, woman_probes", RIVAL_SCAN_PINS)
+def test_rival_scan_probe_counts_are_pinned(men, women, rounds, man_probes, woman_probes):
+    inst = MatchingInstance(men, m=len(women), women_prefs=women)
+    statuses, _ = abridged_gs(inst, rounds)
+    got = []
+    for man in range(inst.n):
+        counter = ProbeCounter()
+        assert local_ags(inst, rounds, man, counter) == statuses[man], man
+        got.append(counter.count)
+    assert got == man_probes
+    got = []
+    for w in range(inst.m):
+        counter = ProbeCounter()
+        local_ags_woman(inst, rounds, w, counter)
+        got.append(counter.count)
+    assert got == woman_probes
 
 
 def test_local_k1_cost_is_the_womans_suitor_record():

@@ -164,11 +164,20 @@ def _union_oracle(inst: AuctionInstance, overlay: ReportOverlay | None) -> Adjac
     return AdjacencyOracle(union, inst.m, range(inst.n))
 
 
+def _rebuilt(inst: AuctionInstance, overlay: ReportOverlay | None) -> AuctionInstance:
+    """The instance built with the overlay's reports as its data, whose
+    global run is the run under the reports."""
+    reported, bids = inst.reports(overlay)
+    sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
+    values = None if inst.mode == "uduv" else bids
+    return AuctionInstance(sets, inst.m, inst.mode, values=values, seed=inst.seed)
+
+
 @PROPERTY
 @given(uduv_cases())
 def test_uduv_local_matches_global(case):
     inst, overlay = case
-    out = uduv_run(inst, overlay)
+    out = uduv_run(_rebuilt(inst, overlay))
     reach = _union_oracle(inst, overlay)
     for b in range(inst.n):
         counter = ProbeCounter()
@@ -202,12 +211,48 @@ def bid_cases(draw):
 def test_bid_ordered_local_matches_global(case):
     inst, overlay = case
     run, local = (udubv_run, udubv_local) if inst.mode == "udubv" else (ksmb_run, ksmb_local)
-    out = run(inst, overlay)
+    out = run(_rebuilt(inst, overlay))
     for b in range(inst.n):
         counter = ProbeCounter()
         got = local(inst, b, counter, overlay)
         assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b])
         assert counter.count <= _reachable(inst.oracle, (LEFT, b))
+
+
+# mode -> local query of a ("buyer", b) or ("item", j) pair; udubv and ksmb
+# answer buyers only
+_AUCTION_QUERIES = {
+    "uduv": uduv_local,
+    "udubv": lambda inst, q, c, ov: udubv_local(inst, q[1], c, ov),
+    "ksmb": lambda inst, q, c, ov: ksmb_local(inst, q[1], c, ov),
+}
+_AUCTION_RUNS = {"uduv": uduv_run, "udubv": udubv_run, "ksmb": ksmb_run}
+
+
+@PROPERTY
+@given(st.one_of(uduv_cases(), bid_cases()).filter(lambda case: case[1] is not None))
+def test_overlaid_query_equals_the_query_on_the_rebuilt_instance(case):
+    # every local query under a report overlay answers as the same query on,
+    # and the global run of, the instance built with the reports; when the
+    # queried buyer is the only reporter, both read the same records
+    inst, overlay = case
+    moved = _rebuilt(inst, overlay)
+    local, out = _AUCTION_QUERIES[inst.mode], _AUCTION_RUNS[inst.mode](moved)
+    reporters = set(overlay.sets or overlay.bids)
+    winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
+    queries = [("buyer", b) for b in range(inst.n)]
+    if inst.mode == "uduv":
+        queries += [("item", j) for j in range(inst.m)]
+    for kind, e in queries:
+        overlaid, rebuilt = ProbeCounter(), ProbeCounter()
+        got = local(inst, (kind, e), overlaid, overlay)
+        assert got == local(moved, (kind, e), rebuilt, None), (kind, e)
+        if kind == "item":
+            assert got["winner"] == winner_of.get(e), e
+            continue
+        assert (got["award"], got["payment"]) == (out.awards[e], out.payments[e]), e
+        if reporters == {e}:
+            assert overlaid.count == rebuilt.count, e
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ REFUSALS = {
         lambda w: local_ags_woman(WOMEN, 2, w),
         (0, 1, 2), (-1, 3, 4), lambda w: f"unknown woman {w}",
     ),
+    "women_prefs man id": (
+        lambda man: MatchingInstance([[0], [0], [0]], m=1, women_prefs=[[man]]),
+        (0, 1, 2), (-1, 3, 4), lambda man: "woman 0 ranks a man outside 0..2",
+    ),
     "restricted menu machine": (
         lambda i: SchedulingInstance((1, 1, 1), m=1, d=1, menus=[(0, i)]),
         (0, 1, 2), (-1, 3, 4), lambda i: "menu of job 0 names an unknown machine",
