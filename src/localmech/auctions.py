@@ -40,16 +40,17 @@ bids `AuctionInstance.values`: a whole bid as its int, any other as its
 build sorts the buyers once (`AuctionInstance.order`) and lists each item's
 buyers in that order, so the global run and the query tree read the order
 rather than sort: a query's rivals on an item are a prefix of the item's
-record.  Only reported bids sort again: a query re-sorts (`_by_bid`) only
-the records it reads that list a buyer whose bid moved.  Only whole bids
-skip `Fraction` comparisons: every spec-built instance bids whole numbers.
+record.  Only whole bids skip `Fraction` comparisons: every spec-built
+instance bids whole numbers.
 
 Local queries read a misreport (a `ReportOverlay`) only through
-`AuctionInstance.reports`, which checks it; uduv's patches the reported
-sets into the records it reads (`_reported_reads`).  `truthfulness_audit`
-checks the served local answers, not a global rerun: it asks each buyer's
-local query under a `ReportOverlay`, for the truth and for every deviation,
-and values each answer by one rule, `_utility`.
+`AuctionInstance.reports`, which checks it, and `probes.reported_reads`,
+which rebuilds only the records a query reads that a reported set or bid
+touches, all by one key, `_bid_order` (descending reported bid, ties to
+the smaller id; uduv bids are all 1, so its records stay in id order).
+`truthfulness_audit` checks the served local answers, not a global rerun:
+it asks each buyer's local query under a `ReportOverlay`, for the truth
+and for every deviation, and values each answer by one rule, `_utility`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .probes import (
-    LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, resolve, upward_closure,
+    LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, reported_reads, resolve,
+    upward_closure,
 )
 from .randomness import RandomTape
 from .rsd import serial_dictatorship
@@ -185,15 +187,17 @@ class AuctionInstance:
             fixed, why = "bids", "every value is 1"
         if getattr(overlay, fixed) is not None:
             raise ValueError(f"{self.mode} takes no reported {fixed}: {why}")
-        # only the reportable field can be set by now
-        unknown = [b for b in (overlay.sets or overlay.bids or ()) if not 0 <= b < self.n]
-        if unknown:
-            raise ValueError(f"report overlay names unknown buyer {unknown[0]}")
+        # only the reportable field can be set by now; each buyer and item
+        # id must be an int in range (no bool, float or string passes)
+        for b in overlay.sets or overlay.bids or ():
+            if type(b) is not int or not 0 <= b < self.n:
+                raise ValueError(f"report overlay names unknown buyer {b!r}")
         sets: dict[int, tuple[int, ...]] = {}
         for b, s in (overlay.sets or {}).items():
-            sets[b] = tuple(sorted(set(int(j) for j in s)))
-            if any(not 0 <= j < self.m for j in sets[b]):
-                raise ValueError(f"buyer {b} reports an unknown item")
+            bad = [j for j in s if type(j) is not int or not 0 <= j < self.m]
+            if bad:
+                raise ValueError(f"buyer {b} reports item {bad[0]!r}, not an int in 0..{self.m - 1}")
+            sets[b] = tuple(sorted(set(s)))
         keys = self.values
         if overlay.bids is not None:
             keys = list(keys)
@@ -212,31 +216,14 @@ def _bid_key(v: Fraction | int | float | str) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
+def _bid_order(bids: Sequence[Fraction | int]) -> Callable[[int], tuple]:
+    """Bid order as a sort key: descending bid, ties to the smaller id."""
+    return lambda b: (-bids[b], b)
+
+
 # ---------------------------------------------------------------------------
 # uduv — private sets, unit values
 # ---------------------------------------------------------------------------
-
-
-def _reported_reads(view: MemoView, reported: Mapping[int, tuple[int, ...]]):
-    """A view's set reads (buyer → items, item → buyers by ascending id)
-    with the reported sets in place of the true ones."""
-    if not reported:
-        return view.fwd, view.rev
-
-    reporters: dict[int, list[int]] = {}  # item → buyers reporting it
-    for b, s in reported.items():
-        for j in s:
-            reporters.setdefault(j, []).append(b)
-
-    def fwd(b: int) -> tuple[int, ...]:
-        return reported[b] if b in reported else view.fwd(b)
-
-    def rev(j: int) -> list[int]:
-        base = [b for b in view.rev(j) if b not in reported]
-        base.extend(reporters.get(j, ()))
-        return sorted(base)
-
-    return fwd, rev
 
 
 def uduv_run(inst: AuctionInstance) -> Outcome:
@@ -270,7 +257,8 @@ def uduv_local(
         view = MemoView(inst.oracle, counter)
     else:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
-    fwd, rev = _reported_reads(view, inst.reports(overlay)[0])
+    reported, bids = inst.reports(overlay)
+    fwd, rev = reported_reads(view, reported, (), _bid_order(bids))
     roots = fwd(idx) if kind == "buyer" else (idx,)
     winner_of = serial_dictatorship(upward_closure(roots, inst.place, rev, fwd), rev)
     if kind == "item":
@@ -284,13 +272,6 @@ def uduv_local(
 # ---------------------------------------------------------------------------
 # udubv / ksmb — bid-ordered greedy with critical payments
 # ---------------------------------------------------------------------------
-
-
-def _by_bid(ids: Iterable[int], bids: Sequence[Fraction | int]) -> list[int]:
-    """The positive bidders among `ids` by descending bid; the stable sort
-    keeps equal bids in `ids` order, so ascending `ids` break ties by id.
-    This is the order `rank_tables(bids, True)` gives, zero bids dropped."""
-    return sorted((b for b in ids if bids[b]), key=bids.__getitem__, reverse=True)
 
 
 def _positive_prefix(ranked: Sequence[int], bids: Sequence[Fraction | int]) -> Sequence[int]:
@@ -464,42 +445,28 @@ def _bid_local(
     scans costs the item's buyer list, and zero-bid rivals are never read.
     An item's buyer list carries each listed buyer's bid: the record lists
     its buyers by descending bid, ties to the smaller id (the instance's
-    `order`), so the tree takes its rivals in bid order without reading
-    their sets, and a rival's bid can move an answer through a list it was
-    charged for even when her own set goes unread.
+    `order`, or `_bid_order` for a record a reported bid touches), so the
+    tree takes its rivals in bid order without reading their sets, and a
+    rival's bid can move an answer through a list it was charged for even
+    when her own set goes unread.
     Every buyer it resolves lies in the upward closure by bid of the queried
     buyer or of her rivals, so it reads no record outside those closures.
     """
     if not 0 <= buyer < inst.n:
         raise ValueError(f"unknown buyer {buyer}")
     _, keys = inst.reports(overlay)
-    # Sets are public data in these modes, but reading another buyer's set
-    # still costs a probe, so all reads go through the memoised view.
+    # Sets are public here, but reading another buyer's set still costs a
+    # probe, so all reads go through the memoised view, under the reports.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
     if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": ZERO}
-    fwd, truth = view.fwd, inst.values
-    ranked: dict[int, Sequence[int]] = {}
-
-    def bidders(j: int) -> Sequence[int]:
-        """Item j's positive-bid buyers in bid order, `buyer` included: the
-        record's positive prefix, or the record re-sorted if it lists a
-        buyer whose bid the overlay moved."""
-        got = ranked.get(j)
-        if got is None:
-            got = view.rev(j)
-            if keys is not truth and any(keys[b] != truth[b] for b in got):
-                got = _by_bid(sorted(got), keys)
-            else:
-                got = _positive_prefix(got, keys)
-            ranked[j] = got
-        return got
+    fwd, rev = reported_reads(view, {}, (overlay and overlay.bids) or (), _bid_order(keys))
 
     def taken(j: int, y: int):
         """Whether a rival ahead of y took item j of y's set; yields each
         rival asked about and is sent her award."""
-        for z in bidders(j):
-            if z == y:
+        for z in rev(j):
+            if z == y:  # y bids, so every zero bid lies behind her
                 break
             if z != buyer and j in (yield z):
                 return True
@@ -529,7 +496,9 @@ def _bid_local(
     mine = fwd(buyer)
     holders = {}
     for j in mine:
-        for z in bidders(j):
+        for z in rev(j):
+            if not keys[z]:  # the zero bids sort last and win nothing
+                break
             if z != buyer and j in resolve(z, frame, memo.get, memo.__setitem__):
                 holders[z] = memo[z]
                 break
@@ -610,11 +579,8 @@ def truthfulness_audit(inst: AuctionInstance) -> list[Violation]:
             t = inst.values[buyer]
             p = answer(buyer, ReportOverlay(bids={buyer: top}))["payment"]
             grid = [ZERO, Fraction(t, 2), t - eps, t + eps, 2 * t, p, p - eps, p + eps]
-            return [
-                (f"bid={bid}", ReportOverlay(bids={buyer: bid}))
-                for bid in grid
-                if bid >= 0 and bid != t
-            ]
+            bids = [bid for bid in grid if bid >= 0 and bid != t]
+            return [(f"bid={bid}", ReportOverlay(bids={buyer: bid})) for bid in bids]
 
     violations: list[Violation] = []
     for buyer in range(inst.n):

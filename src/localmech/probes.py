@@ -4,10 +4,12 @@ The cost model used throughout the package: one *probe* is one access to one
 entity's adjacency/preference record.  Within a single local query each
 record costs at most one probe (repeat reads hit a per-query memo), and for
 mechanism queries the queried entity's own forward record is free — the
-query hands it over.  Reverse lists are materialized once at build time, in
-the order the instance gives (ascending id, or bid order for udubv and
-ksmb); that setup pass is not counted, but every *access* to a reverse
-record is, whatever its order.
+query hands it over.  Under a report overlay (`reported_reads`) a reported
+row is free too, and a rebuilt record costs the true record it replaces, so
+an overlay costs a query no more than the records it patches.  Reverse
+lists are materialized once at build time, in the order the instance gives
+(ascending id, or bid order for udubv and ksmb); that setup pass is not
+counted, but every *access* to a reverse record is, whatever its order.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
@@ -30,11 +32,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Hashable, Iterable, Sequence
+from typing import Any, Callable, Generator, Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "neighborhood", "rank_tables",
-    "upward_closure", "resolve",
+    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "reported_reads", "neighborhood",
+    "rank_tables", "upward_closure", "resolve",
 ]
 
 Entity = tuple[str, int]
@@ -123,6 +125,38 @@ class MemoView:
             if self._counter is not None:
                 self._counter.tick()
         return self._oracle._rev[j]
+
+
+def reported_reads(
+    view: MemoView, rows: Mapping[int, Sequence[int]], moved: Iterable[int], key: Callable
+) -> tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
+    """`view`'s (fwd, rev) under reported left `rows` and reported sort keys
+    of the `moved` ids.  fwd(i) is i's reported row if she has one; rev(r)
+    is rebuilt once per query (reporters dropped, those whose rows name r
+    added, sorted by `key`) if it lists a reporter or a mover or a reported
+    row names r.  Nothing reported: the view's own reads."""
+    if not rows and not moved:
+        return view.fwd, view.rev
+    named: dict[int, list[int]] = {}  # right id → reporters whose rows name it
+    for i, row in rows.items():
+        for r in row:
+            named.setdefault(r, []).append(i)
+    touched = set(moved).union(rows)
+    records: dict[int, Sequence[int]] = {}
+
+    def fwd(i: int) -> Sequence[int]:
+        return rows[i] if i in rows else view.fwd(i)
+
+    def rev(r: int) -> Sequence[int]:
+        got = records.get(r)
+        if got is None:
+            got = view.rev(r)
+            if r in named or not touched.isdisjoint(got):
+                got = sorted([i for i in got if i not in rows] + named.get(r, []), key=key)
+            records[r] = got
+        return got
+
+    return fwd, rev
 
 
 def neighborhood(

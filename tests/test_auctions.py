@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from localmech import auctions
 from localmech.auctions import (
     _BID_RULES,
-    _by_bid,
     _critical,
+    _positive_prefix,
     AuctionInstance,
     ReportOverlay,
     ksmb_local,
@@ -268,7 +268,7 @@ def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
 
         monkeypatch.setitem(_BID_RULES, inst.mode, (awards, recorded))
         out = _BID_PAIRS[inst.mode][0](inst)
-        order = _by_bid(range(inst.n), inst.values)
+        order = _positive_prefix(inst.order, inst.values)
         winners = [b for b in range(inst.n) if out.awards[b]]
         assert len(handed) == len(winners)
         for i, got in zip(winners, handed):

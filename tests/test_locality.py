@@ -13,7 +13,9 @@ same query must give the same answer for the same probe count:
   record went unread and which no read record lists.
 
 Standard-mode scheduling draws its records from the seed, so its rebuild is
-a copy of the instance with the unread oracle rows changed.
+a copy of the instance with the unread oracle rows changed.  The auction
+buyer queries are also asked under an overlay where the queried buyer alone
+reports, with the same rebuilds and the same overlay on each.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from localmech.auctions import ReportOverlay, ksmb_local, udubv_local, uduv_local
 from localmech.instances import FAMILIES, InstanceSpec, build_instance
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
 
@@ -99,8 +102,8 @@ def _rebuild(spec: InstanceSpec, inst, rows: list | None, values):
     return build_instance(replace(spec, explicit_edges=rows or spec.explicit_edges, values=values))
 
 
-@pytest.mark.parametrize("family", list(FAMILIES))
-def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
+def _collect_views(monkeypatch) -> list:
+    """The list every `MemoView` made from now on is appended to."""
     views: list = []
     init = MemoView.__init__
 
@@ -109,27 +112,79 @@ def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
         views.append(self)
 
     monkeypatch.setattr(MemoView, "__init__", collecting)
+    return views
+
+
+def _check_unread_changes(spec, inst, query, rounds, e, views, rng) -> tuple[int, int]:
+    """Ask the query on the instance and on its rebuilds with unread rows,
+    then unread values, changed; each must answer alike.  Returns how many
+    rows and values the rebuilds changed."""
+    truth = [inst.oracle.fwd(i) for i in range(inst.oracle.n)]
+    changed_rows = changed_values = 0
+    want, seen = _answer(query, inst, rounds, e, views)
+    for _ in range(REBUILDS):
+        rows = _changed_rows(inst.oracle, seen, spec.k, rng)
+        changed_rows += sum(a != b for a, b in zip(rows, truth))
+        twin = _rebuild(spec, inst, rows, spec.values)
+        assert _answer(query, twin, rounds, e, views)[0] == want, (spec.seed, e)
+        if spec.values is None or spec.explicit_edges is None:
+            continue
+        values = _changed_values(spec, inst.oracle, seen, rng)
+        changed_values += sum(a != b for a, b in zip(values, spec.values))
+        twin = _rebuild(spec, inst, None, values)
+        assert _answer(query, twin, rounds, e, views)[0] == want, (spec.seed, e)
+    return changed_rows, changed_values
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
+    views = _collect_views(monkeypatch)
     fam = FAMILIES[family]
     changed_rows = changed_values = 0
     for seed in SEEDS:
         spec = _spec(family, seed)
         inst = build_instance(spec)
-        truth = [inst.oracle.fwd(i) for i in range(inst.oracle.n)]
         rng = random.Random(seed)
         for query in fam.queries:
             for rounds in (2, 6) if family == "matching" else (0,):
                 for e in range(getattr(inst, query.side)):
-                    want, seen = _answer(query, inst, rounds, e, views)
-                    for _ in range(REBUILDS):
-                        rows = _changed_rows(inst.oracle, seen, spec.k, rng)
-                        changed_rows += sum(a != b for a, b in zip(rows, truth))
-                        twin = _rebuild(spec, inst, rows, spec.values)
-                        assert _answer(query, twin, rounds, e, views)[0] == want, (seed, e)
-                        if spec.values is None or spec.explicit_edges is None:
-                            continue
-                        values = _changed_values(spec, inst.oracle, seen, rng)
-                        changed_values += sum(a != b for a, b in zip(values, spec.values))
-                        twin = _rebuild(spec, inst, None, values)
-                        assert _answer(query, twin, rounds, e, views)[0] == want, (seed, e)
+                    rows, values = _check_unread_changes(spec, inst, query, rounds, e, views, rng)
+                    changed_rows += rows
+                    changed_values += values
     assert changed_rows > 0
     assert changed_values > 0 or spec.values is None or spec.explicit_edges is None
+
+
+# auction family → its buyer query under an overlay, and a report of buyer e
+# alone: a uduv buyer reports a set, a udubv or ksmb buyer a bid
+_OVERLAID = {
+    "uduv": (
+        lambda inst, e, c, ov: uduv_local(inst, ("buyer", e), c, ov),
+        lambda inst, e, rng: ReportOverlay(sets={e: rng.sample(range(inst.m), rng.randint(0, 3))}),
+    ),
+    "udubv": (udubv_local, lambda inst, e, rng: ReportOverlay(bids={e: rng.randint(0, 5)})),
+    "ksmb": (ksmb_local, lambda inst, e, rng: ReportOverlay(bids={e: rng.randint(0, 5)})),
+}
+
+
+@pytest.mark.parametrize("family", list(_OVERLAID))
+def test_no_overlaid_answer_moves_when_unread_data_changes(family, monkeypatch):
+    # each buyer's query under an overlay where she alone reports: the
+    # reported view reads nothing behind the `MemoView`
+    views = _collect_views(monkeypatch)
+    ask, report = _OVERLAID[family]
+    changed_rows = changed_values = 0
+    for seed in SEEDS:
+        spec = _spec(family, seed)
+        inst = build_instance(spec)
+        rng = random.Random(seed)
+        for e in range(inst.n):
+            overlay = report(inst, e, rng)
+            query = replace(
+                FAMILIES[family].queries[0], local=lambda i, r, x, c: ask(i, x, c, overlay)
+            )
+            rows, values = _check_unread_changes(spec, inst, query, 0, e, views, rng)
+            changed_rows += rows
+            changed_values += values
+    assert changed_rows > 0
+    assert changed_values > 0 or spec.values is None

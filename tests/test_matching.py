@@ -7,6 +7,7 @@ import random
 import pytest
 
 from localmech.matching import (
+    _RejectionRounds,
     DISQUALIFIED,
     MATCHED,
     UNMATCHED,
@@ -339,6 +340,31 @@ def test_rival_scan_probe_counts_are_pinned(men, women, rounds, man_probes, woma
         local_ags_woman(inst, rounds, w, counter)
         got.append(counter.count)
     assert got == woman_probes
+
+
+# (n, k, seed, rounds, the `_RejectionRounds._frame` evaluations of all n
+# man queries).  The counts pin the memo's exactness as well as its answers:
+# a memo that kept a settled round as a mere lower bound would evaluate its
+# node again (235 and 123 frames on the first two with `store` keeping an
+# answer equal to its budget as a lower bound).
+FRAME_PINS = [(12, 6, 1, 10, 209), (8, 6, 0, 10, 118), (10, 4, 2, 10, 134)]
+
+
+@pytest.mark.parametrize("n, k, seed, rounds, frames", FRAME_PINS)
+def test_rejection_round_frames_are_pinned(n, k, seed, rounds, frames, monkeypatch):
+    frame = _RejectionRounds._frame
+    calls = []
+
+    def counting(self, question):
+        calls.append(question)
+        return frame(self, question)
+
+    monkeypatch.setattr(_RejectionRounds, "_frame", counting)
+    inst = MatchingInstance.seeded(n, k, seed)
+    statuses, _ = abridged_gs(inst, rounds)
+    for man in range(n):
+        assert local_ags(inst, rounds, man) == statuses[man], man
+    assert len(calls) == frames
 
 
 def test_local_k1_cost_is_the_womans_suitor_record():

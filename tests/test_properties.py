@@ -201,8 +201,12 @@ def bid_cases(draw):
     inst = AuctionInstance(_item_lists(draw, n, m, max_size=3), m, mode, values=values)
     overlay = None
     if n and draw(st.booleans()):
-        b = draw(st.integers(0, n - 1))
-        overlay = ReportOverlay(bids={b: Fraction(draw(st.integers(0, 6)), 2)})
+        # 1 to n reporters, some of them reporting their true bid, so a
+        # record can list several moved buyers or a reporter who stays put
+        reporters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        halves = st.integers(0, 6).map(lambda x: Fraction(x, 2))
+        bids = {b: draw(st.one_of(st.just(values[b]), halves)) for b in reporters}
+        overlay = ReportOverlay(bids=bids)
     return inst, overlay
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from localmech.auctions import AuctionInstance, truthfulness_audit
+from localmech.auctions import AuctionInstance, ReportOverlay, truthfulness_audit, uduv_local
 from localmech.matching import MatchingInstance, local_ags_woman
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
 from localmech.scheduling import (
@@ -19,6 +19,12 @@ from localmech.scheduling import (
 ORACLE = AdjacencyOracle([(0, 1), (1,), (3,)], 4, range(3))  # n = 3 left, m = 4 right
 WOMEN = MatchingInstance([[0, 1], [1, 2], [2, 0]], m=3, seed=1)
 MACHINES = SchedulingInstance((2, 1, 1), m=4, d=2, mode=RESTRICTED, seed=2)
+BUYERS = AuctionInstance([(0,), (1, 2)], 4, "uduv")  # m = 4 items
+
+
+def _report_item(j):
+    # buyer 0 reports item j beside item 1
+    return uduv_local(BUYERS, ("buyer", 0), None, ReportOverlay(sets={0: (1, j)}))
 
 
 def _audit_uduv(m: int):
@@ -55,6 +61,20 @@ REFUSALS = {
     "uduv audit item cap": (
         _audit_uduv,
         (11, 12), (13, 14), lambda m: "full subset enumeration capped at m <= 12",
+    ),
+    "reported item": (
+        _report_item,
+        (0, 3), (-1, 4, 5), lambda j: f"buyer 0 reports item {j!r}, not an int in 0..3",
+    ),
+    # an item is an int: none of these may pass as a nearby item id
+    "reported item type": (
+        _report_item,
+        (0, 2), (1.7, 2.2, 2.0, "2", True, False, None),
+        lambda j: f"buyer 0 reports item {j!r}, not an int in 0..3",
+    ),
+    "reporting buyer": (
+        lambda b: uduv_local(BUYERS, ("buyer", 0), None, ReportOverlay(sets={b: (3,)})),
+        (0, 1), (-1, 2, 1.0, True, "1"), lambda b: f"report overlay names unknown buyer {b!r}",
     ),
     "monotonicity_trace bid order": (
         lambda d: monotonicity_trace(MACHINES, 0, 2, 2 + d),

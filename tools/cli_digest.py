@@ -2,7 +2,9 @@
 
 Runs a fixed command list in-process through `localmech.cli.main` (bench
 and verify of every family at small n; auction run, query and --audit;
-scheduling --pay-machine in both modes), then each demo as a subprocess.
+scheduling --pay-machine in both modes), then the overlaid auction queries
+in-process (no `lcmd` command asks one outside `--audit`, which prints only
+violations), then each demo as a subprocess.
 `#` comment lines (timestamps, wall times) are stripped by
 `harness.csv_body` before hashing, so two trees that print the same
 answers print the same digests:
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +31,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from localmech import cli  # noqa: E402
+from localmech.auctions import ReportOverlay, ksmb_local, udubv_local, uduv_local  # noqa: E402
 from localmech.harness import csv_body  # noqa: E402
+from localmech.instances import InstanceSpec, build_instance  # noqa: E402
+from localmech.probes import ProbeCounter  # noqa: E402
 
 FAMILIES = ("matching", "scheduling-std", "scheduling-res", "uduv", "udubv", "ksmb", "housing")
 AUCTION = ["--seed", "3", "--n", "6", "--m", "6", "--k", "2"]
@@ -70,12 +76,53 @@ def _digest(text: str) -> str:
     return hashlib.sha256(csv_body(text).encode()).hexdigest()
 
 
+# mode -> local query of a ("buyer", b) or ("item", j) pair under an overlay
+OVERLAID = {
+    "uduv": uduv_local,
+    "udubv": lambda inst, q, c, ov: udubv_local(inst, q[1], c, ov),
+    "ksmb": lambda inst, q, c, ov: ksmb_local(inst, q[1], c, ov),
+}
+SEVERAL = range(0, 64, 7)  # the reporters of the several-reporter overlay
+
+
+def _overlay(inst, reporters) -> ReportOverlay:
+    """A fixed report of each reporter b: uduv buyers shift their set by one
+    item; udubv and ksmb buyers bid their own bid, 0, half or double it."""
+    if inst.mode == "uduv":
+        return ReportOverlay(sets={b: [(j + 1) % inst.m for j in inst.sets[b]] for b in reporters})
+    v = inst.values
+    return ReportOverlay(bids={b: (v[b], 0, v[b] // 2, 2 * v[b])[b % 4] for b in reporters})
+
+
+def overlaid_lines() -> list[str]:
+    """One digest per auction mode, overlay and query kind on a seeded
+    n = m = 64 instance: every answer and its probe count, under the
+    overlay where the queried entity (buyer b, or buyer j for item j) is the
+    only reporter, and under the several-reporter overlay."""
+    lines = []
+    for mode, local in OVERLAID.items():
+        inst = build_instance(InstanceSpec(seed=5, family=mode, n=64, m=64, k=3))
+        kinds = ("buyer", "item") if mode == "uduv" else ("buyer",)
+        for name in ("one-reporter", "several-reporters"):
+            for kind in kinds:
+                rows = []
+                for e in range(64):
+                    overlay = _overlay(inst, (e,) if name == "one-reporter" else SEVERAL)
+                    counter = ProbeCounter()
+                    got = local(inst, (kind, e), counter, overlay)
+                    rows.append(f"{json.dumps(got, default=str, sort_keys=True)} {counter.count}\n")
+                lines.append(f"{_digest(''.join(rows))}  overlaid {mode} {kind} queries, {name}")
+    return lines
+
+
 def main() -> int:
     for argv in COMMANDS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
         print(f"{_digest(out.getvalue())}  exit={code}  lcmd {' '.join(argv)}")
+    for line in overlaid_lines():
+        print(line)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     for demo, args in DEMOS.items():
         proc = subprocess.run(
