@@ -36,10 +36,6 @@ from .probes import ProbeCounter
 __all__ = ["build_parser", "main"]
 
 
-class _Usage(Exception):
-    """Bad flag combination or malformed config (exit 2)."""
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -68,14 +64,14 @@ def _spec(args, family: str) -> InstanceSpec:
         with open(args.config, "r", encoding="utf-8") as fh:
             spec = spec_from_json(fh.read())
         if spec.family != family:
-            raise _Usage(f"config family {spec.family!r} does not match requested {family!r}")
+            raise ValueError(f"config family {spec.family!r} does not match requested {family!r}")
         return spec
     bids = flags.get("bids")
     if bids and FAMILIES[family].values is None:
-        raise _Usage(f"{family} takes no --bids")
+        raise ValueError(f"{family} takes no --bids")
     n = args.n if args.n is not None else len(bids) if bids else None
     if n is None:
-        raise _Usage("--n is required without --config")
+        raise ValueError("--n is required without --config")
     m = flags.get("m")
     edges = None
     if flags.get("sets"):
@@ -229,7 +225,7 @@ def _payment_text(rec: scheduling.PaymentRecord) -> str:
         return str(rec.amount)
     except ValueError:  # past sys.get_int_max_str_digits()
         num, den = _digits(abs(rec.amount.numerator)), _digits(rec.amount.denominator)
-        raise _Usage(
+        raise ValueError(
             f"machine {rec.machine}'s exact {rec.scheme} payment is a fraction of {num}/{den} "
             f"digits, past the {sys.get_int_max_str_digits()}-digit limit on printing an int"
         ) from None
@@ -249,7 +245,7 @@ def _cmd_run(args, single: bool) -> int:
         schemes = _PAYMENTS[args.mode]
         scheme = args.scheme or next(iter(schemes))
         if scheme not in schemes:
-            raise _Usage(f"--mode {args.mode} payments take no --scheme {scheme}")
+            raise ValueError(f"--mode {args.mode} payments take no --scheme {scheme}")
         rec = schemes[scheme](inst, args.pay_machine)
         _emit({"machine": rec.machine, "payment": _payment_text(rec), "scheme": rec.scheme})
         return 0
@@ -268,7 +264,7 @@ def _cmd_run(args, single: bool) -> int:
             _emit({**kind.doc(e, kind.local(inst, rounds, e, counter)), "probes": counter.count})
             return 0
     if asked:
-        raise _Usage(f"{family} has no --query-{min(asked)}")
+        raise ValueError(f"{family} has no --query-{min(asked)}")
     if flags.get("audit"):
         violations = auctions.truthfulness_audit(inst)
         _emit({"violations": [asdict(v) for v in violations]})
@@ -276,7 +272,7 @@ def _cmd_run(args, single: bool) -> int:
     lines = "all" in flags  # the auctions print one object instead
     if single or (lines and not args.all):
         whole = " or --all" if lines and not single else ""
-        raise _Usage(f"{args.verb} {args.family} needs --query-{fam.queries[0].entity}{whole}")
+        raise ValueError(f"{args.verb} {args.family} needs --query-{fam.queries[0].entity}{whole}")
     run, answers = fam.run(inst, rounds)
     if lines:
         kind = fam.queries[0]
@@ -292,10 +288,14 @@ def _cmd_run(args, single: bool) -> int:
     return 0
 
 
+def _size(args) -> int:
+    """The one of `bench`'s and `verify`'s --k and --d that the family's
+    `FAMILIES` row names as its size."""
+    return vars(args)[FAMILIES[harness.canonical_family(args.family)].size]
+
+
 def _cmd_verify(args) -> int:
-    rows = harness.verify_family(
-        args.family, args.n, args.seeds, k=args.k, d=args.d, rounds=args.rounds
-    )
+    rows = harness.verify_family(args.family, args.n, args.seeds, _size(args), args.rounds)
     text = harness.render_csv(
         harness.VERIFY_COLUMNS,
         rows,
@@ -313,9 +313,8 @@ def _cmd_bench(args) -> int:
         family=args.family,
         ns=tuple(args.n),
         seeds=args.seeds,
+        size=_size(args),
         queries=args.queries,
-        k=args.k,
-        d=args.d,
         rounds=args.rounds,
     )
     records = harness.bench_family(config)
@@ -336,10 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "verify":
             return _cmd_verify(args)
         return _cmd_bench(args)
-    except _Usage as exc:
-        print(f"lcmd: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"lcmd: {exc}", file=sys.stderr)
         return 2
 

@@ -79,9 +79,8 @@ class ExperimentConfig:
     family: str
     ns: tuple[int, ...]
     seeds: int
+    size: int
     queries: int = 100
-    k: int = 3
-    d: int = 2
     rounds: int | None = None
 
     def __post_init__(self) -> None:
@@ -115,19 +114,17 @@ def _digest(text: str) -> str:
     return blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def _cell(family: str, n: int, seed: int, k: int, d: int, rounds: int | None):
+def _cell(family: str, n: int, seed: int, size: int, rounds: int | None):
     """The table entry, the instance and the matching round budget of one
-    (family, n, seed) cell."""
-    fam = FAMILIES[family]
-    size = {"k": k, "d": d}[fam.size]
+    (family, n, seed) cell; `size` is the family's k or d."""
     inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
-    return fam, inst, rounds if rounds is not None else default_rounds(k)
+    return FAMILIES[family], inst, rounds if rounds is not None else default_rounds(size)
 
 
 def _bench_cell(
-    family: str, n: int, seed: int, queries: int, k: int, d: int, rounds: int | None
+    family: str, n: int, seed: int, queries: int, size: int, rounds: int | None
 ) -> list[BenchRecord]:
-    fam, inst, budget = _cell(family, n, seed, k, d, rounds)
+    fam, inst, budget = _cell(family, n, seed, size, rounds)
     kind = fam.queries[0]
     population = getattr(inst, kind.side)
     tape = RandomTape(seed)
@@ -157,18 +154,18 @@ def _bench_cell(
 def bench_points(
     family: str,
     points: Sequence[tuple[int, int, int]],
-    k: int = 3,
-    d: int = 2,
+    size: int,
     rounds: int | None = None,
 ) -> list[BenchRecord]:
-    """Probe benchmark over explicit (n, seeds, queries) points, one cell
-    per (n, seed), records sorted by (family, n, seed, query)."""
+    """Probe benchmark over explicit (n, seeds, queries) points at the
+    family's `size` (its k or d), one cell per (n, seed), records sorted by
+    (family, n, seed, query)."""
     family = canonical_family(family)
     records = [
         rec
         for n, seeds, queries in points
         for seed in range(seeds)
-        for rec in _bench_cell(family, n, seed, queries, k, d, rounds)
+        for rec in _bench_cell(family, n, seed, queries, size, rounds)
     ]
     records.sort(key=lambda r: (r.family, r.n, r.seed, r.query))
     return records
@@ -176,7 +173,7 @@ def bench_points(
 
 def bench_family(config: ExperimentConfig) -> list[BenchRecord]:
     points = [(n, config.seeds, config.queries) for n in config.ns]
-    return bench_points(config.family, points, k=config.k, d=config.d, rounds=config.rounds)
+    return bench_points(config.family, points, config.size, config.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +286,12 @@ def verify_family(
     family: str,
     ns: Sequence[int],
     seeds: int,
-    k: int = 3,
-    d: int = 2,
+    size: int,
     rounds: int | None = None,
 ) -> list[tuple[str, int, int]]:
-    """Run the family's invariant battery; returns (name, instances,
-    violations) rows.  A clean battery has all violation counts at 0."""
+    """Run the family's invariant battery at its `size` (k or d); returns
+    (name, instances, violations) rows.  A clean battery has all violation
+    counts at 0."""
     family = canonical_family(family)
     ns = [int(n) for n in ns]
     if not ns or seeds < 1:
@@ -302,7 +299,7 @@ def verify_family(
     rows: dict[str, list[int]] = {}
     for n in ns:
         for seed in range(seeds):
-            fam, inst, budget = _cell(family, n, seed, k, d, rounds)
+            fam, inst, budget = _cell(family, n, seed, size, rounds)
             run, answers = fam.run(inst, budget)
             for kind, want in zip(fam.queries, answers):
                 population = range(getattr(inst, kind.side))

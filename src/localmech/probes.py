@@ -77,6 +77,8 @@ class AdjacencyOracle:
         rev: list[list[int]] = [[] for _ in range(m)]
         for i in order:
             for j in rows[i]:
+                if type(j) is not int:  # a bool, float or str is no id
+                    raise ValueError(f"right id {j!r} is not an int")
                 if not 0 <= j < m:
                     raise ValueError(f"right id {j} out of range [0, {m})")
                 rev[j].append(i)

@@ -516,17 +516,17 @@ def test_criterion_10_majorization_coupling():
 def test_criterion_11_probe_growth(tmp_path):
     full = [(2**e, 20, 100) for e in (8, 10, 12, 14)]
     runs = {
-        "scheduling-d2": ("scheduling", dict(d=2), True),
-        "rsd-d2": ("rsd", dict(d=2), True),
-        "auction-uduv-k2": ("auction", dict(k=2), True),
-        "matching-k3-l18": ("matching", dict(k=3), True),
-        "matching-k1-l2": ("matching", dict(k=1), False),
+        "scheduling-d2": ("scheduling", 2, True),
+        "rsd-d2": ("rsd", 2, True),
+        "auction-uduv-k2": ("auction", 2, True),
+        "matching-k3-l18": ("matching", 3, True),
+        "matching-k1-l2": ("matching", 1, False),
     }
     parts = []
     ok = True
     summary = []
-    for slug, (family, kw, required) in runs.items():
-        records = bench_points(family, full, **kw)
+    for slug, (family, size, required) in runs.items():
+        records = bench_points(family, full, size)
         (tmp_path / f"criterion11_{slug}.csv").write_text(bench_records_csv(records))
         # one summary per run: matching k=1 and k=3 share family and n
         summary.extend((slug, *row[1:]) for row in summarize_bench(records))
@@ -564,8 +564,8 @@ def test_criterion_11_probe_growth(tmp_path):
 
 
 def test_criterion_12_rerun_determinism(tmp_path):
-    v1 = verify_family("matching", ns=[60], seeds=2, k=2)
-    v2 = verify_family("matching", ns=[60], seeds=2, k=2)
+    v1 = verify_family("matching", ns=[60], seeds=2, size=2)
+    v2 = verify_family("matching", ns=[60], seeds=2, size=2)
     verify_same = v1 == v2
 
     argv = ["bench", "rsd", "--n", "64,128", "--seeds", "3", "--queries", "10", "--d", "2"]
@@ -578,14 +578,14 @@ def test_criterion_12_rerun_determinism(tmp_path):
 
     # the same cells, each answered in reversed and in shuffled query order
     # on one instance object
-    records = bench_points("rsd", [(64, 3, 10), (128, 3, 10)], d=2)
+    records = bench_points("rsd", [(64, 3, 10), (128, 3, 10)], size=2)
     cells: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
     for r in records:
         cells.setdefault((r.n, r.seed), []).append((r.query, r.probes, r.digest))
     rng = random.Random(12)
     order_same = True
     for (n, seed), want in cells.items():
-        fam, inst, budget = _cell("housing", n, seed, 3, 2, None)
+        fam, inst, budget = _cell("housing", n, seed, 2, None)
         kind = fam.queries[0]
         queries = [q for q, _, _ in want]
         for order in (queries[::-1], rng.sample(queries, len(queries))):

@@ -54,18 +54,18 @@ def test_family_aliases():
 
 
 def test_experiment_config_validation():
-    cfg = ExperimentConfig(family="rsd", ns=(64,), seeds=2)
+    cfg = ExperimentConfig(family="rsd", ns=(64,), seeds=2, size=2)
     assert cfg.family == "housing"
     with pytest.raises(ValueError):
-        ExperimentConfig(family="matching", ns=(), seeds=1)
+        ExperimentConfig(family="matching", ns=(), seeds=1, size=3)
     with pytest.raises(ValueError):
-        ExperimentConfig(family="matching", ns=(10,), seeds=0)
+        ExperimentConfig(family="matching", ns=(10,), seeds=0, size=3)
     with pytest.raises(ValueError):
-        ExperimentConfig(family="matching", ns=(10,), seeds=1, queries=0)
+        ExperimentConfig(family="matching", ns=(10,), seeds=1, size=3, queries=0)
     # a grid of two or more sizes gets a polylog fit, which takes ln ln n
     with pytest.raises(ValueError, match="ln ln n"):
-        ExperimentConfig(family="rsd", ns=(1, 2), seeds=1)
-    assert ExperimentConfig(family="rsd", ns=(1, 1), seeds=1).ns == (1, 1)
+        ExperimentConfig(family="rsd", ns=(1, 2), seeds=1, size=2)
+    assert ExperimentConfig(family="rsd", ns=(1, 1), seeds=1, size=2).ns == (1, 1)
 
 
 def test_render_csv_and_body():
@@ -147,13 +147,13 @@ def test_summarize_bench_rows():
 
 def test_bench_grid_shape_and_determinism():
     points = [(256, 20, 100), (1024, 20, 100), (4096, 20, 100)]
-    records = bench_points("rsd", points, d=3)
+    records = bench_points("rsd", points, size=3)
     assert len(records) == 6000
     keys = [(r.family, r.n, r.seed, r.query) for r in records]
     assert keys == sorted(keys)
     assert all(r.family == "housing" and len(r.digest) == 16 for r in records)
-    again = bench_points("rsd", [(256, 3, 10)], d=3)
-    rerun = bench_points("rsd", [(256, 3, 10)], d=3)
+    again = bench_points("rsd", [(256, 3, 10)], size=3)
+    rerun = bench_points("rsd", [(256, 3, 10)], size=3)
     assert [(r.probes, r.digest) for r in again] == [
         (r.probes, r.digest) for r in rerun
     ]
@@ -164,7 +164,7 @@ def test_cells_come_with_their_oracle_built(family):
     # the first timed query of a cell must not pay for the oracle
     for n in (8, 64):
         for seed in range(3):
-            _, inst, _ = harness._cell(family, n, seed, k=3, d=2, rounds=None)
+            _, inst, _ = harness._cell(family, n, seed, size=2, rounds=None)
             assert inst._oracle is not None, (n, seed)
 
 
@@ -173,29 +173,29 @@ def test_verify_batteries_come_back_clean():
     bid_rows = ["buyer_local_matches_global", "winner_pays_at_most_bid", "items_awarded_once"]
     # (family, size, the battery's rows in order)
     cases = [
-        ("matching", dict(k=2), [
+        ("matching", 2, [
             "man_local_matches_global", "woman_local_matches_global", "round_rejections_bounded",
             "truncated_size_lower_bound", "no_blocking_pairs_full_run",
         ]),
-        ("scheduling-std", dict(d=2), scheduling_rows),
-        ("scheduling-res", dict(d=2), [*scheduling_rows, "assignment_within_menu"]),
-        ("uduv", dict(k=2), [
+        ("scheduling-std", 2, scheduling_rows),
+        ("scheduling-res", 2, [*scheduling_rows, "assignment_within_menu"]),
+        ("uduv", 2, [
             "buyer_local_matches_global", "item_local_matches_global", "items_awarded_once",
         ]),
-        ("udubv", dict(k=2), bid_rows),
-        ("ksmb", dict(k=2), bid_rows),
-        ("rsd", dict(d=2), [
+        ("udubv", 2, bid_rows),
+        ("ksmb", 2, bid_rows),
+        ("rsd", 2, [
             "agent_local_matches_global", "houses_assigned_once", "house_within_list",
         ]),
     ]
-    for family, kw, names in cases:
-        rows = verify_family(family, ns=[40], seeds=2, **kw)
+    for family, size, names in cases:
+        rows = verify_family(family, ns=[40], seeds=2, size=size)
         assert [name for name, _, _ in rows] == names, family
         for name, instances, violations in rows:
             assert instances > 0, (family, name)
             assert violations == 0, (family, name)
     with pytest.raises(ValueError):
-        verify_family("matching", ns=[], seeds=1)
+        verify_family("matching", ns=[], seeds=1, size=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Range and limit refusals, each asked exactly at its boundary and one step
 on each side: the accepted values must pass and the refused ones must raise
-`ValueError` with exactly the message given."""
+`ValueError` with exactly the message given.  A refusal with no boundary is
+asked once, with its message."""
 
 from __future__ import annotations
 
 import pytest
 
+from localmech import cli
 from localmech.auctions import AuctionInstance, ReportOverlay, truthfulness_audit, uduv_local
-from localmech.matching import MatchingInstance, local_ags_woman
+from localmech.instances import InstanceSpec, spec_from_json
+from localmech.matching import MatchingInstance, abridged_gs, local_ags_woman
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
+from localmech.rsd import HousingInstance
 from localmech.scheduling import (
     RESTRICTED,
     SchedulingInstance,
+    expected_height,
     monotonicity_trace,
     slms_expected_utility,
 )
@@ -31,6 +36,9 @@ def _audit_uduv(m: int):
     # one buyer wanting one item, so k = 1 and every m up to the cap is quick
     return truthfulness_audit(AuctionInstance([(0,)], m, "uduv"))
 
+
+# an item id is an int: none of these may pass as one, nor the bools as items 1 and 0
+NOT_INTS = (True, False, 1.0, 0.5, "1", None)
 
 # name → (call of one int, accepted values, refused values, message of a refused value)
 REFUSALS = {
@@ -84,6 +92,75 @@ REFUSALS = {
         lambda i: slms_expected_utility((2, 1, 1), 4, i, 1, 1),
         (0, 1, 2), (-1, 3, 4), lambda i: f"unknown machine {i}; machines are 0..2",
     ),
+    "buyer value count": (
+        lambda c: AuctionInstance([(0,), (1,)], 2, "udubv", values=(5,) * c),
+        (2,), (0, 1, 3, 4), lambda c: "need one value per buyer",
+    ),
+    "man list length": (
+        lambda length: MatchingInstance([range(length)], m=4, k=2),
+        (1, 2), (3, 4), lambda length: "man 0 lists more than k=2 women",
+    ),
+    "woman ranking count": (
+        lambda c: MatchingInstance([[0]], m=2, women_prefs=[[0]] * c),
+        (2,), (0, 1, 3, 4), lambda c: "need one ranking per woman",
+    ),
+    "abridged_gs rounds": (
+        lambda r: abridged_gs(WOMEN, r),
+        (1, 2), (0, -1), lambda r: "rounds must be >= 1",
+    ),
+    "local_ags_woman rounds": (
+        lambda r: local_ags_woman(WOMEN, r, 0),
+        (1, 2), (0, -1), lambda r: "rounds must be >= 1",
+    ),
+    "restricted menu count": (
+        lambda c: SchedulingInstance((1, 1), m=2, d=1, menus=[(0,)] * c),
+        (2,), (0, 1, 3, 4), lambda c: "need one menu per job",
+    ),
+    "expected_height capacity": (
+        lambda b: expected_height(b, 1, 4),
+        (0, 1), (-1, -2), lambda b: "capacity must be non-negative",
+    ),
+    "expected_height slot pool": (
+        lambda pool: expected_height(0, pool, 4),
+        (1, 2), (0, -1), lambda pool: "slot pool must be non-empty",
+    ),
+    # every family's rows pass through the oracle, which refuses a non-int id
+    "oracle right id type": (
+        lambda j: AdjacencyOracle([(j,)], 2, range(1)),
+        (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
+    ),
+    "auction item type": (
+        lambda j: AuctionInstance([(j,)], 2, "uduv"),
+        (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
+    ),
+    "matching woman type": (
+        lambda w: MatchingInstance([[w]], 2),
+        (0, 1), NOT_INTS, lambda w: f"right id {w!r} is not an int",
+    ),
+    "housing house type": (
+        lambda h: HousingInstance([[h]], 2),
+        (0, 1), NOT_INTS, lambda h: f"right id {h!r} is not an int",
+    ),
+}
+
+HOUSING = InstanceSpec(seed=0, family="housing", n=1, m=1, k=1)
+
+# name → (call, its whole message)
+ONCE = {
+    "auction mode": (lambda: AuctionInstance([(0,)], 2, "vcg"), "unknown auction mode 'vcg'"),
+    "auction values": (lambda: AuctionInstance([(0,)], 2, "ksmb"), "ksmb needs buyer values"),
+    "auction spec": (lambda: AuctionInstance.from_spec(HOUSING), "not an auction spec: 'housing'"),
+    "matching spec": (
+        lambda: MatchingInstance.from_spec(HOUSING), "not a matching spec: 'housing'"
+    ),
+    "scheduling mode": (
+        lambda: SchedulingInstance((1,), m=1, d=1, mode="std"),
+        "mode must be 'standard' or 'restricted'",
+    ),
+    "scheduling spec": (
+        lambda: SchedulingInstance.from_spec(HOUSING), "not a scheduling spec: 'housing'"
+    ),
+    "instance JSON": (lambda: spec_from_json("[]"), "instance JSON must be an object"),
 }
 
 
@@ -96,6 +173,23 @@ def test_refusals_hold_exactly_at_their_boundaries(name):
         with pytest.raises(ValueError) as err:
             call(x)
         assert str(err.value) == message(x), x
+
+
+@pytest.mark.parametrize("name", list(ONCE))
+def test_refusals_without_a_boundary_name_their_fault(name):
+    call, message = ONCE[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_bid_list_that_is_not_ints_is_a_usage_error(capsys):
+    # argparse turns the list parser's refusal into exit 2
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "scheduling", "--mode", "res", "--n", "2", "--bids", "1,x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("argument --bids: expected a comma-separated int list, got '1,x'\n")
 
 
 def test_monotonicity_trace_with_equal_bids_moves_nothing():

@@ -1,8 +1,7 @@
 """The north star's thread clause: an answer does not depend on the thread
 that asks for it.  A global run and every local query leave an instance's
-attributes as they were (its `RandomTape`, whose stem memo fills on use,
-aside), and four threads, each asking every query in its own shuffled
-order, get the serial answers and probe counts."""
+attributes as they were, and four threads, each asking every query in its
+own shuffled order, get the serial answers and probe counts."""
 
 from __future__ import annotations
 
@@ -23,9 +22,7 @@ THREADS = 4
 
 
 def _state(inst) -> str:
-    return hashlib.sha256(
-        pickle.dumps({name: v for name, v in vars(inst).items() if name != "tape"})
-    ).hexdigest()
+    return hashlib.sha256(pickle.dumps(vars(inst))).hexdigest()
 
 
 def _answer(fam, inst, kind: int, entity: int) -> tuple[str, int]:

@@ -1,10 +1,12 @@
 """One sha256 per `lcmd` output and demo stdout, for byte-identity checks.
 
 Runs a fixed command list in-process through `localmech.cli.main` (bench
-and verify of every family at small n; auction run, query and --audit;
-scheduling --pay-machine in both modes), then the overlaid auction queries
-in-process (no `lcmd` command asks one outside `--audit`, which prints only
-violations), then each demo as a subprocess.
+and verify of every family at small n, once at the default --k/--d and
+once at --k 2 --d 3, so the bench digests pin the one flag each family
+reads (verify prints only counts, which these sizes leave alone); auction
+run, query and --audit; scheduling --pay-machine in both modes), then the
+overlaid auction queries in-process (no `lcmd` command asks one outside
+`--audit`, which prints only violations), then each demo as a subprocess.
 `#` comment lines (timestamps, wall times) are stripped by
 `harness.csv_body` before hashing, so two trees that print the same
 answers print the same digests:
@@ -41,8 +43,11 @@ AUCTION = ["--seed", "3", "--n", "6", "--m", "6", "--k", "2"]
 
 COMMANDS: list[list[str]] = []
 for family in FAMILIES:
-    COMMANDS.append(["bench", family, "--n", "32,64", "--seeds", "2", "--queries", "16"])
-    COMMANDS.append(["verify", family, "--n", "32", "--seeds", "2"])
+    for sizes in ([], ["--k", "2", "--d", "3"]):
+        COMMANDS.append(
+            ["bench", family, "--n", "32,64", "--seeds", "2", "--queries", "16", *sizes]
+        )
+        COMMANDS.append(["verify", family, "--n", "32", "--seeds", "2", *sizes])
 for mode in ("uduv", "udubv", "ksmb"):
     base = ["auction", "--mode", mode, *AUCTION]
     COMMANDS.append(["run", *base])
