@@ -12,7 +12,6 @@ import argparse
 from fractions import Fraction
 
 from localmech.auctions import (
-    ReportOverlay,
     ksmb_run,
     truthfulness_audit,
     udubv_local,
@@ -41,16 +40,16 @@ def main() -> None:
     print("\nbid-ordered unit-demand (value, award, critical payment):")
     for b in range(bv.n):
         award = f"item {bout.awards[b][0]}" if bout.awards[b] else "-"
-        pay = udubv_local(bv, b, overlay=ReportOverlay(bids={b: top}))["payment"]
+        pay = udubv_local(bv, b, overlay={b: top})["payment"]
         print(f"  buyer {b}: bids {str(bv.values[b]):>7} -> {award:<8} threshold {pay}")
 
     eps = Fraction(1, 1000)
     winner = next(b for b in range(bv.n) if bout.awards[b])
     p = bout.payments[winner]
     # the served query answers the re-bid as the run of the re-bid instance
-    above = udubv_local(bv, winner, overlay=ReportOverlay(bids={winner: p + eps}))["award"]
+    above = udubv_local(bv, winner, overlay={winner: p + eps})["award"]
     below = (
-        not udubv_local(bv, winner, overlay=ReportOverlay(bids={winner: p - eps}))["award"]
+        not udubv_local(bv, winner, overlay={winner: p - eps})["award"]
         if p > 0
         else True
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 from .auctions import (
     AuctionInstance,
     Outcome,
-    ReportOverlay,
     Violation,
     ksmb_local,
     ksmb_run,

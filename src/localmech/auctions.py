@@ -43,14 +43,18 @@ rather than sort: a query's rivals on an item are a prefix of the item's
 record.  Only whole bids skip `Fraction` comparisons: every spec-built
 instance bids whole numbers.
 
-Local queries read a misreport (a `ReportOverlay`) only through
-`AuctionInstance.reports`, which checks it, and `probes.reported_reads`,
-which rebuilds only the records a query reads that a reported set or bid
-touches, all by one key, `_bid_order` (descending reported bid, ties to
-the smaller id; uduv bids are all 1, so its records stay in id order).
-`truthfulness_audit` checks the served local answers, not a global rerun:
-it asks each buyer's local query under a `ReportOverlay`, for the truth
-and for every deviation, and values each answer by one rule, `_utility`.
+A misreport is an overlay, a mapping from buyer to report; absent buyers
+report the truth.  A uduv buyer reports her item set (every value is 1)
+and a udubv or ksmb buyer her bid (sets are public), so each query knows
+what a report is: `uduv_local` checks and normalises reported sets and
+`_bid_local` checks and patches reported bids, both after one check of
+the reporters (`AuctionInstance.reports`).  `probes.reported_reads`
+rebuilds only the records a query reads that a reported set or bid
+touches: uduv's by id, the others by `_bid_order` (descending reported
+bid, ties to the smaller id).  `truthfulness_audit` checks the served
+local answers, not a global rerun: it asks each buyer's local query under
+an overlay, for the truth and for every deviation, and values each answer
+by one rule, `_utility`.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Callable, ItemsView, Iterable, Mapping, Sequence
 
 from .probes import (
     LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, reported_reads, resolve,
@@ -74,7 +78,6 @@ if TYPE_CHECKING:  # instances imports this module for its family table
 
 __all__ = [
     "AuctionInstance",
-    "ReportOverlay",
     "Outcome",
     "Violation",
     "uduv_run",
@@ -92,16 +95,6 @@ KSMB = "ksmb"
 
 # shared constant payments (a Fraction is immutable)
 ZERO, HALF = Fraction(0), Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class ReportOverlay:
-    """Deviating reports; absent entries default to the truth.  A uduv buyer
-    reports a set (every value is 1) and a udubv or ksmb buyer a bid (sets
-    are public); an overlay of the other field is refused."""
-
-    sets: Mapping[int, Sequence[int]] | None = None
-    bids: Mapping[int, Fraction | int] | None = None
 
 
 @dataclass(frozen=True)
@@ -131,6 +124,11 @@ class AuctionInstance:
         if mode not in (UDUV, UDUBV, KSMB):
             raise ValueError(f"unknown auction mode {mode!r}")
         self.mode = mode
+        # an item is an int: a set would fold True into 1 and a sort
+        # would raise TypeError on a str or None
+        if not set(map(type, chain.from_iterable(sets))) <= {int}:
+            bad = next(j for s in sets for j in s if type(j) is not int)
+            raise ValueError(f"right id {bad!r} is not an int")
         self.sets: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(set(s))) for s in sets)
         self.n = len(self.sets)
         self.m = m
@@ -174,38 +172,13 @@ class AuctionInstance:
         if self.mode != mode:
             raise ValueError(f"{call} requires {mode} mode")
 
-    def reports(
-        self, overlay: ReportOverlay | None
-    ) -> tuple[dict[int, tuple[int, ...]], Sequence[int | Fraction]]:
-        """The overlay's reported sets (sorted, deduplicated) and `values`
-        with its reported bids patched in, buyer ids, item ids and bid signs
-        checked; `({}, values)`, nothing copied, without an overlay."""
-        if overlay is None:
-            return {}, self.values
-        fixed, why = "sets", "they are public"
-        if self.mode == UDUV:
-            fixed, why = "bids", "every value is 1"
-        if getattr(overlay, fixed) is not None:
-            raise ValueError(f"{self.mode} takes no reported {fixed}: {why}")
-        # only the reportable field can be set by now; each buyer and item
-        # id must be an int in range (no bool, float or string passes)
-        for b in overlay.sets or overlay.bids or ():
+    def reports(self, overlay: Mapping[int, object]) -> ItemsView[int, object]:
+        """The overlay's (buyer, report) pairs, every buyer id checked to be
+        an int in range (no bool, float or string passes)."""
+        for b in overlay:
             if type(b) is not int or not 0 <= b < self.n:
                 raise ValueError(f"report overlay names unknown buyer {b!r}")
-        sets: dict[int, tuple[int, ...]] = {}
-        for b, s in (overlay.sets or {}).items():
-            bad = [j for j in s if type(j) is not int or not 0 <= j < self.m]
-            if bad:
-                raise ValueError(f"buyer {b} reports item {bad[0]!r}, not an int in 0..{self.m - 1}")
-            sets[b] = tuple(sorted(set(s)))
-        keys = self.values
-        if overlay.bids is not None:
-            keys = list(keys)
-            for b, v in overlay.bids.items():
-                keys[b] = v = _bid_key(v)
-                if v < 0:
-                    raise ValueError("bids must be non-negative")
-        return sets, keys
+        return overlay.items()
 
 
 def _bid_key(v: Fraction | int | float | str) -> int | Fraction:
@@ -241,24 +214,31 @@ def uduv_local(
     inst: AuctionInstance,
     query: tuple[str, int],
     counter: ProbeCounter | None = None,
-    overlay: ReportOverlay | None = None,
+    overlay: Mapping[int, Sequence[int]] | None = None,
 ) -> dict:
     """Resolve one buyer or one item.  Buyer queries return her award and
-    payment; item queries return the item's winner (or None)."""
+    payment; item queries return the item's winner (or None).  `overlay`
+    maps a buyer to her reported item set."""
     inst.require_mode(UDUV, "uduv_local")
     kind, idx = query
     if kind == "buyer":
-        if not 0 <= idx < inst.n:
+        if type(idx) is not int or not 0 <= idx < inst.n:
             raise ValueError(f"unknown buyer {idx}")
         view = MemoView(inst.oracle, counter, free=((LEFT, idx),))
     elif kind == "item":
-        if not 0 <= idx < inst.m:
+        if type(idx) is not int or not 0 <= idx < inst.m:
             raise ValueError(f"unknown item {idx}")
         view = MemoView(inst.oracle, counter)
     else:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
-    reported, bids = inst.reports(overlay)
-    fwd, rev = reported_reads(view, reported, (), _bid_order(bids))
+    reported: dict[int, tuple[int, ...]] = {}
+    for b, s in inst.reports(overlay or {}):
+        bad = [j for j in s if type(j) is not int or not 0 <= j < inst.m]
+        if bad:
+            raise ValueError(f"buyer {b} reports item {bad[0]!r}, not an int in 0..{inst.m - 1}")
+        reported[b] = tuple(sorted(set(s)))
+    # item records list their buyers by id, and so do the rebuilt ones
+    fwd, rev = reported_reads(view, reported, (), None)
     roots = fwd(idx) if kind == "buyer" else (idx,)
     winner_of = serial_dictatorship(upward_closure(roots, inst.place, rev, fwd), rev)
     if kind == "item":
@@ -427,7 +407,7 @@ def _bid_local(
     inst: AuctionInstance,
     buyer: int,
     counter: ProbeCounter | None,
-    overlay: ReportOverlay | None,
+    overlay: Mapping[int, Fraction | int] | None,
 ) -> dict:
     """Buyer `buyer`'s award and critical payment from a memoised query tree.
 
@@ -451,16 +431,23 @@ def _bid_local(
     when her own set goes unread.
     Every buyer it resolves lies in the upward closure by bid of the queried
     buyer or of her rivals, so it reads no record outside those closures.
+    `overlay` maps a buyer to her reported bid.
     """
-    if not 0 <= buyer < inst.n:
+    if type(buyer) is not int or not 0 <= buyer < inst.n:
         raise ValueError(f"unknown buyer {buyer}")
-    _, keys = inst.reports(overlay)
+    keys, moved = inst.values, ()
+    if overlay is not None:
+        keys, moved = list(keys), overlay
+        for b, v in inst.reports(overlay):
+            keys[b] = v = _bid_key(v)
+            if v < 0:
+                raise ValueError("bids must be non-negative")
     # Sets are public here, but reading another buyer's set still costs a
     # probe, so all reads go through the memoised view, under the reports.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
     if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": ZERO}
-    fwd, rev = reported_reads(view, {}, (overlay and overlay.bids) or (), _bid_order(keys))
+    fwd, rev = reported_reads(view, {}, moved, _bid_order(keys))
 
     def taken(j: int, y: int):
         """Whether a rival ahead of y took item j of y's set; yields each
@@ -511,7 +498,7 @@ def udubv_local(
     inst: AuctionInstance,
     buyer: int,
     counter: ProbeCounter | None = None,
-    overlay: ReportOverlay | None = None,
+    overlay: Mapping[int, Fraction | int] | None = None,
 ) -> dict:
     inst.require_mode(UDUBV, "udubv_local")
     return _bid_local(inst, buyer, counter, overlay)
@@ -521,7 +508,7 @@ def ksmb_local(
     inst: AuctionInstance,
     buyer: int,
     counter: ProbeCounter | None = None,
-    overlay: ReportOverlay | None = None,
+    overlay: Mapping[int, Fraction | int] | None = None,
 ) -> dict:
     inst.require_mode(KSMB, "ksmb_local")
     return _bid_local(inst, buyer, counter, overlay)
@@ -545,8 +532,8 @@ def truthfulness_audit(inst: AuctionInstance) -> list[Violation]:
     """Enumerate unilateral deviations and report every one that strictly
     beats truth-telling.  An empty list means no buyer can gain.
 
-    Each utility comes from the served local buyer query, asked under a
-    `ReportOverlay` for the truth and for each deviation, so the audit checks
+    Each utility comes from the served local buyer query, asked with no
+    overlay for the truth and under one for each deviation, so the audit checks
     the allocation and payments that local replies actually give.  uduv
     deviations are all reported subsets of the item pool up to size k+1
     (m <= 12).  udubv/ksmb deviations are the bids {0, t/2, t±δ, 2t, p, p±ε},
@@ -563,24 +550,24 @@ def truthfulness_audit(inst: AuctionInstance) -> list[Violation]:
             raise ValueError("full subset enumeration capped at m <= 12")
         subsets = [c for size in range(inst.k + 2) for c in combinations(range(inst.m), size)]
 
-        def answer(buyer: int, overlay: ReportOverlay | None) -> dict:
+        def answer(buyer: int, overlay: Mapping | None) -> dict:
             return uduv_local(inst, ("buyer", buyer), None, overlay)
 
-        def deviations(buyer: int) -> list[tuple[str, ReportOverlay]]:
-            return [(f"set={rep}", ReportOverlay(sets={buyer: rep})) for rep in subsets]
+        def deviations(buyer: int) -> list[tuple[str, Mapping]]:
+            return [(f"set={rep}", {buyer: rep}) for rep in subsets]
 
     else:
         top = max(inst.values, default=0) + 1
 
-        def answer(buyer: int, overlay: ReportOverlay | None) -> dict:
+        def answer(buyer: int, overlay: Mapping | None) -> dict:
             return _bid_local(inst, buyer, None, overlay)
 
-        def deviations(buyer: int) -> list[tuple[str, ReportOverlay]]:
+        def deviations(buyer: int) -> list[tuple[str, Mapping]]:
             t = inst.values[buyer]
-            p = answer(buyer, ReportOverlay(bids={buyer: top}))["payment"]
+            p = answer(buyer, {buyer: top})["payment"]
             grid = [ZERO, Fraction(t, 2), t - eps, t + eps, 2 * t, p, p - eps, p + eps]
             bids = [bid for bid in grid if bid >= 0 and bid != t]
-            return [(f"bid={bid}", ReportOverlay(bids={buyer: bid})) for bid in bids]
+            return [(f"bid={bid}", {buyer: bid}) for bid in bids]
 
     violations: list[Violation] = []
     for buyer in range(inst.n):

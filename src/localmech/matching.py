@@ -192,13 +192,17 @@ class MatchingInstance:
 # ---------------------------------------------------------------------------
 
 
-def _run_global(
-    inst: MatchingInstance, max_rounds: int | None
+def abridged_gs(
+    inst: MatchingInstance, rounds: int
 ) -> tuple[dict[int, ManStatus], list[RoundStats]]:
+    """Stop after `rounds` proposal rounds; men rejected in the final round
+    with names left are disqualified."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     n, k = inst.n, inst.k
     prefs = inst.men_prefs
     # position p of a list is first proposed to in round p + 1
-    rows = inst.key_rows(k if max_rounds is None else min(k, max_rounds))
+    rows = inst.key_rows(min(k, rounds))
     next_idx = [0] * n
     holder_man: dict[int, int] = {}
     holder_key: dict[int, tuple[int, int]] = {}
@@ -207,7 +211,7 @@ def _run_global(
     stats: list[RoundStats] = []
     exhausted_total = sum(1 for i in range(n) if len(prefs[i]) == 0)
     r = 0
-    while proposers and (max_rounds is None or r < max_rounds):
+    while proposers and r < rounds:
         r += 1
         byw: dict[int, list[int]] = defaultdict(list)
         for man in proposers:
@@ -264,19 +268,10 @@ def _run_global(
 
 
 def global_gs(inst: MatchingInstance) -> dict[int, ManStatus]:
-    """Run to quiescence; statuses are matched/unmatched only."""
-    statuses, _ = _run_global(inst, None)
-    return statuses
-
-
-def abridged_gs(
-    inst: MatchingInstance, rounds: int
-) -> tuple[dict[int, ManStatus], list[RoundStats]]:
-    """Stop after `rounds` proposal rounds; men rejected in the final round
-    with names left are disqualified."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    return _run_global(inst, rounds)
+    """Run to quiescence; statuses are matched/unmatched only.  Each round
+    with proposers makes a proposal and a run makes at most n·k, so n·k
+    rounds always reach quiescence."""
+    return abridged_gs(inst, max(1, inst.n * inst.k))[0]
 
 
 def matched_count(statuses: Mapping[int, ManStatus]) -> int:
@@ -457,7 +452,7 @@ def local_ags(
     remaining budget, so every record read lies inside the radius-2·rounds
     neighborhood: the women within distance 2·rounds-1 and their suitors.
     """
-    if not 0 <= man < inst.n:
+    if type(man) is not int or not 0 <= man < inst.n:
         raise ValueError(f"unknown man {man}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -484,7 +479,7 @@ def local_ags_woman(
     Equals her holder in abridged_gs(inst, rounds).  Her suitor record is
     free, each suitor's list costs a probe, and the suitors she asks, best
     first, share one memo of rejection rounds."""
-    if not 0 <= woman < inst.m:
+    if type(woman) is not int or not 0 <= woman < inst.m:
         raise ValueError(f"unknown woman {woman}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

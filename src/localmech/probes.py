@@ -4,12 +4,13 @@ The cost model used throughout the package: one *probe* is one access to one
 entity's adjacency/preference record.  Within a single local query each
 record costs at most one probe (repeat reads hit a per-query memo), and for
 mechanism queries the queried entity's own forward record is free — the
-query hands it over.  Under a report overlay (`reported_reads`) a reported
-row is free too, and a rebuilt record costs the true record it replaces, so
-an overlay costs a query no more than the records it patches.  Reverse
-lists are materialized once at build time, in the order the instance gives
-(ascending id, or bid order for udubv and ksmb); that setup pass is not
-counted, but every *access* to a reverse record is, whatever its order.
+query hands it over.  Under a report overlay (a plain mapping from entity
+to report, read through `reported_reads`) a reported row is free too, and
+a rebuilt record costs the true record it replaces, so an overlay costs a
+query no more than the records it patches.  Reverse lists are materialized
+once at build time, in the order the instance gives (ascending id, or bid
+order for udubv and ksmb); that setup pass is not counted, but every
+*access* to a reverse record is, whatever its order.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
@@ -130,13 +131,14 @@ class MemoView:
 
 
 def reported_reads(
-    view: MemoView, rows: Mapping[int, Sequence[int]], moved: Iterable[int], key: Callable
+    view: MemoView, rows: Mapping[int, Sequence[int]], moved: Iterable[int], key: Callable | None
 ) -> tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
     """`view`'s (fwd, rev) under reported left `rows` and reported sort keys
     of the `moved` ids.  fwd(i) is i's reported row if she has one; rev(r)
     is rebuilt once per query (reporters dropped, those whose rows name r
-    added, sorted by `key`) if it lists a reporter or a mover or a reported
-    row names r.  Nothing reported: the view's own reads."""
+    added, sorted by `key`, or by id if it is None) if it lists a reporter
+    or a mover or a reported row names r.  Nothing reported: the view's own
+    reads."""
     if not rows and not moved:
         return view.fwd, view.rev
     named: dict[int, list[int]] = {}  # right id → reporters whose rows name it

@@ -103,7 +103,7 @@ def rsd_local(
     numbers are seeded mechanism data and cost no probes; reading an agent's
     list or a house's interested-agents list costs one probe each (the
     queried agent's own list is free)."""
-    if not 0 <= agent < inst.n:
+    if type(agent) is not int or not 0 <= agent < inst.n:
         raise ValueError(f"unknown agent {agent}")
     view = MemoView(inst.oracle, counter, free=((LEFT, agent),))
     closure = upward_closure((agent,), inst.place, view.fwd, view.rev)

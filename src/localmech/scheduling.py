@@ -164,7 +164,7 @@ class SchedulingInstance:
             if len(self._menus) != m:
                 raise ValueError("need one menu per job")
             for j, mu in enumerate(self._menus):
-                if any(not 0 <= i < self.n for i in mu):
+                if any(type(i) is not int or not 0 <= i < self.n for i in mu):
                     raise ValueError(f"menu of job {j} names an unknown machine")
         elif d < 1:
             raise ValueError(f"need d >= 1 menu draws, got d={d}: each job gets an empty menu")
@@ -253,7 +253,7 @@ def _rank_closure(
     """The query's view and its rank-order dependency tree: the jobs sharing
     a slot or menu machine with lower rank, transitively, in rank order.  The
     queried job has the highest rank, so it comes last."""
-    if not 0 <= job < inst.m:
+    if type(job) is not int or not 0 <= job < inst.m:
         raise ValueError(f"unknown job {job}")
     view = MemoView(inst.oracle, counter, free=((LEFT, job),))
     return view, upward_closure((job,), inst.place, view.fwd, view.rev)
@@ -291,7 +291,7 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
 
 
 def _check_machine(inst: SchedulingInstance, i: int) -> None:
-    if not 0 <= i < inst.n:
+    if type(i) is not int or not 0 <= i < inst.n:
         raise ValueError(f"unknown machine {i}; machines are 0..{inst.n - 1}")
 
 
@@ -351,7 +351,7 @@ def slms_expected_utility(
     capacity is `true_cap`, under the quadratic cost model: a machine that
     claims x slots and carries expected height h̄ incurs cost x²·h̄/true_cap.
     The payment schedule makes truth the exact argmax of this function."""
-    if not 0 <= i < len(caps):
+    if type(i) is not int or not 0 <= i < len(caps):
         raise ValueError(f"unknown machine {i}; machines are 0..{len(caps) - 1}")
     if true_cap < 1:
         raise ValueError(f"true_cap must be >= 1, got {true_cap}")

@@ -18,7 +18,6 @@ from localmech.auctions import (
     _critical,
     _positive_prefix,
     AuctionInstance,
-    ReportOverlay,
     ksmb_local,
     ksmb_run,
     truthfulness_audit,
@@ -67,7 +66,7 @@ def test_uduv_win_on_a_false_report_has_utility_minus_half():
     # buyer 0 wants item 0 but reports item 1, which she takes from buyer 1
     # as the smaller id: she pays 1/2 for an item worth 0 to her
     inst = _uduv([(0,), (1,)], 2)
-    overlay = ReportOverlay(sets={0: (1,)})
+    overlay = {0: (1,)}
     out = uduv_run(_uduv([(1,), (1,)], 2))  # the instance built with her report
     assert out.awards == {0: (1,), 1: ()}
     assert out.payments == {0: F(1, 2), 1: F(0)}
@@ -103,10 +102,9 @@ def test_uduv_run_matches_the_per_buyer_formula():
         for count in (64, 64, inst.n):  # the last overlay has every buyer lie
             liars = rng.sample(range(inst.n), count)
             sets = {b: rng.sample(range(inst.m), rng.randrange(4)) for b in liars}
-            overlays.append(ReportOverlay(sets=sets))
+            overlays.append(sets)
         for overlay in overlays:
-            reported, _ = inst.reports(overlay)
-            sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
+            sets = [(overlay or {}).get(b, s) for b, s in enumerate(inst.sets)]
             awards, payments, utilities = _uduv_run_per_buyer(inst, sets)
             out = uduv_run(AuctionInstance(sets, inst.m, "uduv", seed=inst.seed))
             assert (out.awards, out.payments) == (awards, payments)
@@ -146,34 +144,39 @@ def test_local_payment_at_a_top_bid_is_the_critical_bid():
     # a buyer's critical bid depends on the other bids only, so her local
     # payment at a bid above every value is it, for losers as for winners
     inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
-    assert udubv_local(inst, 1, overlay=ReportOverlay(bids={1: F(6)}))["payment"] == F(5)
+    assert udubv_local(inst, 1, overlay={1: F(6)})["payment"] == F(5)
     for family, local in (("udubv", udubv_local), ("ksmb", ksmb_local)):
         for seed in range(2):
             inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=3))
             top = max(inst.values) + 1
             for b in range(inst.n):
-                got = local(inst, b, overlay=ReportOverlay(bids={b: top}))
+                got = local(inst, b, overlay={b: top})
                 assert got["payment"] == _critical(inst, b), (family, seed, b)
 
 
 def test_public_sets_cannot_be_overlaid():
+    # a udubv or ksmb buyer reports a bid; a reported set is no bid, so it
+    # raises (as any report that is not a number does), never ignored
     for inst, local in (
         (_udubv([(0,), (0,)], values=(5, 3), m=1), udubv_local),
-        (_ksmb([(0,)], values=(2,), m=1, k=1), ksmb_local),
+        (_ksmb([(0,), (0,)], values=(2, 0), m=1, k=1), ksmb_local),
     ):
-        overlay = ReportOverlay(sets={0: (0,)})
-        with pytest.raises(ValueError, match=f"{inst.mode} takes no reported sets"):
-            local(inst, 0, overlay=overlay)
+        for buyer in (0, 1):
+            with pytest.raises(TypeError):
+                local(inst, buyer, overlay={0: (0,)})
 
 
 def test_uduv_bids_cannot_be_overlaid():
-    # every uduv value is 1, so a reported bid is refused, not ignored
+    # every uduv value is 1 and a buyer reports a set; a reported bid is no
+    # set, so it raises (as any report that is not iterable does), never ignored
     inst = _uduv([(0,), (0, 1)], 2)
-    for bid in (F(3), F(-3)):
-        overlay = ReportOverlay(bids={0: bid})
+    for bid in (F(3), F(-3), 3):
         for query in (("buyer", 0), ("buyer", 1), ("item", 0), ("item", 1)):
-            with pytest.raises(ValueError, match="uduv takes no reported bids"):
-                uduv_local(inst, query, overlay=overlay)
+            with pytest.raises(TypeError):
+                uduv_local(inst, query, overlay={0: bid})
+    # nor are values given to the constructor
+    with pytest.raises(ValueError, match="uduv takes no values"):
+        AuctionInstance([(0,), (0, 1)], 2, "uduv", values=(5, 7))
     # nor are values given to the constructor
     with pytest.raises(ValueError, match="uduv takes no values"):
         AuctionInstance([(0,), (0, 1)], 2, "uduv", values=(5, 7))
@@ -192,22 +195,20 @@ def test_negative_bids_rejected():
     inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
     for buyer in (0, 1):
         with pytest.raises(ValueError, match="^bids must be non-negative$"):
-            udubv_local(inst, buyer, overlay=ReportOverlay(bids={0: F(-1)}))
+            udubv_local(inst, buyer, overlay={0: F(-1)})
 
 
 def test_overlays_naming_unknown_buyers_or_items_are_rejected():
     # every local query reads reports through one checked path
     uduv = build_instance(InstanceSpec(seed=0, family="uduv", n=6, m=5, k=2))
-    for sets in ({0: (-1,)}, {0: (uduv.m,)}, {9: (0,)}):
-        overlay = ReportOverlay(sets=sets)
+    for overlay in ({0: (-1,)}, {0: (uduv.m,)}, {9: (0,)}):
         for query in (("buyer", 0), ("item", 0)):
             with pytest.raises(ValueError):
                 uduv_local(uduv, query, overlay=overlay)
     udubv = build_instance(InstanceSpec(seed=0, family="udubv", n=6, m=5, k=2))
     for buyer in (-1, udubv.n):
-        overlay = ReportOverlay(bids={buyer: F(7)})
         with pytest.raises(ValueError):
-            udubv_local(udubv, 0, overlay=overlay)
+            udubv_local(udubv, 0, overlay={buyer: F(7)})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,8 @@ def test_overlays_naming_unknown_buyers_or_items_are_rejected():
 def _reported(inst, overlay):
     """The udubv or ksmb instance built with the overlay's bids as its
     values, whose global run is the run under the reports."""
-    return AuctionInstance(inst.sets, inst.m, inst.mode, values=inst.reports(overlay)[1], k=inst.k)
+    values = [(overlay or {}).get(b, v) for b, v in enumerate(inst.values)]
+    return AuctionInstance(inst.sets, inst.m, inst.mode, values=values, k=inst.k)
 
 
 def _check_win_threshold(family, run):
@@ -231,9 +233,9 @@ def _check_win_threshold(family, run):
             if not out.awards[b]:
                 continue
             p = out.payments[b]
-            assert run(_reported(inst, ReportOverlay(bids={b: p + eps}))).awards[b], (seed, b)
+            assert run(_reported(inst, {b: p + eps})).awards[b], (seed, b)
             if p > 0:
-                assert not run(_reported(inst, ReportOverlay(bids={b: p - eps}))).awards[b], b
+                assert not run(_reported(inst, {b: p - eps})).awards[b], b
 
 
 def test_critical_bid_is_the_win_threshold():
@@ -425,9 +427,8 @@ def _closure_replay(inst, overlay=None):
     orders them as (-bid, id) does; places and signs of bids are computed
     once for all queries."""
     bids = list(inst.values)
-    if overlay is not None and overlay.bids is not None:
-        for b, v in overlay.bids.items():
-            bids[b] = Fraction(v)
+    for b, v in (overlay or {}).items():
+        bids[b] = Fraction(v)
     place = [0] * inst.n
     for i, b in enumerate(sorted(range(inst.n), key=lambda b: (-bids[b], b))):
         place[b] = i
@@ -482,7 +483,7 @@ def test_query_tree_matches_closure_replay(family, m):
         inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=m, k=3))
         # one buyer bids a rival's value, one drops out and one outbids everyone
         top = max(inst.values)
-        overlay = ReportOverlay(bids={seed: inst.values[seed + 1], 7: 0, 11: top + 1})
+        overlay = {seed: inst.values[seed + 1], 7: 0, 11: top + 1}
         for ov in (None, overlay):
             _check_against_replay(inst, ov)
 
@@ -500,7 +501,7 @@ def test_query_tree_matches_global_on_small_instances(data):
     overlay = None
     if n and data.draw(st.booleans()):
         bids = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 12), max_size=3))
-        overlay = ReportOverlay(bids={b: Fraction(v, 2) for b, v in bids.items()})
+        overlay = {b: Fraction(v, 2) for b, v in bids.items()}
     _check_against_replay(inst, overlay)
     _check_run_against_critical(inst, overlay)
 
@@ -528,18 +529,15 @@ def test_query_tree_matches_global_on_mixed_denominators(data):
         moves = data.draw(
             st.dictionaries(st.integers(0, n - 1), st.sampled_from([-eps, eps, None]), max_size=3)
         )
-        overlay = ReportOverlay(
-            bids={
-                b: F(0) if d is None else max(F(0), inst.values[b] + d)
-                for b, d in moves.items()
-            }
-        )
+        overlay = {
+            b: F(0) if d is None else max(F(0), inst.values[b] + d) for b, d in moves.items()
+        }
     _check_against_replay(inst, overlay)
     _check_run_against_critical(inst, overlay)
 
 
 @pytest.mark.parametrize("mode", ["udubv", "ksmb"])
-def test_values_hold_whole_bids_as_ints(mode):
+def test_values_hold_whole_bids_as_ints(mode, monkeypatch):
     # every seeded value is whole, so no buyer holds a Fraction
     seeded = build_instance(InstanceSpec(seed=3, family=mode, n=64, m=64, k=2))
     assert {type(v) for v in seeded.values} == {int}
@@ -549,14 +547,17 @@ def test_values_hold_whole_bids_as_ints(mode):
     assert inst.values == (1, F(1, 2), F(7, 2), 2, 4)
     assert [type(v) for v in inst.values] == [int, F, F, int, int]
     assert list(inst.order) == [4, 2, 3, 0, 1]
-    _, bids = inst.reports(ReportOverlay(bids={0: 0.5, 1: True, 3: F(8, 2)}))
-    assert bids == [F(1, 2), 1, F(7, 2), 4, 4]
-    assert [type(v) for v in bids] == [F, int, F, int, int]
+    # a query patches its reported bids in the same way and orders by them
+    local, order, keys = _BID_PAIRS[mode][1], auctions._bid_order, []
+    monkeypatch.setattr(auctions, "_bid_order", lambda bids: keys.append(bids) or order(bids))
+    local(inst, 0, None, {0: 0.5, 1: True, 3: F(8, 2)})
+    assert keys == [[F(1, 2), 1, F(7, 2), 4, 4]]
+    assert [type(v) for v in keys[0]] == [F, int, F, int, int]
     for bad in (-1, F(-1, 2), -0.5):
         with pytest.raises(ValueError, match="^values must be non-negative$"):
             AuctionInstance([(0,)], 1, mode, values=[bad])
         with pytest.raises(ValueError, match="^bids must be non-negative$"):
-            inst.reports(ReportOverlay(bids={2: bad}))
+            local(inst, 0, None, {2: bad})
 
 
 @pytest.mark.parametrize("mode", ["udubv", "ksmb"])
@@ -567,8 +568,8 @@ def test_audit_deviations_are_exact_bids(mode, monkeypatch):
     asked = []
 
     def answer(inst, buyer, counter, overlay):
-        asked.extend(overlay.bids.values() if overlay else ())
-        if buyer == 0 and overlay and overlay.bids[0] == F(5, 2):
+        asked.extend(overlay.values() if overlay else ())
+        if buyer == 0 and overlay and overlay[0] == F(5, 2):
             return {"buyer": 0, "award": (0,), "payment": F(-100)}  # a planted gain
         return local(inst, buyer, counter, overlay)
 
@@ -668,14 +669,13 @@ def test_overlays_that_reorder_an_item_record(mode, bids):
     values = [1, 0, 5]
     inst = AuctionInstance(sets, 2, mode, values=values)
     assert inst.oracle.rev(0) == (2, 0, 1)
-    overlay = ReportOverlay(bids=bids)
     # the same auction built with the overlaid bids as values
     moved = AuctionInstance(sets, 2, mode, values=[bids.get(b, v) for b, v in enumerate(values)])
     run, local = _BID_PAIRS[mode]
     want = run(moved)
     for b in range(inst.n):
         pair = (want.awards[b], want.payments[b])
-        assert tuple(local(inst, b, None, overlay).values())[1:] == pair, b
+        assert tuple(local(inst, b, None, bids).values())[1:] == pair, b
     assert truthfulness_audit(inst) == []
     assert truthfulness_audit(moved) == []
 

@@ -29,7 +29,7 @@ def test_mode_and_family_comparison_census():
     count = sum(
         sum(1 for line in p.read_text().splitlines() if pattern.search(line)) for p in SOURCES
     )
-    assert count == 17
+    assert count == 16
 
 
 def test_no_module_imports_numpy_or_scipy():

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import pytest
 
-from localmech.auctions import ReportOverlay, ksmb_local, udubv_local, uduv_local
+from localmech.auctions import ksmb_local, udubv_local, uduv_local
 from localmech.instances import FAMILIES, InstanceSpec, build_instance
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
 
@@ -160,10 +160,10 @@ def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
 _OVERLAID = {
     "uduv": (
         lambda inst, e, c, ov: uduv_local(inst, ("buyer", e), c, ov),
-        lambda inst, e, rng: ReportOverlay(sets={e: rng.sample(range(inst.m), rng.randint(0, 3))}),
+        lambda inst, e, rng: {e: rng.sample(range(inst.m), rng.randint(0, 3))},
     ),
-    "udubv": (udubv_local, lambda inst, e, rng: ReportOverlay(bids={e: rng.randint(0, 5)})),
-    "ksmb": (ksmb_local, lambda inst, e, rng: ReportOverlay(bids={e: rng.randint(0, 5)})),
+    "udubv": (udubv_local, lambda inst, e, rng: {e: rng.randint(0, 5)}),
+    "ksmb": (ksmb_local, lambda inst, e, rng: {e: rng.randint(0, 5)}),
 }
 
 

@@ -187,6 +187,31 @@ def _assert_local_equals_global(inst, rounds):
     return statuses
 
 
+def _displacement_chain(length: int) -> MatchingInstance:
+    """Man i lists women i and i + 1 and man `length` lists woman 0, who
+    ranks him first: each man is pushed on to the next woman one round
+    after the man before him, so the run takes one round per man."""
+    return MatchingInstance(
+        [[i, i + 1] for i in range(length)] + [[0]],
+        m=length + 1,
+        women_prefs=[[length, 0]] + [[i - 1, i] for i in range(1, length)] + [[length - 1]],
+    )
+
+
+@pytest.mark.parametrize("length", [1, 6, 3000])
+def test_global_run_is_the_run_at_n_k_rounds(length):
+    # each round with proposers makes a proposal and a run makes at most
+    # n·k, so global_gs runs abridged_gs at n·k rounds; a displacement
+    # chain needs n of them, and one fewer leaves its last man disqualified
+    inst = _displacement_chain(length)
+    statuses, stats = abridged_gs(inst, 10**6)
+    assert len(stats) == inst.n <= inst.n * inst.k
+    assert global_gs(inst) == statuses == abridged_gs(inst, inst.n)[0]
+    assert {st.state for st in statuses.values()} == {MATCHED}
+    cut, _ = abridged_gs(inst, inst.n - 1)
+    assert cut[inst.n - 2].state == DISQUALIFIED
+
+
 def test_local_equals_global_on_hand_built_instances():
     cases = [
         # partial rankings: unlisted men tie at -1 and the smaller id wins;
@@ -204,13 +229,7 @@ def test_local_equals_global_on_hand_built_instances():
         MatchingInstance([[1, 0]], m=2, women_prefs=[[0], []]),
         # the round-1 loser keeps an untried name: disqualified at rounds=1
         MatchingInstance([[0, 1], [0, 1]], m=2, women_prefs=[[1, 0], [0, 1]]),
-        # a displacement chain: each man is pushed on to the next woman,
-        # one round after the man before him
-        MatchingInstance(
-            [[i, i + 1] for i in range(6)] + [[0]],
-            m=7,
-            women_prefs=[[6, 0]] + [[i - 1, i] for i in range(1, 6)] + [[5]],
-        ),
+        _displacement_chain(6),
         # dependency cycles in which an assumed "not yet" turns out wrong at
         # rounds=5, so the query has to rerun its attempt
         MatchingInstance(
@@ -382,11 +401,7 @@ def test_local_is_exact_at_huge_round_budgets():
     # a displacement chain thousands of rounds long: the query follows it
     # on an explicit stack, far past the interpreter's recursion limit
     chain = 3000
-    inst = MatchingInstance(
-        [[i, i + 1] for i in range(chain)] + [[0]],
-        m=chain + 1,
-        women_prefs=[[chain, 0]] + [[i - 1, i] for i in range(1, chain)] + [[chain - 1]],
-    )
+    inst = _displacement_chain(chain)
     for r in (chain, rounds):
         statuses, _ = abridged_gs(inst, r)
         for man in (0, chain // 2, chain - 1):

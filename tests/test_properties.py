@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from localmech.auctions import (
     AuctionInstance,
-    ReportOverlay,
     ksmb_local,
     ksmb_run,
     udubv_local,
@@ -153,24 +152,26 @@ def uduv_cases(draw):
     overlay = None
     if n and draw(st.booleans()):
         liars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        overlay = ReportOverlay(sets={b: _item_lists(draw, 1, m, max_size=3)[0] for b in liars})
+        overlay = {b: _item_lists(draw, 1, m, max_size=3)[0] for b in liars}
     return inst, overlay
 
 
-def _union_oracle(inst: AuctionInstance, overlay: ReportOverlay | None) -> AdjacencyOracle:
+def _union_oracle(inst: AuctionInstance, overlay: dict | None) -> AdjacencyOracle:
     """True and reported sets together: every record a query may follow."""
-    reported, _ = inst.reports(overlay)
-    union = [set(s) | set(reported.get(b, s)) for b, s in enumerate(inst.sets)]
+    union = [set(s) | set((overlay or {}).get(b, s)) for b, s in enumerate(inst.sets)]
     return AdjacencyOracle(union, inst.m, range(inst.n))
 
 
-def _rebuilt(inst: AuctionInstance, overlay: ReportOverlay | None) -> AuctionInstance:
+def _rebuilt(inst: AuctionInstance, overlay: dict | None) -> AuctionInstance:
     """The instance built with the overlay's reports as its data, whose
-    global run is the run under the reports."""
-    reported, bids = inst.reports(overlay)
-    sets = [reported.get(b, s) for b, s in enumerate(inst.sets)]
-    values = None if inst.mode == "uduv" else bids
-    return AuctionInstance(sets, inst.m, inst.mode, values=values, seed=inst.seed)
+    global run is the run under the reports: a uduv buyer reports her set,
+    a udubv or ksmb buyer her bid."""
+    overlay = overlay or {}
+    if inst.mode == "uduv":
+        sets = [overlay.get(b, s) for b, s in enumerate(inst.sets)]
+        return AuctionInstance(sets, inst.m, "uduv", seed=inst.seed)
+    values = [overlay.get(b, v) for b, v in enumerate(inst.values)]
+    return AuctionInstance(inst.sets, inst.m, inst.mode, values=values, seed=inst.seed)
 
 
 @PROPERTY
@@ -205,8 +206,7 @@ def bid_cases(draw):
         # record can list several moved buyers or a reporter who stays put
         reporters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         halves = st.integers(0, 6).map(lambda x: Fraction(x, 2))
-        bids = {b: draw(st.one_of(st.just(values[b]), halves)) for b in reporters}
-        overlay = ReportOverlay(bids=bids)
+        overlay = {b: draw(st.one_of(st.just(values[b]), halves)) for b in reporters}
     return inst, overlay
 
 
@@ -242,7 +242,7 @@ def test_overlaid_query_equals_the_query_on_the_rebuilt_instance(case):
     inst, overlay = case
     moved = _rebuilt(inst, overlay)
     local, out = _AUCTION_QUERIES[inst.mode], _AUCTION_RUNS[inst.mode](moved)
-    reporters = set(overlay.sets or overlay.bids)
+    reporters = set(overlay)
     winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
     queries = [("buyer", b) for b in range(inst.n)]
     if inst.mode == "uduv":

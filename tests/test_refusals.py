@@ -8,16 +8,18 @@ from __future__ import annotations
 import pytest
 
 from localmech import cli
-from localmech.auctions import AuctionInstance, ReportOverlay, truthfulness_audit, uduv_local
+from localmech.auctions import AuctionInstance, truthfulness_audit, udubv_local, uduv_local
 from localmech.instances import InstanceSpec, spec_from_json
-from localmech.matching import MatchingInstance, abridged_gs, local_ags_woman
+from localmech.matching import MatchingInstance, abridged_gs, local_ags, local_ags_woman
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
-from localmech.rsd import HousingInstance
+from localmech.rsd import HousingInstance, rsd_local
 from localmech.scheduling import (
     RESTRICTED,
     SchedulingInstance,
     expected_height,
     monotonicity_trace,
+    payment_rlms,
+    rlms_local,
     slms_expected_utility,
 )
 
@@ -25,11 +27,13 @@ ORACLE = AdjacencyOracle([(0, 1), (1,), (3,)], 4, range(3))  # n = 3 left, m = 4
 WOMEN = MatchingInstance([[0, 1], [1, 2], [2, 0]], m=3, seed=1)
 MACHINES = SchedulingInstance((2, 1, 1), m=4, d=2, mode=RESTRICTED, seed=2)
 BUYERS = AuctionInstance([(0,), (1, 2)], 4, "uduv")  # m = 4 items
+BIDDERS = AuctionInstance([(0,), (0, 1)], 2, "udubv", values=(3, 5))
+AGENTS = HousingInstance([[0], [0, 1]], 2)
 
 
 def _report_item(j):
     # buyer 0 reports item j beside item 1
-    return uduv_local(BUYERS, ("buyer", 0), None, ReportOverlay(sets={0: (1, j)}))
+    return uduv_local(BUYERS, ("buyer", 0), None, {0: (1, j)})
 
 
 def _audit_uduv(m: int):
@@ -81,7 +85,7 @@ REFUSALS = {
         lambda j: f"buyer 0 reports item {j!r}, not an int in 0..3",
     ),
     "reporting buyer": (
-        lambda b: uduv_local(BUYERS, ("buyer", 0), None, ReportOverlay(sets={b: (3,)})),
+        lambda b: uduv_local(BUYERS, ("buyer", 0), None, {b: (3,)}),
         (0, 1), (-1, 2, 1.0, True, "1"), lambda b: f"report overlay names unknown buyer {b!r}",
     ),
     "monotonicity_trace bid order": (
@@ -140,6 +144,52 @@ REFUSALS = {
     "housing house type": (
         lambda h: HousingInstance([[h]], 2),
         (0, 1), NOT_INTS, lambda h: f"right id {h!r} is not an int",
+    ),
+    # checked before a set could fold True or 1.0 into 1, or a sort raise TypeError
+    "auction set item type": (
+        lambda j: AuctionInstance([(1, j)], 2, "uduv"),
+        (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
+    ),
+    "restricted menu machine type": (
+        lambda i: SchedulingInstance((1, 1, 1), m=1, d=1, menus=[(0, i)]),
+        (0, 2), NOT_INTS, lambda i: "menu of job 0 names an unknown machine",
+    ),
+    # every local query and machine payment refuses an entity id that is not an int
+    "rsd_local agent type": (
+        lambda a: rsd_local(AGENTS, a),
+        (0, 1), NOT_INTS, lambda a: f"unknown agent {a}",
+    ),
+    "uduv_local buyer type": (
+        lambda b: uduv_local(BUYERS, ("buyer", b)),
+        (0, 1), NOT_INTS, lambda b: f"unknown buyer {b}",
+    ),
+    "uduv_local item type": (
+        lambda j: uduv_local(BUYERS, ("item", j)),
+        (0, 3), NOT_INTS, lambda j: f"unknown item {j}",
+    ),
+    "udubv_local buyer type": (
+        lambda b: udubv_local(BIDDERS, b),
+        (0, 1), NOT_INTS, lambda b: f"unknown buyer {b}",
+    ),
+    "rlms_local job type": (
+        lambda j: rlms_local(MACHINES, j),
+        (0, 3), NOT_INTS, lambda j: f"unknown job {j}",
+    ),
+    "local_ags man type": (
+        lambda man: local_ags(WOMEN, 2, man),
+        (0, 2), NOT_INTS, lambda man: f"unknown man {man}",
+    ),
+    "local_ags_woman woman type": (
+        lambda w: local_ags_woman(WOMEN, 2, w),
+        (0, 2), NOT_INTS, lambda w: f"unknown woman {w}",
+    ),
+    "payment_rlms machine type": (
+        lambda i: payment_rlms(MACHINES, i),
+        (0, 2), NOT_INTS, lambda i: f"unknown machine {i}; machines are 0..2",
+    ),
+    "slms_expected_utility machine type": (
+        lambda i: slms_expected_utility((2, 1, 1), 4, i, 1, 1),
+        (0, 2), NOT_INTS, lambda i: f"unknown machine {i}; machines are 0..2",
     ),
 }
 

@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from localmech import cli  # noqa: E402
-from localmech.auctions import ReportOverlay, ksmb_local, udubv_local, uduv_local  # noqa: E402
+from localmech.auctions import ksmb_local, udubv_local, uduv_local  # noqa: E402
 from localmech.harness import csv_body  # noqa: E402
 from localmech.instances import InstanceSpec, build_instance  # noqa: E402
 from localmech.probes import ProbeCounter  # noqa: E402
@@ -90,13 +90,13 @@ OVERLAID = {
 SEVERAL = range(0, 64, 7)  # the reporters of the several-reporter overlay
 
 
-def _overlay(inst, reporters) -> ReportOverlay:
+def _overlay(inst, reporters) -> dict:
     """A fixed report of each reporter b: uduv buyers shift their set by one
     item; udubv and ksmb buyers bid their own bid, 0, half or double it."""
     if inst.mode == "uduv":
-        return ReportOverlay(sets={b: [(j + 1) % inst.m for j in inst.sets[b]] for b in reporters})
+        return {b: [(j + 1) % inst.m for j in inst.sets[b]] for b in reporters}
     v = inst.values
-    return ReportOverlay(bids={b: (v[b], 0, v[b] // 2, 2 * v[b])[b % 4] for b in reporters})
+    return {b: (v[b], 0, v[b] // 2, 2 * v[b])[b % 4] for b in reporters}
 
 
 def overlaid_lines() -> list[str]:
