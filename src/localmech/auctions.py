@@ -17,24 +17,16 @@ dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
 its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
 the same step on the same records, the instance oracle's.
 
-The udubv and ksmb global runs price a winner by a displacement replay
-(`_bid_run`), not by rerunning the auction without her: they free her items
-and re-decide, in bid order, only the buyers whose items changed holder
-ahead of them, so a winner costs the bidder lists of the items her removal
-moves, not a whole run.  `_critical`, the full rerun that defines the
-price, is kept as the test oracle.  A global run reads only its instance:
-the run under other reports is the run of the instance built with them.
-
 Local queries agree with the global run outcome exactly.  uduv queries
 replay the dependency closure of the queried buyer/item
 (`probes.upward_closure`: higher-scored items sharing buyers, transitively).
-udubv and ksmb buyer queries walk a memoised query tree instead (Nguyen and
-Onak, FOCS 2008), asking earlier rivals best first as Yoshida, Yamamoto and
-Ito do (STOC 2009) and stopping as soon as the answer is known; a winner's
-payment comes from the same recursion run without her, which shares every
-answer of the buyers ahead of her.  `probes.resolve` drives both, with a
-plain dict as the memo.  Neither reads a zero-bid rival's set.
-The bid order is descending bid, ties to the smaller id, over the exact
+udubv and ksmb buyer queries walk a memoised query tree instead
+(`_bid_tree`; Nguyen and Onak, FOCS 2008), asking earlier rivals best first
+as Yoshida, Yamamoto and Ito do (STOC 2009) and stopping as soon as the
+answer is known; a winner's payment (`_tree_price`) comes from the same
+recursion run without her, which shares every answer of the buyers ahead
+of her.  `probes.resolve` drives both.  Neither reads a zero-bid rival's
+set.  The bid order is descending bid, ties to the smaller id, over the exact
 bids `AuctionInstance.values`: a whole bid as its int, any other as its
 `Fraction`, which Python compares exactly; payments are `Fraction`s.  The
 build sorts the buyers once (`AuctionInstance.order`) and lists each item's
@@ -43,12 +35,22 @@ rather than sort: a query's rivals on an item are a prefix of the item's
 record.  Only whole bids skip `Fraction` comparisons: every spec-built
 instance bids whole numbers.
 
+The udubv and ksmb global runs (`_bid_run`) take their awards from the
+allocation step and price each winner with the same two functions over the
+instance's records, so a price is computed one way, global or local: the
+rivals ahead of the winner keep their full-run awards and those behind her
+are resolved afresh, so a winner costs a query's tree, not a rerun.
+`_critical`, the full rerun that defines the price, is kept as the test
+oracle.  A global run reads only its instance: the run under other reports
+is the run of the instance built with them.
+
 A misreport is an overlay, a mapping from buyer to report; absent buyers
 report the truth.  A uduv buyer reports her item set (every value is 1)
 and a udubv or ksmb buyer her bid (sets are public), so each query knows
 what a report is: `uduv_local` checks and normalises reported sets and
-`_bid_local` checks and patches reported bids, both after one check of
-the reporters (`AuctionInstance.reports`).  `probes.reported_reads`
+`_bid_local` checks the reported bids and reads them over the true ones
+(`_ReportedBids`, which copies no other bid), both after one check of the
+reporters (`AuctionInstance.reports`).  `probes.reported_reads`
 rebuilds only the records a query reads that a reported set or bid
 touches: uduv's by id, the others by `_bid_order` (descending reported
 bid, ties to the smaller id).  `truthfulness_audit` checks the served
@@ -59,12 +61,11 @@ by one rule, `_utility`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Callable, ItemsView, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, ItemsView, Iterable, Mapping, Sequence
 
 from .probes import (
     LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, reported_reads, resolve,
@@ -187,6 +188,18 @@ def _bid_key(v: Fraction | int | float | str) -> int | Fraction:
     comparisons skip `Fraction`'s slow path."""
     v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
+
+
+class _ReportedBids(dict):
+    """The reported bids of a query, by buyer; any other buyer bids her
+    value, read from `truth` on a miss, so a query copies no other bid."""
+
+    def __init__(self, truth: Sequence[Fraction | int]) -> None:
+        super().__init__()
+        self.truth = truth
+
+    def __missing__(self, b: int) -> Fraction | int:
+        return self.truth[b]
 
 
 def _bid_order(bids: Sequence[Fraction | int]) -> Callable[[int], tuple]:
@@ -314,83 +327,107 @@ def _critical(inst: AuctionInstance, i: int) -> Fraction:
     return Fraction(price(awards(without, inst.sets.__getitem__), inst.sets[i], inst.values))
 
 
-def _bid_run(inst: AuctionInstance) -> Outcome:
-    """The full run, with each winner priced by a displacement replay.
+def _bid_tree(mode: str, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int], Generator]:
+    """The query tree's frame of the bid-order run without buyer `absent`
+    (Nguyen and Onak, FOCS 2008), for `probes.resolve`.
 
-    Without winner i, a buyer's award can change only if an item of her set
-    was taken before her in one run and not in the other: a bidder of item
-    j whose place lies between j's holders in the two runs (the later one
-    included).  The replay re-decides only those, in bid order from a heap,
-    each by the full run's step over the earlier holders of her items.  An
-    item that loses its holder (i's items first) is offered down its later
-    bidders until one takes it; an item taken earlier than in the full run
-    queues its bidders up to its old holder.  i's price is read off the
-    holders of her items in the run without her.
+    A buyer's award depends only on the awards of the earlier positive-bid
+    buyers sharing one of her items: for each item of her set, in order, her
+    frame asks those rivals, best first, whether they took it, and stops at
+    the first that did.  udubv hands her the first item no rival took; ksmb
+    turns her away at the first item a rival took.  No frame asks about
+    `absent`, so every answer is that buyer's award in the run without her:
+    the full run's for the buyers ahead of her, whose answers never depend
+    on her, and `absent`'s own full-run award if she is the one asked.
+
+    Read through a metered view, each buyer the tree resolves costs her
+    set, each item whose rivals it scans costs the item's buyer list, and
+    zero-bid rivals are never read.  `rev(j)` lists item j's buyers by
+    descending bid, ties to the smaller id (the instance's `order`, or
+    `_bid_order` for a record a reported bid touches), so the tree takes
+    its rivals in bid order without reading their sets, and a rival's bid
+    can move an answer through a list it was charged for even when her own
+    set goes unread.  Every buyer it resolves lies in the upward closure by
+    bid of the root or of her rivals, so it reads no record outside those
+    closures.
     """
-    sets, bids, place = inst.sets, inst.values, inst.place
-    order = _positive_prefix(inst.order, bids)
-    step, price = _BID_RULES[inst.mode]
-    won = step(order, sets.__getitem__)
-    holder = {j: b for b, award in won.items() for j in award}
-    bidders: list[list[int]] = [[] for _ in range(inst.m)]  # item → bidders' places, ascending
-    for p, b in enumerate(order):
-        for j in sets[b]:
-            bidders[j].append(p)
 
-    def without(i: int) -> dict[int, tuple[int, ...]]:
-        """The awards in the run without i of the holders of i's items."""
-        moved: dict[int, int | None] = {}  # item → holder, where it differs
-        changed: dict[int, tuple[int, ...]] = {}  # buyer → award, where it differs
-        queue, last = [place[i]], -1
-        while queue:
-            p = heappop(queue)
-            if p == last:
-                continue
-            last, y = p, order[p]  # places pop in order, so repeats are adjacent
-            old, got = won.get(y, ()), ()  # i wins nothing in the run without her
-            if y != i:
-                # the earlier holders of her items take their awards, then she steps
-                ahead = {
-                    h: changed.get(h, won.get(h, ()))
-                    for j in sets[y]
-                    if (h := moved.get(j, holder.get(j))) is not None and place[h] < p
-                }
-                ahead[y] = sets[y]
-                got = step(ahead, ahead.__getitem__).get(y, ())
-            if got != old:
-                changed[y] = got
-                for j in old:
-                    if j not in moved:  # else an earlier buyer took it from her
-                        moved[j] = None
-                for j in got:
-                    if j not in moved:
-                        # it went later or unsold: the bidders up to its old
-                        # holder now find it taken
-                        later = bidders[j]
-                        end = place[holder[j]] if j in holder else len(order)
-                        for q in later[bisect_right(later, p) : bisect_right(later, end)]:
-                            heappush(queue, q)
-                    moved[j] = y
-            for j in sets[y]:
-                if j in moved and moved[j] is None:
-                    # a freed item is offered down its bidders until one takes it
-                    later = bidders[j]
-                    k = bisect_right(later, p)
-                    if k < len(later):
-                        heappush(queue, later[k])
-        return {
-            h: changed.get(h, won.get(h, ()))
-            for j in sets[i]
-            if (h := moved.get(j, holder.get(j))) is not None
-        }
+    def taken(j: int, y: int):
+        """Whether a rival ahead of y took item j of y's set; yields each
+        rival asked about and is sent her award."""
+        for z in rev(j):
+            if z == y:  # y bids, so every zero bid lies behind her
+                break
+            if z != absent and j in (yield z):
+                return True
+        return False
 
-    awards = {b: won.get(b, ()) for b in range(inst.n)}
+    def udubv_frame(y: int):
+        for j in fwd(y):
+            if not (yield from taken(j, y)):
+                return (j,)
+        return ()
+
+    def ksmb_frame(y: int):
+        s = fwd(y)
+        for j in s:
+            if (yield from taken(j, y)):
+                return ()
+        return s
+
+    return udubv_frame if mode == UDUBV else ksmb_frame
+
+
+def _tree_price(
+    mode: str,
+    i: int,
+    mine: Sequence[int],
+    rev: _Sets,
+    bids: Sequence[Fraction | int],
+    frame: Callable[[int], Generator],
+    lookup: Callable[[int], tuple[int, ...] | None],
+    store: Callable[[int, tuple[int, ...]], object],
+) -> Fraction:
+    """Buyer i's critical price: her price rule over the holders of `mine`,
+    her set, in the run without her, whose awards `frame` (a `_bid_tree`
+    without i) resolves through `lookup` and `store`.
+
+    A winner holds every item of her award (udubv) or set (ksmb) and no
+    item has two holders, so the scan takes the rivals on each item of
+    hers in bid order and stops at the first who wins it in that run: the
+    item's holder there.  It costs what `_bid_tree` charges for the
+    rivals it resolves and the buyer lists it scans.
+    """
+    holders = {}
+    for j in mine:
+        for z in rev(j):
+            if not bids[z]:  # the zero bids sort last and win nothing
+                break
+            if z != i and j in (won := resolve(z, frame, lookup, store)):
+                holders[z] = won
+                break
     # the price is a bid, an int when whole; every payment is a Fraction
-    payments = {
-        b: (Fraction(price(without(b), sets[b], bids)) if awards[b] else ZERO)
-        for b in range(inst.n)
-    }
-    return Outcome(awards=awards, payments=payments)
+    return Fraction(_BID_RULES[mode][1](holders, mine, bids))
+
+
+def _bid_run(inst: AuctionInstance) -> Outcome:
+    """The full run's awards from the allocation step, each winner priced
+    in id order on the query tree of the run without her.  A rival placed
+    ahead of the winner has her full-run award in that run; a rival
+    behind her is resolved afresh, once per winner."""
+    sets, bids, place, rev = inst.sets, inst.values, inst.place, inst.oracle.rev
+    won = _BID_RULES[inst.mode][0](_positive_prefix(inst.order, bids), sets.__getitem__)
+    payments = dict.fromkeys(range(inst.n), ZERO)
+    for i in sorted(won):
+        memo: dict[int, tuple[int, ...]] = {}
+        ahead = place[i]
+
+        def lookup(z: int) -> tuple[int, ...] | None:  # called within this pass only
+            return won.get(z, ()) if place[z] < ahead else memo.get(z)
+
+        frame = _bid_tree(inst.mode, sets.__getitem__, rev, i)
+        payments[i] = _tree_price(inst.mode, i, sets[i], rev, bids, frame, lookup, memo.__setitem__)
+    return Outcome(awards={b: won.get(b, ()) for b in range(inst.n)}, payments=payments)
 
 
 def udubv_run(inst: AuctionInstance) -> Outcome:
@@ -409,88 +446,33 @@ def _bid_local(
     counter: ProbeCounter | None,
     overlay: Mapping[int, Fraction | int] | None,
 ) -> dict:
-    """Buyer `buyer`'s award and critical payment from a memoised query tree.
-
-    A buyer's award depends only on the awards of the earlier positive-bid
-    buyers sharing one of her items: for each item of her set, in order, the
-    tree asks those rivals, best first, whether they took it, and stops at
-    the first that did.  udubv hands her the first item no rival took; ksmb
-    turns her away at the first item a rival took.  No buyer ever counts her
-    as a rival, so every other memo entry is that buyer's award in the run
-    without her: the same as in the full run for the buyers ahead of her,
-    whose answers never depend on her.  Her payment scans the rivals of each
-    of her items in bid order for the first who wins it in that run.
-
-    Each buyer the tree resolves costs her set, each item whose rivals it
-    scans costs the item's buyer list, and zero-bid rivals are never read.
-    An item's buyer list carries each listed buyer's bid: the record lists
-    its buyers by descending bid, ties to the smaller id (the instance's
-    `order`, or `_bid_order` for a record a reported bid touches), so the
-    tree takes its rivals in bid order without reading their sets, and a
-    rival's bid can move an answer through a list it was charged for even
-    when her own set goes unread.
-    Every buyer it resolves lies in the upward closure by bid of the queried
-    buyer or of her rivals, so it reads no record outside those closures.
-    `overlay` maps a buyer to her reported bid.
+    """Buyer `buyer`'s award and critical payment from one memoised query
+    tree, `_bid_tree` without her: her award is the tree's answer for her,
+    and every other answer in the memo is that buyer's award in the run
+    without her, so her payment (`_tree_price`) reuses them.  Her own set
+    is free; every other read goes through the metered view, under the
+    reports.  `overlay` maps a buyer to her reported bid.
     """
     if type(buyer) is not int or not 0 <= buyer < inst.n:
         raise ValueError(f"unknown buyer {buyer}")
     keys, moved = inst.values, ()
     if overlay is not None:
-        keys, moved = list(keys), overlay
+        keys, moved = _ReportedBids(inst.values), overlay
         for b, v in inst.reports(overlay):
             keys[b] = v = _bid_key(v)
             if v < 0:
                 raise ValueError("bids must be non-negative")
-    # Sets are public here, but reading another buyer's set still costs a
-    # probe, so all reads go through the memoised view, under the reports.
     view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
     if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": ZERO}
     fwd, rev = reported_reads(view, {}, moved, _bid_order(keys))
-
-    def taken(j: int, y: int):
-        """Whether a rival ahead of y took item j of y's set; yields each
-        rival asked about and is sent her award."""
-        for z in rev(j):
-            if z == y:  # y bids, so every zero bid lies behind her
-                break
-            if z != buyer and j in (yield z):
-                return True
-        return False
-
-    def udubv_frame(y: int):
-        for j in fwd(y):
-            if not (yield from taken(j, y)):
-                return (j,)
-        return ()
-
-    def ksmb_frame(y: int):
-        s = fwd(y)
-        for j in s:
-            if (yield from taken(j, y)):
-                return ()
-        return s
-
-    frame = udubv_frame if inst.mode == UDUBV else ksmb_frame
+    frame = _bid_tree(inst.mode, fwd, rev, buyer)
     memo: dict[int, tuple[int, ...]] = {}
     won = resolve(buyer, frame, memo.get, memo.__setitem__)
     if not won:
         return {"buyer": buyer, "award": (), "payment": ZERO}
-    # A winner holds every item of her award (udubv) or set (ksmb) and no
-    # item has two holders, so the first rival found on j holding it is j's
-    # holder in the run without her.
     mine = fwd(buyer)
-    holders = {}
-    for j in mine:
-        for z in rev(j):
-            if not keys[z]:  # the zero bids sort last and win nothing
-                break
-            if z != buyer and j in resolve(z, frame, memo.get, memo.__setitem__):
-                holders[z] = memo[z]
-                break
-    # the price is a bid, an int when whole; every payment is a Fraction
-    payment = Fraction(_BID_RULES[inst.mode][1](holders, mine, keys))
+    payment = _tree_price(inst.mode, buyer, mine, rev, keys, frame, memo.get, memo.__setitem__)
     return {"buyer": buyer, "award": won, "payment": payment}
 
 

@@ -116,9 +116,14 @@ def _digest(text: str) -> str:
 
 def _cell(family: str, n: int, seed: int, size: int, rounds: int | None):
     """The table entry, the instance and the matching round budget of one
-    (family, n, seed) cell; `size` is the family's k or d."""
+    (family, n, seed) cell; `size` is the family's k or d.  A given budget
+    below 1 is refused for every family, as matching refuses it."""
     inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=size))
-    return FAMILIES[family], inst, rounds if rounds is not None else default_rounds(size)
+    if rounds is None:
+        rounds = default_rounds(size)
+    elif rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    return FAMILIES[family], inst, rounds
 
 
 def _bench_cell(

@@ -551,8 +551,12 @@ def test_values_hold_whole_bids_as_ints(mode, monkeypatch):
     local, order, keys = _BID_PAIRS[mode][1], auctions._bid_order, []
     monkeypatch.setattr(auctions, "_bid_order", lambda bids: keys.append(bids) or order(bids))
     local(inst, 0, None, {0: 0.5, 1: True, 3: F(8, 2)})
-    assert keys == [[F(1, 2), 1, F(7, 2), 4, 4]]
-    assert [type(v) for v in keys[0]] == [F, int, F, int, int]
+    assert len(keys) == 1
+    bids = [keys[0][b] for b in range(inst.n)]
+    assert bids == [F(1, 2), 1, F(7, 2), 4, 4]
+    assert [type(v) for v in bids] == [F, int, F, int, int]
+    # it holds the reporters' bids only: the others are read from the instance
+    assert dict(keys[0]) == {0: F(1, 2), 1: 1, 3: 4}
     for bad in (-1, F(-1, 2), -0.5):
         with pytest.raises(ValueError, match="^values must be non-negative$"):
             AuctionInstance([(0,)], 1, mode, values=[bad])
@@ -594,20 +598,32 @@ def test_runs_reproduce_the_recorded_n4096_outcomes(family, seed):
 
 @pytest.mark.parametrize("family", ["udubv", "ksmb"])
 def test_query_tree_follows_a_bid_chain_n_deep(family):
-    # buyer i wants {i, i+1} and bids fall with i, so each buyer's answer
-    # waits on the one before her, all the way down the chain
+    # buyer i wants {i, i+1}; with bids falling with i each buyer's answer
+    # waits on the one before her, all the way down the chain, and with bids
+    # rising on the one after her, all the way up
     n = 5000
     assert n > sys.getrecursionlimit()
-    inst = AuctionInstance([(i, i + 1) for i in range(n)], n + 1, family, values=range(n, 0, -1))
     awards, price = _BID_RULES[family]
-    order = list(range(n))
-    last = n - 1
-    want_award = awards(order, inst.sets.__getitem__).get(last, ())
-    want_pay = _critical(inst, last) if want_award else Fraction(0)
-    counter = ProbeCounter()
-    got = _BID_PAIRS[family][1](inst, last, counter)
-    assert (got["award"], got["payment"]) == (want_award, want_pay)
-    assert counter.count > n  # the whole chain was read
+    run, local = _BID_PAIRS[family]
+    falling = range(n, 0, -1)
+    for values in (falling, falling[::-1]):
+        inst = AuctionInstance([(i, i + 1) for i in range(n)], n + 1, family, values=values)
+        want = awards(inst.order, inst.sets.__getitem__)
+        last = inst.order[-1]
+        want_pay = _critical(inst, last) if last in want else Fraction(0)
+        counter = ProbeCounter()
+        got = local(inst, last, counter)
+        assert (got["award"], got["payment"]) == (want.get(last, ()), want_pay)
+        if values is falling:
+            assert counter.count > n  # the whole chain was read
+        # the global run prices each winner on the same chain, whose removal
+        # re-decides every buyer behind her
+        out = run(inst)
+        assert out.awards == {b: want.get(b, ()) for b in range(n)}
+        winners = sorted(want)
+        for b in (winners[0], winners[len(winners) // 2], winners[-1]):
+            assert out.payments[b] == _critical(inst, b), (values, b)
+        assert (out.awards[last], out.payments[last]) == (got["award"], got["payment"])
 
 
 # ---------------------------------------------------------------------------

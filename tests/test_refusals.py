@@ -9,7 +9,8 @@ import pytest
 
 from localmech import cli
 from localmech.auctions import AuctionInstance, truthfulness_audit, udubv_local, uduv_local
-from localmech.instances import InstanceSpec, spec_from_json
+from localmech.harness import bench_points, verify_family
+from localmech.instances import FAMILIES, InstanceSpec, spec_from_json
 from localmech.matching import MatchingInstance, abridged_gs, local_ags, local_ags_woman
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
 from localmech.rsd import HousingInstance, rsd_local
@@ -114,6 +115,15 @@ REFUSALS = {
     ),
     "local_ags_woman rounds": (
         lambda r: local_ags_woman(WOMEN, r, 0),
+        (1, 2), (0, -1), lambda r: "rounds must be >= 1",
+    ),
+    # bench and verify refuse a round budget below 1 for every family
+    "bench rounds": (
+        lambda r: [bench_points(f, [(8, 1, 1)], 2, r) for f in FAMILIES],
+        (1, 2), (0, -1), lambda r: "rounds must be >= 1",
+    ),
+    "verify rounds": (
+        lambda r: [verify_family(f, [8], 1, 2, r) for f in FAMILIES],
         (1, 2), (0, -1), lambda r: "rounds must be >= 1",
     ),
     "restricted menu count": (

@@ -15,6 +15,14 @@ answers print the same digests:
     python3 tools/cli_digest.py > after.txt    # in the other
     diff before.txt after.txt
 
+`tests/golden/cli_digest.txt` holds the output of the current tree, and
+`tests/test_golden.py` checks it through `digest_lines`.  A change that
+moves a line regenerates the file with
+
+    python3 tools/cli_digest.py > tests/golden/cli_digest.txt
+
+and says which lines moved and why.
+
 Stdlib only; it reads the package from the `src/` beside it.
 """
 
@@ -28,6 +36,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -120,21 +129,26 @@ def overlaid_lines() -> list[str]:
     return lines
 
 
-def main() -> int:
+def digest_lines() -> Iterator[str]:
+    """Each digest line, in the order `main` prints them."""
     for argv in COMMANDS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
-        print(f"{_digest(out.getvalue())}  exit={code}  lcmd {' '.join(argv)}")
-    for line in overlaid_lines():
-        print(line)
+        yield f"{_digest(out.getvalue())}  exit={code}  lcmd {' '.join(argv)}"
+    yield from overlaid_lines()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     for demo, args in DEMOS.items():
         proc = subprocess.run(
             [sys.executable, str(ROOT / "demos" / demo), *args],
             capture_output=True, text=True, env=env, timeout=600,
         )
-        print(f"{_digest(proc.stdout)}  exit={proc.returncode}  demos/{demo} {' '.join(args)}")
+        yield f"{_digest(proc.stdout)}  exit={proc.returncode}  demos/{demo} {' '.join(args)}"
+
+
+def main() -> int:
+    for line in digest_lines():
+        print(line)
     return 0
 
 
