@@ -5,9 +5,12 @@ Men hold ordered lists of at most k women; women score suitors with a strict
 priority (seeded hash scores, or explicit rankings for hand-built fixtures).
 Proposals within a round are simultaneous: every free, non-exhausted man
 proposes to the next woman on his list, and each woman keeps the best of
-{current hold} ∪ {new proposers}.  A man rejected in the final truncated
-round who still has names left is reported as disqualified — his outcome is
-the one thing an ℓ-round run genuinely leaves undecided.
+{current hold} ∪ {new proposers}.  The global run meets the proposers one
+at a time, each against the holder so far: a strict maximum does not depend
+on the order of the comparisons, so the holders and the rejected men are
+the simultaneous round's.  A man rejected in the final truncated round who
+still has names left is reported as disqualified — his outcome is the one
+thing an ℓ-round run genuinely leaves undecided.
 
 The local query never replays rounds.  A man is rejected by the woman at
 position i of his list in round max(his arrival there, the earliest arrival
@@ -42,7 +45,6 @@ lists her first.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -196,75 +198,43 @@ def abridged_gs(
     inst: MatchingInstance, rounds: int
 ) -> tuple[dict[int, ManStatus], list[RoundStats]]:
     """Stop after `rounds` proposal rounds; men rejected in the final round
-    with names left are disqualified."""
+    with names left are disqualified.  Each proposer in turn meets his
+    woman's holder and the loser moves one place down his list, which is
+    the simultaneous round (module note)."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    n, k = inst.n, inst.k
     prefs = inst.men_prefs
     # position p of a list is first proposed to in round p + 1
-    rows = inst.key_rows(min(k, rounds))
-    next_idx = [0] * n
-    holder_man: dict[int, int] = {}
-    holder_key: dict[int, tuple[int, int]] = {}
-    engaged: dict[int, int] = {}  # man -> woman
-    proposers: list[int] = [i for i in range(n) if len(prefs[i]) > 0]
+    rows = inst.key_rows(min(inst.k, rounds))
+    pos = [0] * inst.n
+    holder: dict[int, int] = {}  # woman -> man; a held woman is never freed
+    proposers = [man for man in range(inst.n) if prefs[man]]
+    exhausted_total = inst.n - len(proposers)
     stats: list[RoundStats] = []
-    exhausted_total = sum(1 for i in range(n) if len(prefs[i]) == 0)
-    r = 0
-    while proposers and r < rounds:
-        r += 1
-        byw: dict[int, list[int]] = defaultdict(list)
-        for man in proposers:
-            byw[prefs[man][next_idx[man]]].append(man)
+    while proposers and len(stats) < rounds:
         rejected: list[int] = []
-        for w, cands in byw.items():
-            best_man = holder_man.get(w)
-            best_key = holder_key.get(w)
-            incumbent = best_man
-            for man in cands:
-                key = (rows[man][next_idx[man]], -man)
-                if best_key is None or key > best_key:
-                    best_key, best_man = key, man
-            for man in cands:
-                if man != best_man:
-                    next_idx[man] += 1
-                    rejected.append(man)
-            if incumbent is not None and incumbent != best_man:
-                next_idx[incumbent] += 1
-                rejected.append(incumbent)
-                del engaged[incumbent]
-            if incumbent != best_man:
-                holder_man[w] = best_man
-                holder_key[w] = best_key
-                engaged[best_man] = w
-        newly_exhausted = 0
-        proposers = []
-        for man in rejected:
-            if next_idx[man] < len(prefs[man]):
-                proposers.append(man)
-            else:
-                newly_exhausted += 1
-        exhausted_total += newly_exhausted
+        for man in proposers:
+            w = prefs[man][pos[man]]
+            cur = holder.get(w)
+            if cur is None:
+                holder[w] = man
+                continue
+            if (rows[man][pos[man]], -man) > (rows[cur][pos[cur]], -cur):
+                holder[w], man = man, cur
+            pos[man] += 1  # the loser moves one place down his list
+            rejected.append(man)
+        proposers = [man for man in rejected if pos[man] < len(prefs[man])]
+        exhausted_total += len(rejected) - len(proposers)
         stats.append(
-            RoundStats(
-                round_index=r,
-                rejections=len(rejected),
-                rejected_with_remaining=len(rejected) - newly_exhausted,
-                exhausted_total=exhausted_total,
-                matched=len(engaged),
-            )
+            RoundStats(len(stats) + 1, len(rejected), len(proposers), exhausted_total, len(holder))
         )
+    partner = {man: w for w, man in holder.items()}
     disqualified = set(proposers)  # non-empty iff the round cap truncated the run
-    statuses: dict[int, ManStatus] = {}
-    for man in range(n):
-        w = engaged.get(man)
-        if w is not None:
-            statuses[man] = ManStatus.matched(w)
-        elif man in disqualified:
-            statuses[man] = DISQUALIFIED_STATUS
-        else:
-            statuses[man] = UNMATCHED_STATUS
-    return statuses, stats
+    return {
+        man: ManStatus.matched(partner[man]) if man in partner
+        else DISQUALIFIED_STATUS if man in disqualified else UNMATCHED_STATUS
+        for man in range(inst.n)
+    }, stats
 
 
 def global_gs(inst: MatchingInstance) -> dict[int, ManStatus]:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,17 @@ def test_cli_item_query_is_uduv_only(capsys):
             argv = [verb, "auction", "--mode", mode, "--n", "4", "--m", "4", "--query-item", "0"]
             assert cli.main(argv) == 2, (mode, verb)
             assert capsys.readouterr().out == ""
+
+
+def test_cli_audit_prints_a_violation_with_fraction_utilities(monkeypatch, capsys):
+    found = [auctions.Violation(0, "bid=0", Fraction(1, 2), Fraction(3, 4))]
+    monkeypatch.setattr(auctions, "truthfulness_audit", lambda inst: found)
+    argv = ["run", "auction", "--mode", "udubv", "--seed", "3", "--n", "6", "--m", "6", "--k", "2"]
+    assert cli.main([*argv, "--audit"]) == 1
+    assert capsys.readouterr().out == (
+        '{"violations": [{"buyer": 0, "report": "bid=0", '
+        '"utility_deviation": "3/4", "utility_truth": "1/2"}]}\n'
+    )
 
 
 _JSON_LEAF = st.one_of(

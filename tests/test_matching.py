@@ -467,9 +467,11 @@ def _listed(n, m, k, seed):
 
 def _reference_statuses(inst, rounds):
     """Simultaneous proposal rounds, each woman keeping the best by
-    priority_key of her holder and her new suitors."""
+    priority_key of her holder and her new suitors; with each round's
+    (rejections, rejected with names left, exhausted so far, matched)."""
     prefs, nxt, holder = inst.men_prefs, [0] * inst.n, {}
     free = [man for man in range(inst.n) if prefs[man]]
+    stats = []
     for _ in range(rounds):
         if not free:
             break
@@ -486,13 +488,15 @@ def _reference_statuses(inst, rounds):
         for man in rejected:
             nxt[man] += 1
         free = [man for man in rejected if nxt[man] < len(prefs[man])]
+        exhausted = sum(nxt[man] == len(prefs[man]) for man in range(inst.n))
+        stats.append((len(rejected), len(free), exhausted, len(holder)))
     partner = {man: w for w, man in holder.items()}
     return {
         man: ManStatus.matched(partner[man])
         if man in partner
         else ManStatus(DISQUALIFIED if man in free else UNMATCHED)
         for man in range(inst.n)
-    }
+    }, stats
 
 
 def _reference_blocking(inst, statuses):
@@ -529,9 +533,14 @@ def test_global_run_and_blocking_pairs_follow_priority_key(case):
     inst = _KEY_CASES[case]()
     # round budgets shorter than the longest list leave men disqualified
     for rounds in (1, 2, inst.n * inst.k + 1):
-        want = _reference_statuses(inst, rounds)
-        statuses, _ = abridged_gs(inst, rounds)
+        want, want_stats = _reference_statuses(inst, rounds)
+        statuses, stats = abridged_gs(inst, rounds)
         assert statuses == want, rounds
+        assert [
+            (s.rejections, s.rejected_with_remaining, s.exhausted_total, s.matched)
+            for s in stats
+        ] == want_stats, rounds
+        assert [s.round_index for s in stats] == list(range(1, len(stats) + 1))
         assert blocking_pairs(inst, statuses) == _reference_blocking(inst, statuses)
         # disqualified men read as unmatched become blockers
         unmatched = {
@@ -539,7 +548,7 @@ def test_global_run_and_blocking_pairs_follow_priority_key(case):
             for man, st in statuses.items()
         }
         assert blocking_pairs(inst, unmatched) == _reference_blocking(inst, unmatched)
-    assert global_gs(inst) == _reference_statuses(inst, inst.n * inst.k + 1)
+    assert global_gs(inst) == _reference_statuses(inst, inst.n * inst.k + 1)[0]
 
 
 def test_seeded_queries_and_runs_hash_no_key(monkeypatch):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from localmech import oracles
 from localmech.oracles import (
     _restricted_feasible,
     majorizes,
@@ -80,6 +82,24 @@ def test_uniform_majorizes_nonuniform_small_profiles():
         assert witness is None
     with pytest.raises(ValueError):
         uniform_majorizes_nonuniform((1, 0), m=2, trials=1)
+
+
+def test_uniform_majorizes_nonuniform_reports_the_first_failing_trial(monkeypatch):
+    monkeypatch.setattr(oracles, "majorizes", lambda p, q: False)
+    ok, witness = uniform_majorizes_nonuniform((2, 1), 5, 3, seed=1)
+    assert not ok
+    assert witness["trial"] == 0 and witness["caps"] == (2, 1)
+    assert set(witness) == {
+        "trial", "caps", "uniform_vector", "nonuniform_slots",
+        "uniform_max_load", "nonuniform_max_load",
+    }
+    # both systems place the 5 jobs over 3 unit slots, largest first
+    for key in ("uniform_vector", "nonuniform_slots"):
+        vec = witness[key]
+        assert len(vec) == 3 and sum(vec) == 5 and list(vec) == sorted(vec, reverse=True)
+    assert witness["uniform_max_load"] == max(witness["uniform_vector"])
+    # a machine's h jobs over its c slots put ⌈h/c⌉ in the fullest slot
+    assert math.ceil(witness["nonuniform_max_load"]) == max(witness["nonuniform_slots"])
 
 
 # ---------------------------------------------------------------------------
