@@ -257,7 +257,9 @@ class InstanceSpec:
                 raise ValueError(f"{self.family} takes no values")
             if len(self.values) != self.n:
                 raise ValueError(f"{fam.values} length must equal n")
-            # the standard-mode oracle holds one reverse record per slot
+            # the standard-mode oracle holds one reverse record per slot: an
+            # empty one is the shared () at one pointer, so the cap bounds the
+            # record table, while build time and memory follow the jobs' entries
             if self.family == "scheduling-std" and sum(self.values) > MAX_SIZE:
                 raise ValueError(f"bids may sum to at most {MAX_SIZE} slots")
         if self.explicit_edges is not None:

@@ -10,7 +10,10 @@ a rebuilt record costs the true record it replaces, so an overlay costs a
 query no more than the records it patches.  Reverse lists are materialized
 once at build time, in the order the instance gives (ascending id, or bid
 order for udubv and ksmb); that setup pass is not counted, but every
-*access* to a reverse record is, whatever its order.
+*access* to a reverse record is, whatever its order.  The build's time and
+memory follow the entries: an empty record is the shared `()`, one pointer
+in the record table, so a standard-mode slot pool of mostly empty slots
+builds at the cost of its jobs' choices.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
@@ -60,9 +63,11 @@ class AdjacencyOracle:
     """Bipartite adjacency: n left records (ordered tuples of right ids)
     plus materialized reverse records, each listing its left ids in the
     order the instance gives (`order`, a permutation of 0..n-1: `range(n)`
-    for ascending ids, the bid order for udubv and ksmb).  Reads here are
-    uncounted; a local query reads through a `MemoView`, which charges the
-    probes."""
+    for ascending ids, the bid order for udubv and ksmb).  A record gets its
+    list at its first entry, so the build costs time and memory per entry
+    plus one pointer per record, and an empty record is the shared `()`.
+    Reads here are uncounted; a local query reads through a `MemoView`,
+    which charges the probes."""
 
     __slots__ = ("n", "m", "_fwd", "_rev")
 
@@ -75,15 +80,19 @@ class AdjacencyOracle:
         if order != range(self.n) and sorted(order) != list(range(self.n)):
             raise ValueError(f"order must be a permutation of the {self.n} left ids")
         rows = self._fwd = tuple(tuple(lst) for lst in fwd)
-        rev: list[list[int]] = [[] for _ in range(m)]
+        rev: list[list[int] | None] = [None] * m  # None until the record's first entry
         for i in order:
             for j in rows[i]:
                 if type(j) is not int:  # a bool, float or str is no id
                     raise ValueError(f"right id {j!r} is not an int")
                 if not 0 <= j < m:
                     raise ValueError(f"right id {j} out of range [0, {m})")
-                rev[j].append(i)
-        self._rev: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rev)
+                r = rev[j]
+                if r is None:
+                    rev[j] = [i]
+                else:
+                    r.append(i)
+        self._rev: tuple[tuple[int, ...], ...] = tuple([() if r is None else tuple(r) for r in rev])
 
     def fwd(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.n:

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -236,6 +237,28 @@ def test_oracle_transpose_consistency():
     for j in range(inst.m):
         for i in oracle.rev(j):
             assert j in oracle.fwd(i)
+
+
+def test_an_empty_reverse_record_is_free_to_build():
+    # a few ragged rows over 2^20 records: each touched record lists its left
+    # ids in `order`'s order, every other record is (), and the build's memory
+    # follows the entries, not the records (a list per record would take ~75 MB)
+    m = 1 << 20
+    rows = [(5, m // 2, 7), (), (m // 2, 3), (7,), (m - 2, 5, 1)]
+    order = (3, 0, 4, 2, 1)
+    tracemalloc.start()
+    try:
+        oracle = AdjacencyOracle(rows, m, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+    touched = {j for row in rows for j in row}
+    for j in touched:
+        assert oracle.rev(j) == tuple(i for i in order if j in rows[i]), j
+    for j in (0, m - 1, m // 4):
+        assert oracle.rev(j) == (), j
+    assert sum(1 for j in range(m) if oracle.rev(j)) == len(touched)
 
 
 def test_oracle_rejects_out_of_range_ids():

@@ -25,6 +25,7 @@ from localmech.scheduling import (
 )
 
 ORACLE = AdjacencyOracle([(0, 1), (1,), (3,)], 4, range(3))  # n = 3 left, m = 4 right
+POOL = 1 << 20  # the most right records a spec allows (a standard-mode slot pool)
 WOMEN = MatchingInstance([[0, 1], [1, 2], [2, 0]], m=3, seed=1)
 MACHINES = SchedulingInstance((2, 1, 1), m=4, d=2, mode=RESTRICTED, seed=2)
 BUYERS = AuctionInstance([(0,), (1, 2)], 4, "uduv")  # m = 4 items
@@ -143,6 +144,11 @@ REFUSALS = {
         lambda j: AdjacencyOracle([(j,)], 2, range(1)),
         (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
     ),
+    # a pool of 2^20 records, built in the order (2, 1, 0): row 1 is checked first
+    "oracle right id range, 2^20 records": (
+        lambda j: AdjacencyOracle([(0, 7), (j,), (POOL - 1,)], POOL, (2, 1, 0)),
+        (0, POOL - 1), (-1, POOL, POOL + 1), lambda j: f"right id {j} out of range [0, {POOL})",
+    ),
     "auction item type": (
         lambda j: AuctionInstance([(j,)], 2, "uduv"),
         (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
@@ -221,6 +227,12 @@ ONCE = {
         lambda: SchedulingInstance.from_spec(HOUSING), "not a scheduling spec: 'housing'"
     ),
     "instance JSON": (lambda: spec_from_json("[]"), "instance JSON must be an object"),
+    # row 0's id is out of range, but `order` checks row 1 first, whose
+    # float id is out of range too and is named for its type
+    "oracle first offender in order, 2^20 records": (
+        lambda: AdjacencyOracle([(POOL,), (1, float(POOL))], POOL, (1, 0)),
+        "right id 1048576.0 is not an int",
+    ),
 }
 
 

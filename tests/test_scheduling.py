@@ -471,6 +471,17 @@ def test_standard_local_query_makes_no_pass_over_the_machines():
             assert slms_local(inst, j) == want[j], (seed, j)
 
 
+def test_standard_mode_on_a_maximal_slot_pool():
+    # 2^20 slots for 8 jobs: almost every slot record is empty, and the local
+    # query still equals the rank-order run
+    inst = _std((524288, 524288), 8, 2)
+    want = slms_online(inst, order=inst.rank_order()).assign
+    assert [slms_local(inst, j) for j in range(inst.m)] == list(want)
+    chosen = {s for j in range(inst.m) for s in inst.oracle.fwd(j)}
+    unchosen = next(s for s in range(inst.B) if s not in chosen)
+    assert inst.oracle.rev(unchosen) == ()
+
+
 def test_slot_prefix_is_built_once_and_serves_both_modes():
     caps = (3, 1, 2)
     std = _std(caps, 6, 2)

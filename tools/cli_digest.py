@@ -4,7 +4,8 @@ Runs a fixed command list in-process through `localmech.cli.main` (bench
 and verify of every family at small n, once at the default --k/--d and
 once at --k 2 --d 3, so the bench digests pin the one flag each family
 reads (verify prints only counts, which these sizes leave alone); auction
-run, query and --audit; scheduling --pay-machine in both modes; the whole
+run, query and --audit; scheduling --pay-machine in both modes; a
+standard-mode job query on a 2^20-slot pool; the whole
 printed run of matching, truncated and not, of both scheduling modes and
 of rsd), then the overlaid auction queries in-process (no `lcmd` command
 asks one outside `--audit`, which prints only violations), then each demo
@@ -77,6 +78,10 @@ for i in range(3):
     COMMANDS.append(
         ["query", "scheduling", "--mode", "res", "--bids", "2,1,3", "--m", "8", "--pay-machine", str(i)]
     )
+# a standard-mode query on the largest slot pool a spec allows (2^20 slots)
+COMMANDS.append(
+    ["query", "scheduling", "--mode", "std", "--bids", "524288,524288", "--m", "8", "--query-job", "3"]
+)
 # every family's printed global run: matching truncated (9 men disqualified)
 # and run to quiescence (5 unmatched), both scheduling modes, rsd
 for rounds in (["--rounds", "2"], []):
