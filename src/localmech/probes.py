@@ -1,13 +1,13 @@
 """Probe-counted access to bipartite adjacency records.
 
 The cost model used throughout the package: one *probe* is one access to one
-entity's adjacency/preference record.  Within a single local query each
-record costs at most one probe (repeat reads hit a per-query memo), and for
-mechanism queries the queried entity's own forward record is free — the
-query hands it over.  Under a report overlay (a plain mapping from entity
-to report, read through `reported_reads`) a reported row is free too, and
-a rebuilt record costs the true record it replaces, so an overlay costs a
-query no more than the records it patches.  Reverse lists are materialized
+entity's adjacency/preference record.  A local query's probes are its read
+set: its `ProbeCounter` keeps each record its view read, once, and leaves
+out the ones the query hands over free (a mechanism query's own forward
+record).  Under a report overlay (a plain mapping from entity to report,
+read through `reported_reads`) a reported row is free too, and a rebuilt
+record costs the true record it replaces, so an overlay costs a query no
+more than the records it patches.  Reverse lists are materialized
 once at build time, in the order the instance gives (ascending id, or bid
 order for udubv and ksmb); that setup pass is not counted, but every
 *access* to a reverse record is, whatever its order.  The build's time and
@@ -35,7 +35,6 @@ the caller's `lookup` and `store` hold the memo policy.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -49,14 +48,19 @@ LEFT = "L"
 RIGHT = "R"
 
 
-@dataclass
 class ProbeCounter:
-    """Mutable probe tally for one local query."""
+    """A counter serves one local query: `seen` holds each record its view
+    read or was handed free, and `count`, its probes, all but the free ones."""
 
-    count: int = 0
+    __slots__ = ("seen", "free")
 
-    def tick(self) -> None:
-        self.count += 1
+    def __init__(self) -> None:
+        self.seen: set[Entity] = set()
+        self.free = 0
+
+    @property
+    def count(self) -> int:
+        return len(self.seen) - self.free
 
 
 class AdjacencyOracle:
@@ -106,11 +110,12 @@ class AdjacencyOracle:
 
 
 class MemoView:
-    """Per-query oracle view: first access to a record ticks the counter,
-    repeats are free.  `free` lists records that never cost anything
-    (a mechanism query's own entity)."""
+    """Per-query oracle view: each read adds its record to the counter's
+    `seen` (a fresh counter's if `counter` is None), so a repeat costs
+    nothing.  `free` lists records that never cost anything (a mechanism
+    query's own entity)."""
 
-    __slots__ = ("_oracle", "_counter", "_seen")
+    __slots__ = ("_oracle", "_seen")
 
     def __init__(
         self,
@@ -118,24 +123,19 @@ class MemoView:
         counter: ProbeCounter | None,
         free: Iterable[Entity] = (),
     ) -> None:
+        counter = counter or ProbeCounter()
+        free = set(free) - counter.seen
+        counter.free += len(free)
+        counter.seen.update(free)
         self._oracle = oracle
-        self._counter = counter
-        self._seen: set[Entity] = set(free)
+        self._seen = counter.seen
 
     def fwd(self, i: int) -> tuple[int, ...]:
-        key = (LEFT, i)
-        if key not in self._seen:
-            self._seen.add(key)
-            if self._counter is not None:
-                self._counter.tick()
+        self._seen.add((LEFT, i))
         return self._oracle._fwd[i]
 
     def rev(self, j: int) -> tuple[int, ...]:
-        key = (RIGHT, j)
-        if key not in self._seen:
-            self._seen.add(key)
-            if self._counter is not None:
-                self._counter.tick()
+        self._seen.add((RIGHT, j))
         return self._oracle._rev[j]
 
 

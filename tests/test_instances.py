@@ -285,23 +285,34 @@ def test_probe_counting_memoizes_per_record():
     oracle = AdjacencyOracle([(0, 1), (1, 2)], 3, range(2))
     counter = ProbeCounter()
     view = MemoView(oracle, counter)
-    view.fwd(0)
-    view.fwd(0)
+    alone = MemoView(oracle, None)  # keeps a read set of its own
+    for v in (view, alone):
+        v.fwd(0)
+        v.fwd(0)
     assert counter.count == 1
-    view.rev(1)
-    view.rev(1)
-    view.fwd(1)
+    for v in (view, alone):
+        v.rev(1)
+        v.rev(1)
+        v.fwd(1)
     assert counter.count == 3
+    # each record once, and the view without a counter read the same ones
+    assert counter.seen == alone._seen == {(LEFT, 0), (RIGHT, 1), (LEFT, 1)}
 
 
 def test_probe_free_records_cost_nothing():
     oracle = AdjacencyOracle([(0, 1), (1, 2)], 3, range(2))
     counter = ProbeCounter()
     view = MemoView(oracle, counter, free=((LEFT, 0),))
+    assert counter.seen == {(LEFT, 0)}
     view.fwd(0)
     assert counter.count == 0
     view.fwd(1)
     assert counter.count == 1
+    view.rev(2)
+    view.rev(2)
+    # the free record is in the read set, once, and left out of the count
+    assert counter.seen == {(LEFT, 0), (LEFT, 1), (RIGHT, 2)}
+    assert counter.count == 2
 
 
 def test_neighborhood_counts_every_record_including_root():

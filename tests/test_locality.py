@@ -2,7 +2,7 @@
 records its query was charged for.
 
 For every family and query kind of `instances.FAMILIES`, each query runs on
-a small explicit instance while its `MemoView` seen sets are collected.  The
+a small explicit instance, and its counter keeps the records it read.  The
 instance is then rebuilt with data the query did not read changed, and the
 same query must give the same answer for the same probe count:
 
@@ -28,7 +28,7 @@ import pytest
 
 from localmech.auctions import ksmb_local, udubv_local, uduv_local
 from localmech.instances import FAMILIES, InstanceSpec, build_instance
-from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, ProbeCounter
 
 N = M = 40  # about 80 entities
 SEEDS = (0, 1)
@@ -55,13 +55,11 @@ def _spec(family: str, seed: int) -> InstanceSpec:
     return InstanceSpec(seed, family, N, M, k, values, rows)
 
 
-def _answer(query, inst, rounds: int, entity: int, views: list) -> tuple:
-    """The query's canonical answer and probe count, and what it read: the
-    union of the seen sets of the views it made."""
-    views.clear()
+def _answer(query, inst, rounds: int, entity: int) -> tuple:
+    """The query's canonical answer and probe count, and what it read."""
     counter = ProbeCounter()
     got = query.canon(query.local(inst, rounds, entity, counter))
-    return (got, counter.count), set().union(*(v._seen for v in views))
+    return (got, counter.count), counter.seen
 
 
 def _changed_rows(oracle: AdjacencyOracle, seen: set, k: int, rng: random.Random) -> list:
@@ -102,43 +100,29 @@ def _rebuild(spec: InstanceSpec, inst, rows: list | None, values):
     return build_instance(replace(spec, explicit_edges=rows or spec.explicit_edges, values=values))
 
 
-def _collect_views(monkeypatch) -> list:
-    """The list every `MemoView` made from now on is appended to."""
-    views: list = []
-    init = MemoView.__init__
-
-    def collecting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        views.append(self)
-
-    monkeypatch.setattr(MemoView, "__init__", collecting)
-    return views
-
-
-def _check_unread_changes(spec, inst, query, rounds, e, views, rng) -> tuple[int, int]:
+def _check_unread_changes(spec, inst, query, rounds, e, rng) -> tuple[int, int]:
     """Ask the query on the instance and on its rebuilds with unread rows,
     then unread values, changed; each must answer alike.  Returns how many
     rows and values the rebuilds changed."""
     truth = [inst.oracle.fwd(i) for i in range(inst.oracle.n)]
     changed_rows = changed_values = 0
-    want, seen = _answer(query, inst, rounds, e, views)
+    want, seen = _answer(query, inst, rounds, e)
     for _ in range(REBUILDS):
         rows = _changed_rows(inst.oracle, seen, spec.k, rng)
         changed_rows += sum(a != b for a, b in zip(rows, truth))
         twin = _rebuild(spec, inst, rows, spec.values)
-        assert _answer(query, twin, rounds, e, views)[0] == want, (spec.seed, e)
+        assert _answer(query, twin, rounds, e)[0] == want, (spec.seed, e)
         if spec.values is None or spec.explicit_edges is None:
             continue
         values = _changed_values(spec, inst.oracle, seen, rng)
         changed_values += sum(a != b for a, b in zip(values, spec.values))
         twin = _rebuild(spec, inst, None, values)
-        assert _answer(query, twin, rounds, e, views)[0] == want, (spec.seed, e)
+        assert _answer(query, twin, rounds, e)[0] == want, (spec.seed, e)
     return changed_rows, changed_values
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
-    views = _collect_views(monkeypatch)
+def test_no_answer_moves_when_unread_data_changes(family):
     fam = FAMILIES[family]
     changed_rows = changed_values = 0
     for seed in SEEDS:
@@ -148,7 +132,7 @@ def test_no_answer_moves_when_unread_data_changes(family, monkeypatch):
         for query in fam.queries:
             for rounds in (2, 6) if family == "matching" else (0,):
                 for e in range(getattr(inst, query.side)):
-                    rows, values = _check_unread_changes(spec, inst, query, rounds, e, views, rng)
+                    rows, values = _check_unread_changes(spec, inst, query, rounds, e, rng)
                     changed_rows += rows
                     changed_values += values
     assert changed_rows > 0
@@ -168,10 +152,9 @@ _OVERLAID = {
 
 
 @pytest.mark.parametrize("family", list(_OVERLAID))
-def test_no_overlaid_answer_moves_when_unread_data_changes(family, monkeypatch):
+def test_no_overlaid_answer_moves_when_unread_data_changes(family):
     # each buyer's query under an overlay where she alone reports: the
     # reported view reads nothing behind the `MemoView`
-    views = _collect_views(monkeypatch)
     ask, report = _OVERLAID[family]
     changed_rows = changed_values = 0
     for seed in SEEDS:
@@ -183,7 +166,7 @@ def test_no_overlaid_answer_moves_when_unread_data_changes(family, monkeypatch):
             query = replace(
                 FAMILIES[family].queries[0], local=lambda i, r, x, c: ask(i, x, c, overlay)
             )
-            rows, values = _check_unread_changes(spec, inst, query, 0, e, views, rng)
+            rows, values = _check_unread_changes(spec, inst, query, 0, e, rng)
             changed_rows += rows
             changed_values += values
     assert changed_rows > 0

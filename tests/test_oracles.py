@@ -102,6 +102,15 @@ def test_uniform_majorizes_nonuniform_reports_the_first_failing_trial(monkeypatc
     assert math.ceil(witness["nonuniform_max_load"]) == max(witness["nonuniform_slots"])
 
 
+def test_slot_order_refuses_a_position_beyond_its_pool():
+    # caps (2, 1): machine 0's two slots, then machine 1's one
+    order = oracles._SlotOrder((2, 1))
+    assert [order.machine_at(p) for p in range(3)] == [0, 0, 1]
+    with pytest.raises(IndexError) as err:
+        order.machine_at(3)
+    assert str(err.value) == "position beyond slot pool"
+
+
 # ---------------------------------------------------------------------------
 # matching and packing baselines vs exhaustive search
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ PROPERTY = settings(max_examples=400, deadline=None)
 seeds = st.integers(0, 2**32)
 
 
-def _reachable(oracle: AdjacencyOracle, entity) -> int:
+def _reachable(oracle: AdjacencyOracle, entity) -> set:
     """Records in the query's connected component, the query's own included."""
-    return len(neighborhood(oracle, entity, oracle.n + oracle.m + 1))
+    return neighborhood(oracle, entity, oracle.n + oracle.m + 1)
 
 
 def _item_lists(draw, n: int, m: int, max_size: int, min_size: int = 0, unique: bool = False):
@@ -81,7 +81,7 @@ def test_housing_local_matches_global(inst):
     for a in range(inst.n):
         counter = ProbeCounter()
         assert rsd_local(inst, a, counter) == alloc[a]
-        assert counter.count <= _reachable(inst.oracle, (LEFT, a))
+        assert counter.seen <= _reachable(inst.oracle, (LEFT, a))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_restricted_scheduling_local_matches_global(inst):
         counter = ProbeCounter()
         assert rlms_local(inst, j, counter) == alloc.assign[j]
         assert alloc.assign[j] in inst.menu(j)
-        assert counter.count <= _reachable(inst.oracle, (LEFT, j))
+        assert counter.seen <= _reachable(inst.oracle, (LEFT, j))
 
 
 @PROPERTY
@@ -125,7 +125,7 @@ def test_standard_scheduling_local_matches_global(inst):
     for j in range(inst.m):
         counter = ProbeCounter()
         assert slms_local(inst, j, counter) == alloc.assign[j]
-        assert counter.count <= _reachable(inst.oracle, (LEFT, j))
+        assert counter.seen <= _reachable(inst.oracle, (LEFT, j))
 
 
 @PROPERTY
@@ -184,12 +184,12 @@ def test_uduv_local_matches_global(case):
         counter = ProbeCounter()
         got = uduv_local(inst, ("buyer", b), counter, overlay)
         assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b])
-        assert counter.count <= _reachable(reach, (LEFT, b))
+        assert counter.seen <= _reachable(reach, (LEFT, b))
     winner_of = {jt[0]: b for b, jt in out.awards.items() if jt}
     for j in range(inst.m):
         counter = ProbeCounter()
         assert uduv_local(inst, ("item", j), counter, overlay)["winner"] == winner_of.get(j)
-        assert counter.count <= _reachable(reach, (RIGHT, j))
+        assert counter.seen <= _reachable(reach, (RIGHT, j))
 
 
 @st.composite
@@ -220,7 +220,7 @@ def test_bid_ordered_local_matches_global(case):
         counter = ProbeCounter()
         got = local(inst, b, counter, overlay)
         assert (got["award"], got["payment"]) == (out.awards[b], out.payments[b])
-        assert counter.count <= _reachable(inst.oracle, (LEFT, b))
+        assert counter.seen <= _reachable(inst.oracle, (LEFT, b))
 
 
 # mode -> local query of a ("buyer", b) or ("item", j) pair; udubv and ksmb
@@ -256,7 +256,7 @@ def test_overlaid_query_equals_the_query_on_the_rebuilt_instance(case):
             continue
         assert (got["award"], got["payment"]) == (out.awards[e], out.payments[e]), e
         if reporters == {e}:
-            assert overlaid.count == rebuilt.count, e
+            assert overlaid.seen == rebuilt.seen, e
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,13 @@ def test_a_bid_list_that_is_not_ints_is_a_usage_error(capsys):
     assert err.endswith("argument --bids: expected a comma-separated int list, got '1,x'\n")
 
 
+def test_json_output_refuses_a_value_it_cannot_write():
+    # the CLI's JSON writer spells a Fraction as a string and refuses the rest
+    with pytest.raises(TypeError) as err:
+        cli._json_default(object())
+    assert str(err.value) == "not JSON serializable: object"
+
+
 def test_monotonicity_trace_with_equal_bids_moves_nothing():
     rows = monotonicity_trace(MACHINES, 1, 1, 1)
     assert rows == [(0,) * MACHINES.n] * (MACHINES.m + 1)
