@@ -12,15 +12,11 @@ The mixer is the splitmix64 finalizer (Steele, Lea and Flood, OOPSLA 2014)
 applied to a running hash of the key parts.  The state starts at
 mix(seed + G) and each part p extends it by one step, h <- mix(h ^ leaf(p))
 with leaf(p) = mix(fold(p) + G); an int folds to its low 64 bits and a
-string tag to 64 bits of blake2b.  A key's state depends on its prefixes
-alone, so each prefix is hashed once:
-
-- a tape caches, per leading string tag, the state after that tag (its
-  stem), next to the tag's blake2b fold; tags are few;
-- the leaves of the ints 0..255 (draw indices, attempts, small ids) come
-  from a module-level table;
-- `derive_uniform` and `sample_without_replacement` hash their key once,
-  then pay one step per draw index and one per attempt.
+string tag to 64 bits of blake2b.  `_leaf` is the one place that folds a
+part, and the leaves of the ints 0..255 (draw indices, attempts, small ids)
+come from a module-level table.  The tape keeps no cache: each call hashes
+its key part by part.  `derive_uniform` and `sample_without_replacement`
+hash their key once, then pay one step per draw index and one per attempt.
 
 An instance draws its seeded data as tables over (tag, i), i = 0..count-1,
 one entry per entity, and gets the same bits as the per-key draws:
@@ -130,6 +126,18 @@ def _mix(x: int) -> int:
 _LEAF = tuple(_mix(i + _GOLDEN) for i in range(256))
 
 
+def _leaf(part: KeyPart) -> int:
+    """leaf(p) = mix(fold(p) + G): an int folds to its low 64 bits, a string
+    to 64 bits of blake2b, and a bool or other int subclass as its int."""
+    if type(part) is int:
+        return _LEAF[part] if 0 <= part < 256 else _mix(part + _GOLDEN)
+    if type(part) is str:
+        part = int.from_bytes(blake2b(part.encode(), digest_size=8).digest(), "big")
+    elif not isinstance(part, int):
+        raise TypeError(f"key parts must be int or str, got {type(part).__name__}")
+    return _mix(int(part) + _GOLDEN)
+
+
 _BLOCK = 4096  # lanes per packed int, 64 KB of it
 
 
@@ -196,47 +204,23 @@ class RandomTape:
 
     `u64(*key)` returns a uniform 64-bit integer determined entirely by
     `(seed, key)`.  Key parts may be ints (entity ids, draw indices) or
-    strings (purpose tags such as "lottery" or "slot-tie").
+    strings (purpose tags such as "lottery" or "slot-tie").  The tape holds
+    only its seed and the state every key starts from: a draw writes nothing.
     """
 
-    __slots__ = ("seed", "_base", "_tags", "_stems")
+    __slots__ = ("seed", "_base")
 
     def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-        self._base = _mix(self.seed + _GOLDEN)
-        self._tags: dict[str, int] = {}  # tag -> blake2b fold
-        self._stems: dict[str, int] = {}  # leading tag -> state after it
-
-    def _fold(self, part: KeyPart) -> int:
-        """64 bits of a part that is not a plain int (those `_state` takes
-        straight)."""
-        if type(part) is str:
-            v = self._tags.get(part)
-            if v is None:
-                v = int.from_bytes(blake2b(part.encode(), digest_size=8).digest(), "big")
-                self._tags[part] = v
-            return v
-        if isinstance(part, int):  # bool and int subclasses
-            return int(part) & _MASK
-        raise TypeError(f"key parts must be int or str, got {type(part).__name__}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        self.seed = seed
+        self._base = _mix(seed + _GOLDEN)
 
     def _state(self, key: tuple) -> int:
         """The hash state after `key`, which is `u64(*key)`."""
-        if key and type(key[0]) is str:
-            h = self._stems.get(key[0])
-            if h is None:
-                h = self._stems[key[0]] = _mix(self._base ^ _mix(self._fold(key[0]) + _GOLDEN))
-            key = key[1:]
-        else:
-            h = self._base
+        h = self._base
         for part in key:
-            if type(part) is int:
-                h ^= _LEAF[part] if 0 <= part < 256 else _mix(part + _GOLDEN)
-            else:
-                h ^= _mix(self._fold(part) + _GOLDEN)
-            h = ((h ^ (h >> 30)) * _M1) & _MASK
-            h = ((h ^ (h >> 27)) * _M2) & _MASK
-            h ^= h >> 31
+            h = _mix(h ^ _leaf(part))
         return h
 
     def u64(self, *key: KeyPart) -> int:
@@ -272,6 +256,8 @@ def pair_keys(tables: tuple[array, array], x: int, ids: Sequence[int]) -> list[i
         raise IndexError(f"pair ids must be >= 0, got {x} and {list(ids)}")
     stem, leaves = tables[0][x], tables[1]
     out = []
+    # `_mix` inline: this loop is on matching's local-query path, and a call
+    # per key costs more than the step itself
     for i in ids:
         h = stem ^ leaves[i]
         h = ((h ^ (h >> 30)) * _M1) & _MASK
@@ -300,10 +286,7 @@ def _draw(s: int, limit: int) -> int:
     one step per attempt."""
     attempt = 0
     while True:
-        v = s ^ (_LEAF[attempt] if attempt < 256 else _mix(attempt + _GOLDEN))
-        v = ((v ^ (v >> 30)) * _M1) & _MASK
-        v = ((v ^ (v >> 27)) * _M2) & _MASK
-        v ^= v >> 31
+        v = _mix(s ^ _leaf(attempt))
         if v < limit:
             return v
         attempt += 1
@@ -317,9 +300,9 @@ def _draw_wide(s: int, n: int) -> int:
     limit = span - span % n
     attempt = 0
     while True:
-        v = h = _mix(s ^ _mix(attempt + _GOLDEN))
+        v = h = _mix(s ^ _leaf(attempt))
         for i in range(1, words):
-            v |= _mix(h ^ _mix(i + _GOLDEN)) << (64 * i)
+            v |= _mix(h ^ _leaf(i)) << (64 * i)
         if v < limit:
             return v
         attempt += 1
@@ -339,10 +322,7 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
         seen: set[int] = set()
         idx = 0
         while len(row) < k:
-            s = h ^ (_LEAF[idx] if idx < 256 else _mix(idx + _GOLDEN))
-            s = ((s ^ (s >> 30)) * _M1) & _MASK
-            s = ((s ^ (s >> 27)) * _M2) & _MASK
-            v = draw(s ^ (s >> 31), bound) % n
+            v = draw(_mix(h ^ _leaf(idx)), bound) % n
             idx += 1
             if distinct:
                 if v in seen:
@@ -356,7 +336,7 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
 def _first_draws(d: int, b: int, n: int, bound: int) -> list[int]:
     """The value in [0, n) that each of the b draw states packed in d draws:
     its first attempt when that is below `bound`, else `_draw`'s."""
-    vals = _unpack(_mix_lanes(d ^ _spread(_LEAF[0], b)), b).tolist()
+    vals = _unpack(_mix_lanes(d ^ _spread(_leaf(0), b)), b).tolist()
     if max(vals) >= bound:
         states = _unpack(d, b)
         vals = [v if v < bound else _draw(s, bound) for v, s in zip(vals, states)]
@@ -375,7 +355,7 @@ def _table_rows(
     bound = (1 << 64) - ((1 << 64) % n)
     rows: list[tuple[int, ...]] = []
     for b, s in _state_blocks(tape._state(_key(prefix)), count):
-        draws = (_mix_lanes(s ^ _spread(_mix(t + _GOLDEN), b)) for t in range(k))
+        draws = (_mix_lanes(s ^ _spread(_leaf(t), b)) for t in range(k))
         cols = [_first_draws(d, b, n, bound) for d in draws]
         block = list(zip(*cols))
         redo = [j for j, row in enumerate(block) if len(set(row)) < k] if distinct else []

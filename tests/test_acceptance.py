@@ -2,16 +2,19 @@
 
 Each test evaluates one numbered shipping criterion at its stated tolerance,
 prints a single PASS/FAIL line with the measured numbers, and appends the same
-line to acceptance_report.txt in the run's temporary directory.  Criterion 11
-writes its probe-growth CSVs there too and checks their rows against the
-copies archived in bench/ (README says how to regenerate those).  A failing
-criterion keeps its analysis in the assertion message.
+line to acceptance_report.txt in the run's temporary directory.  A passing
+line must equal its copy in bench/criteria.txt, criterion 01's wall time
+aside.  Criterion 11 writes its probe-growth CSVs to the temporary directory
+too and checks their rows against the copies archived in bench/ (README says
+how to regenerate both).  A failing criterion keeps its analysis in the
+assertion message.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -85,11 +88,23 @@ def _fresh_report(tmp_path_factory):
     yield
 
 
+def _unclocked(line: str) -> str:
+    """A criterion line without criterion 01's wall time, the one figure that
+    differs between runs."""
+    return re.sub(r"\d+\.\ds of 120s budget", "N.Ns of 120s budget", line)
+
+
 def _report(num: int, ok: bool, detail: str) -> str:
+    """Print and log the criterion's line.  A passing line must equal the one
+    recorded in bench/criteria.txt; a failing one fails its test's own
+    assertion, which carries the analysis."""
     line = f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     with _REPORT[0].open("a", encoding="utf-8") as fh:
         fh.write(line + "\n")
+    recorded = (_BENCH_DIR / "criteria.txt").read_text(encoding="utf-8").splitlines()[num - 1]
+    if ok and _unclocked(line) != _unclocked(recorded):
+        pytest.fail(f"criterion {num:02d} moved\nrecorded: {recorded}\nnow:      {line}")
     return line
 
 

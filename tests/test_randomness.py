@@ -362,7 +362,13 @@ def test_table_draws_keep_no_state_per_count():
         tables = pair_tables(t, "r", count + 1, count)
         pair_rows(tables, [[count, 0]] * count)
         pair_keys(tables, count, range(count))
+    t.u64("x", 3, "y")
+    derive_uniform(t, ("v", 5), 2**64 + 1)
+    sample_without_replacement(t, ("s", 2), 300, 300)
     assert footprint() == before
+    # nor per key: the tape's slots hold what a fresh tape's hold
+    slots = RandomTape.__slots__
+    assert [getattr(t, a) for a in slots] == [getattr(RandomTape(9), a) for a in slots]
 
 
 def test_table_rows_past_the_small_int_table():

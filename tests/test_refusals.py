@@ -13,6 +13,7 @@ from localmech.harness import bench_points, verify_family
 from localmech.instances import FAMILIES, InstanceSpec, spec_from_json
 from localmech.matching import MatchingInstance, abridged_gs, local_ags, local_ags_woman
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
+from localmech.randomness import RandomTape
 from localmech.rsd import HousingInstance, rsd_local
 from localmech.scheduling import (
     RESTRICTED,
@@ -206,6 +207,16 @@ REFUSALS = {
     "slms_expected_utility machine type": (
         lambda i: slms_expected_utility((2, 1, 1), 4, i, 1, 1),
         (0, 2), NOT_INTS, lambda i: f"unknown machine {i}; machines are 0..2",
+    ),
+    # every instance and spec draw builds its tape from the seed, which is
+    # taken as it is: not truncated, parsed or read as 0 or 1
+    "tape seed": (
+        RandomTape,
+        (0, -1, 2**64 + 5), (2.9, "7", True), lambda s: f"seed must be an int, got {s!r}",
+    ),
+    "housing seed": (
+        lambda s: HousingInstance([[0], [0, 1]], 2, seed=s),
+        (2, 3), (2.9, "7", True), lambda s: f"seed must be an int, got {s!r}",
     ),
 }
 

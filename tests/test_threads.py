@@ -1,7 +1,8 @@
 """The north star's thread clause: an answer does not depend on the thread
 that asks for it.  A global run and every local query leave an instance's
 attributes as they were, and four threads, each asking every query in its
-own shuffled order, get the serial answers and probe counts."""
+own shuffled order, get the serial answers and probe counts.  Pricing a
+machine and auditing an auction leave it as they were too."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import threading
 
 import pytest
 
+from localmech.auctions import truthfulness_audit
 from localmech.instances import FAMILIES, InstanceSpec, build_instance
 from localmech.probes import ProbeCounter
+from localmech.scheduling import payment_rlms, payment_slms_expected, payment_slms_sampled
 
 N = 300
 ROUNDS = 6  # matching's round budget; the other families ignore it
@@ -62,4 +65,24 @@ def test_threads_get_the_serial_answers_and_change_no_state(family):
     finally:
         sys.setswitchinterval(interval)
     assert all(answers == serial for answers in got)
+    assert _state(inst) == built
+
+
+# family → the served calls that price or audit one instance of it
+SERVED = {
+    "scheduling-std": lambda inst: [
+        pay(inst, i) for i in range(inst.n) for pay in (payment_slms_expected, payment_slms_sampled)
+    ],
+    "scheduling-res": lambda inst: [payment_rlms(inst, i) for i in range(inst.n)],
+    "uduv": truthfulness_audit,
+    "udubv": truthfulness_audit,
+    "ksmb": truthfulness_audit,
+}
+
+
+@pytest.mark.parametrize("family", list(SERVED))
+def test_payments_and_audits_change_no_state(family):
+    inst = build_instance(InstanceSpec(seed=3, family=family, n=6, m=6, k=2))
+    built = _state(inst)
+    SERVED[family](inst)
     assert _state(inst) == built
