@@ -68,7 +68,7 @@ from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Generator, ItemsView, Iterable, Mapping, Sequence
 
 from .probes import (
-    LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, reported_reads, resolve,
+    LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, reported_reads, resolve,
     upward_closure,
 )
 from .randomness import RandomTape
@@ -241,7 +241,7 @@ def uduv_local(
     elif kind == "item":
         if type(idx) is not int or not 0 <= idx < inst.m:
             raise ValueError(f"unknown item {idx}")
-        view = MemoView(inst.oracle, counter)
+        view = MemoView(inst.oracle, counter, free=((RIGHT, idx),))
     else:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
     reported: dict[int, tuple[int, ...]] = {}

@@ -3,13 +3,15 @@
 Verbs:
 
     gen     write an instance description JSON
-    run     answer queries (or stream a whole solution) for one family
-    query   like `run` but requires a single-entity query flag
+    run     answer one request for one family, or stream the whole run
+    query   like `run` but requires a request
     verify  run a family's invariant battery; CSV report, exit 1 on violations
     bench   probe benchmark over an n grid; records CSV plus summary stats
 
 Exit codes: 0 success, 1 invariant/audit violations, 2 usage or config error.
-Single-query answers are JSON objects on stdout; batch output is CSV.
+`run` and `query` answer one request (`--pay-machine`, `--audit` or one
+`--query-<entity>` flag) with one JSON object; a bare `run` prints one JSON
+line per entity of the global run; batch output is CSV.
 `gen`, `run` and `query` map the instance flags --seed/--n/--m/--k|--d/
 --bids/--sets/--config to an instance spec the same way (`_spec`); `gen`
 builds the instance before it writes the spec.  One handler, `_cmd_run`,
@@ -128,7 +130,6 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     mp.add_argument("--k", dest="size", type=int, default=3)
     mp.add_argument("--rounds", type=int)
     _add_query_flags(mp, "matching")
-    mp.add_argument("--all", action="store_true")
     mp.add_argument("--config")
 
     sp = fams.add_parser("scheduling", help="load balancing; std slots or res menus")
@@ -141,7 +142,6 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     _add_query_flags(sp, "scheduling")
     sp.add_argument("--pay-machine", type=int)
     sp.add_argument("--scheme", choices=[s for schemes in _PAYMENTS.values() for s in schemes])
-    sp.add_argument("--all", action="store_true")
     sp.add_argument("--config")
 
     ap = fams.add_parser("auction", help="greedy auctions with critical payments")
@@ -153,7 +153,7 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     ap.add_argument("--bids", type=_int_list)
     ap.add_argument("--sets", help="JSON file: list of item-id lists, one per buyer")
     _add_query_flags(ap, "auction")
-    ap.add_argument("--audit", action="store_true")
+    ap.add_argument("--audit", action="store_true", default=None)
     ap.add_argument("--config")
 
     hp = fams.add_parser("rsd", help="serial dictatorship over lottery ranks")
@@ -162,7 +162,6 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     hp.add_argument("--m", type=int)
     hp.add_argument("--d", dest="size", type=int, default=3)
     _add_query_flags(hp, "rsd")
-    hp.add_argument("--all", action="store_true")
     hp.add_argument("--config")
 
 
@@ -232,59 +231,53 @@ def _payment_text(rec: scheduling.PaymentRecord) -> str:
 
 
 def _cmd_run(args, single: bool) -> int:
-    """Answer `--pay-machine`, else the first of the family's single-entity
-    queries that has its `--query-<entity>` flag, else `--audit`, else (`run`
-    only) the whole global run: one line per entity with `--all`, or the
-    auctions' one awards/payments object."""
+    """Answer the one request among `--pay-machine`, `--audit` and the
+    family's `--query-<entity>` flags.  With none, `query` exits 2 and `run`
+    prints the whole global run: one line per entity of the family's first
+    query kind.  Two requests, or a `--scheme` that is not a scheme of this
+    `--mode`'s `--pay-machine`, exit 2 before the instance is built."""
     flags = vars(args)
     family = harness.LCMD_FAMILIES[args.family][flags.get("mode")]
     fam = FAMILIES[family]
+    requests = ("query_", "pay_machine", "audit")
+    asked = [name for name, v in flags.items() if v is not None and name.startswith(requests)]
+    named = " and ".join("--" + name.replace("_", "-") for name in asked)
+    if len(asked) > 1:
+        raise ValueError(f"{args.verb} answers one request at a time, not {named}")
+    scheme = flags.get("scheme")
+    if scheme and asked != ["pay_machine"]:
+        raise ValueError(f"--scheme goes with --pay-machine, not {named or 'a whole run'}")
+    if scheme and scheme not in _PAYMENTS[args.mode]:
+        raise ValueError(f"--mode {args.mode} --pay-machine takes no --scheme {scheme}")
+    kind = fam.queries[0]
+    if asked and asked[0].startswith("query_"):
+        kind = next((q for q in fam.queries if asked[0] == f"query_{q.entity}"), None)
+        if kind is None:
+            raise ValueError(f"{family} has no {named}")
+    elif single and not asked:
+        raise ValueError(f"{args.verb} {args.family} needs --query-{kind.entity}")
     spec = _spec(args, family)
     inst = build_instance(spec)
-    if flags.get("pay_machine") is not None:
+    if asked == ["pay_machine"]:
         schemes = _PAYMENTS[args.mode]
-        scheme = args.scheme or next(iter(schemes))
-        if scheme not in schemes:
-            raise ValueError(f"--mode {args.mode} payments take no --scheme {scheme}")
-        rec = schemes[scheme](inst, args.pay_machine)
+        rec = schemes[scheme or next(iter(schemes))](inst, args.pay_machine)
         _emit({"machine": rec.machine, "payment": _payment_text(rec), "scheme": rec.scheme})
         return 0
-    rounds = flags.get("rounds")
-    if rounds is None:
-        rounds = matching.default_rounds(spec.k)
-    asked = {
-        name[len("query_"):]: e
-        for name, e in flags.items()
-        if name.startswith("query_") and e is not None
-    }
-    for kind in fam.queries:
-        if kind.entity in asked:
-            e = asked[kind.entity]
-            counter = ProbeCounter()
-            _emit({**kind.doc(e, kind.local(inst, rounds, e, counter)), "probes": counter.count})
-            return 0
-    if asked:
-        raise ValueError(f"{family} has no --query-{min(asked)}")
-    if flags.get("audit"):
+    if asked == ["audit"]:
         violations = auctions.truthfulness_audit(inst)
         _emit({"violations": [asdict(v) for v in violations]})
         return 1 if violations else 0
-    lines = "all" in flags  # the auctions print one object instead
-    if single or (lines and not args.all):
-        whole = " or --all" if lines and not single else ""
-        raise ValueError(f"{args.verb} {args.family} needs --query-{fam.queries[0].entity}{whole}")
-    run, answers = fam.run(inst, rounds)
-    if lines:
-        kind = fam.queries[0]
-        for e, got in enumerate(answers[0]):
-            _emit(kind.doc(e, got))
-    else:
-        _emit(
-            {
-                "awards": {b: list(jt) for b, jt in sorted(run.awards.items())},
-                "payments": {b: str(p) for b, p in sorted(run.payments.items())},
-            }
-        )
+    rounds = flags.get("rounds")
+    if rounds is None:
+        rounds = matching.default_rounds(spec.k)
+    if asked:
+        e = flags[asked[0]]
+        counter = ProbeCounter()
+        _emit({**kind.doc(e, kind.local(inst, rounds, e, counter)), "probes": counter.count})
+        return 0
+    _, answers = fam.run(inst, rounds)
+    for e, got in enumerate(answers[0]):
+        _emit(kind.doc(e, got))
     return 0
 
 

@@ -3,7 +3,7 @@
 The cost model used throughout the package: one *probe* is one access to one
 entity's adjacency/preference record.  A local query's probes are its read
 set: its `ProbeCounter` keeps each record its view read, once, and leaves
-out the ones the query hands over free (a mechanism query's own forward
+out the ones the query hands over free (the queried entity's own
 record).  Under a report overlay (a plain mapping from entity to report,
 read through `reported_reads`) a reported row is free too, and a rebuilt
 record costs the true record it replaces, so an overlay costs a query no

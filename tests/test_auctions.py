@@ -28,7 +28,7 @@ from localmech.auctions import (
 )
 from localmech.instances import InstanceSpec, build_instance
 from localmech.oracles import max_matching, max_weight_matching, optimal_packing
-from localmech.probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
 
 F = Fraction
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -395,6 +395,18 @@ def test_uduv_isolated_buyer_needs_few_probes():
     got = uduv_local(inst, ("buyer", 0), counter)
     assert got["award"] == (0,)
     assert counter.count <= 1  # own record free; one reverse read of item 0
+
+
+def test_uduv_item_query_gets_its_own_record_free():
+    # like every other query kind, an item query reads its own record and
+    # does not pay for it
+    for seed in range(4):
+        inst = build_instance(InstanceSpec(seed=seed, family="uduv", n=40, m=30, k=2))
+        for j in range(inst.m):
+            counter = ProbeCounter()
+            uduv_local(inst, ("item", j), counter)
+            assert (RIGHT, j) in counter.seen, (seed, j)
+            assert counter.count == len(counter.seen) - 1, (seed, j)
 
 
 def test_greedy_locals_match_global():

@@ -259,21 +259,20 @@ def _global_lines(family: str, inst) -> list[dict]:
         alloc = rsd.rsd_global(inst)
         return [{"agent": a, "house": alloc[a]} for a in range(inst.n)]
     out = getattr(auctions, f"{family}_run")(inst)
-    return [{
-        "awards": {str(b): list(jt) for b, jt in out.awards.items()},
-        "payments": {str(b): str(p) for b, p in out.payments.items()},
-    }]
+    return [
+        {"buyer": b, "award": list(out.awards[b]), "payment": str(out.payments[b])}
+        for b in range(inst.n)
+    ]
 
 
 def test_cli_run_all_matches_global_runner(tmp_path, capsys):
-    # `run --all` (a bare `run` for the auctions) prints the global outcome
-    # of the instance that `gen` writes for the same flags, and `--bids`
-    # reaches that instance as machine capacities or buyer values.
+    # a bare `run` prints the global outcome of the instance that `gen`
+    # writes for the same flags, one line per entity, and `--bids` reaches
+    # that instance as machine capacities or buyer values.
     for family, verb, flags, _ in _CLI_CASES:
         out = tmp_path / f"{family}.json"
         assert cli.main(["gen", family, *flags, "--out", str(out)]) == 0, family
-        whole = [] if verb[0] == "auction" else ["--all"]
-        assert cli.main(["run", *verb, *flags, *whole]) == 0, family
+        assert cli.main(["run", *verb, *flags]) == 0, family
         got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         inst = build_instance(spec_from_json(out.read_text()))
         assert got == _global_lines(family, inst), family
@@ -430,9 +429,8 @@ def test_cli_config_fuzz_exits_0_or_2(doc, entity, tmp_path):
     family = doc.get("family")
     known = isinstance(family, str) and family in _VERBS
     verb, flag = _VERBS[family if known else "housing"]
-    whole = [] if verb[0] == "auction" else ["--all"]
     assert cli.main(["query", *verb, "--config", str(path), flag, str(entity)]) in (0, 2)
-    assert cli.main(["run", *verb, "--config", str(path), *whole]) in (0, 2)
+    assert cli.main(["run", *verb, "--config", str(path)]) in (0, 2)
 
 
 # sizes up to 40, or (one draw in eight) past MAX_SIZE, which every verb
@@ -444,12 +442,13 @@ _FLAG_SIZE = st.integers(0, 7).flatmap(
 # holds one record per slot, and expected payments at capacity 10^5 pass
 # Python's 4,300-digit int limit.
 _FLAG_BIDS = st.lists(st.integers(-2, 1000), max_size=8)
-# run/query family -> its mode choices, size flag and entity flags
+# run/query family -> its mode choices, size flag and entity flags ("" asks
+# for the whole run)
 _FLAG_FAMILIES = {
-    "matching": ([], "--k", ["--query-man", "--all"]),
-    "scheduling": (["std", "res"], "--d", ["--query-job", "--pay-machine", "--all"]),
+    "matching": ([], "--k", ["--query-man", ""]),
+    "scheduling": (["std", "res"], "--d", ["--query-job", "--pay-machine", ""]),
     "auction": (["uduv", "udubv", "ksmb"], "--k", ["--query-buyer", "--query-item", ""]),
-    "rsd": ([], "--d", ["--query-agent", "--all"]),
+    "rsd": ([], "--d", ["--query-agent", ""]),
 }
 
 
@@ -518,19 +517,19 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     # query without a query flag
     assert cli.main(["query", "rsd", "--seed", "0", "--n", "8"]) == 2
     # seeded restricted menus with no machine to draw from: refused by n
-    assert cli.main(["run", "scheduling", "--mode", "res", "--n", "0", "--m", "0", "--all"]) == 2
+    assert cli.main(["run", "scheduling", "--mode", "res", "--n", "0", "--m", "0"]) == 2
     assert "got n=0" in capsys.readouterr().err
     # config family mismatch
     out = tmp_path / "h.json"
     assert cli.main(["gen", "rsd", "--n", "8", "--out", str(out)]) == 0
-    assert cli.main(["run", "matching", "--config", str(out), "--all"]) == 2
+    assert cli.main(["run", "matching", "--config", str(out)]) == 2
     # malformed config file
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert cli.main(["query", "rsd", "--config", str(bad), "--query-agent", "0"]) == 2
     # argparse-level misuse (missing required --mode)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "scheduling", "--n", "4", "--all"])
+        cli.main(["run", "scheduling", "--n", "4"])
     assert exc.value.code == 2
 
 
@@ -586,12 +585,11 @@ def test_cli_refuses_spec_keys_the_family_does_not_read(tmp_path, capsys):
         assert cli.main(["gen", family, *flags, "--out", str(spec)]) == 0, family
         doc = json.loads(spec.read_text())
         foreign = "valuations" if family.startswith("scheduling") else "bids"
-        whole = [] if verb[0] == "auction" else ["--all"]
         for key in (foreign, "valuation"):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({**doc, key: [1] * doc["n"]}))
             for argv in (
-                ["run", *verb, "--config", str(path), *whole],
+                ["run", *verb, "--config", str(path)],
                 ["query", *verb, "--config", str(path), *query],
             ):
                 assert cli.main(argv) == 2, (argv, key)
@@ -670,16 +668,16 @@ def test_cli_explicit_rows_must_match_n(tmp_path, capsys):
     # entity is refused, not built as a smaller instance
     rows = [[0], [1], [2]]
     cases = [
-        ({"family": "matching", "k": 1}, ["run", "matching"], ["--all"]),
-        ({"family": "housing", "d": 1}, ["run", "rsd"], ["--all"]),
-        ({"family": "uduv", "k": 1}, ["run", "auction", "--mode", "uduv"], []),
-        ({"family": "scheduling-res", "d": 1}, ["run", "scheduling", "--mode", "res"], ["--all"]),
-        ({"family": "scheduling-std", "d": 1}, ["run", "scheduling", "--mode", "std"], ["--all"]),
+        ({"family": "matching", "k": 1}, ["run", "matching"]),
+        ({"family": "housing", "d": 1}, ["run", "rsd"]),
+        ({"family": "uduv", "k": 1}, ["run", "auction", "--mode", "uduv"]),
+        ({"family": "scheduling-res", "d": 1}, ["run", "scheduling", "--mode", "res"]),
+        ({"family": "scheduling-std", "d": 1}, ["run", "scheduling", "--mode", "std"]),
     ]
     path = tmp_path / "rows.json"
-    for patch, verb, whole in cases:
+    for patch, verb in cases:
         path.write_text(json.dumps({"seed": 0, "n": 5, "m": 5, "explicit_edges": rows, **patch}))
-        assert cli.main([*verb, "--config", str(path), *whole]) == 2, patch
+        assert cli.main([*verb, "--config", str(path)]) == 2, patch
         assert capsys.readouterr().out == "", patch
     sets = tmp_path / "sets.json"
     sets.write_text(json.dumps(rows))
@@ -687,7 +685,8 @@ def test_cli_explicit_rows_must_match_n(tmp_path, capsys):
     assert cli.main([*argv, "--n", "5"]) == 2
     assert "explicit_edges" in capsys.readouterr().err
     assert cli.main([*argv, "--n", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["awards"] == {"0": [0], "1": [1], "2": [2]}
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["award"] for line in lines] == [[0], [1], [2]]
 
 
 def test_cli_gen_refuses_unbuildable_specs(tmp_path, capsys):

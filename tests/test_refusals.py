@@ -275,6 +275,40 @@ def test_a_bid_list_that_is_not_ints_is_a_usage_error(capsys):
     assert err.endswith("argument --bids: expected a comma-separated int list, got '1,x'\n")
 
 
+# `run` and `query` answer one request; each of these asks two, or a
+# --scheme with no payment to price or of the other mode's payments, and is
+# refused before any build
+REFUSED_REQUESTS = {
+    "woman and man": ["query", "matching", "--n", "8", "--query-woman", "0", "--query-man", "1"],
+    "payment and job": [
+        "query", "scheduling", "--mode", "res", "--n", "4", "--m", "8",
+        "--pay-machine", "0", "--query-job", "3",
+    ],
+    "audit and buyer": [
+        "run", "auction", "--mode", "uduv", "--n", "6", "--m", "6", "--audit", "--query-buyer", "1",
+    ],
+    "scheme without payment": [
+        "query", "scheduling", "--mode", "std", "--bids", "2,1,3", "--m", "8",
+        "--scheme", "sampled", "--query-job", "0",
+    ],
+    "scheme of the other mode": [
+        "query", "scheduling", "--mode", "res", "--n", "4", "--m", "8",
+        "--pay-machine", "0", "--scheme", "sampled",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_REQUESTS))
+def test_run_and_query_answer_one_request(name, capsys, monkeypatch):
+    argv = REFUSED_REQUESTS[name]
+    monkeypatch.setattr(cli, "build_instance", None)  # a build would raise TypeError
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    flags = [x for x in argv if x.startswith(("--query", "--pay", "--audit", "--scheme"))]
+    assert all(flag in err for flag in flags), err
+
+
 def test_json_output_refuses_a_value_it_cannot_write():
     # the CLI's JSON writer spells a Fraction as a string and refuses the rest
     with pytest.raises(TypeError) as err:

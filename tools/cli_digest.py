@@ -5,11 +5,11 @@ and verify of every family at small n, once at the default --k/--d and
 once at --k 2 --d 3, so the bench digests pin the one flag each family
 reads (verify prints only counts, which these sizes leave alone); auction
 run, query and --audit; scheduling --pay-machine in both modes; a
-standard-mode job query on a 2^20-slot pool; the whole
-printed run of matching, truncated and not, of both scheduling modes and
-of rsd), then the overlaid auction queries in-process (no `lcmd` command
-asks one outside `--audit`, which prints only violations), then each demo
-as a subprocess.
+standard-mode job query on a 2^20-slot pool; the whole printed run, one
+line per entity, of each auction mode, of matching, truncated and not, of
+both scheduling modes and of rsd), then the overlaid auction queries
+in-process (no `lcmd` command asks one outside `--audit`, which prints only
+violations), then each demo as a subprocess.
 `#` comment lines (timestamps, wall times) are stripped by
 `harness.csv_body` before hashing, so two trees that print the same
 answers print the same digests:
@@ -82,13 +82,13 @@ for i in range(3):
 COMMANDS.append(
     ["query", "scheduling", "--mode", "std", "--bids", "524288,524288", "--m", "8", "--query-job", "3"]
 )
-# every family's printed global run: matching truncated (9 men disqualified)
+# the other families' printed global run: matching truncated (9 men disqualified)
 # and run to quiescence (5 unmatched), both scheduling modes, rsd
 for rounds in (["--rounds", "2"], []):
-    COMMANDS.append(["run", "matching", "--seed", "2", "--n", "40", "--k", "3", *rounds, "--all"])
+    COMMANDS.append(["run", "matching", "--seed", "2", "--n", "40", "--k", "3", *rounds])
 for mode in ("std", "res"):
-    COMMANDS.append(["run", "scheduling", "--mode", mode, "--seed", "2", "--n", "8", "--m", "40", "--all"])
-COMMANDS.append(["run", "rsd", "--seed", "2", "--n", "40", "--d", "3", "--all"])
+    COMMANDS.append(["run", "scheduling", "--mode", mode, "--seed", "2", "--n", "8", "--m", "40"])
+COMMANDS.append(["run", "rsd", "--seed", "2", "--n", "40", "--d", "3"])
 
 # each demo with the small arguments tests/test_demos.py runs it with
 DEMOS = {
