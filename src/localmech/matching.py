@@ -26,11 +26,11 @@ answers with the first of her suitors, best first, to arrive within the budget.
 Priority keys: `MatchingInstance.priority_key(w, man)` is the per-pair
 definition.  A seeded instance draws the stems ("woman-priority", w) and the
 men's leaves at build (`randomness.pair_tables`); a key is one mix of the
-two.  The global run and `blocking_pairs` read `key_rows`, one row per man
-aligned with his list, mixed a block of lanes at a time; a global run mixes
-only the positions below its round cap (position p is first proposed to in
-round p + 1).  A local query takes a settled woman's `suitor_keys`, one mix
-per suitor.  Explicit rankings draw no tables and answer from the ranking.
+two.  The global run mixes each round's proposals in one `proposal_keys`
+call, a block of lanes at a time, and keeps each holder's key, so it mixes
+only the keys it compares, each once, as `blocking_pairs` does.  A local
+query takes a settled woman's `suitor_keys`, one mix per suitor.  Explicit
+rankings draw no tables and answer from the ranking.
 
 Cost rule: priority scores are derived from the seed and cost no probes;
 reading any man's list or any woman's suitor list costs one probe per query
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, resolve
-from .randomness import RandomTape, pair_keys, pair_rows, pair_tables
+from .randomness import RandomTape, pair_keys, pair_mix, pair_tables
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -167,26 +167,24 @@ class MatchingInstance:
             return (self._explicit_rank[woman].get(man, -1), -man)
         return (self.tape.u64("woman-priority", woman, man), -man)
 
-    def key_rows(self, depth: int) -> list[list[int]]:
-        """Each man's priority with the women of his list, aligned with
-        `men_prefs` and cut at `depth` women: row[man][p] is the first part
-        of `priority_key(men_prefs[man][p], man)`.  A seeded instance mixes
-        them from its tables, a block of lanes at a time."""
-        prefs = self.men_prefs if depth >= self.k else [p[:depth] for p in self.men_prefs]
-        if self._explicit_rank is not None:
-            rank = self._explicit_rank
-            return [[rank[w].get(man, -1) for w in p] for man, p in enumerate(prefs)]
-        return pair_rows(self._tables, prefs)
+    def proposal_keys(self, women: Sequence[int], men: Sequence[int]) -> list[int]:
+        """The first part of `priority_key(w, man)` for each pair of `women` and
+        `men`, mixed from a seeded instance's tables a block of lanes at a time."""
+        if self._explicit_rank is None:
+            return pair_mix(self._tables, women, men)  # which refuses ids outside the tables
+        if min(women, default=0) < 0 or any(not 0 <= man < self.n for man in men):
+            raise IndexError("a woman or a man of the pairs is not in this instance")
+        rank = self._explicit_rank  # a list, so a woman past the last raises IndexError
+        return [rank[w].get(man, -1) for w, man in zip(women, men, strict=True)]
 
     def suitor_keys(self, woman: int, men: Sequence[int]) -> list[int]:
         """The first part of `priority_key(woman, man)` for each of `men`; a
         seeded instance takes one mix step per man from its tables."""
         if self._explicit_rank is None:
             return pair_keys(self._tables, woman, men)  # which refuses ids outside the tables
-        if not 0 <= woman < self.m or (men and not 0 <= min(men) <= max(men) < self.n):
-            raise IndexError(f"no woman {woman} or a man of {list(men)} not in this instance")
-        rank = self._explicit_rank[woman]
-        return [rank.get(man, -1) for man in men]
+        if not 0 <= woman < self.m:
+            raise IndexError(f"no woman {woman} in this instance")
+        return self.proposal_keys([woman] * len(men), men)
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +202,21 @@ def abridged_gs(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     prefs = inst.men_prefs
-    # position p of a list is first proposed to in round p + 1
-    rows = inst.key_rows(min(inst.k, rounds))
     pos = [0] * inst.n
-    holder: dict[int, int] = {}  # woman -> man; a held woman is never freed
+    holder: dict[int, tuple[int, int]] = {}  # woman -> (key, -man); never freed
     proposers = [man for man in range(inst.n) if prefs[man]]
     exhausted_total = inst.n - len(proposers)
     stats: list[RoundStats] = []
     while proposers and len(stats) < rounds:
+        women = [prefs[man][pos[man]] for man in proposers]
         rejected: list[int] = []
-        for man in proposers:
-            w = prefs[man][pos[man]]
-            cur = holder.get(w)
-            if cur is None:
-                holder[w] = man
+        for man, w, key in zip(proposers, women, inst.proposal_keys(women, proposers)):
+            mine = (key, -man)
+            cur = holder.setdefault(w, mine)
+            if cur is mine:
                 continue
-            if (rows[man][pos[man]], -man) > (rows[cur][pos[cur]], -cur):
-                holder[w], man = man, cur
+            if mine > cur:
+                holder[w], man = mine, -cur[1]
             pos[man] += 1  # the loser moves one place down his list
             rejected.append(man)
         proposers = [man for man in rejected if pos[man] < len(prefs[man])]
@@ -228,10 +224,10 @@ def abridged_gs(
         stats.append(
             RoundStats(len(stats) + 1, len(rejected), len(proposers), exhausted_total, len(holder))
         )
-    partner = {man: w for w, man in holder.items()}
+    partner = {-cur[1]: w for w, cur in holder.items()}
     disqualified = set(proposers)  # non-empty iff the round cap truncated the run
     return {
-        man: ManStatus.matched(partner[man]) if man in partner
+        man: ManStatus(MATCHED, partner[man]) if man in partner
         else DISQUALIFIED_STATUS if man in disqualified else UNMATCHED_STATUS
         for man in range(inst.n)
     }, stats
@@ -491,18 +487,20 @@ def blocking_pairs(
                     f"woman {st.partner} assigned to both {man_of[st.partner]} and {mm}"
                 )
             man_of[st.partner] = mm
-    prefs = inst.men_prefs
-    rows = inst.key_rows(inst.k)
-    pairs: list[tuple[int, int]] = []
+    # the pairs (man, woman he lists above his partner), then (holder, woman)
+    men: list[int] = []
+    women: list[int] = []
     for mm in range(inst.n):
         st = statuses.get(mm, UNMATCHED_STATUS)
-        if st.state == DISQUALIFIED:
-            continue
-        lst = prefs[mm]
-        better = lst.index(st.partner) if st.state == MATCHED else len(lst)
-        for p in range(better):
-            w = lst[p]
-            cur = man_of.get(w)
-            if cur is None or (rows[mm][p], -mm) > (rows[cur][prefs[cur].index(w)], -cur):
-                pairs.append((mm, w))
-    return sorted(pairs)
+        if st.state != DISQUALIFIED:
+            lst = inst.men_prefs[mm]
+            better = lst.index(st.partner) if st.state == MATCHED else len(lst)
+            men += [mm] * better
+            women += lst[:better]
+    held = [w for w in women if w in man_of]
+    keys = inst.proposal_keys(women + held, men + [man_of[w] for w in held])
+    rivals = iter(keys[len(men) :])
+    return sorted(
+        (mm, w) for mm, w, key in zip(men, women, keys)
+        if w not in man_of or (key, -mm) > (next(rivals), -man_of[w])
+    )

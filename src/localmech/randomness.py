@@ -34,19 +34,17 @@ one entry per entity, and gets the same bits as the per-key draws:
 - `uniform_rows(tape, tag, count, n, k)` is `derive_uniform(tape, (tag, i,
   t), n)` for t < k in row i (the restricted menus);
 - `pair_tables(tape, tag, m, n)` is the stems `u64(tag, x)`, x < m, and the
-  leaves leaf(i), i < n, from one lane pass; `u64(tag, x, i)` is then
-  mix(stems[x] ^ leaves[i]), which `pair_rows` mixes for row i's ids x a
-  block at a time and `pair_keys` one id at a time (a seeded
-  `MatchingInstance`'s priority keys ("woman-priority", w, man)).
+  leaves leaf(i), i < n; `u64(tag, x, i)` is mix(stems[x] ^ leaves[i]), which
+  `pair_mix` mixes for a list of pairs a block at a time and `pair_keys` for
+  one x's ids (a seeded `MatchingInstance`'s keys ("woman-priority", w, man));
+- `attempt_table(tape, tag, count)` is the first attempt of `derive_uniform(
+  tape, (tag, i), n)` for each i, and `uniform_first(word, n)` its value if
+  taken (standard scheduling's tie-breaks, `SchedulingInstance.tie_words`).
 
 The tag of a table may also be a tuple, a key prefix: the table draws under
 the state after it, so `uniform_rows(tape, ("tau", t), m, C, 2)` is
 `derive_uniform(tape, ("tau", t, s, x), C)` for x < 2 in row s (one call per
-trial of `oracles.uniform_majorizes_nonuniform`).  A scalar form,
-`uniform_at(state, n)`, is `derive_uniform` from the state after its key
-(standard scheduling's slot tie-breaks, read from
-`SchedulingInstance.tie_states`, a `u64_table("slot-tie", m)` drawn at
-build).
+trial of `oracles.uniform_majorizes_nonuniform`).
 
 The draw under the key (tag, i) is draw i of the row stream under (tag,),
 and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)
@@ -86,20 +84,20 @@ from __future__ import annotations
 import sys
 from array import array
 from hashlib import blake2b
-from itertools import accumulate
 from typing import Iterator, Sequence, Union
 
 __all__ = [
     "KeyPart",
     "KeyPrefix",
     "RandomTape",
+    "attempt_table",
     "derive_uniform",
     "pair_keys",
-    "pair_rows",
+    "pair_mix",
     "pair_tables",
     "sample_table",
     "sample_without_replacement",
-    "uniform_at",
+    "uniform_first",
     "uniform_rows",
     "uniform_table",
 ]
@@ -266,19 +264,33 @@ def pair_keys(tables: tuple[array, array], x: int, ids: Sequence[int]) -> list[i
     return out
 
 
-def pair_rows(tables: tuple[array, array], rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row i is `[tape.u64(*prefix, x, i) for x in rows[i]]`, from the
-    `pair_tables` of the prefix, a block of entries mixed at a time."""
+def pair_mix(tables: tuple[array, array], xs: Sequence[int], ids: Sequence[int]) -> list[int]:
+    """`[tape.u64(*prefix, x, i) for x, i in zip(xs, ids)]` from the
+    `pair_tables` of the prefix, a block of pairs mixed at a time."""
     stems, leaves = tables
-    if len(rows) > len(leaves) or min(map(min, filter(None, rows)), default=0) < 0:
-        raise IndexError(f"{len(rows)} rows of ids >= 0 need as many leaves, got {len(leaves)}")
-    words = [stems[x] ^ leaf for row, leaf in zip(rows, leaves) for x in row]
+    if min(xs, default=0) < 0 or min(ids, default=0) < 0:
+        raise IndexError("pair ids must be >= 0")
+    words = [stems[x] ^ leaves[i] for x, i in zip(xs, ids, strict=True)]
     keys: list[int] = []
     for start in range(0, len(words), _BLOCK):
         block = words[start : start + _BLOCK]
         keys += _unpack(_mix_lanes(_pack(block)), len(block)).tolist()
-    ends = list(accumulate(map(len, rows), initial=0))
-    return [keys[a:b] for a, b in zip(ends, ends[1:])]
+    return keys
+
+
+def attempt_table(tape: RandomTape, prefix: KeyPrefix, count: int) -> array:
+    """The first attempt `tape.u64(*prefix, i, 0)` of `derive_uniform(tape,
+    (*prefix, i), n)`, whatever n, for i in range(count)."""
+    out, first = array("Q"), _LEAF[0]
+    for b, states in _state_blocks(tape._state(_key(prefix)), count):
+        out += _unpack(_mix_lanes(states ^ _spread(first, b)), b)
+    return out
+
+
+def uniform_first(word: int, n: int) -> int | None:
+    """`derive_uniform` into [0, n), n >= 1, from its first attempt `word`, or
+    None if the draw rejects it (as every n above 2^64, drawing wider words)."""
+    return word % n if word < (1 << 64) - (1 << 64) % n else None
 
 
 def _draw(s: int, limit: int) -> int:
@@ -374,18 +386,11 @@ def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     64-bit words as n needs); the attempt counter is the key's last part, so
     retries are themselves deterministic.
     """
-    return uniform_at(tape._state(tuple(key)), n)
-
-
-def uniform_at(state: int, n: int) -> int:
-    """`derive_uniform` from the hash state after its key, `tape.u64(*key)`:
-    a caller that holds the states of many keys, a `u64_table` of them,
-    draws each without hashing its key again."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
     if n > 1 << 64:
-        return _draw_wide(state, n) % n
-    return _draw(state, (1 << 64) - ((1 << 64) % n)) % n
+        return _draw_wide(tape._state(tuple(key)), n) % n
+    return _draw(tape._state(tuple(key)), (1 << 64) - ((1 << 64) % n)) % n
 
 
 def uniform_table(tape: RandomTape, prefix: KeyPrefix, count: int, n: int) -> tuple[int, ...]:

@@ -21,11 +21,11 @@ rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
 or menu machine) and agree exactly with the online run replayed in rank
 order: the online run and the local query place each job with the same step,
 `_pick_slot` or `_pick_floored`, on the same records, the instance oracle's
-slot choices or distinct menu machines.  The rank order, the slot tie-break
-states (`tie_states`) and `slot_prefix`, the prefix sums of the capacities
-that map a slot to its machine by bisection, are built with the instance;
-like the oracle's reverse records they cost no probe, and no local query
-draws a rank or a tie-break or loops over all machines.
+slot choices or distinct menu machines.  The rank order, the first attempts
+of the slot tie-breaks (`tie_words`) and `slot_prefix`, the prefix sums of
+the capacities that map a slot to its machine by bisection, are built with
+the instance; like the oracle's reverse records they cost no probe, and no
+local query draws a rank or a tie-break or loops over all machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -42,7 +42,9 @@ from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
 
 from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
-from .randomness import RandomTape, derive_uniform, sample_table, uniform_at, uniform_rows
+from .randomness import (
+    RandomTape, attempt_table, derive_uniform, sample_table, uniform_first, uniform_rows
+)
 
 if TYPE_CHECKING:  # instances imports this module for its family table
     from .instances import InstanceSpec
@@ -155,8 +157,7 @@ class SchedulingInstance:
                 raise ValueError("standard mode takes no menus")
             chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
             self._oracle = AdjacencyOracle(chosen, self.B, range(m))
-            # job j's slot ties break from the state after ("slot-tie", j)
-            self.tie_states = self.tape.u64_table("slot-tie", m)
+            self.tie_words = attempt_table(self.tape, "slot-tie", m)
             return
 
         if menus is not None:
@@ -232,19 +233,33 @@ class SchedulingInstance:
 # ---------------------------------------------------------------------------
 
 
-def _pick_slot(tie_state: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]) -> int:
-    """A job's step: the least-loaded of its chosen slots, whose height it
-    raises by one.  For job j, `tie_state` is `tie_states[j]`, the state
-    after ("slot-tie", j), so a tie is broken by `derive_uniform(tape,
-    ("slot-tie", j), ties)`."""
-    best = min(slot_h[s] for s in chosen)
-    mins = sorted(s for s in chosen if slot_h[s] == best)
-    if len(mins) == 1:
-        slot = mins[0]
+def _pick_slot(
+    inst: SchedulingInstance, j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
+) -> int:
+    """Job j's step: the least-loaded of its chosen slots, whose height it
+    raises by one.  A tie of c slots takes the one at `derive_uniform(tape,
+    ("slot-tie", j), c)` in slot order, from `tie_words[j]` unless rejected."""
+    hs = [slot_h[s] for s in chosen]
+    best = min(hs)
+    ties = hs.count(best)
+    if ties == 1:
+        slot = chosen[hs.index(best)]
     else:
-        slot = mins[uniform_at(tie_state, len(mins))]
+        mins = sorted(chosen if ties == len(hs) else [s for s, h in zip(chosen, hs) if h == best])
+        t = uniform_first(inst.tie_words[j], ties)
+        slot = mins[derive_uniform(inst.tape, ("slot-tie", j), ties) if t is None else t]
     slot_h[slot] += 1
     return slot
+
+
+def _run_order(inst: SchedulingInstance, order: Iterable[int] | None) -> Iterable[int]:
+    """An online run's jobs: index order, or `order`, a permutation of the
+    m jobs (checked unless it is the stored rank order)."""
+    if order is None or order is inst.order:
+        return range(inst.m) if order is None else order
+    if sorted(jobs := list(order)) != list(range(inst.m)):
+        raise ValueError(f"order must be a permutation of the {inst.m} jobs")
+    return jobs
 
 
 def _rank_closure(
@@ -261,18 +276,16 @@ def _rank_closure(
 
 def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) -> Allocation:
     """Slot-based allocation over all jobs (index order unless given), with
-    the slot choices of the oracle's records and the tie-break states, both
+    the slot choices of the oracle's records and the tie-break words, both
     drawn once with the instance.  A run at other capacities is the run of
     an instance built with them."""
     inst.require_mode(STANDARD, "slms_online")
-    prefix, choices, ties = inst.slot_prefix, inst.oracle.fwd, inst.tie_states
+    prefix, choices = inst.slot_prefix, inst.oracle.fwd
     slot_h = [0] * inst.B
     heights = [0] * inst.n
     assign: list[int | None] = [None] * inst.m
-    jobs = range(inst.m) if order is None else order
-    for j in jobs:
-        slot = _pick_slot(ties[j], choices(j), slot_h)
-        machine = bisect_right(prefix, slot)
+    for j in _run_order(inst, order):
+        machine = bisect_right(prefix, _pick_slot(inst, j, choices(j), slot_h))
         heights[machine] += 1
         assign[j] = machine
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=inst.caps)
@@ -283,10 +296,9 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     sharing a chosen slot with lower rank, transitively."""
     inst.require_mode(STANDARD, "slms_local")
     view, order = _rank_closure(inst, job, counter)
-    ties = inst.tie_states
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
-        slot = _pick_slot(ties[j], view.fwd(j), slot_h)
+        slot = _pick_slot(inst, j, view.fwd(j), slot_h)
     return bisect_right(inst.slot_prefix, slot)  # the last slot is the query's
 
 
@@ -418,7 +430,7 @@ def rlms_online(
     job j goes to the menu machine minimizing ⌊(h_i+1)/b_i⌋, ties to the
     smaller machine."""
     inst.require_mode(RESTRICTED, "rlms_online")
-    return _restricted_run(inst, _pick_floored, caps, range(inst.m) if order is None else order)
+    return _restricted_run(inst, _pick_floored, caps, _run_order(inst, order))
 
 
 def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:

@@ -522,13 +522,15 @@ def _reference_blocking(inst, statuses):
 @pytest.mark.parametrize("case", sorted(_KEY_CASES))
 def test_key_rows_and_suitor_keys_are_priority_key(case):
     inst = _KEY_CASES[case]()
-    # a depth below the longest list cuts every row to its first women
+    # the pairs of every man and the women of his list, cut at a depth
+    # below the longest list, as the proposals of that many rounds; and in
+    # reverse, so no pair leans on the one before
     for depth in sorted({0, 1, max(inst.k - 1, 0), inst.k}):
-        want = [
-            [inst.priority_key(w, man)[0] for w in lst[:depth]]
-            for man, lst in enumerate(inst.men_prefs)
-        ]
-        assert inst.key_rows(depth) == want, depth
+        pairs = [(w, man) for man, lst in enumerate(inst.men_prefs) for w in lst[:depth]]
+        want = [inst.priority_key(w, man)[0] for w, man in pairs]
+        for step in (1, -1):
+            women, men = [w for w, _ in pairs[::step]], [man for _, man in pairs[::step]]
+            assert inst.proposal_keys(women, men) == want[::step], depth
     for w in range(inst.m):
         men = inst.oracle.rev(w)
         assert inst.suitor_keys(w, men) == [inst.priority_key(w, man)[0] for man in men]
@@ -582,6 +584,8 @@ def test_suitor_keys_refuse_ids_outside_the_tables():
     for woman, men in ((-1, [0]), (5, [0]), (0, [-1]), (0, [1, 5])):
         with pytest.raises(IndexError):
             inst.suitor_keys(woman, men)
+        with pytest.raises(IndexError):
+            inst.proposal_keys([woman] * len(men), men)
 
 
 @pytest.mark.parametrize("ranked", [False, True])
@@ -595,6 +599,7 @@ def test_keys_refuse_a_woman_or_man_outside_the_instance(ranked):
         for man in (-1, 0, 2, 3):
             if 0 <= woman < 4 and 0 <= man < 3:
                 assert inst.suitor_keys(woman, [man]) == [inst.priority_key(woman, man)[0]]
+                assert inst.proposal_keys([woman], [man]) == [inst.priority_key(woman, man)[0]]
                 continue
             with pytest.raises(IndexError):
                 inst.priority_key(woman, man)
@@ -602,8 +607,13 @@ def test_keys_refuse_a_woman_or_man_outside_the_instance(ranked):
                 inst.suitor_keys(woman, [man])
             with pytest.raises(IndexError):
                 inst.suitor_keys(woman, [0, man, 1])
+            with pytest.raises(IndexError):
+                inst.proposal_keys([woman], [man])
+            with pytest.raises(IndexError):
+                inst.proposal_keys([0, woman, 1], [0, man, 1])
     for woman in (0, 3):
         assert inst.suitor_keys(woman, []) == []
+    assert inst.proposal_keys([], []) == []
     for woman in (-1, 4):
         with pytest.raises(IndexError):
             inst.suitor_keys(woman, [])

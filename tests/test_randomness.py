@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from hashlib import blake2b
 from pathlib import Path
 
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 from localmech import randomness
 from localmech.randomness import (
     RandomTape,
+    attempt_table,
     derive_uniform,
     pair_keys,
-    pair_rows,
+    pair_mix,
     pair_tables,
     sample_table,
     sample_without_replacement,
+    uniform_first,
     uniform_rows,
     uniform_table,
 )
@@ -276,7 +279,12 @@ def _assert_key_rows_equal_per_key_draws(t, tag, rows, m=None):
     m = max((x + 1 for row in rows for x in row), default=0) if m is None else m
     tables = pair_tables(t, tag, m, len(rows))
     want = [[t.u64(*_prefix(tag), x, i) for x in row] for i, row in enumerate(rows)]
-    assert pair_rows(tables, rows) == want
+    # every pair (x, i) of the rows, row by row and in reverse
+    xs = [x for row in rows for x in row]
+    ids = [i for i, row in enumerate(rows) for _ in row]
+    flat = [key for row in want for key in row]
+    assert pair_mix(tables, xs, ids) == flat
+    assert pair_mix(tables, xs[::-1], ids[::-1]) == flat[::-1]
     # each id's column, in reverse: the rows that list it, as a suitor record
     cols: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
@@ -298,6 +306,10 @@ def _assert_tables_equal_per_key_draws(t, tag, count, n, k):
         assert pair_keys((stems, leaves), count - 1, range(count)) == want
     want = [derive_uniform(t, (*key, i), n) for i in range(count)]
     assert list(uniform_table(t, tag, count, n)) == want
+    # a draw's first attempt gives its value unless the draw needs more
+    words = attempt_table(t, tag, count)
+    assert words.tolist() == [t.u64(*key, i, 0) for i in range(count)]
+    assert all(uniform_first(w, n) in (None, v) for w, v in zip(words, want))
     want = [tuple(derive_uniform(t, (*key, i, s), n) for s in range(k)) for i in range(count)]
     assert uniform_rows(t, tag, count, n, k) == want
     want = [tuple(sample_without_replacement(t, (*key, i), n, k)) for i in range(count)]
@@ -344,6 +356,32 @@ def test_key_rows_equal_the_per_key_draws_across_stem_blocks(count):
     _assert_key_rows_equal_per_key_draws(RandomTape(-3), ("woman-priority",), rows, _BLOCK + 5)
 
 
+def test_uniform_first_takes_the_first_attempt_below_the_bound():
+    # 2^64 % 3 == 1: the top word is the one rejected first attempt for n = 3
+    assert uniform_first(2**64 - 1, 3) is None
+    assert uniform_first(2**64 - 2, 3) == (2**64 - 2) % 3
+    # a power-of-two range divides 2^64 and never rejects
+    for e in range(65):
+        for word in (0, 1, 2**63, 2**64 - 1):
+            assert uniform_first(word, 2**e) == word % 2**e
+    # a range past 2^64 draws several words, so its first word never settles it
+    assert uniform_first(0, 2**64 + 1) is None
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_attempt_table_is_the_per_key_first_attempt_across_blocks(count):
+    seed, n = 11, 2**63 + 5  # about half of all first attempts are rejected
+    words = attempt_table(RandomTape(seed), ("slot-tie",), count)
+    assert type(words) is array and words.typecode == "Q"
+    assert words.tolist() == [_ref_u64(seed, "slot-tie", i, 0) for i in range(count)]
+    limit = (1 << 64) - (1 << 64) % n
+    firsts = [uniform_first(w, n) for w in words]
+    assert firsts == [w % n if w < limit else None for w in words]
+    for i, v in enumerate(firsts[:300]):
+        if v is not None:
+            assert v == _ref_uniform(seed, ("slot-tie", i), n)
+
+
 def test_table_draws_keep_no_state_per_count():
     def footprint():
         sizes = {}
@@ -360,8 +398,9 @@ def test_table_draws_keep_no_state_per_count():
         uniform_rows(t, "m", count, 7, 2)
         sample_table(t, "s", count, 50 + count, 3)
         tables = pair_tables(t, "r", count + 1, count)
-        pair_rows(tables, [[count, 0]] * count)
+        pair_mix(tables, [count, 0] * count, [i for i in range(count) for _ in "xy"])
         pair_keys(tables, count, range(count))
+        attempt_table(t, "a", count)
     t.u64("x", 3, "y")
     derive_uniform(t, ("v", 5), 2**64 + 1)
     sample_without_replacement(t, ("s", 2), 300, 300)
@@ -405,9 +444,12 @@ def test_table_draws_refuse_what_the_per_key_draws_refuse():
     for x, ids in ((-1, [0]), (0, [-1]), (3, [0]), (0, [1, 3])):
         with pytest.raises(IndexError):
             pair_keys(tables, x, ids)
-    for rows in ([[0, 1], [], [-1]], [[0], [3]], [[0]] * 4):
+    # a negative id, and an id past the stems or past the leaves
+    for xs, ids in (([0, 1, -1], [0, 0, 2]), ([0], [-1]), ([0, 3], [0, 1]), ([0] * 4, range(4))):
         with pytest.raises(IndexError):
-            pair_rows(tables, rows)
+            pair_mix(tables, xs, ids)
+    with pytest.raises(ValueError):
+        pair_mix(tables, [0, 1], [0])
 
 
 def test_float_key_part_is_rejected():

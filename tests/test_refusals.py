@@ -22,7 +22,9 @@ from localmech.scheduling import (
     monotonicity_trace,
     payment_rlms,
     rlms_local,
+    rlms_online,
     slms_expected_utility,
+    slms_online,
 )
 
 ORACLE = AdjacencyOracle([(0, 1), (1,), (3,)], 4, range(3))  # n = 3 left, m = 4 right
@@ -221,6 +223,8 @@ REFUSALS = {
 }
 
 HOUSING = InstanceSpec(seed=0, family="housing", n=1, m=1, k=1)
+SLOTS = SchedulingInstance((2, 1), m=3, d=2, mode="standard", seed=1)
+RESTRICTED_TWIN = SchedulingInstance((2, 1), m=3, d=2, mode=RESTRICTED, seed=1)
 
 # name → (call, its whole message)
 ONCE = {
@@ -238,6 +242,18 @@ ONCE = {
         lambda: SchedulingInstance.from_spec(HOUSING), "not a scheduling spec: 'housing'"
     ),
     "instance JSON": (lambda: spec_from_json("[]"), "instance JSON must be an object"),
+    # an online run's order is a permutation of the m jobs: not a repeat,
+    # a shorter list or an id past the jobs
+    "slms_online repeated job": (
+        lambda: slms_online(SLOTS, order=[0, 0]), "order must be a permutation of the 3 jobs"
+    ),
+    "rlms_online repeated job": (
+        lambda: rlms_online(RESTRICTED_TWIN, order=[1, 1, 1]),
+        "order must be a permutation of the 3 jobs",
+    ),
+    "slms_online job past the jobs": (
+        lambda: slms_online(SLOTS, order=[7]), "order must be a permutation of the 3 jobs"
+    ),
     # row 0's id is out of range, but `order` checks row 1 first, whose
     # float id is out of range too and is named for its type
     "oracle first offender in order, 2^20 records": (

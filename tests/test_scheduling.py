@@ -10,6 +10,7 @@ import pytest
 
 from localmech import scheduling
 from localmech.instances import InstanceSpec, build_instance
+from localmech.randomness import derive_uniform, sample_without_replacement, uniform_first
 from localmech.scheduling import (
     RESTRICTED,
     STANDARD,
@@ -446,6 +447,55 @@ def test_local_matches_rank_order_run_both_modes():
             alloc = runner(inst, order=inst.rank_order())
             for j in range(inst.m):
                 assert local(inst, j) == alloc.assign[j], (fam, seed, j)
+
+
+def _slms_by_key(inst):
+    """The standard-mode rank-order run from the per-key definitions: job j's
+    rank by ("job-rank", j), its slots by ("slot-choice", j) and its tie
+    among c least slots by ("slot-tie", j).  Returns each job's machine and
+    the (job, c) of every tie."""
+    t, caps = inst.tape, inst.caps
+    order = sorted(range(inst.m), key=lambda j: (t.u64("job-rank", j), j))
+    machine_of = [i for i, c in enumerate(caps) for _ in range(c)]
+    slot_h = [0] * inst.B
+    assign, ties = [None] * inst.m, []
+    for j in order:
+        chosen = sample_without_replacement(t, ("slot-choice", j), inst.B, inst.d)
+        best = min(slot_h[s] for s in chosen)
+        mins = sorted(s for s in chosen if slot_h[s] == best)
+        if len(mins) > 1:
+            ties.append((j, len(mins)))
+        slot = mins[derive_uniform(t, ("slot-tie", j), len(mins))]
+        slot_h[slot] += 1
+        assign[j] = machine_of[slot]
+    return tuple(assign), ties
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_standard_runs_follow_the_per_key_draws(d):
+    # the local and global runs read one tie table, so each is checked
+    # against draws re-derived key by key
+    inst = _std((3, 1, 2, 5, 1), 60, d, seed=8 + d)
+    want, ties = _slms_by_key(inst)
+    assert {c for _, c in ties} >= ({2, 3, 5} if d == 5 else {2, 3} if d == 3 else {2})
+    assert slms_online(inst, order=inst.rank_order()).assign == want
+    # an order that is not the stored one is checked, then run the same way
+    assert slms_online(inst, order=list(inst.rank_order())).assign == want
+    assert tuple(slms_local(inst, j) for j in range(inst.m)) == want
+
+
+def test_a_rejected_first_tie_attempt_falls_back_to_the_keyed_draw():
+    inst = _std((3, 1, 2, 5, 1), 60, 3, seed=4)
+    want, ties = _slms_by_key(inst)
+    threes = [j for j, c in ties if c == 3]
+    assert threes
+    # 2^64 - 1 is at or past the rejection bound of every range that does not
+    # divide 2^64, so each of these jobs redraws its tie by key
+    for j in threes:
+        inst.tie_words[j] = 2**64 - 1
+        assert uniform_first(inst.tie_words[j], 3) is None
+    assert slms_online(inst, order=inst.rank_order()).assign == want
+    assert tuple(slms_local(inst, j) for j in range(inst.m)) == want
 
 
 class _NoPass:
