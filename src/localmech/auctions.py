@@ -68,7 +68,7 @@ from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Generator, ItemsView, Iterable, Mapping, Sequence
 
 from .probes import (
-    LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, reported_reads, resolve,
+    LEFT, RIGHT, AdjacencyOracle, ProbeCounter, query_view, rank_tables, reported_reads, resolve,
     upward_closure,
 )
 from .randomness import RandomTape
@@ -234,16 +234,10 @@ def uduv_local(
     maps a buyer to her reported item set."""
     inst.require_mode(UDUV, "uduv_local")
     kind, idx = query
-    if kind == "buyer":
-        if type(idx) is not int or not 0 <= idx < inst.n:
-            raise ValueError(f"unknown buyer {idx}")
-        view = MemoView(inst.oracle, counter, free=((LEFT, idx),))
-    elif kind == "item":
-        if type(idx) is not int or not 0 <= idx < inst.m:
-            raise ValueError(f"unknown item {idx}")
-        view = MemoView(inst.oracle, counter, free=((RIGHT, idx),))
-    else:
+    side = LEFT if kind == "buyer" else RIGHT if kind == "item" else None
+    if side is None:
         raise ValueError(f"query kind must be 'buyer' or 'item', got {kind!r}")
+    view = query_view(inst.oracle, (side, idx), counter, kind)
     reported: dict[int, tuple[int, ...]] = {}
     for b, s in inst.reports(overlay or {}):
         bad = [j for j in s if type(j) is not int or not 0 <= j < inst.m]
@@ -453,8 +447,7 @@ def _bid_local(
     is free; every other read goes through the metered view, under the
     reports.  `overlay` maps a buyer to her reported bid.
     """
-    if type(buyer) is not int or not 0 <= buyer < inst.n:
-        raise ValueError(f"unknown buyer {buyer}")
+    view = query_view(inst.oracle, (LEFT, buyer), counter, "buyer")
     keys, moved = inst.values, ()
     if overlay is not None:
         keys, moved = _ReportedBids(inst.values), overlay
@@ -462,7 +455,6 @@ def _bid_local(
             keys[b] = v = _bid_key(v)
             if v < 0:
                 raise ValueError("bids must be non-negative")
-    view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
     if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": ZERO}
     fwd, rev = reported_reads(view, {}, moved, _bid_order(keys))

@@ -55,14 +55,23 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, default=_json_default, sort_keys=True))
 
 
+# `run`/`query` family -> the default of its size flag (`gen`'s is 3)
+_SIZES = {"matching": 3, "scheduling": 2, "auction": 2, "rsd": 3}
+
+
 def _spec(args, family: str) -> InstanceSpec:
     """The instance spec of a verb's flags: the --config file when given,
-    otherwise --seed, --n (default: the --bids count), --m (default n), the
-    family's size flag, --bids (the spec's `values`: capacities for
-    scheduling, buyer values for udubv and ksmb; any other family exits 2
-    on it) and --sets (explicit item sets).  Flags a verb lacks read as unset."""
+    which no other instance flag may join, otherwise --seed (default 0),
+    --n (default: the --bids count), --m (default n), the family's size
+    flag, --bids (the spec's `values`: capacities for scheduling, buyer
+    values for udubv and ksmb; any other family exits 2 on it) and --sets
+    (explicit item sets).  Flags a verb lacks read as unset."""
     flags = vars(args)
     if flags.get("config"):
+        given = [f for f in ("seed", "n", "m", "size", "bids", "sets") if flags.get(f) is not None]
+        if given:
+            named = (FAMILIES[family].size if f == "size" else f for f in given)
+            raise ValueError(f"--config gives the whole instance, not --{' or --'.join(named)}")
         with open(args.config, "r", encoding="utf-8") as fh:
             spec = spec_from_json(fh.read())
         if spec.family != family:
@@ -80,11 +89,11 @@ def _spec(args, family: str) -> InstanceSpec:
         with open(args.sets, "r", encoding="utf-8") as fh:
             edges = int_rows(json.load(fh), "--sets")
     return InstanceSpec(
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 0,
         family=family,
         n=n,
         m=m if m is not None else n,
-        k=args.size,
+        k=args.size if args.size is not None else _SIZES[args.family],
         values=tuple(bids) if bids else None,
         explicit_edges=edges,
     )
@@ -125,19 +134,19 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     fams = verb_parser.add_subparsers(dest="family", required=True, metavar="FAMILY")
 
     mp = fams.add_parser("matching", help="truncated proposal rounds over seeded lists")
-    mp.add_argument("--seed", type=int, default=0)
+    mp.add_argument("--seed", type=int)
     mp.add_argument("--n", type=int)
-    mp.add_argument("--k", dest="size", type=int, default=3)
+    mp.add_argument("--k", dest="size", type=int)
     mp.add_argument("--rounds", type=int)
     _add_query_flags(mp, "matching")
     mp.add_argument("--config")
 
     sp = fams.add_parser("scheduling", help="load balancing; std slots or res menus")
     sp.add_argument("--mode", choices=tuple(harness.LCMD_FAMILIES["scheduling"]), required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--d", dest="size", type=int, default=2)
+    sp.add_argument("--d", dest="size", type=int)
     sp.add_argument("--bids", type=_int_list)
     _add_query_flags(sp, "scheduling")
     sp.add_argument("--pay-machine", type=int)
@@ -146,10 +155,10 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
 
     ap = fams.add_parser("auction", help="greedy auctions with critical payments")
     ap.add_argument("--mode", choices=tuple(harness.LCMD_FAMILIES["auction"]), required=True)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--n", type=int)
     ap.add_argument("--m", type=int)
-    ap.add_argument("--k", dest="size", type=int, default=2)
+    ap.add_argument("--k", dest="size", type=int)
     ap.add_argument("--bids", type=_int_list)
     ap.add_argument("--sets", help="JSON file: list of item-id lists, one per buyer")
     _add_query_flags(ap, "auction")
@@ -157,10 +166,10 @@ def _add_family_parsers(verb_parser: argparse.ArgumentParser) -> None:
     ap.add_argument("--config")
 
     hp = fams.add_parser("rsd", help="serial dictatorship over lottery ranks")
-    hp.add_argument("--seed", type=int, default=0)
+    hp.add_argument("--seed", type=int)
     hp.add_argument("--n", type=int)
     hp.add_argument("--m", type=int)
-    hp.add_argument("--d", dest="size", type=int, default=3)
+    hp.add_argument("--d", dest="size", type=int)
     _add_query_flags(hp, "rsd")
     hp.add_argument("--config")
 

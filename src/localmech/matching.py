@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, resolve
+from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, query_view, resolve
 from .randomness import RandomTape, pair_keys, pair_mix, pair_tables
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -135,10 +135,12 @@ class MatchingInstance:
             if len(women_prefs) != m:
                 raise ValueError("need one ranking per woman")
             for w, order in enumerate(women_prefs):
+                # an id is an int, checked before a set folds True into 1
+                # or meets an id it cannot hash
+                if any(type(man) is not int or not 0 <= man < self.n for man in order):
+                    raise ValueError(f"woman {w} ranks a man outside 0..{self.n - 1}")
                 if len(set(order)) != len(order):
                     raise ValueError(f"woman {w} ranks a man twice")
-                if any(not 0 <= man < self.n for man in order):
-                    raise ValueError(f"woman {w} ranks a man outside 0..{self.n - 1}")
             self._explicit_rank = [
                 {man: len(order) - pos for pos, man in enumerate(order)}
                 for order in women_prefs
@@ -418,11 +420,9 @@ def local_ags(
     remaining budget, so every record read lies inside the radius-2·rounds
     neighborhood: the women within distance 2·rounds-1 and their suitors.
     """
-    if type(man) is not int or not 0 <= man < inst.n:
-        raise ValueError(f"unknown man {man}")
+    view = query_view(inst.oracle, (LEFT, man), counter, "man")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    view = MemoView(inst.oracle, counter, free=((LEFT, man),))
     rej = _RejectionRounds(inst, view)
     lst = view.fwd(man)
     for pos, woman in enumerate(lst):
@@ -445,11 +445,9 @@ def local_ags_woman(
     Equals her holder in abridged_gs(inst, rounds).  Her suitor record is
     free, each suitor's list costs a probe, and the suitors she asks, best
     first, share one memo of rejection rounds."""
-    if type(woman) is not int or not 0 <= woman < inst.m:
-        raise ValueError(f"unknown woman {woman}")
+    view = query_view(inst.oracle, (RIGHT, woman), counter, "woman")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    view = MemoView(inst.oracle, counter, free=((RIGHT, woman),))
     rej = _RejectionRounds(inst, view)
     suitors, _ = rej._settle(woman)
     for pos, mm, _ in sorted(suitors, key=lambda s: s[2], reverse=True):

@@ -3,17 +3,18 @@
 The cost model used throughout the package: one *probe* is one access to one
 entity's adjacency/preference record.  A local query's probes are its read
 set: its `ProbeCounter` keeps each record its view read, once, and leaves
-out the ones the query hands over free (the queried entity's own
-record).  Under a report overlay (a plain mapping from entity to report,
-read through `reported_reads`) a reported row is free too, and a rebuilt
-record costs the true record it replaces, so an overlay costs a query no
-more than the records it patches.  Reverse lists are materialized
-once at build time, in the order the instance gives (ascending id, or bid
-order for udubv and ksmb); that setup pass is not counted, but every
-*access* to a reverse record is, whatever its order.  The build's time and
-memory follow the entries: an empty record is the shared `()`, one pointer
-in the record table, so a standard-mode slot pool of mostly empty slots
-builds at the cost of its jobs' choices.
+out the ones the query hands over free.  Every local query opens its view
+with `query_view`, which refuses an id that is not its side's and hands
+over the queried entity's own record free.  Under a report overlay (a
+plain mapping from entity to report, read through `reported_reads`) a
+reported row is free too, and a rebuilt record costs the true record it
+replaces, so an overlay costs a query no more than the records it patches.
+Reverse lists are materialized once at build time, in the order the
+instance gives (ascending id, or bid order for udubv and ksmb); that setup
+pass is not counted, but every *access* to a reverse record is, whatever
+its order.  The build's time and memory follow the entries: an empty record
+is the shared `()`, one pointer in the record table, so a standard-mode
+slot pool of mostly empty slots builds at the cost of its jobs' choices.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
@@ -38,8 +39,8 @@ from array import array
 from typing import Any, Callable, Generator, Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "reported_reads", "neighborhood",
-    "rank_tables", "upward_closure", "resolve",
+    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "query_view", "reported_reads",
+    "neighborhood", "rank_tables", "upward_closure", "resolve",
 ]
 
 Entity = tuple[str, int]
@@ -112,23 +113,13 @@ class AdjacencyOracle:
 class MemoView:
     """Per-query oracle view: each read adds its record to the counter's
     `seen` (a fresh counter's if `counter` is None), so a repeat costs
-    nothing.  `free` lists records that never cost anything (a mechanism
-    query's own entity)."""
+    nothing."""
 
     __slots__ = ("_oracle", "_seen")
 
-    def __init__(
-        self,
-        oracle: AdjacencyOracle,
-        counter: ProbeCounter | None,
-        free: Iterable[Entity] = (),
-    ) -> None:
-        counter = counter or ProbeCounter()
-        free = set(free) - counter.seen
-        counter.free += len(free)
-        counter.seen.update(free)
+    def __init__(self, oracle: AdjacencyOracle, counter: ProbeCounter | None) -> None:
         self._oracle = oracle
-        self._seen = counter.seen
+        self._seen = (counter or ProbeCounter()).seen
 
     def fwd(self, i: int) -> tuple[int, ...]:
         self._seen.add((LEFT, i))
@@ -137,6 +128,27 @@ class MemoView:
     def rev(self, j: int) -> tuple[int, ...]:
         self._seen.add((RIGHT, j))
         return self._oracle._rev[j]
+
+
+def _known(oracle: AdjacencyOracle, side: str, i: object) -> bool:
+    """Whether `i` is an id of `side`: an int (a bool is not one) in range."""
+    return type(i) is int and 0 <= i < (oracle.n if side == LEFT else oracle.m)
+
+
+def query_view(
+    oracle: AdjacencyOracle, entity: Entity, counter: ProbeCounter | None, kind: str
+) -> MemoView:
+    """The view a local query about `entity`, a `kind` ("man", "job", ...),
+    reads through: an id that is not its side's is refused, and the
+    entity's own record is free, unless a shared counter has read it."""
+    side, i = entity
+    if not _known(oracle, side, i):
+        raise ValueError(f"unknown {kind} {i}")
+    counter = counter or ProbeCounter()
+    if entity not in counter.seen:
+        counter.seen.add(entity)
+        counter.free += 1
+    return MemoView(oracle, counter)
 
 
 def reported_reads(
@@ -189,8 +201,7 @@ def neighborhood(
     side, idx = entity
     if side not in (LEFT, RIGHT):
         raise ValueError(f"unknown side {side!r}")
-    limit = oracle.n if side == LEFT else oracle.m
-    if not 0 <= idx < limit:
+    if not _known(oracle, side, idx):
         raise ValueError(f"entity id {idx} out of range")
     view = MemoView(oracle, counter)
     seen: set[Entity] = {entity}

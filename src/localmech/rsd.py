@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
+from .probes import LEFT, AdjacencyOracle, ProbeCounter, query_view, rank_tables, upward_closure
 from .randomness import RandomTape, uniform_table
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -103,8 +103,6 @@ def rsd_local(
     numbers are seeded mechanism data and cost no probes; reading an agent's
     list or a house's interested-agents list costs one probe each (the
     queried agent's own list is free)."""
-    if type(agent) is not int or not 0 <= agent < inst.n:
-        raise ValueError(f"unknown agent {agent}")
-    view = MemoView(inst.oracle, counter, free=((LEFT, agent),))
+    view = query_view(inst.oracle, (LEFT, agent), counter, "agent")
     closure = upward_closure((agent,), inst.place, view.fwd, view.rev)
     return serial_dictatorship(closure, view.fwd)[agent]

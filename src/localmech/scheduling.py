@@ -41,7 +41,7 @@ from itertools import accumulate
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
 
-from .probes import LEFT, AdjacencyOracle, MemoView, ProbeCounter, rank_tables, upward_closure
+from .probes import LEFT, AdjacencyOracle, ProbeCounter, query_view, rank_tables, upward_closure
 from .randomness import (
     RandomTape, attempt_table, derive_uniform, sample_table, uniform_first, uniform_rows
 )
@@ -262,18 +262,6 @@ def _run_order(inst: SchedulingInstance, order: Iterable[int] | None) -> Iterabl
     return jobs
 
 
-def _rank_closure(
-    inst: SchedulingInstance, job: int, counter: ProbeCounter | None
-) -> tuple[MemoView, list[int]]:
-    """The query's view and its rank-order dependency tree: the jobs sharing
-    a slot or menu machine with lower rank, transitively, in rank order.  The
-    queried job has the highest rank, so it comes last."""
-    if type(job) is not int or not 0 <= job < inst.m:
-        raise ValueError(f"unknown job {job}")
-    view = MemoView(inst.oracle, counter, free=((LEFT, job),))
-    return view, upward_closure((job,), inst.place, view.fwd, view.rev)
-
-
 def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) -> Allocation:
     """Slot-based allocation over all jobs (index order unless given), with
     the slot choices of the oracle's records and the tie-break words, both
@@ -295,7 +283,8 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     """Machine of `job` under the rank-order replay, resolved from the jobs
     sharing a chosen slot with lower rank, transitively."""
     inst.require_mode(STANDARD, "slms_local")
-    view, order = _rank_closure(inst, job, counter)
+    view = query_view(inst.oracle, (LEFT, job), counter, "job")
+    order = upward_closure((job,), inst.place, view.fwd, view.rev)
     slot_h: defaultdict[int, int] = defaultdict(int)
     for j in order:
         slot = _pick_slot(inst, j, view.fwd(j), slot_h)
@@ -437,7 +426,8 @@ def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     """Machine of `job` under the rank-order replay, resolved from the jobs
     sharing a menu machine with lower rank, transitively."""
     inst.require_mode(RESTRICTED, "rlms_local")
-    view, order = _rank_closure(inst, job, counter)
+    view = query_view(inst.oracle, (LEFT, job), counter, "job")
+    order = upward_closure((job,), inst.place, view.fwd, view.rev)
     heights: defaultdict[int, int] = defaultdict(int)
     for j in order:
         machine = _pick_floored(view.fwd(j), heights, inst.caps)

@@ -28,7 +28,7 @@ from localmech.auctions import (
 )
 from localmech.instances import InstanceSpec, build_instance
 from localmech.oracles import max_matching, max_weight_matching, optimal_packing
-from localmech.probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, upward_closure
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, ProbeCounter, query_view, upward_closure
 
 F = Fraction
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -448,7 +448,7 @@ def _closure_replay(inst, overlay=None):
     awards, price = _BID_RULES[inst.mode]
 
     def query(buyer, counter):
-        view = MemoView(inst.oracle, counter, free=((LEFT, buyer),))
+        view = query_view(inst.oracle, (LEFT, buyer), counter, "buyer")
         closure = upward_closure((buyer,), place, view.fwd, view.rev) if bidding[buyer] else ()
         won = awards((b for b in closure if bidding[b]), view.fwd)
         award = won.get(buyer, ())

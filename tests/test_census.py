@@ -19,7 +19,7 @@ def test_defaulted_parameter_census():
         for f in ast.walk(ast.parse(p.read_text()))
         if isinstance(f, ast.FunctionDef)
     )
-    assert count == 35
+    assert count == 34
 
 
 def test_mode_and_family_comparison_census():
@@ -30,6 +30,17 @@ def test_mode_and_family_comparison_census():
         sum(1 for line in p.read_text().splitlines() if pattern.search(line)) for p in SOURCES
     )
     assert count == 16
+
+
+def test_only_probes_builds_a_view():
+    # every local query opens its view through `probes.query_view`, which
+    # states the id check and the free own record once
+    found = [
+        p.name
+        for p in SOURCES
+        if p.name != "probes.py" and "MemoView(" in p.read_text()
+    ]
+    assert not found, found
 
 
 def test_no_module_imports_numpy_or_scipy():

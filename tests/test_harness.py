@@ -533,6 +533,46 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+# instance family -> run/query argv, gen flags, the instance flags that may
+# not join --config, and a request
+_CONFIG_CASES = {
+    "matching": (["matching"], ["--n", "4"], ["--seed", "--n", "--k"], ["--query-man", "1"]),
+    "scheduling-std": (
+        ["scheduling", "--mode", "std"], ["--bids", "2,1"],
+        ["--seed", "--n", "--m", "--d", "--bids"], ["--query-job", "1"],
+    ),
+    "udubv": (
+        ["auction", "--mode", "udubv"], ["--bids", "3,5", "--k", "1"],
+        ["--seed", "--n", "--m", "--k", "--bids", "--sets"], ["--query-buyer", "1"],
+    ),
+    "housing": (["rsd"], ["--n", "4"], ["--seed", "--n", "--m", "--d"], ["--query-agent", "1"]),
+}
+
+
+def test_cli_config_refuses_an_instance_flag_it_would_ignore(tmp_path, capsys):
+    # the file gives the whole instance: an instance flag beside it is named
+    # and refused, while --rounds and a request still go with it
+    sets = tmp_path / "sets.json"
+    sets.write_text("[[0], [1]]")
+    values = {"--bids": "1,2", "--sets": str(sets)}
+    for family, (verb, gen, flags, request) in _CONFIG_CASES.items():
+        path = tmp_path / f"{family}.json"
+        assert cli.main(["gen", family, *gen, "--out", str(path)]) == 0
+        base = [*verb, "--config", str(path)]
+        for flag in flags:
+            for argv in (["run", *base], ["query", *base, *request]):
+                assert cli.main([*argv, flag, values.get(flag, "9")]) == 2, (argv, flag)
+                out, err = capsys.readouterr()
+                assert (out, err) == ("", f"lcmd: --config gives the whole instance, not {flag}\n")
+        assert cli.main(["query", *base, *request]) == 0, family
+        capsys.readouterr()
+    argv = ["query", "rsd", "--config", str(tmp_path / "housing.json"), "--n", "1000"]
+    assert cli.main([*argv, "--seed", "9", "--query-agent", "3"]) == 2
+    assert capsys.readouterr().err == "lcmd: --config gives the whole instance, not --seed or --n\n"
+    argv = ["query", "matching", "--config", str(tmp_path / "matching.json"), "--rounds", "2"]
+    assert cli.main([*argv, "--query-man", "1"]) == 0
+
+
 def test_cli_sizes_past_the_cap_exit_2(tmp_path, capsys):
     # a size past MAX_SIZE is refused before any build starts
     argv = ["query", "rsd", "--n", "99999999999999999999", "--d", "1", "--query-agent", "0"]

@@ -33,6 +33,7 @@ from localmech.probes import (
     MemoView,
     ProbeCounter,
     neighborhood,
+    query_view,
     rank_tables,
     resolve,
     upward_closure,
@@ -302,7 +303,7 @@ def test_probe_counting_memoizes_per_record():
 def test_probe_free_records_cost_nothing():
     oracle = AdjacencyOracle([(0, 1), (1, 2)], 3, range(2))
     counter = ProbeCounter()
-    view = MemoView(oracle, counter, free=((LEFT, 0),))
+    view = query_view(oracle, (LEFT, 0), counter, "man")
     assert counter.seen == {(LEFT, 0)}
     view.fwd(0)
     assert counter.count == 0
@@ -312,6 +313,9 @@ def test_probe_free_records_cost_nothing():
     view.rev(2)
     # the free record is in the read set, once, and left out of the count
     assert counter.seen == {(LEFT, 0), (LEFT, 1), (RIGHT, 2)}
+    assert counter.count == 2
+    # a record the shared counter has read already stays charged
+    query_view(oracle, (LEFT, 1), counter, "man")
     assert counter.count == 2
 
 

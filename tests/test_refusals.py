@@ -8,7 +8,9 @@ from __future__ import annotations
 import pytest
 
 from localmech import cli
-from localmech.auctions import AuctionInstance, truthfulness_audit, udubv_local, uduv_local
+from localmech.auctions import (
+    AuctionInstance, ksmb_local, truthfulness_audit, udubv_local, uduv_local,
+)
 from localmech.harness import bench_points, verify_family
 from localmech.instances import FAMILIES, InstanceSpec, spec_from_json
 from localmech.matching import MatchingInstance, abridged_gs, local_ags, local_ags_woman
@@ -24,6 +26,7 @@ from localmech.scheduling import (
     rlms_local,
     rlms_online,
     slms_expected_utility,
+    slms_local,
     slms_online,
 )
 
@@ -33,6 +36,8 @@ WOMEN = MatchingInstance([[0, 1], [1, 2], [2, 0]], m=3, seed=1)
 MACHINES = SchedulingInstance((2, 1, 1), m=4, d=2, mode=RESTRICTED, seed=2)
 BUYERS = AuctionInstance([(0,), (1, 2)], 4, "uduv")  # m = 4 items
 BIDDERS = AuctionInstance([(0,), (0, 1)], 2, "udubv", values=(3, 5))
+SETS = AuctionInstance([(0,), (0, 1)], 2, "ksmb", values=(3, 5))
+SLOTS = SchedulingInstance((2, 1), m=3, d=2, mode="standard", seed=1)  # 3 jobs
 AGENTS = HousingInstance([[0], [0, 1]], 2)
 
 
@@ -63,6 +68,48 @@ REFUSALS = {
         lambda i: neighborhood(ORACLE, (RIGHT, i), 1),
         (0, 1, 3), (-1, 4, 5), lambda i: f"entity id {i} out of range",
     ),
+    "neighborhood left id type": (
+        lambda i: neighborhood(ORACLE, (LEFT, i), 1),
+        (0, 2), NOT_INTS, lambda i: f"entity id {i} out of range",
+    ),
+    "neighborhood right id type": (
+        lambda i: neighborhood(ORACLE, (RIGHT, i), 1),
+        (0, 3), NOT_INTS, lambda i: f"entity id {i} out of range",
+    ),
+    # every local query opens with the same id check: the last id passes,
+    # -1 and the id count are refused
+    "rsd_local agent": (
+        lambda a: rsd_local(AGENTS, a),
+        (0, 1), (-1, 2, 3), lambda a: f"unknown agent {a}",
+    ),
+    "uduv_local buyer": (
+        lambda b: uduv_local(BUYERS, ("buyer", b)),
+        (0, 1), (-1, 2, 3), lambda b: f"unknown buyer {b}",
+    ),
+    "uduv_local item": (
+        lambda j: uduv_local(BUYERS, ("item", j)),
+        (0, 3), (-1, 4, 5), lambda j: f"unknown item {j}",
+    ),
+    "udubv_local buyer": (
+        lambda b: udubv_local(BIDDERS, b),
+        (0, 1), (-1, 2, 3), lambda b: f"unknown buyer {b}",
+    ),
+    "ksmb_local buyer": (
+        lambda b: ksmb_local(SETS, b),
+        (0, 1), (-1, 2, 3), lambda b: f"unknown buyer {b}",
+    ),
+    "slms_local job": (
+        lambda j: slms_local(SLOTS, j),
+        (0, 2), (-1, 3, 4), lambda j: f"unknown job {j}",
+    ),
+    "rlms_local job": (
+        lambda j: rlms_local(MACHINES, j),
+        (0, 3), (-1, 4, 5), lambda j: f"unknown job {j}",
+    ),
+    "local_ags man": (
+        lambda man: local_ags(WOMEN, 2, man),
+        (0, 2), (-1, 3, 4), lambda man: f"unknown man {man}",
+    ),
     "local_ags_woman woman": (
         lambda w: local_ags_woman(WOMEN, 2, w),
         (0, 1, 2), (-1, 3, 4), lambda w: f"unknown woman {w}",
@@ -70,6 +117,10 @@ REFUSALS = {
     "women_prefs man id": (
         lambda man: MatchingInstance([[0], [0], [0]], m=1, women_prefs=[[man]]),
         (0, 1, 2), (-1, 3, 4), lambda man: "woman 0 ranks a man outside 0..2",
+    ),
+    "women_prefs man id type": (
+        lambda man: MatchingInstance([[0], [0], [0]], m=1, women_prefs=[[man]]),
+        (0, 2), NOT_INTS, lambda man: "woman 0 ranks a man outside 0..2",
     ),
     "restricted menu machine": (
         lambda i: SchedulingInstance((1, 1, 1), m=1, d=1, menus=[(0, i)]),
@@ -190,6 +241,14 @@ REFUSALS = {
         lambda b: udubv_local(BIDDERS, b),
         (0, 1), NOT_INTS, lambda b: f"unknown buyer {b}",
     ),
+    "ksmb_local buyer type": (
+        lambda b: ksmb_local(SETS, b),
+        (0, 1), NOT_INTS, lambda b: f"unknown buyer {b}",
+    ),
+    "slms_local job type": (
+        lambda j: slms_local(SLOTS, j),
+        (0, 2), NOT_INTS, lambda j: f"unknown job {j}",
+    ),
     "rlms_local job type": (
         lambda j: rlms_local(MACHINES, j),
         (0, 3), NOT_INTS, lambda j: f"unknown job {j}",
@@ -223,7 +282,6 @@ REFUSALS = {
 }
 
 HOUSING = InstanceSpec(seed=0, family="housing", n=1, m=1, k=1)
-SLOTS = SchedulingInstance((2, 1), m=3, d=2, mode="standard", seed=1)
 RESTRICTED_TWIN = SchedulingInstance((2, 1), m=3, d=2, mode=RESTRICTED, seed=1)
 
 # name → (call, its whole message)
