@@ -26,7 +26,8 @@ as Yoshida, Yamamoto and Ito do (STOC 2009) and stopping as soon as the
 answer is known; a winner's payment (`_tree_price`) comes from the same
 recursion run without her, which shares every answer of the buyers ahead
 of her.  `probes.resolve` drives both.  Neither reads a zero-bid rival's
-set.  The bid order is descending bid, ties to the smaller id, over the exact
+set.  The tree has one frame for both modes, which asks its rivals inline.
+The bid order is descending bid, ties to the smaller id, over the exact
 bids `AuctionInstance.values`: a whole bid as its int, any other as its
 `Fraction`, which Python compares exactly; payments are `Fraction`s.  The
 build sorts the buyers once (`AuctionInstance.order`) and lists each item's
@@ -34,6 +35,21 @@ buyers in that order, so the global run and the query tree read the order
 rather than sort: a query's rivals on an item are a prefix of the item's
 record.  Only whole bids skip `Fraction` comparisons: every spec-built
 instance bids whole numbers.
+
+A price resolves only the holders that can move it.  In the run without
+winner i the rivals ahead of her keep their full-run awards, so:
+* udubv (award (a,), her set sorted by id): her items before a went to
+  rivals ahead of her, who bid at least what she does, while a's holder
+  bids at most that, so those items are skipped; a is scanned from behind
+  her, each later item from the top of its record, and the price is 0 at
+  the first item found unsold;
+* ksmb: no rival ahead of her holds an item of hers, so every scan starts
+  behind her, and an item's holder bids at most the first bid behind her
+  there, the item's bound, read when she won.  The items go in descending
+  bound; the scan ends at a bound no better than the best holder bid so
+  far, and an item's scan at a rival no better than it.
+Each scan resolves a part of the holders the full scan would, on the same
+memoised tree, so a query's read set only shrinks.
 
 The udubv and ksmb global runs (`_bid_run`) take their awards from the
 allocation step and price each winner with the same two functions over the
@@ -65,6 +81,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Generator, ItemsView, Iterable, Mapping, Sequence
 
 from .probes import (
@@ -307,7 +324,8 @@ def _ksmb_price(
     return max((bids[b] for b, s in won.items() if mine_set.intersection(s)), default=ZERO)
 
 
-# mode -> (allocation step, critical price of a buyer's items in the run without her)
+# mode -> (allocation step, critical price of a buyer's items from every holder
+# in the run without her: `_critical`'s rule; `_tree_price` scans by `_PRICE_SCANS`)
 _BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_price)}
 
 
@@ -345,36 +363,100 @@ def _bid_tree(mode: str, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int],
     bid of the root or of her rivals, so it reads no record outside those
     closures.
     """
+    whole = mode == KSMB  # ksmb wants her whole set, udubv one item of it
 
-    def taken(j: int, y: int):
-        """Whether a rival ahead of y took item j of y's set; yields each
-        rival asked about and is sent her award."""
-        for z in rev(j):
-            if z == y:  # y bids, so every zero bid lies behind her
-                break
-            if z != absent and j in (yield z):
-                return True
-        return False
-
-    def udubv_frame(y: int):
-        for j in fwd(y):
-            if not (yield from taken(j, y)):
-                return (j,)
-        return ()
-
-    def ksmb_frame(y: int):
+    def frame(y: int):
         s = fwd(y)
         for j in s:
-            if (yield from taken(j, y)):
-                return ()
-        return s
+            for z in rev(j):
+                if z == y:  # no rival took j; y bids, so every zero bid lies behind her
+                    if not whole:
+                        return (j,)
+                    break
+                if z != absent and j in (yield z):
+                    if whole:
+                        return ()
+                    break
+        return s if whole else ()
 
-    return udubv_frame if mode == UDUBV else ksmb_frame
+    return frame
+
+
+_Award = Callable[[int], tuple[int, ...]]
+
+
+def _udubv_scan(
+    i: int,
+    won: tuple[int, ...],
+    mine: Sequence[int],
+    rev: _Sets,
+    bids: Sequence[Fraction | int],
+    award_of: _Award,
+) -> Fraction | int:
+    """udubv's price of winner i, who took `won` = (a,), from the holders of
+    `mine` in the run without her: the least holder bid, or 0 at the first
+    item of hers that goes unsold.  Her items before a went to rivals ahead
+    of her, who keep them and bid at least what she does, while no rival
+    ahead of her took a, so a's holder bids at most that: those items are
+    skipped.  a is scanned from behind her, then each later item from the
+    top of its record."""
+    a = won[0]
+    price = bids[i]  # a's holder bids at most this
+    for j in mine[mine.index(a):]:
+        r = rev(j)
+        for z in r[r.index(i) + 1:] if j == a else r:
+            if not bids[z]:  # the zero bids sort last and win nothing
+                return 0
+            if z != i and j in award_of(z):
+                price = min(price, bids[z])
+                break
+        else:
+            return 0
+    return price
+
+
+def _ksmb_scan(
+    i: int,
+    won: tuple[int, ...],
+    mine: Sequence[int],
+    rev: _Sets,
+    bids: Sequence[Fraction | int],
+    award_of: _Award,
+) -> Fraction | int:
+    """ksmb's price of winner i from the holders of `mine` in the run
+    without her: the best holder bid, 0 if none.  She took every item of
+    hers, so no rival ahead of her holds one, and each scan starts behind
+    her.  An item's holder bids at most the first bid behind her on it,
+    the item's bound (read when she won), so the items go in descending
+    bound, the scan ends at a bound no better than the best holder bid so
+    far, and an item's scan at a rival no better than it."""
+    bounded = []
+    for j in mine:
+        r = rev(j)
+        behind = r[r.index(i) + 1:]
+        if behind:
+            bounded.append((bids[behind[0]], behind, j))
+    best = 0
+    for bound, behind, j in sorted(bounded, key=itemgetter(0), reverse=True):
+        if bound <= best:
+            break
+        for z in behind:
+            if bids[z] <= best:  # zero bids included: they win nothing
+                break
+            if j in award_of(z):
+                best = bids[z]
+                break
+    return best
+
+
+# mode -> the holder scan `_tree_price` prices a winner with
+_PRICE_SCANS = {UDUBV: _udubv_scan, KSMB: _ksmb_scan}
 
 
 def _tree_price(
     mode: str,
     i: int,
+    won: tuple[int, ...],
     mine: Sequence[int],
     rev: _Sets,
     bids: Sequence[Fraction | int],
@@ -382,26 +464,31 @@ def _tree_price(
     lookup: Callable[[int], tuple[int, ...] | None],
     store: Callable[[int, tuple[int, ...]], object],
 ) -> Fraction:
-    """Buyer i's critical price: her price rule over the holders of `mine`,
-    her set, in the run without her, whose awards `frame` (a `_bid_tree`
-    without i) resolves through `lookup` and `store`.
+    """Winner i's critical price: her price rule over the holders of
+    `mine`, her set, in the run without her, whose awards `frame` (a
+    `_bid_tree` without i) resolves through `lookup` and `store`; `won` is
+    her award in the full run.
 
     A winner holds every item of her award (udubv) or set (ksmb) and no
-    item has two holders, so the scan takes the rivals on each item of
-    hers in bid order and stops at the first who wins it in that run: the
-    item's holder there.  It costs what `_bid_tree` charges for the
-    rivals it resolves and the buyer lists it scans.
+    item has two holders, so a scan takes the rivals on an item of hers in
+    bid order and stops at the first who wins it in that run: the item's
+    holder there.  The rivals ahead of i keep their full-run awards in that
+    run, which fixes some holders without a scan, and the price rule needs
+    no holder that cannot move it, so the scan of her mode
+    (`_PRICE_SCANS`) resolves only the holders that can:
+    - udubv skips her items before her award and returns 0 at the first
+      item found unsold;
+    - ksmb starts behind her on every item, takes the items best bound
+      first and stops at a bid no better than the best holder bid so far.
+    It costs what `_bid_tree` charges for the rivals it resolves and the
+    buyer lists it scans, a part of what resolving every holder costs.
     """
-    holders = {}
-    for j in mine:
-        for z in rev(j):
-            if not bids[z]:  # the zero bids sort last and win nothing
-                break
-            if z != i and j in (won := resolve(z, frame, lookup, store)):
-                holders[z] = won
-                break
+
+    def award_of(z: int) -> tuple[int, ...]:
+        return resolve(z, frame, lookup, store)
+
     # the price is a bid, an int when whole; every payment is a Fraction
-    return Fraction(_BID_RULES[mode][1](holders, mine, bids))
+    return Fraction(_PRICE_SCANS[mode](i, won, mine, rev, bids, award_of))
 
 
 def _bid_run(inst: AuctionInstance) -> Outcome:
@@ -420,7 +507,9 @@ def _bid_run(inst: AuctionInstance) -> Outcome:
             return won.get(z, ()) if place[z] < ahead else memo.get(z)
 
         frame = _bid_tree(inst.mode, sets.__getitem__, rev, i)
-        payments[i] = _tree_price(inst.mode, i, sets[i], rev, bids, frame, lookup, memo.__setitem__)
+        payments[i] = _tree_price(
+            inst.mode, i, won[i], sets[i], rev, bids, frame, lookup, memo.__setitem__
+        )
     return Outcome(awards={b: won.get(b, ()) for b in range(inst.n)}, payments=payments)
 
 
@@ -464,7 +553,7 @@ def _bid_local(
     if not won:
         return {"buyer": buyer, "award": (), "payment": ZERO}
     mine = fwd(buyer)
-    payment = _tree_price(inst.mode, buyer, mine, rev, keys, frame, memo.get, memo.__setitem__)
+    payment = _tree_price(inst.mode, buyer, won, mine, rev, keys, frame, memo.get, memo.__setitem__)
     return {"buyer": buyer, "award": won, "payment": payment}
 
 

@@ -55,8 +55,13 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, default=_json_default, sort_keys=True))
 
 
-# `run`/`query` family -> the default of its size flag (`gen`'s is 3)
-_SIZES = {"matching": 3, "scheduling": 2, "auction": 2, "rsd": 3}
+# instance family -> the default of its size flag in `gen`, `run` and
+# `query`, set per `run`/`query` family
+_SIZES = {
+    served: size
+    for name, size in {"matching": 3, "scheduling": 2, "auction": 2, "rsd": 3}.items()
+    for served in harness.LCMD_FAMILIES[name].values()
+}
 
 
 def _spec(args, family: str) -> InstanceSpec:
@@ -93,7 +98,7 @@ def _spec(args, family: str) -> InstanceSpec:
         family=family,
         n=n,
         m=m if m is not None else n,
-        k=args.size if args.size is not None else _SIZES[args.family],
+        k=args.size if args.size is not None else _SIZES[family],
         values=tuple(bids) if bids else None,
         explicit_edges=edges,
     )
@@ -186,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
-    gen.add_argument("--k", "--d", dest="size", type=int, default=3)
+    gen.add_argument("--k", "--d", dest="size", type=int)
     gen.add_argument("--bids", type=_int_list)
     gen.add_argument("--out")
 

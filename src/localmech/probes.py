@@ -276,17 +276,23 @@ def resolve(
     can be as long as the instance.
     """
     answer = lookup(root)
-    stack = [] if answer is not None else [(root, frame(root))]
-    while stack:
-        q, gen = stack[-1]
+    if answer is not None:
+        return answer
+    # the open question and its frame stay in locals, so a step that meets
+    # a known answer only sends it; the frames below wait on the stack
+    q, gen = root, frame(root)
+    stack: list[tuple[Any, Generator]] = []
+    while True:
         try:
             sub = gen.send(answer)
         except StopIteration as done:
             answer = done.value
             store(q, answer)
-            stack.pop()
+            if not stack:
+                return answer
+            q, gen = stack.pop()
             continue
         answer = lookup(sub)
         if answer is None:
-            stack.append((sub, frame(sub)))
-    return answer
+            stack.append((q, gen))
+            q, gen = sub, frame(sub)

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -249,9 +250,13 @@ def test_ksmb_critical_bid_is_the_win_threshold():
 def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
     # A winner's price is read off the holders of her items in the run
     # without her, and a price can hide a wrong holder (ksmb pays the best
-    # of them), so the holders themselves are compared with a full rerun.
+    # of them), so every award the price scan resolves is compared with a
+    # full rerun: a rival it finds holding an item of hers is that item's
+    # holder there.  The scan skips the holders that cannot move her price,
+    # so each price is checked against `_critical` as well.
     # In the fixed example, without buyer 0, buyer 1 takes item 2 from
-    # buyer 2, who so loses item 3 to buyer 3, a holder of buyer 0's item 1.
+    # buyer 2, who so loses item 3 to buyer 3, a holder of buyer 0's item 1;
+    # buyer 3 bids 7, under buyer 1's 9 on item 0, so the scan leaves him be.
     rng = random.Random(26)
     cases = [_ksmb([(0, 1), (0, 2), (2, 3), (1, 3)], values=(10, 9, 8, 7), m=4, k=2)]
     for _ in range(300):
@@ -259,24 +264,41 @@ def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
         sets = [rng.sample(range(m), rng.randrange(min(m, 3) + 1)) for _ in range(n)]
         values = [rng.randrange(6) for _ in range(n)]
         cases.append(AuctionInstance(sets, m, rng.choice(["udubv", "ksmb"]), values=values))
-    rules = dict(_BID_RULES)
+    priced, resolve = [], auctions.resolve
+
+    def tree_price(mode, i, *rest):
+        priced.append((i, []))
+        return price(mode, i, *rest)
+
+    def recorded(z, *rest):
+        got = resolve(z, *rest)
+        priced[-1][1].append((z, got))
+        return got
+
+    price = auctions._tree_price
+    monkeypatch.setattr(auctions, "_tree_price", tree_price)
+    monkeypatch.setattr(auctions, "resolve", recorded)
+    found = 0
     for inst in cases:
-        awards, price = rules[inst.mode]
-        handed = []
-
-        def recorded(won, mine, bids):
-            handed.append(dict(won))
-            return price(won, mine, bids)
-
-        monkeypatch.setitem(_BID_RULES, inst.mode, (awards, recorded))
+        priced.clear()
         out = _BID_PAIRS[inst.mode][0](inst)
+        awards = _BID_RULES[inst.mode][0]
         order = _positive_prefix(inst.order, inst.values)
         winners = [b for b in range(inst.n) if out.awards[b]]
-        assert len(handed) == len(winners)
-        for i, got in zip(winners, handed):
+        assert [i for i, _ in priced] == winners
+        for i, resolved in priced:
             rerun = awards((b for b in order if b != i), inst.sets.__getitem__)
-            want = {h: award for h, award in rerun.items() if set(award) & set(inst.sets[i])}
-            assert got == want, (inst.sets, inst.values, i)
+            holder = {j: h for h, award in rerun.items() for j in award}
+            for z, got in resolved:
+                assert got == rerun.get(z, ()), (inst.sets, inst.values, i, z)
+                for j in set(got) & set(inst.sets[i]):
+                    assert holder[j] == z, (inst.sets, inst.values, i, j)
+                    found += 1
+            assert out.payments[i] == _critical(inst, i), (inst.sets, inst.values, i)
+    assert found
+    priced.clear()
+    ksmb_run(cases[0])
+    assert priced[0] == (0, [(1, (0, 2))])
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +658,42 @@ def test_query_tree_follows_a_bid_chain_n_deep(family):
         for b in (winners[0], winners[len(winners) // 2], winners[-1]):
             assert out.payments[b] == _critical(inst, b), (values, b)
         assert (out.awards[last], out.payments[last]) == (got["award"], got["payment"])
+
+
+def _full_holder_price(mode, i, won, mine, rev, bids, frame, lookup, store):
+    """`auctions._tree_price` as it was before the price scans pruned: it
+    resolves the holder of every item of hers, then applies the price rule."""
+    holders = {}
+    for j in mine:
+        for z in rev(j):
+            if not bids[z]:
+                break
+            if z != i and j in (got := auctions.resolve(z, frame, lookup, store)):
+                holders[z] = got
+                break
+    return Fraction(_BID_RULES[mode][1](holders, mine, bids))
+
+
+def test_price_scans_read_no_record_the_full_holder_scan_does_not(monkeypatch):
+    # the pruned scans resolve a part of the holders that the full scan
+    # resolves, on the same memoised tree, so each query's read set can
+    # only shrink, and its payment stays the price rule's
+    pruned = auctions._tree_price
+    fewer = 0
+    for family in ("udubv", "ksmb"):
+        local = _BID_PAIRS[family][1]
+        for k, seed in product((2, 3), range(3)):
+            for n, asked in ((64, 64), (512, 512), (4096, 1024)):
+                inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=k))
+                for b in random.Random(n * k + seed).sample(range(n), asked):
+                    got, ref = ProbeCounter(), ProbeCounter()
+                    monkeypatch.setattr(auctions, "_tree_price", _full_holder_price)
+                    want = local(inst, b, ref)
+                    monkeypatch.setattr(auctions, "_tree_price", pruned)
+                    assert local(inst, b, got) == want, (family, k, n, b)
+                    assert got.seen <= ref.seen, (family, k, n, b)
+                    fewer += len(got.seen) < len(ref.seen)
+    assert fewer
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,33 @@ def test_cli_query_roundtrip_through_config(tmp_path, capsys):
         assert json.loads(direct)["probes"] >= 0
 
 
+# instance family -> run/query argv, instance flags without the size flag,
+# and a request
+_DEFAULT_SIZE_CASES = {
+    "matching": (["matching"], ["--n", "8"], ["--query-man", "1"]),
+    "scheduling-std": (["scheduling", "--mode", "std"], ["--n", "4", "--m", "9"], ["--query-job", "1"]),
+    "scheduling-res": (["scheduling", "--mode", "res"], ["--n", "4", "--m", "9"], ["--query-job", "1"]),
+    "uduv": (["auction", "--mode", "uduv"], ["--n", "6", "--m", "6"], ["--query-item", "1"]),
+    "udubv": (["auction", "--mode", "udubv"], ["--n", "6", "--m", "6"], ["--query-buyer", "1"]),
+    "ksmb": (["auction", "--mode", "ksmb"], ["--n", "6", "--m", "6"], ["--query-buyer", "1"]),
+    "housing": (["rsd"], ["--n", "8"], ["--query-agent", "1"]),
+}
+
+
+def test_cli_gen_takes_the_size_default_of_run_and_query(tmp_path, capsys):
+    # with no size flag, the spec `gen` writes is the instance the query
+    # builds from the same flags, so the query through that file answers
+    # the same with the same probes
+    assert set(_DEFAULT_SIZE_CASES) == set(FAMILIES)
+    for family, (verb, flags, request) in _DEFAULT_SIZE_CASES.items():
+        path = tmp_path / f"{family}.json"
+        assert cli.main(["gen", family, *flags, "--out", str(path)]) == 0, family
+        assert cli.main(["query", *verb, *flags, *request]) == 0, family
+        direct = capsys.readouterr().out
+        assert cli.main(["query", *verb, "--config", str(path), *request]) == 0, family
+        assert capsys.readouterr().out == direct, family
+
+
 def _global_lines(family: str, inst) -> list[dict]:
     """What `lcmd run` prints for a whole instance, from the global runners."""
     if family == "matching":
