@@ -119,14 +119,14 @@ class MatchingInstance:
         self.men_prefs: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in men_prefs)
         self.n = len(self.men_prefs)
         self.m = m
-        self.k = k if k is not None else max((len(p) for p in self.men_prefs), default=0)
+        longest = max(map(len, self.men_prefs), default=0)
+        self.k = k if k is not None else longest
         self.seed = seed
         self.tape = RandomTape(seed)
-        for i, p in enumerate(self.men_prefs):
-            if len(set(p)) != len(p):
-                raise ValueError(f"man {i} lists a woman twice")
-            if len(p) > self.k:
-                raise ValueError(f"man {i} lists more than k={self.k} women")
+        if longest > self.k:
+            i = next(i for i, p in enumerate(self.men_prefs) if len(p) > self.k)
+            raise ValueError(f"man {i} lists more than k={self.k} women")
+        # the oracle refuses a woman who is no int, out of range or listed twice
         self.oracle = AdjacencyOracle(self.men_prefs, m, range(self.n))
         # Explicit women rankings (best first) for hand fixtures; otherwise
         # priorities are seeded hash scores, strict by construction.

@@ -12,9 +12,11 @@ replaces, so an overlay costs a query no more than the records it patches.
 Reverse lists are materialized once at build time, in the order the
 instance gives (ascending id, or bid order for udubv and ksmb); that setup
 pass is not counted, but every *access* to a reverse record is, whatever
-its order.  The build's time and memory follow the entries: an empty record
-is the shared `()`, one pointer in the record table, so a standard-mode
-slot pool of mostly empty slots builds at the cost of its jobs' choices.
+its order.  The same pass states the three rules of a left row for every
+family: each right id is an int, in range, and named once.  The build's
+time and memory follow the entries: an empty record is the shared `()`,
+one pointer in the record table, so a standard-mode slot pool of mostly
+empty slots builds at the cost of its jobs' choices.
 
 Entities are `(side, id)` pairs with side "L" (men / jobs / buyers / agents)
 or "R" (women / machines-and-slots / items / houses).
@@ -67,10 +69,17 @@ class ProbeCounter:
 class AdjacencyOracle:
     """Bipartite adjacency: n left records (ordered tuples of right ids)
     plus materialized reverse records, each listing its left ids in the
-    order the instance gives (`order`, a permutation of 0..n-1: `range(n)`
-    for ascending ids, the bid order for udubv and ksmb).  A record gets its
-    list at its first entry, so the build costs time and memory per entry
-    plus one pointer per record, and an empty record is the shared `()`.
+    order the instance gives (`order`, a permutation of the int ids
+    0..n-1: `range(n)` for ascending ids, the bid order for udubv and
+    ksmb).  A record gets its list at its first entry, so the build costs
+    time and memory per entry plus one pointer per record, and an empty
+    record is the shared `()`.
+
+    Every left row keeps three rules, checked in that one pass, row by row
+    in `order`: each id is an int (a bool is not one), in [0, m), and named
+    once.  A row that names j twice finds itself already at the end of j's
+    record, so a repeat costs one comparison and no set.
+
     Reads here are uncounted; a local query reads through a `MemoView`,
     which charges the probes."""
 
@@ -81,8 +90,11 @@ class AdjacencyOracle:
             raise ValueError(f"right count must be >= 0, got m={m}")
         self.n = len(fwd)
         self.m = m
-        # a range compares to range(n) in O(1); any other order is sorted
-        if order != range(self.n) and sorted(order) != list(range(self.n)):
+        # a range compares to range(n) in O(1); any other order is sorted,
+        # once each entry is known to be an int (a bool or 1.0 sorts as one)
+        if order != range(self.n) and (
+            not set(map(type, order)) <= {int} or sorted(order) != list(range(self.n))
+        ):
             raise ValueError(f"order must be a permutation of the {self.n} left ids")
         rows = self._fwd = tuple(tuple(lst) for lst in fwd)
         rev: list[list[int] | None] = [None] * m  # None until the record's first entry
@@ -95,6 +107,8 @@ class AdjacencyOracle:
                 r = rev[j]
                 if r is None:
                     rev[j] = [i]
+                elif r[-1] == i:  # row i reached j before
+                    raise ValueError(f"left id {i} names right id {j} twice")
                 else:
                     r.append(i)
         self._rev: tuple[tuple[int, ...], ...] = tuple([() if r is None else tuple(r) for r in rev])

@@ -64,7 +64,9 @@ bit still comes from one definition:
 
 - a lane whose first attempt is rejected is drawn by `_draw`;
 - a `sample_table` row with a repeat among its first k draws is redrawn
-  whole from its state by `_rows`;
+  whole from its state by `_rows`; the repeats are found a block at a time,
+  by comparing the block's k draw columns in pairs (k(k-1)/2 passes of
+  `map(eq, ...)`), not with a set per row;
 - every table over a range above 2^64 is drawn by `_rows`.
 
 A range n above 2^64 needs more than one 64-bit word per attempt: attempt a
@@ -84,6 +86,8 @@ from __future__ import annotations
 import sys
 from array import array
 from hashlib import blake2b
+from itertools import combinations, compress
+from operator import eq
 from typing import Iterator, Sequence, Union
 
 __all__ = [
@@ -360,8 +364,9 @@ def _table_rows(
 ) -> list[tuple[int, ...]]:
     """`_rows(tape.u64_table(prefix, count), n, k, distinct)`, a block of rows
     at a time: lane j of a block draws its row's draw t, for each t < k.  A
-    distinct row whose k draws repeat a value is redrawn whole by `_rows`,
-    which also draws the wide ranges."""
+    distinct row whose k draws repeat a value, found by comparing the
+    block's draw columns pair by pair, is redrawn whole by `_rows`, which
+    also draws the wide ranges."""
     if k <= 0 or n > 1 << 64:
         return _rows(tape.u64_table(prefix, count), n, k, distinct)
     bound = (1 << 64) - ((1 << 64) % n)
@@ -370,7 +375,10 @@ def _table_rows(
         draws = (_mix_lanes(s ^ _spread(_leaf(t), b)) for t in range(k))
         cols = [_first_draws(d, b, n, bound) for d in draws]
         block = list(zip(*cols))
-        redo = [j for j, row in enumerate(block) if len(set(row)) < k] if distinct else []
+        redo: set[int] = set()
+        if distinct:  # the rows j where draws t and u agree, for each t < u
+            for t, u in combinations(cols, 2):
+                redo.update(compress(range(b), map(eq, t, u)))
         if redo:
             states = _unpack(s, b)
             for j, row in zip(redo, _rows([states[j] for j in redo], n, k, True)):

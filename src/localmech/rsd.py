@@ -39,10 +39,7 @@ class HousingInstance:
         self.m = m
         self.seed = seed
         self.tape = RandomTape(seed)
-        for a, lst in enumerate(self.lists):
-            if len(set(lst)) != len(lst):
-                raise ValueError(f"agent {a} lists a house twice")
-        self.d = max((len(lst) for lst in self.lists), default=0)
+        self.d = max(map(len, self.lists), default=0)
         if ranks is not None:
             if len(ranks) != self.n:
                 raise ValueError("need one lottery number per agent")
@@ -61,9 +58,9 @@ class HousingInstance:
         if spec.family != "housing":
             raise ValueError(f"not a housing spec: {spec.family!r}")
         lists = spec.seeded_rows("house-list")
-        for a, lst in enumerate(lists):
-            if len(lst) > spec.k:
-                raise ValueError(f"agent {a} lists more than d={spec.k} houses")
+        if max(map(len, lists), default=0) > spec.k:
+            a = next(a for a, lst in enumerate(lists) if len(lst) > spec.k)
+            raise ValueError(f"agent {a} lists more than d={spec.k} houses")
         return cls(lists, m=spec.m, seed=spec.seed)
 
     @classmethod

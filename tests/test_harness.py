@@ -684,6 +684,17 @@ def test_cli_refuses_housing_lists_longer_than_d(tmp_path, capsys):
     assert out == "" and "agent 0 lists more than d=1 houses" in err
 
 
+def test_cli_refuses_a_housing_list_naming_a_house_twice(tmp_path, capsys):
+    path = tmp_path / "lists.json"
+    doc = {"family": "housing", "seed": 0, "n": 2, "m": 2, "d": 2}
+    path.write_text(json.dumps({**doc, "explicit_edges": [[1], [0, 0]]}))
+    assert cli.main(["run", "rsd", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "lcmd: left id 1 names right id 0 twice\n")
+    path.write_text(json.dumps({**doc, "explicit_edges": [[1], [0]]}))
+    assert cli.main(["run", "rsd", "--config", str(path)]) == 0
+
+
 def test_cli_refuses_restricted_menus_longer_than_d(tmp_path, capsys):
     path = tmp_path / "menus.json"
     doc = {"family": "scheduling-res", "seed": 0, "n": 3, "m": 2, "d": 1}

@@ -329,6 +329,8 @@ _BLOCK = randomness._BLOCK
         pytest.param(3, 2**64 - 1, 0, id="k0"),
         # about a third of the sample rows repeat a value and are redrawn
         pytest.param(4, 16, 4, id="repeating"),
+        # one column pair: about a third of the sample rows repeat their value
+        pytest.param(6, 3, 2, id="repeating-pair"),
         # k close to n: nearly every sample row repeats a value and is redrawn
         pytest.param(5, 10, 8, id="near-full"),
         pytest.param(-(2**70), 2**64 + 1, 1, id="wide"),

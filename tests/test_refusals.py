@@ -203,6 +203,12 @@ REFUSALS = {
         lambda j: AdjacencyOracle([(0, 7), (j,), (POOL - 1,)], POOL, (2, 1, 0)),
         (0, POOL - 1), (-1, POOL, POOL + 1), lambda j: f"right id {j} out of range [0, {POOL})",
     ),
+    # the oracle's order holds the n left ids as ints: a bool or 1.0 that
+    # sorts as an id is refused with the rest
+    "oracle order entry type": (
+        lambda x: AdjacencyOracle([(0,), (0, 1)], 2, (x, 0)),
+        (1,), NOT_INTS, lambda x: "order must be a permutation of the 2 left ids",
+    ),
     "auction item type": (
         lambda j: AuctionInstance([(j,)], 2, "uduv"),
         (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
@@ -312,6 +318,17 @@ ONCE = {
     "slms_online job past the jobs": (
         lambda: slms_online(SLOTS, order=[7]), "order must be a permutation of the 3 jobs"
     ),
+    # a row names each right id once: the oracle refuses a repeat for every
+    # family and names the row and the id
+    "oracle repeated right id": (
+        lambda: AdjacencyOracle([(0, 1, 0)], 2, range(1)), "left id 0 names right id 0 twice"
+    ),
+    "housing repeated house": (
+        lambda: HousingInstance([[0, 0]], 1), "left id 0 names right id 0 twice"
+    ),
+    "matching repeated woman": (
+        lambda: MatchingInstance([[1, 1]], 2), "left id 0 names right id 1 twice"
+    ),
     # row 0's id is out of range, but `order` checks row 1 first, whose
     # float id is out of range too and is named for its type
     "oracle first offender in order, 2^20 records": (
@@ -338,6 +355,15 @@ def test_refusals_without_a_boundary_name_their_fault(name):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_rows_naming_each_id_once_build():
+    # the rows refused above for a repeated id, with each id listed once
+    assert AdjacencyOracle([(0, 1)], 2, range(1)).rev(1) == (0,)
+    assert HousingInstance([[0]], 1).oracle.fwd(0) == (0,)
+    assert MatchingInstance([[1]], 2).oracle.fwd(0) == (1,)
+    # ids repeated across rows are fine: each record lists both rows
+    assert AdjacencyOracle([(0, 1), (1, 0)], 2, (1, 0)).rev(0) == (1, 0)
 
 
 def test_a_bid_list_that_is_not_ints_is_a_usage_error(capsys):

@@ -7,7 +7,10 @@ reads (verify prints only counts, which these sizes leave alone); auction
 run, query and --audit; scheduling --pay-machine in both modes; a
 standard-mode job query on a 2^20-slot pool; the whole printed run, one
 line per entity, of each auction mode, of matching, truncated and not, of
-both scheduling modes and of rsd), then the overlaid auction queries
+both scheduling modes and of rsd), then each refused `--config` file of
+`CONFIGS`, written to a temporary directory (its stdout and stderr are
+hashed together, so the line pins the refusal's message), then the
+overlaid auction queries
 in-process (no `lcmd` command asks one outside `--audit`, which prints only
 violations), then each demo as a subprocess.
 `#` comment lines (timestamps, wall times) are stripped by
@@ -38,6 +41,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Iterator
 
@@ -89,6 +93,15 @@ for rounds in (["--rounds", "2"], []):
 for mode in ("std", "res"):
     COMMANDS.append(["run", "scheduling", "--mode", mode, "--seed", "2", "--n", "8", "--m", "40"])
 COMMANDS.append(["run", "rsd", "--seed", "2", "--n", "40", "--d", "3"])
+
+# file name -> (verb, spec) of a --config file the build refuses: agent 1's
+# list names house 0 twice, so `lcmd` exits 2 with the oracle's message
+CONFIGS = {
+    "repeated-house.json": (
+        ["run", "rsd"],
+        {"family": "housing", "seed": 0, "n": 2, "m": 2, "d": 2, "explicit_edges": [[1], [0, 0]]},
+    ),
+}
 
 # each demo with the small arguments tests/test_demos.py runs it with
 DEMOS = {
@@ -150,6 +163,14 @@ def digest_lines() -> Iterator[str]:
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
         yield f"{_digest(out.getvalue())}  exit={code}  lcmd {' '.join(argv)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (verb, doc) in CONFIGS.items():
+            path = Path(tmp) / name
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = cli.main([*verb, "--config", str(path)])
+            yield f"{_digest(out.getvalue())}  exit={code}  lcmd {' '.join(verb)} --config {name}"
     yield from overlaid_lines()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     for demo, args in DEMOS.items():
