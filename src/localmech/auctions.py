@@ -153,7 +153,7 @@ class AuctionInstance:
         self.k = k if k is not None else max((len(s) for s in self.sets), default=0)
         for b, s in enumerate(self.sets):
             if len(s) > self.k:
-                raise ValueError(f"buyer {b} wants more than k={self.k} items")
+                raise ValueError(f"buyer {b} lists more than k={self.k} entries")
         self.seed = seed
         self.tape = RandomTape(seed)
         if mode == UDUV:

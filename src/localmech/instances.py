@@ -234,7 +234,8 @@ class InstanceSpec:
     list, set or menu size (the scheduling and housing families call it d).
     Explicit fields, when given, override seeded generation of the same data:
     `values` gives one integer per entity of n, `explicit_edges` one row per
-    entity of the family's `rows` side.  `n`, `m` and an explicit
+    entity of the family's `rows` side, of at most k raw entries as a seeded
+    row holds k (the one width check of a row).  `n`, `m` and an explicit
     standard-mode slot pool (Σ values) are at most `MAX_SIZE`.
     """
 
@@ -268,6 +269,10 @@ class InstanceSpec:
             want = getattr(self, fam.rows)
             if len(self.explicit_edges) != want:
                 raise ValueError(f"explicit_edges needs one row per entity: {fam.rows}={want}")
+            for i, row in enumerate(self.explicit_edges):
+                if len(row) > self.k:
+                    entity = fam.queries[0].entity
+                    raise ValueError(f"{entity} {i} lists more than {fam.size}={self.k} entries")
 
     def seeded_rows(self, tag: str) -> Sequence[tuple[int, ...]]:
         """`explicit_edges` when given, else one row per entity of n: k

@@ -114,18 +114,13 @@ class MatchingInstance:
         m: int,
         seed: int = 0,
         women_prefs: Sequence[Sequence[int]] | None = None,
-        k: int | None = None,
     ) -> None:
         self.men_prefs: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in men_prefs)
         self.n = len(self.men_prefs)
         self.m = m
-        longest = max(map(len, self.men_prefs), default=0)
-        self.k = k if k is not None else longest
+        self.k = max(map(len, self.men_prefs), default=0)  # the longest list
         self.seed = seed
         self.tape = RandomTape(seed)
-        if longest > self.k:
-            i = next(i for i, p in enumerate(self.men_prefs) if len(p) > self.k)
-            raise ValueError(f"man {i} lists more than k={self.k} women")
         # the oracle refuses a woman who is no int, out of range or listed twice
         self.oracle = AdjacencyOracle(self.men_prefs, m, range(self.n))
         # Explicit women rankings (best first) for hand fixtures; otherwise
@@ -152,7 +147,7 @@ class MatchingInstance:
     def from_spec(cls, spec: InstanceSpec) -> "MatchingInstance":
         if spec.family != "matching":
             raise ValueError(f"not a matching spec: {spec.family!r}")
-        return cls(spec.seeded_rows("men-list"), m=spec.m, seed=spec.seed, k=spec.k)
+        return cls(spec.seeded_rows("men-list"), m=spec.m, seed=spec.seed)
 
     @classmethod
     def seeded(cls, n: int, k: int, seed: int) -> "MatchingInstance":

@@ -46,9 +46,14 @@ the state after it, so `uniform_rows(tape, ("tau", t), m, C, 2)` is
 `derive_uniform(tape, ("tau", t, s, x), C)` for x < 2 in row s (one call per
 trial of `oracles.uniform_majorizes_nonuniform`).
 
-The draw under the key (tag, i) is draw i of the row stream under (tag,),
-and a menu draw (tag, i, t) is draw t of the row stream under (tag, i)
-without the duplicate check.  So one loop, `_rows`, draws every row per key.
+Every draw into [0, n) is one rejection draw, `_draw`, with the attempt
+width and limit of `_limit(n)`: attempt a joins the state after (a,) with
+the states after (a, 1), (a, 2), ... as the low-to-high 64-bit digits of
+one number, as many as n - 1 needs (one up to n = 2^64), and the first
+attempt below the largest multiple of n they hold is reduced mod n.  The
+draw under the key (tag, i) is draw i of the row stream under (tag,), and a
+menu draw (tag, i, t) is draw t of the row stream under (tag, i) without
+the duplicate check.  So one loop, `_rows`, draws every row per key.
 
 The tables run splitmix64 on many entries per integer operation (SIMD
 within a register, Fisher and Dietz, LCPC 1998).  A block of up to 4,096
@@ -57,22 +62,18 @@ each 128-bit lane, so that a product by a splitmix64 multiplier never
 carries into the next lane; each shift is masked back to the low halves.
 One pass over a block gives the row states mix(h ^ leaf(i)) of its entries,
 the state of draw t, mix(row ^ leaf(t)), and its first attempt,
-mix(draw ^ leaf(0)); each lane is then checked against the rejection bound
-and reduced mod n.  A block's ints are 64 KB, and nothing is cached per
+mix(draw ^ leaf(0)); each lane is then checked against the limit and
+reduced mod n.  A block's ints are 64 KB, and nothing is cached per
 count.  What the lanes cannot settle goes to the scalar loops, so each
 bit still comes from one definition:
 
-- a lane whose first attempt is rejected is drawn by `_draw`;
+- a lane whose first attempt is at or above the limit is drawn by `_draw`;
 - a `sample_table` row with a repeat among its first k draws is redrawn
   whole from its state by `_rows`; the repeats are found a block at a time,
   by comparing the block's k draw columns in pairs (k(k-1)/2 passes of
   `map(eq, ...)`), not with a set per row;
-- every table over a range above 2^64 is drawn by `_rows`.
-
-A range n above 2^64 needs more than one 64-bit word per attempt: attempt a
-joins the state after (a,) with the states after (a, 1), (a, 2), ... as the
-low-to-high 64-bit digits of one number, as many as n - 1 needs.  Ranges up
-to 2^64 draw one word, as they always did.
+- every table over a range above 2^64 (attempts wider than a lane) is
+  drawn by `_rows`.
 
 The tape stays pure Python.  Importing numpy raises the peak RSS of a
 process that builds instances from about 21 to 32 MB (Python 3.11,
@@ -297,23 +298,17 @@ def uniform_first(word: int, n: int) -> int | None:
     return word % n if word < (1 << 64) - (1 << 64) % n else None
 
 
-def _draw(s: int, limit: int) -> int:
-    """The first value below `limit` over attempts 0, 1, ... after state `s`,
-    one step per attempt."""
-    attempt = 0
-    while True:
-        v = _mix(s ^ _leaf(attempt))
-        if v < limit:
-            return v
-        attempt += 1
-
-
-def _draw_wide(s: int, n: int) -> int:
-    """`_draw` for a range n above 2^64: the first value below the largest
-    multiple of n that the attempt's words hold."""
-    words = -(-(n - 1).bit_length() // 64)
+def _limit(n: int) -> tuple[int, int]:
+    """The 64-bit words per attempt of a draw into [0, n), n >= 1, and its
+    rejection limit: the largest multiple of n that the words hold."""
+    words = -(-max(1, (n - 1).bit_length()) // 64)
     span = 1 << (64 * words)
-    limit = span - span % n
+    return words, span - span % n
+
+
+def _draw(s: int, words: int, limit: int) -> int:
+    """The first value below `limit` over attempts 0, 1, ... after state `s`, each
+    of `words` 64-bit digits: the states after (attempt,) and (attempt, i)."""
     attempt = 0
     while True:
         v = h = _mix(s ^ _leaf(attempt))
@@ -331,14 +326,14 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
     is dropped and the next index drawn."""
     if k <= 0:
         return [()] * len(states)
-    draw, bound = (_draw, (1 << 64) - ((1 << 64) % n)) if n <= 1 << 64 else (_draw_wide, n)
+    words, limit = _limit(n)
     rows = []
     for h in states:
         row: list[int] = []
         seen: set[int] = set()
         idx = 0
         while len(row) < k:
-            v = draw(_mix(h ^ _leaf(idx)), bound) % n
+            v = _draw(_mix(h ^ _leaf(idx)), words, limit) % n
             idx += 1
             if distinct:
                 if v in seen:
@@ -349,13 +344,14 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
     return rows
 
 
-def _first_draws(d: int, b: int, n: int, bound: int) -> list[int]:
-    """The value in [0, n) that each of the b draw states packed in d draws:
-    its first attempt when that is below `bound`, else `_draw`'s."""
+def _first_draws(d: int, b: int, n: int) -> list[int]:
+    """The value in [0, n), n <= 2^64, that each of the b draw states packed in
+    d draws: its first attempt when that is below the limit, else `_draw`'s."""
+    words, limit = _limit(n)
     vals = _unpack(_mix_lanes(d ^ _spread(_leaf(0), b)), b).tolist()
-    if max(vals) >= bound:
+    if max(vals) >= limit:
         states = _unpack(d, b)
-        vals = [v if v < bound else _draw(s, bound) for v, s in zip(vals, states)]
+        vals = [v if v < limit else _draw(s, words, limit) for v, s in zip(vals, states)]
     return [v % n for v in vals]
 
 
@@ -369,11 +365,10 @@ def _table_rows(
     also draws the wide ranges."""
     if k <= 0 or n > 1 << 64:
         return _rows(tape.u64_table(prefix, count), n, k, distinct)
-    bound = (1 << 64) - ((1 << 64) % n)
     rows: list[tuple[int, ...]] = []
     for b, s in _state_blocks(tape._state(_key(prefix)), count):
         draws = (_mix_lanes(s ^ _spread(_leaf(t), b)) for t in range(k))
-        cols = [_first_draws(d, b, n, bound) for d in draws]
+        cols = [_first_draws(d, b, n) for d in draws]
         block = list(zip(*cols))
         redo: set[int] = set()
         if distinct:  # the rows j where draws t and u agree, for each t < u
@@ -396,9 +391,7 @@ def derive_uniform(tape: RandomTape, key: Sequence[KeyPart], n: int) -> int:
     """
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    if n > 1 << 64:
-        return _draw_wide(tape._state(tuple(key)), n) % n
-    return _draw(tape._state(tuple(key)), (1 << 64) - ((1 << 64) % n)) % n
+    return _draw(tape._state(tuple(key)), *_limit(n)) % n
 
 
 def uniform_table(tape: RandomTape, prefix: KeyPrefix, count: int, n: int) -> tuple[int, ...]:
@@ -409,10 +402,9 @@ def uniform_table(tape: RandomTape, prefix: KeyPrefix, count: int, n: int) -> tu
     h = tape._state(_key(prefix))
     if n > 1 << 64:
         return _rows([h], n, count, False)[0]
-    bound = (1 << 64) - ((1 << 64) % n)
     vals: list[int] = []
     for b, states in _state_blocks(h, count):
-        vals += _first_draws(states, b, n, bound)
+        vals += _first_draws(states, b, n)
     return tuple(vals)
 
 

@@ -193,10 +193,6 @@ class SchedulingInstance:
             raise ValueError(f"not a scheduling spec: {spec.family!r}")
         mode = STANDARD if spec.family == "scheduling-std" else RESTRICTED
         caps = spec.seeded_values("cap", max(1, spec.n.bit_length() - 1))  # 1..~log2(n)
-        # a seeded menu holds exactly d draws, so d bounds an explicit one too
-        for j, mu in enumerate(spec.explicit_edges or ()):
-            if len(mu) > spec.k:
-                raise ValueError(f"job {j}'s menu holds more than d={spec.k} machine draws")
         return cls(caps, m=spec.m, d=spec.k, mode=mode, seed=spec.seed, menus=spec.explicit_edges)
 
     # -- derived data ------------------------------------------------------

@@ -187,7 +187,7 @@ def test_sets_longer_than_k_are_refused():
     # a 3-item set under k=1 would escape the uduv audit's reports of at
     # most k+1 items
     for mode, values in (("uduv", None), ("udubv", (1,)), ("ksmb", (1,))):
-        with pytest.raises(ValueError, match="buyer 0 wants more than k=1 items"):
+        with pytest.raises(ValueError, match="buyer 0 lists more than k=1 entries"):
             AuctionInstance([(0, 1, 2)], 3, mode, values=values, k=1)
         assert AuctionInstance([(0, 1, 2)], 3, mode, values=values).k == 3
 

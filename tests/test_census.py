@@ -19,7 +19,7 @@ def test_defaulted_parameter_census():
         for f in ast.walk(ast.parse(p.read_text()))
         if isinstance(f, ast.FunctionDef)
     )
-    assert count == 34
+    assert count == 33
 
 
 def test_mode_and_family_comparison_census():

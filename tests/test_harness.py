@@ -672,7 +672,7 @@ def test_cli_refuses_buyer_sets_longer_than_k(tmp_path, capsys):
         for argv in (["run", "auction", *flags], ["query", "auction", *flags, "--query-buyer", "1"]):
             assert cli.main(argv) == 2, argv
             out, err = capsys.readouterr()
-            assert out == "" and "more than k=1 items" in err, argv
+            assert out == "" and "buyer 0 lists more than k=1 entries" in err, argv
 
 
 def test_cli_refuses_housing_lists_longer_than_d(tmp_path, capsys):
@@ -681,7 +681,7 @@ def test_cli_refuses_housing_lists_longer_than_d(tmp_path, capsys):
     path.write_text(json.dumps({**doc, "explicit_edges": [[0, 1, 2], [1]]}))
     assert cli.main(["query", "rsd", "--config", str(path), "--query-agent", "1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "agent 0 lists more than d=1 houses" in err
+    assert out == "" and "agent 0 lists more than d=1 entries" in err
 
 
 def test_cli_refuses_a_housing_list_naming_a_house_twice(tmp_path, capsys):
@@ -702,7 +702,43 @@ def test_cli_refuses_restricted_menus_longer_than_d(tmp_path, capsys):
     argv = ["query", "scheduling", "--mode", "res", "--config", str(path), "--query-job", "0"]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "job 1's menu holds more than d=1 machine draws" in err
+    assert out == "" and "job 1 lists more than d=1 entries" in err
+
+
+# family → its refusal of row 1 past a size of 1, the one message of the spec
+_WIDE_ROW = {
+    "matching": "man 1 lists more than k=1 entries",
+    "scheduling-res": "job 1 lists more than d=1 entries",
+    "uduv": "buyer 1 lists more than k=1 entries",
+    "udubv": "buyer 1 lists more than k=1 entries",
+    "ksmb": "buyer 1 lists more than k=1 entries",
+    "housing": "agent 1 lists more than d=1 entries",
+}
+
+
+def test_cli_refuses_every_family_row_longer_than_its_size(tmp_path, capsys):
+    # exit 2, nothing on stdout, and the message alone on stderr: no traceback
+    for family, verb, _, _ in _CLI_CASES:
+        if family not in _WIDE_ROW:
+            continue
+        doc = {"family": family, "seed": 0, "n": 2, "m": 2, FAMILIES[family].size: 1}
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps({**doc, "explicit_edges": [[1], [0, 1]]}))
+        assert cli.main(["run", *verb, "--config", str(path)]) == 2, family
+        assert capsys.readouterr() == ("", f"lcmd: {_WIDE_ROW[family]}\n"), family
+
+
+def test_cli_counts_a_sets_raw_entries(tmp_path, capsys):
+    # the spec counts a row's raw entries, as a restricted menu's repeated
+    # draws need, so a set that fits k only once its repeat is folded is refused
+    sets = tmp_path / "sets.json"
+    flags = ["--mode", "uduv", "--n", "2", "--m", "3", "--k", "2", "--sets", str(sets)]
+    sets.write_text(json.dumps([[0, 0, 1], [1]]))
+    assert cli.main(["run", "auction", *flags]) == 2
+    assert capsys.readouterr() == ("", "lcmd: buyer 0 lists more than k=2 entries\n")
+    sets.write_text(json.dumps([[0, 0], [1]]))
+    assert cli.main(["run", "auction", *flags]) == 0
+
 
 def test_cli_uduv_takes_no_bids(capsys):
     # every uduv buyer values an item at 1, so --bids has nowhere to go

@@ -16,6 +16,12 @@ Standard-mode scheduling draws its records from the seed, so its rebuild is
 a copy of the instance with the unread oracle rows changed.  The auction
 buyer queries are also asked under an overlay where the queried buyer alone
 reports, with the same rebuilds and the same overlay on each.
+
+A probe is also a touched record: on seeded instances, every record a query
+touches in the oracle's tables is in its counter's `seen`, and every record
+in `seen` but the query's free own record was touched.  The instance's
+copies of its rows are tripwires, so a query that reads rows behind the
+oracle fails too.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import pytest
 
 from localmech.auctions import ksmb_local, udubv_local, uduv_local
 from localmech.instances import FAMILIES, InstanceSpec, build_instance
+from localmech.matching import default_rounds
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, ProbeCounter
 
 N = M = 40  # about 80 entities
@@ -171,3 +178,63 @@ def test_no_overlaid_answer_moves_when_unread_data_changes(family):
             changed_values += values
     assert changed_rows > 0
     assert changed_values > 0 or spec.values is None
+
+
+class _Recorded:
+    """A record table that notes each (side, id) a query reads from it."""
+
+    def __init__(self, rows, side: str, touched: set) -> None:
+        self._rows, self._side, self._touched = rows, side, touched
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int):
+        self._touched.add((self._side, i))
+        return self._rows[i]
+
+    def __iter__(self):
+        raise AssertionError(f"a local query iterated every {self._side} record")
+
+
+class _Tripwire:
+    """An instance's own copy of its rows, which no local query may read."""
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def _trip(self, *args):
+        raise AssertionError(f"a local query read the instance's {self._name}")
+
+    __getitem__ = __len__ = __iter__ = __contains__ = _trip
+
+
+# the rows each family keeps beside its oracle's records
+_ROW_COPIES = ("lists", "sets", "men_prefs", "_menus")
+# query kind → the oracle side of the queried entity's own record, the one free read
+_OWN_SIDE = {"man": LEFT, "woman": RIGHT, "job": LEFT, "buyer": LEFT, "item": RIGHT, "agent": LEFT}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_probe_is_a_touched_record(family):
+    queries = 0
+    for k in (2, 3):
+        for seed in range(3):
+            inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=k))
+            touched: set = set()
+            oracle = inst.oracle
+            oracle._fwd = _Recorded(oracle._fwd, LEFT, touched)
+            oracle._rev = _Recorded(oracle._rev, RIGHT, touched)
+            for name in _ROW_COPIES:
+                if hasattr(inst, name):
+                    setattr(inst, name, _Tripwire(name))
+            for query in FAMILIES[family].queries:
+                for e in range(0, getattr(inst, query.side), 7):
+                    touched.clear()
+                    counter = ProbeCounter()
+                    query.local(inst, default_rounds(k), e, counter)
+                    assert touched <= counter.seen, (k, seed, e, touched - counter.seen)
+                    phantom = counter.seen - touched - {(_OWN_SIDE[query.entity], e)}
+                    assert not phantom, (k, seed, e, phantom)
+                    queries += 1
+    assert queries >= 2 * 3 * 512 // 7

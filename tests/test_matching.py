@@ -267,7 +267,7 @@ def test_local_equals_global_on_random_small_instances():
         women = None
         if trial % 2:
             women = [rng.sample(range(n), rng.randint(0, n)) for _ in range(m)]
-        inst = MatchingInstance(prefs, m=m, k=k, women_prefs=women, seed=trial)
+        inst = MatchingInstance(prefs, m=m, women_prefs=women, seed=trial)
         _assert_local_equals_global(inst, rng.choice([1, 2, 3, 7, 13, 40, 10**5]))
 
 

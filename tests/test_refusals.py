@@ -12,7 +12,7 @@ from localmech.auctions import (
     AuctionInstance, ksmb_local, truthfulness_audit, udubv_local, uduv_local,
 )
 from localmech.harness import bench_points, verify_family
-from localmech.instances import FAMILIES, InstanceSpec, spec_from_json
+from localmech.instances import FAMILIES, InstanceSpec, build_instance, spec_from_json
 from localmech.matching import MatchingInstance, abridged_gs, local_ags, local_ags_woman
 from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
 from localmech.randomness import RandomTape
@@ -53,6 +53,23 @@ def _audit_uduv(m: int):
 
 # an item id is an int: none of these may pass as one, nor the bools as items 1 and 0
 NOT_INTS = (True, False, 1.0, 0.5, "1", None)
+
+
+def _wide_row(family: str, length: int):
+    # row 0 of `length` ids beside rows of one id, at k = 2: the spec alone
+    # checks a row's width, with one message for every family
+    rows = (tuple(range(length)),) + ((0,),) * 3
+    return build_instance(InstanceSpec(seed=0, family=family, n=4, m=4, k=2, explicit_edges=rows))
+
+
+# family → its refusal of row 0 past k = 2, named by the entity its rows list
+WIDE_ROW = {
+    "housing": "agent 0 lists more than d=2 entries",
+    "scheduling-res": "job 0 lists more than d=2 entries",
+    "uduv": "buyer 0 lists more than k=2 entries",
+    "udubv": "buyer 0 lists more than k=2 entries",
+    "ksmb": "buyer 0 lists more than k=2 entries",
+}
 
 # name → (call of one int, accepted values, refused values, message of a refused value)
 REFUSALS = {
@@ -157,8 +174,20 @@ REFUSALS = {
         (2,), (0, 1, 3, 4), lambda c: "need one value per buyer",
     ),
     "man list length": (
-        lambda length: MatchingInstance([range(length)], m=4, k=2),
-        (1, 2), (3, 4), lambda length: "man 0 lists more than k=2 women",
+        lambda length: _wide_row("matching", length),
+        (1, 2), (3, 4), lambda length: "man 0 lists more than k=2 entries",
+    ),
+    **{
+        f"{family} row length": (
+            lambda length, family=family: _wide_row(family, length),
+            (1, 2), (3, 4), lambda length, message=message: message,
+        )
+        for family, message in WIDE_ROW.items()
+    },
+    # a directly built auction keeps its k-minded cap, with the spec's message
+    "auction set length, direct": (
+        lambda length: AuctionInstance([tuple(range(length))], 3, "uduv", k=1),
+        (0, 1), (2, 3), lambda length: "buyer 0 lists more than k=1 entries",
     ),
     "woman ranking count": (
         lambda c: MatchingInstance([[0]], m=2, women_prefs=[[0]] * c),

@@ -78,7 +78,7 @@ def test_validation_errors():
     # a spec's lists hold at most d houses, as matching and auction rows
     # hold at most k; the direct constructor reads d off the lists
     rows = ((0, 1, 2), (1,))
-    with pytest.raises(ValueError, match="agent 0 lists more than d=1 houses"):
+    with pytest.raises(ValueError, match="agent 0 lists more than d=1 entries"):
         HousingInstance.from_spec(
             InstanceSpec(seed=0, family="housing", n=2, m=3, k=1, explicit_edges=rows)
         )

@@ -95,13 +95,27 @@ for mode in ("std", "res"):
 COMMANDS.append(["run", "rsd", "--seed", "2", "--n", "40", "--d", "3"])
 
 # file name -> (verb, spec) of a --config file the build refuses: agent 1's
-# list names house 0 twice, so `lcmd` exits 2 with the oracle's message
+# list names house 0 twice, so `lcmd` exits 2 with the oracle's message; then
+# one file per row-taking family whose row 1 holds more ids than its size,
+# so `lcmd` exits 2 with the spec's one width message
 CONFIGS = {
     "repeated-house.json": (
         ["run", "rsd"],
         {"family": "housing", "seed": 0, "n": 2, "m": 2, "d": 2, "explicit_edges": [[1], [0, 0]]},
     ),
 }
+for family, verb, size in (
+    ("matching", ["matching"], "k"),
+    ("scheduling-res", ["scheduling", "--mode", "res"], "d"),
+    ("uduv", ["auction", "--mode", "uduv"], "k"),
+    ("udubv", ["auction", "--mode", "udubv"], "k"),
+    ("ksmb", ["auction", "--mode", "ksmb"], "k"),
+    ("housing", ["rsd"], "d"),
+):
+    CONFIGS[f"wide-{family}-row.json"] = (
+        ["run", *verb],
+        {"family": family, "seed": 0, "n": 2, "m": 2, size: 1, "explicit_edges": [[1], [0, 1]]},
+    )
 
 # each demo with the small arguments tests/test_demos.py runs it with
 DEMOS = {
