@@ -150,10 +150,11 @@ class AuctionInstance:
         self.sets: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(set(s))) for s in sets)
         self.n = len(self.sets)
         self.m = m
-        self.k = k if k is not None else max((len(s) for s in self.sets), default=0)
-        for b, s in enumerate(self.sets):
-            if len(s) > self.k:
-                raise ValueError(f"buyer {b} lists more than k={self.k} entries")
+        widest = max(map(len, self.sets), default=0)
+        self.k = widest if k is None else k
+        if widest > self.k:
+            b = next(b for b, s in enumerate(self.sets) if len(s) > self.k)
+            raise ValueError(f"buyer {b} lists more than k={self.k} entries")
         self.seed = seed
         self.tape = RandomTape(seed)
         if mode == UDUV:

@@ -63,9 +63,10 @@ carries into the next lane; each shift is masked back to the low halves.
 One pass over a block gives the row states mix(h ^ leaf(i)) of its entries,
 the state of draw t, mix(row ^ leaf(t)), and its first attempt,
 mix(draw ^ leaf(0)); each lane is then checked against the limit and
-reduced mod n.  A block's ints are 64 KB, and nothing is cached per
-count.  What the lanes cannot settle goes to the scalar loops, so each
-bit still comes from one definition:
+reduced mod n.  A block's ints are 64 KB; the first block of leaves,
+leaf(i) for i < 4,096, is mixed once at import (`_LEAVES`), and nothing
+else is cached per count.  What the lanes cannot settle goes to the scalar
+loops, so each bit still comes from one definition:
 
 - a lane whose first attempt is at or above the limit is drawn by `_draw`;
 - a `sample_table` row with a repeat among its first k draws is redrawn
@@ -171,6 +172,9 @@ def _mix_lanes(x: int) -> int:
     return (x ^ (x >> 31)) & m
 
 
+_LEAVES = _mix_lanes(_IOTA + _spread(_GOLDEN, _BLOCK))  # lane j holds leaf(j)
+
+
 def _pack(words: Sequence[int]) -> int:
     """The words in the low halves of len(words) lanes (`_unpack` reversed)."""
     lanes = array("Q", bytes(16 * len(words)))
@@ -184,10 +188,11 @@ def _leaf_blocks(count: int) -> Iterator[tuple[int, int]]:
     """(b, leaves) for each block of the leaves leaf(i), i < count, b of
     them packed in one int: lane j holds i = start + j.  The leaf's input
     start + j + _GOLDEN stays below 2^64, as no list holds 2^62 entries, so
-    no lane carries into the next."""
+    no lane carries into the next.  The first block is cut from `_LEAVES`."""
     for start in range(0, count, _BLOCK):
         b = min(_BLOCK, count - start)
-        yield b, _mix_lanes((_IOTA & ((1 << 128 * b) - 1)) + _spread(start + _GOLDEN, b))
+        low = (1 << 128 * b) - 1
+        yield b, _mix_lanes((_IOTA & low) + _spread(start + _GOLDEN, b)) if start else _LEAVES & low
 
 
 def _state_blocks(h: int, count: int) -> Iterator[tuple[int, int]]:

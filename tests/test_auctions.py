@@ -192,6 +192,13 @@ def test_sets_longer_than_k_are_refused():
         assert AuctionInstance([(0, 1, 2)], 3, mode, values=values).k == 3
 
 
+def test_the_first_set_longer_than_k_is_named():
+    # buyer 0 repeats an item and fits k=2 once folded; buyers 1 and 3 pass k
+    sets = [(0, 0, 1), (0, 1, 2), (2,), (0, 1, 2, 3)]
+    with pytest.raises(ValueError, match="^buyer 1 lists more than k=2 entries$"):
+        AuctionInstance(sets, 4, "ksmb", values=(1, 1, 1, 1), k=2)
+
+
 def test_negative_bids_rejected():
     inst = _udubv([(0,), (0,)], values=(5, 3), m=1)
     for buyer in (0, 1):

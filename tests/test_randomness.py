@@ -412,6 +412,28 @@ def test_table_draws_keep_no_state_per_count():
     assert [getattr(t, a) for a in slots] == [getattr(RandomTape(9), a) for a in slots]
 
 
+def test_the_first_leaf_block_holds_leaf_j_in_lane_j():
+    lanes = randomness._unpack(randomness._LEAVES, _BLOCK)
+    assert lanes.tolist() == [_ref_mix(i + _G) for i in range(_BLOCK)]
+
+
+@pytest.mark.parametrize("count", [1, 255, _BLOCK])
+def test_a_one_block_table_mixes_no_leaf(monkeypatch, count):
+    # a table of at most one block cuts its leaves from the block mixed at
+    # import: one mix for its states, then one per draw column and one per
+    # column of first attempts
+    want = [tuple(_ref_sample(3, ("s", i), 1000, 3)) for i in range(min(count, 300))]
+    calls = []
+    mix_lanes = randomness._mix_lanes
+    monkeypatch.setattr(randomness, "_mix_lanes", lambda x: calls.append(x) or mix_lanes(x))
+    t = RandomTape(3)
+    assert t.u64_table("x", count) == [_ref_u64(3, "x", i) for i in range(count)]
+    assert len(calls) == 1
+    calls.clear()
+    assert sample_table(t, "s", count, 1000, 3)[:300] == want
+    assert len(calls) == 1 + 2 * 3
+
+
 def test_table_rows_past_the_small_int_table():
     # a full draw of 300 values runs its draw indices past 255 within a row
     t = RandomTape(2)

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import time
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from localmech import scheduling
-from localmech.instances import InstanceSpec, build_instance
-from localmech.randomness import derive_uniform, sample_without_replacement, uniform_first
+from localmech.instances import MAX_SIZE, InstanceSpec, build_instance
+from localmech.randomness import (
+    derive_uniform, sample_without_replacement, uniform_first, uniform_rows
+)
 from localmech.scheduling import (
     RESTRICTED,
     STANDARD,
@@ -538,6 +542,38 @@ def test_slot_prefix_is_built_once_and_serves_both_modes():
     assert std.slot_prefix == (3, 4, 6)
     res = _res(caps, 6)
     assert res.slot_prefix == (3, 4, 6)
+
+
+def _bisected_menus(inst):
+    # each ("menu", j, t) draw over the slot pool, mapped by bisection
+    rows = uniform_rows(inst.tape, "menu", inst.m, inst.B, inst.d)
+    return tuple(tuple(bisect_right(inst.slot_prefix, s) for s in row) for row in rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3, 64, 1000])
+def test_seeded_menus_map_each_draw_to_the_machine_owning_its_slot(n, d):
+    for seed in range(2):
+        inst = build_instance(InstanceSpec(seed=seed, family="scheduling-res", n=n, m=n, k=d))
+        want = _bisected_menus(inst)
+        assert [inst.menu(j) for j in range(inst.m)] == list(want)
+        assert [inst.oracle.fwd(j) for j in range(inst.m)] == [
+            tuple(sorted(set(mu))) for mu in want
+        ]
+
+
+@pytest.mark.parametrize(
+    "caps", [(1 << 19, 1 << 19), (1 << 40, 3)], ids=["owner-table", "bisected"]
+)
+def test_seeded_menus_on_the_largest_pools(caps):
+    # B = MAX_SIZE is the largest pool mapped through a slot-owner table;
+    # past it the build bisects, as a 2^40-slot table would not fit
+    start = time.perf_counter()
+    inst = _res(caps, 8, d=3, seed=1)
+    elapsed = time.perf_counter() - start
+    assert [inst.menu(j) for j in range(inst.m)] == list(_bisected_menus(inst))
+    if caps[0] > MAX_SIZE:
+        assert elapsed < 0.5
 
 
 def test_local_validates_job():

@@ -5,7 +5,8 @@ and verify of every family at small n, once at the default --k/--d and
 once at --k 2 --d 3, so the bench digests pin the one flag each family
 reads (verify prints only counts, which these sizes leave alone); auction
 run, query and --audit; scheduling --pay-machine in both modes; a
-standard-mode job query on a 2^20-slot pool; the whole printed run, one
+standard-mode job query on a 2^20-slot pool and a restricted-mode one on a
+10^12-slot pool; the whole printed run, one
 line per entity, of each auction mode, of matching, truncated and not, of
 both scheduling modes and of rsd), then each refused `--config` file of
 `CONFIGS`, written to a temporary directory (its stdout and stderr are
@@ -85,6 +86,11 @@ for i in range(3):
 # a standard-mode query on the largest slot pool a spec allows (2^20 slots)
 COMMANDS.append(
     ["query", "scheduling", "--mode", "std", "--bids", "524288,524288", "--m", "8", "--query-job", "3"]
+)
+# a restricted-mode query on a pool past 2^20 slots, whose menu draws are
+# mapped to machines by bisection rather than through a slot-owner table
+COMMANDS.append(
+    ["query", "scheduling", "--mode", "res", "--bids", "1000000000000,1", "--m", "4", "--query-job", "0"]
 )
 # the other families' printed global run: matching truncated (9 men disqualified)
 # and run to quiescence (5 unmatched), both scheduling modes, rsd
