@@ -23,10 +23,10 @@ order: the online run and the local query place each job with the same step,
 `_pick_slot` or `_pick_floored`, on the same records, the instance oracle's
 slot choices or distinct menu machines.  The rank order, the first attempts
 of the slot tie-breaks (`tie_words`) and `slot_prefix`, the prefix sums of
-the capacities that map a slot to its machine by bisection (seeded menus
-use a slot-owner table up to MAX_SIZE slots), are built with the instance;
-like the oracle's reverse records they cost no probe, and no local query
-draws a rank or a tie-break or loops over all machines.
+the capacities that map a slot to its machine by bisection (or seeded menus
+by a slot-owner table, over at most 8 slots per draw), are built with the
+instance; like the oracle's reverse records they cost no probe, and no local
+query draws a rank or a tie-break or loops over all machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -175,11 +175,11 @@ class SchedulingInstance:
             raise ValueError(f"need n >= 1 machines to draw menus from, got n={self.n}")
         else:
             # capacity-proportional machine draws over the true slot pool,
-            # draw t of job j under ("menu", j, t), each mapped to its machine
-            from .instances import MAX_SIZE  # instances imports this module
-            if self.B <= MAX_SIZE:  # the slot-owner table: slot s -> machine
+            # draw t of job j under ("menu", j, t), all mapped in one map: an
+            # owner table beats bisection up to about 8 slots per draw
+            if self.B <= 8 * m * d:
                 machine = [*chain.from_iterable(map(repeat, range(self.n), self.caps))].__getitem__
-            else:  # a table past MAX_SIZE slots could outgrow memory
+            else:
                 machine = partial(bisect_right, self.slot_prefix)
             draws = chain.from_iterable(uniform_rows(self.tape, "menu", m, self.B, d))
             self._menus = tuple(zip(*[map(machine, draws)] * d))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from localmech import scheduling
-from localmech.instances import MAX_SIZE, InstanceSpec, build_instance
+from localmech.instances import InstanceSpec, build_instance
 from localmech.randomness import (
     derive_uniform, sample_without_replacement, uniform_first, uniform_rows
 )
@@ -563,17 +562,16 @@ def test_seeded_menus_map_each_draw_to_the_machine_owning_its_slot(n, d):
 
 
 @pytest.mark.parametrize(
-    "caps", [(1 << 19, 1 << 19), (1 << 40, 3)], ids=["owner-table", "bisected"]
+    "caps",
+    [(40, 8), (40, 9), (1 << 19, 1 << 19), (1 << 40, 3)],
+    ids=["owner-table", "bisected", "max-size", "past-max-size"],
 )
-def test_seeded_menus_on_the_largest_pools(caps):
-    # B = MAX_SIZE is the largest pool mapped through a slot-owner table;
-    # past it the build bisects, as a 2^40-slot table would not fit
-    start = time.perf_counter()
-    inst = _res(caps, 8, d=3, seed=1)
-    elapsed = time.perf_counter() - start
+def test_seeded_menus_on_either_side_of_the_owner_table_rule(caps):
+    # 2 jobs of 3 draws: a 48-slot pool (8 slots per draw) is mapped through
+    # a slot-owner table, a 49-slot one by bisection, as are a pool of
+    # MAX_SIZE slots and one of 2^40 slots, far past what a table could hold
+    inst = _res(caps, 2, d=3, seed=1)
     assert [inst.menu(j) for j in range(inst.m)] == list(_bisected_menus(inst))
-    if caps[0] > MAX_SIZE:
-        assert elapsed < 0.5
 
 
 def test_local_validates_job():

@@ -87,8 +87,8 @@ for i in range(3):
 COMMANDS.append(
     ["query", "scheduling", "--mode", "std", "--bids", "524288,524288", "--m", "8", "--query-job", "3"]
 )
-# a restricted-mode query on a pool past 2^20 slots, whose menu draws are
-# mapped to machines by bisection rather than through a slot-owner table
+# a restricted-mode query on a pool far past 2^20 slots, whose menu draws
+# are bisected to machines without a per-slot table
 COMMANDS.append(
     ["query", "scheduling", "--mode", "res", "--bids", "1000000000000,1", "--m", "4", "--query-job", "0"]
 )
