@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 
 from localmech.probes import ProbeCounter
+from localmech.randomness import derive_uniform
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
 
 
@@ -27,7 +28,8 @@ def main() -> None:
     order = inst.order
     print(f"{args.n} agents, lists of {args.d}, seed {args.seed}: {housed} housed")
     first, last = order[0], order[-1]
-    print(f"first arrival is agent {first} (rank {inst.ranks[first]}), "
+    rank = 1 + derive_uniform(inst.tape, ("lottery", first), args.n**4)
+    print(f"first arrival is agent {first} (rank {rank}), "
           f"takes top choice {inst.lists[first][0]}")
 
     print("\nlocal queries across the arrival order:")

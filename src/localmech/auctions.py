@@ -15,7 +15,8 @@ uduv is serial dictatorship with items as the dictators (each item in score
 order takes the first unserved buyer reporting it) and udubv is serial
 dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
 its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
-the same step on the same records, the instance oracle's.
+the same step on the same records, the instance oracle's, which refuses a
+set that names an item twice.
 
 Local queries agree with the global run outcome exactly.  uduv queries
 replay the dependency closure of the queried buyer/item
@@ -142,12 +143,12 @@ class AuctionInstance:
         if mode not in (UDUV, UDUBV, KSMB):
             raise ValueError(f"unknown auction mode {mode!r}")
         self.mode = mode
-        # an item is an int: a set would fold True into 1 and a sort
-        # would raise TypeError on a str or None
+        # an item is an int, checked before the sort, which would raise
+        # TypeError on a str or None; the oracle refuses a repeated item
         if not set(map(type, chain.from_iterable(sets))) <= {int}:
             bad = next(j for s in sets for j in s if type(j) is not int)
             raise ValueError(f"right id {bad!r} is not an int")
-        self.sets: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(set(s))) for s in sets)
+        self.sets: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in sets)
         self.n = len(self.sets)
         self.m = m
         widest = max(map(len, self.sets), default=0)

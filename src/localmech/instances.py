@@ -153,7 +153,7 @@ def _heights_rows(inst, alloc) -> list[tuple[str, int]]:
 
 def _menu_rows(inst, alloc) -> list[tuple[str, int]]:
     jobs = enumerate(alloc.assign)
-    outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.menu(j))
+    outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.oracle.fwd(j))
     return [("assignment_within_menu", outside)]
 
 

@@ -3,7 +3,8 @@
 Each agent holds an ordered list of d houses; agents take turns in
 increasing lottery number (seeded uniform over [1, n⁴]; the rare collision
 goes to the smaller agent id) and grab their best still-available listed
-house, or nothing if all d are gone.  The lottery is sorted at build time.
+house, or nothing if all d are gone.  The build keeps the lottery only as
+`order` and `place`.
 
 The local query resolves an agent by settling only the earlier-arriving
 agents who share a listed house, transitively (`probes.upward_closure`) — the
@@ -44,13 +45,12 @@ class HousingInstance:
             if len(ranks) != self.n:
                 raise ValueError("need one lottery number per agent")
             try:
-                self.ranks: tuple[int, ...] = tuple(index(r) for r in ranks)
+                lottery = [index(r) for r in ranks]
             except TypeError:
                 raise ValueError("lottery numbers must be integers") from None
         else:
             lottery = uniform_table(self.tape, "lottery", self.n, max(1, self.n**4))
-            self.ranks = tuple(1 + v for v in lottery)
-        self.order, self.place = rank_tables(self.ranks)
+        self.order, self.place = rank_tables(lottery)
         self.oracle = AdjacencyOracle(self.lists, m, range(self.n))
 
     @classmethod

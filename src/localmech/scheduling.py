@@ -21,12 +21,13 @@ rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
 or menu machine) and agree exactly with the online run replayed in rank
 order: the online run and the local query place each job with the same step,
 `_pick_slot` or `_pick_floored`, on the same records, the instance oracle's
-slot choices or distinct menu machines.  The rank order, the first attempts
-of the slot tie-breaks (`tie_words`) and `slot_prefix`, the prefix sums of
-the capacities that map a slot to its machine by bisection (or seeded menus
-by a slot-owner table, over at most 8 slots per draw), are built with the
-instance; like the oracle's reverse records they cost no probe, and no local
-query draws a rank or a tie-break or loops over all machines.
+slot choices or distinct menu machines (a menu's one stored form).  The rank
+order, the first attempts of the slot tie-breaks (`tie_words`) and
+`slot_prefix`, the prefix sums of the capacities that map a slot to its
+machine by bisection (or seeded menus by a slot-owner table, over at most 8
+slots per draw), are built with the instance; like the oracle's reverse
+records they cost no probe, and no local query draws a rank or a tie-break
+or loops over all machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -112,8 +113,9 @@ class SchedulingInstance:
 
     Restricted mode fixes each job's machine menu as input data: explicit
     when given, otherwise d capacity-proportional draws (with replacement)
-    made once from the *true* capacities; floored-load ties go to the
-    smaller machine.  Standard mode takes no menus — the mechanism itself
+    made once from the *true* capacities, kept only as the oracle's record
+    of the job: its distinct machines, ascending.  Floored-load ties go to
+    the smaller machine.  Standard mode takes no menus — the mechanism itself
     draws d distinct slots per job over the slot pool of these capacities
     and breaks slot ties by seeded draws; a capacity deviation is an
     instance built with the deviated capacities, which draws its choices
@@ -163,10 +165,9 @@ class SchedulingInstance:
             return
 
         if menus is not None:
-            self._menus: tuple[tuple[int, ...], ...] = tuple(tuple(mu) for mu in menus)
-            if len(self._menus) != m:
+            if len(menus) != m:
                 raise ValueError("need one menu per job")
-            for j, mu in enumerate(self._menus):
+            for j, mu in enumerate(menus):
                 if any(type(i) is not int or not 0 <= i < self.n for i in mu):
                     raise ValueError(f"menu of job {j} names an unknown machine")
         elif d < 1:
@@ -182,12 +183,11 @@ class SchedulingInstance:
             else:
                 machine = partial(bisect_right, self.slot_prefix)
             draws = chain.from_iterable(uniform_rows(self.tape, "menu", m, self.B, d))
-            self._menus = tuple(zip(*[map(machine, draws)] * d))
-        if not all(self._menus):
-            raise ValueError(f"job {self._menus.index(())} has an empty menu")
-        self._oracle = AdjacencyOracle(
-            [tuple(sorted(set(mu))) for mu in self._menus], self.n, range(m)
-        )
+            menus = zip(*[map(machine, draws)] * d)
+        rows = [tuple(sorted(set(mu))) for mu in menus]
+        if not all(rows):
+            raise ValueError(f"job {rows.index(())} has an empty menu")
+        self._oracle = AdjacencyOracle(rows, self.n, range(m))
 
     # -- construction -----------------------------------------------------
 
@@ -205,13 +205,6 @@ class SchedulingInstance:
         """The one wrong-mode check: refuse `call` unless this is a `mode` instance."""
         if self.mode != mode:
             raise ValueError(f"{call} requires {mode} mode")
-
-    def menu(self, j: int) -> tuple[int, ...]:
-        """Raw menu draws of job j, in draw order (may repeat machines); a
-        restricted-mode instance only.  The allocators read the oracle's
-        record of job j instead: the same machines, sorted and distinct."""
-        self.require_mode(RESTRICTED, "menu")
-        return self._menus[j]
 
     def rank_order(self) -> Sequence[int]:
         """The jobs in simulated arrival order, as drawn at build time."""
@@ -291,9 +284,14 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
     return bisect_right(inst.slot_prefix, slot)  # the last slot is the query's
 
 
-def _check_machine(inst: SchedulingInstance, i: int) -> None:
-    if type(i) is not int or not 0 <= i < inst.n:
-        raise ValueError(f"unknown machine {i}; machines are 0..{inst.n - 1}")
+def _check_machine(n: int, i: int) -> None:
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"unknown machine {i}; machines are 0..{n - 1}")
+
+
+def _check_true_cap(true_cap: int) -> None:
+    if true_cap < 1:
+        raise ValueError(f"true_cap must be >= 1, got {true_cap}")
 
 
 def expected_height(b_i: int, B_minus_i: int, m: int) -> Fraction:
@@ -326,7 +324,7 @@ def _expected_slot_payment(b: int, B_minus: int, m: int) -> Fraction:
 def payment_slms_expected(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """Exact expected payment: m·b²/(B₋+b) + m·Σ_{x=1}^{b} x/(B₋+x)."""
     inst.require_mode(STANDARD, "payment_slms_expected")
-    _check_machine(inst, i)
+    _check_machine(inst.n, i)
     b = inst.caps[i]
     amount = _expected_slot_payment(b, inst.B - b, inst.m)
     return PaymentRecord(machine=i, amount=amount, scheme="expected")
@@ -337,7 +335,7 @@ def payment_slms_sampled(inst: SchedulingInstance, i: int) -> PaymentRecord:
     [1, b], drawn under ("slms-pay-k", i).  Averaging over all k reproduces
     the expected payment exactly."""
     inst.require_mode(STANDARD, "payment_slms_sampled")
-    _check_machine(inst, i)
+    _check_machine(inst.n, i)
     b = inst.caps[i]
     B_minus = inst.B - b
     k = 1 + derive_uniform(inst.tape, ("slms-pay-k", i), b)
@@ -352,10 +350,8 @@ def slms_expected_utility(
     capacity is `true_cap`, under the quadratic cost model: a machine that
     claims x slots and carries expected height h̄ incurs cost x²·h̄/true_cap.
     The payment schedule makes truth the exact argmax of this function."""
-    if type(i) is not int or not 0 <= i < len(caps):
-        raise ValueError(f"unknown machine {i}; machines are 0..{len(caps) - 1}")
-    if true_cap < 1:
-        raise ValueError(f"true_cap must be >= 1, got {true_cap}")
+    _check_machine(len(caps), i)
+    _check_true_cap(true_cap)
     caps = list(caps)
     B_minus = sum(caps) - caps[i]
     if bid == 0:
@@ -479,7 +475,7 @@ def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> lis
     only: this is the one mode guard of every rerun payment, checked before
     any bid, a zero bid included."""
     inst.require_mode(RESTRICTED, "a rerun height or payment")
-    _check_machine(inst, i)
+    _check_machine(inst.n, i)
     return [bid and _rank_run(inst, i, bid).heights[i] for bid in bids]
 
 
@@ -502,7 +498,7 @@ def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction
 def payment_rlms(inst: SchedulingInstance, i: int) -> PaymentRecord:
     """Rerun payment at the true bid, priced on the rank-order run that the
     local queries answer."""
-    _check_machine(inst, i)
+    _check_machine(inst.n, i)
     amount = payment_rlms_for_bid(inst, i, inst.caps[i])
     return PaymentRecord(machine=i, amount=amount, scheme="rerun")
 
@@ -516,8 +512,7 @@ def rlms_utility(inst: SchedulingInstance, i: int, bid: int, true_cap: int) -> F
     """Utility of bidding `bid` with true capacity `true_cap` under the
     quadratic cost model x²·h(x)/true_cap (same calibration as the standard
     mode's closed-form sweep)."""
-    if true_cap < 1:
-        raise ValueError(f"true_cap must be >= 1, got {true_cap}")
+    _check_true_cap(true_cap)
     payment, height = _rerun_payment(inst, i, bid)
     return payment - Fraction(bid * bid * height, true_cap)
 
@@ -529,7 +524,7 @@ def monotonicity_trace(
     machine i's bid raised from bid_low to bid_high in the rank-order run,
     menus and ties fixed.  Entry t is the delta after the first t jobs of
     the rank order (t = 0 … m), read off the two runs' assignments."""
-    _check_machine(inst, i)
+    _check_machine(inst.n, i)
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
     _check_bid(bid_low)

@@ -193,8 +193,9 @@ def test_sets_longer_than_k_are_refused():
 
 
 def test_the_first_set_longer_than_k_is_named():
-    # buyer 0 repeats an item and fits k=2 once folded; buyers 1 and 3 pass k
-    sets = [(0, 0, 1), (0, 1, 2), (2,), (0, 1, 2, 3)]
+    # buyers 1 and 3 pass k, and the width check of every set comes before
+    # the oracle's once rule, which would refuse buyer 0's repeated item
+    sets = [(0, 0), (0, 1, 2), (2,), (0, 1, 2, 3)]
     with pytest.raises(ValueError, match="^buyer 1 lists more than k=2 entries$"):
         AuctionInstance(sets, 4, "ksmb", values=(1, 1, 1, 1), k=2)
 
@@ -535,7 +536,8 @@ def test_query_tree_matches_global_on_small_instances(data):
     mode = data.draw(st.sampled_from(["udubv", "ksmb"]))
     n = data.draw(st.integers(0, 30))
     m = data.draw(st.integers(1, 12))
-    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    row = st.lists(st.integers(0, m - 1), max_size=4, unique=True)
+    sets = data.draw(st.lists(row, min_size=n, max_size=n))
     # a small value range: zero bids and ties are common
     values = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     inst = AuctionInstance(sets, m, mode, values=values)
@@ -556,7 +558,8 @@ def test_query_tree_matches_global_on_mixed_denominators(data):
     mode = data.draw(st.sampled_from(["udubv", "ksmb"]))
     n = data.draw(st.integers(1, 24))
     m = data.draw(st.integers(1, 10))
-    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=3), min_size=n, max_size=n))
+    row = st.lists(st.integers(0, m - 1), max_size=3, unique=True)
+    sets = data.draw(st.lists(row, min_size=n, max_size=n))
     bid = st.builds(lambda num, den: F(num * den, den), st.integers(0, 4), st.integers(1, 12))
     bid |= st.builds(F, st.integers(0, 24), st.integers(1, 12))
     values = data.draw(st.lists(bid, min_size=n, max_size=n))
@@ -719,7 +722,8 @@ def test_item_records_list_the_by_id_buyers_in_bid_order(data):
     mode = data.draw(st.sampled_from(["udubv", "ksmb"]))
     n = data.draw(st.integers(0, 20))
     m = data.draw(st.integers(1, 8))
-    sets = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    row = st.lists(st.integers(0, m - 1), max_size=4, unique=True)
+    sets = data.draw(st.lists(row, min_size=n, max_size=n))
     # whole and fractional bids from a small range: zero bids and ties are common
     bid = st.integers(0, 4) | st.builds(F, st.integers(0, 12), st.integers(1, 4))
     values = data.draw(st.lists(bid, min_size=n, max_size=n))

@@ -730,14 +730,16 @@ def test_cli_refuses_every_family_row_longer_than_its_size(tmp_path, capsys):
 
 def test_cli_counts_a_sets_raw_entries(tmp_path, capsys):
     # the spec counts a row's raw entries, as a restricted menu's repeated
-    # draws need, so a set that fits k only once its repeat is folded is refused
+    # draws need, so a set too wide for k is refused by width, and one that
+    # fits k but repeats an item by the oracle's once rule
     sets = tmp_path / "sets.json"
     flags = ["--mode", "uduv", "--n", "2", "--m", "3", "--k", "2", "--sets", str(sets)]
     sets.write_text(json.dumps([[0, 0, 1], [1]]))
     assert cli.main(["run", "auction", *flags]) == 2
     assert capsys.readouterr() == ("", "lcmd: buyer 0 lists more than k=2 entries\n")
     sets.write_text(json.dumps([[0, 0], [1]]))
-    assert cli.main(["run", "auction", *flags]) == 0
+    assert cli.main(["run", "auction", *flags]) == 2
+    assert capsys.readouterr() == ("", "lcmd: left id 0 names right id 0 twice\n")
 
 
 def test_cli_uduv_takes_no_bids(capsys):

@@ -38,7 +38,9 @@ from localmech.probes import (
     resolve,
     upward_closure,
 )
-from localmech.randomness import RandomTape, derive_uniform, sample_without_replacement
+from localmech.randomness import (
+    RandomTape, derive_uniform, sample_without_replacement, uniform_rows, uniform_table
+)
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
 from localmech.scheduling import (
     RESTRICTED,
@@ -139,18 +141,19 @@ def test_explicit_rows_give_one_row_per_entity():
         InstanceSpec(seed=0, family="scheduling-res", n=3, m=5, k=1, explicit_edges=rows)
     spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=3, k=1, explicit_edges=rows)
     inst = build_instance(spec)
-    assert [inst.menu(j) for j in range(3)] == list(rows)
+    assert [inst.oracle.fwd(j) for j in range(3)] == list(rows)
     with pytest.raises(ValueError, match="takes no explicit_edges"):
         InstanceSpec(seed=0, family="scheduling-std", n=3, m=3, k=1, explicit_edges=rows)
 
 
 def test_restricted_spec_menus_hold_at_most_d_draws():
-    # a seeded menu holds exactly d draws, so an explicit one may not hold more
+    # a seeded menu holds exactly d draws, so an explicit one may not hold
+    # more; a repeat counts, and the record keeps the distinct machines
     with pytest.raises(ValueError, match="job 0 lists more than d=1 entries"):
         InstanceSpec(seed=0, family="scheduling-res", n=3, m=1, k=1, explicit_edges=((0, 1, 2),))
-    for menu in ((0, 0), (2, 1)):
+    for menu, record in (((0, 0), (0,)), ((2, 1), (1, 2))):
         spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=1, k=2, explicit_edges=(menu,))
-        assert build_instance(spec).menu(0) == menu
+        assert build_instance(spec).oracle.fwd(0) == record
 
 
 _STD = SchedulingInstance((2, 3), m=6, d=2, mode=STANDARD, seed=1)
@@ -173,7 +176,6 @@ _WRONG_MODE = [
     ("payment_rlms", lambda: scheduling.payment_rlms(_STD, 0), "restricted"),
     ("makespan_ratio", lambda: scheduling.makespan_ratio(_STD), "restricted"),
     ("monotonicity_trace", lambda: scheduling.monotonicity_trace(_STD, 0, 0, 2), "restricted"),
-    ("menu", lambda: _STD.menu(0), "restricted"),
     *(
         (f"{call.__name__}-bid{bid}", partial(call, _STD, 0, bid, *more), "restricted")
         for bid in (0, 2)
@@ -419,17 +421,15 @@ def test_resolve_stores_each_answer_once_on_an_explicit_stack():
     assert not built  # a second call over the same memo builds no frame
 
 def test_restricted_menu_draw_frequency():
-    # capacity-proportional draws: machine 2 should soak up 36/48 of them
-    spec = InstanceSpec(seed=3, family="scheduling-res", n=3, m=100_000, k=2, values=(4, 8, 36))
+    # two capacity-proportional draws: machine i misses both with
+    # probability (1 - c_i/48)^2, so machine 2 is on 15/16 of the menus
+    caps = (4, 8, 36)
+    spec = InstanceSpec(seed=3, family="scheduling-res", n=3, m=100_000, k=2, values=caps)
     inst = build_instance(spec)
-    hits = 0
-    total = 0
-    for j in range(inst.m):
-        menu = inst.menu(j)
-        hits += sum(1 for i in menu if i == 2)
-        total += len(menu)
-    freq = hits / total
-    assert abs(freq - 36 / 48) < 0.01, freq
+    listed = Counter(i for j in range(inst.m) for i in inst.oracle.fwd(j))
+    for i, c in enumerate(caps):
+        freq = listed[i] / inst.m
+        assert abs(freq - (1 - (1 - c / 48) ** 2)) < 0.01, (i, freq)
 
 
 # SHA-256 of every seeded draw of an n=512 instance (see `_seeded_draws`),
@@ -455,16 +455,22 @@ SEEDED_DIGESTS = {
 
 
 def _seeded_draws(inst) -> list:
-    """The forward records, the lottery ranks, caps, values and menus, the
-    job rank order, the uduv item order and every listed matching priority."""
+    """The forward records, the lottery numbers, caps, values and raw menu
+    draws, the job rank order, the uduv item order and every listed matching
+    priority.  The lottery and the menus are redrawn from the tape (the
+    instance keeps neither), the menus mapped by the slot prefix sums."""
     draws = [[inst.oracle.fwd(i) for i in range(inst.oracle.n)]]
-    draws += [getattr(inst, name) for name in ("ranks", "caps") if hasattr(inst, name)]
+    if isinstance(inst, HousingInstance):
+        draws.append(tuple(1 + v for v in uniform_table(inst.tape, "lottery", inst.n, inst.n**4)))
+    if hasattr(inst, "caps"):
+        draws.append(inst.caps)
     if hasattr(inst, "values"):
         # whole values are ints; hashed as Fractions, as they were first pinned
         draws.append(tuple(map(Fraction, inst.values)))
     if isinstance(inst, SchedulingInstance):
         if inst.mode == RESTRICTED:
-            draws.append([inst.menu(j) for j in range(inst.m)])
+            rows = uniform_rows(inst.tape, "menu", inst.m, inst.B, inst.d)
+            draws.append([tuple(bisect_right(inst.slot_prefix, s) for s in r) for r in rows])
         draws.append(list(inst.order))
     if isinstance(inst, AuctionInstance) and inst.mode == UDUV:
         draws.append(list(inst.order))
@@ -504,8 +510,8 @@ def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
             assert list(inst.men_prefs) == rows("men-list", n, n, k)
         elif family == "housing":
             assert list(inst.lists) == rows("house-list", n, n, k)
-            assert list(inst.ranks) == values("lottery", n, n**4)
-            assert list(inst.order) == sorted(range(n), key=lambda a: (inst.ranks[a], a))
+            lottery = values("lottery", n, n**4)
+            assert list(inst.order) == sorted(range(n), key=lambda a: (lottery[a], a))
         elif isinstance(inst, SchedulingInstance):
             assert list(inst.caps) == values("cap", n, n.bit_length() - 1)
             assert list(inst.order) == order("job-rank", n, 1)
@@ -520,7 +526,9 @@ def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
                     )
                     for j in range(n)
                 ]
-                assert [inst.menu(j) for j in range(n)] == menus
+                assert [inst.oracle.fwd(j) for j in range(n)] == [
+                    tuple(sorted(set(mu))) for mu in menus
+                ]
         else:
             assert list(inst.sets) == [tuple(sorted(r)) for r in rows("item-set", n, n, k)]
             if family == UDUV:

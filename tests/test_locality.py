@@ -210,7 +210,7 @@ class _Tripwire:
 
 
 # the rows each family keeps beside its oracle's records
-_ROW_COPIES = ("lists", "sets", "men_prefs", "_menus")
+_ROW_COPIES = ("lists", "sets", "men_prefs")
 # query kind → the oracle side of the queried entity's own record, the one free read
 _OWN_SIDE = {"man": LEFT, "woman": RIGHT, "job": LEFT, "buyer": LEFT, "item": RIGHT, "agent": LEFT}
 

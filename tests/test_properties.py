@@ -114,7 +114,7 @@ def test_restricted_scheduling_local_matches_global(inst):
     for j in range(inst.m):
         counter = ProbeCounter()
         assert rlms_local(inst, j, counter) == alloc.assign[j]
-        assert alloc.assign[j] in inst.menu(j)
+        assert alloc.assign[j] in inst.oracle.fwd(j)
         assert counter.seen <= _reachable(inst.oracle, (LEFT, j))
 
 
@@ -148,7 +148,8 @@ def test_expected_payment_equals_the_sequential_sum(b, B_minus, m):
 def uduv_cases(draw):
     n = draw(st.integers(0, 7))
     m = draw(st.integers(1, 6))
-    inst = AuctionInstance(_item_lists(draw, n, m, max_size=3), m, "uduv", seed=draw(seeds))
+    sets = _item_lists(draw, n, m, max_size=3, unique=True)
+    inst = AuctionInstance(sets, m, "uduv", seed=draw(seeds))
     overlay = None
     if n and draw(st.booleans()):
         liars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
@@ -165,10 +166,11 @@ def _union_oracle(inst: AuctionInstance, overlay: dict | None) -> AdjacencyOracl
 def _rebuilt(inst: AuctionInstance, overlay: dict | None) -> AuctionInstance:
     """The instance built with the overlay's reports as its data, whose
     global run is the run under the reports: a uduv buyer reports her set,
-    a udubv or ksmb buyer her bid."""
+    a udubv or ksmb buyer her bid.  A reported set may repeat an item, which
+    `uduv_local` folds and the build refuses, so it is folded here."""
     overlay = overlay or {}
     if inst.mode == "uduv":
-        sets = [overlay.get(b, s) for b, s in enumerate(inst.sets)]
+        sets = [set(overlay.get(b, s)) for b, s in enumerate(inst.sets)]
         return AuctionInstance(sets, inst.m, "uduv", seed=inst.seed)
     values = [overlay.get(b, v) for b, v in enumerate(inst.values)]
     return AuctionInstance(inst.sets, inst.m, inst.mode, values=values, seed=inst.seed)
@@ -199,7 +201,8 @@ def bid_cases(draw):
     m = draw(st.integers(1, 6))
     # values from a tiny range: zero bids and ties are common
     values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    inst = AuctionInstance(_item_lists(draw, n, m, max_size=3), m, mode, values=values)
+    sets = _item_lists(draw, n, m, max_size=3, unique=True)
+    inst = AuctionInstance(sets, m, mode, values=values)
     overlay = None
     if n and draw(st.booleans()):
         # 1 to n reporters, some of them reporting their true bid, so a

@@ -250,9 +250,10 @@ REFUSALS = {
         lambda h: HousingInstance([[h]], 2),
         (0, 1), NOT_INTS, lambda h: f"right id {h!r} is not an int",
     ),
-    # checked before a set could fold True or 1.0 into 1, or a sort raise TypeError
+    # checked before the sort, which would raise TypeError on a str or None;
+    # the fixed item is 2, so neither accepted id repeats it
     "auction set item type": (
-        lambda j: AuctionInstance([(1, j)], 2, "uduv"),
+        lambda j: AuctionInstance([(2, j)], 3, "uduv"),
         (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
     ),
     "restricted menu machine type": (
@@ -358,6 +359,9 @@ ONCE = {
     "matching repeated woman": (
         lambda: MatchingInstance([[1, 1]], 2), "left id 0 names right id 1 twice"
     ),
+    "auction repeated item": (
+        lambda: AuctionInstance([(1,), (0, 2, 0)], 3, "uduv"), "left id 1 names right id 0 twice"
+    ),
     # row 0's id is out of range, but `order` checks row 1 first, whose
     # float id is out of range too and is named for its type
     "oracle first offender in order, 2^20 records": (
@@ -391,6 +395,7 @@ def test_rows_naming_each_id_once_build():
     assert AdjacencyOracle([(0, 1)], 2, range(1)).rev(1) == (0,)
     assert HousingInstance([[0]], 1).oracle.fwd(0) == (0,)
     assert MatchingInstance([[1]], 2).oracle.fwd(0) == (1,)
+    assert AuctionInstance([(1,), (2, 0)], 3, "uduv").oracle.fwd(1) == (0, 2)
     # ids repeated across rows are fine: each record lists both rows
     assert AdjacencyOracle([(0, 1), (1, 0)], 2, (1, 0)).rev(0) == (1, 0)
 

@@ -6,7 +6,14 @@ import pytest
 
 from localmech.instances import InstanceSpec, build_instance
 from localmech.probes import ProbeCounter
+from localmech.randomness import uniform_table
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
+
+
+def _lottery(inst: HousingInstance) -> list[int]:
+    """Each agent's lottery number, redrawn from the tape: the instance keeps
+    only the order they give."""
+    return [1 + v for v in uniform_table(inst.tape, "lottery", inst.n, inst.n**4)]
 
 
 def test_single_agent_takes_her_house():
@@ -60,9 +67,12 @@ def test_lottery_is_seeded_and_in_range():
     a = HousingInstance.seeded(n=64, d=2, seed=7)
     b = HousingInstance.seeded(n=64, d=2, seed=7)
     c = HousingInstance.seeded(n=64, d=2, seed=8)
-    assert a.ranks == b.ranks
-    assert a.ranks != c.ranks
-    assert all(1 <= r <= 64**4 for r in a.ranks)
+    assert list(a.order) == list(b.order)
+    assert list(a.order) != list(c.order)
+    lottery = _lottery(a)
+    assert all(1 <= r <= 64**4 for r in lottery)
+    assert list(a.order) == sorted(range(a.n), key=lambda x: (lottery[x], x))
+    assert not hasattr(a, "ranks")
 
 
 def test_validation_errors():
@@ -89,6 +99,8 @@ def test_housing_builds_past_65536_agents():
     # lottery numbers come from n^4 values, past 2^64 once n > 65536
     n = 65537
     inst = build_instance(InstanceSpec(seed=0, family="housing", n=n, m=n, k=1))
-    assert all(1 <= r <= n**4 for r in inst.ranks)
-    assert max(inst.ranks) > 2**64
+    lottery = _lottery(inst)
+    assert all(1 <= r <= n**4 for r in lottery)
+    assert max(lottery) > 2**64
+    assert list(inst.order) == sorted(range(n), key=lambda x: (lottery[x], x))
     assert rsd_local(inst, 0) == rsd_global(inst)[0]

@@ -190,7 +190,7 @@ def test_ties_go_to_the_smaller_machine_whatever_the_menu_order():
     # the raw menu lists machine 3 first; every rule reads the sorted record,
     # so the first least load, floored or not, is machine 1
     inst = _res((1, 1, 1, 1), 1, menus=[(3, 1)])
-    assert inst.menu(0) == (3, 1)
+    assert inst.oracle.fwd(0) == (1, 3)
     assert rlms_online(inst).assign == (1,)
     assert rlms_online(inst, order=inst.order).assign == (1,)
     assert rlms_local(inst, 0) == 1
@@ -329,14 +329,14 @@ def test_zero_cap_leaves_a_whole_menu_job_unplaced():
 
 
 def test_menu_draw_order_and_repeats_never_matter():
-    # the allocators read the oracle's sorted, distinct machines, so a twin
-    # built from those menus runs exactly alike
+    # the instance keeps each menu as the oracle's sorted, distinct machines,
+    # so a twin built from those menus holds the same records and runs alike
     caps = (2, 1, 3, 1)
     raw = [(3, 1, 3), (2, 1), (1, 1, 0), (0, 2), (3, 2, 2), (1, 3, 0), (2,), (3, 0), (0, 0)]
     tidy = [tuple(sorted(set(mu))) for mu in raw]
     a, b = (_res(caps, len(raw), seed=7, menus=mus) for mus in (raw, tidy))
-    assert [a.menu(j) for j in range(a.m)] == raw
-    assert [b.menu(j) for j in range(b.m)] == tidy
+    assert [a.oracle.fwd(j) for j in range(a.m)] == tidy
+    assert [b.oracle.fwd(j) for j in range(b.m)] == tidy
     assert list(a.order) == list(b.order)
     assert rlms_online(a) == rlms_online(b)
     assert rlms_online(a, order=a.order) == rlms_online(b, order=b.order)
@@ -544,9 +544,10 @@ def test_slot_prefix_is_built_once_and_serves_both_modes():
 
 
 def _bisected_menus(inst):
-    # each ("menu", j, t) draw over the slot pool, mapped by bisection
+    # each ("menu", j, t) draw over the slot pool, mapped by bisection, and
+    # each menu as the oracle keeps it: its distinct machines, ascending
     rows = uniform_rows(inst.tape, "menu", inst.m, inst.B, inst.d)
-    return tuple(tuple(bisect_right(inst.slot_prefix, s) for s in row) for row in rows)
+    return [tuple(sorted({bisect_right(inst.slot_prefix, s) for s in row})) for row in rows]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -554,11 +555,7 @@ def _bisected_menus(inst):
 def test_seeded_menus_map_each_draw_to_the_machine_owning_its_slot(n, d):
     for seed in range(2):
         inst = build_instance(InstanceSpec(seed=seed, family="scheduling-res", n=n, m=n, k=d))
-        want = _bisected_menus(inst)
-        assert [inst.menu(j) for j in range(inst.m)] == list(want)
-        assert [inst.oracle.fwd(j) for j in range(inst.m)] == [
-            tuple(sorted(set(mu))) for mu in want
-        ]
+        assert [inst.oracle.fwd(j) for j in range(inst.m)] == _bisected_menus(inst)
 
 
 @pytest.mark.parametrize(
@@ -571,7 +568,7 @@ def test_seeded_menus_on_either_side_of_the_owner_table_rule(caps):
     # a slot-owner table, a 49-slot one by bisection, as are a pool of
     # MAX_SIZE slots and one of 2^40 slots, far past what a table could hold
     inst = _res(caps, 2, d=3, seed=1)
-    assert [inst.menu(j) for j in range(inst.m)] == list(_bisected_menus(inst))
+    assert [inst.oracle.fwd(j) for j in range(inst.m)] == _bisected_menus(inst)
 
 
 def test_local_validates_job():

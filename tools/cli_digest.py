@@ -109,6 +109,10 @@ CONFIGS = {
         ["run", "rsd"],
         {"family": "housing", "seed": 0, "n": 2, "m": 2, "d": 2, "explicit_edges": [[1], [0, 0]]},
     ),
+    "repeated-item.json": (
+        ["run", "auction", "--mode", "uduv"],
+        {"family": "uduv", "seed": 0, "n": 2, "m": 3, "k": 2, "explicit_edges": [[0, 0], [1]]},
+    ),
 }
 for family, verb, size in (
     ("matching", ["matching"], "k"),
