@@ -30,7 +30,7 @@ def main() -> None:
     first, last = order[0], order[-1]
     rank = 1 + derive_uniform(inst.tape, ("lottery", first), args.n**4)
     print(f"first arrival is agent {first} (rank {rank}), "
-          f"takes top choice {inst.lists[first][0]}")
+          f"takes top choice {inst.oracle.rows[first][0]}")
 
     print("\nlocal queries across the arrival order:")
     probes_total = 0

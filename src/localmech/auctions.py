@@ -15,8 +15,9 @@ uduv is serial dictatorship with items as the dictators (each item in score
 order takes the first unserved buyer reporting it) and udubv is serial
 dictatorship in bid order, so both replay `rsd.serial_dictatorship`; ksmb has
 its own whole-set step, `_ksmb_awards`.  Global runs and local queries call
-the same step on the same records, the instance oracle's, which refuses a
-set that names an item twice.
+the same step on the same records: the oracle's `rows`, the sets' one
+stored copy (sorted by id, no item twice), walked by global runs and read
+by a local query only through its view.
 
 Local queries agree with the global run outcome exactly.  uduv queries
 replay the dependency closure of the queried buyer/item
@@ -64,16 +65,16 @@ is the run of the instance built with them.
 A misreport is an overlay, a mapping from buyer to report; absent buyers
 report the truth.  A uduv buyer reports her item set (every value is 1)
 and a udubv or ksmb buyer her bid (sets are public), so each query knows
-what a report is: `uduv_local` checks and normalises reported sets and
-`_bid_local` checks the reported bids and reads them over the true ones
-(`_ReportedBids`, which copies no other bid), both after one check of the
-reporters (`AuctionInstance.reports`).  `probes.reported_reads`
-rebuilds only the records a query reads that a reported set or bid
-touches: uduv's by id, the others by `_bid_order` (descending reported
-bid, ties to the smaller id).  `truthfulness_audit` checks the served
-local answers, not a global rerun: it asks each buyer's local query under
-an overlay, for the truth and for every deviation, and values each answer
-by one rule, `_utility`.
+what a report is: `uduv_local` checks and sorts reported sets, refusing a
+repeated item as a row does, and `_bid_local` checks the reported bids and
+reads them over the true ones (`_ReportedBids`, which copies no other
+bid), both after one check of the reporters (`AuctionInstance.reports`).
+`probes.reported_reads` rebuilds only the records a query reads that a
+reported set or bid touches: uduv's by id, the others by `_bid_order`
+(descending reported bid, ties to the smaller id).  `truthfulness_audit`
+checks the served local answers, not a global rerun: it asks each buyer's
+local query under an overlay, for the truth and for every deviation, and
+values each answer by one rule, `_utility`.
 """
 
 from __future__ import annotations
@@ -148,13 +149,13 @@ class AuctionInstance:
         if not set(map(type, chain.from_iterable(sets))) <= {int}:
             bad = next(j for s in sets for j in s if type(j) is not int)
             raise ValueError(f"right id {bad!r} is not an int")
-        self.sets: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in sets)
-        self.n = len(self.sets)
+        rows = [tuple(sorted(s)) for s in sets]
+        self.n = len(rows)
         self.m = m
-        widest = max(map(len, self.sets), default=0)
+        widest = max(map(len, rows), default=0)
         self.k = widest if k is None else k
         if widest > self.k:
-            b = next(b for b, s in enumerate(self.sets) if len(s) > self.k)
+            b = next(b for b, s in enumerate(rows) if len(s) > self.k)
             raise ValueError(f"buyer {b} lists more than k={self.k} entries")
         self.seed = seed
         self.tape = RandomTape(seed)
@@ -177,7 +178,7 @@ class AuctionInstance:
             # the greedy serves them in, and the order of each item record
             self.order, self.place = rank_tables(self.values, True)
             records = self.order
-        self.oracle = AdjacencyOracle(self.sets, m, records)
+        self.oracle = AdjacencyOracle(rows, m, records)
 
     @classmethod
     def from_spec(cls, spec: InstanceSpec) -> "AuctionInstance":
@@ -262,7 +263,9 @@ def uduv_local(
         bad = [j for j in s if type(j) is not int or not 0 <= j < inst.m]
         if bad:
             raise ValueError(f"buyer {b} reports item {bad[0]!r}, not an int in 0..{inst.m - 1}")
-        reported[b] = tuple(sorted(set(s)))
+        row = reported[b] = tuple(sorted(s))
+        if twice := [j for j, after in zip(row, row[1:]) if j == after]:  # as a row would be
+            raise ValueError(f"buyer {b} reports item {twice[0]} twice")
     # item records list their buyers by id, and so do the rebuilt ones
     fwd, rev = reported_reads(view, reported, (), None)
     roots = fwd(idx) if kind == "buyer" else (idx,)
@@ -335,10 +338,10 @@ def _critical(inst: AuctionInstance, i: int) -> Fraction:
     """Buyer i's critical price by its definition, the test oracle of
     `_bid_run`: her price rule applied to a full rerun without her, which
     serves the positive bidders in bid order with i removed."""
-    awards, price = _BID_RULES[inst.mode]
+    (awards, price), sets = _BID_RULES[inst.mode], inst.oracle.rows
     without = (b for b in _positive_prefix(inst.order, inst.values) if b != i)
     # the price is a bid, an int when whole; every payment is a Fraction
-    return Fraction(price(awards(without, inst.sets.__getitem__), inst.sets[i], inst.values))
+    return Fraction(price(awards(without, sets.__getitem__), sets[i], inst.values))
 
 
 def _bid_tree(mode: str, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int], Generator]:
@@ -498,7 +501,7 @@ def _bid_run(inst: AuctionInstance) -> Outcome:
     in id order on the query tree of the run without her.  A rival placed
     ahead of the winner has her full-run award in that run; a rival
     behind her is resolved afresh, once per winner."""
-    sets, bids, place, rev = inst.sets, inst.values, inst.place, inst.oracle.rev
+    sets, bids, place, rev = inst.oracle.rows, inst.values, inst.place, inst.oracle.rev
     won = _BID_RULES[inst.mode][0](_positive_prefix(inst.order, bids), sets.__getitem__)
     payments = dict.fromkeys(range(inst.n), ZERO)
     for i in sorted(won):
@@ -589,7 +592,7 @@ def _utility(inst: AuctionInstance, buyer: int, got: dict) -> Fraction:
     award's first item is in her true set (else 0), less the payment."""
     if not got["award"]:
         return ZERO
-    value = inst.values[buyer] if got["award"][0] in inst.sets[buyer] else ZERO
+    value = inst.values[buyer] if got["award"][0] in inst.oracle.rows[buyer] else ZERO
     return value - got["payment"]
 
 

@@ -152,8 +152,8 @@ def _heights_rows(inst, alloc) -> list[tuple[str, int]]:
 
 
 def _menu_rows(inst, alloc) -> list[tuple[str, int]]:
-    jobs = enumerate(alloc.assign)
-    outside = sum(1 for j, mach in jobs if mach is not None and mach not in inst.oracle.fwd(j))
+    jobs = zip(alloc.assign, inst.oracle.rows)
+    outside = sum(1 for mach, menu in jobs if mach is not None and mach not in menu)
     return [("assignment_within_menu", outside)]
 
 
@@ -184,7 +184,7 @@ def _housing_run(inst, rounds: int):
 
 def _housing_extra(inst, alloc) -> list[tuple[str, int]]:
     taken = [h for h in alloc.values() if h is not None]
-    outside = sum(1 for a, h in alloc.items() if h is not None and h not in inst.lists[a])
+    outside = sum(1 for a, h in alloc.items() if h is not None and h not in inst.oracle.rows[a])
     return [("houses_assigned_once", len(taken) - len(set(taken))), ("house_within_list", outside)]
 
 

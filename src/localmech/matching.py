@@ -34,19 +34,20 @@ rankings draw no tables and answer from the ranking.
 
 Cost rule: priority scores are derived from the seed and cost no probes;
 reading any man's list or any woman's suitor list costs one probe per query
-(memoised), except the queried entity's own record.  Settling a woman reads
-her suitor record and every suitor's list.  The recursion only settles women
-a man could reach within the remaining budget, so the records a query reads
-are a subset of its radius-2ℓ neighborhood, and usually a small one.  A
-woman query settles her first, which is all it reads when her best suitor
-lists her first.
+(memoised), except the queried entity's own record.  The lists are stored
+once, as the oracle's `rows`, which the global run and `blocking_pairs`
+walk.  Settling a woman reads her suitor record and every suitor's list.
+The recursion only settles women a man could reach within the remaining
+budget, so the records a query reads are a subset of its radius-2ℓ
+neighborhood, and usually a small one.  A woman query settles her first,
+which is all it reads when her best suitor lists her first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, query_view, resolve
 from .randomness import RandomTape, pair_keys, pair_mix, pair_tables
@@ -73,8 +74,7 @@ UNMATCHED = "unmatched"
 DISQUALIFIED = "disqualified"
 
 
-@dataclass(frozen=True)
-class ManStatus:
+class ManStatus(NamedTuple):
     """Outcome for one participant: matched (with partner), unmatched, or —
     only in truncated runs — disqualified."""
 
@@ -115,14 +115,13 @@ class MatchingInstance:
         seed: int = 0,
         women_prefs: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        self.men_prefs: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in men_prefs)
-        self.n = len(self.men_prefs)
+        self.n = len(men_prefs)
         self.m = m
-        self.k = max(map(len, self.men_prefs), default=0)  # the longest list
         self.seed = seed
         self.tape = RandomTape(seed)
-        # the oracle refuses a woman who is no int, out of range or listed twice
-        self.oracle = AdjacencyOracle(self.men_prefs, m, range(self.n))
+        # the lists' one stored copy, refusing a woman who is no int, out of range or listed twice
+        self.oracle = AdjacencyOracle(men_prefs, m, range(self.n))
+        self.k = max(map(len, self.oracle.rows), default=0)  # the longest list
         # Explicit women rankings (best first) for hand fixtures; otherwise
         # priorities are seeded hash scores, strict by construction.
         self._explicit_rank: list[dict[int, int]] | None = None
@@ -198,7 +197,7 @@ def abridged_gs(
     the simultaneous round (module note)."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    prefs = inst.men_prefs
+    prefs = inst.oracle.rows
     pos = [0] * inst.n
     holder: dict[int, tuple[int, int]] = {}  # woman -> (key, -man); never freed
     proposers = [man for man in range(inst.n) if prefs[man]]
@@ -483,10 +482,9 @@ def blocking_pairs(
     # the pairs (man, woman he lists above his partner), then (holder, woman)
     men: list[int] = []
     women: list[int] = []
-    for mm in range(inst.n):
+    for mm, lst in enumerate(inst.oracle.rows):
         st = statuses.get(mm, UNMATCHED_STATUS)
         if st.state != DISQUALIFIED:
-            lst = inst.men_prefs[mm]
             better = lst.index(st.partner) if st.state == MATCHED else len(lst)
             men += [mm] * better
             women += lst[:better]

@@ -80,10 +80,11 @@ class AdjacencyOracle:
     once.  A row that names j twice finds itself already at the end of j's
     record, so a repeat costs one comparison and no set.
 
-    Reads here are uncounted; a local query reads through a `MemoView`,
-    which charges the probes."""
+    `rows` is the one stored copy of the left rows.  A global run walks it
+    uncounted, as does the checked single-row read `fwd`; a local query
+    reads a row only through its `MemoView`, which charges the probe."""
 
-    __slots__ = ("n", "m", "_fwd", "_rev")
+    __slots__ = ("n", "m", "rows", "_rev")
 
     def __init__(self, fwd: Sequence[Sequence[int]], m: int, order: Sequence[int]) -> None:
         if m < 0:
@@ -96,7 +97,7 @@ class AdjacencyOracle:
             not set(map(type, order)) <= {int} or sorted(order) != list(range(self.n))
         ):
             raise ValueError(f"order must be a permutation of the {self.n} left ids")
-        rows = self._fwd = tuple(tuple(lst) for lst in fwd)
+        rows = self.rows = tuple(tuple(lst) for lst in fwd)
         rev: list[list[int] | None] = [None] * m  # None until the record's first entry
         for i in order:
             for j in rows[i]:
@@ -116,7 +117,7 @@ class AdjacencyOracle:
     def fwd(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.n:
             raise ValueError(f"left id {i} out of range [0, {self.n})")
-        return self._fwd[i]
+        return self.rows[i]
 
     def rev(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.m:
@@ -137,7 +138,7 @@ class MemoView:
 
     def fwd(self, i: int) -> tuple[int, ...]:
         self._seen.add((LEFT, i))
-        return self._oracle._fwd[i]
+        return self._oracle.rows[i]
 
     def rev(self, j: int) -> tuple[int, ...]:
         self._seen.add((RIGHT, j))

@@ -3,14 +3,14 @@
 Each agent holds an ordered list of d houses; agents take turns in
 increasing lottery number (seeded uniform over [1, n⁴]; the rare collision
 goes to the smaller agent id) and grab their best still-available listed
-house, or nothing if all d are gone.  The build keeps the lottery only as
-`order` and `place`.
+house, or nothing if all d are gone.  The build keeps the lists only as
+the oracle's `rows` and the lottery only as `order` and `place`.
 
 The local query resolves an agent by settling only the earlier-arriving
 agents who share a listed house, transitively (`probes.upward_closure`) — the
 rest of the lottery provably cannot touch her outcome.  `serial_dictatorship`
-is the one replay step, run by the global runner over every agent, by the
-local query over its closure, and by the udubv and uduv auctions.
+is the one replay step, run by the global runner over the oracle's rows, by
+the local query over its closure, and by the udubv and uduv auctions.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ class HousingInstance:
         seed: int = 0,
         ranks: Sequence[int] | None = None,
     ) -> None:
-        self.lists: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in lists)
-        self.n = len(self.lists)
+        self.n = len(lists)
         self.m = m
         self.seed = seed
         self.tape = RandomTape(seed)
-        self.d = max(map(len, self.lists), default=0)
         if ranks is not None:
             if len(ranks) != self.n:
                 raise ValueError("need one lottery number per agent")
@@ -51,7 +49,8 @@ class HousingInstance:
         else:
             lottery = uniform_table(self.tape, "lottery", self.n, max(1, self.n**4))
         self.order, self.place = rank_tables(lottery)
-        self.oracle = AdjacencyOracle(self.lists, m, range(self.n))
+        self.oracle = AdjacencyOracle(lists, m, range(self.n))
+        self.d = max(map(len, self.oracle.rows), default=0)
 
     @classmethod
     def from_spec(cls, spec: InstanceSpec) -> "HousingInstance":
@@ -85,7 +84,7 @@ def serial_dictatorship(
 
 
 def rsd_global(inst: HousingInstance) -> dict[int, int | None]:
-    return serial_dictatorship(inst.order, inst.lists.__getitem__)
+    return serial_dictatorship(inst.order, inst.oracle.rows.__getitem__)
 
 
 def rsd_local(

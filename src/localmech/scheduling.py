@@ -261,12 +261,12 @@ def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) ->
     drawn once with the instance.  A run at other capacities is the run of
     an instance built with them."""
     inst.require_mode(STANDARD, "slms_online")
-    prefix, choices = inst.slot_prefix, inst.oracle.fwd
+    prefix, choices = inst.slot_prefix, inst.oracle.rows
     slot_h = [0] * inst.B
     heights = [0] * inst.n
     assign: list[int | None] = [None] * inst.m
     for j in _run_order(inst, order):
-        machine = bisect_right(prefix, _pick_slot(inst, j, choices(j), slot_h))
+        machine = bisect_right(prefix, _pick_slot(inst, j, choices[j], slot_h))
         heights[machine] += 1
         assign[j] = machine
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=inst.caps)
@@ -398,11 +398,11 @@ def _restricted_run(
     every menu machine has a capacity below 1 takes None and adds no
     height anywhere (a bid of 0 in the rerun payments and the trace)."""
     caps = inst.caps if caps is None else tuple(caps)
-    menus = inst.oracle.fwd
+    menus = inst.oracle.rows
     heights = [0] * inst.n
     assign: list[int | None] = [None] * inst.m
     for j in jobs:
-        assign[j] = step(menus(j), heights, caps)
+        assign[j] = step(menus[j], heights, caps)
     return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
 
 
@@ -549,6 +549,5 @@ def makespan_ratio(inst: SchedulingInstance) -> Fraction:
     alloc = rlms_online(inst)
     if inst.m < 1:  # the optimal makespan of no jobs is 0
         raise ValueError(f"makespan_ratio needs m >= 1 jobs, got m={inst.m}")
-    menus = [inst.oracle.fwd(j) for j in range(inst.m)]
-    opt = oracles.optimal_makespan(inst.caps, inst.m, menus=menus)
+    opt = oracles.optimal_makespan(inst.caps, inst.m, menus=inst.oracle.rows)
     return alloc.makespan / opt

@@ -415,7 +415,7 @@ def test_criterion_08_approximation_ratios():
     for seed in range(15):
         inst = build_instance(InstanceSpec(seed=seed, family="uduv", n=30, m=30, k=3))
         got = sum(1 for jt in uduv_run(inst).awards.values() if jt)
-        best = max_matching(inst.sets, inst.m)
+        best = max_matching(inst.oracle.rows, inst.m)
         violations += 2 * got < best
         worst["uduv"] = min(worst.get("uduv", 9.9), float(got / best) if best else 9.9)
 
@@ -423,7 +423,7 @@ def test_criterion_08_approximation_ratios():
         wout = udubv_run(wi)
         wgot = sum(wi.values[b] for b in range(wi.n) if wout.awards[b])
         weights = [
-            [wi.values[b] if j in wi.sets[b] else 0 for j in range(wi.m)]
+            [wi.values[b] if j in wi.oracle.rows[b] else 0 for j in range(wi.m)]
             for b in range(wi.n)
         ]
         wbest = max_weight_matching(weights)
@@ -434,7 +434,7 @@ def test_criterion_08_approximation_ratios():
             ki = build_instance(InstanceSpec(seed=seed, family="ksmb", n=14, m=14, k=k))
             kout = ksmb_run(ki)
             kgot = sum(ki.values[b] for b in range(ki.n) if kout.awards[b])
-            kbest = optimal_packing(ki.sets, ki.values)
+            kbest = optimal_packing(ki.oracle.rows, ki.values)
             violations += k * kgot < kbest
             worst[f"ksmb k={k}"] = min(
                 worst.get(f"ksmb k={k}", 9.9), float(kgot / kbest) if kbest else 9.9

@@ -87,7 +87,7 @@ def _uduv_run_per_buyer(inst, sets):
         if b is not None:
             awards[b] = (j,)
     payments = {b: F(1, 2) if awards[b] else F(0) for b in range(inst.n)}
-    values = {b: F(int(any(j in inst.sets[b] for j in awards[b]))) for b in range(inst.n)}
+    values = {b: F(int(any(j in inst.oracle.rows[b] for j in awards[b]))) for b in range(inst.n)}
     return awards, payments, {b: values[b] - payments[b] for b in range(inst.n)}
 
 
@@ -105,7 +105,7 @@ def test_uduv_run_matches_the_per_buyer_formula():
             sets = {b: rng.sample(range(inst.m), rng.randrange(4)) for b in liars}
             overlays.append(sets)
         for overlay in overlays:
-            sets = [(overlay or {}).get(b, s) for b, s in enumerate(inst.sets)]
+            sets = [(overlay or {}).get(b, s) for b, s in enumerate(inst.oracle.rows)]
             awards, payments, utilities = _uduv_run_per_buyer(inst, sets)
             out = uduv_run(AuctionInstance(sets, inst.m, "uduv", seed=inst.seed))
             assert (out.awards, out.payments) == (awards, payments)
@@ -229,7 +229,7 @@ def _reported(inst, overlay):
     """The udubv or ksmb instance built with the overlay's bids as its
     values, whose global run is the run under the reports."""
     values = [(overlay or {}).get(b, v) for b, v in enumerate(inst.values)]
-    return AuctionInstance(inst.sets, inst.m, inst.mode, values=values, k=inst.k)
+    return AuctionInstance(inst.oracle.rows, inst.m, inst.mode, values=values, k=inst.k)
 
 
 def _check_win_threshold(family, run):
@@ -295,14 +295,14 @@ def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
         winners = [b for b in range(inst.n) if out.awards[b]]
         assert [i for i, _ in priced] == winners
         for i, resolved in priced:
-            rerun = awards((b for b in order if b != i), inst.sets.__getitem__)
+            rerun = awards((b for b in order if b != i), inst.oracle.rows.__getitem__)
             holder = {j: h for h, award in rerun.items() for j in award}
             for z, got in resolved:
-                assert got == rerun.get(z, ()), (inst.sets, inst.values, i, z)
-                for j in set(got) & set(inst.sets[i]):
-                    assert holder[j] == z, (inst.sets, inst.values, i, j)
+                assert got == rerun.get(z, ()), (inst.oracle.rows, inst.values, i, z)
+                for j in set(got) & set(inst.oracle.rows[i]):
+                    assert holder[j] == z, (inst.oracle.rows, inst.values, i, j)
                     found += 1
-            assert out.payments[i] == _critical(inst, i), (inst.sets, inst.values, i)
+            assert out.payments[i] == _critical(inst, i), (inst.oracle.rows, inst.values, i)
     assert found
     priced.clear()
     ksmb_run(cases[0])
@@ -375,7 +375,7 @@ def test_uduv_matches_at_least_half_of_optimal():
         inst = build_instance(InstanceSpec(seed=seed, family="uduv", n=30, m=30, k=3))
         out = uduv_run(inst)
         got = sum(1 for jt in out.awards.values() if jt)
-        best = max_matching(inst.sets, inst.m)
+        best = max_matching(inst.oracle.rows, inst.m)
         assert 2 * got >= best, (seed, got, best)
 
 
@@ -385,7 +385,7 @@ def test_udubv_welfare_at_least_half_of_optimal():
         out = udubv_run(inst)
         got = sum(inst.values[b] for b in range(inst.n) if out.awards[b])
         weights = [
-            [inst.values[b] if j in inst.sets[b] else 0 for j in range(inst.m)]
+            [inst.values[b] if j in inst.oracle.rows[b] else 0 for j in range(inst.m)]
             for b in range(inst.n)
         ]
         best = max_weight_matching(weights)
@@ -398,7 +398,7 @@ def test_ksmb_welfare_at_least_one_over_k_of_optimal():
             inst = build_instance(InstanceSpec(seed=seed, family="ksmb", n=12, m=12, k=k))
             out = ksmb_run(inst)
             got = sum(inst.values[b] for b in range(inst.n) if out.awards[b])
-            best = optimal_packing(inst.sets, inst.values)
+            best = optimal_packing(inst.oracle.rows, inst.values)
             assert k * got >= best, (k, seed, got, best)
 
 
@@ -652,7 +652,7 @@ def test_query_tree_follows_a_bid_chain_n_deep(family):
     falling = range(n, 0, -1)
     for values in (falling, falling[::-1]):
         inst = AuctionInstance([(i, i + 1) for i in range(n)], n + 1, family, values=values)
-        want = awards(inst.order, inst.sets.__getitem__)
+        want = awards(inst.order, inst.oracle.rows.__getitem__)
         last = inst.order[-1]
         want_pay = _critical(inst, last) if last in want else Fraction(0)
         counter = ProbeCounter()
@@ -728,7 +728,7 @@ def test_item_records_list_the_by_id_buyers_in_bid_order(data):
     bid = st.integers(0, 4) | st.builds(F, st.integers(0, 12), st.integers(1, 4))
     values = data.draw(st.lists(bid, min_size=n, max_size=n))
     inst = AuctionInstance(sets, m, mode, values=values)
-    by_id = AdjacencyOracle(inst.sets, m, range(n))
+    by_id = AdjacencyOracle(inst.oracle.rows, m, range(n))
     assert list(inst.order) == _bid_order(range(n), inst.values)
     for j in range(m):
         assert sorted(inst.oracle.rev(j)) == list(by_id.rev(j))

@@ -475,7 +475,7 @@ def _seeded_draws(inst) -> list:
     if isinstance(inst, AuctionInstance) and inst.mode == UDUV:
         draws.append(list(inst.order))
     if isinstance(inst, MatchingInstance):
-        prefs = inst.men_prefs
+        prefs = inst.oracle.rows
         draws.append([inst.priority_key(w, man) for man, lst in enumerate(prefs) for w in lst])
     return draws
 
@@ -507,9 +507,9 @@ def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
         k = 3 if fam.size == "k" else 2
         inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=k))
         if family == "matching":
-            assert list(inst.men_prefs) == rows("men-list", n, n, k)
+            assert list(inst.oracle.rows) == rows("men-list", n, n, k)
         elif family == "housing":
-            assert list(inst.lists) == rows("house-list", n, n, k)
+            assert list(inst.oracle.rows) == rows("house-list", n, n, k)
             lottery = values("lottery", n, n**4)
             assert list(inst.order) == sorted(range(n), key=lambda a: (lottery[a], a))
         elif isinstance(inst, SchedulingInstance):
@@ -530,7 +530,7 @@ def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
                     tuple(sorted(set(mu))) for mu in menus
                 ]
         else:
-            assert list(inst.sets) == [tuple(sorted(r)) for r in rows("item-set", n, n, k)]
+            assert list(inst.oracle.rows) == [tuple(sorted(r)) for r in rows("item-set", n, n, k)]
             if family == UDUV:
                 assert list(inst.order) == order("item-rank", n, -1)
             else:

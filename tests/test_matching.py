@@ -126,7 +126,7 @@ def test_truncation_identity_per_round():
     # rejections split exactly into continuing proposers and exhausted men
     inst = MatchingInstance.seeded(300, 3, 9)
     _, stats = abridged_gs(inst, 10**6)
-    prev_exhausted = sum(1 for lst in inst.men_prefs if not lst)
+    prev_exhausted = sum(1 for lst in inst.oracle.rows if not lst)
     for s in stats:
         newly_exhausted = s.exhausted_total - prev_exhausted
         assert s.rejections == s.rejected_with_remaining + newly_exhausted
@@ -309,7 +309,7 @@ def test_local_woman_stops_at_a_first_choice_best_suitor():
             if not suitors:
                 continue
             best = max(suitors, key=lambda man: inst.priority_key(w, man))
-            if inst.men_prefs[best][0] != w:
+            if inst.oracle.rows[best][0] != w:
                 continue
             counter = ProbeCounter()
             assert local_ags_woman(inst, rounds, w, counter) == ManStatus.matched(best)
@@ -398,7 +398,7 @@ def test_local_k1_cost_is_the_womans_suitor_record():
     for man in range(inst.n):
         counter = ProbeCounter()
         local_ags(inst, 2, man, counter)
-        assert counter.count == len(inst.oracle.rev(inst.men_prefs[man][0])), man
+        assert counter.count == len(inst.oracle.rev(inst.oracle.rows[man][0])), man
 
 
 def test_local_is_exact_at_huge_round_budgets():
@@ -438,8 +438,8 @@ def test_rounds_for_epsilon_reference_points():
 def test_seeded_lists_are_reproducible_and_sized():
     inst = MatchingInstance.seeded(50, 4, 2)
     again = MatchingInstance.seeded(50, 4, 2)
-    assert inst.men_prefs == again.men_prefs
-    assert all(len(lst) == 4 and len(set(lst)) == 4 for lst in inst.men_prefs)
+    assert inst.oracle.rows == again.oracle.rows
+    assert all(len(lst) == 4 and len(set(lst)) == 4 for lst in inst.oracle.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def _reference_statuses(inst, rounds):
     """Simultaneous proposal rounds, each woman keeping the best by
     priority_key of her holder and her new suitors; with each round's
     (rejections, rejected with names left, exhausted so far, matched)."""
-    prefs, nxt, holder = inst.men_prefs, [0] * inst.n, {}
+    prefs, nxt, holder = inst.oracle.rows, [0] * inst.n, {}
     free = [man for man in range(inst.n) if prefs[man]]
     stats = []
     for _ in range(rounds):
@@ -511,7 +511,7 @@ def _reference_blocking(inst, statuses):
     for man, st in statuses.items():
         if st.state == DISQUALIFIED:
             continue
-        lst = inst.men_prefs[man]
+        lst = inst.oracle.rows[man]
         for w in lst[: lst.index(st.partner)] if st.state == MATCHED else lst:
             cur = man_of.get(w)
             if cur is None or inst.priority_key(w, man) > inst.priority_key(w, cur):
@@ -526,7 +526,7 @@ def test_key_rows_and_suitor_keys_are_priority_key(case):
     # below the longest list, as the proposals of that many rounds; and in
     # reverse, so no pair leans on the one before
     for depth in sorted({0, 1, max(inst.k - 1, 0), inst.k}):
-        pairs = [(w, man) for man, lst in enumerate(inst.men_prefs) for w in lst[:depth]]
+        pairs = [(w, man) for man, lst in enumerate(inst.oracle.rows) for w in lst[:depth]]
         want = [inst.priority_key(w, man)[0] for w, man in pairs]
         for step in (1, -1):
             women, men = [w for w, _ in pairs[::step]], [man for _, man in pairs[::step]]

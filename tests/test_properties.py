@@ -153,27 +153,26 @@ def uduv_cases(draw):
     overlay = None
     if n and draw(st.booleans()):
         liars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        overlay = {b: _item_lists(draw, 1, m, max_size=3)[0] for b in liars}
+        overlay = {b: _item_lists(draw, 1, m, max_size=3, unique=True)[0] for b in liars}
     return inst, overlay
 
 
 def _union_oracle(inst: AuctionInstance, overlay: dict | None) -> AdjacencyOracle:
     """True and reported sets together: every record a query may follow."""
-    union = [set(s) | set((overlay or {}).get(b, s)) for b, s in enumerate(inst.sets)]
+    union = [set(s) | set((overlay or {}).get(b, s)) for b, s in enumerate(inst.oracle.rows)]
     return AdjacencyOracle(union, inst.m, range(inst.n))
 
 
 def _rebuilt(inst: AuctionInstance, overlay: dict | None) -> AuctionInstance:
     """The instance built with the overlay's reports as its data, whose
     global run is the run under the reports: a uduv buyer reports her set,
-    a udubv or ksmb buyer her bid.  A reported set may repeat an item, which
-    `uduv_local` folds and the build refuses, so it is folded here."""
+    a udubv or ksmb buyer her bid."""
     overlay = overlay or {}
     if inst.mode == "uduv":
-        sets = [set(overlay.get(b, s)) for b, s in enumerate(inst.sets)]
+        sets = [overlay.get(b, s) for b, s in enumerate(inst.oracle.rows)]
         return AuctionInstance(sets, inst.m, "uduv", seed=inst.seed)
     values = [overlay.get(b, v) for b, v in enumerate(inst.values)]
-    return AuctionInstance(inst.sets, inst.m, inst.mode, values=values, seed=inst.seed)
+    return AuctionInstance(inst.oracle.rows, inst.m, inst.mode, values=values, seed=inst.seed)
 
 
 @PROPERTY

@@ -157,6 +157,11 @@ REFUSALS = {
         (0, 2), (1.7, 2.2, 2.0, "2", True, False, None),
         lambda j: f"buyer 0 reports item {j!r}, not an int in 0..3",
     ),
+    # a reported set follows the row rule: {0: (1, 1)} names item 1 twice
+    "reported item repeat": (
+        _report_item,
+        (0, 2), (1,), lambda j: f"buyer 0 reports item {j} twice",
+    ),
     "reporting buyer": (
         lambda b: uduv_local(BUYERS, ("buyer", 0), None, {b: (3,)}),
         (0, 1), (-1, 2, 1.0, True, "1"), lambda b: f"report overlay names unknown buyer {b!r}",

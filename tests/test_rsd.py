@@ -43,9 +43,9 @@ def test_first_arrival_gets_top_choice_and_houses_stay_unique():
     assert len(assigned) == len(set(assigned))
     for a, h in alloc.items():
         if h is not None:
-            assert h in inst.lists[a]
+            assert h in inst.oracle.rows[a]
     first = inst.order[0]
-    assert alloc[first] == inst.lists[first][0]
+    assert alloc[first] == inst.oracle.rows[first][0]
 
 
 def test_local_matches_global_everywhere():
@@ -59,7 +59,7 @@ def test_earliest_agent_resolves_in_at_most_d_probes():
     inst = HousingInstance.seeded(n=2000, d=3, seed=5)
     first = inst.order[0]
     counter = ProbeCounter()
-    assert rsd_local(inst, first, counter) == inst.lists[first][0]
+    assert rsd_local(inst, first, counter) == inst.oracle.rows[first][0]
     assert counter.count <= inst.d
 
 

@@ -154,7 +154,7 @@ def _overlay(inst, reporters) -> dict:
     """A fixed report of each reporter b: uduv buyers shift their set by one
     item; udubv and ksmb buyers bid their own bid, 0, half or double it."""
     if inst.mode == "uduv":
-        return {b: [(j + 1) % inst.m for j in inst.sets[b]] for b in reporters}
+        return {b: [(j + 1) % inst.m for j in inst.oracle.rows[b]] for b in reporters}
     v = inst.values
     return {b: (v[b], 0, v[b] // 2, 2 * v[b])[b % 4] for b in reporters}
 
