@@ -25,10 +25,13 @@ replay the dependency closure of the queried buyer/item
 udubv and ksmb buyer queries walk a memoised query tree instead
 (`_bid_tree`; Nguyen and Onak, FOCS 2008), asking earlier rivals best first
 as Yoshida, Yamamoto and Ito do (STOC 2009) and stopping as soon as the
-answer is known; a winner's payment (`_tree_price`) comes from the same
-recursion run without her, which shares every answer of the buyers ahead
-of her.  `probes.resolve` drives both.  Neither reads a zero-bid rival's
-set.  The tree has one frame for both modes, which asks its rivals inline.
+answer is known; a winner's payment (her mode's holder scan) comes from
+the same recursion run without her, which shares every answer of the
+buyers ahead of her.  `probes.resolve` drives both.  Neither reads a
+zero-bid rival's set.  The tree has one frame for both modes, which asks
+its rivals inline.  Each bid mode states its rules once, in its
+`_BID_RULES` row: the allocation step, the price rule, the holder scan and
+the whole-set flag of the frame.
 The bid order is descending bid, ties to the smaller id, over the exact
 bids `AuctionInstance.values`: a whole bid as its int, any other as its
 `Fraction`, which Python compares exactly; payments are `Fraction`s.  The
@@ -54,7 +57,7 @@ Each scan resolves a part of the holders the full scan would, on the same
 memoised tree, so a query's read set only shrinks.
 
 The udubv and ksmb global runs (`_bid_run`) take their awards from the
-allocation step and price each winner with the same two functions over the
+allocation step and price each winner with the same tree and scan over the
 instance's records, so a price is computed one way, global or local: the
 rivals ahead of the winner keep their full-run awards and those behind her
 are resolved afresh, so a winner costs a query's tree, not a rerun.
@@ -83,8 +86,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Generator, ItemsView, Iterable, Mapping, Sequence
+from operator import itemgetter, neg
+from typing import (
+    TYPE_CHECKING, Callable, Generator, ItemsView, Iterable, Mapping, NamedTuple, Sequence,
+)
 
 from .probes import (
     LEFT, RIGHT, AdjacencyOracle, ProbeCounter, query_view, rank_tables, reported_reads, resolve,
@@ -164,7 +169,8 @@ class AuctionInstance:
                 raise ValueError("uduv takes no values: every value is 1")
             self.values: tuple[int | Fraction, ...] = (1,) * self.n
             # items by descending ("item-rank", j) score, ties to the smaller
-            self.order, self.place = rank_tables(self.tape.u64_table("item-rank", m), True)
+            scores = self.tape.u64_table("item-rank", m)
+            self.order, self.place = rank_tables(list(map(neg, scores)))
             records = range(self.n)  # item records list buyers by ascending id
         else:
             if values is None:
@@ -176,7 +182,7 @@ class AuctionInstance:
                 raise ValueError("values must be non-negative")
             # buyers by descending bid, ties to the smaller id: the order
             # the greedy serves them in, and the order of each item record
-            self.order, self.place = rank_tables(self.values, True)
+            self.order, self.place = rank_tables(list(map(neg, self.values)))
             records = self.order
         self.oracle = AdjacencyOracle(rows, m, records)
 
@@ -292,6 +298,8 @@ def _positive_prefix(ranked: Sequence[int], bids: Sequence[Fraction | int]) -> S
 
 
 _Sets = Callable[[int], Sequence[int]]
+_Bids = Sequence[Fraction | int]
+_Award = Callable[[int], tuple[int, ...]]
 
 
 def _udubv_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...]]:
@@ -300,7 +308,7 @@ def _udubv_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...
 
 
 def _udubv_price(
-    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction | int]
+    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: _Bids
 ) -> Fraction | int:
     """Smallest winning bid on one of `mine`, 0 if one of them goes unsold."""
     holder = {jt[0]: b for b, jt in won.items()}
@@ -322,40 +330,36 @@ def _ksmb_awards(order: Iterable[int], sets: _Sets) -> dict[int, tuple[int, ...]
 
 
 def _ksmb_price(
-    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: Sequence[Fraction | int]
+    won: Mapping[int, tuple[int, ...]], mine: Sequence[int], bids: _Bids
 ) -> Fraction | int:
     """Highest winning bid among the sets that meet `mine`."""
     mine_set = set(mine)
     return max((bids[b] for b, s in won.items() if mine_set.intersection(s)), default=ZERO)
 
 
-# mode -> (allocation step, critical price of a buyer's items from every holder
-# in the run without her: `_critical`'s rule; `_tree_price` scans by `_PRICE_SCANS`)
-_BID_RULES = {UDUBV: (_udubv_awards, _udubv_price), KSMB: (_ksmb_awards, _ksmb_price)}
-
-
 def _critical(inst: AuctionInstance, i: int) -> Fraction:
     """Buyer i's critical price by its definition, the test oracle of
     `_bid_run`: her price rule applied to a full rerun without her, which
     serves the positive bidders in bid order with i removed."""
-    (awards, price), sets = _BID_RULES[inst.mode], inst.oracle.rows
+    rule, sets = _BID_RULES[inst.mode], inst.oracle.rows
     without = (b for b in _positive_prefix(inst.order, inst.values) if b != i)
     # the price is a bid, an int when whole; every payment is a Fraction
-    return Fraction(price(awards(without, sets.__getitem__), sets[i], inst.values))
+    return Fraction(rule.price(rule.awards(without, sets.__getitem__), sets[i], inst.values))
 
 
-def _bid_tree(mode: str, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int], Generator]:
+def _bid_tree(whole: bool, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int], Generator]:
     """The query tree's frame of the bid-order run without buyer `absent`
     (Nguyen and Onak, FOCS 2008), for `probes.resolve`.
 
     A buyer's award depends only on the awards of the earlier positive-bid
     buyers sharing one of her items: for each item of her set, in order, her
     frame asks those rivals, best first, whether they took it, and stops at
-    the first that did.  udubv hands her the first item no rival took; ksmb
-    turns her away at the first item a rival took.  No frame asks about
-    `absent`, so every answer is that buyer's award in the run without her:
-    the full run's for the buyers ahead of her, whose answers never depend
-    on her, and `absent`'s own full-run award if she is the one asked.
+    the first that did.  udubv hands her the first item no rival took; ksmb,
+    which wants her `whole` set, turns her away at the first item a rival
+    took.  No frame asks about `absent`, so every answer is that buyer's
+    award in the run without her: the full run's for the buyers ahead of
+    her, whose answers never depend on her, and `absent`'s own full-run
+    award if she is the one asked.
 
     Read through a metered view, each buyer the tree resolves costs her
     set, each item whose rivals it scans costs the item's buyer list, and
@@ -368,7 +372,6 @@ def _bid_tree(mode: str, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int],
     bid of the root or of her rivals, so it reads no record outside those
     closures.
     """
-    whole = mode == KSMB  # ksmb wants her whole set, udubv one item of it
 
     def frame(y: int):
         s = fwd(y)
@@ -387,16 +390,8 @@ def _bid_tree(mode: str, fwd: _Sets, rev: _Sets, absent: int) -> Callable[[int],
     return frame
 
 
-_Award = Callable[[int], tuple[int, ...]]
-
-
 def _udubv_scan(
-    i: int,
-    won: tuple[int, ...],
-    mine: Sequence[int],
-    rev: _Sets,
-    bids: Sequence[Fraction | int],
-    award_of: _Award,
+    i: int, won: tuple[int, ...], mine: Sequence[int], rev: _Sets, bids: _Bids, award_of: _Award
 ) -> Fraction | int:
     """udubv's price of winner i, who took `won` = (a,), from the holders of
     `mine` in the run without her: the least holder bid, or 0 at the first
@@ -421,12 +416,7 @@ def _udubv_scan(
 
 
 def _ksmb_scan(
-    i: int,
-    won: tuple[int, ...],
-    mine: Sequence[int],
-    rev: _Sets,
-    bids: Sequence[Fraction | int],
-    award_of: _Award,
+    i: int, won: tuple[int, ...], mine: Sequence[int], rev: _Sets, bids: _Bids, award_of: _Award
 ) -> Fraction | int:
     """ksmb's price of winner i from the holders of `mine` in the run
     without her: the best holder bid, 0 if none.  She took every item of
@@ -454,46 +444,29 @@ def _ksmb_scan(
     return best
 
 
-# mode -> the holder scan `_tree_price` prices a winner with
-_PRICE_SCANS = {UDUBV: _udubv_scan, KSMB: _ksmb_scan}
-
-
-def _tree_price(
-    mode: str,
-    i: int,
-    won: tuple[int, ...],
-    mine: Sequence[int],
-    rev: _Sets,
-    bids: Sequence[Fraction | int],
-    frame: Callable[[int], Generator],
-    lookup: Callable[[int], tuple[int, ...] | None],
-    store: Callable[[int, tuple[int, ...]], object],
-) -> Fraction:
-    """Winner i's critical price: her price rule over the holders of
-    `mine`, her set, in the run without her, whose awards `frame` (a
-    `_bid_tree` without i) resolves through `lookup` and `store`; `won` is
-    her award in the full run.
+class _BidRule(NamedTuple):
+    """A bid mode's rules: the global allocation step, the price rule that
+    `_critical` applies to every holder in the run without the winner, the
+    holder scan that prices a winner on the query tree, global or local,
+    and whether a buyer wants her whole set (`_bid_tree`).
 
     A winner holds every item of her award (udubv) or set (ksmb) and no
     item has two holders, so a scan takes the rivals on an item of hers in
-    bid order and stops at the first who wins it in that run: the item's
-    holder there.  The rivals ahead of i keep their full-run awards in that
-    run, which fixes some holders without a scan, and the price rule needs
-    no holder that cannot move it, so the scan of her mode
-    (`_PRICE_SCANS`) resolves only the holders that can:
-    - udubv skips her items before her award and returns 0 at the first
-      item found unsold;
-    - ksmb starts behind her on every item, takes the items best bound
-      first and stops at a bid no better than the best holder bid so far.
-    It costs what `_bid_tree` charges for the rivals it resolves and the
-    buyer lists it scans, a part of what resolving every holder costs.
-    """
+    bid order and stops at the first who wins it, `award_of(z)` on the tree
+    without her: the item's holder in that run.  The price rule needs no
+    holder that cannot move it, so the scan resolves only those that can,
+    at what `_bid_tree` charges for the rivals and buyer lists it reads."""
 
-    def award_of(z: int) -> tuple[int, ...]:
-        return resolve(z, frame, lookup, store)
+    awards: Callable[[Iterable[int], _Sets], dict[int, tuple[int, ...]]]
+    price: Callable[[Mapping[int, tuple[int, ...]], Sequence[int], _Bids], Fraction | int]
+    scan: Callable[[int, tuple[int, ...], Sequence[int], _Sets, _Bids, _Award], Fraction | int]
+    whole: bool
 
-    # the price is a bid, an int when whole; every payment is a Fraction
-    return Fraction(_PRICE_SCANS[mode](i, won, mine, rev, bids, award_of))
+
+_BID_RULES = {
+    UDUBV: _BidRule(_udubv_awards, _udubv_price, _udubv_scan, False),
+    KSMB: _BidRule(_ksmb_awards, _ksmb_price, _ksmb_scan, True),
+}
 
 
 def _bid_run(inst: AuctionInstance) -> Outcome:
@@ -501,20 +474,23 @@ def _bid_run(inst: AuctionInstance) -> Outcome:
     in id order on the query tree of the run without her.  A rival placed
     ahead of the winner has her full-run award in that run; a rival
     behind her is resolved afresh, once per winner."""
+    rule = _BID_RULES[inst.mode]
     sets, bids, place, rev = inst.oracle.rows, inst.values, inst.place, inst.oracle.rev
-    won = _BID_RULES[inst.mode][0](_positive_prefix(inst.order, bids), sets.__getitem__)
+    won = rule.awards(_positive_prefix(inst.order, bids), sets.__getitem__)
     payments = dict.fromkeys(range(inst.n), ZERO)
     for i in sorted(won):
         memo: dict[int, tuple[int, ...]] = {}
         ahead = place[i]
+        frame = _bid_tree(rule.whole, sets.__getitem__, rev, i)
 
         def lookup(z: int) -> tuple[int, ...] | None:  # called within this pass only
             return won.get(z, ()) if place[z] < ahead else memo.get(z)
 
-        frame = _bid_tree(inst.mode, sets.__getitem__, rev, i)
-        payments[i] = _tree_price(
-            inst.mode, i, won[i], sets[i], rev, bids, frame, lookup, memo.__setitem__
-        )
+        def award_of(z: int) -> tuple[int, ...]:
+            return resolve(z, frame, lookup, memo.__setitem__)
+
+        # the price is a bid, an int when whole; every payment is a Fraction
+        payments[i] = Fraction(rule.scan(i, won[i], sets[i], rev, bids, award_of))
     return Outcome(awards={b: won.get(b, ()) for b in range(inst.n)}, payments=payments)
 
 
@@ -537,10 +513,11 @@ def _bid_local(
     """Buyer `buyer`'s award and critical payment from one memoised query
     tree, `_bid_tree` without her: her award is the tree's answer for her,
     and every other answer in the memo is that buyer's award in the run
-    without her, so her payment (`_tree_price`) reuses them.  Her own set
+    without her, so her payment (her rule's `scan`) reuses them.  Her own set
     is free; every other read goes through the metered view, under the
     reports.  `overlay` maps a buyer to her reported bid.
     """
+    rule = _BID_RULES[inst.mode]
     view = query_view(inst.oracle, (LEFT, buyer), counter, "buyer")
     keys, moved = inst.values, ()
     if overlay is not None:
@@ -552,13 +529,16 @@ def _bid_local(
     if not keys[buyer]:
         return {"buyer": buyer, "award": (), "payment": ZERO}
     fwd, rev = reported_reads(view, {}, moved, _bid_order(keys))
-    frame = _bid_tree(inst.mode, fwd, rev, buyer)
+    frame = _bid_tree(rule.whole, fwd, rev, buyer)
     memo: dict[int, tuple[int, ...]] = {}
-    won = resolve(buyer, frame, memo.get, memo.__setitem__)
+
+    def award_of(z: int) -> tuple[int, ...]:
+        return resolve(z, frame, memo.get, memo.__setitem__)
+
+    won = award_of(buyer)
     if not won:
         return {"buyer": buyer, "award": (), "payment": ZERO}
-    mine = fwd(buyer)
-    payment = _tree_price(inst.mode, buyer, won, mine, rev, keys, frame, memo.get, memo.__setitem__)
+    payment = Fraction(rule.scan(buyer, won, fwd(buyer), rev, keys, award_of))
     return {"buyer": buyer, "award": won, "payment": payment}
 
 

@@ -114,14 +114,16 @@ class AdjacencyOracle:
                     r.append(i)
         self._rev: tuple[tuple[int, ...], ...] = tuple([() if r is None else tuple(r) for r in rev])
 
+    # each read refuses what `_known` refuses, inline: `rev` runs once per
+    # item in a global auction run
     def fwd(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.n:
-            raise ValueError(f"left id {i} out of range [0, {self.n})")
+        if type(i) is not int or not 0 <= i < self.n:
+            raise ValueError(f"left id {i!r} out of range [0, {self.n})")
         return self.rows[i]
 
     def rev(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.m:
-            raise ValueError(f"right id {j} out of range [0, {self.m})")
+        if type(j) is not int or not 0 <= j < self.m:
+            raise ValueError(f"right id {j!r} out of range [0, {self.m})")
         return self._rev[j]
 
 
@@ -237,11 +239,11 @@ def neighborhood(
     return seen
 
 
-def rank_tables(keys: Sequence, descending: bool = False) -> tuple[array, array]:
-    """The ids 0..len(keys)-1 by key, descending if asked, ties to the
-    smaller id (`sorted` is stable, `reverse` too), and each id's place in
-    that order: `order[place[x]] == x`."""
-    order = array("q", sorted(range(len(keys)), key=keys.__getitem__, reverse=descending))
+def rank_tables(keys: Sequence) -> tuple[array, array]:
+    """The ids 0..len(keys)-1 by ascending key, ties to the smaller id
+    (`sorted` is stable; a descending order passes negated keys), and each
+    id's place in that order: `order[place[x]] == x`."""
+    order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
     place = array("q", bytes(8 * len(order)))
     for p, x in enumerate(order):
         place[x] = p

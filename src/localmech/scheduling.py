@@ -247,10 +247,13 @@ def _pick_slot(
 
 def _run_order(inst: SchedulingInstance, order: Iterable[int] | None) -> Iterable[int]:
     """An online run's jobs: index order, or `order`, a permutation of the
-    m jobs (checked unless it is the stored rank order)."""
+    m jobs, each an int as in the oracle's order (checked unless it is the
+    stored rank order)."""
     if order is None or order is inst.order:
         return range(inst.m) if order is None else order
-    if sorted(jobs := list(order)) != list(range(inst.m)):
+    jobs = list(order)
+    # the type check comes first: a bool sorts as a job, a str or None raises
+    if not set(map(type, jobs)) <= {int} or sorted(jobs) != list(range(inst.m)):
         raise ValueError(f"order must be a permutation of the {inst.m} jobs")
     return jobs
 

@@ -274,23 +274,26 @@ def test_payment_replay_hands_the_price_rule_the_rerun_holders(monkeypatch):
         cases.append(AuctionInstance(sets, m, rng.choice(["udubv", "ksmb"]), values=values))
     priced, resolve = [], auctions.resolve
 
-    def tree_price(mode, i, *rest):
-        priced.append((i, []))
-        return price(mode, i, *rest)
+    def recorded_scan(scan):
+        def price(i, *rest):
+            priced.append((i, []))
+            return scan(i, *rest)
+
+        return price
 
     def recorded(z, *rest):
         got = resolve(z, *rest)
         priced[-1][1].append((z, got))
         return got
 
-    price = auctions._tree_price
-    monkeypatch.setattr(auctions, "_tree_price", tree_price)
+    for mode, rule in list(_BID_RULES.items()):
+        monkeypatch.setitem(_BID_RULES, mode, rule._replace(scan=recorded_scan(rule.scan)))
     monkeypatch.setattr(auctions, "resolve", recorded)
     found = 0
     for inst in cases:
         priced.clear()
         out = _BID_PAIRS[inst.mode][0](inst)
-        awards = _BID_RULES[inst.mode][0]
+        awards = _BID_RULES[inst.mode].awards
         order = _positive_prefix(inst.order, inst.values)
         winners = [b for b in range(inst.n) if out.awards[b]]
         assert [i for i, _ in priced] == winners
@@ -475,7 +478,7 @@ def _closure_replay(inst, overlay=None):
     for i, b in enumerate(sorted(range(inst.n), key=lambda b: (-bids[b], b))):
         place[b] = i
     bidding = [v > 0 for v in bids]
-    awards, price = _BID_RULES[inst.mode]
+    awards, price = _BID_RULES[inst.mode].awards, _BID_RULES[inst.mode].price
 
     def query(buyer, counter):
         view = query_view(inst.oracle, (LEFT, buyer), counter, "buyer")
@@ -647,7 +650,7 @@ def test_query_tree_follows_a_bid_chain_n_deep(family):
     # rising on the one after her, all the way up
     n = 5000
     assert n > sys.getrecursionlimit()
-    awards, price = _BID_RULES[family]
+    awards = _BID_RULES[family].awards
     run, local = _BID_PAIRS[family]
     falling = range(n, 0, -1)
     for values in (falling, falling[::-1]):
@@ -670,36 +673,41 @@ def test_query_tree_follows_a_bid_chain_n_deep(family):
         assert (out.awards[last], out.payments[last]) == (got["award"], got["payment"])
 
 
-def _full_holder_price(mode, i, won, mine, rev, bids, frame, lookup, store):
-    """`auctions._tree_price` as it was before the price scans pruned: it
-    resolves the holder of every item of hers, then applies the price rule."""
-    holders = {}
-    for j in mine:
-        for z in rev(j):
-            if not bids[z]:
-                break
-            if z != i and j in (got := auctions.resolve(z, frame, lookup, store)):
-                holders[z] = got
-                break
-    return Fraction(_BID_RULES[mode][1](holders, mine, bids))
+def _full_holder_scan(price):
+    """A holder scan as it was before the price scans pruned: it resolves
+    the holder of every item of hers, then applies the price rule."""
+
+    def scan(i, won, mine, rev, bids, award_of):
+        holders = {}
+        for j in mine:
+            for z in rev(j):
+                if not bids[z]:
+                    break
+                if z != i and j in (got := award_of(z)):
+                    holders[z] = got
+                    break
+        return price(holders, mine, bids)
+
+    return scan
 
 
 def test_price_scans_read_no_record_the_full_holder_scan_does_not(monkeypatch):
     # the pruned scans resolve a part of the holders that the full scan
     # resolves, on the same memoised tree, so each query's read set can
     # only shrink, and its payment stays the price rule's
-    pruned = auctions._tree_price
     fewer = 0
     for family in ("udubv", "ksmb"):
         local = _BID_PAIRS[family][1]
+        pruned = _BID_RULES[family]
+        full = pruned._replace(scan=_full_holder_scan(pruned.price))
         for k, seed in product((2, 3), range(3)):
             for n, asked in ((64, 64), (512, 512), (4096, 1024)):
                 inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=k))
                 for b in random.Random(n * k + seed).sample(range(n), asked):
                     got, ref = ProbeCounter(), ProbeCounter()
-                    monkeypatch.setattr(auctions, "_tree_price", _full_holder_price)
+                    monkeypatch.setitem(_BID_RULES, family, full)
                     want = local(inst, b, ref)
-                    monkeypatch.setattr(auctions, "_tree_price", pruned)
+                    monkeypatch.setitem(_BID_RULES, family, pruned)
                     assert local(inst, b, got) == want, (family, k, n, b)
                     assert got.seen <= ref.seen, (family, k, n, b)
                     fewer += len(got.seen) < len(ref.seen)

@@ -19,7 +19,7 @@ def test_defaulted_parameter_census():
         for f in ast.walk(ast.parse(p.read_text()))
         if isinstance(f, ast.FunctionDef)
     )
-    assert count == 33
+    assert count == 32
 
 
 def test_mode_and_family_comparison_census():
@@ -29,7 +29,26 @@ def test_mode_and_family_comparison_census():
     count = sum(
         sum(1 for line in p.read_text().splitlines() if pattern.search(line)) for p in SOURCES
     )
-    assert count == 16
+    assert count == 15
+
+
+def _calls(name: str) -> int:
+    """Calls in `src/` of a function named `name`, bare or as an attribute."""
+    return sum(
+        isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        == name
+        for p in SOURCES
+        for node in ast.walk(ast.parse(p.read_text()))
+    )
+
+
+def test_engine_call_site_census():
+    # ROADMAP's census of the two dependency engines' callers:
+    # `upward_closure` in rsd_local, uduv_local, slms_local and rlms_local;
+    # `resolve` in _bid_local, _bid_run and _RejectionRounds._attempt
+    assert _calls("upward_closure") == 4
+    assert _calls("resolve") == 3
 
 
 def test_only_probes_builds_a_view():

@@ -34,6 +34,7 @@ ORACLE = AdjacencyOracle([(0, 1), (1,), (3,)], 4, range(3))  # n = 3 left, m = 4
 POOL = 1 << 20  # the most right records a spec allows (a standard-mode slot pool)
 WOMEN = MatchingInstance([[0, 1], [1, 2], [2, 0]], m=3, seed=1)
 MACHINES = SchedulingInstance((2, 1, 1), m=4, d=2, mode=RESTRICTED, seed=2)
+RESTRICTED_TWIN = SchedulingInstance((2, 1), m=3, d=2, mode=RESTRICTED, seed=1)
 BUYERS = AuctionInstance([(0,), (1, 2)], 4, "uduv")  # m = 4 items
 BIDDERS = AuctionInstance([(0,), (0, 1)], 2, "udubv", values=(3, 5))
 SETS = AuctionInstance([(0,), (0, 1)], 2, "ksmb", values=(3, 5))
@@ -44,6 +45,18 @@ AGENTS = HousingInstance([[0], [0, 1]], 2)
 def _report_item(j):
     # buyer 0 reports item j beside item 1
     return uduv_local(BUYERS, ("buyer", 0), None, {0: (1, j)})
+
+
+def _oracle_reads(i):
+    # fwd(i) and rev(i), each asked on its own; a refusal joins both messages
+    errors = []
+    for read in (ORACLE.fwd, ORACLE.rev):
+        try:
+            read(i)
+        except ValueError as err:
+            errors.append(str(err))
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 def _audit_uduv(m: int):
@@ -243,6 +256,21 @@ REFUSALS = {
         lambda x: AdjacencyOracle([(0,), (0, 1)], 2, (x, 0)),
         (1,), NOT_INTS, lambda x: "order must be a permutation of the 2 left ids",
     ),
+    # the oracle's checked reads refuse what a local query's id check does
+    "oracle fwd/rev id type": (
+        _oracle_reads,
+        (0, 1), NOT_INTS,
+        lambda i: f"left id {i!r} out of range [0, 3); right id {i!r} out of range [0, 4)",
+    ),
+    # an online run's order holds the m jobs as ints, as the oracle's order does
+    "slms_online order entry type": (
+        lambda x: slms_online(SLOTS, order=(x, 1, 2)),
+        (0,), NOT_INTS, lambda x: "order must be a permutation of the 3 jobs",
+    ),
+    "rlms_online order entry type": (
+        lambda x: rlms_online(RESTRICTED_TWIN, order=(x, 1, 2)),
+        (0,), NOT_INTS, lambda x: "order must be a permutation of the 3 jobs",
+    ),
     "auction item type": (
         lambda j: AuctionInstance([(j,)], 2, "uduv"),
         (0, 1), NOT_INTS, lambda j: f"right id {j!r} is not an int",
@@ -323,7 +351,6 @@ REFUSALS = {
 }
 
 HOUSING = InstanceSpec(seed=0, family="housing", n=1, m=1, k=1)
-RESTRICTED_TWIN = SchedulingInstance((2, 1), m=3, d=2, mode=RESTRICTED, seed=1)
 
 # name → (call, its whole message)
 ONCE = {
