@@ -242,7 +242,7 @@ def uduv_run(inst: AuctionInstance) -> Outcome:
     inst.require_mode(UDUV, "uduv_run")
     awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
     payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
-    for j, b in serial_dictatorship(inst.order, inst.oracle.rev).items():
+    for j, b in serial_dictatorship(inst.order, inst.oracle.cols.__getitem__).items():
         if b is not None:
             awards[b] = (j,)
             payments[b] = HALF
@@ -475,7 +475,7 @@ def _bid_run(inst: AuctionInstance) -> Outcome:
     ahead of the winner has her full-run award in that run; a rival
     behind her is resolved afresh, once per winner."""
     rule = _BID_RULES[inst.mode]
-    sets, bids, place, rev = inst.oracle.rows, inst.values, inst.place, inst.oracle.rev
+    sets, bids, place, rev = inst.oracle.rows, inst.values, inst.place, inst.oracle.cols.__getitem__
     won = rule.awards(_positive_prefix(inst.order, bids), sets.__getitem__)
     payments = dict.fromkeys(range(inst.n), ZERO)
     for i in sorted(won):

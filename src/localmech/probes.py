@@ -80,11 +80,12 @@ class AdjacencyOracle:
     once.  A row that names j twice finds itself already at the end of j's
     record, so a repeat costs one comparison and no set.
 
-    `rows` is the one stored copy of the left rows.  A global run walks it
-    uncounted, as does the checked single-row read `fwd`; a local query
-    reads a row only through its `MemoView`, which charges the probe."""
+    `rows` and `cols` are the one stored copies of the left rows and the
+    right records.  A global run walks them uncounted, as do the checked
+    single-record reads `fwd` and `rev`; a local query reads a record only
+    through its `MemoView`, which charges the probe."""
 
-    __slots__ = ("n", "m", "rows", "_rev")
+    __slots__ = ("n", "m", "rows", "cols")
 
     def __init__(self, fwd: Sequence[Sequence[int]], m: int, order: Sequence[int]) -> None:
         if m < 0:
@@ -112,10 +113,9 @@ class AdjacencyOracle:
                     raise ValueError(f"left id {i} names right id {j} twice")
                 else:
                     r.append(i)
-        self._rev: tuple[tuple[int, ...], ...] = tuple([() if r is None else tuple(r) for r in rev])
+        self.cols: tuple[tuple[int, ...], ...] = tuple([() if r is None else tuple(r) for r in rev])
 
-    # each read refuses what `_known` refuses, inline: `rev` runs once per
-    # item in a global auction run
+    # each read refuses what `_known` refuses, inline
     def fwd(self, i: int) -> tuple[int, ...]:
         if type(i) is not int or not 0 <= i < self.n:
             raise ValueError(f"left id {i!r} out of range [0, {self.n})")
@@ -124,7 +124,7 @@ class AdjacencyOracle:
     def rev(self, j: int) -> tuple[int, ...]:
         if type(j) is not int or not 0 <= j < self.m:
             raise ValueError(f"right id {j!r} out of range [0, {self.m})")
-        return self._rev[j]
+        return self.cols[j]
 
 
 class MemoView:
@@ -144,7 +144,7 @@ class MemoView:
 
     def rev(self, j: int) -> tuple[int, ...]:
         self._seen.add((RIGHT, j))
-        return self._oracle._rev[j]
+        return self._oracle.cols[j]
 
 
 def _known(oracle: AdjacencyOracle, side: str, i: object) -> bool:

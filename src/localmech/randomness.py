@@ -53,7 +53,7 @@ one number, as many as n - 1 needs (one up to n = 2^64), and the first
 attempt below the largest multiple of n they hold is reduced mod n.  The
 draw under the key (tag, i) is draw i of the row stream under (tag,), and a
 menu draw (tag, i, t) is draw t of the row stream under (tag, i) without
-the duplicate check.  So one loop, `_rows`, draws every row per key.
+the duplicate check.  `_rows` draws the distinct rows per key.
 
 The tables run splitmix64 on many entries per integer operation (SIMD
 within a register, Fisher and Dietz, LCPC 1998).  A block of up to 4,096
@@ -61,9 +61,10 @@ within a register, Fisher and Dietz, LCPC 1998).  A block of up to 4,096
 each 128-bit lane, so that a product by a splitmix64 multiplier never
 carries into the next lane; each shift is masked back to the low halves.
 One pass over a block gives the row states mix(h ^ leaf(i)) of its entries,
-the state of draw t, mix(row ^ leaf(t)), and its first attempt,
-mix(draw ^ leaf(0)); each lane is then checked against the limit and
-reduced mod n.  A block's ints are 64 KB; the first block of leaves,
+the state of draw t, mix(row ^ leaf(t)), and the words of its first
+attempt, w0 = mix(draw ^ leaf(0)) and wi = mix(w0 ^ leaf(i)) for i >= 1
+(none past w0 up to n = 2^64); each lane is then checked against the limit
+and reduced mod n.  A block's ints are 64 KB; the first block of leaves,
 leaf(i) for i < 4,096, is mixed once at import (`_LEAVES`), and nothing
 else is cached per count.  What the lanes cannot settle goes to the scalar
 loops, so each bit still comes from one definition:
@@ -72,9 +73,7 @@ loops, so each bit still comes from one definition:
 - a `sample_table` row with a repeat among its first k draws is redrawn
   whole from its state by `_rows`; the repeats are found a block at a time,
   by comparing the block's k draw columns in pairs (k(k-1)/2 passes of
-  `map(eq, ...)`), not with a set per row;
-- every table over a range above 2^64 (attempts wider than a lane) is
-  drawn by `_rows`.
+  `map(eq, ...)`), not with a set per row.
 
 The tape stays pure Python.  Importing numpy raises the peak RSS of a
 process that builds instances from about 21 to 32 MB (Python 3.11,
@@ -324,11 +323,11 @@ def _draw(s: int, words: int, limit: int) -> int:
         attempt += 1
 
 
-def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[int, ...]]:
-    """One row of k values from [0, n) per hash state h: draw idx of a row
-    is the first value below the limit over attempts after the state
-    (h, idx), reduced mod n.  With `distinct`, a value the row already holds
-    is dropped and the next index drawn."""
+def _rows(states: Sequence[int], n: int, k: int) -> list[tuple[int, ...]]:
+    """One row of k distinct values from [0, n) per hash state h: draw idx
+    of a row is the first value below the limit over attempts after the
+    state (h, idx), reduced mod n; a value the row already holds is dropped
+    and the next index drawn."""
     if k <= 0:
         return [()] * len(states)
     words, limit = _limit(n)
@@ -340,20 +339,23 @@ def _rows(states: Sequence[int], n: int, k: int, distinct: bool) -> list[tuple[i
         while len(row) < k:
             v = _draw(_mix(h ^ _leaf(idx)), words, limit) % n
             idx += 1
-            if distinct:
-                if v in seen:
-                    continue
+            if v not in seen:
                 seen.add(v)
-            row.append(v)
+                row.append(v)
         rows.append(tuple(row))
     return rows
 
 
 def _first_draws(d: int, b: int, n: int) -> list[int]:
-    """The value in [0, n), n <= 2^64, that each of the b draw states packed in
-    d draws: its first attempt when that is below the limit, else `_draw`'s."""
+    """The value in [0, n) that each of the b draw states packed in d draws:
+    its first attempt when that is below the limit, else `_draw`'s.  Word i
+    of an attempt, i >= 1, is one more lane mix of word 0 with leaf(i)."""
     words, limit = _limit(n)
-    vals = _unpack(_mix_lanes(d ^ _spread(_leaf(0), b)), b).tolist()
+    first = _mix_lanes(d ^ _spread(_leaf(0), b))
+    vals = _unpack(first, b).tolist()
+    for i in range(1, words):
+        high = _unpack(_mix_lanes(first ^ _spread(_leaf(i), b)), b)
+        vals = [v | w << 64 * i for v, w in zip(vals, high)]
     if max(vals) >= limit:
         states = _unpack(d, b)
         vals = [v if v < limit else _draw(s, words, limit) for v, s in zip(vals, states)]
@@ -363,13 +365,12 @@ def _first_draws(d: int, b: int, n: int) -> list[int]:
 def _table_rows(
     tape: RandomTape, prefix: KeyPrefix, count: int, n: int, k: int, distinct: bool
 ) -> list[tuple[int, ...]]:
-    """`_rows(tape.u64_table(prefix, count), n, k, distinct)`, a block of rows
-    at a time: lane j of a block draws its row's draw t, for each t < k.  A
-    distinct row whose k draws repeat a value, found by comparing the
-    block's draw columns pair by pair, is redrawn whole by `_rows`, which
-    also draws the wide ranges."""
-    if k <= 0 or n > 1 << 64:
-        return _rows(tape.u64_table(prefix, count), n, k, distinct)
+    """Row i holds draws t < k of the row stream under (*prefix, i), a block
+    of rows at a time: lane j of a block draws its row's draw t, for each t.
+    A distinct row whose k draws repeat a value, found by comparing the
+    block's draw columns pair by pair, is redrawn whole by `_rows`."""
+    if k <= 0:
+        return [()] * count
     rows: list[tuple[int, ...]] = []
     for b, s in _state_blocks(tape._state(_key(prefix)), count):
         draws = (_mix_lanes(s ^ _spread(_leaf(t), b)) for t in range(k))
@@ -381,7 +382,7 @@ def _table_rows(
                 redo.update(compress(range(b), map(eq, t, u)))
         if redo:
             states = _unpack(s, b)
-            for j, row in zip(redo, _rows([states[j] for j in redo], n, k, True)):
+            for j, row in zip(redo, _rows([states[j] for j in redo], n, k)):
                 block[j] = row
         rows += block
     return rows
@@ -404,11 +405,8 @@ def uniform_table(tape: RandomTape, prefix: KeyPrefix, count: int, n: int) -> tu
     of the row stream under the prefix."""
     if n <= 0:
         raise ValueError(f"range must be positive, got {n}")
-    h = tape._state(_key(prefix))
-    if n > 1 << 64:
-        return _rows([h], n, count, False)[0]
     vals: list[int] = []
-    for b, states in _state_blocks(h, count):
+    for b, states in _state_blocks(tape._state(_key(prefix)), count):
         vals += _first_draws(states, b, n)
     return tuple(vals)
 
@@ -434,7 +432,7 @@ def sample_without_replacement(
     """
     if count > n:
         raise ValueError(f"cannot draw {count} distinct values from range {n}")
-    return list(_rows([tape._state(tuple(key))], n, count, True)[0])
+    return list(_rows([tape._state(tuple(key))], n, count)[0])
 
 
 def sample_table(

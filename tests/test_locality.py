@@ -243,7 +243,7 @@ def test_every_probe_is_a_touched_record(family):
             touched: set = set()
             oracle = inst.oracle
             oracle.rows = _Recorded(oracle.rows, LEFT, touched)
-            oracle._rev = _Recorded(oracle._rev, RIGHT, touched)
+            oracle.cols = _Recorded(oracle.cols, RIGHT, touched)
             seen_as = _FreeData(inst, _FREE_DATA[family])
             for query in FAMILIES[family].queries:
                 for e in range(0, getattr(inst, query.side), 7):

@@ -246,9 +246,11 @@ def test_known_answers():
 # table draws: one pass over (tag, i), the same bits as the per-key draws
 # ---------------------------------------------------------------------------
 
-# 1 and 2^64 take every first attempt; 2^64 - 1 rejects some; 2^64 + 1 and
-# 2^80 + 7 take the wide path
-_TABLE_RANGES = [1, 2, 7, 300, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 1, 2**80 + 7]
+# 1 and 2^64 take every first attempt; 2^64 - 1 rejects some; 2^64 + 1,
+# 2^65, 2^68 and 2^80 + 7 draw two words an attempt
+_TABLE_RANGES = [
+    1, 2, 7, 300, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 1, 2**65, (2**17) ** 4, 2**80 + 7
+]
 
 
 @settings(max_examples=150, deadline=None)
@@ -334,6 +336,11 @@ _BLOCK = randomness._BLOCK
         # k close to n: nearly every sample row repeats a value and is redrawn
         pytest.param(5, 10, 8, id="near-full"),
         pytest.param(-(2**70), 2**64 + 1, 1, id="wide"),
+        # the housing lottery's range at n = 2^17: two words, none rejected
+        pytest.param(17, (2**17) ** 4, 2, id="wide-two-words"),
+        # about half of all first attempts are rejected: `_draw` on wide lanes
+        pytest.param(8, 2**127 + 1, 2, id="wide-rejecting"),
+        pytest.param(-1, 3 * 2**128 + 1, 1, id="wide-three-words"),
     ],
 )
 def test_table_draws_equal_the_per_key_draws_across_blocks(count, seed, n, k):
@@ -432,6 +439,25 @@ def test_a_one_block_table_mixes_no_leaf(monkeypatch, count):
     calls.clear()
     assert sample_table(t, "s", count, 1000, 3)[:300] == want
     assert len(calls) == 1 + 2 * 3
+
+
+def test_a_wide_table_draws_on_the_lanes(monkeypatch):
+    # 2^68 divides 2^128, so no attempt is rejected: neither scalar loop
+    # runs, and each block mixes one more column, for the second word
+    count, n = _BLOCK + 1, (2**17) ** 4
+    t = RandomTape(5)
+    want = {i: derive_uniform(t, ("lottery", i), n) for i in (0, 1, _BLOCK - 1, _BLOCK)}
+    for name in ("_rows", "_draw"):
+        monkeypatch.setattr(randomness, name, lambda *a, name=name: pytest.fail(name))
+    calls = []
+    mix_lanes = randomness._mix_lanes
+    monkeypatch.setattr(randomness, "_mix_lanes", lambda x: calls.append(x) or mix_lanes(x))
+    uniform_table(t, "lottery", count, 2**64)
+    narrow = len(calls)
+    calls.clear()
+    got = uniform_table(t, "lottery", count, n)
+    assert {i: got[i] for i in want} == want
+    assert len(calls) == narrow + 2
 
 
 def test_table_rows_past_the_small_int_table():

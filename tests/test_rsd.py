@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from hashlib import blake2b
+
 import pytest
 
 from localmech.instances import InstanceSpec, build_instance
 from localmech.probes import ProbeCounter
-from localmech.randomness import uniform_table
+from localmech.randomness import derive_uniform, uniform_table
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
 
 
@@ -99,8 +101,16 @@ def test_housing_builds_past_65536_agents():
     # lottery numbers come from n^4 values, past 2^64 once n > 65536
     n = 65537
     inst = build_instance(InstanceSpec(seed=0, family="housing", n=n, m=n, k=1))
+    assert blake2b(inst.order.tobytes(), digest_size=16).hexdigest() == (
+        "11102c185a1e2475182961c11def9b7f"
+    )
     lottery = _lottery(inst)
     assert all(1 <= r <= n**4 for r in lottery)
-    assert max(lottery) > 2**64
+    # every 4,099th agent and the last, so across the lane blocks, and each
+    # number past 2^64 equal the per-key draws
+    wide = [a for a in range(n) if lottery[a] > 2**64]
+    assert wide
+    for a in [*range(0, n, 4099), n - 1, *wide]:
+        assert lottery[a] == 1 + derive_uniform(inst.tape, ("lottery", a), n**4), a
     assert list(inst.order) == sorted(range(n), key=lambda x: (lottery[x], x))
     assert rsd_local(inst, 0) == rsd_global(inst)[0]
