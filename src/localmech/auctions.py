@@ -92,8 +92,8 @@ from typing import (
 )
 
 from .probes import (
-    LEFT, RIGHT, AdjacencyOracle, ProbeCounter, query_view, rank_tables, reported_reads, resolve,
-    upward_closure,
+    LEFT, RIGHT, AdjacencyOracle, ProbeCounter, ids, query_view, rank_tables, reported_reads,
+    resolve, upward_closure,
 )
 from .randomness import RandomTape
 from .rsd import serial_dictatorship
@@ -240,8 +240,8 @@ def _bid_order(bids: Sequence[Fraction | int]) -> Callable[[int], tuple]:
 
 def uduv_run(inst: AuctionInstance) -> Outcome:
     inst.require_mode(UDUV, "uduv_run")
-    awards: dict[int, tuple[int, ...]] = dict.fromkeys(range(inst.n), ())
-    payments: dict[int, Fraction] = dict.fromkeys(range(inst.n), ZERO)
+    awards: dict[int, tuple[int, ...]] = dict.fromkeys(ids(inst.n), ())
+    payments: dict[int, Fraction] = dict.fromkeys(ids(inst.n), ZERO)
     for j, b in serial_dictatorship(inst.order, inst.oracle.cols.__getitem__).items():
         if b is not None:
             awards[b] = (j,)
@@ -477,7 +477,7 @@ def _bid_run(inst: AuctionInstance) -> Outcome:
     rule = _BID_RULES[inst.mode]
     sets, bids, place, rev = inst.oracle.rows, inst.values, inst.place, inst.oracle.cols.__getitem__
     won = rule.awards(_positive_prefix(inst.order, bids), sets.__getitem__)
-    payments = dict.fromkeys(range(inst.n), ZERO)
+    payments = dict.fromkeys(ids(inst.n), ZERO)
     for i in sorted(won):
         memo: dict[int, tuple[int, ...]] = {}
         ahead = place[i]
@@ -491,7 +491,7 @@ def _bid_run(inst: AuctionInstance) -> Outcome:
 
         # the price is a bid, an int when whole; every payment is a Fraction
         payments[i] = Fraction(rule.scan(i, won[i], sets[i], rev, bids, award_of))
-    return Outcome(awards={b: won.get(b, ()) for b in range(inst.n)}, payments=payments)
+    return Outcome(awards={b: won.get(b, ()) for b in ids(inst.n)}, payments=payments)
 
 
 def udubv_run(inst: AuctionInstance) -> Outcome:

@@ -49,7 +49,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .probes import LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, query_view, resolve
+from .probes import (
+    LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, ids, query_view, resolve,
+)
 from .randomness import RandomTape, pair_keys, pair_mix, pair_tables
 
 if TYPE_CHECKING:  # instances imports this module for its family table
@@ -225,7 +227,7 @@ def abridged_gs(
     return {
         man: ManStatus(MATCHED, partner[man]) if man in partner
         else DISQUALIFIED_STATUS if man in disqualified else UNMATCHED_STATUS
-        for man in range(inst.n)
+        for man in ids(inst.n)
     }, stats
 
 

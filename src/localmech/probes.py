@@ -12,7 +12,10 @@ replaces, so an overlay costs a query no more than the records it patches.
 Reverse lists are materialized once at build time, in the order the
 instance gives (ascending id, or bid order for udubv and ksmb); that setup
 pass is not counted, but every *access* to a reverse record is, whatever
-its order.  The same pass states the three rules of a left row for every
+its order.  Left ids and places are the ints of one table, `ids(n)`, which
+stays cached until another n is asked: the reverse records, the rank tables
+and the global runs' per-entity results share its objects instead of each
+making its own.  The same pass states the three rules of a left row for every
 family: each right id is an int, in range, and named once.  The build's
 time and memory follow the entries: an empty record is the shared `()`,
 one pointer in the record table, so a standard-mode slot pool of mostly
@@ -26,7 +29,8 @@ scheduling, housing and the uduv auction: the query tree of Mansour,
 Rubinstein, Vardi and Xie (ICALP 2012).  A greedy rule that serves entities in priority order
 decides an entity from the higher-priority entities sharing a resource with
 it, transitively; the query collects that set and replays the rule on it.
-Instances sort their order once, at build (`rank_tables`); queries compare places.
+Instances sort their order once, at build (`rank_tables`, two tuples over
+`ids(n)`); queries compare places.
 
 `resolve` walks the memoised query trees of Nguyen and Onak
 (FOCS 2008), asked best first as Yoshida, Yamamoto and Ito do (STOC 2009):
@@ -37,11 +41,11 @@ the caller's `lookup` and `store` hold the memo policy.
 
 from __future__ import annotations
 
-from array import array
+from functools import lru_cache
 from typing import Any, Callable, Generator, Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Entity", "ProbeCounter", "AdjacencyOracle", "MemoView", "query_view", "reported_reads",
+    "Entity", "ids", "ProbeCounter", "AdjacencyOracle", "MemoView", "query_view", "reported_reads",
     "neighborhood", "rank_tables", "upward_closure", "resolve",
 ]
 
@@ -49,6 +53,14 @@ Entity = tuple[str, int]
 
 LEFT = "L"
 RIGHT = "R"
+
+
+@lru_cache(maxsize=1)
+def ids(n: int) -> tuple[int, ...]:
+    """`tuple(range(n))`, cached for the last n asked: the one source of the
+    left-id and place ints, so the records and tables that list an id all
+    hold the same int object."""
+    return tuple(range(n))
 
 
 class ProbeCounter:
@@ -70,10 +82,11 @@ class AdjacencyOracle:
     """Bipartite adjacency: n left records (ordered tuples of right ids)
     plus materialized reverse records, each listing its left ids in the
     order the instance gives (`order`, a permutation of the int ids
-    0..n-1: `range(n)` for ascending ids, the bid order for udubv and
-    ksmb).  A record gets its list at its first entry, so the build costs
-    time and memory per entry plus one pointer per record, and an empty
-    record is the shared `()`.
+    0..n-1: `range(n)` for ascending ids, which walks `ids(n)`, or the bid
+    order for udubv and ksmb, whose ints come from that table).  A record
+    gets its list at its first entry, so the build costs time and memory
+    per entry plus one pointer per record, and an empty record is the
+    shared `()`.
 
     Every left row keeps three rules, checked in that one pass, row by row
     in `order`: each id is an int (a bool is not one), in [0, m), and named
@@ -92,14 +105,15 @@ class AdjacencyOracle:
             raise ValueError(f"right count must be >= 0, got m={m}")
         self.n = len(fwd)
         self.m = m
-        # a range compares to range(n) in O(1); any other order is sorted,
-        # once each entry is known to be an int (a bool or 1.0 sorts as one)
-        if order != range(self.n) and (
-            not set(map(type, order)) <= {int} or sorted(order) != list(range(self.n))
-        ):
+        # a range compares to range(n) in O(1) and walks the id table; any
+        # other order is sorted, once each entry is known to be an int (a
+        # bool or 1.0 sorts as one)
+        if order == range(self.n):
+            order = ids(self.n)
+        elif not set(map(type, order)) <= {int} or sorted(order) != list(range(self.n)):
             raise ValueError(f"order must be a permutation of the {self.n} left ids")
-        rows = self.rows = tuple(tuple(lst) for lst in fwd)
-        rev: list[list[int] | None] = [None] * m  # None until the record's first entry
+        rows = self.rows = tuple(map(tuple, fwd))
+        rev: list = [()] * m  # () until the record's first entry
         for i in order:
             for j in rows[i]:
                 if type(j) is not int:  # a bool, float or str is no id
@@ -107,13 +121,13 @@ class AdjacencyOracle:
                 if not 0 <= j < m:
                     raise ValueError(f"right id {j} out of range [0, {m})")
                 r = rev[j]
-                if r is None:
+                if not r:
                     rev[j] = [i]
                 elif r[-1] == i:  # row i reached j before
                     raise ValueError(f"left id {i} names right id {j} twice")
                 else:
                     r.append(i)
-        self.cols: tuple[tuple[int, ...], ...] = tuple([() if r is None else tuple(r) for r in rev])
+        self.cols: tuple[tuple[int, ...], ...] = tuple(map(tuple, rev))
 
     # each read refuses what `_known` refuses, inline
     def fwd(self, i: int) -> tuple[int, ...]:
@@ -239,15 +253,19 @@ def neighborhood(
     return seen
 
 
-def rank_tables(keys: Sequence) -> tuple[array, array]:
+def rank_tables(keys: Sequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The ids 0..len(keys)-1 by ascending key, ties to the smaller id
     (`sorted` is stable; a descending order passes negated keys), and each
-    id's place in that order: `order[place[x]] == x`."""
-    order = array("q", sorted(range(len(keys)), key=keys.__getitem__))
-    place = array("q", bytes(8 * len(order)))
-    for p, x in enumerate(order):
+    id's place in that order: `order[place[x]] == x`.  Both hold the ints
+    of `ids(len(keys))`, so a read returns a stored int.  They are tuples,
+    which the collector stops tracking once it finds only ints in them: two
+    lists would be walked again by every full collection of the process."""
+    table = ids(len(keys))
+    order = tuple(sorted(table, key=keys.__getitem__))
+    place = [0] * len(order)
+    for p, x in zip(table, order):
         place[x] = p
-    return order, place
+    return order, tuple(place)
 
 
 def upward_closure(

@@ -15,8 +15,9 @@ with leaf(p) = mix(fold(p) + G); an int folds to its low 64 bits and a
 string tag to 64 bits of blake2b.  `_leaf` is the one place that folds a
 part, and the leaves of the ints 0..255 (draw indices, attempts, small ids)
 come from a module-level table.  The tape keeps no cache: each call hashes
-its key part by part.  `derive_uniform` and `sample_without_replacement`
-hash their key once, then pay one step per draw index and one per attempt.
+its key part by part.  `derive_uniform` hashes its key once, then pays one
+step per attempt; `sample_without_replacement` draws its first `count`
+indices as one `uniform_table` and only its redraws per key.
 
 An instance draws its seeded data as tables over (tag, i), i = 0..count-1,
 one entry per entity, and gets the same bits as the per-key draws:
@@ -53,7 +54,8 @@ one number, as many as n - 1 needs (one up to n = 2^64), and the first
 attempt below the largest multiple of n they hold is reduced mod n.  The
 draw under the key (tag, i) is draw i of the row stream under (tag,), and a
 menu draw (tag, i, t) is draw t of the row stream under (tag, i) without
-the duplicate check.  `_rows` draws the distinct rows per key.
+the duplicate check.  A distinct row keeps the first occurrences of its
+first k draws, which the tables draw, and `_rows` draws the rest per key.
 
 The tables run splitmix64 on many entries per integer operation (SIMD
 within a register, Fisher and Dietz, LCPC 1998).  A block of up to 4,096
@@ -70,8 +72,9 @@ else is cached per count.  What the lanes cannot settle goes to the scalar
 loops, so each bit still comes from one definition:
 
 - a lane whose first attempt is at or above the limit is drawn by `_draw`;
-- a `sample_table` row with a repeat among its first k draws is redrawn
-  whole from its state by `_rows`; the repeats are found a block at a time,
+- a `sample_table` or `sample_without_replacement` row with a repeat
+  among its first k draws is completed from its state by `_rows`, which
+  draws indices k, k+1, ... per key; the repeats are found a block at a time,
   by comparing the block's k draw columns in pairs (k(k-1)/2 passes of
   `map(eq, ...)`), not with a set per row.
 
@@ -323,25 +326,27 @@ def _draw(s: int, words: int, limit: int) -> int:
         attempt += 1
 
 
-def _rows(states: Sequence[int], n: int, k: int) -> list[tuple[int, ...]]:
-    """One row of k distinct values from [0, n) per hash state h: draw idx
-    of a row is the first value below the limit over attempts after the
-    state (h, idx), reduced mod n; a value the row already holds is dropped
-    and the next index drawn."""
-    if k <= 0:
-        return [()] * len(states)
-    words, limit = _limit(n)
+def _rows(
+    states: Sequence[int], firsts: Sequence[Sequence[int]], n: int, k: int
+) -> list[tuple[int, ...]]:
+    """One row of k distinct values from [0, n) per hash state h, given its
+    first draws (indices 0..len(first)-1, at most k): their first
+    occurrences in index order, then draw idx = len(first), len(first)+1, ...
+    per key, the first value below the limit over attempts after the state
+    (h, idx), reduced mod n, dropped if the row already holds it."""
     rows = []
-    for h in states:
-        row: list[int] = []
-        seen: set[int] = set()
-        idx = 0
-        while len(row) < k:
-            v = _draw(_mix(h ^ _leaf(idx)), words, limit) % n
-            idx += 1
-            if v not in seen:
-                seen.add(v)
-                row.append(v)
+    for h, first in zip(states, firsts):
+        row = list(dict.fromkeys(first))
+        if len(row) < k:
+            words, limit = _limit(n)
+            seen = set(row)
+            idx = len(first)
+            while len(row) < k:
+                v = _draw(_mix(h ^ _leaf(idx)), words, limit) % n
+                idx += 1
+                if v not in seen:
+                    seen.add(v)
+                    row.append(v)
         rows.append(tuple(row))
     return rows
 
@@ -368,7 +373,7 @@ def _table_rows(
     """Row i holds draws t < k of the row stream under (*prefix, i), a block
     of rows at a time: lane j of a block draws its row's draw t, for each t.
     A distinct row whose k draws repeat a value, found by comparing the
-    block's draw columns pair by pair, is redrawn whole by `_rows`."""
+    block's draw columns pair by pair, is completed per key by `_rows`."""
     if k <= 0:
         return [()] * count
     rows: list[tuple[int, ...]] = []
@@ -382,7 +387,8 @@ def _table_rows(
                 redo.update(compress(range(b), map(eq, t, u)))
         if redo:
             states = _unpack(s, b)
-            for j, row in zip(redo, _rows([states[j] for j in redo], n, k)):
+            firsts = [block[j] for j in redo]
+            for j, row in zip(redo, _rows([states[j] for j in redo], firsts, n, k)):
                 block[j] = row
         rows += block
     return rows
@@ -428,11 +434,15 @@ def sample_without_replacement(
 
     Draw idx is `derive_uniform(tape, (*key, idx), n)`.  Duplicates are
     rejected and redrawn under the next draw index, so the result for a
-    given key never depends on how many draws other keys made.
+    given key never depends on how many draws other keys made.  Draws
+    0..count-1 are `uniform_table(tape, key, count, n)`, on the lanes; only
+    the redraws go per key.
     """
     if count > n:
         raise ValueError(f"cannot draw {count} distinct values from range {n}")
-    return list(_rows([tape._state(tuple(key))], n, count)[0])
+    key = tuple(key)
+    first = uniform_table(tape, key, count, n) if count > 0 else ()
+    return list(_rows([tape._state(key)], [first], n, count)[0])
 
 
 def sample_table(

@@ -44,7 +44,9 @@ from itertools import accumulate, chain, repeat
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
 
-from .probes import LEFT, AdjacencyOracle, ProbeCounter, query_view, rank_tables, upward_closure
+from .probes import (
+    LEFT, AdjacencyOracle, ProbeCounter, ids, query_view, rank_tables, upward_closure,
+)
 from .randomness import (
     RandomTape, attempt_table, derive_uniform, sample_table, uniform_first, uniform_rows
 )
@@ -179,7 +181,7 @@ class SchedulingInstance:
             # draw t of job j under ("menu", j, t), all mapped in one map: an
             # owner table beats bisection up to about 8 slots per draw
             if self.B <= 8 * m * d:
-                machine = [*chain.from_iterable(map(repeat, range(self.n), self.caps))].__getitem__
+                machine = [*chain.from_iterable(map(repeat, ids(self.n), self.caps))].__getitem__
             else:
                 machine = partial(bisect_right, self.slot_prefix)
             draws = chain.from_iterable(uniform_rows(self.tape, "menu", m, self.B, d))

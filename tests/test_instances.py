@@ -32,6 +32,7 @@ from localmech.probes import (
     AdjacencyOracle,
     MemoView,
     ProbeCounter,
+    ids,
     neighborhood,
     query_view,
     rank_tables,
@@ -487,6 +488,40 @@ def test_seeded_instances_are_pinned_bit_for_bit():
         inst = build_instance(InstanceSpec(seed=seed, family=family, n=512, m=512, k=k))
         got[family, seed] = hashlib.sha256(repr(_seeded_draws(inst)).encode()).hexdigest()
     assert got == SEEDED_DIGESTS
+
+
+def test_seeded_builds_share_the_id_table_ints():
+    # reverse records, rank tables and the global runs' per-entity results
+    # hold the objects of `ids(n)`, not ints of their own; n = 512 runs the
+    # ids past CPython's cached small ints
+    n = 512
+    for family, fam in FAMILIES.items():
+        k = 3 if fam.size == "k" else 2
+        for seed in (0, 1):
+            inst = build_instance(InstanceSpec(seed=seed, family=family, n=n, m=n, k=k))
+            run, _ = fam.run(inst, 4)
+            table = ids(n)
+            held = [i for col in inst.oracle.cols for i in col]
+            if hasattr(inst, "order"):
+                held += [*inst.order, *inst.place]
+                assert all(inst.order[p] == x for x, p in enumerate(inst.place))
+            if isinstance(run, dict):  # matching's statuses, housing's houses
+                held += run
+            elif isinstance(run, auctions.Outcome):
+                held += [*run.awards, *run.payments]
+            assert len(held) > 2 * n, family
+            assert all(x is table[x] for x in held), (family, seed)
+
+
+def test_id_table_is_cached_for_the_last_n_asked():
+    table = ids(1000)
+    assert table == tuple(range(1000))
+    assert ids(1000) is table
+    other = ids(999)
+    assert other == tuple(range(999)) and ids(999) is other
+    again = ids(1000)
+    assert again == table and again is not table
+    assert ids(0) == ()
 
 
 def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():

@@ -193,6 +193,40 @@ def test_draw_paths_past_the_small_int_table_and_through_rejection():
     assert sample_without_replacement(t, ("big",), n, 40) == _ref_sample(3, ("big",), n, 40)
 
 
+def _per_key_sample(t, key, n, count):
+    """`sample_without_replacement` drawn per key: draw idx under (*key,
+    idx), a repeat dropped, until the row holds `count` values."""
+    out, seen, idx = [], set(), 0
+    while len(out) < count:
+        v = derive_uniform(t, (*key, idx), n)
+        idx += 1
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (1, [0, 1]),
+        (2, [0, 1, 2]),
+        (256, [0, 1, 2, 100, 255, 256]),
+        (4096, [1, 100, 2048, 4096]),
+        # its first 4,100 draws fill one lane block and spill into a second
+        (5000, [4100]),
+    ],
+)
+def test_sample_without_replacement_equals_the_per_key_draws(n, counts):
+    # the first `count` draws come off the lanes, the redraws per key
+    t = RandomTape(13)
+    for count in counts:
+        for key in (("pick", n, count), ["pick", count]):
+            got = sample_without_replacement(t, key, n, count)
+            assert got == _per_key_sample(t, key, n, count), (n, count)
+            assert type(got) is list and len(set(got)) == count
+
+
 def _ref_uniform_wide(seed, key, n):
     """A range past 2^64: attempt a reads the words (a,), (a, 1), (a, 2), ...
     as 64-bit digits, low first, as many as n - 1 needs."""

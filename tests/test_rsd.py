@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from hashlib import blake2b
 
 import pytest
@@ -101,7 +102,8 @@ def test_housing_builds_past_65536_agents():
     # lottery numbers come from n^4 values, past 2^64 once n > 65536
     n = 65537
     inst = build_instance(InstanceSpec(seed=0, family="housing", n=n, m=n, k=1))
-    assert blake2b(inst.order.tobytes(), digest_size=16).hexdigest() == (
+    order = array("q", inst.order).tobytes()
+    assert blake2b(order, digest_size=16).hexdigest() == (
         "11102c185a1e2475182961c11def9b7f"
     )
     lottery = _lottery(inst)
