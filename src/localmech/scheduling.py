@@ -13,21 +13,17 @@ Two allocators over unit jobs:
   ⌊(h_i+1)/b_i⌋, ties to the smaller machine.  Flooring is what makes the
   rule universally monotone — the unfloored variant `greedy_unmodified`
   is kept because it demonstrably is not (see its regression fixtures).
-  Both rules run one loop, `_restricted_run`, each with its own step,
-  `_pick_floored` or `_pick_unfloored`.
 
-Both allocators have per-job local queries that replay only the query's
-rank-order dependency tree (`probes.upward_closure` over jobs sharing a slot
-or menu machine) and agree exactly with the online run replayed in rank
-order: the online run and the local query place each job with the same step,
-`_pick_slot` or `_pick_floored`, on the same records, the instance oracle's
-slot choices or distinct menu machines (a menu's one stored form).  The rank
-order, the first attempts of the slot tie-breaks (`tie_words`) and
-`slot_prefix`, the prefix sums of the capacities that map a slot to its
-machine by bisection (or seeded menus by a slot-owner table, over at most 8
-slots per draw), are built with the instance; like the oracle's reverse
-records they cost no probe, and no local query draws a rank or a tie-break
-or loops over all machines.
+The modes differ only in a job's step, `step(ctx, j, record, heights)`, which
+returns the machine job j takes (None if none can) and raises the heights it
+keeps: `_pick_slot`, `_pick_floored` or `_pick_unfloored`, each its rule's
+one statement.  Every online run is the one loop `_run`, which checks
+caller-given capacities; both local queries are the one replay `_job_local`
+of the query's rank-order dependency tree (`probes.upward_closure`), so a
+local answer equals the online run replayed in rank order.  The rank order,
+the slot tie-breaks' first attempts (`tie_words`) and `slot_prefix` are built
+with the instance; like the oracle's reverse records they cost no probe, and
+no local query draws a rank or a tie-break or loops over all machines.
 
 All loads and payments use exact rational arithmetic — the monotonicity
 facts hinge on exact floor comparisons, so keep floats out of this module.
@@ -42,7 +38,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import index
-from typing import TYPE_CHECKING, Callable, Iterable, MutableMapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, MutableMapping, Sequence
 
 from .probes import (
     LEFT, AdjacencyOracle, ProbeCounter, ids, query_view, rank_tables, upward_closure,
@@ -84,7 +80,7 @@ class Allocation:
     """Result of one allocator run; its heights after each step are read off
     `assign` in run order, as `monotonicity_trace` does.  `assign[j]` is
     None only for a job whose every menu machine has a caller-given
-    capacity below 1 (a bid of 0); runs at the instance's capacities place
+    capacity of 0 (a bid of 0); runs at the instance's capacities place
     every job."""
 
     assign: tuple[int | None, ...]
@@ -153,43 +149,43 @@ class SchedulingInstance:
         # slot s of the pool belongs to machine bisect_right(slot_prefix, s);
         # build-time data, uncounted like the oracle's reverse records
         self.slot_prefix = tuple(accumulate(self.caps))
-        # jobs by their ("job-rank", j) draw, ties to the smaller job
-        self.order, self.place = rank_tables(self.tape.u64_table("job-rank", m))
-
         if mode == STANDARD:
             if not 1 <= d <= self.B:
                 raise ValueError(f"need 1 <= d <= B={self.B} slot choices")
             if menus is not None:
                 raise ValueError("standard mode takes no menus")
-            chosen = sample_table(self.tape, "slot-choice", m, self.B, d)
-            self._oracle = AdjacencyOracle(chosen, self.B, range(m))
+            rows, right = sample_table(self.tape, "slot-choice", m, self.B, d), self.B
             self.tie_words = attempt_table(self.tape, "slot-tie", m)
-            return
-
-        if menus is not None:
-            if len(menus) != m:
-                raise ValueError("need one menu per job")
-            for j, mu in enumerate(menus):
-                if any(type(i) is not int or not 0 <= i < self.n for i in mu):
-                    raise ValueError(f"menu of job {j} names an unknown machine")
-        elif d < 1:
-            raise ValueError(f"need d >= 1 menu draws, got d={d}: each job gets an empty menu")
-        elif self.n < 1:
-            raise ValueError(f"need n >= 1 machines to draw menus from, got n={self.n}")
         else:
-            # capacity-proportional machine draws over the true slot pool,
-            # draw t of job j under ("menu", j, t), all mapped in one map: an
-            # owner table beats bisection up to about 8 slots per draw
-            if self.B <= 8 * m * d:
-                machine = [*chain.from_iterable(map(repeat, ids(self.n), self.caps))].__getitem__
+            if menus is not None:
+                if len(menus) != m:
+                    raise ValueError("need one menu per job")
+                for j, mu in enumerate(menus):
+                    if any(type(i) is not int or not 0 <= i < self.n for i in mu):
+                        raise ValueError(f"menu of job {j} names an unknown machine")
+            elif d < 1:
+                raise ValueError(f"need d >= 1 menu draws, got d={d}: each job gets an empty menu")
+            elif self.n < 1:
+                raise ValueError(f"need n >= 1 machines to draw menus from, got n={self.n}")
             else:
-                machine = partial(bisect_right, self.slot_prefix)
-            draws = chain.from_iterable(uniform_rows(self.tape, "menu", m, self.B, d))
-            menus = zip(*[map(machine, draws)] * d)
-        rows = [tuple(sorted(set(mu))) for mu in menus]
-        if not all(rows):
-            raise ValueError(f"job {rows.index(())} has an empty menu")
-        self._oracle = AdjacencyOracle(rows, self.n, range(m))
+                # capacity-proportional machine draws over the true slot pool,
+                # draw t of job j under ("menu", j, t), all mapped in one map: an
+                # owner table beats bisection up to about 8 slots per draw
+                if self.B <= 8 * m * d:
+                    owners = chain.from_iterable(map(repeat, ids(self.n), self.caps))
+                    machine = [*owners].__getitem__
+                else:
+                    machine = partial(bisect_right, self.slot_prefix)
+                draws = chain.from_iterable(uniform_rows(self.tape, "menu", m, self.B, d))
+                menus = zip(*[map(machine, draws)] * d)
+            rows = [tuple(sorted(set(mu))) for mu in menus]
+            if not all(rows):
+                raise ValueError(f"job {rows.index(())} has an empty menu")
+            right = self.n
+        # jobs by their ("job-rank", j) draw, ties to the smaller job; after the
+        # owner table's ids(n), so the rank tables and the oracle share ids(m)
+        self.order, self.place = rank_tables(self.tape.u64_table("job-rank", m))
+        self._oracle = AdjacencyOracle(rows, right, range(m))
 
     # -- construction -----------------------------------------------------
 
@@ -224,27 +220,11 @@ class SchedulingInstance:
 
 
 # ---------------------------------------------------------------------------
-# standard mode
+# both modes: one online loop and one closure replay
 # ---------------------------------------------------------------------------
 
-
-def _pick_slot(
-    inst: SchedulingInstance, j: int, chosen: Sequence[int], slot_h: MutableMapping[int, int]
-) -> int:
-    """Job j's step: the least-loaded of its chosen slots, whose height it
-    raises by one.  A tie of c slots takes the one at `derive_uniform(tape,
-    ("slot-tie", j), c)` in slot order, from `tie_words[j]` unless rejected."""
-    hs = [slot_h[s] for s in chosen]
-    best = min(hs)
-    ties = hs.count(best)
-    if ties == 1:
-        slot = chosen[hs.index(best)]
-    else:
-        mins = sorted(chosen if ties == len(hs) else [s for s, h in zip(chosen, hs) if h == best])
-        t = uniform_first(inst.tie_words[j], ties)
-        slot = mins[derive_uniform(inst.tape, ("slot-tie", j), ties) if t is None else t]
-    slot_h[slot] += 1
-    return slot
+_Heights = MutableMapping[int, int]
+_Step = Callable[[Any, int, Sequence[int], _Heights], int | None]
 
 
 def _run_order(inst: SchedulingInstance, order: Iterable[int] | None) -> Iterable[int]:
@@ -260,33 +240,84 @@ def _run_order(inst: SchedulingInstance, order: Iterable[int] | None) -> Iterabl
     return jobs
 
 
+def _run(
+    inst: SchedulingInstance, step: _Step, ctx: Any, caps: Sequence[int] | None, jobs: Iterable[int]
+) -> Allocation:
+    """The one online loop: each of `jobs` in turn takes its step over its
+    oracle record.  Caller-given `caps` are checked here: one int per machine
+    under the constructor's `index` rule, none below 0 (a bid of 0 places
+    no job there).  A None ctx is the run's caps, as the restricted steps take."""
+    if caps is not None:
+        try:
+            caps = tuple(map(index, caps))
+        except TypeError:
+            caps = None
+        if caps is None or len(caps) != inst.n or min(caps, default=0) < 0:
+            raise ValueError(f"caps must be {inst.n} ints >= 0, one per machine")
+    caps = inst.caps if caps is None else caps
+    ctx = caps if ctx is None else ctx
+    rows = inst.oracle.rows
+    heights = [0] * inst.n
+    assign: list[int | None] = [None] * inst.m
+    for j in jobs:
+        assign[j] = step(ctx, j, rows[j], heights)
+    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
+
+
+def _job_local(
+    inst: SchedulingInstance, job: int, counter: ProbeCounter | None, step: _Step, ctx: Any
+) -> int:
+    """Machine of `job` under the rank-order replay: `step` over the jobs
+    sharing a slot or menu machine with it at lower rank, transitively, in
+    rank order, on records read through the query's view."""
+    view = query_view(inst.oracle, (LEFT, job), counter, "job")
+    heights: defaultdict[int, int] = defaultdict(int)
+    for j in upward_closure((job,), inst.place, view.fwd, view.rev):
+        machine = step(ctx, j, view.fwd(j), heights)
+    return machine  # the last job placed is the query
+
+
+# ---------------------------------------------------------------------------
+# standard mode
+# ---------------------------------------------------------------------------
+
+
+def _pick_slot(
+    ctx: tuple[SchedulingInstance, _Heights], j: int, chosen: Sequence[int], heights: _Heights
+) -> int:
+    """Job j's step, ctx the instance and its slot heights: the least-loaded
+    chosen slot, whose height it raises by one, as its machine's.  A tie of c
+    slots takes the one at `derive_uniform(tape, ("slot-tie", j), c)` in slot
+    order, from `tie_words[j]` unless rejected."""
+    inst, slot_h = ctx
+    hs = [slot_h[s] for s in chosen]
+    best = min(hs)
+    ties = hs.count(best)
+    if ties == 1:
+        slot = chosen[hs.index(best)]
+    else:
+        mins = sorted(chosen if ties == len(hs) else [s for s, h in zip(chosen, hs) if h == best])
+        t = uniform_first(inst.tie_words[j], ties)
+        slot = mins[derive_uniform(inst.tape, ("slot-tie", j), ties) if t is None else t]
+    slot_h[slot] += 1
+    machine = bisect_right(inst.slot_prefix, slot)
+    heights[machine] += 1
+    return machine
+
+
 def slms_online(inst: SchedulingInstance, order: Iterable[int] | None = None) -> Allocation:
     """Slot-based allocation over all jobs (index order unless given), with
     the slot choices of the oracle's records and the tie-break words, both
     drawn once with the instance.  A run at other capacities is the run of
     an instance built with them."""
     inst.require_mode(STANDARD, "slms_online")
-    prefix, choices = inst.slot_prefix, inst.oracle.rows
-    slot_h = [0] * inst.B
-    heights = [0] * inst.n
-    assign: list[int | None] = [None] * inst.m
-    for j in _run_order(inst, order):
-        machine = bisect_right(prefix, _pick_slot(inst, j, choices[j], slot_h))
-        heights[machine] += 1
-        assign[j] = machine
-    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=inst.caps)
+    return _run(inst, _pick_slot, (inst, [0] * inst.B), None, _run_order(inst, order))
 
 
 def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:
-    """Machine of `job` under the rank-order replay, resolved from the jobs
-    sharing a chosen slot with lower rank, transitively."""
+    """Machine of `job` under the rank-order replay of `_pick_slot`."""
     inst.require_mode(STANDARD, "slms_local")
-    view = query_view(inst.oracle, (LEFT, job), counter, "job")
-    order = upward_closure((job,), inst.place, view.fwd, view.rev)
-    slot_h: defaultdict[int, int] = defaultdict(int)
-    for j in order:
-        slot = _pick_slot(inst, j, view.fwd(j), slot_h)
-    return bisect_right(inst.slot_prefix, slot)  # the last slot is the query's
+    return _job_local(inst, job, counter, _pick_slot, (inst, defaultdict(int)))
 
 
 def _check_machine(n: int, i: int) -> None:
@@ -294,9 +325,16 @@ def _check_machine(n: int, i: int) -> None:
         raise ValueError(f"unknown machine {i}; machines are 0..{n - 1}")
 
 
-def _check_true_cap(true_cap: int) -> None:
-    if true_cap < 1:
-        raise ValueError(f"true_cap must be >= 1, got {true_cap}")
+def _check_int(x: int, name: str, least: int) -> int:
+    """A caller-given capacity or bid `x` as an int under the constructor's
+    `index` rule, refused below `least`."""
+    try:
+        x = index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {x!r}") from None
+    if x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+    return x
 
 
 def expected_height(b_i: int, B_minus_i: int, m: int) -> Fraction:
@@ -356,7 +394,7 @@ def slms_expected_utility(
     claims x slots and carries expected height h̄ incurs cost x²·h̄/true_cap.
     The payment schedule makes truth the exact argmax of this function."""
     _check_machine(len(caps), i)
-    _check_true_cap(true_cap)
+    true_cap = _check_int(true_cap, "true_cap", 1)
     caps = list(caps)
     B_minus = sum(caps) - caps[i]
     if bid == 0:
@@ -371,81 +409,52 @@ def slms_expected_utility(
 
 
 def _pick_floored(
-    cands: Iterable[int], heights: MutableMapping[int, int], caps: Sequence[int]
+    caps: Sequence[int], j: int, cands: Iterable[int], heights: _Heights
 ) -> int | None:
-    """A job's step: the candidate machine minimizing ⌊(h_i+1)/b_i⌋, ties to
-    the smaller machine, whose height it raises by one.  The candidates are
-    a job's oracle record, sorted and distinct, so the first least floor is
-    the smaller machine.  A machine with capacity below 1 takes no job; None
-    if every candidate has one."""
-    best = None
-    best_key: int | None = None
+    """A job's step, ctx the caps: the candidate machine minimizing
+    ⌊(h_i+1)/b_i⌋, ties to the smaller machine, whose height it raises by
+    one.  The candidates are a job's oracle record, sorted and distinct, so
+    the first least floor is the smaller machine.  A machine with capacity
+    0 takes no job; None if every candidate has it."""
+    best = best_key = None
     for i in cands:
         c = caps[i]
-        if c < 1:
-            continue
-        key = (heights[i] + 1) // c
-        if best_key is None or key < best_key:
-            best_key, best = key, i
+        if c:
+            key = (heights[i] + 1) // c
+            if best_key is None or key < best_key:
+                best_key, best = key, i
     if best is not None:
         heights[best] += 1
     return best
 
 
-_Step = Callable[[Iterable[int], MutableMapping[int, int], Sequence[int]], int | None]
-
-
-def _restricted_run(
-    inst: SchedulingInstance, step: _Step, caps: Sequence[int] | None, jobs: Iterable[int]
-) -> Allocation:
-    """The one restricted-mode loop: each of `jobs` in turn takes
-    `step(record, heights, caps)` over its oracle record.  A job whose
-    every menu machine has a capacity below 1 takes None and adds no
-    height anywhere (a bid of 0 in the rerun payments and the trace)."""
-    caps = inst.caps if caps is None else tuple(caps)
-    menus = inst.oracle.rows
-    heights = [0] * inst.n
-    assign: list[int | None] = [None] * inst.m
-    for j in jobs:
-        assign[j] = step(menus[j], heights, caps)
-    return Allocation(assign=tuple(assign), heights=tuple(heights), caps=caps)
-
-
 def rlms_online(
-    inst: SchedulingInstance,
-    caps: Sequence[int] | None = None,
-    order: Iterable[int] | None = None,
+    inst: SchedulingInstance, caps: Sequence[int] | None = None, order: Iterable[int] | None = None
 ) -> Allocation:
     """Floored-load allocation over all jobs (index order unless given):
     job j goes to the menu machine minimizing ⌊(h_i+1)/b_i⌋, ties to the
     smaller machine."""
     inst.require_mode(RESTRICTED, "rlms_online")
-    return _restricted_run(inst, _pick_floored, caps, _run_order(inst, order))
+    return _run(inst, _pick_floored, None, caps, _run_order(inst, order))
 
 
 def rlms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None = None) -> int:
-    """Machine of `job` under the rank-order replay, resolved from the jobs
-    sharing a menu machine with lower rank, transitively."""
+    """Machine of `job` under the rank-order replay of `_pick_floored`."""
     inst.require_mode(RESTRICTED, "rlms_local")
-    view = query_view(inst.oracle, (LEFT, job), counter, "job")
-    order = upward_closure((job,), inst.place, view.fwd, view.rev)
-    heights: defaultdict[int, int] = defaultdict(int)
-    for j in order:
-        machine = _pick_floored(view.fwd(j), heights, inst.caps)
-    return machine  # the last job placed is the query
+    return _job_local(inst, job, counter, _pick_floored, inst.caps)
 
 
 def _pick_unfloored(
-    cands: Iterable[int], heights: MutableMapping[int, int], caps: Sequence[int]
+    caps: Sequence[int], j: int, cands: Iterable[int], heights: _Heights
 ) -> int | None:
-    """The unfloored step: the candidate minimizing the exact (h_i+1)/b_i,
-    ties to the smaller machine (the first of the sorted record), whose
-    height it raises by one; None if no candidate has capacity 1 or more."""
-    fits = [i for i in cands if caps[i] >= 1]
-    if not fits:
-        return None
-    best = min(fits, key=lambda i: Fraction(heights[i] + 1, caps[i]))
-    heights[best] += 1
+    """The unfloored step, ctx the caps: the candidate minimizing the
+    exact (h_i+1)/b_i, ties to the smaller machine (the first of the sorted
+    record), whose height it raises by one; None if every candidate has
+    capacity 0."""
+    fits = (i for i in cands if caps[i])
+    best = min(fits, key=lambda i: Fraction(heights[i] + 1, caps[i]), default=None)
+    if best is not None:
+        heights[best] += 1
     return best
 
 
@@ -458,27 +467,18 @@ def greedy_unmodified(inst: SchedulingInstance, caps: Sequence[int] | None = Non
     down, their earlier load given as leading single-machine jobs.
     """
     inst.require_mode(RESTRICTED, "greedy_unmodified")
-    return _restricted_run(inst, _pick_unfloored, caps, range(inst.m))
-
-
-def _check_bid(bid: int) -> None:
-    if bid < 0:
-        raise ValueError(f"bid must be >= 0, got {bid}")
+    return _run(inst, _pick_unfloored, None, caps, range(inst.m))
 
 
 def _rank_run(inst: SchedulingInstance, i: int, bid: int) -> Allocation:
     """The rank-order run with machine i at `bid`, the others at truth."""
-    caps = list(inst.caps)
-    caps[i] = bid
-    return rlms_online(inst, caps=caps, order=inst.order)
+    return rlms_online(inst, caps=(*inst.caps[:i], bid, *inst.caps[i + 1 :]), order=inst.order)
 
 
 def _rerun_heights(inst: SchedulingInstance, i: int, bids: Iterable[int]) -> list[int]:
     """Machine i's height in the rank-order run at each of `bids`, others at
-    truth: one rerun of the stored rank order per positive bid (a zero bid
-    skips the machine in every job, so its height is 0).  Restricted mode
-    only: this is the one mode guard of every rerun payment, checked before
-    any bid, a zero bid included."""
+    truth: one rerun per positive bid (at 0 every job skips the machine).
+    The one mode guard of every rerun payment, before any rerun."""
     inst.require_mode(RESTRICTED, "a rerun height or payment")
     _check_machine(inst.n, i)
     return [bid and _rank_run(inst, i, bid).heights[i] for bid in bids]
@@ -488,14 +488,13 @@ def rerun_height(inst: SchedulingInstance, i: int, bid: int) -> int:
     """Height of machine i in the rank-order run when its bid is replaced by
     `bid` (0 allowed: the machine is then skipped by every job and its
     height is 0)."""
-    _check_bid(bid)
-    return _rerun_heights(inst, i, (bid,))[0]
+    return _rerun_heights(inst, i, (_check_int(bid, "bid", 0),))[0]
 
 
 def _rerun_payment(inst: SchedulingInstance, i: int, bid: int) -> tuple[Fraction, int]:
     """Machine i's rerun payment bid·h(bid) + Σ_{x=0}^{bid} h(x), others at
     truth, and h(bid): one list of heights, one rerun per positive x."""
-    _check_bid(bid)  # before range(bid + 1), which is empty for a negative bid
+    bid = _check_int(bid, "bid", 0)  # before range(bid + 1), empty for a negative bid
     heights = _rerun_heights(inst, i, range(bid + 1))
     return Fraction(bid * heights[bid] + sum(heights)), heights[bid]
 
@@ -517,7 +516,7 @@ def rlms_utility(inst: SchedulingInstance, i: int, bid: int, true_cap: int) -> F
     """Utility of bidding `bid` with true capacity `true_cap` under the
     quadratic cost model x²·h(x)/true_cap (same calibration as the standard
     mode's closed-form sweep)."""
-    _check_true_cap(true_cap)
+    true_cap = _check_int(true_cap, "true_cap", 1)
     payment, height = _rerun_payment(inst, i, bid)
     return payment - Fraction(bid * bid * height, true_cap)
 
@@ -530,9 +529,9 @@ def monotonicity_trace(
     menus and ties fixed.  Entry t is the delta after the first t jobs of
     the rank order (t = 0 … m), read off the two runs' assignments."""
     _check_machine(inst.n, i)
+    bid_low, bid_high = (_check_int(bid, "bid", 0) for bid in (bid_low, bid_high))
     if bid_high < bid_low:
         raise ValueError("bid_high must be >= bid_low")
-    _check_bid(bid_low)
     low, high = (_rank_run(inst, i, bid).assign for bid in (bid_low, bid_high))
     delta = [0] * inst.n
     rows = [tuple(delta)]

@@ -45,9 +45,9 @@ def _calls(name: str) -> int:
 
 def test_engine_call_site_census():
     # ROADMAP's census of the two dependency engines' callers:
-    # `upward_closure` in rsd_local, uduv_local, slms_local and rlms_local;
-    # `resolve` in _bid_local, _bid_run and _RejectionRounds._attempt
-    assert _calls("upward_closure") == 4
+    # `upward_closure` in rsd_local, uduv_local and scheduling's one replay,
+    # _job_local; `resolve` in _bid_local, _bid_run and _RejectionRounds._attempt
+    assert _calls("upward_closure") == 3
     assert _calls("resolve") == 3
 
 

@@ -14,6 +14,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from localmech import scheduling
 from localmech.auctions import (
     AuctionInstance,
     _critical,
@@ -27,7 +28,9 @@ from localmech.auctions import (
 )
 from localmech.probes import LEFT, RIGHT, ProbeCounter, neighborhood
 from localmech.rsd import HousingInstance, rsd_global, rsd_local
-from localmech.scheduling import RESTRICTED, SchedulingInstance, rlms_local, rlms_online
+from localmech.scheduling import (
+    RESTRICTED, STANDARD, SchedulingInstance, rlms_local, rlms_online, slms_local, slms_online,
+)
 
 
 def _sets(m: int, size: int) -> list[tuple[int, ...]]:
@@ -94,6 +97,29 @@ def test_restricted_scheduling_on_every_instance_of_the_scope():
                 for j in range(inst.m):
                     got = _ask(inst, (LEFT, j), lambda c: rlms_local(inst, j, c))
                     assert got == want[j], (seed, caps, rows, j)
+
+
+def test_standard_scheduling_on_every_instance_of_the_scope(monkeypatch):
+    # 2 machines of capacity 1-3, 1-5 jobs and 1-3 slot choices (at most the
+    # pool); the slot choices and tie-breaks are drawn from the seed, so the
+    # scope takes seeds 0-39.  Both sizes of slot tie are hit, 2 and 3
+    ties = set()
+    first = scheduling.uniform_first
+
+    def tie(word, n):
+        ties.add(n)
+        return first(word, n)
+
+    monkeypatch.setattr(scheduling, "uniform_first", tie)
+    for seed in range(40):
+        for caps in product((1, 2, 3), repeat=2):
+            for d, m in product(range(1, min(3, sum(caps)) + 1), range(1, 6)):
+                inst = SchedulingInstance(caps, m=m, d=d, mode=STANDARD, seed=seed)
+                want = slms_online(inst, order=inst.rank_order()).assign
+                for j in range(inst.m):
+                    got = _ask(inst, (LEFT, j), lambda c: slms_local(inst, j, c))
+                    assert got == want[j], (seed, caps, d, m, j)
+    assert ties == {2, 3}
 
 
 def test_housing_on_every_instance_of_the_scope():

@@ -511,6 +511,16 @@ def test_seeded_builds_share_the_id_table_ints():
                 held += [*run.awards, *run.payments]
             assert len(held) > 2 * n, family
             assert all(x is table[x] for x in held), (family, seed)
+    # a seeded restricted build maps its menu draws through a slot-owner
+    # table of ids(n) and ranks its jobs after it, so at n != m the rank
+    # tables and the reverse records still share one table of job ints
+    for n, m in ((512, 512), (300, 512)):
+        inst = build_instance(InstanceSpec(seed=0, family="scheduling-res", n=n, m=m, k=2))
+        assert inst.B <= 8 * m * inst.d  # the owner table, not bisection
+        jobs = [*inst.order, *inst.place, *(j for col in inst.oracle.cols for j in col)]
+        assert all(j is ids(m)[j] for j in jobs), (n, m)
+        if n == m:  # the menu rows hold the owner table's machine ints too
+            assert all(i is ids(n)[i] for row in inst.oracle.rows for i in row)
 
 
 def test_id_table_is_cached_for_the_last_n_asked():

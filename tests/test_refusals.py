@@ -21,10 +21,14 @@ from localmech.scheduling import (
     RESTRICTED,
     SchedulingInstance,
     expected_height,
+    greedy_unmodified,
     monotonicity_trace,
     payment_rlms,
+    payment_rlms_for_bid,
+    rerun_height,
     rlms_local,
     rlms_online,
+    rlms_utility,
     slms_expected_utility,
     slms_local,
     slms_online,
@@ -74,6 +78,21 @@ def _wide_row(family: str, length: int):
     rows = (tuple(range(length)),) + ((0,),) * 3
     return build_instance(InstanceSpec(seed=0, family=family, n=4, m=4, k=2, explicit_edges=rows))
 
+
+# a caller-given capacity or bid is an int under the constructor's `index`
+# rule (a bool counts as one): none of these may pass as one
+NOT_COUNTS = (1.5, 0.5, "1", None)
+# the runs that take caller-given capacities, which `_run` checks for both
+CAPS_RUNS = {"rlms_online": rlms_online, "greedy_unmodified": greedy_unmodified}
+CAPS_MESSAGE = "caps must be 2 ints >= 0, one per machine"  # RESTRICTED_TWIN has 2 machines
+# the rerun helpers' bid of machine 0, each bid on its own
+BID_CALLS = {
+    "rerun_height": lambda b: rerun_height(MACHINES, 0, b),
+    "payment_rlms_for_bid": lambda b: payment_rlms_for_bid(MACHINES, 0, b),
+    "rlms_utility": lambda b: rlms_utility(MACHINES, 0, b, 2),
+    "monotonicity_trace low": lambda b: monotonicity_trace(MACHINES, 0, b, 3),
+    "monotonicity_trace high": lambda b: monotonicity_trace(MACHINES, 0, 0, b),
+}
 
 # family → its refusal of row 0 past k = 2, named by the entity its rows list
 WIDE_ROW = {
@@ -337,6 +356,34 @@ REFUSALS = {
     "slms_expected_utility machine type": (
         lambda i: slms_expected_utility((2, 1, 1), 4, i, 1, 1),
         (0, 2), NOT_INTS, lambda i: f"unknown machine {i}; machines are 0..2",
+    ),
+    **{
+        f"{name} caps length": (
+            lambda c, run=run: run(RESTRICTED_TWIN, caps=(1,) * c),
+            (2,), (1, 3), lambda c: CAPS_MESSAGE,
+        )
+        for name, run in CAPS_RUNS.items()
+    },
+    **{
+        f"{name} capacity": (
+            lambda x, run=run: run(RESTRICTED_TWIN, caps=(1, x)),
+            (0, 1, True), (-1, *NOT_COUNTS), lambda x: CAPS_MESSAGE,
+        )
+        for name, run in CAPS_RUNS.items()
+    },
+    **{
+        f"{name} bid": (call, (0, 1), (-1, -2), lambda b: f"bid must be >= 0, got {b}")
+        for name, call in BID_CALLS.items()
+    },
+    **{
+        f"{name} bid type": (
+            call, (0, 2, True), NOT_COUNTS, lambda b: f"bid must be an int, got {b!r}"
+        )
+        for name, call in BID_CALLS.items()
+    },
+    "rlms_utility true_cap type": (
+        lambda c: rlms_utility(MACHINES, 0, 1, c),
+        (1, 2), NOT_COUNTS, lambda c: f"true_cap must be an int, got {c!r}",
     ),
     # every instance and spec draw builds its tape from the seed, which is
     # taken as it is: not truncated, parsed or read as 0 or 1
