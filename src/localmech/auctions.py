@@ -92,8 +92,8 @@ from typing import (
 )
 
 from .probes import (
-    LEFT, RIGHT, AdjacencyOracle, ProbeCounter, ids, query_view, rank_tables, reported_reads,
-    resolve, upward_closure,
+    LEFT, RIGHT, AdjacencyOracle, ProbeCounter, ids, is_id, query_view, rank_tables,
+    reported_reads, resolve, upward_closure,
 )
 from .randomness import RandomTape
 from .rsd import serial_dictatorship
@@ -203,7 +203,7 @@ class AuctionInstance:
         """The overlay's (buyer, report) pairs, every buyer id checked to be
         an int in range (no bool, float or string passes)."""
         for b in overlay:
-            if type(b) is not int or not 0 <= b < self.n:
+            if not is_id(b, self.n):
                 raise ValueError(f"report overlay names unknown buyer {b!r}")
         return overlay.items()
 
@@ -266,7 +266,7 @@ def uduv_local(
     view = query_view(inst.oracle, (side, idx), counter, kind)
     reported: dict[int, tuple[int, ...]] = {}
     for b, s in inst.reports(overlay or {}):
-        bad = [j for j in s if type(j) is not int or not 0 <= j < inst.m]
+        bad = [j for j in s if not is_id(j, inst.m)]
         if bad:
             raise ValueError(f"buyer {b} reports item {bad[0]!r}, not an int in 0..{inst.m - 1}")
         row = reported[b] = tuple(sorted(s))

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .probes import (
-    LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, ids, query_view, resolve,
+    LEFT, RIGHT, AdjacencyOracle, MemoView, ProbeCounter, ids, is_id, query_view, resolve,
 )
 from .randomness import RandomTape, pair_keys, pair_mix, pair_tables
 
@@ -133,7 +133,7 @@ class MatchingInstance:
             for w, order in enumerate(women_prefs):
                 # an id is an int, checked before a set folds True into 1
                 # or meets an id it cannot hash
-                if any(type(man) is not int or not 0 <= man < self.n for man in order):
+                if not all(is_id(man, self.n) for man in order):
                     raise ValueError(f"woman {w} ranks a man outside 0..{self.n - 1}")
                 if len(set(order)) != len(order):
                     raise ValueError(f"woman {w} ranks a man twice")

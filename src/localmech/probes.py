@@ -5,7 +5,9 @@ entity's adjacency/preference record.  A local query's probes are its read
 set: its `ProbeCounter` keeps each record its view read, once, and leaves
 out the ones the query hands over free.  Every local query opens its view
 with `query_view`, which refuses an id that is not its side's and hands
-over the queried entity's own record free.  Under a report overlay (a
+over the queried entity's own record free.  `is_id` is the one statement
+of what an id is for every caller-given id of the package; only the
+oracle's build pass checks its entries inline.  Under a report overlay (a
 plain mapping from entity to report, read through `reported_reads`) a
 reported row is free too, and a rebuilt record costs the true record it
 replaces, so an overlay costs a query no more than the records it patches.
@@ -45,8 +47,8 @@ from functools import lru_cache
 from typing import Any, Callable, Generator, Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Entity", "ids", "ProbeCounter", "AdjacencyOracle", "MemoView", "query_view", "reported_reads",
-    "neighborhood", "rank_tables", "upward_closure", "resolve",
+    "Entity", "ids", "is_id", "ProbeCounter", "AdjacencyOracle", "MemoView", "query_view",
+    "reported_reads", "neighborhood", "rank_tables", "upward_closure", "resolve",
 ]
 
 Entity = tuple[str, int]
@@ -61,6 +63,11 @@ def ids(n: int) -> tuple[int, ...]:
     left-id and place ints, so the records and tables that list an id all
     hold the same int object."""
     return tuple(range(n))
+
+
+def is_id(x: object, count: int) -> bool:
+    """Whether `x` is one of `count` ids: an int (a bool is not one) in [0, count)."""
+    return type(x) is int and 0 <= x < count
 
 
 class ProbeCounter:
@@ -94,9 +101,9 @@ class AdjacencyOracle:
     record, so a repeat costs one comparison and no set.
 
     `rows` and `cols` are the one stored copies of the left rows and the
-    right records.  A global run walks them uncounted, as do the checked
-    single-record reads `fwd` and `rev`; a local query reads a record only
-    through its `MemoView`, which charges the probe."""
+    right records, and the oracle is only these two tables.  A global run
+    subscripts them uncounted; a local query reads a record only through
+    its `MemoView`, which charges the probe."""
 
     __slots__ = ("n", "m", "rows", "cols")
 
@@ -129,17 +136,6 @@ class AdjacencyOracle:
                     r.append(i)
         self.cols: tuple[tuple[int, ...], ...] = tuple(map(tuple, rev))
 
-    # each read refuses what `_known` refuses, inline
-    def fwd(self, i: int) -> tuple[int, ...]:
-        if type(i) is not int or not 0 <= i < self.n:
-            raise ValueError(f"left id {i!r} out of range [0, {self.n})")
-        return self.rows[i]
-
-    def rev(self, j: int) -> tuple[int, ...]:
-        if type(j) is not int or not 0 <= j < self.m:
-            raise ValueError(f"right id {j!r} out of range [0, {self.m})")
-        return self.cols[j]
-
 
 class MemoView:
     """Per-query oracle view: each read adds its record to the counter's
@@ -161,11 +157,6 @@ class MemoView:
         return self._oracle.cols[j]
 
 
-def _known(oracle: AdjacencyOracle, side: str, i: object) -> bool:
-    """Whether `i` is an id of `side`: an int (a bool is not one) in range."""
-    return type(i) is int and 0 <= i < (oracle.n if side == LEFT else oracle.m)
-
-
 def query_view(
     oracle: AdjacencyOracle, entity: Entity, counter: ProbeCounter | None, kind: str
 ) -> MemoView:
@@ -173,7 +164,7 @@ def query_view(
     reads through: an id that is not its side's is refused, and the
     entity's own record is free, unless a shared counter has read it."""
     side, i = entity
-    if not _known(oracle, side, i):
+    if not is_id(i, oracle.n if side == LEFT else oracle.m):
         raise ValueError(f"unknown {kind} {i}")
     counter = counter or ProbeCounter()
     if entity not in counter.seen:
@@ -232,7 +223,7 @@ def neighborhood(
     side, idx = entity
     if side not in (LEFT, RIGHT):
         raise ValueError(f"unknown side {side!r}")
-    if not _known(oracle, side, idx):
+    if not is_id(idx, oracle.n if side == LEFT else oracle.m):
         raise ValueError(f"entity id {idx} out of range")
     view = MemoView(oracle, counter)
     seen: set[Entity] = {entity}

@@ -18,9 +18,10 @@ The modes differ only in a job's step, `step(ctx, j, record, heights)`, which
 returns the machine job j takes (None if none can) and raises the heights it
 keeps: `_pick_slot`, `_pick_floored` or `_pick_unfloored`, each its rule's
 one statement.  Every online run is the one loop `_run`, which checks
-caller-given capacities; both local queries are the one replay `_job_local`
-of the query's rank-order dependency tree (`probes.upward_closure`), so a
-local answer equals the online run replayed in rank order.  The rank order,
+caller-given capacities by `_check_caps`, as `slms_expected_utility` does;
+both local queries are the one replay `_job_local` of the query's
+rank-order dependency tree (`probes.upward_closure`), so a local answer
+equals the online run replayed in rank order.  The rank order,
 the slot tie-breaks' first attempts (`tie_words`) and `slot_prefix` are built
 with the instance; like the oracle's reverse records they cost no probe, and
 no local query draws a rank or a tie-break or loops over all machines.
@@ -41,7 +42,7 @@ from operator import index
 from typing import TYPE_CHECKING, Any, Callable, Iterable, MutableMapping, Sequence
 
 from .probes import (
-    LEFT, AdjacencyOracle, ProbeCounter, ids, query_view, rank_tables, upward_closure,
+    LEFT, AdjacencyOracle, ProbeCounter, ids, is_id, query_view, rank_tables, upward_closure,
 )
 from .randomness import (
     RandomTape, attempt_table, derive_uniform, sample_table, uniform_first, uniform_rows
@@ -161,7 +162,7 @@ class SchedulingInstance:
                 if len(menus) != m:
                     raise ValueError("need one menu per job")
                 for j, mu in enumerate(menus):
-                    if any(type(i) is not int or not 0 <= i < self.n for i in mu):
+                    if not all(is_id(i, self.n) for i in mu):
                         raise ValueError(f"menu of job {j} names an unknown machine")
             elif d < 1:
                 raise ValueError(f"need d >= 1 menu draws, got d={d}: each job gets an empty menu")
@@ -244,17 +245,9 @@ def _run(
     inst: SchedulingInstance, step: _Step, ctx: Any, caps: Sequence[int] | None, jobs: Iterable[int]
 ) -> Allocation:
     """The one online loop: each of `jobs` in turn takes its step over its
-    oracle record.  Caller-given `caps` are checked here: one int per machine
-    under the constructor's `index` rule, none below 0 (a bid of 0 places
-    no job there).  A None ctx is the run's caps, as the restricted steps take."""
-    if caps is not None:
-        try:
-            caps = tuple(map(index, caps))
-        except TypeError:
-            caps = None
-        if caps is None or len(caps) != inst.n or min(caps, default=0) < 0:
-            raise ValueError(f"caps must be {inst.n} ints >= 0, one per machine")
-    caps = inst.caps if caps is None else caps
+    oracle record, under caller-given `caps` (checked by `_check_caps`) or
+    the instance's.  A None ctx is the run's caps, as the restricted steps take."""
+    caps = inst.caps if caps is None else _check_caps(caps, inst.n)
     ctx = caps if ctx is None else ctx
     rows = inst.oracle.rows
     heights = [0] * inst.n
@@ -321,8 +314,21 @@ def slms_local(inst: SchedulingInstance, job: int, counter: ProbeCounter | None 
 
 
 def _check_machine(n: int, i: int) -> None:
-    if type(i) is not int or not 0 <= i < n:
+    if not is_id(i, n):
         raise ValueError(f"unknown machine {i}; machines are 0..{n - 1}")
+
+
+def _check_caps(caps: Sequence[int], n: int) -> tuple[int, ...]:
+    """Caller-given capacities as ints: one per machine of the n, each an int
+    under the constructor's `index` rule, none below 0 (a bid of 0 places
+    no job there)."""
+    try:
+        checked = tuple(map(index, caps))
+    except TypeError:
+        checked = None
+    if checked is None or len(checked) != n or min(checked, default=0) < 0:
+        raise ValueError(f"caps must be {n} ints >= 0, one per machine")
+    return checked
 
 
 def _check_int(x: int, name: str, least: int) -> int:
@@ -393,9 +399,10 @@ def slms_expected_utility(
     capacity is `true_cap`, under the quadratic cost model: a machine that
     claims x slots and carries expected height h̄ incurs cost x²·h̄/true_cap.
     The payment schedule makes truth the exact argmax of this function."""
+    caps = _check_caps(caps, len(caps))
     _check_machine(len(caps), i)
+    bid = _check_int(bid, "bid", 0)
     true_cap = _check_int(true_cap, "true_cap", 1)
-    caps = list(caps)
     B_minus = sum(caps) - caps[i]
     if bid == 0:
         return Fraction(0)

@@ -739,8 +739,8 @@ def test_item_records_list_the_by_id_buyers_in_bid_order(data):
     by_id = AdjacencyOracle(inst.oracle.rows, m, range(n))
     assert list(inst.order) == _bid_order(range(n), inst.values)
     for j in range(m):
-        assert sorted(inst.oracle.rev(j)) == list(by_id.rev(j))
-        assert list(inst.oracle.rev(j)) == _bid_order(by_id.rev(j), inst.values)
+        assert sorted(inst.oracle.cols[j]) == list(by_id.cols[j])
+        assert list(inst.oracle.cols[j]) == _bid_order(by_id.cols[j], inst.values)
 
 
 @pytest.mark.parametrize("mode", ["udubv", "ksmb"])
@@ -749,7 +749,7 @@ def test_item_records_with_zero_tied_and_fractional_bids(mode):
     sets = [(0, 1), (0,), (1,), (0, 1), (1,)]
     values = [0, 3, F(7, 2), 3, 0]
     inst = AuctionInstance(sets, 2, mode, values=values)
-    assert (inst.oracle.rev(0), inst.oracle.rev(1)) == ((1, 3, 0), (2, 3, 0, 4))
+    assert (inst.oracle.cols[0], inst.oracle.cols[1]) == ((1, 3, 0), (2, 3, 0, 4))
     run, local = _BID_PAIRS[mode]
     out = run(inst)
     for b in range(inst.n):
@@ -773,7 +773,7 @@ def test_overlays_that_reorder_an_item_record(mode, bids):
     sets = [(0,), (0, 1), (0, 1)]
     values = [1, 0, 5]
     inst = AuctionInstance(sets, 2, mode, values=values)
-    assert inst.oracle.rev(0) == (2, 0, 1)
+    assert inst.oracle.cols[0] == (2, 0, 1)
     # the same auction built with the overlaid bids as values
     moved = AuctionInstance(sets, 2, mode, values=[bids.get(b, v) for b, v in enumerate(values)])
     run, local = _BID_PAIRS[mode]
@@ -790,11 +790,11 @@ def test_bid_order_of_no_buyer_and_of_one(mode):
     run, local = _BID_PAIRS[mode]
     empty = AuctionInstance([], 3, mode, values=[])
     assert list(empty.order) == [] and list(empty.place) == []
-    assert [empty.oracle.rev(j) for j in range(3)] == [(), (), ()]
+    assert [empty.oracle.cols[j] for j in range(3)] == [(), (), ()]
     assert run(empty).awards == {}
     for value in (0, 2, F(1, 3)):
         inst = AuctionInstance([(1,)], 2, mode, values=[value])
-        assert list(inst.order) == [0] and (inst.oracle.rev(0), inst.oracle.rev(1)) == ((), (0,))
+        assert list(inst.order) == [0] and (inst.oracle.cols[0], inst.oracle.cols[1]) == ((), (0,))
         award = (1,) if value else ()
         assert run(inst).awards == {0: award}
         assert local(inst, 0) == {"buyer": 0, "award": award, "payment": F(0)}

@@ -53,13 +53,74 @@ def test_engine_call_site_census():
 
 def test_only_probes_builds_a_view():
     # every local query opens its view through `probes.query_view`, which
-    # states the id check and the free own record once
+    # checks the id by `is_id` and states the free own record once
     found = [
         p.name
         for p in SOURCES
         if p.name != "probes.py" and "MemoView(" in p.read_text()
     ]
     assert not found, found
+
+
+def _functions():
+    """(qualified name, node) of every module-level function and method of `src/`."""
+    for p in SOURCES:
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{p.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        yield f"{p.stem}.{node.name}.{f.name}", f
+
+
+def _states_the_id_rule(f: ast.FunctionDef) -> bool:
+    """Whether `f` tests one name both for `type(x) is int` (or `is not`) and
+    for `0 <= x < count` against a count that is not a literal."""
+    typed, ranged = set(), set()
+    for node in ast.walk(f):
+        if not isinstance(node, ast.Compare):
+            continue
+        left, ops, rest = node.left, node.ops, node.comparators
+        if (
+            isinstance(left, ast.Call) and getattr(left.func, "id", None) == "type"
+            and len(left.args) == 1 and isinstance(left.args[0], ast.Name)
+            and isinstance(ops[0], (ast.Is, ast.IsNot)) and getattr(rest[0], "id", None) == "int"
+        ):
+            typed.add(left.args[0].id)
+        if (
+            isinstance(left, ast.Constant) and left.value == 0
+            and [type(op) for op in ops] == [ast.LtE, ast.Lt]
+            and isinstance(rest[0], ast.Name) and not isinstance(rest[1], ast.Constant)
+        ):
+            ranged.add(rest[0].id)
+    return bool(typed & ranged)
+
+
+def test_the_id_rule_is_stated_once():
+    # "an id is an int, not a bool, in [0, count)" is `probes.is_id`, which
+    # every caller-given id goes through; the oracle's build pass keeps its
+    # own two-message check inline, per entry
+    found = [name for name, f in _functions() if _states_the_id_rule(f)]
+    assert found == ["probes.is_id", "probes.AdjacencyOracle.__init__"], found
+
+
+def test_the_oracle_is_its_two_tables():
+    # no checked single-record read: a global run subscripts `rows` and
+    # `cols`, and a local query reads through its `MemoView`
+    oracle = next(
+        node
+        for node in ast.parse((SOURCES[0].parent / "probes.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "AdjacencyOracle"
+    )
+    methods = [f.name for f in oracle.body if isinstance(f, ast.FunctionDef)]
+    assert methods == ["__init__"], methods
+    slots = next(
+        ast.literal_eval(s.value)
+        for s in oracle.body
+        if isinstance(s, ast.Assign) and s.targets[0].id == "__slots__"
+    )
+    assert slots == ("n", "m", "rows", "cols"), slots
 
 
 def test_no_module_imports_numpy_or_scipy():

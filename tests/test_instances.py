@@ -142,7 +142,7 @@ def test_explicit_rows_give_one_row_per_entity():
         InstanceSpec(seed=0, family="scheduling-res", n=3, m=5, k=1, explicit_edges=rows)
     spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=3, k=1, explicit_edges=rows)
     inst = build_instance(spec)
-    assert [inst.oracle.fwd(j) for j in range(3)] == list(rows)
+    assert [inst.oracle.rows[j] for j in range(3)] == list(rows)
     with pytest.raises(ValueError, match="takes no explicit_edges"):
         InstanceSpec(seed=0, family="scheduling-std", n=3, m=3, k=1, explicit_edges=rows)
 
@@ -154,7 +154,7 @@ def test_restricted_spec_menus_hold_at_most_d_draws():
         InstanceSpec(seed=0, family="scheduling-res", n=3, m=1, k=1, explicit_edges=((0, 1, 2),))
     for menu, record in (((0, 0), (0,)), ((2, 1), (1, 2))):
         spec = InstanceSpec(seed=0, family="scheduling-res", n=3, m=1, k=2, explicit_edges=(menu,))
-        assert build_instance(spec).oracle.fwd(0) == record
+        assert build_instance(spec).oracle.rows[0] == record
 
 
 _STD = SchedulingInstance((2, 3), m=6, d=2, mode=STANDARD, seed=1)
@@ -235,11 +235,11 @@ def test_oracle_transpose_consistency():
     inst = MatchingInstance.seeded(100, 3, 11)
     oracle = inst.oracle
     for i in range(100):
-        for j in oracle.fwd(i):
-            assert i in oracle.rev(j)
+        for j in oracle.rows[i]:
+            assert i in oracle.cols[j]
     for j in range(inst.m):
-        for i in oracle.rev(j):
-            assert j in oracle.fwd(i)
+        for i in oracle.cols[j]:
+            assert j in oracle.rows[i]
 
 
 def test_an_empty_reverse_record_is_free_to_build():
@@ -258,20 +258,18 @@ def test_an_empty_reverse_record_is_free_to_build():
     assert peak < 40 * 2**20, peak
     touched = {j for row in rows for j in row}
     for j in touched:
-        assert oracle.rev(j) == tuple(i for i in order if j in rows[i]), j
+        assert oracle.cols[j] == tuple(i for i in order if j in rows[i]), j
     for j in (0, m - 1, m // 4):
-        assert oracle.rev(j) == (), j
-    assert sum(1 for j in range(m) if oracle.rev(j)) == len(touched)
+        assert oracle.cols[j] == (), j
+    assert sum(1 for j in range(m) if oracle.cols[j]) == len(touched)
 
 
 def test_oracle_rejects_out_of_range_ids():
     with pytest.raises(ValueError):
         AdjacencyOracle([(0, 5)], 3, range(1))
+    # the oracle is its two tables, one record per id
     oracle = AdjacencyOracle([(0, 1)], 2, range(1))
-    with pytest.raises(ValueError):
-        oracle.fwd(1)
-    with pytest.raises(ValueError):
-        oracle.rev(2)
+    assert (oracle.rows, oracle.cols) == (((0, 1),), ((0,), (0,)))
 
 
 def test_oracle_refuses_an_order_that_is_not_a_permutation():
@@ -280,8 +278,8 @@ def test_oracle_refuses_an_order_that_is_not_a_permutation():
         with pytest.raises(ValueError, match="permutation of the 3 left ids"):
             AdjacencyOracle(rows, 2, order)
     oracle = AdjacencyOracle(rows, 2, (2, 0, 1))
-    assert (oracle.rev(0), oracle.rev(1)) == ((0, 1), (2, 1))
-    assert AdjacencyOracle([], 2, ()).rev(1) == ()
+    assert (oracle.cols[0], oracle.cols[1]) == ((0, 1), (2, 1))
+    assert AdjacencyOracle([], 2, ()).cols[1] == ()
 
 
 def test_probe_counting_memoizes_per_record():
@@ -427,7 +425,7 @@ def test_restricted_menu_draw_frequency():
     caps = (4, 8, 36)
     spec = InstanceSpec(seed=3, family="scheduling-res", n=3, m=100_000, k=2, values=caps)
     inst = build_instance(spec)
-    listed = Counter(i for j in range(inst.m) for i in inst.oracle.fwd(j))
+    listed = Counter(i for j in range(inst.m) for i in inst.oracle.rows[j])
     for i, c in enumerate(caps):
         freq = listed[i] / inst.m
         assert abs(freq - (1 - (1 - c / 48) ** 2)) < 0.01, (i, freq)
@@ -460,7 +458,7 @@ def _seeded_draws(inst) -> list:
     draws, the job rank order, the uduv item order and every listed matching
     priority.  The lottery and the menus are redrawn from the tape (the
     instance keeps neither), the menus mapped by the slot prefix sums."""
-    draws = [[inst.oracle.fwd(i) for i in range(inst.oracle.n)]]
+    draws = [[inst.oracle.rows[i] for i in range(inst.oracle.n)]]
     if isinstance(inst, HousingInstance):
         draws.append(tuple(1 + v for v in uniform_table(inst.tape, "lottery", inst.n, inst.n**4)))
     if hasattr(inst, "caps"):
@@ -561,7 +559,7 @@ def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
             assert list(inst.caps) == values("cap", n, n.bit_length() - 1)
             assert list(inst.order) == order("job-rank", n, 1)
             if inst.mode == STANDARD:
-                chosen = [inst.oracle.fwd(j) for j in range(n)]
+                chosen = [inst.oracle.rows[j] for j in range(n)]
                 assert chosen == rows("slot-choice", n, inst.B, k)
             else:
                 menus = [
@@ -571,7 +569,7 @@ def test_seeded_builds_past_one_lane_block_equal_the_per_key_draws():
                     )
                     for j in range(n)
                 ]
-                assert [inst.oracle.fwd(j) for j in range(n)] == [
+                assert [inst.oracle.rows[j] for j in range(n)] == [
                     tuple(sorted(set(mu))) for mu in menus
                 ]
         else:

@@ -22,7 +22,9 @@ touches in the oracle's tables is in its counter's `seen`, and every record
 in `seen` but the query's free own record was touched.  The oracle's tables
 hold every row the instance keeps, and the query sees the instance through a
 proxy that serves, beside the oracle, only its family's free data, so a
-query that reads rows or data behind the oracle fails too.
+query that reads rows or data behind the oracle fails too.  The buyer
+queries are also asked so under an overlay where one rival reports: a
+reported row is neither touched nor charged.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _changed_rows(oracle: AdjacencyOracle, seen: set, k: int, rng: random.Random
     unread = [r for r in range(oracle.m) if (RIGHT, r) not in seen]
     rows = []
     for i in range(oracle.n):
-        row = oracle.fwd(i)
+        row = oracle.rows[i]
         if (LEFT, i) not in seen:
             keep = [r for r in row if (RIGHT, r) in seen]
             pool = [r for r in unread if r not in row]
@@ -90,8 +92,8 @@ def _changed_values(spec: InstanceSpec, oracle: AdjacencyOracle, seen: set, rng:
     """New values for the entities whose own record is unread and which no
     read record lists: buyers for udubv/ksmb, machines for scheduling."""
     side = LEFT if FAMILIES[spec.family].values == "valuations" else RIGHT
-    records = {LEFT: oracle.fwd, RIGHT: oracle.rev}
-    read = seen | {(side, x) for s, e in seen if s != side for x in records[s](e)}
+    records = {LEFT: oracle.rows, RIGHT: oracle.cols}
+    read = seen | {(side, x) for s, e in seen if s != side for x in records[s][e]}
     low = 0 if side == LEFT else 1  # a bid may be 0, a capacity may not
     return tuple(
         v if (side, x) in read else rng.randint(low, 6) for x, v in enumerate(spec.values)
@@ -112,7 +114,7 @@ def _check_unread_changes(spec, inst, query, rounds, e, rng) -> tuple[int, int]:
     """Ask the query on the instance and on its rebuilds with unread rows,
     then unread values, changed; each must answer alike.  Returns how many
     rows and values the rebuilds changed."""
-    truth = [inst.oracle.fwd(i) for i in range(inst.oracle.n)]
+    truth = [inst.oracle.rows[i] for i in range(inst.oracle.n)]
     changed_rows = changed_values = 0
     want, seen = _answer(query, inst, rounds, e)
     for _ in range(REBUILDS):
@@ -258,3 +260,35 @@ def test_every_probe_is_a_touched_record(family):
     assert queries >= 2 * 3 * 512 // 7
     # the table names no datum the queries do not read
     assert read | _RARE >= _FREE_DATA[family] | {"oracle"}, read
+
+
+@pytest.mark.parametrize("family", list(_OVERLAID))
+def test_every_overlaid_probe_is_a_touched_record(family):
+    # the proxy check above, for each buyer query under an overlay where one
+    # rival reports: a record read through the rebuilt reads is still a
+    # probe, and a reported row is neither touched nor charged
+    ask, report = _OVERLAID[family]
+    rng = random.Random(family)
+    queries = 0
+    for k in (2, 3):
+        inst = build_instance(InstanceSpec(seed=k, family=family, n=512, m=512, k=k))
+        rows, cols = inst.oracle.rows, inst.oracle.cols
+        touched: set = set()
+        inst.oracle.rows = _Recorded(rows, LEFT, touched)
+        inst.oracle.cols = _Recorded(cols, RIGHT, touched)
+        # an overlay's checks also read `reports` and, for a reported set, m
+        seen_as = _FreeData(inst, _FREE_DATA[family] | {"reports", "m"})
+        for e in range(0, inst.n, 7):
+            # the first rival on one of e's items, else the next buyer
+            r = next((b for j in rows[e] for b in cols[j] if b != e), (e + 1) % inst.n)
+            overlay = report(inst, r, rng)
+            touched.clear()
+            counter = ProbeCounter()
+            ask(seen_as, e, counter, overlay)
+            assert touched <= counter.seen, (k, e, touched - counter.seen)
+            phantom = counter.seen - touched - {(LEFT, e)}
+            assert not phantom, (k, e, phantom)
+            if family == "uduv":
+                assert (LEFT, r) not in touched | counter.seen, (k, e, r)
+            queries += 1
+    assert queries == 2 * len(range(0, 512, 7))

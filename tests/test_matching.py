@@ -305,7 +305,7 @@ def test_local_woman_stops_at_a_first_choice_best_suitor():
         inst = MatchingInstance.seeded(1024, 3, seed)
         checked = 0
         for w in range(inst.m):
-            suitors = inst.oracle.rev(w)
+            suitors = inst.oracle.cols[w]
             if not suitors:
                 continue
             best = max(suitors, key=lambda man: inst.priority_key(w, man))
@@ -398,7 +398,7 @@ def test_local_k1_cost_is_the_womans_suitor_record():
     for man in range(inst.n):
         counter = ProbeCounter()
         local_ags(inst, 2, man, counter)
-        assert counter.count == len(inst.oracle.rev(inst.oracle.rows[man][0])), man
+        assert counter.count == len(inst.oracle.cols[inst.oracle.rows[man][0]]), man
 
 
 def test_local_is_exact_at_huge_round_budgets():
@@ -532,7 +532,7 @@ def test_key_rows_and_suitor_keys_are_priority_key(case):
             women, men = [w for w, _ in pairs[::step]], [man for _, man in pairs[::step]]
             assert inst.proposal_keys(women, men) == want[::step], depth
     for w in range(inst.m):
-        men = inst.oracle.rev(w)
+        men = inst.oracle.cols[w]
         assert inst.suitor_keys(w, men) == [inst.priority_key(w, man)[0] for man in men]
 
 

@@ -114,7 +114,7 @@ def test_restricted_scheduling_local_matches_global(inst):
     for j in range(inst.m):
         counter = ProbeCounter()
         assert rlms_local(inst, j, counter) == alloc.assign[j]
-        assert alloc.assign[j] in inst.oracle.fwd(j)
+        assert alloc.assign[j] in inst.oracle.rows[j]
         assert counter.seen <= _reachable(inst.oracle, (LEFT, j))
 
 

@@ -14,7 +14,7 @@ from localmech.auctions import (
 from localmech.harness import bench_points, verify_family
 from localmech.instances import FAMILIES, InstanceSpec, build_instance, spec_from_json
 from localmech.matching import MatchingInstance, abridged_gs, local_ags, local_ags_woman
-from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood
+from localmech.probes import LEFT, RIGHT, AdjacencyOracle, neighborhood, query_view
 from localmech.randomness import RandomTape
 from localmech.rsd import HousingInstance, rsd_local
 from localmech.scheduling import (
@@ -51,12 +51,12 @@ def _report_item(j):
     return uduv_local(BUYERS, ("buyer", 0), None, {0: (1, j)})
 
 
-def _oracle_reads(i):
-    # fwd(i) and rev(i), each asked on its own; a refusal joins both messages
+def _views(i):
+    # a view on id i of each side, each opened on its own; a refusal joins both messages
     errors = []
-    for read in (ORACLE.fwd, ORACLE.rev):
+    for side, kind in ((LEFT, "left id"), (RIGHT, "right id")):
         try:
-            read(i)
+            query_view(ORACLE, (side, i), None, kind)
         except ValueError as err:
             errors.append(str(err))
     if errors:
@@ -85,13 +85,14 @@ NOT_COUNTS = (1.5, 0.5, "1", None)
 # the runs that take caller-given capacities, which `_run` checks for both
 CAPS_RUNS = {"rlms_online": rlms_online, "greedy_unmodified": greedy_unmodified}
 CAPS_MESSAGE = "caps must be 2 ints >= 0, one per machine"  # RESTRICTED_TWIN has 2 machines
-# the rerun helpers' bid of machine 0, each bid on its own
+# the rerun helpers' and the standard-mode utility's bid of machine 0, each bid on its own
 BID_CALLS = {
     "rerun_height": lambda b: rerun_height(MACHINES, 0, b),
     "payment_rlms_for_bid": lambda b: payment_rlms_for_bid(MACHINES, 0, b),
     "rlms_utility": lambda b: rlms_utility(MACHINES, 0, b, 2),
     "monotonicity_trace low": lambda b: monotonicity_trace(MACHINES, 0, b, 3),
     "monotonicity_trace high": lambda b: monotonicity_trace(MACHINES, 0, 0, b),
+    "slms_expected_utility": lambda b: slms_expected_utility((2, 1, 1), 4, 0, b, 1),
 }
 
 # family → its refusal of row 0 past k = 2, named by the entity its rows list
@@ -275,11 +276,9 @@ REFUSALS = {
         lambda x: AdjacencyOracle([(0,), (0, 1)], 2, (x, 0)),
         (1,), NOT_INTS, lambda x: "order must be a permutation of the 2 left ids",
     ),
-    # the oracle's checked reads refuse what a local query's id check does
-    "oracle fwd/rev id type": (
-        _oracle_reads,
-        (0, 1), NOT_INTS,
-        lambda i: f"left id {i!r} out of range [0, 3); right id {i!r} out of range [0, 4)",
+    # `is_id`, through a view of each side, refuses every id that is no int
+    "query_view id type": (
+        _views, (0, 1), NOT_INTS, lambda i: f"unknown left id {i}; unknown right id {i}"
     ),
     # an online run's order holds the m jobs as ints, as the oracle's order does
     "slms_online order entry type": (
@@ -371,6 +370,15 @@ REFUSALS = {
         )
         for name, run in CAPS_RUNS.items()
     },
+    # the standard-mode utility's caps keep the runs' rule, one per machine they list
+    "slms_expected_utility capacity": (
+        lambda x: slms_expected_utility((1, x), 4, 0, 1, 1),
+        (0, 1, True), (-1, *NOT_COUNTS), lambda x: CAPS_MESSAGE,
+    ),
+    "slms_expected_utility first capacity": (
+        lambda x: slms_expected_utility((x, 2), 4, 1, 1, 1),
+        (0, 1), (-5, *NOT_COUNTS), lambda x: CAPS_MESSAGE,
+    ),
     **{
         f"{name} bid": (call, (0, 1), (-1, -2), lambda b: f"bid must be >= 0, got {b}")
         for name, call in BID_CALLS.items()
@@ -471,12 +479,12 @@ def test_refusals_without_a_boundary_name_their_fault(name):
 
 def test_rows_naming_each_id_once_build():
     # the rows refused above for a repeated id, with each id listed once
-    assert AdjacencyOracle([(0, 1)], 2, range(1)).rev(1) == (0,)
-    assert HousingInstance([[0]], 1).oracle.fwd(0) == (0,)
-    assert MatchingInstance([[1]], 2).oracle.fwd(0) == (1,)
-    assert AuctionInstance([(1,), (2, 0)], 3, "uduv").oracle.fwd(1) == (0, 2)
+    assert AdjacencyOracle([(0, 1)], 2, range(1)).cols[1] == (0,)
+    assert HousingInstance([[0]], 1).oracle.rows[0] == (0,)
+    assert MatchingInstance([[1]], 2).oracle.rows[0] == (1,)
+    assert AuctionInstance([(1,), (2, 0)], 3, "uduv").oracle.rows[1] == (0, 2)
     # ids repeated across rows are fine: each record lists both rows
-    assert AdjacencyOracle([(0, 1), (1, 0)], 2, (1, 0)).rev(0) == (1, 0)
+    assert AdjacencyOracle([(0, 1), (1, 0)], 2, (1, 0)).cols[0] == (1, 0)
 
 
 def test_a_bid_list_that_is_not_ints_is_a_usage_error(capsys):

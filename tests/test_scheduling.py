@@ -190,7 +190,7 @@ def test_ties_go_to_the_smaller_machine_whatever_the_menu_order():
     # the raw menu lists machine 3 first; every rule reads the sorted record,
     # so the first least load, floored or not, is machine 1
     inst = _res((1, 1, 1, 1), 1, menus=[(3, 1)])
-    assert inst.oracle.fwd(0) == (1, 3)
+    assert inst.oracle.rows[0] == (1, 3)
     assert rlms_online(inst).assign == (1,)
     assert rlms_online(inst, order=inst.order).assign == (1,)
     assert rlms_local(inst, 0) == 1
@@ -335,8 +335,8 @@ def test_menu_draw_order_and_repeats_never_matter():
     raw = [(3, 1, 3), (2, 1), (1, 1, 0), (0, 2), (3, 2, 2), (1, 3, 0), (2,), (3, 0), (0, 0)]
     tidy = [tuple(sorted(set(mu))) for mu in raw]
     a, b = (_res(caps, len(raw), seed=7, menus=mus) for mus in (raw, tidy))
-    assert [a.oracle.fwd(j) for j in range(a.m)] == tidy
-    assert [b.oracle.fwd(j) for j in range(b.m)] == tidy
+    assert [a.oracle.rows[j] for j in range(a.m)] == tidy
+    assert [b.oracle.rows[j] for j in range(b.m)] == tidy
     assert list(a.order) == list(b.order)
     assert rlms_online(a) == rlms_online(b)
     assert rlms_online(a, order=a.order) == rlms_online(b, order=b.order)
@@ -530,9 +530,9 @@ def test_standard_mode_on_a_maximal_slot_pool():
     inst = _std((524288, 524288), 8, 2)
     want = slms_online(inst, order=inst.rank_order()).assign
     assert [slms_local(inst, j) for j in range(inst.m)] == list(want)
-    chosen = {s for j in range(inst.m) for s in inst.oracle.fwd(j)}
+    chosen = {s for j in range(inst.m) for s in inst.oracle.rows[j]}
     unchosen = next(s for s in range(inst.B) if s not in chosen)
-    assert inst.oracle.rev(unchosen) == ()
+    assert inst.oracle.cols[unchosen] == ()
 
 
 def test_slot_prefix_is_built_once_and_serves_both_modes():
@@ -555,7 +555,7 @@ def _bisected_menus(inst):
 def test_seeded_menus_map_each_draw_to_the_machine_owning_its_slot(n, d):
     for seed in range(2):
         inst = build_instance(InstanceSpec(seed=seed, family="scheduling-res", n=n, m=n, k=d))
-        assert [inst.oracle.fwd(j) for j in range(inst.m)] == _bisected_menus(inst)
+        assert [inst.oracle.rows[j] for j in range(inst.m)] == _bisected_menus(inst)
 
 
 @pytest.mark.parametrize(
@@ -568,7 +568,7 @@ def test_seeded_menus_on_either_side_of_the_owner_table_rule(caps):
     # a slot-owner table, a 49-slot one by bisection, as are a pool of
     # MAX_SIZE slots and one of 2^40 slots, far past what a table could hold
     inst = _res(caps, 2, d=3, seed=1)
-    assert [inst.oracle.fwd(j) for j in range(inst.m)] == _bisected_menus(inst)
+    assert [inst.oracle.rows[j] for j in range(inst.m)] == _bisected_menus(inst)
 
 
 def test_local_validates_job():
